@@ -10,7 +10,6 @@
 //	go run ./cmd/benchdiff -parse bench.txt -out BENCH_$(date -u +%F).json \
 //	    -baseline BENCH_baseline.json -threshold 0.25 \
 //	    -speedup base=SchedPostDispatchMutex,opt=SchedPostDispatchDeques,min=2 \
-//	    -speedup base=WireCoalesceBatch,opt=WireWritevBatch,min=1.2 \
 //	    -allocdrop SchedParcelFlood=0.5,SchedParcelPingPong=0.5 \
 //	    -require WireWritevBatch,WireShardedFanout,WireSameHost
 //

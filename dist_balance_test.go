@@ -9,6 +9,7 @@ package parallex_test
 
 import (
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -53,9 +54,9 @@ func startBalanceMachine(t *testing.T) []*parallex.Runtime {
 			BalanceMaxMoves:     2,
 			Register: func(rt *parallex.Runtime) {
 				rt.MustRegisterAction("bal.bump", func(ctx *parallex.Context, target any, args *parallex.ArgsReader) (any, error) {
-					v := target.([]int64)
-					v[0]++
-					return v[0], nil
+					// Actions on one object are not serialized: two workers
+					// of its locality may run them at once.
+					return atomic.AddInt64(&target.([]int64)[0], 1), nil
 				})
 			},
 		})

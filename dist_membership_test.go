@@ -257,78 +257,6 @@ func TestDistMembershipJoin(t *testing.T) {
 	waitGoroutines(t, baseline)
 }
 
-// TestDistMembershipMixedCapability: a node that opts out of membership
-// (Membership.Disable) announces a version-1 hello with no member
-// section. The capable peers treat it as a fixed, unmonitored member —
-// it is never declared dead however silent its detector history — and
-// the machine interoperates and shuts down cleanly.
-func TestDistMembershipMixedCapability(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	ranges := make([][2]int, len(distRanges))
-	for i, rg := range distRanges {
-		ranges[i] = [2]int{rg.Lo, rg.Hi}
-	}
-	tcps := make([]*transport.TCP, 3)
-	addrs := make([]string, 3)
-	for i := range tcps {
-		tr, err := newWireTCP(parallex.TCPTransportConfig{
-			Self: i, Listen: "127.0.0.1:0", Peers: make([]string, 3), Ranges: ranges,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tcps[i] = tr
-		addrs[i] = tr.Addr().String()
-	}
-	rts := make([]*parallex.Runtime, 3)
-	for i, tr := range tcps {
-		tr.SetPeers(addrs)
-		cfg := fastMembership
-		cfg.Disable = i == 2 // node 2 speaks the old protocol
-		rts[i] = parallex.New(parallex.Config{
-			Transport:          tr,
-			NodeID:             i,
-			NodeLocalities:     distRanges,
-			WorkersPerLocality: 2,
-			Membership:         cfg,
-			Register:           registerTestActions,
-		})
-	}
-
-	// Traffic in both directions through the unmonitored node.
-	data := rts[2].NewDataAt(4, []float64{3, 3})
-	if v, err := rts[0].CallFrom(0, data, "dist.sum", nil).Get(); err != nil || v.(float64) != 6 {
-		t.Fatalf("call into the degraded node: %v %v", v, err)
-	}
-	back := rts[0].NewDataAt(0, []float64{1, 1, 1, 1})
-	if v, err := rts[2].CallFrom(4, back, "dist.sum", nil).Get(); err != nil || v.(float64) != 4 {
-		t.Fatalf("call from the degraded node: %v %v", v, err)
-	}
-
-	// Give the detectors several beat intervals: the degraded node beats
-	// nothing, and must NOT be declared dead for it.
-	time.Sleep(20 * fastMembership.HeartbeatInterval)
-	for _, m := range rts[0].Members() {
-		if m.Node == 2 {
-			if m.Member {
-				t.Fatalf("degraded node announced membership: %+v", m)
-			}
-			if !m.Alive {
-				t.Fatalf("degraded node was declared dead: %+v", m)
-			}
-		}
-	}
-
-	rts[0].Wait()
-	for i, rt := range rts {
-		rt.Shutdown()
-		for _, err := range rt.Errors() {
-			t.Errorf("node %d error: %v", i, err)
-		}
-	}
-	waitGoroutines(t, baseline)
-}
-
 // TestDistServeChaos kills a node under open-loop KV load: the serving
 // tier must give every request a final verdict. Requests bound for the
 // dying node's shards time out or fail with the node-lost verdict,

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -39,8 +40,9 @@ func startMigrationMachine(t *testing.T) []*parallex.Runtime {
 					if !ok || len(v) == 0 {
 						return nil, fmt.Errorf("mig.bump on %T", target)
 					}
-					v[0]++
-					return v[0], nil
+					// Actions on one object are not serialized: two workers
+					// of its locality may run them at once.
+					return atomic.AddInt64(&v[0], 1), nil
 				})
 			},
 		})

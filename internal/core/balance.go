@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -46,12 +45,6 @@ type balancerState struct {
 type remoteLoad struct {
 	score float64
 	at    int64 // unix nanos of the report, for debugging staleness
-}
-
-// loadEntry is one locality's score in an outgoing fLoad report.
-type loadEntry struct {
-	loc   uint32
-	score float64
 }
 
 // newBalancerState assembles the balancer from the runtime's Balance*
@@ -157,7 +150,7 @@ func (b *balancerState) tick() {
 			raw = 0
 		}
 		score := b.eng.Observe(i, raw)
-		report = append(report, loadEntry{loc: uint32(i), score: score})
+		report = append(report, loadEntry{loc: i, score: score})
 	}
 
 	d := r.dist
@@ -243,9 +236,9 @@ func suspectThreshold(d *distState) float64 {
 
 // nodeEligible reports whether node n may be targeted by a migration:
 // alive in the locality map, not declared dead, not cleanly departed,
-// and — when it participates in membership — below the suspicion
-// threshold. A node we know nothing about (no peer state yet) is
-// eligible: absence of evidence is how a fixed machine looks.
+// and — once it has beaten — below the suspicion threshold. A node we
+// know nothing about (no peer state yet) is eligible: absence of evidence
+// is how a fixed machine looks.
 func nodeEligible(d *distState, n int, now time.Time, thr float64) bool {
 	if n == d.node {
 		return true
@@ -260,10 +253,8 @@ func nodeEligible(d *distState, n int, now time.Time, thr float64) bool {
 	if ps.dead.Load() || ps.departed.Load() {
 		return false
 	}
-	if ps.member.Load() {
-		if det := ps.det.Load(); det != nil && det.Phi(now) >= thr {
-			return false
-		}
+	if det := ps.det.Load(); det != nil && det.Phi(now) >= thr {
+		return false
 	}
 	return true
 }
@@ -275,15 +266,7 @@ func (b *balancerState) broadcast(d *distState, entries []loadEntry) {
 	if len(entries) == 0 || len(entries) > math.MaxUint16 {
 		return
 	}
-	frame := make([]byte, 3+12*len(entries))
-	frame[0] = fLoad
-	binary.LittleEndian.PutUint16(frame[1:3], uint16(len(entries)))
-	off := 3
-	for _, e := range entries {
-		binary.LittleEndian.PutUint32(frame[off:], e.loc)
-		binary.LittleEndian.PutUint64(frame[off+4:], math.Float64bits(e.score))
-		off += 12
-	}
+	frame := encodeLoad(entries)
 	now := time.Now()
 	thr := suspectThreshold(d)
 	for n := 0; n < d.lmap.Nodes(); n++ {
@@ -294,29 +277,19 @@ func (b *balancerState) broadcast(d *distState, entries []loadEntry) {
 	}
 }
 
-// onLoad records a peer's fLoad report. Nodes without a balancer ignore
-// the frames — the wire kind exists machine-wide, the policy is per-
-// node. Malformed counts and non-finite scores are dropped: load
-// reports are advisory, never worth an error.
-func (d *distState) onLoad(from int, body []byte) {
+// onLoad records a peer's fLoad report (already vetted by decodeLoad:
+// every entry names a locality of this machine and carries a finite,
+// non-negative score). Nodes without a balancer ignore the frames — the
+// wire kind exists machine-wide, the policy is per-node.
+func (d *distState) onLoad(loads []loadEntry) {
 	b := d.rt.bal
-	if b == nil || len(body) < 2 {
-		return
-	}
-	n := int(binary.LittleEndian.Uint16(body[:2]))
-	if n == 0 || len(body) < 2+12*n {
+	if b == nil {
 		return
 	}
 	now := time.Now().UnixNano()
 	b.mu.Lock()
-	for i := 0; i < n; i++ {
-		off := 2 + 12*i
-		loc := int(binary.LittleEndian.Uint32(body[off:]))
-		score := math.Float64frombits(binary.LittleEndian.Uint64(body[off+4:]))
-		if math.IsNaN(score) || math.IsInf(score, 0) || score < 0 {
-			continue
-		}
-		b.remote[loc] = remoteLoad{score: score, at: now}
+	for _, e := range loads {
+		b.remote[e.loc] = remoteLoad{score: e.score, at: now}
 	}
 	b.mu.Unlock()
 	b.reports.Add(1)

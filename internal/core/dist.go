@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -12,31 +11,6 @@ import (
 	"repro/internal/parcel"
 	"repro/internal/trace"
 	"repro/internal/transport"
-)
-
-// Distributed frame types. Every transport frame begins with one type
-// byte. All kinds — including migration payloads — ride the transport's
-// group-commit batching: a MIGRATE frame posted while a parcel batch's
-// write is in flight simply joins the next batch.
-const (
-	fParcel     = byte(1)  // encoded parcel
-	fAck        = byte(2)  // per-parcel receipt; releases the sender's work unit
-	fDrain      = byte(3)  // quiescence probe: u64 seq
-	fDrainReply = byte(4)  // probe answer: u64 seq | i64 pending | u64 sent | u64 recv
-	fGoodbye    = byte(5)  // node departure: u64 final sent | u64 final recv
-	fHalt       = byte(6)  // cooperative machine-wide halt request
-	fAckMoved   = byte(7)  // receipt + moved verdict: gid | u32 owner | u64 gen
-	fMigrate    = byte(8)  // object payload push: u64 xid | gid | u32 to | u64 gen | value record
-	fMigrateOK  = byte(9)  // migrate push outcome: u64 xid | u8 ok | str error
-	fDirUpdate  = byte(10) // home-directory commit request: u64 xid | gid | u32 owner | u64 gen
-	fDirOK      = byte(11) // commit outcome: u64 xid | u8 ok | str error
-	fParcelI    = byte(12) // parcel in the interned-action wire form (see intern.go)
-	fLCOSet     = byte(13) // LCO trigger: u64 tid | u8 op | gid | u32 slot | u32 hops | u32 vlen | value
-	fLCOFire    = byte(14) // LCO resolution delivery to a waiter; same body as fLCOSet
-	fLCOAck     = byte(15) // LCO trigger receipt: u64 tid; stops retransmission
-	fBeat       = byte(16) // membership heartbeat: u64 locality-map fingerprint
-	fDead       = byte(17) // authoritative death verdict: u16 node
-	fLoad       = byte(18) // balancer load report: u16 n | n x (u32 locality, f64 score bits)
 )
 
 // distState is the runtime's view of the multi-node machine: the frame
@@ -62,19 +36,19 @@ type distState struct {
 
 	// peerTab is the per-peer lane state: parcel counters, the
 	// sent-but-unacked count whose work units a death must release,
-	// capability bits from the peer's hello, liveness, and the phi
-	// detector. It grows copy-on-write as nodes join.
+	// liveness, and the phi detector. It grows copy-on-write as nodes join.
 	peerTab atomic.Pointer[[]*peerState]
 	growMu  sync.Mutex
 
-	// mb is the membership protocol state; nil when membership is off
-	// (fixed machine, or the transport cannot grow).
+	// mb is the membership protocol state; nil when the transport cannot
+	// grow (a fixed machine).
 	mb *memberState
 
-	// intern carries the per-peer action tables; internedSent/internedRecv
-	// count fParcelI traffic (observability, and the mixed-mode tests'
-	// assertion that interning actually engaged).
-	intern       *internState
+	// ourTable is the action table this node announced in its hello (each
+	// peer's own announcement lives in its peerState);
+	// internedSent/internedRecv count fParcelI traffic
+	// (px.wire.interned_*).
+	ourTable     *senderTable
 	internedSent atomic.Uint64
 	internedRecv atomic.Uint64
 
@@ -134,7 +108,6 @@ func newDistState(r *Runtime, tr transport.Transport, node int, lmap *agas.Local
 		node:     node,
 		lmap:     lmap,
 		home:     hr.Lo,
-		intern:   newInternState(tr.Nodes()),
 		drains:   make(map[uint64]chan drainReply),
 		departed: make(map[int]drainReply),
 		rpc:      make(map[uint64]chan rpcReply),
@@ -173,47 +146,66 @@ func (d *distState) onFrame(from int, frame []byte) {
 	// Stamp liveness before dispatch: the death check counts silence
 	// across ALL lanes of a peer, so any frame kind on any lane vetoes a
 	// pending verdict (see memberState.check).
-	if ps := d.peer(from); ps != nil {
+	ps := d.peer(from)
+	if ps != nil {
 		ps.lastFrame.Store(time.Now().UnixNano())
 	}
-	switch frame[0] {
-	case fParcel:
-		d.onParcel(from, frame[1:], false)
-	case fParcelI:
-		d.internedRecv.Add(1)
-		d.onParcel(from, frame[1:], true)
+	kind := frame[0]
+	row := kindOf(kind)
+	if row == nil {
+		d.rt.recordError(fmt.Errorf("core: unknown frame type %d from node %d", kind, from))
+		return
+	}
+	env := frameEnv{width: d.lmap.Localities()}
+	if kind == fParcelI && ps != nil {
+		// Without the sender's announcement (its hello was rejected) the
+		// table stays nil and the frame fails to decode.
+		if t := ps.table.Load(); t != nil {
+			env.tbl = t
+		}
+	}
+	m, err := row.decode(frame[1:], env)
+	if err != nil {
+		if kind == fParcel || kind == fParcelI {
+			// The sender charged this frame to the lane and holds a work
+			// unit until its receipt: count and acknowledge it even though
+			// there is nothing to deliver, or the machine never balances.
+			d.countParcel(from, kind)
+			d.sendAck(from, ackFrame)
+		}
+		d.rt.recordError(fmt.Errorf("core: bad %s frame (%s) of %d bytes from node %d: %w",
+			row.name, row.layout, len(frame), from, err))
+		return
+	}
+	switch kind {
+	case fParcel, fParcelI:
+		d.countParcel(from, kind)
+		d.onParcel(from, m.p)
 	case fAck:
 		d.onAck(from)
 	case fAckMoved:
 		d.onAck(from)
-		d.onMovedVerdict(frame[1:])
+		// The piggybacked verdict repoints this node's translation caches.
+		if m.loc >= 0 && m.loc < d.rt.Localities() {
+			d.rt.agas.Repoint(m.g, m.loc, m.gen)
+		}
 	case fMigrate:
-		d.onMigrate(from, frame[1:])
+		d.onMigrate(from, m)
 	case fMigrateOK, fDirOK:
-		d.onRPCReply(frame[1:])
+		d.onRPCReply(m)
 	case fDirUpdate:
-		d.onDirUpdate(from, frame[1:])
+		d.onDirUpdate(from, m)
 	case fLCOSet, fLCOFire:
-		d.onLCOTrigger(from, frame[1:])
+		d.onLCOTrigger(from, m)
 	case fLCOAck:
-		d.onLCOAck(frame[1:])
+		d.onLCOAck(m.id)
 	case fDrain:
-		if len(frame) < 9 {
-			return
-		}
-		d.replyDrain(from, binary.LittleEndian.Uint64(frame[1:9]))
+		d.replyDrain(from, m.id)
 	case fDrainReply:
-		d.onDrainReply(from, frame[1:])
+		d.onDrainReply(from, m)
 	case fGoodbye:
-		if len(frame) < 17 {
-			return
-		}
 		d.drainMu.Lock()
-		d.departed[from] = drainReply{
-			node: from,
-			sent: binary.LittleEndian.Uint64(frame[1:9]),
-			recv: binary.LittleEndian.Uint64(frame[9:17]),
-		}
+		d.departed[from] = drainReply{node: from, sent: m.sent, recv: m.recv}
 		d.drainMu.Unlock()
 		// A clean departure ends monitoring: the peer's coming silence must
 		// not read as a death (see memberState.check and declareDead).
@@ -223,13 +215,23 @@ func (d *distState) onFrame(from int, frame []byte) {
 	case fHalt:
 		d.haltOnce.Do(func() { close(d.halt) })
 	case fBeat:
-		d.onBeat(from, frame[1:])
+		d.onBeat(from)
 	case fDead:
-		d.onDead(from, frame[1:])
+		d.onDead(from, m.node)
 	case fLoad:
-		d.onLoad(from, frame[1:])
-	default:
-		d.rt.recordError(fmt.Errorf("core: unknown frame type %d from node %d", frame[0], from))
+		d.onLoad(m.loads)
+	}
+}
+
+// countParcel notes one parcel frame received from a peer, decodable or
+// not: the quiescence sums count frames, as the sender's side does.
+func (d *distState) countParcel(from int, kind byte) {
+	d.recv.Add(1)
+	if ps := d.ensurePeer(from); ps != nil {
+		ps.recv.Add(1)
+	}
+	if kind == fParcelI {
+		d.internedRecv.Add(1)
 	}
 }
 
@@ -254,58 +256,31 @@ func (d *distState) onAck(from int) {
 	}
 }
 
-// onParcel decodes and delivers one cross-node parcel. The work unit is
+// onParcel delivers one decoded cross-node parcel. The work unit is
 // charged before the acknowledgement goes out so the parcel is never
 // uncounted. When this node knows the destination object lives elsewhere
 // — it departed by migration, or the home directory here names another
 // node — the acknowledgement carries a piggybacked "moved" verdict so the
 // stale sender repoints its caches before its next parcel.
 //
-// The parcel decodes into a pooled value that owns its bytes (body is the
-// transport's reused read buffer); ownership then flows down the delivery
-// path, which releases it when dispatch completes.
-func (d *distState) onParcel(from int, body []byte, interned bool) {
-	d.recv.Add(1)
-	if ps := d.ensurePeer(from); ps != nil {
-		ps.recv.Add(1)
+// p is a pooled value that owns its bytes (the frame was the transport's
+// reused read buffer); ownership flows down the delivery path, which
+// releases it when dispatch completes.
+func (d *distState) onParcel(from int, p *parcel.Parcel) {
+	d.rt.addWork()
+	owner, gen, err := d.resolveHere(p.Dest)
+	// gen 0 is an unversioned route-toward-home guess, not knowledge worth
+	// teaching the sender.
+	ack := ackFrame
+	if n, known := d.lmap.NodeOf(owner); err == nil && gen > 0 && known && n != d.node {
+		ack = encodeMoved(p.Dest, owner, gen)
 	}
-	var p *parcel.Parcel
-	var rest []byte
-	var err error
-	if interned {
-		p, rest, err = parcel.DecodePooledInterned(body, d.decodeTableFor(from))
-	} else {
-		p, rest, err = parcel.DecodePooled(body)
-	}
-	if err == nil && len(rest) == parcel.TraceWireSize {
-		// A trace-capable peer appended the fixed-size trace trailer (we
-		// announced the capability, or it would not have). The length is
-		// unambiguous: the base wire form never leaves trailing bytes.
-		p.Trace, rest, err = parcel.DecodeTrace(rest)
-	}
-	if err == nil && len(rest) != 0 {
-		err = fmt.Errorf("core: %d trailing bytes after parcel", len(rest))
-	}
-	var owner int
-	var gen uint64
-	var g agas.GID
-	rerr := err
-	if err == nil {
-		g = p.Dest
-		d.rt.addWork()
-		owner, gen, rerr = d.resolveHere(g)
-	}
-	d.ackParcel(from, p != nil, g, owner, gen, rerr)
-	if err != nil {
-		parcel.Release(p)
-		d.rt.recordError(fmt.Errorf("core: bad parcel frame from node %d: %w", from, err))
-		return
-	}
+	d.sendAck(from, ack)
 	if d.rt.ring != nil {
 		d.rt.ring.Emitf(trace.KindParcelRecv, d.home, "from N%d %s", from, p)
 	}
 	d.rt.emitSpan(trace.SpanWireRecv, d.home, &p.Trace, p.Action)
-	d.deliver(p, owner, rerr)
+	d.deliver(p, owner, err)
 }
 
 // resolveHere reports this node's authoritative knowledge of a
@@ -343,30 +318,9 @@ func (d *distState) deliver(p *parcel.Parcel, owner int, err error) {
 	r.enqueue(owner, p)
 }
 
-// tracedPeer reports whether node's hello announced the trace-context
-// capability (false until its hello arrives — the first frames of a
-// connection race the handshake only on transports without hello support,
-// where the capability never engages at all).
-func (d *distState) tracedPeer(node int) bool {
-	ps := d.peer(node)
-	return ps != nil && ps.traced.Load()
-}
-
-// sendRetry delivers a frame, retrying once: a Send error means
-// non-delivery, and the second attempt redials a connection that went
-// stale since its last use, so a single transient break cannot lose a
-// frame between two healthy nodes. An armed crash or partition destroys
-// the frame here and reports success — from this node's perspective the
-// bytes left; the network ate them.
+// sendRetry delivers a control frame: sendRetryLane on lane 0.
 func (d *distState) sendRetry(node int, frame []byte) error {
-	if f := d.rt.faults; f != nil && f.silence(d.node, node) {
-		return nil
-	}
-	err := d.tr.Send(node, frame)
-	if err != nil {
-		err = d.tr.Send(node, frame)
-	}
-	return err
+	return d.sendRetryLane(node, 0, frame)
 }
 
 // laneOf affinity-hashes a destination GID onto a transport lane. All
@@ -385,41 +339,33 @@ func (d *distState) laneOf(g agas.GID) int {
 	return int((h >> 32) % uint64(d.lanes))
 }
 
-// sendRetryLane is sendRetry over a specific transport lane. Lane 0 (and
-// any lane on a laneless transport) degrades to plain sendRetry.
+// sendRetryLane delivers a frame on a transport lane (any lane is lane 0
+// on a laneless transport), retrying once: a Send error means
+// non-delivery, and the second attempt redials a connection that went
+// stale since its last use, so a single transient break cannot lose a
+// frame between two healthy nodes. An armed crash or partition destroys
+// the frame here and reports success — from this node's perspective the
+// bytes left; the network ate them.
 func (d *distState) sendRetryLane(node, lane int, frame []byte) error {
-	if lane == 0 || d.laneTr == nil {
-		return d.sendRetry(node, frame)
-	}
 	if f := d.rt.faults; f != nil && f.silence(d.node, node) {
 		return nil
 	}
-	err := d.laneTr.SendLane(node, lane, frame)
-	if err != nil {
-		err = d.laneTr.SendLane(node, lane, frame)
+	for attempt := 0; ; attempt++ {
+		var err error
+		if d.laneTr == nil {
+			err = d.tr.Send(node, frame)
+		} else {
+			err = d.laneTr.SendLane(node, lane, frame)
+		}
+		if err == nil || attempt == 1 {
+			return err
+		}
 	}
-	return err
 }
 
-// ackParcel acknowledges one parcel frame, piggybacking a "moved" verdict
-// when this node's authoritative knowledge (directory, import table, or
-// forwarding pointer) places the destination on another node — the sender
-// repoints its caches and reaches the new owner directly next time.
-// resolved is false for an undecodable frame, which gets a plain receipt;
-// (owner, gen, err) is onParcel's single resolution of destination g.
-func (d *distState) ackParcel(node int, resolved bool, g agas.GID, owner int, gen uint64, err error) {
-	// Transports copy the frame synchronously, so the plain receipt is a
-	// shared constant — no allocation per received parcel.
-	frame := ackFrame
-	// gen 0 is an unversioned route-toward-home guess, not knowledge
-	// worth teaching the sender.
-	if n, known := d.lmap.NodeOf(owner); resolved && err == nil && gen > 0 && known && n != d.node {
-		frame = make([]byte, 0, 1+agas.GIDSize+12)
-		frame = append(frame, fAckMoved)
-		frame = g.Encode(frame)
-		frame = binary.LittleEndian.AppendUint32(frame, uint32(owner))
-		frame = binary.LittleEndian.AppendUint64(frame, gen)
-	}
+// sendAck sends a parcel receipt: the shared ackFrame, or an fAckMoved
+// that additionally teaches the sender where the destination went.
+func (d *distState) sendAck(node int, frame []byte) {
 	if err := d.sendRetry(node, frame); err != nil {
 		// The sender stays unreachable: its work unit for this parcel
 		// leaks and its Wait will block until the operator intervenes —
@@ -428,34 +374,12 @@ func (d *distState) ackParcel(node int, resolved bool, g agas.GID, owner int, ge
 	}
 }
 
-// decodeMovedVerdict parses the body of an fAckMoved frame:
-// gid | u32 owner | u64 gen.
-func decodeMovedVerdict(body []byte) (g agas.GID, owner int, gen uint64, ok bool) {
-	g, rest, err := agas.DecodeGID(body)
-	if err != nil || len(rest) != 12 {
-		return agas.Nil, 0, 0, false
-	}
-	owner = int(int32(binary.LittleEndian.Uint32(rest[0:4])))
-	gen = binary.LittleEndian.Uint64(rest[4:12])
-	return g, owner, gen, true
-}
-
-// onMovedVerdict applies a piggybacked migration verdict to this node's
-// translation caches.
-func (d *distState) onMovedVerdict(body []byte) {
-	g, owner, gen, ok := decodeMovedVerdict(body)
-	if !ok || owner < 0 || owner >= d.rt.Localities() {
-		return
-	}
-	d.rt.agas.Repoint(g, owner, gen)
-}
-
-// sendParcel ships p to node, interned when the peer understands it. The
-// caller's work unit for p stays charged until the peer acknowledges; on
-// transport failure the parcel fails locally (parcels are at-most-once,
-// as on the modelled network). sendParcel consumes p: the encode buffer
-// returns to its pool once the transport has taken the bytes, and the
-// parcel itself is released unless it was recycled into the failure path.
+// sendParcel ships p to node. The caller's work unit for p stays charged
+// until the peer acknowledges; on transport failure the parcel fails
+// locally (parcels are at-most-once, as on the modelled network).
+// sendParcel consumes p: the encode buffer returns to its pool once the
+// transport has taken the bytes, and the parcel itself is released unless
+// it was recycled into the failure path.
 func (d *distState) sendParcel(node, src int, p *parcel.Parcel) {
 	ps := d.ensurePeer(node)
 	if ps == nil {
@@ -477,20 +401,18 @@ func (d *distState) sendParcel(node, src int, p *parcel.Parcel) {
 	// The wire.send span is emitted before encoding so the trailer names
 	// it as the receiving hop's parent.
 	d.rt.emitSpan(trace.SpanWireSend, src, &p.Trace, p.Action)
-	w := parcel.GetWire()
-	// A name too long for the interned form (necessarily unregistered —
-	// the peer will fail the parcel gracefully) rides the plain format,
-	// which every node understands.
-	if t := d.encodeTableFor(node); t != nil && p.InternEncodable() {
-		w.B = append(w.B, fParcelI)
-		w.B = p.EncodeInterned(w.B, t)
-		d.internedSent.Add(1)
-	} else {
-		w.B = append(w.B, fParcel)
-		w.B = p.Encode(w.B)
+	// Interned against our announced table once the peer's hello has
+	// arrived, spelled out before: on the in-process fabric a node's first
+	// frames can overtake the hello exchange, and a peer whose hello we
+	// hold is one that already holds ours.
+	var tbl parcel.Table
+	if ps.table.Load() != nil {
+		tbl = d.ourTable
 	}
-	if !p.Trace.Zero() && d.tracedPeer(node) {
-		w.B = p.Trace.Append(w.B)
+	w := parcel.GetWire()
+	var interned bool
+	if w.B, interned = appendParcel(w.B, p, tbl); interned {
+		d.internedSent.Add(1)
 	}
 	d.sent.Add(1)
 	ps.sent.Add(1)
@@ -572,34 +494,6 @@ func (d *distState) nextXID() uint64 {
 	return xid
 }
 
-// encodeMigHeader builds the shared migration frame header:
-// kind | u64 xid | gid | u32 loc | u64 gen.
-func encodeMigHeader(kind byte, xid uint64, g agas.GID, loc int, gen uint64, extra int) []byte {
-	frame := make([]byte, 0, 9+agas.GIDSize+12+extra)
-	frame = append(frame, kind)
-	frame = binary.LittleEndian.AppendUint64(frame, xid)
-	frame = g.Encode(frame)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(loc))
-	frame = binary.LittleEndian.AppendUint64(frame, gen)
-	return frame
-}
-
-// decodeMigHeader parses the header written by encodeMigHeader (minus the
-// kind byte, consumed by onFrame), returning any trailing payload.
-func decodeMigHeader(body []byte) (xid uint64, g agas.GID, loc int, gen uint64, rest []byte, ok bool) {
-	if len(body) < 8 {
-		return 0, agas.Nil, 0, 0, nil, false
-	}
-	xid = binary.LittleEndian.Uint64(body[0:8])
-	g, rest, err := agas.DecodeGID(body[8:])
-	if err != nil || len(rest) < 12 {
-		return 0, agas.Nil, 0, 0, nil, false
-	}
-	loc = int(binary.LittleEndian.Uint32(rest[0:4]))
-	gen = binary.LittleEndian.Uint64(rest[4:12])
-	return xid, g, loc, gen, rest[12:], true
-}
-
 // migrateTo pushes g's wire-encoded payload to node for installation at
 // locality to under generation gen, and waits for the peer's verdict.
 func (d *distState) migrateTo(node int, g agas.GID, to int, gen uint64, payload []byte) (delivered bool, err error) {
@@ -618,21 +512,7 @@ func (d *distState) commitDir(node int, g agas.GID, to int, gen uint64) error {
 
 // replyOutcome answers migration exchange xid with its ok/error verdict.
 func (d *distState) replyOutcome(node int, kind byte, xid uint64, opErr error) {
-	frame := make([]byte, 0, 12)
-	frame = append(frame, kind)
-	frame = binary.LittleEndian.AppendUint64(frame, xid)
-	if opErr == nil {
-		frame = append(frame, 1, 0, 0)
-	} else {
-		msg := opErr.Error()
-		if len(msg) > 1<<15 {
-			msg = msg[:1<<15]
-		}
-		frame = append(frame, 0)
-		frame = binary.LittleEndian.AppendUint16(frame, uint16(len(msg)))
-		frame = append(frame, msg...)
-	}
-	if err := d.sendRetry(node, frame); err != nil {
+	if err := d.sendRetry(node, encodeOutcome(kind, xid, opErr)); err != nil {
 		d.rt.recordError(fmt.Errorf("core: migration verdict to node %d: %w", node, err))
 	}
 }
@@ -640,17 +520,13 @@ func (d *distState) replyOutcome(node int, kind byte, xid uint64, opErr error) {
 // onMigrate installs an inbound migrated object: decode the payload, put
 // it in the destination locality's store, and record the import (plus a
 // cache repoint) so parcels already routed here resolve to it at once.
-func (d *distState) onMigrate(from int, body []byte) {
-	xid, g, to, gen, payload, ok := decodeMigHeader(body)
-	if !ok {
-		d.rt.recordError(fmt.Errorf("core: bad migrate frame from node %d", from))
-		return
-	}
+func (d *distState) onMigrate(from int, m frameMsg) {
+	g, to, gen := m.g, m.loc, m.gen
 	install := func() error {
 		if to < 0 || to >= d.rt.Localities() || !d.rt.Resident(to) {
 			return fmt.Errorf("locality %d is not hosted by node %d", to, d.node)
 		}
-		v, err := parcel.DecodeAny(payload)
+		v, err := parcel.DecodeAny(m.body)
 		if err != nil {
 			return fmt.Errorf("payload: %w", err)
 		}
@@ -666,17 +542,13 @@ func (d *distState) onMigrate(from int, body []byte) {
 		}
 		return nil
 	}
-	d.replyOutcome(from, fMigrateOK, xid, install())
+	d.replyOutcome(from, fMigrateOK, m.id, install())
 }
 
 // onDirUpdate commits a remote owner's migration in this node's
 // authoritative home directory and repoints local caches.
-func (d *distState) onDirUpdate(from int, body []byte) {
-	xid, g, to, gen, _, ok := decodeMigHeader(body)
-	if !ok {
-		d.rt.recordError(fmt.Errorf("core: bad directory update from node %d", from))
-		return
-	}
+func (d *distState) onDirUpdate(from int, m frameMsg) {
+	g, to, gen := m.g, m.loc, m.gen
 	commit := func() error {
 		if to < 0 || to >= d.rt.Localities() {
 			return fmt.Errorf("locality %d outside machine", to)
@@ -687,39 +559,17 @@ func (d *distState) onDirUpdate(from int, body []byte) {
 		d.rt.agas.Repoint(g, to, gen)
 		return nil
 	}
-	d.replyOutcome(from, fDirOK, xid, commit())
-}
-
-// decodeOutcome parses the body of an fMigrateOK/fDirOK frame:
-// u64 xid | u8 ok | (when not ok) u16 len | error message.
-func decodeOutcome(body []byte) (xid uint64, rep rpcReply, ok bool) {
-	if len(body) < 9 {
-		return 0, rpcReply{}, false
-	}
-	xid = binary.LittleEndian.Uint64(body[0:8])
-	rest := body[8:]
-	rep.ok = rest[0] == 1
-	if !rep.ok && len(rest) >= 3 {
-		n := int(binary.LittleEndian.Uint16(rest[1:3]))
-		if n <= len(rest)-3 {
-			rep.msg = string(rest[3 : 3+n])
-		}
-	}
-	return xid, rep, true
+	d.replyOutcome(from, fDirOK, m.id, commit())
 }
 
 // onRPCReply resolves the waiter for a migration exchange verdict.
-func (d *distState) onRPCReply(body []byte) {
-	xid, rep, valid := decodeOutcome(body)
-	if !valid {
-		return
-	}
+func (d *distState) onRPCReply(m frameMsg) {
 	d.rpcMu.Lock()
-	ch, ok := d.rpc[xid]
+	ch, ok := d.rpc[m.id]
 	d.rpcMu.Unlock()
 	if ok {
 		select {
-		case ch <- rep:
+		case ch <- rpcReply{ok: m.ok, msg: m.text}:
 		default: // a duplicate reply
 		}
 	}
@@ -747,44 +597,19 @@ func (d *distState) liveTotals() (sent, recv uint64) {
 // fingerprint so a prober on a divergent view invalidates the wave.
 func (d *distState) replyDrain(to int, seq uint64) {
 	sent, recv := d.liveTotals()
-	buf := make([]byte, 0, 41)
-	buf = append(buf, fDrainReply)
-	buf = binary.LittleEndian.AppendUint64(buf, seq)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(d.rt.pending.Load()))
-	buf = binary.LittleEndian.AppendUint64(buf, sent)
-	buf = binary.LittleEndian.AppendUint64(buf, recv)
-	buf = binary.LittleEndian.AppendUint64(buf, d.lmap.Fingerprint())
+	buf := encodeDrainReply(seq, d.rt.pending.Load(), sent, recv, d.lmap.Fingerprint())
 	if err := d.sendRetry(to, buf); err != nil {
 		d.rt.recordError(fmt.Errorf("core: drain reply to node %d: %w", to, err))
 	}
 }
 
-// decodeDrainReply parses the body of an fDrainReply frame:
-// u64 seq | i64 pending | u64 sent | u64 recv | u64 fingerprint.
-func decodeDrainReply(from int, body []byte) (seq uint64, rep drainReply, ok bool) {
-	if len(body) < 40 {
-		return 0, drainReply{}, false
-	}
-	return binary.LittleEndian.Uint64(body[0:8]), drainReply{
-		node:    from,
-		pending: int64(binary.LittleEndian.Uint64(body[8:16])),
-		sent:    binary.LittleEndian.Uint64(body[16:24]),
-		recv:    binary.LittleEndian.Uint64(body[24:32]),
-		fp:      binary.LittleEndian.Uint64(body[32:40]),
-	}, true
-}
-
-func (d *distState) onDrainReply(from int, body []byte) {
-	seq, rep, valid := decodeDrainReply(from, body)
-	if !valid {
-		return
-	}
+func (d *distState) onDrainReply(from int, m frameMsg) {
 	d.drainMu.Lock()
-	ch, ok := d.drains[seq]
+	ch, ok := d.drains[m.id]
 	d.drainMu.Unlock()
 	if ok {
 		select {
-		case ch <- rep:
+		case ch <- drainReply{node: from, pending: m.pending, sent: m.sent, recv: m.recv, fp: m.fp}:
 		default: // probe already abandoned
 		}
 	}
@@ -812,9 +637,7 @@ func (d *distState) probe() (allZero bool, sent, recv uint64, ok bool) {
 		d.drainMu.Unlock()
 	}()
 
-	probeFrame := make([]byte, 0, 9)
-	probeFrame = append(probeFrame, fDrain)
-	probeFrame = binary.LittleEndian.AppendUint64(probeFrame, seq)
+	probeFrame := encodeID(fDrain, seq)
 
 	allZero = d.rt.pending.Load() == 0
 	sent, recv = d.liveTotals()
@@ -917,11 +740,7 @@ func (d *distState) waitGlobal() {
 // goodbye themselves are skipped — retrying into their closed listeners
 // would burn the whole dial budget for nothing.
 func (d *distState) goodbye() {
-	sent, recv := d.liveTotals()
-	buf := make([]byte, 0, 17)
-	buf = append(buf, fGoodbye)
-	buf = binary.LittleEndian.AppendUint64(buf, sent)
-	buf = binary.LittleEndian.AppendUint64(buf, recv)
+	buf := encodeGoodbye(d.liveTotals())
 	d.drainMu.Lock()
 	gone := make(map[int]bool, len(d.departed))
 	for n := range d.departed {

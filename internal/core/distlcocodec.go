@@ -42,44 +42,23 @@ func appendValueRecord(buf []byte, v any, present bool) ([]byte, error) {
 	return append(buf, raw...), nil
 }
 
-func readValueRecord(buf []byte) (v any, present bool, rest []byte, err error) {
-	if len(buf) < 1 {
-		return nil, false, buf, fmt.Errorf("short value flag")
+// readValueRecord reads what appendValueRecord wrote. A record that overruns
+// the input flags the cursor and reads as absent.
+func readValueRecord(c *cursor) (v any, present bool, err error) {
+	if c.u8() == 0 {
+		return nil, false, nil
 	}
-	if buf[0] == 0 {
-		return nil, false, buf[1:], nil
+	raw := c.bytes32()
+	if c.bad {
+		return nil, false, nil
 	}
-	buf = buf[1:]
-	if len(buf) < 4 {
-		return nil, false, buf, fmt.Errorf("short value length")
-	}
-	n := int(binary.LittleEndian.Uint32(buf))
-	buf = buf[4:]
-	if len(buf) < n {
-		return nil, false, buf, fmt.Errorf("value truncated")
-	}
-	v, err = parcel.DecodeAny(buf[:n])
-	if err != nil {
-		return nil, false, buf, err
-	}
-	return v, true, buf[n:], nil
+	v, err = parcel.DecodeAny(raw)
+	return v, err == nil, err
 }
 
 func appendString16(buf []byte, s string) []byte {
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
 	return append(buf, s...)
-}
-
-func readString16(buf []byte) (string, []byte, error) {
-	if len(buf) < 2 {
-		return "", buf, fmt.Errorf("short string length")
-	}
-	n := int(binary.LittleEndian.Uint16(buf))
-	buf = buf[2:]
-	if len(buf) < n {
-		return "", buf, fmt.Errorf("string truncated")
-	}
-	return string(buf[:n]), buf[n:], nil
 }
 
 func encodeDistLCO(v any) ([]byte, bool, error) {
@@ -131,83 +110,50 @@ func decodeDistLCO(buf []byte) (any, error) {
 	fail := func(err error) (any, error) {
 		return nil, fmt.Errorf("core: distlco decode: %w", err)
 	}
-	if len(buf) < 2 {
-		return fail(fmt.Errorf("short header"))
+	c := cursor{b: buf}
+	if v := c.u8(); !c.bad && v != distLCOCodecVersion {
+		return fail(fmt.Errorf("version %d, want %d", v, distLCOCodecVersion))
 	}
-	if buf[0] != distLCOCodecVersion {
-		return fail(fmt.Errorf("version %d, want %d", buf[0], distLCOCodecVersion))
-	}
-	l := &DistLCO{kind: lcoKind(buf[1])}
-	buf = buf[2:]
-	if len(buf) < 4 {
-		return fail(fmt.Errorf("short need"))
-	}
-	l.need = int(binary.LittleEndian.Uint32(buf))
-	buf = buf[4:]
+	l := &DistLCO{kind: lcoKind(c.u8())}
+	l.need = int(c.u32())
+	l.opName = c.str16()
+	l.resolved = c.u8() == 1
+	l.failMsg = c.str16()
 	var err error
-	if l.opName, buf, err = readString16(buf); err != nil {
-		return fail(err)
-	}
-	if len(buf) < 1 {
-		return fail(fmt.Errorf("short resolved flag"))
-	}
-	l.resolved = buf[0] == 1
-	buf = buf[1:]
-	if l.failMsg, buf, err = readString16(buf); err != nil {
-		return fail(err)
-	}
-	if l.val, _, buf, err = readValueRecord(buf); err != nil {
+	if l.val, _, err = readValueRecord(&c); err != nil {
 		return fail(fmt.Errorf("accumulator: %w", err))
 	}
-	if len(buf) < 4 {
-		return fail(fmt.Errorf("short slot count"))
+	// Counts are checked against what is left before anything is sized by
+	// them: each slot costs at least its presence byte, each dedup ID eight.
+	nslots := int(c.u32())
+	if nslots > len(c.b) {
+		return fail(fmt.Errorf("slot count %d exceeds payload", nslots))
 	}
-	nslots := int(binary.LittleEndian.Uint32(buf))
-	buf = buf[4:]
 	if nslots > 0 {
-		if nslots > len(buf) {
-			return fail(fmt.Errorf("slot count %d exceeds payload", nslots))
-		}
 		l.slots = make([]any, nslots)
 		l.filled = make([]bool, nslots)
-		for i := 0; i < nslots; i++ {
-			if l.slots[i], l.filled[i], buf, err = readValueRecord(buf); err != nil {
+		for i := range l.slots {
+			if l.slots[i], l.filled[i], err = readValueRecord(&c); err != nil {
 				return fail(fmt.Errorf("slot %d: %w", i, err))
 			}
 		}
 	}
-	if len(buf) < 4 {
-		return fail(fmt.Errorf("short dedup count"))
-	}
-	ndedup := int(binary.LittleEndian.Uint32(buf))
-	buf = buf[4:]
-	if len(buf) < 8*ndedup {
+	ndedup := int(c.u32())
+	if ndedup > len(c.b)/8 {
 		return fail(fmt.Errorf("dedup set truncated"))
 	}
 	for i := 0; i < ndedup; i++ {
-		l.dedup.Add(binary.LittleEndian.Uint64(buf))
-		buf = buf[8:]
+		l.dedup.Add(c.u64())
 	}
-	if len(buf) < 4 {
-		return fail(fmt.Errorf("short waiter count"))
+	nwait := int(c.u32())
+	if nwait > len(c.b)/(agas.GIDSize+5) {
+		return fail(fmt.Errorf("waiter list truncated"))
 	}
-	nwait := int(binary.LittleEndian.Uint32(buf))
-	buf = buf[4:]
 	for i := 0; i < nwait; i++ {
-		var w Waiter
-		if w.Target, buf, err = agas.DecodeGID(buf); err != nil {
-			return fail(fmt.Errorf("waiter %d: %w", i, err))
-		}
-		if len(buf) < 5 {
-			return fail(fmt.Errorf("waiter %d truncated", i))
-		}
-		w.Op = TrigOp(buf[0])
-		w.Slot = binary.LittleEndian.Uint32(buf[1:5])
-		buf = buf[5:]
-		l.waiters = append(l.waiters, w)
+		l.waiters = append(l.waiters, Waiter{Target: c.gid(), Op: TrigOp(c.u8()), Slot: c.u32()})
 	}
-	if len(buf) != 0 {
-		return fail(fmt.Errorf("%d trailing bytes", len(buf)))
+	if err := c.end(); err != nil {
+		return fail(err)
 	}
 	return l, nil
 }

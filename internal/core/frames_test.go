@@ -1,0 +1,425 @@
+package core
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math"
+	"os"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/agas"
+	"repro/internal/parcel"
+	"repro/internal/transport"
+)
+
+// frameTestTables returns the two halves of one announced action table:
+// what a sender encodes fParcelI frames against and what the receiver of
+// its hello decodes them against.
+func frameTestTables() (send, recv parcel.Table) {
+	reg := newActionRegistry()
+	registerBuiltins(reg)
+	reg.register("app.frob", func(*Context, any, *parcel.Reader) (any, error) { return nil, nil })
+	set := reg.snapshot()
+	rt := &recvTable{names: set.names, aids: make([]uint32, len(set.names))}
+	for i := range rt.aids {
+		rt.aids[i] = uint32(i + 1)
+	}
+	return &senderTable{set: set, n: len(set.names)}, rt
+}
+
+// frameTestWidth is the machine width the decoders are told about.
+const frameTestWidth = 8
+
+// reencode renders a decoded message back into a frame of the given kind
+// with the encoders the runtime sends with. It fails the test for a kind
+// it does not know: a new kind needs a case here.
+func reencode(t testing.TB, kind byte, m frameMsg, send parcel.Table) []byte {
+	t.Helper()
+	switch kind {
+	case fParcel:
+		f, _ := appendParcel(nil, m.p, nil)
+		return f
+	case fParcelI:
+		f, interned := appendParcel(nil, m.p, send)
+		if !interned {
+			t.Fatalf("a parcel decoded from the interned form does not fit it: %s", m.p)
+		}
+		return f
+	case fAck, fHalt:
+		return []byte{kind}
+	case fDrain, fLCOAck, fBeat:
+		return encodeID(kind, m.id)
+	case fDrainReply:
+		return encodeDrainReply(m.id, m.pending, m.sent, m.recv, m.fp)
+	case fGoodbye:
+		return encodeGoodbye(m.sent, m.recv)
+	case fAckMoved:
+		return encodeMoved(m.g, m.loc, m.gen)
+	case fMigrate:
+		return append(encodeMigHeader(fMigrate, m.id, m.g, m.loc, m.gen, len(m.body)), m.body...)
+	case fDirUpdate:
+		return encodeMigHeader(fDirUpdate, m.id, m.g, m.loc, m.gen, 0)
+	case fMigrateOK, fDirOK:
+		var opErr error
+		if !m.ok {
+			opErr = errors.New(m.text)
+		}
+		return encodeOutcome(kind, m.id, opErr)
+	case fLCOSet, fLCOFire:
+		return encodeLCOTrigger(kind, m.id, m.op, m.slot, m.hops, m.g, m.body, m.tc)
+	case fDead:
+		return encodeDead(m.node)
+	case fLoad:
+		return encodeLoad(m.loads)
+	}
+	t.Fatalf("no re-encoder for frame kind %d", kind)
+	return nil
+}
+
+// sameMsg compares two decoded messages field by field; parcels by what
+// the wire carries (AID is the receiver's own cache of Action), byte runs
+// by content.
+func sameMsg(a, b frameMsg) bool {
+	if (a.p == nil) != (b.p == nil) {
+		return false
+	}
+	if a.p != nil {
+		p, q := a.p, b.p
+		if p.ID != q.ID || p.Dest != q.Dest || p.Action != q.Action ||
+			!bytes.Equal(p.Args, q.Args) || len(p.Cont) != len(q.Cont) ||
+			p.Src != q.Src || p.Hops != q.Hops || p.Trace != q.Trace {
+			return false
+		}
+		for i := range p.Cont {
+			if p.Cont[i] != q.Cont[i] {
+				return false
+			}
+		}
+	}
+	if !bytes.Equal(a.body, b.body) || len(a.loads) != len(b.loads) {
+		return false
+	}
+	for i := range a.loads {
+		if a.loads[i] != b.loads[i] {
+			return false
+		}
+	}
+	a.p, b.p, a.body, b.body, a.loads, b.loads = nil, nil, nil, nil, nil, nil
+	return reflect.DeepEqual(a, b)
+}
+
+// frameSample is one well-formed frame and what it must decode to.
+type frameSample struct {
+	label string
+	frame []byte
+	want  frameMsg
+	// traced marks a frame ending in the trace trailer: cutting exactly the
+	// trailer off leaves a valid untraced frame, the one truncation that
+	// must be accepted.
+	traced bool
+	// open marks a layout whose last field runs to the end of the frame
+	// (fMigrate's value record, delimited and checked by the value codec):
+	// only cuts into the fixed header are truncations.
+	open int
+}
+
+func frameSamples(send parcel.Table) []frameSample {
+	g := agas.GID{Home: 3, Kind: agas.KindLCO, Seq: 0xABCD}
+	tc := parcel.TraceCtx{ID: 0xfeed, Span: 0xbeef, Flags: parcel.TraceSampled}
+	cont := []parcel.Continuation{{Target: agas.GID{Home: 1, Kind: agas.KindLCO, Seq: 9}, Action: ActionLCOSet}}
+	// One parcel per action-reference shape: announced (interned to a
+	// position), unannounced (spelled out even inside the interned form).
+	known := &parcel.Parcel{ID: 77, Dest: g, Action: "app.frob", AID: parcel.NoAID, Args: []byte{1, 2, 3}, Cont: cont, Src: 2, Hops: 1}
+	late := &parcel.Parcel{ID: 78, Dest: g, Action: "app.registered.late", AID: parcel.NoAID, Args: nil, Src: 5}
+	traced := *known
+	traced.Trace = tc
+	aidOf := func(name string) uint32 {
+		id, ok := send.IDOf(name)
+		if !ok {
+			return parcel.NoAID
+		}
+		return id + 1
+	}
+	// An interned decode resolves announced names to dispatch IDs.
+	internedWant := func(p parcel.Parcel) *parcel.Parcel {
+		p.AID = aidOf(p.Action)
+		return &p
+	}
+	plain := func(p *parcel.Parcel) []byte { f, _ := appendParcel(nil, p, nil); return f }
+	interned := func(p *parcel.Parcel) []byte { f, _ := appendParcel(nil, p, send); return f }
+	mig := encodeMigHeader(fMigrate, 11, g, 6, 4, 3)
+	loads := []loadEntry{{loc: 0, score: 0}, {loc: 5, score: 12.5}, {loc: frameTestWidth - 1, score: math.MaxFloat64}}
+	return []frameSample{
+		{label: "parcel", frame: plain(known), want: frameMsg{p: known}},
+		{label: "parcel, traced", frame: plain(&traced), want: frameMsg{p: &traced}, traced: true},
+		{label: "interned parcel", frame: interned(known), want: frameMsg{p: internedWant(*known)}},
+		{label: "interned parcel, unannounced action", frame: interned(late), want: frameMsg{p: internedWant(*late)}},
+		{label: "interned parcel, traced", frame: interned(&traced), want: frameMsg{p: internedWant(traced)}, traced: true},
+		{label: "ack", frame: []byte{fAck}},
+		{label: "halt", frame: []byte{fHalt}},
+		{label: "drain", frame: encodeID(fDrain, 42), want: frameMsg{id: 42}},
+		{label: "drain reply", frame: encodeDrainReply(42, -3, 100, 99, 0xf00d),
+			want: frameMsg{id: 42, pending: -3, sent: 100, recv: 99, fp: 0xf00d}},
+		{label: "goodbye", frame: encodeGoodbye(7, 8), want: frameMsg{sent: 7, recv: 8}},
+		{label: "moved verdict", frame: encodeMoved(g, 6, 9), want: frameMsg{g: g, loc: 6, gen: 9}},
+		{label: "migrate", frame: append(mig, 0xde, 0xad, 0xbe),
+			want: frameMsg{id: 11, g: g, loc: 6, gen: 4, body: []byte{0xde, 0xad, 0xbe}}, open: len(mig)},
+		{label: "migrate ok", frame: encodeOutcome(fMigrateOK, 11, nil), want: frameMsg{id: 11, ok: true}},
+		{label: "migrate rejected", frame: encodeOutcome(fMigrateOK, 11, errors.New("no room")), want: frameMsg{id: 11, text: "no room"}},
+		{label: "dir update", frame: encodeMigHeader(fDirUpdate, 12, g, 1, 5, 0), want: frameMsg{id: 12, g: g, loc: 1, gen: 5}},
+		{label: "dir ok", frame: encodeOutcome(fDirOK, 12, nil), want: frameMsg{id: 12, ok: true}},
+		{label: "dir rejected", frame: encodeOutcome(fDirOK, 12, errors.New("stale generation")), want: frameMsg{id: 12, text: "stale generation"}},
+		{label: "trigger", frame: encodeLCOTrigger(fLCOSet, 0xABCD, TrigSupply, 6, 4, g, []byte("hello"), parcel.TraceCtx{}),
+			want: frameMsg{id: 0xABCD, op: TrigSupply, slot: 6, hops: 4, g: g, body: []byte("hello")}},
+		{label: "trigger, empty value", frame: encodeLCOTrigger(fLCOSet, 1, TrigSignal, 0, 0, g, nil, parcel.TraceCtx{}),
+			want: frameMsg{id: 1, op: TrigSignal, g: g}},
+		{label: "fire, traced", frame: encodeLCOTrigger(fLCOFire, 2, TrigSet, 0, 0, g, []byte("v"), tc),
+			want: frameMsg{id: 2, op: TrigSet, g: g, body: []byte("v"), tc: tc}, traced: true},
+		{label: "trigger ack", frame: encodeID(fLCOAck, 99), want: frameMsg{id: 99}},
+		{label: "beat", frame: encodeID(fBeat, 0xdeadbeefcafef00d), want: frameMsg{id: 0xdeadbeefcafef00d}},
+		{label: "dead", frame: encodeDead(7), want: frameMsg{node: 7}},
+		{label: "load", frame: encodeLoad(loads), want: frameMsg{loads: loads}},
+	}
+}
+
+// TestFrameKindsListed: every kind constant has a complete row in the
+// listing, under the byte value the wire format fixes for it, and the
+// layout tests below have a sample of it.
+func TestFrameKindsListed(t *testing.T) {
+	wire := []string{1: "fParcel", "fAck", "fDrain", "fDrainReply", "fGoodbye", "fHalt", "fAckMoved",
+		"fMigrate", "fMigrateOK", "fDirUpdate", "fDirOK", "fParcelI", "fLCOSet", "fLCOFire", "fLCOAck",
+		"fBeat", "fDead", "fLoad"}
+	if len(wire) != int(frameKindEnd) {
+		t.Fatalf("%d kind constants, %d pinned wire values", frameKindEnd-1, len(wire)-1)
+	}
+	send, _ := frameTestTables()
+	sampled := make(map[byte]bool)
+	for _, s := range frameSamples(send) {
+		sampled[s.frame[0]] = true
+	}
+	for k := byte(1); k < frameKindEnd; k++ {
+		row := kindOf(k)
+		if row == nil || row.decode == nil || row.name == "" || row.layout == "" {
+			t.Errorf("frame kind %d has no complete row in frameKinds", k)
+			continue
+		}
+		if row.name != wire[k] {
+			t.Errorf("frame kind %d is %s, the wire format says %s", k, row.name, wire[k])
+		}
+		if !sampled[k] {
+			t.Errorf("%s has no sample in frameSamples", row.name)
+		}
+	}
+	for _, k := range []byte{0, frameKindEnd, 0xff} {
+		if kindOf(k) != nil {
+			t.Errorf("byte %d is listed as a frame kind", k)
+		}
+	}
+}
+
+// TestFrameLayouts holds every kind to its layout: a well-formed frame
+// decodes to exactly its fields and re-encodes to exactly its bytes, every
+// truncation is rejected, and so is one byte too many.
+func TestFrameLayouts(t *testing.T) {
+	send, recv := frameTestTables()
+	env := frameEnv{tbl: recv, width: frameTestWidth}
+	for _, s := range frameSamples(send) {
+		kind, body := s.frame[0], s.frame[1:]
+		row := kindOf(kind)
+		t.Run(row.name+"/"+s.label, func(t *testing.T) {
+			got, err := row.decode(body, env)
+			if err != nil {
+				t.Fatalf("well-formed frame rejected: %v", err)
+			}
+			if !sameMsg(got, s.want) {
+				t.Fatalf("decoded %+v (parcel %v), want %+v (parcel %v)", got, got.p, s.want, s.want.p)
+			}
+			if got.p != nil && got.p.AID != s.want.p.AID {
+				t.Fatalf("decoded parcel dispatches by ID %d, want %d", got.p.AID, s.want.p.AID)
+			}
+			if re := reencode(t, kind, got, send); !bytes.Equal(re, s.frame) {
+				t.Fatalf("re-encoded to % x, want % x", re, s.frame)
+			}
+			parcel.Release(got.p)
+			for cut := 0; cut < len(body); cut++ {
+				m, err := row.decode(body[:cut], env)
+				parcel.Release(m.p)
+				switch {
+				case s.open > 0 && cut >= s.open-1:
+					if err != nil {
+						t.Fatalf("cut inside the open tail at %d rejected: %v", cut, err)
+					}
+				case s.traced && cut == len(body)-parcel.TraceWireSize:
+					if err != nil {
+						t.Fatalf("frame without its trailer rejected: %v", err)
+					}
+				case err == nil:
+					t.Fatalf("truncation to %d of %d body bytes accepted", cut, len(body))
+				}
+			}
+			if s.open == 0 {
+				if m, err := row.decode(append(body[:len(body):len(body)], 0), env); err == nil {
+					parcel.Release(m.p)
+					t.Fatal("one trailing byte accepted")
+				}
+			}
+		})
+	}
+}
+
+// TestFrameFieldBounds: values a layout can spell but no correct peer
+// sends.
+func TestFrameFieldBounds(t *testing.T) {
+	env := frameEnv{width: frameTestWidth}
+	reject := func(label string, frame []byte) {
+		t.Helper()
+		if _, err := kindOf(frame[0]).decode(frame[1:], env); err == nil {
+			t.Errorf("%s accepted", label)
+		}
+	}
+	reject("load report for a locality outside the machine", encodeLoad([]loadEntry{{loc: 1, score: 1}, {loc: frameTestWidth, score: 1}}))
+	reject("load report with a NaN score", encodeLoad([]loadEntry{{loc: 1, score: math.NaN()}}))
+	reject("load report with an infinite score", encodeLoad([]loadEntry{{loc: 1, score: math.Inf(1)}}))
+	reject("load report with a negative score", encodeLoad([]loadEntry{{loc: 1, score: -1}}))
+	reject("empty load report", []byte{fLoad, 0, 0})
+	okWithText := encodeOutcome(fDirOK, 1, errors.New("x"))
+	okWithText[9] = 1
+	reject("successful outcome carrying error text", okWithText)
+	reject("interned parcel without the sender's table", func() []byte {
+		send, _ := frameTestTables()
+		f, _ := appendParcel(nil, parcel.New(agas.GID{Home: 1, Kind: agas.KindData, Seq: 1}, "app.frob", nil), send)
+		return f
+	}())
+}
+
+// FuzzFrameDecode feeds every decoder of socket input arbitrary bytes: the
+// input as a frame (kind byte first, decoded through the listing exactly as
+// onFrame does) and as a handshake hello. Nothing may panic, and whatever
+// is accepted must re-encode to bytes that decode to the same message.
+func FuzzFrameDecode(f *testing.F) {
+	send, recv := frameTestTables()
+	env := frameEnv{tbl: recv, width: frameTestWidth}
+	for _, s := range frameSamples(send) {
+		f.Add(s.frame)
+		f.Add(s.frame[:len(s.frame)/2])
+		f.Add(append(s.frame[:len(s.frame):len(s.frame)], 0))
+	}
+	g := agas.GID{Home: 3, Kind: agas.KindData, Seq: 99}
+	f.Add(append(encodeMigHeader(fMigrate, ^uint64(0), g, -1, ^uint64(0), 0), 0xff))
+	f.Add(encodeLoad([]loadEntry{{loc: 1 << 20, score: 1}, {loc: 0xffff, score: 2}})) // localities no machine has
+	f.Add(encodeHello([]string{"px.lco.set", "app.frob"}, nil))
+	f.Add(encodeHello(nil, &memberHello{node: 1, lo: 4, hi: 8, addr: "[::1]:70000"}))
+	f.Add(encodeHello([]string{"px.lco.set"}, &memberHello{node: 3, lo: 12, hi: 16, addr: "127.0.0.1:9999"}))
+	f.Add(encodeHello(manyActionNames(64), nil))
+	f.Add(encodeHello([]string{""}, &memberHello{}))
+	f.Add([]byte{helloVersion - 1, 0, 0, 0, 0, 0})
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xff}, 64))
+	f.Add(bytes.Repeat([]byte{0x00}, 40))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 0 {
+			if row := kindOf(data[0]); row != nil {
+				if m, err := row.decode(data[1:], env); err == nil {
+					if len(m.body) > len(data) {
+						t.Fatalf("%s: %d-byte run out of a %d-byte frame", row.name, len(m.body), len(data))
+					}
+					re := reencode(t, data[0], m, send)
+					m2, err := row.decode(re[1:], env)
+					if err != nil || !sameMsg(m, m2) {
+						t.Fatalf("%s did not survive re-encoding: %+v then %+v (%v)", row.name, m, m2, err)
+					}
+					parcel.Release(m.p)
+					parcel.Release(m2.p)
+				}
+			}
+		}
+		if names, mh, err := parseHello(data); err == nil {
+			names2, mh2, err := parseHello(encodeHello(names, mh))
+			if err != nil || !reflect.DeepEqual(names, names2) || !reflect.DeepEqual(mh, mh2) {
+				t.Fatalf("hello did not survive re-encoding: %q %+v then %q %+v (%v)", names, mh, names2, mh2, err)
+			}
+		}
+	})
+}
+
+// manyActionNames builds n distinct action names for hello-table seeds.
+func manyActionNames(n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("app.action.%03d", i)
+	}
+	return names
+}
+
+// TestLoadFrameCannotGrowLoadTable: a load report is socket input, and the
+// balancer's remote-load table is keyed by what it names. A frame naming
+// localities this machine does not have must leave the table alone.
+func TestLoadFrameCannotGrowLoadTable(t *testing.T) {
+	fab := transport.NewFabric(2)
+	var rts [2]*Runtime
+	for i := range rts {
+		rts[i] = New(Config{
+			Transport:       fab.Node(i),
+			NodeID:          i,
+			NodeLocalities:  internRanges,
+			BalanceInterval: time.Hour, // a balancer that never ticks on its own
+		})
+	}
+	defer func() {
+		for _, rt := range rts {
+			rt.Shutdown()
+		}
+	}()
+	// Hand-laid bytes, as a hostile peer would send them: three entries,
+	// one real locality of node 1 and two that exist nowhere.
+	frame := []byte{fLoad, 3, 0}
+	for _, loc := range []uint32{2, 4, 0xfffffff0} {
+		frame = append(frame, byte(loc), byte(loc>>8), byte(loc>>16), byte(loc>>24))
+		frame = append(frame, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f) // score 1.0
+	}
+	b := rts[0].bal
+	rts[0].dist.onFrame(1, frame)
+	b.mu.Lock()
+	grown := len(b.remote)
+	b.mu.Unlock()
+	if grown != 0 {
+		t.Fatalf("a load report naming nonexistent localities left %d entries in the load table", grown)
+	}
+	// The same report restricted to the machine's localities is taken.
+	rts[0].dist.onFrame(1, encodeLoad([]loadEntry{{loc: 2, score: 1}, {loc: 3, score: 0.5}}))
+	b.mu.Lock()
+	got := b.remote[3].score
+	b.mu.Unlock()
+	if got != 0.5 || b.reports.Load() != 1 {
+		t.Fatalf("well-formed load report not recorded: score %v, %d reports", got, b.reports.Load())
+	}
+}
+
+// TestArchitectureListsEveryFrameKind keeps ARCHITECTURE.md's wire-format
+// table in step with the listing: each kind's row there carries the layout
+// string the code decodes by.
+func TestArchitectureListsEveryFrameKind(t *testing.T) {
+	doc, err := os.ReadFile("../../ARCHITECTURE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(doc), "\n")
+	for k := byte(1); k < frameKindEnd; k++ {
+		row := kindOf(k)
+		cells := fmt.Sprintf("| %d | `%s` | `%s` |", k, row.name, row.layout)
+		found := false
+		for _, line := range lines {
+			if strings.HasPrefix(line, cells) {
+				found = true
+				break
+			}
+		}
+		if !found {
+			t.Errorf("ARCHITECTURE.md has no wire-format row starting %q", cells)
+		}
+	}
+}

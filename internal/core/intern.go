@@ -1,10 +1,7 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/parcel"
 	"repro/internal/transport"
@@ -12,193 +9,16 @@ import (
 
 // Cross-node action interning. Spelling action names out on the wire
 // costs a string allocation per parcel (plus one per continuation) on
-// every receive. Instead, each interning-capable node announces its dense
-// action table — the registry snapshot taken when the transport starts —
-// inside the transport handshake hello. Because the hello precedes every
-// frame on a connection and is re-announced on reconnect, a receiver
-// always holds the sender's table before the first interned frame
-// arrives, with no extra round trips or ordering protocol.
+// every receive. Instead, each node announces its dense action table —
+// the registry snapshot taken when the transport starts — inside the
+// transport handshake hello (see frames.go for its layout). Because the
+// hello precedes every frame on a connection and is re-announced on
+// reconnect, a receiver always holds the sender's table before the first
+// interned frame arrives, with no extra round trips or ordering protocol.
 //
-// A node sends interned frames (fParcelI) only to peers whose hello
-// announced the interning capability; everyone else — including nodes
-// running with Config.DisableActionInterning, which announce an empty
-// hello and ignore the ones they receive — is spoken to in the plain
-// string form, so mixed-mode machines interoperate. Actions registered
-// after the transport started fall outside the announced prefix and are
-// spelled out inside interned frames (the codec degrades per reference,
-// see parcel.EncodeInterned).
-
-// Hello payload wire form: u8 version | u8 flags | u32 count |
-// count × (u16 len | name bytes) | [member section].
-//
-// Version 1 is the original form. Version 2 appends, when helloFlagMember
-// is set, the membership announcement after the action table:
-// u16 node | u32 lo | u32 hi | u16 addrlen | addr bytes. A hello without
-// the member section is still encoded as version 1, byte-identical to
-// older builds, so membership-off nodes interoperate untouched.
-const (
-	helloVersion    = 1
-	helloVersionV2  = 2
-	helloFlagIntern = 1 << 0
-	// helloFlagTrace announces the distributed-trace capability: a peer
-	// that sets it accepts (and may send) the fixed-size trace-context
-	// trailer after parcel and LCO trigger frames (see parcel.TraceCtx).
-	// Negotiated exactly like interning: senders append the trailer only
-	// toward peers that announced it, so a node without the capability —
-	// an older build, or Config.DisableTraceContext — keeps receiving the
-	// plain frames it expects and traces degrade to local-only around it.
-	helloFlagTrace = 1 << 1
-	// helloFlagMember announces elastic-membership support: the sender
-	// beats, expects beats, and honors death verdicts. The member section
-	// carries its node ID, announced locality range, and dial address —
-	// which is how a joining node tells an established machine where to
-	// dial back.
-	helloFlagMember = 1 << 2
-
-	// maxInternActions bounds the announced table by entry count, and
-	// helloPrefix additionally bounds it by encoded bytes (the transport
-	// caps handshake payloads at transport.MaxHello). Both are enforced
-	// at announce time — announce freezes exactly the prefix internHello
-	// encodes, so sender and receiver always agree — and the count is
-	// checked symmetrically in parseHello. Actions past either cap simply
-	// travel in string form; interning is an optimization, never a
-	// startup failure.
-	maxInternActions = 1 << 16
-)
-
-// helloPrefix reports how many of names (in order) fit the announced
-// table's count and byte budgets.
-func helloPrefix(names []string) int {
-	n := len(names)
-	if n > maxInternActions {
-		n = maxInternActions
-	}
-	size := 6
-	for i := 0; i < n; i++ {
-		size += 2 + len(names[i])
-		if size > transport.MaxHello {
-			return i
-		}
-	}
-	return n
-}
-
-// memberHello is the parsed membership section of a v2 hello.
-type memberHello struct {
-	node   int
-	lo, hi int
-	addr   string
-}
-
-// encodeHello encodes this node's capability announcement: the interning
-// action table (names in dense ID order, truncated to the helloPrefix
-// budgets; empty unless intern), the trace-context capability bit, and —
-// when mh is non-nil — the membership section. Without a member section
-// the encoding stays version 1, byte-identical to pre-membership builds.
-func encodeHello(names []string, intern, traced bool, mh *memberHello) []byte {
-	var flags byte
-	if intern {
-		flags |= helloFlagIntern
-	} else {
-		names = nil
-	}
-	if traced {
-		flags |= helloFlagTrace
-	}
-	version := byte(helloVersion)
-	if mh != nil {
-		flags |= helloFlagMember
-		version = helloVersionV2
-	}
-	names = names[:helloPrefix(names)]
-	size := 6
-	for _, n := range names {
-		size += 2 + len(n)
-	}
-	if mh != nil {
-		size += 12 + len(mh.addr)
-	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, version, flags)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(names)))
-	for _, n := range names {
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(n)))
-		buf = append(buf, n...)
-	}
-	if mh != nil {
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(mh.node))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(mh.lo))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(mh.hi))
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(mh.addr)))
-		buf = append(buf, mh.addr...)
-	}
-	return buf
-}
-
-// parseHello decodes a peer announcement. An empty payload — a node
-// without interning, or a transport without hello support — is valid and
-// means "strings only". Unknown future versions are tolerated the same
-// way rather than rejected: the capability is an optimization, not a
-// correctness requirement.
-func parseHello(payload []byte) (names []string, canIntern, canTrace bool, mh *memberHello, err error) {
-	if len(payload) == 0 {
-		return nil, false, false, nil, nil
-	}
-	if len(payload) > transport.MaxHello {
-		// Defense in depth: transports already cap handshake payloads, so
-		// anything larger is corrupt. Bounding here also keeps accepted
-		// hellos inside the same byte budget encodeHello encodes to.
-		return nil, false, false, nil, fmt.Errorf("core: %d-byte hello exceeds limit %d", len(payload), transport.MaxHello)
-	}
-	version := payload[0]
-	if version != helloVersion && version != helloVersionV2 {
-		return nil, false, false, nil, nil
-	}
-	if len(payload) < 6 {
-		return nil, false, false, nil, fmt.Errorf("core: short hello payload (%d bytes)", len(payload))
-	}
-	flags := payload[1]
-	count := int(binary.LittleEndian.Uint32(payload[2:6]))
-	src := payload[6:]
-	if count > maxInternActions {
-		return nil, false, false, nil, fmt.Errorf("core: hello announces %d actions, limit %d", count, maxInternActions)
-	}
-	names = make([]string, 0, count)
-	for i := 0; i < count; i++ {
-		if len(src) < 2 {
-			return nil, false, false, nil, fmt.Errorf("core: hello truncated at action %d", i)
-		}
-		n := int(binary.LittleEndian.Uint16(src))
-		src = src[2:]
-		if len(src) < n {
-			return nil, false, false, nil, fmt.Errorf("core: hello action %d truncated", i)
-		}
-		names = append(names, string(src[:n]))
-		src = src[n:]
-	}
-	if version >= helloVersionV2 && flags&helloFlagMember != 0 {
-		if len(src) < 12 {
-			return nil, false, false, nil, fmt.Errorf("core: hello member section truncated (%d bytes)", len(src))
-		}
-		m := &memberHello{
-			node: int(binary.LittleEndian.Uint16(src[0:2])),
-			lo:   int(binary.LittleEndian.Uint32(src[2:6])),
-			hi:   int(binary.LittleEndian.Uint32(src[6:10])),
-		}
-		alen := int(binary.LittleEndian.Uint16(src[10:12]))
-		src = src[12:]
-		if len(src) < alen {
-			return nil, false, false, nil, fmt.Errorf("core: hello member address truncated")
-		}
-		m.addr = string(src[:alen])
-		src = src[alen:]
-		mh = m
-	}
-	if len(src) != 0 {
-		return nil, false, false, nil, fmt.Errorf("core: %d trailing hello bytes", len(src))
-	}
-	return names, flags&helloFlagIntern != 0, flags&helloFlagTrace != 0, mh, nil
-}
+// Actions registered after the transport started fall outside the
+// announced prefix and are spelled out inside interned frames (the codec
+// degrades per reference, see parcel.EncodeInterned).
 
 // senderTable is the parcel.Table used when encoding toward a peer: it
 // covers exactly the prefix of the local registry this node announced at
@@ -242,59 +62,6 @@ func (t *recvTable) ActionOf(id uint32) (string, uint32, bool) {
 	return t.names[id], t.aids[id], true
 }
 
-// internState is the distributed layer's interning view: the table we
-// announced and, per peer, the table they announced to us. The peer
-// slice is an immutable snapshot grown copy-on-write as nodes join, so
-// per-parcel table lookups stay single atomic loads.
-type internState struct {
-	our   atomic.Pointer[senderTable]
-	mu    sync.Mutex // serializes peer-table growth/replacement
-	peers atomic.Pointer[[]*recvTable]
-}
-
-func newInternState(nodes int) *internState {
-	s := &internState{}
-	tabs := make([]*recvTable, nodes)
-	s.peers.Store(&tabs)
-	return s
-}
-
-// peerTable returns node's announced decode table (nil if none).
-func (s *internState) peerTable(node int) *recvTable {
-	tabs := *s.peers.Load()
-	if node < 0 || node >= len(tabs) {
-		return nil
-	}
-	return tabs[node]
-}
-
-// setPeerTable installs (or clears) node's decode table, growing the
-// snapshot as needed.
-func (s *internState) setPeerTable(node int, t *recvTable) {
-	if node < 0 || node >= transport.MaxJoinNodes {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old := *s.peers.Load()
-	size := len(old)
-	if node >= size {
-		size = node + 1
-	}
-	tabs := make([]*recvTable, size)
-	copy(tabs, old)
-	tabs[node] = t
-	s.peers.Store(&tabs)
-}
-
-// announce freezes the prefix of the registry snapshot this node tells
-// its peers about — the same helloPrefix-capped prefix internHello
-// encodes, so a position this node ever puts on the wire is always inside
-// every peer's copy of the table.
-func (s *internState) announce(set *actionSet) {
-	s.our.Store(&senderTable{set: set, n: helloPrefix(set.names)})
-}
-
 // onHello installs a peer's announcement, resolving each announced name
 // against the local registry once so per-parcel decodes are pure slice
 // reads. Handshakes repeat on reconnection; the last table wins, which is
@@ -307,20 +74,13 @@ func (d *distState) onHello(from int, payload []byte) {
 	if from < 0 || from >= transport.MaxJoinNodes {
 		return
 	}
-	names, can, canTrace, mh, err := parseHello(payload)
+	names, mh, err := parseHello(payload)
 	if err != nil {
 		d.rt.recordError(fmt.Errorf("core: bad hello from node %d: %w", from, err))
 		return
 	}
 	if mh != nil && mh.node == from {
 		d.onMemberHello(from, mh)
-	}
-	if ps := d.ensurePeer(from); ps != nil {
-		ps.traced.Store(canTrace)
-	}
-	if !can {
-		d.intern.setPeerTable(from, nil)
-		return
 	}
 	t := &recvTable{names: names, aids: make([]uint32, len(names))}
 	for i, nm := range names {
@@ -330,28 +90,7 @@ func (d *distState) onHello(from int, payload []byte) {
 			t.aids[i] = parcel.NoAID
 		}
 	}
-	d.intern.setPeerTable(from, t)
-}
-
-// encodeTableFor returns the table to encode with when sending to node:
-// our announced table if the peer declared the interning capability, nil
-// (plain string frames) otherwise.
-func (d *distState) encodeTableFor(node int) parcel.Table {
-	if d.intern.peerTable(node) == nil {
-		return nil
+	if ps := d.ensurePeer(from); ps != nil {
+		ps.table.Store(t)
 	}
-	if t := d.intern.our.Load(); t != nil {
-		return t
-	}
-	return nil
-}
-
-// decodeTableFor returns the table an interned frame from node decodes
-// against, or nil when the peer never announced one (a protocol
-// violation for fParcelI frames, handled by the caller).
-func (d *distState) decodeTableFor(node int) parcel.Table {
-	if t := d.intern.peerTable(node); t != nil {
-		return t
-	}
-	return nil
 }

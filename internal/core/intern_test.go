@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/agas"
@@ -11,9 +12,10 @@ import (
 
 func TestHelloRoundTrip(t *testing.T) {
 	names := []string{"px.lco.set", "app.frob", "", "x"}
-	got, can, traced, mh, err := parseHello(encodeHello(names, true, true, nil))
-	if err != nil || !can || !traced || mh != nil {
-		t.Fatalf("parseHello: can=%v traced=%v mh=%v err=%v", can, traced, mh, err)
+	payload := encodeHello(names, nil)
+	got, mh, err := parseHello(payload)
+	if err != nil || mh != nil {
+		t.Fatalf("parseHello: mh=%v err=%v", mh, err)
 	}
 	if len(got) != len(names) {
 		t.Fatalf("got %d names, want %d", len(got), len(names))
@@ -23,37 +25,41 @@ func TestHelloRoundTrip(t *testing.T) {
 			t.Fatalf("name %d: %q != %q", i, got[i], names[i])
 		}
 	}
-	// The capability bits are independent: a trace-only hello announces no
-	// table, an intern-only hello no trace bit.
-	if got, can, traced, _, err := parseHello(encodeHello(names, false, true, nil)); err != nil || can || !traced || len(got) != 0 {
-		t.Fatalf("trace-only hello: %d names can=%v traced=%v err=%v", len(got), can, traced, err)
+	// There is one hello: an empty payload, any other version, any
+	// truncation and any padding are all refused.
+	if _, _, err := parseHello(nil); err == nil {
+		t.Fatal("empty hello accepted")
 	}
-	if _, can, traced, _, err := parseHello(encodeHello(names, true, false, nil)); err != nil || !can || traced {
-		t.Fatalf("intern-only hello: can=%v traced=%v err=%v", can, traced, err)
+	for _, v := range []byte{0, helloVersion - 1, helloVersion + 1} {
+		other := append([]byte{v}, payload[1:]...)
+		_, _, err := parseHello(other)
+		if err == nil {
+			t.Fatalf("hello version %d accepted", v)
+		}
+		for _, want := range []string{fmt.Sprintf("version %d", v), fmt.Sprintf("speaks %d", helloVersion)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("version %d refusal %q does not say %q", v, err, want)
+			}
+		}
 	}
-	// Empty and unknown-version payloads mean "strings only", not an error.
-	if _, can, traced, _, err := parseHello(nil); can || traced || err != nil {
-		t.Fatalf("empty hello: can=%v traced=%v err=%v", can, traced, err)
+	for cut := 0; cut < len(payload); cut++ {
+		if _, _, err := parseHello(payload[:cut]); err == nil {
+			t.Fatalf("hello truncated to %d of %d bytes accepted", cut, len(payload))
+		}
 	}
-	if _, can, traced, _, err := parseHello([]byte{99, 0, 0, 0, 0, 0}); can || traced || err != nil {
-		t.Fatalf("future-version hello: can=%v traced=%v err=%v", can, traced, err)
-	}
-	// Truncated payloads are rejected.
-	if _, _, _, _, err := parseHello(encodeHello(names, true, true, nil)[:8]); err == nil {
-		t.Fatal("truncated hello accepted")
+	if _, _, err := parseHello(append(payload, 0)); err == nil {
+		t.Fatal("padded hello accepted")
 	}
 }
 
-// TestHelloMemberSection: a hello carrying a membership announcement uses
-// the v2 form and round-trips the joiner's identity; one without stays
-// byte-identical to the v1 encoding, so grown peers interoperate with
-// pre-membership builds.
+// TestHelloMemberSection: a hello carrying a membership announcement
+// round-trips the joiner's identity next to the action table.
 func TestHelloMemberSection(t *testing.T) {
 	names := []string{"px.lco.set", "app.frob"}
 	in := &memberHello{node: 3, lo: 12, hi: 16, addr: "127.0.0.1:4242"}
-	got, can, traced, mh, err := parseHello(encodeHello(names, true, true, in))
-	if err != nil || !can || !traced || mh == nil {
-		t.Fatalf("member hello: can=%v traced=%v mh=%v err=%v", can, traced, mh, err)
+	got, mh, err := parseHello(encodeHello(names, in))
+	if err != nil || mh == nil {
+		t.Fatalf("member hello: mh=%v err=%v", mh, err)
 	}
 	if *mh != *in {
 		t.Fatalf("member section round trip: got %+v want %+v", *mh, *in)
@@ -61,18 +67,13 @@ func TestHelloMemberSection(t *testing.T) {
 	if len(got) != len(names) {
 		t.Fatalf("member hello lost the action table: %d names, want %d", len(got), len(names))
 	}
-	// No member section → the legacy v1 bytes, exactly.
-	v1 := encodeHello(names, true, true, nil)
-	if len(v1) == 0 || v1[0] != helloVersion {
-		t.Fatalf("memberless hello not version %d: %v", helloVersion, v1[:1])
-	}
 	// A member section without any action table still parses.
-	if _, can, traced, mh, err := parseHello(encodeHello(nil, false, false, in)); err != nil || can || traced || mh == nil || *mh != *in {
-		t.Fatalf("bare member hello: can=%v traced=%v mh=%v err=%v", can, traced, mh, err)
+	if _, mh, err := parseHello(encodeHello(nil, in)); err != nil || mh == nil || *mh != *in {
+		t.Fatalf("bare member hello: mh=%v err=%v", mh, err)
 	}
 	// Truncated member sections are rejected, not mis-parsed.
-	full := encodeHello(nil, false, false, in)
-	if _, _, _, _, err := parseHello(full[:len(full)-3]); err == nil {
+	full := encodeHello(nil, in)
+	if _, _, err := parseHello(full[:len(full)-3]); err == nil {
 		t.Fatal("truncated member section accepted")
 	}
 }
@@ -93,13 +94,13 @@ func TestHelloPrefixBudgets(t *testing.T) {
 	if n >= len(big) || n == 0 {
 		t.Fatalf("helloPrefix(big) = %d, want a proper nonzero prefix of %d", n, len(big))
 	}
-	payload := encodeHello(big, true, false, nil)
+	payload := encodeHello(big, nil)
 	if len(payload) > transport.MaxHello {
 		t.Fatalf("encodeHello encoded %d bytes, over the %d transport budget", len(payload), transport.MaxHello)
 	}
-	names, can, _, _, err := parseHello(payload)
-	if err != nil || !can || len(names) != n {
-		t.Fatalf("truncated hello: %d names can=%v err=%v, want %d", len(names), can, err, n)
+	names, _, err := parseHello(payload)
+	if err != nil || len(names) != n {
+		t.Fatalf("truncated hello: %d names err=%v, want %d", len(names), err, n)
 	}
 }
 
@@ -126,17 +127,16 @@ var internRanges = []agas.Range{{Lo: 0, Hi: 2}, {Lo: 2, Hi: 4}}
 // Node 1 registers a decoy action first, so the two nodes' dense action
 // IDs for the shared action differ — the peer-table position mapping must
 // reconcile them.
-func startInternPair(t *testing.T, trs [2]transport.Transport, disable [2]bool) [2]*Runtime {
+func startInternPair(t *testing.T, trs [2]transport.Transport) [2]*Runtime {
 	t.Helper()
 	var rts [2]*Runtime
 	for i := 0; i < 2; i++ {
 		i := i
 		rts[i] = New(Config{
-			Transport:              trs[i],
-			NodeID:                 i,
-			NodeLocalities:         internRanges,
-			WorkersPerLocality:     2,
-			DisableActionInterning: disable[i],
+			Transport:          trs[i],
+			NodeID:             i,
+			NodeLocalities:     internRanges,
+			WorkersPerLocality: 2,
 			Register: func(rt *Runtime) {
 				if i == 1 {
 					rt.MustRegisterAction("intern.decoy", func(ctx *Context, target any, args *parcel.Reader) (any, error) {
@@ -179,12 +179,11 @@ func exerciseInternPair(t *testing.T, rts [2]*Runtime) {
 	}
 }
 
-// TestInterningEngagesBetweenCapablePeers: two interning nodes end up
-// speaking fParcelI in both directions, with differing dense IDs mapped
-// through the exchanged tables.
-func TestInterningEngagesBetweenCapablePeers(t *testing.T) {
+// TestInterningEngages: two nodes end up speaking fParcelI in both
+// directions, with differing dense IDs mapped through the exchanged tables.
+func TestInterningEngages(t *testing.T) {
 	fab := transport.NewFabric(2)
-	rts := startInternPair(t, [2]transport.Transport{fab.Node(0), fab.Node(1)}, [2]bool{false, false})
+	rts := startInternPair(t, [2]transport.Transport{fab.Node(0), fab.Node(1)})
 	exerciseInternPair(t, rts)
 	sent0, recv0 := rts[0].dist.internedSent.Load(), rts[0].dist.internedRecv.Load()
 	sent1, recv1 := rts[1].dist.internedSent.Load(), rts[1].dist.internedRecv.Load()
@@ -199,57 +198,8 @@ func TestInterningEngagesBetweenCapablePeers(t *testing.T) {
 	}
 }
 
-// TestMixedModeInterningCompat: an interning node interoperates with a
-// string-only node (DisableActionInterning) — every frame between them
-// stays in the plain string form and all calls succeed.
-func TestMixedModeInterningCompat(t *testing.T) {
-	fab := transport.NewFabric(2)
-	rts := startInternPair(t, [2]transport.Transport{fab.Node(0), fab.Node(1)}, [2]bool{false, true})
-	exerciseInternPair(t, rts)
-	sent0 := rts[0].dist.internedSent.Load()
-	sent1 := rts[1].dist.internedSent.Load()
-	for _, rt := range rts {
-		rt.Shutdown()
-	}
-	if sent0 != 0 || sent1 != 0 {
-		t.Fatalf("interned frames crossed a mixed-mode pair: %d from node0, %d from node1", sent0, sent1)
-	}
-}
-
-// TestMixedModeInterningCompatTCP is the mixed-mode contract over real
-// TCP: the interning node's table rides the handshake hello, the
-// string-only node ignores it, and both directions interoperate in the
-// string wire form.
-func TestMixedModeInterningCompatTCP(t *testing.T) {
-	var tcps [2]*transport.TCP
-	addrs := make([]string, 2)
-	for i := range tcps {
-		tr, err := transport.NewTCP(transport.TCPConfig{
-			Self: i, Listen: "127.0.0.1:0", Peers: make([]string, 2),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tcps[i] = tr
-		addrs[i] = tr.Addr().String()
-	}
-	for _, tr := range tcps {
-		tr.SetPeers(addrs)
-	}
-	rts := startInternPair(t, [2]transport.Transport{tcps[0], tcps[1]}, [2]bool{false, true})
-	exerciseInternPair(t, rts)
-	sent0 := rts[0].dist.internedSent.Load()
-	sent1 := rts[1].dist.internedSent.Load()
-	for _, rt := range rts {
-		rt.Shutdown()
-	}
-	if sent0 != 0 || sent1 != 0 {
-		t.Fatalf("interned frames crossed a mixed-mode TCP pair: %d/%d", sent0, sent1)
-	}
-}
-
-// TestInterningTCPEngages: over TCP, capable peers converge on interned
-// frames once the handshake hellos have crossed.
+// TestInterningTCPEngages: over TCP, peers converge on interned frames
+// once the handshake hellos have crossed.
 func TestInterningTCPEngages(t *testing.T) {
 	var tcps [2]*transport.TCP
 	addrs := make([]string, 2)
@@ -266,7 +216,7 @@ func TestInterningTCPEngages(t *testing.T) {
 	for _, tr := range tcps {
 		tr.SetPeers(addrs)
 	}
-	rts := startInternPair(t, [2]transport.Transport{tcps[0], tcps[1]}, [2]bool{false, false})
+	rts := startInternPair(t, [2]transport.Transport{tcps[0], tcps[1]})
 	exerciseInternPair(t, rts)
 	// The first parcel in each direction may precede the peer's hello
 	// (string fallback); by the end of three rounds interning must have
@@ -285,7 +235,7 @@ func TestInterningTCPEngages(t *testing.T) {
 // naming it are spelled out inside interned frames and still dispatch.
 func TestLateRegisteredActionFallsBackToString(t *testing.T) {
 	fab := transport.NewFabric(2)
-	rts := startInternPair(t, [2]transport.Transport{fab.Node(0), fab.Node(1)}, [2]bool{false, false})
+	rts := startInternPair(t, [2]transport.Transport{fab.Node(0), fab.Node(1)})
 	for _, rt := range rts {
 		rt.MustRegisterAction("intern.late", func(ctx *Context, target any, args *parcel.Reader) (any, error) {
 			return target.(int64) * 2, nil

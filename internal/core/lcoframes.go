@@ -16,7 +16,6 @@ package core
 // quiescence across a trigger in flight.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -39,77 +38,6 @@ const (
 	// same stance migration RPCs take.
 	lcoGiveUpAttempts = 1000
 )
-
-// encodeLCOTrigger renders one trigger frame:
-// kind | u64 tid | u8 op | gid target | u32 slot | u32 hops | u32 vlen |
-// value | [trace trailer].
-// hops carries the forwarding-hop count a trigger has already spent, so
-// the MaxHops bound survives a trigger being re-shipped node to node
-// while it chases a migrating target. A nonzero trace context appends the
-// fixed-size trailer after the value; vlen makes the frame self-
-// describing, but callers still gate the trailer on the peer's announced
-// trace capability — older decoders reject frames with trailing bytes.
-func encodeLCOTrigger(kind byte, tid uint64, op TrigOp, slot uint32, hops int, g agas.GID, value []byte, tc parcel.TraceCtx) []byte {
-	frame := make([]byte, 0, 1+8+1+agas.GIDSize+4+4+4+len(value)+parcel.TraceWireSize)
-	frame = append(frame, kind)
-	frame = binary.LittleEndian.AppendUint64(frame, tid)
-	frame = append(frame, byte(op))
-	frame = g.Encode(frame)
-	frame = binary.LittleEndian.AppendUint32(frame, slot)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(hops))
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(value)))
-	frame = append(frame, value...)
-	if !tc.Zero() {
-		frame = tc.Append(frame)
-	}
-	return frame
-}
-
-// decodeLCOTrigger parses the body of an fLCOSet/fLCOFire frame (the kind
-// byte already consumed). The value may be followed by nothing or by
-// exactly one trace trailer; anything else is corrupt. value aliases
-// body — callers that retain it past the transport handler must copy.
-func decodeLCOTrigger(body []byte) (tid uint64, op TrigOp, g agas.GID, slot uint32, hops int, value []byte, tc parcel.TraceCtx, ok bool) {
-	if len(body) < 9 {
-		return 0, 0, agas.Nil, 0, 0, nil, parcel.TraceCtx{}, false
-	}
-	tid = binary.LittleEndian.Uint64(body[0:8])
-	op = TrigOp(body[8])
-	g, rest, err := agas.DecodeGID(body[9:])
-	if err != nil || len(rest) < 12 {
-		return 0, 0, agas.Nil, 0, 0, nil, parcel.TraceCtx{}, false
-	}
-	slot = binary.LittleEndian.Uint32(rest[0:4])
-	hops = int(binary.LittleEndian.Uint32(rest[4:8]))
-	n := int(binary.LittleEndian.Uint32(rest[8:12]))
-	rest = rest[12:]
-	if n < 0 || len(rest) < n {
-		return 0, 0, agas.Nil, 0, 0, nil, parcel.TraceCtx{}, false
-	}
-	value, rest = rest[:n], rest[n:]
-	if len(rest) == parcel.TraceWireSize {
-		tc, rest, _ = parcel.DecodeTrace(rest)
-	}
-	if len(rest) != 0 {
-		return 0, 0, agas.Nil, 0, 0, nil, parcel.TraceCtx{}, false
-	}
-	return tid, op, g, slot, hops, value, tc, true
-}
-
-// encodeLCOAck renders an acknowledgement frame: fLCOAck | u64 tid.
-func encodeLCOAck(tid uint64) []byte {
-	frame := make([]byte, 0, 9)
-	frame = append(frame, fLCOAck)
-	return binary.LittleEndian.AppendUint64(frame, tid)
-}
-
-// decodeLCOAck parses the body of an fLCOAck frame.
-func decodeLCOAck(body []byte) (tid uint64, ok bool) {
-	if len(body) < 8 {
-		return 0, false
-	}
-	return binary.LittleEndian.Uint64(body[0:8]), true
-}
 
 // lcoPending is one unacknowledged outbound trigger frame.
 type lcoPending struct {
@@ -152,8 +80,7 @@ func (r *Runtime) LCOTriggerStats() (sent, recv, retried uint64) {
 // fLCOSet (an inbound trigger); the receive path treats both identically.
 // hops is the forwarding budget already spent (0 for a fresh trigger).
 // tc is the trace context the trigger rides for (zero for untraced
-// triggers); it crosses the wire only when the peer announced the trace
-// capability, and retransmissions reuse the encoded frame verbatim.
+// triggers); retransmissions reuse the encoded frame verbatim.
 func (d *distState) sendLCOTrigger(node int, tid uint64, op TrigOp, slot uint32, hops int, g agas.GID, value []byte, fired bool, tc parcel.TraceCtx) {
 	kind := fLCOSet
 	if fired {
@@ -164,9 +91,6 @@ func (d *distState) sendLCOTrigger(node int, tid uint64, op TrigOp, slot uint32,
 		// the void would pin a work unit until the give-up bound. Fail now.
 		d.rt.recordError(fmt.Errorf("core: LCO trigger %d to node %d: %w", tid, node, agas.ErrNodeLost))
 		return
-	}
-	if !d.tracedPeer(node) {
-		tc = parcel.TraceCtx{}
 	}
 	d.rt.emitSpan(trace.SpanWireSend, d.home, &tc, ActionLCOTrigger)
 	frame := encodeLCOTrigger(kind, tid, op, slot, hops, g, value, tc)
@@ -338,25 +262,20 @@ func (d *distState) sendTriggerParcel(node, src int, p *parcel.Parcel) {
 // is preserved hop by hop rather than ending at the first ack. Duplicate
 // deliveries reach the target and are absorbed by its dedup set, so the
 // acknowledgement needs no receive-side dedup of its own.
-func (d *distState) onLCOTrigger(from int, body []byte) {
-	tid, op, g, slot, hops, value, tc, ok := decodeLCOTrigger(body)
-	if !ok {
-		d.rt.recordError(fmt.Errorf("core: bad LCO trigger frame from node %d", from))
-		return
-	}
+func (d *distState) onLCOTrigger(from int, m frameMsg) {
 	d.lco.recv.Add(1)
 	d.rt.addWork()
-	if err := d.sendRetry(from, encodeLCOAck(tid)); err != nil {
+	if err := d.sendRetry(from, encodeID(fLCOAck, m.id)); err != nil {
 		// The sender keeps retrying the trigger; we will re-ack the
 		// duplicate. Record for diagnosis only.
 		d.rt.recordError(fmt.Errorf("core: LCO ack to node %d: %w", from, err))
 	}
-	d.rt.emitSpan(trace.SpanWireRecv, d.home, &tc, ActionLCOTrigger)
-	// encodeTriggerArgs copies value out of the transport's read buffer.
-	p := parcel.Acquire(g, ActionLCOTrigger, encodeTriggerArgs(tid, op, slot, value))
-	p.Hops = hops // the frame carries the chain's spent forwarding budget
-	p.Trace = tc  // the trigger keeps its chain's trace across the hop
-	owner, _, rerr := d.resolveHere(g)
+	d.rt.emitSpan(trace.SpanWireRecv, d.home, &m.tc, ActionLCOTrigger)
+	// encodeTriggerArgs copies the value out of the transport's read buffer.
+	p := parcel.Acquire(m.g, ActionLCOTrigger, encodeTriggerArgs(m.id, m.op, m.slot, m.body))
+	p.Hops = m.hops // the frame carries the chain's spent forwarding budget
+	p.Trace = m.tc  // the trigger keeps its chain's trace across the hop
+	owner, _, rerr := d.resolveHere(m.g)
 	d.deliver(p, owner, rerr)
 }
 
@@ -364,11 +283,7 @@ func (d *distState) onLCOTrigger(from int, body []byte) {
 // releasing the work unit held since sendLCOTrigger. Duplicate acks (the
 // receiver re-acks every duplicate delivery) find no entry and are
 // ignored.
-func (d *distState) onLCOAck(body []byte) {
-	tid, ok := decodeLCOAck(body)
-	if !ok {
-		return
-	}
+func (d *distState) onLCOAck(tid uint64) {
 	s := &d.lco
 	s.mu.Lock()
 	pe := s.pend[tid]

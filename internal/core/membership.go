@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -14,19 +13,14 @@ import (
 )
 
 // MembershipConfig tunes elastic membership and failure detection. The
-// subsystem is on by default whenever the transport supports it (it
-// implements transport.MemberTransport, i.e. the machine can grow): each
+// subsystem is on whenever the transport supports it (it implements
+// transport.MemberTransport, i.e. the machine can grow): each
 // node beats every HeartbeatInterval, feeds peers' beats into per-peer
 // phi-accrual detectors, and declares a peer dead when its accrued
 // suspicion crosses SuspectThreshold AND it has been silent for at least
 // DeadAfter — the hard floor rides out scheduler stalls that pure phi
 // would misread on loaded CI machines.
 type MembershipConfig struct {
-	// Disable turns membership off even on a capable transport: the node
-	// neither beats nor monitors, and announces no membership support in
-	// its handshake hello (peers then treat it as a fixed, unmonitored
-	// member — the degraded old-protocol mode).
-	Disable bool
 	// HeartbeatInterval is the beat period (default 250ms).
 	HeartbeatInterval time.Duration
 	// SuspectThreshold is the phi value at which a peer becomes deathly
@@ -77,10 +71,12 @@ type peerState struct {
 	sent     atomic.Int64 // parcels sent to this peer
 	recv     atomic.Int64 // parcels received from this peer
 	dead     atomic.Bool  // declared dead (written under mu)
-	member   atomic.Bool  // peer announced membership support (beats expected)
 	departed atomic.Bool  // peer said goodbye: clean shutdown, not a death
-	traced   atomic.Bool  // peer accepts trace-context trailers
 	det      atomic.Pointer[transport.PhiDetector]
+	// table is the action table the peer announced in its hello: what its
+	// fParcelI frames decode against. Nil until the hello arrives; the last
+	// hello wins.
+	table atomic.Pointer[recvTable]
 
 	// lastFrame is the wall-clock nanosecond of the last frame of ANY kind
 	// received from this peer, across every transport lane. The death check
@@ -207,16 +203,11 @@ func (m *memberState) stopLoop() {
 // the sender's membership fingerprint so drift is observable; they ride
 // the same frame service as parcels and are subject to the same armed
 // kill/partition faults, which is exactly how a crashed node goes silent.
-//
-// Beats are deliberately NOT gated on the peer having announced
-// membership: the transport dials lazily, hellos ride the connection
-// handshake, and on an otherwise idle machine the first beat is what
-// forces the dial that exchanges them. A membership-disabled peer
-// absorbs the frame harmlessly (its frame handler understands fBeat; it
-// just runs no detector loop of its own).
+// On an otherwise idle machine the first beat is also what forces the lazy
+// dial that exchanges hellos.
 func (m *memberState) beat() {
 	d := m.d
-	frame := encodeBeat(d.lmap.Fingerprint())
+	frame := encodeID(fBeat, d.lmap.Fingerprint())
 	for n := 0; n < d.lmap.Nodes(); n++ {
 		if n == d.node {
 			continue
@@ -241,7 +232,7 @@ func (m *memberState) check(now time.Time) {
 			continue
 		}
 		ps := d.peer(n)
-		if ps == nil || ps.dead.Load() || ps.departed.Load() || !ps.member.Load() {
+		if ps == nil || ps.dead.Load() || ps.departed.Load() {
 			continue
 		}
 		det := ps.det.Load()
@@ -360,18 +351,12 @@ func (m *memberState) excommunicate() {
 	d.rt.recordError(fmt.Errorf("core: this node was declared dead by the machine: %w", agas.ErrNodeLost))
 }
 
-// onBeat handles a heartbeat frame: proof of life plus membership
-// capability for the sender.
-func (d *distState) onBeat(from int, body []byte) {
-	if _, ok := decodeBeat(body); !ok {
-		d.rt.recordError(fmt.Errorf("core: corrupt beat frame from node %d", from))
-		return
-	}
+// onBeat handles a heartbeat frame: proof of life for the sender.
+func (d *distState) onBeat(from int) {
 	ps := d.ensurePeer(from)
 	if ps == nil {
 		return
 	}
-	ps.member.Store(true)
 	ps.detector().Heartbeat(time.Now())
 	if d.mb != nil {
 		d.mb.beatsRecv.Add(1)
@@ -380,12 +365,7 @@ func (d *distState) onBeat(from int, body []byte) {
 
 // onDead handles a gossiped death verdict. The verdict is authoritative:
 // a node hearing its own death is excommunicated rather than arguing.
-func (d *distState) onDead(from int, body []byte) {
-	n, ok := decodeDead(body)
-	if !ok {
-		d.rt.recordError(fmt.Errorf("core: corrupt death frame from node %d", from))
-		return
-	}
+func (d *distState) onDead(from, n int) {
 	if d.mb == nil {
 		return
 	}
@@ -393,18 +373,13 @@ func (d *distState) onDead(from int, body []byte) {
 }
 
 // onMemberHello admits a peer's membership announcement, carried in the
-// connection handshake hello. For a known node it only records
-// capability; for an unknown node it is a join: the transport learns the
+// connection handshake hello. For a known node there is nothing to do;
+// for an unknown node it is a join: the transport learns the
 // joiner's dial address, the membership map grows (verifying the
 // announced range continues the partition), and AGAS grows its directory
 // and cache to cover the new localities. Join admission is serialized and
 // idempotent per node — the hello re-arrives on every reconnect.
 func (d *distState) onMemberHello(from int, mh *memberHello) {
-	ps := d.ensurePeer(from)
-	if ps == nil {
-		return
-	}
-	ps.member.Store(true)
 	m := d.mb
 	if m == nil {
 		return
@@ -433,37 +408,6 @@ func (d *distState) onMemberHello(from int, mh *memberHello) {
 	}
 	d.rt.agas.Grow(d.lmap.Localities())
 	m.joins.Add(1)
-}
-
-// Beat and death frames are fixed-size little-endian records behind their
-// frame kind byte, matching the drain probe's encoding conventions.
-
-func encodeBeat(fp uint64) []byte {
-	b := make([]byte, 9)
-	b[0] = fBeat
-	binary.LittleEndian.PutUint64(b[1:], fp)
-	return b
-}
-
-func decodeBeat(body []byte) (uint64, bool) {
-	if len(body) != 8 {
-		return 0, false
-	}
-	return binary.LittleEndian.Uint64(body), true
-}
-
-func encodeDead(node int) []byte {
-	b := make([]byte, 3)
-	b[0] = fDead
-	binary.LittleEndian.PutUint16(b[1:], uint16(node))
-	return b
-}
-
-func decodeDead(body []byte) (int, bool) {
-	if len(body) != 2 {
-		return 0, false
-	}
-	return int(binary.LittleEndian.Uint16(body)), true
 }
 
 // depRegistry maps local waiter futures to the remote node hosting the
@@ -545,7 +489,8 @@ type MemberInfo struct {
 	Range agas.Range
 	// Alive is false once the node has been declared dead.
 	Alive bool
-	// Member reports announced membership support (beats expected).
+	// Member reports whether the node beats and is monitored: true for
+	// every node of a machine whose transport can grow, false otherwise.
 	Member bool
 	// Phi is the current accrued suspicion (0 for self, the dead, and
 	// peers with no beat history).
@@ -562,21 +507,13 @@ func (r *Runtime) Members() []MemberInfo {
 	out := make([]MemberInfo, 0, d.lmap.Nodes())
 	for n := 0; n < d.lmap.Nodes(); n++ {
 		rg, _ := d.lmap.NodeRange(n)
-		mi := MemberInfo{Node: n, Range: rg, Alive: d.lmap.Alive(n)}
-		if n == d.node {
-			mi.Member = d.mb != nil
-			out = append(out, mi)
-			continue
-		}
-		if ps := d.peer(n); ps != nil {
-			mi.Member = ps.member.Load()
+		mi := MemberInfo{Node: n, Range: rg, Alive: d.lmap.Alive(n), Member: d.mb != nil}
+		if ps := d.peer(n); ps != nil && n != d.node {
 			if ps.dead.Load() {
 				mi.Alive = false
 			}
-			if mi.Alive && mi.Member {
-				if det := ps.det.Load(); det != nil {
-					mi.Phi = det.Phi(now)
-				}
+			if det := ps.det.Load(); mi.Alive && det != nil {
+				mi.Phi = det.Phi(now)
 			}
 		}
 		out = append(out, mi)

@@ -184,9 +184,9 @@ func TestMigrationUnderConcurrentCalls(t *testing.T) {
 	r := New(Config{Localities: 4, WorkersPerLocality: 2})
 	defer r.Shutdown()
 	r.MustRegisterAction("mig.incr", func(ctx *Context, target any, args *parcel.Reader) (any, error) {
-		c := target.(*int64)
-		*c++
-		return *c, nil
+		// Actions on one object are not serialized: two workers of its
+		// locality may run them at once.
+		return atomic.AddInt64(target.(*int64), 1), nil
 	})
 	var count int64
 	obj := r.NewObjectAt(0, agas.KindData, &count)

@@ -7,8 +7,8 @@ package core
 // sampled parcels hop by hop — post, steal, wire send/recv, park,
 // migrate, LCO trigger — across continuation chains and node boundaries:
 // the sampling decision is made once at the root send, carried in the
-// parcel's TraceCtx, and propagated over the wire as the capability-gated
-// trailer, so one trace ID stitches the whole operation together.
+// parcel's TraceCtx, and propagated over the wire as a frame trailer, so
+// one trace ID stitches the whole operation together.
 
 import (
 	"math"

@@ -80,24 +80,22 @@ func (r *Runtime) route(src int, p *parcel.Parcel) {
 	if r.ring != nil {
 		r.ring.Emitf(trace.KindParcelSend, src, "to L%d %s", owner, p)
 	}
-	size := len(p.Args)
-	var w *parcel.WireBuf
+	// Cross-locality parcels ride the wire format even in-process, so the
+	// encode/route/decode path every remote parcel takes is exercised;
+	// same-locality sends (above) bypass it, as the model prescribes.
+	w := parcel.GetWire()
 	var tbl *actionSet
-	if !r.cfg.DisableSerialization {
-		w = parcel.GetWire()
-		if p.InternEncodable() {
-			// The in-process wire interns against the local registry: both
-			// ends share it, and snapshots are append-only, so positions
-			// resolve across concurrent registrations.
-			tbl = r.acts.snapshot()
-			w.B = p.EncodeInterned(w.B, tbl)
-		} else {
-			// An action name only the plain format can carry (it can never
-			// be registered, so dispatch will fail it gracefully); tbl nil
-			// routes the decode side to the plain codec.
-			w.B = p.Encode(w.B)
-		}
-		size = len(w.B)
+	if p.InternEncodable() {
+		// The in-process wire interns against the local registry: both
+		// ends share it, and snapshots are append-only, so positions
+		// resolve across concurrent registrations.
+		tbl = r.acts.snapshot()
+		w.B = p.EncodeInterned(w.B, tbl)
+	} else {
+		// An action name only the plain format can carry (it can never be
+		// registered, so dispatch will fail it gracefully); tbl nil routes
+		// the decode side to the plain codec.
+		w.B = p.Encode(w.B)
 	}
 	copies := 1
 	if r.faults != nil {
@@ -106,9 +104,7 @@ func (r *Runtime) route(src int, p *parcel.Parcel) {
 	if copies == 0 {
 		// Lost in the network. Parcels are at-most-once; reliability, if
 		// needed, is layered above (acknowledging LCO protocols).
-		if w != nil {
-			parcel.PutWire(w)
-		}
+		parcel.PutWire(w)
 		parcel.Release(p)
 		r.mustPost(r.loc(src).Post(func() { r.doneWork() }))
 		return
@@ -116,51 +112,24 @@ func (r *Runtime) route(src int, p *parcel.Parcel) {
 	if copies == 2 {
 		r.addWork() // the duplicate carries its own work unit
 	}
-	lat := r.net.Latency(src, owner, size)
-	if w != nil && copies == 1 && lat <= 0 {
+	lat := r.net.Latency(src, owner, len(w.B))
+	if copies == 1 && lat <= 0 {
 		// The steady-state leg: serialize, decode into a pooled parcel,
 		// dispatch — no closures, no timers, no allocation.
 		r.deliverWire(src, owner, p, w, tbl)
 		return
 	}
-	if w != nil {
-		// Latency-modelled or duplicated wire delivery: the original
-		// parcel and the encode buffer stay alive until the last copy has
-		// decoded, then return to their pools.
-		d := &wireDelivery{r: r, src: src, owner: owner, p: p, w: w, tbl: tbl}
-		d.left.Store(int32(copies))
-		for c := 0; c < copies; c++ {
-			if lat <= 0 {
-				d.deliverOne()
-				continue
-			}
-			time.AfterFunc(lat, d.deliverOne)
-		}
-		return
-	}
-	// Duplicates of an unserialized parcel: deep-clone BEFORE the original
-	// is dispatched — a pooled original can be executed, released, and
-	// recycled the moment deliverDirect hands it over, so copying its
-	// fields afterwards would read another parcel's data. Each clone is
-	// plain garbage-collected memory (Release ignores it) with its own
-	// continuation stack, so the executions cannot race on one.
-	dups := make([]*parcel.Parcel, copies-1)
-	for i := range dups {
-		dups[i] = &parcel.Parcel{ID: p.ID, Dest: p.Dest, Action: p.Action, AID: p.AID,
-			Args: append([]byte(nil), p.Args...),
-			Cont: append([]parcel.Continuation(nil), p.Cont...),
-			Src:  p.Src, Hops: p.Hops, Trace: p.Trace}
-	}
+	// Latency-modelled or duplicated wire delivery: the original parcel and
+	// the encode buffer stay alive until the last copy has decoded, then
+	// return to their pools.
+	d := &wireDelivery{r: r, src: src, owner: owner, p: p, w: w, tbl: tbl}
+	d.left.Store(int32(copies))
 	for c := 0; c < copies; c++ {
-		dp := p
-		if c > 0 {
-			dp = dups[c-1]
-		}
 		if lat <= 0 {
-			r.deliverDirect(owner, dp)
+			d.deliverOne()
 			continue
 		}
-		time.AfterFunc(lat, func() { r.deliverDirect(owner, dp) })
+		time.AfterFunc(lat, d.deliverOne)
 	}
 }
 
@@ -278,6 +247,16 @@ func (t *execTask) fire() {
 // for one object land on one worker's deque, preserving its cache affinity
 // and keeping the deque lock uncontended for hot objects.
 func (r *Runtime) enqueue(loc int, p *parcel.Parcel) {
+	l := r.loc(loc)
+	if l == nil {
+		// The membership map names this node as loc's host, but nothing
+		// executes there: a death verdict re-homes the corpse's localities
+		// in the map before adoptLocalities installs them, and a locality
+		// beyond the startup width is never installed at all. Only a
+		// multi-node machine has such slots.
+		r.deliverFailure(r.dist.home, p, fmt.Errorf("core: locality %d is not installed on node %d: %w", loc, r.dist.node, agas.ErrNodeLost))
+		return
+	}
 	// The balancer's arrival sampling: one nil check when balancing is
 	// off (the zero-alloc contract), one atomic add when on, a shard
 	// mutex only on the sampled minority. Hardware names never migrate,
@@ -289,7 +268,7 @@ func (r *Runtime) enqueue(loc int, p *parcel.Parcel) {
 	t.r, t.loc, t.p = r, loc, p
 	if r.sheddable != nil {
 		if _, shed := r.sheddable[p.Action]; shed {
-			if err := r.loc(loc).PostAdmitted(int(p.Dest.Seq), t.run); err != nil {
+			if err := l.PostAdmitted(int(p.Dest.Seq), t.run); err != nil {
 				t.r, t.p = nil, nil
 				execTaskPool.Put(t)
 				if !errors.Is(err, locality.ErrOverloaded) {
@@ -300,7 +279,7 @@ func (r *Runtime) enqueue(loc int, p *parcel.Parcel) {
 			return
 		}
 	}
-	r.mustPost(r.loc(loc).PostTo(int(p.Dest.Seq), t.run))
+	r.mustPost(l.PostTo(int(p.Dest.Seq), t.run))
 }
 
 // mustPost converts a locality post failure into a panic: the runtime

@@ -35,11 +35,6 @@ type Config struct {
 	Policy locality.Policy
 	// Stealing enables idle localities to steal queued work.
 	Stealing bool
-	// Serialize forces parcels through the wire format even in-process so
-	// the encode/route/decode path is exercised. Local (same-locality)
-	// sends always bypass it, as the model prescribes. Default true; set
-	// DisableSerialization to turn off.
-	DisableSerialization bool
 	// MaxHops bounds forwarding retries for migrating objects. Default 64.
 	MaxHops int
 	// AdmitLimit bounds each resident locality's queue depth as seen by
@@ -85,17 +80,9 @@ type Config struct {
 	// that delivery.
 	Register func(*Runtime)
 	// Membership tunes elastic membership and phi-accrual failure
-	// detection. The subsystem engages automatically when the transport
-	// can grow (it implements transport.MemberTransport) and carries
-	// handshake hellos; set Membership.Disable to opt out.
+	// detection. The subsystem engages exactly when the transport can grow
+	// (it implements transport.MemberTransport).
 	Membership MembershipConfig
-	// DisableActionInterning keeps this node on the plain string wire form:
-	// it announces no action table and ignores the ones peers announce.
-	// Peers fall back to spelling action names out toward it, so a machine
-	// may freely mix interning and non-interning nodes. The default
-	// (interning on, when the transport supports handshake hellos) removes
-	// the per-parcel action-string allocation from the receive path.
-	DisableActionInterning bool
 
 	// BalanceInterval enables the adaptive self-balancer and sets its
 	// policy tick period: each tick the runtime drains the per-GID
@@ -131,10 +118,6 @@ type Config struct {
 	// TraceSpanCapacity bounds the in-memory span buffer (default 4096);
 	// when full, new spans are dropped and counted.
 	TraceSpanCapacity int
-	// DisableTraceContext keeps this node's wire frames free of the trace
-	// trailer: it announces no trace capability and receives none. Peers
-	// still interoperate; traces passing through degrade to local-only.
-	DisableTraceContext bool
 }
 
 func (c *Config) fill() {
@@ -305,11 +288,8 @@ func New(cfg Config) *Runtime {
 		// machine-wide (see parcelTriggerID).
 		parcel.SetIDOrigin(uint16(cfg.NodeID) + 1)
 		r.dist = newDistState(r, cfg.Transport, cfg.NodeID, lmap)
-		// Membership engages when the transport can both grow (AddPeer)
-		// and carry the handshake hello that announces it.
-		_, canGrow := cfg.Transport.(transport.MemberTransport)
-		_, canHello := cfg.Transport.(transport.HelloTransport)
-		if canGrow && canHello && !cfg.Membership.Disable {
+		// Membership engages when the transport can grow (AddPeer).
+		if _, canGrow := cfg.Transport.(transport.MemberTransport); canGrow {
 			// The announced dial-back address: what a grown machine's
 			// peers use to reach a joiner.
 			addr := ""
@@ -339,27 +319,20 @@ func New(cfg Config) *Runtime {
 		cfg.Register(r)
 	}
 	if cfg.Transport != nil {
-		// Announce capabilities after Register has run (the interning
-		// snapshot must cover the application's actions) and before Start
-		// (the hello rides every connection handshake). Transports without
-		// hello support announce nothing: peers speak plain, trailer-free
-		// frames toward them.
-		if ht, ok := cfg.Transport.(transport.HelloTransport); ok {
-			intern := !cfg.DisableActionInterning
-			traced := !cfg.DisableTraceContext
-			var mh *memberHello
-			if r.dist.mb != nil {
-				mh = &memberHello{node: cfg.NodeID, lo: resident.Lo, hi: resident.Hi, addr: r.dist.mb.selfAddr}
-			}
-			if intern || traced || mh != nil {
-				set := r.acts.snapshot()
-				if intern {
-					r.dist.intern.announce(set)
-				}
-				ht.SetHello(encodeHello(set.names, intern, traced, mh))
-				ht.SetHelloHandler(r.dist.onHello)
-			}
+		// Announce the action table after Register has run (the snapshot
+		// must cover the application's actions) and before Start (the hello
+		// rides every connection handshake).
+		var mh *memberHello
+		if r.dist.mb != nil {
+			mh = &memberHello{node: cfg.NodeID, lo: resident.Lo, hi: resident.Hi, addr: r.dist.mb.selfAddr}
 		}
+		// ourTable freezes the same helloPrefix-capped prefix encodeHello
+		// encodes, so a position this node ever puts on the wire is always
+		// inside every peer's copy of the table.
+		set := r.acts.snapshot()
+		r.dist.ourTable = &senderTable{set: set, n: helloPrefix(set.names)}
+		cfg.Transport.SetHello(encodeHello(set.names, mh))
+		cfg.Transport.SetHelloHandler(r.dist.onHello)
 		if err := cfg.Transport.Start(); err != nil {
 			panic(fmt.Sprintf("core: transport start: %v", err))
 		}

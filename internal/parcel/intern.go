@@ -16,10 +16,7 @@ import (
 // Every action reference degrades independently: a name the sender has not
 // announced (registered after the table was exchanged, or past the
 // announced prefix) is encoded as a string exactly as in the plain format.
-// A parcel may therefore mix interned and spelled-out references, and a
-// machine mixing interning-aware and string-only nodes interoperates —
-// string-only nodes simply never see the interned frame kind, because
-// senders only use it toward peers that announced a table.
+// A parcel may therefore mix interned and spelled-out references.
 //
 // Layout: identical to the plain format except each action reference is
 //

@@ -40,7 +40,7 @@ type Parcel struct {
 	// AID caches the executing runtime's dense ID for Action (see the core
 	// action registry), letting dispatch index a slice instead of hashing
 	// the name. NoAID means unresolved. It is runtime-local: the interned
-	// wire form carries table positions negotiated per peer, never AID.
+	// wire form carries positions in the sender's announced table, never AID.
 	AID uint32
 	// Args is the encoded argument record (see Args/Reader).
 	Args []byte
@@ -51,9 +51,8 @@ type Parcel struct {
 	// Hops counts owner-forwarding retries (stale AGAS caches).
 	Hops int
 	// Trace is the distributed trace context (zero when untraced). It is
-	// NOT written by Encode: the capability-gated trailer is appended by
-	// TraceCtx.Append and parsed by DecodeTrace, so the base wire form
-	// stays understood by every peer (see trace.go).
+	// NOT written by Encode: the trailer is appended by TraceCtx.Append
+	// and parsed by DecodeTrace (see trace.go).
 	Trace TraceCtx
 
 	// argsBuf is the parcel-owned backing store DecodeInto copies argument

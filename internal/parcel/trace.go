@@ -10,11 +10,8 @@ import (
 // continuation chain, so one logical operation can be followed post →
 // wire → trigger across node boundaries. The context travels as a
 // fixed-size trailer APPENDED AFTER the standard parcel wire form rather
-// than as a new field inside it: receivers that predate (or disabled) the
-// capability reject any trailing bytes, so senders append the trailer only
-// toward peers that announced the trace capability in their handshake
-// hello — mixed-capability machines interoperate, with spans degrading to
-// local-only around non-capable nodes.
+// than as a field inside it, so an untraced parcel — the common case —
+// pays no bytes for it.
 
 // TraceWireSize is the encoded size of a trace-context trailer:
 // u64 trace ID | u64 parent span ID | u8 flags.

@@ -11,9 +11,8 @@ import (
 
 // wireFrameSize is the payload carried per frame in the wire-path
 // benchmarks. Large enough that the send path's per-frame byte handling
-// (one memcpy under coalescing, one iovec append under writev)
-// dominates over framing bookkeeping, small enough that several frames
-// share each group-commit batch.
+// (one iovec append) dominates over framing bookkeeping, small enough that
+// several frames share each group-commit batch.
 const wireFrameSize = 32 << 10
 
 // wireSenders and wireBatchWindow shape the flood so group commit forms
@@ -117,14 +116,11 @@ func wireFlood(b *testing.B, senders int, nodes []*transport.TCP, got *atomic.Ui
 	}
 }
 
-// WireWritevBatch floods frames through the v2 transport defaults:
-// vectored writes (each group-commit batch leaves as one writev over the
-// callers' own frame slices, never copied) and alias decode on the
-// receiver. It runs over the same-host fabric — the two nodes share
-// this host, so that is the fabric they would actually get — which also
-// keeps the in-run comparison against WireCoalesceBatch out of the TCP
-// stack's scheduling noise: the two benchmarks differ only in write and
-// read strategy.
+// WireWritevBatch floods frames through the transport defaults: vectored
+// writes (each group-commit batch leaves as one writev over the callers'
+// own frame slices, never copied) and alias decode on the receiver. It
+// runs over the same-host fabric — the two nodes share this host, so that
+// is the fabric they would actually get.
 func WireWritevBatch(b *testing.B) {
 	nodes, got := wirePair(b, func(cfg *transport.TCPConfig) {
 		cfg.BatchWindow = wireBatchWindow
@@ -133,21 +129,6 @@ func WireWritevBatch(b *testing.B) {
 	if nodes[0].SameHostConns() == 0 {
 		b.Fatal("same-host fabric was not selected for a loopback pair")
 	}
-}
-
-// WireCoalesceBatch is the identical flood through the retained v1
-// strategies: every frame memcpy'd into a contiguous batch buffer before
-// one Write, and every received frame copied out of the read buffer
-// before dispatch. This is the baseline the v2 path is required to
-// beat — CI gates writev ns/op at >= 1.2x better via cmd/benchdiff
-// -speedup, an in-run ratio that holds on any machine.
-func WireCoalesceBatch(b *testing.B) {
-	nodes, got := wirePair(b, func(cfg *transport.TCPConfig) {
-		cfg.CoalesceWrites = true
-		cfg.DisableAliasRead = true
-		cfg.BatchWindow = wireBatchWindow
-	})
-	wireFlood(b, wireSenders, nodes, got)
 }
 
 // WireShardedFanout runs the flood over real loopback TCP with four

@@ -68,7 +68,7 @@ func (e *inprocEndpoint) SetHandler(h Handler) {
 	e.handler = h
 }
 
-// SetHello installs the payload announced to peers (HelloTransport).
+// SetHello installs the payload announced to peers.
 func (e *inprocEndpoint) SetHello(payload []byte) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -78,7 +78,7 @@ func (e *inprocEndpoint) SetHello(payload []byte) {
 	e.hello = payload
 }
 
-// SetHelloHandler installs the receiver for peer hellos (HelloTransport).
+// SetHelloHandler installs the receiver for peer hellos.
 func (e *inprocEndpoint) SetHelloHandler(h func(node int, payload []byte)) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -63,14 +64,6 @@ type TCPConfig struct {
 	// the buffer drains below it. Default 4MB; negative disables the
 	// bound.
 	MaxPending int
-	// CoalesceWrites selects the v1 batching strategy: frames are copied
-	// into one contiguous per-lane buffer and written with a single
-	// Write. The default (false) is the v2 vectored path: pending frames
-	// are gathered into a net.Buffers iovec and handed to writev, so a
-	// sender's encode buffer hits the socket without an intermediate
-	// copy. The copy path survives as the benchmark baseline
-	// (BenchmarkWireCoalesceBatch) and as an escape hatch.
-	CoalesceWrites bool
 	// DisableSameHost turns off the same-host fabric: peers are always
 	// dialed over TCP even when a Unix-domain listener advertises that
 	// they share this host. See shm.go.
@@ -83,12 +76,6 @@ type TCPConfig struct {
 	// should be a healthy multiple of the common frame size. Default
 	// 256KB.
 	ReadBufferBytes int
-	// DisableAliasRead forces the receive path to copy every frame into a
-	// private buffer before invoking the handler, instead of handing the
-	// handler a sub-slice of the connection read buffer. The aliased path
-	// is safe under the Handler contract (copy what you retain); the copy
-	// path exists for the mixed-capability tests and as an escape hatch.
-	DisableAliasRead bool
 	// PoisonAliasedReads scribbles 0xdd over every aliased frame after
 	// its handler returns, so a handler that illegally retained the slice
 	// observes garbage (and, under -race, a write/read race) instead of
@@ -203,18 +190,13 @@ type tcpLane struct {
 	connected bool // a connection has succeeded at least once
 	flushing  bool // a leader or drainer is running flush rounds
 
-	// Vectored (writev) pending state: vec alternates 4-byte header
-	// slices (carved from hdr chunks) and caller frame slices; pendBytes
-	// is their total length. spareVec recycles the round's backing array.
+	// Pending batch: vec alternates 4-byte header slices (carved from hdr
+	// chunks) and caller frame slices; pendBytes is their total length.
+	// spareVec recycles the round's backing array.
 	vec       net.Buffers
 	spareVec  net.Buffers
 	hdrChunks []*[]byte // header chunks feeding vec; recycled per round
 	pendBytes int
-
-	// Coalescing (CoalesceWrites) pending state: frames copied into one
-	// contiguous buffer.
-	buf   []byte
-	spare []byte
 
 	waiters []tcpWaiter // senders whose frames sit in the pending batch
 
@@ -393,7 +375,7 @@ func (t *TCP) SetHandler(h Handler) {
 }
 
 // SetHello installs the payload exchanged inside every connection
-// handshake (HelloTransport).
+// handshake.
 func (t *TCP) SetHello(payload []byte) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -406,9 +388,9 @@ func (t *TCP) SetHello(payload []byte) {
 	t.hello = payload
 }
 
-// SetHelloHandler installs the receiver for peer hello payloads
-// (HelloTransport). It runs on connection goroutines, once per completed
-// handshake, before any frame from that connection.
+// SetHelloHandler installs the receiver for peer hello payloads. It runs
+// on connection goroutines, once per completed handshake, before any frame
+// from that connection.
 func (t *TCP) SetHelloHandler(h func(node int, payload []byte)) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -454,51 +436,31 @@ func (t *TCP) Start() error {
 	return nil
 }
 
-// Handshake wire form: magic | version | node ID | locality range lo, hi |
-// u32 hello length | hello payload | [v3: u16 lane | u32 flags]. Version
-// 2 added the hello payload (carrying, e.g., the runtime's
-// action-interning table); because the payload travels inside the
-// handshake it precedes every frame on the connection and is re-announced
-// automatically on reconnect. Version 3 added the lane header: the lane
-// index this connection carries plus a capability word, so a sharded
-// dialer's streams stay distinguishable and a malformed lane announcement
-// is rejected before it can cross-wire two peers.
+// Handshake wire form, the one layout this transport speaks:
 //
-// A version-1 header (no hello field) is still accepted — the peer is
-// treated as having announced an empty hello, i.e. string-form-only —
-// and so is a v2 header, treated as lane 0 with no capabilities. The
-// compatibility is necessarily one-directional: an old binary's own
-// strict version check rejects our v3 header, so in a rolling upgrade
-// old nodes can dial new ones but not the reverse.
+//	u32 magic | u16 version | u32 node | u32 lo | u32 hi | u16 lane |
+//	u32 hello length | hello payload
+//
+// lo, hi is the sender's hosted locality range. The lane index names which
+// of the dialer's connections this one is, so a sharded dialer's streams
+// stay distinguishable and a malformed lane announcement is rejected
+// before it can cross-wire two peers. The hello payload is opaque to the
+// transport (the runtime announces its action table and membership in
+// it); because it travels inside the handshake it precedes every frame on
+// the connection and is re-announced on reconnect. A peer speaking any
+// other version is refused: one build, one format.
 const (
-	hsMagic      = 0x50585450 // "PXTP"
-	hsVersion    = 3
-	hsMinVersion = 1
-	hsHeadSize   = 4 + 2 + 4 + 4 + 4 // magic..range; v2 adds u32 len + hello
-	hsSize       = hsHeadSize + 4
-	hsLaneSize   = 2 + 4 // v3 lane header: u16 lane | u32 flags
+	hsMagic    = 0x50585450 // "PXTP"
+	hsVersion  = 4
+	hsHeadSize = 4 + 2 + 4 + 4 + 4 + 2 + 4 // magic..hello length
 )
 
-// Handshake capability flags (the v3 flags word). Unknown bits are
-// ignored for forward compatibility.
-const (
-	// hsFlagAliasRead announces that this node's receive path may hand
-	// handlers aliased read-buffer sub-slices (informational; the
-	// contract is the same either way).
-	hsFlagAliasRead = 1 << 0
-	// hsFlagSameHost announces that this connection arrived over the
-	// same-host fabric.
-	hsFlagSameHost = 1 << 1
-)
+// errHandshakeVersion marks the refusal of a peer built with another
+// handshake layout.
+var errHandshakeVersion = errors.New("transport: handshake version mismatch")
 
-func (t *TCP) handshakeBytes(lane int, sameHost bool) []byte {
-	return t.handshakeBytesV(hsVersion, lane, sameHost)
-}
-
-// handshakeBytesV encodes this node's header in the given handshake
-// version — a lower version when answering an older peer, whose own
-// reader rejects any other version.
-func (t *TCP) handshakeBytesV(version uint16, lane int, sameHost bool) []byte {
+// handshakeBytes encodes this node's header for the given lane.
+func (t *TCP) handshakeBytes(lane int) []byte {
 	var lo, hi uint32
 	if t.hasRange {
 		lo = uint32(t.selfRange[0])
@@ -507,49 +469,33 @@ func (t *TCP) handshakeBytesV(version uint16, lane int, sameHost bool) []byte {
 	t.mu.Lock()
 	hello := t.hello
 	t.mu.Unlock()
-	buf := make([]byte, 0, hsSize+hsLaneSize+len(hello))
+	buf := make([]byte, 0, hsHeadSize+len(hello))
 	buf = binary.LittleEndian.AppendUint32(buf, hsMagic)
-	buf = binary.LittleEndian.AppendUint16(buf, version)
+	buf = binary.LittleEndian.AppendUint16(buf, hsVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.cfg.Self))
 	buf = binary.LittleEndian.AppendUint32(buf, lo)
 	buf = binary.LittleEndian.AppendUint32(buf, hi)
-	if version >= 2 {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(hello)))
-		buf = append(buf, hello...)
-	}
-	if version >= 3 {
-		var flags uint32
-		if !t.cfg.DisableAliasRead {
-			flags |= hsFlagAliasRead
-		}
-		if sameHost {
-			flags |= hsFlagSameHost
-		}
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(lane))
-		buf = binary.LittleEndian.AppendUint32(buf, flags)
-	}
-	return buf
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(lane))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(hello)))
+	return append(buf, hello...)
 }
 
 // readHandshake parses and validates a peer header, returning the peer's
-// node ID, hello payload (nil for a v1 peer, which has none), the lane
-// this connection carries (0 for pre-v3 peers), and the handshake version
-// the peer spoke.
-func (t *TCP) readHandshake(r io.Reader) (node int, hello []byte, lane int, v uint16, err error) {
+// node ID, its hello payload, and the lane this connection carries.
+func (t *TCP) readHandshake(r io.Reader) (node int, hello []byte, lane int, err error) {
 	var buf [hsHeadSize]byte
 	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, nil, 0, 0, fmt.Errorf("transport: handshake read: %w", err)
+		return 0, nil, 0, fmt.Errorf("transport: handshake read: %w", err)
 	}
 	if m := binary.LittleEndian.Uint32(buf[0:4]); m != hsMagic {
-		return 0, nil, 0, 0, fmt.Errorf("transport: bad handshake magic %#x", m)
+		return 0, nil, 0, fmt.Errorf("transport: bad handshake magic %#x", m)
 	}
-	v = binary.LittleEndian.Uint16(buf[4:6])
-	if v < hsMinVersion || v > hsVersion {
-		return 0, nil, 0, 0, fmt.Errorf("transport: handshake version %d, want %d..%d", v, hsMinVersion, hsVersion)
+	if v := binary.LittleEndian.Uint16(buf[4:6]); v != hsVersion {
+		return 0, nil, 0, fmt.Errorf("%w: peer speaks handshake version %d, this node speaks %d", errHandshakeVersion, v, hsVersion)
 	}
 	node = int(binary.LittleEndian.Uint32(buf[6:10]))
 	if node < 0 || node >= MaxJoinNodes || node == t.cfg.Self {
-		return 0, nil, 0, 0, fmt.Errorf("transport: handshake from invalid node %d", node)
+		return 0, nil, 0, fmt.Errorf("transport: handshake from invalid node %d", node)
 	}
 	lo := int(binary.LittleEndian.Uint32(buf[10:14]))
 	hi := int(binary.LittleEndian.Uint32(buf[14:18]))
@@ -573,43 +519,26 @@ func (t *TCP) readHandshake(r io.Reader) (node int, hello []byte, lane int, v ui
 	// Cross-check only ranges we were configured with (hi > lo): a slot
 	// grown by an earlier join holds the joiner's own announcement.
 	if checkRange && want[1] > want[0] && (lo != want[0] || hi != want[1]) {
-		return 0, nil, 0, 0, fmt.Errorf("transport: node %d announced localities [%d,%d), want [%d,%d)",
+		return 0, nil, 0, fmt.Errorf("transport: node %d announced localities [%d,%d), want [%d,%d)",
 			node, lo, hi, want[0], want[1])
 	}
-	if v < 2 {
-		return node, nil, 0, v, nil // v1 carries no hello: a string-only peer
+	lane = int(binary.LittleEndian.Uint16(buf[18:20]))
+	if lane >= MaxLanes {
+		// A corrupt lane announcement is rejected outright rather than
+		// clamped: accepting it could cross-wire two peers' orderings.
+		return 0, nil, 0, fmt.Errorf("transport: node %d announced lane %d, limit %d", node, lane, MaxLanes)
 	}
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return 0, nil, 0, 0, fmt.Errorf("transport: handshake hello length read: %w", err)
-	}
-	n := binary.LittleEndian.Uint32(lenBuf[:])
+	n := binary.LittleEndian.Uint32(buf[20:24])
 	if n > MaxHello {
-		return 0, nil, 0, 0, fmt.Errorf("transport: node %d announced a %d-byte hello, limit %d", node, n, MaxHello)
+		return 0, nil, 0, fmt.Errorf("transport: node %d announced a %d-byte hello, limit %d", node, n, MaxHello)
 	}
 	if n > 0 {
 		hello = make([]byte, n)
 		if _, err := io.ReadFull(r, hello); err != nil {
-			return 0, nil, 0, 0, fmt.Errorf("transport: handshake hello read: %w", err)
+			return 0, nil, 0, fmt.Errorf("transport: handshake hello read: %w", err)
 		}
 	}
-	if v < 3 {
-		return node, hello, 0, v, nil // pre-lane peer: everything is lane 0
-	}
-	var laneBuf [hsLaneSize]byte
-	if _, err := io.ReadFull(r, laneBuf[:]); err != nil {
-		return 0, nil, 0, 0, fmt.Errorf("transport: handshake lane read: %w", err)
-	}
-	lane = int(binary.LittleEndian.Uint16(laneBuf[0:2]))
-	if lane >= MaxLanes {
-		// A corrupt lane announcement is rejected outright rather than
-		// clamped: accepting it could cross-wire two peers' orderings.
-		return 0, nil, 0, 0, fmt.Errorf("transport: node %d announced lane %d, limit %d", node, lane, MaxLanes)
-	}
-	// laneBuf[2:6] is the capability flags word; unknown bits are ignored
-	// for forward compatibility and no current bit changes receive-side
-	// behavior.
-	return node, hello, lane, v, nil
+	return node, hello, lane, nil
 }
 
 func (t *TCP) acceptLoop(ln net.Listener) {
@@ -640,11 +569,10 @@ func (t *TCP) acceptLoop(ln net.Listener) {
 }
 
 // serveConn handles one inbound (receive-only) connection: handshake
-// exchange, then a frame-read loop feeding the handler. By default frames
-// that fit the connection read buffer are delivered as aliased sub-slices
-// of it — zero copies between the socket and the handler, legal under the
-// Handler copy-what-you-retain contract; DisableAliasRead restores the
-// copying loop, and frames larger than the buffer always take it.
+// exchange, then a frame-read loop feeding the handler. Frames that fit
+// the connection read buffer are delivered as aliased sub-slices of it —
+// zero copies between the socket and the handler, legal under the Handler
+// copy-what-you-retain contract; frames larger than the buffer are copied.
 func (t *TCP) serveConn(conn net.Conn) {
 	defer t.wg.Done()
 	defer func() {
@@ -656,15 +584,16 @@ func (t *TCP) serveConn(conn net.Conn) {
 	deadline := time.Now().Add(t.cfg.HandshakeTimeout)
 	conn.SetDeadline(deadline)
 	br := bufio.NewReaderSize(conn, t.cfg.ReadBufferBytes)
-	from, hello, _, peerVer, err := t.readHandshake(br)
+	from, hello, _, err := t.readHandshake(br)
 	if err != nil {
+		if errors.Is(err, errHandshakeVersion) {
+			// Answer before hanging up: the dialer has a caller to report
+			// to, and our header tells it which build is the odd one out.
+			conn.Write(t.handshakeBytes(0))
+		}
 		return
 	}
-	// Reply in the peer's own version: an old binary's reader strictly
-	// rejects anything else, and the reply it expects has no lane header
-	// (nor, for v1, a hello).
-	_, sameHost := conn.(*net.UnixConn)
-	if _, err := conn.Write(t.handshakeBytesV(peerVer, 0, sameHost)); err != nil {
+	if _, err := conn.Write(t.handshakeBytes(0)); err != nil {
 		return
 	}
 	conn.SetDeadline(time.Time{})
@@ -674,7 +603,6 @@ func (t *TCP) serveConn(conn net.Conn) {
 	var lenBuf [4]byte
 	// The copy-path read buffer, grown to the largest copied frame seen.
 	var frame []byte
-	alias := !t.cfg.DisableAliasRead
 	poison := t.cfg.PoisonAliasedReads
 	for {
 		n, err := readFrameLen(br, &lenBuf)
@@ -685,7 +613,7 @@ func (t *TCP) serveConn(conn net.Conn) {
 			return // corrupt stream; drop the connection
 		}
 		var body []byte
-		aliased := alias && int(n) <= br.Size()
+		aliased := int(n) <= br.Size()
 		if aliased {
 			// Alias decode: the frame is a window into the bufio buffer.
 			// Peek fills the buffer without copying out of it; Discard
@@ -788,7 +716,7 @@ func (t *TCP) SendLane(node, lane int, frame []byte) error {
 		// sender admitted at pendBytes == max-1 may push the batch past
 		// max, which also lets frames larger than MaxPending through.
 		blocked := false
-		for l.flushing && l.pending() >= max {
+		for l.flushing && l.pendBytes >= max {
 			if t.isClosed() {
 				l.mu.Unlock()
 				return ErrClosed
@@ -800,8 +728,8 @@ func (t *TCP) SendLane(node, lane int, frame []byte) error {
 			l.room.Wait()
 		}
 	}
-	l.append(frame, t.cfg.CoalesceWrites)
-	myEnd := l.pending()
+	l.append(frame)
+	myEnd := l.pendBytes
 	if l.flushing {
 		// Follower: a leader's write is in flight; our frame rides the
 		// next batch. Wait for that batch's verdict — which also keeps
@@ -814,7 +742,7 @@ func (t *TCP) SendLane(node, lane int, frame []byte) error {
 	l.flushing = true
 	res := t.flushRound(l, node, lane, addr)
 	myErr := res.verdict(myEnd, node)
-	if l.pending() > 0 {
+	if l.pendBytes > 0 {
 		// Frames arrived while our round's write was in flight. Hand the
 		// backlog to a drainer goroutine instead of flushing it here: the
 		// leader already paid for the round carrying its own frame, and
@@ -831,39 +759,15 @@ func (t *TCP) SendLane(node, lane int, frame []byte) error {
 	return myErr
 }
 
-// pending reports the lane's buffered-unwritten byte count, whichever
-// batching strategy is active. Callers hold l.mu.
-func (l *tcpLane) pending() int {
-	if l.buf != nil {
-		return len(l.buf)
-	}
-	return l.pendBytes
-}
-
-// append adds one frame to the lane's pending batch. On the vectored path
-// the frame slice itself is referenced — the caller's Send blocks until
-// the covering write returns, which is what makes the zero-copy safe; the
-// 4-byte length header is carved from a pooled fixed-capacity chunk so
-// the sub-slice can never be invalidated by a growing append. Callers
-// hold l.mu.
-func (l *tcpLane) append(frame []byte, coalesce bool) {
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(frame)))
-	if coalesce {
-		if l.buf == nil {
-			l.buf = l.spare[:0]
-			l.spare = nil
-			if l.buf == nil {
-				l.buf = make([]byte, 0, 4+len(frame))
-			}
-		}
-		l.buf = append(l.buf, lenBuf[:]...)
-		l.buf = append(l.buf, frame...)
-		return
-	}
+// append adds one frame to the lane's pending batch. The frame slice
+// itself is referenced — the caller's Send blocks until the covering write
+// returns, which is what makes the zero-copy safe; the 4-byte length
+// header is carved from a pooled fixed-capacity chunk so the sub-slice can
+// never be invalidated by a growing append. Callers hold l.mu.
+func (l *tcpLane) append(frame []byte) {
 	chunk := l.hdrChunk()
 	start := len(*chunk)
-	*chunk = append(*chunk, lenBuf[:]...)
+	*chunk = binary.LittleEndian.AppendUint32(*chunk, uint32(len(frame)))
 	l.vec = append(l.vec, (*chunk)[start:start+4], frame)
 	l.pendBytes += 4 + len(frame)
 }
@@ -889,7 +793,7 @@ func (l *tcpLane) hdrChunk() *[]byte {
 // fast with ErrClosed verdicts.
 func (t *TCP) drainLane(l *tcpLane, node, lane int, addr string) {
 	l.mu.Lock()
-	for l.pending() > 0 {
+	for l.pendBytes > 0 {
 		t.flushRound(l, node, lane, addr)
 	}
 	l.flushing = false
@@ -903,14 +807,13 @@ func (t *TCP) drainLane(l *tcpLane, node, lane int, addr string) {
 // a leader derive the verdict for its own frame (followers of this round
 // get theirs on their channels).
 //
-// On the vectored path the batch is a net.Buffers handed to writev: the
-// pooled encode buffers referenced by it are owned by their (blocked)
-// senders until the verdicts go out, and the header chunks return to
-// their pool here. net.Buffers.WriteTo reports the bytes the kernel
-// accepted before any error, which is what the per-frame verdict offsets
-// compare against.
+// The batch is a net.Buffers handed to writev: the pooled encode buffers
+// referenced by it are owned by their (blocked) senders until the verdicts
+// go out, and the header chunks return to their pool here.
+// net.Buffers.WriteTo reports the bytes the kernel accepted before any
+// error, which is what the per-frame verdict offsets compare against.
 func (t *TCP) flushRound(l *tcpLane, node, lane int, addr string) flushResult {
-	if t.cfg.BatchWindow > 0 && l.conn != nil && l.pending() < t.cfg.BatchBytes {
+	if t.cfg.BatchWindow > 0 && l.conn != nil && l.pendBytes < t.cfg.BatchBytes {
 		// Throughput bias: linger once per batch so more frames join —
 		// adaptively, by yielding the processor and flushing as soon as a
 		// pass finds the batch stopped growing, with BatchWindow as the
@@ -920,11 +823,11 @@ func (t *TCP) flushRound(l *tcpLane, node, lane int, addr string) flushResult {
 		// costs one scheduler pass when nobody else is sending.
 		deadline := time.Now().Add(t.cfg.BatchWindow)
 		for {
-			last := l.pending()
+			last := l.pendBytes
 			l.mu.Unlock()
 			runtime.Gosched()
 			l.mu.Lock()
-			if l.pending() == last || l.pending() >= t.cfg.BatchBytes ||
+			if l.pendBytes == last || l.pendBytes >= t.cfg.BatchBytes ||
 				!time.Now().Before(deadline) {
 				break
 			}
@@ -932,7 +835,6 @@ func (t *TCP) flushRound(l *tcpLane, node, lane int, addr string) flushResult {
 	}
 	vec := l.vec
 	chunks := l.hdrChunks
-	buf := l.buf
 	waiters := l.waiters
 	conn := l.conn
 	reconnect := l.connected
@@ -940,10 +842,6 @@ func (t *TCP) flushRound(l *tcpLane, node, lane int, addr string) flushResult {
 	l.spareVec = nil
 	l.hdrChunks = nil
 	l.pendBytes = 0
-	if buf != nil {
-		l.buf = l.spare[:0]
-		l.spare = nil
-	}
 	l.waiters = nil
 	l.batches++
 	// The pending batch just emptied: backpressured senders may append
@@ -963,20 +861,12 @@ func (t *TCP) flushRound(l *tcpLane, node, lane int, addr string) flushResult {
 		}
 	}
 	if res.err == nil {
-		var n int64
-		var err error
-		if buf != nil {
-			var nn int
-			nn, err = conn.Write(buf)
-			n = int64(nn)
-		} else {
-			// WriteTo advances its receiver as buffers complete; vecOrig
-			// keeps the original headers so the backing array can be
-			// recycled afterwards.
-			vecOrig := vec
-			n, err = vec.WriteTo(conn)
-			vec = vecOrig
-		}
+		// WriteTo advances its receiver as buffers complete; vecOrig keeps
+		// the original headers so the backing array can be recycled
+		// afterwards.
+		vecOrig := vec
+		n, err := vec.WriteTo(conn)
+		vec = vecOrig
 		res.okBytes = int(n)
 		if err != nil {
 			res.err = err
@@ -1011,9 +901,6 @@ func (t *TCP) flushRound(l *tcpLane, node, lane int, addr string) flushResult {
 		l.connected = true
 	}
 	l.spareVec = vec[:0]
-	if buf != nil {
-		l.spare = buf[:0]
-	}
 	return res
 }
 
@@ -1117,16 +1004,15 @@ func (t *TCP) dialOnce(addr string) (net.Conn, error) {
 // completeDial runs the client half of the handshake and verifies the
 // answering node is the one we meant to reach. The peer's hello payload
 // (read from its handshake response) is delivered before the dial is
-// declared complete, so a sender learns the peer's capabilities before
-// its first frame on the new connection.
+// declared complete, so a sender holds the peer's announcement before its
+// first frame on the new connection.
 func (t *TCP) completeDial(conn net.Conn, node, lane int) error {
 	conn.SetDeadline(time.Now().Add(t.cfg.HandshakeTimeout))
 	defer conn.SetDeadline(time.Time{})
-	_, sameHost := conn.(*net.UnixConn)
-	if _, err := conn.Write(t.handshakeBytes(lane, sameHost)); err != nil {
+	if _, err := conn.Write(t.handshakeBytes(lane)); err != nil {
 		return err
 	}
-	got, hello, _, _, err := t.readHandshake(conn)
+	got, hello, _, err := t.readHandshake(conn)
 	if err != nil {
 		return err
 	}

@@ -38,6 +38,18 @@ type Transport interface {
 	// SetHandler installs the receive handler. It must be called exactly
 	// once, before Start.
 	SetHandler(h Handler)
+	// SetHello installs the opaque payload announced to every peer when
+	// two nodes connect. The runtime announces its action-interning table
+	// and membership in it: because the payload rides the connection
+	// handshake, it reaches the peer before any frame sent over that
+	// connection, re-announcing automatically on reconnect. It must be
+	// called before Start; nil announces an empty payload.
+	SetHello(payload []byte)
+	// SetHelloHandler installs the receiver for peers' hello payloads. The
+	// handler runs before any frame from that peer's connection is
+	// delivered, may run again on reconnection, and may be called
+	// concurrently for different peers. It must be set before Start.
+	SetHelloHandler(h func(node int, payload []byte))
 	// Start begins receiving. Sends before Start may fail.
 	Start() error
 	// Send delivers frame to the given node. Delivery is asynchronous,
@@ -51,25 +63,6 @@ type Transport interface {
 	// Close releases the transport. In-flight frames may be dropped.
 	// Close is idempotent; after it returns no handler calls are made.
 	Close() error
-}
-
-// HelloTransport is optionally implemented by transports that carry an
-// application hello payload exchanged when two nodes connect. The runtime
-// uses it to announce its action-interning table: because the payload
-// rides the connection handshake, it reaches the peer before any frame
-// sent over that connection, re-announcing automatically on reconnect.
-// Transports without hello support simply leave peers un-announced — the
-// runtime then speaks the universally understood string wire form.
-type HelloTransport interface {
-	Transport
-	// SetHello installs the opaque payload announced to peers. It must be
-	// called before Start; nil announces an empty payload.
-	SetHello(payload []byte)
-	// SetHelloHandler installs the receiver for peers' hello payloads. The
-	// handler runs before any frame from that peer's connection is
-	// delivered, may run again on reconnection, and may be called
-	// concurrently for different peers. It must be set before Start.
-	SetHelloHandler(h func(node int, payload []byte))
 }
 
 // LaneTransport is optionally implemented by transports that shard each

@@ -1,10 +1,12 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -338,11 +340,12 @@ func TestTCPHandshakeRejectsWrongRanges(t *testing.T) {
 	}
 }
 
-// TestTCPAcceptsV1Handshake: a peer speaking the version-1 header (no
-// hello field) still connects and delivers frames; it is treated as a
-// string-only node (nil hello). Rolling upgrades keep old dialers working
-// against new listeners.
-func TestTCPAcceptsV1Handshake(t *testing.T) {
+// TestTCPRefusesOtherHandshakeVersions: the transport speaks exactly one
+// handshake layout. A peer announcing any other version is refused with an
+// error naming both versions; the listener answers with its own header
+// before hanging up, so the refusal reaches the dialer (which has a caller
+// to report to) in those words too.
+func TestTCPRefusesOtherHandshakeVersions(t *testing.T) {
 	tt, err := NewTCP(TCPConfig{Self: 0, Listen: "127.0.0.1:0", Peers: make([]string, 2)})
 	if err != nil {
 		t.Fatal(err)
@@ -350,60 +353,57 @@ func TestTCPAcceptsV1Handshake(t *testing.T) {
 	defer tt.Close()
 	col := &collector{}
 	tt.SetHandler(col.handle)
-	var helloMu sync.Mutex
-	var hellos [][]byte
-	tt.SetHelloHandler(func(node int, payload []byte) {
-		helloMu.Lock()
-		hellos = append(hellos, payload)
-		helloMu.Unlock()
-	})
 	tt.SetPeers([]string{tt.Addr().String(), "127.0.0.1:1"})
 	if err := tt.Start(); err != nil {
 		t.Fatal(err)
 	}
+	header := func(version uint16) []byte {
+		hs := binary.LittleEndian.AppendUint32(nil, hsMagic)
+		hs = binary.LittleEndian.AppendUint16(hs, version)
+		hs = binary.LittleEndian.AppendUint32(hs, 1)   // node
+		hs = binary.LittleEndian.AppendUint32(hs, 0)   // lo
+		hs = binary.LittleEndian.AppendUint32(hs, 0)   // hi
+		hs = binary.LittleEndian.AppendUint16(hs, 0)   // lane
+		return binary.LittleEndian.AppendUint32(hs, 0) // hello length
+	}
+	for _, v := range []uint16{0, 1, 2, 3, hsVersion + 1, 0xffff} {
+		_, _, _, err := tt.readHandshake(bytes.NewReader(header(v)))
+		if err == nil {
+			t.Fatalf("handshake version %d accepted", v)
+		}
+		for _, want := range []string{fmt.Sprintf("version %d", v), fmt.Sprintf("speaks %d", hsVersion)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("version %d refusal %q does not say %q", v, err, want)
+			}
+		}
+	}
+	if _, _, _, err := tt.readHandshake(bytes.NewReader(header(hsVersion))); err != nil {
+		t.Fatalf("own version refused: %v", err)
+	}
 
+	// Over a real socket the refusal is the listener's own header and no
+	// frame delivered.
 	conn, err := net.Dial("tcp", tt.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// Version-1 header: magic | u16 1 | node 1 | lo 0 | hi 0 — and then
-	// immediately a frame, with no hello field in between.
-	hs := binary.LittleEndian.AppendUint32(nil, hsMagic)
-	hs = binary.LittleEndian.AppendUint16(hs, 1)
-	hs = binary.LittleEndian.AppendUint32(hs, 1)
-	hs = binary.LittleEndian.AppendUint32(hs, 0)
-	hs = binary.LittleEndian.AppendUint32(hs, 0)
-	if _, err := conn.Write(hs); err != nil {
-		t.Fatal(err)
-	}
-	// The listener must answer in v1 format — fixed 18-byte header,
-	// version 1, no hello field — or a real v1 binary's strict version
-	// check would drop the connection.
-	reply := make([]byte, 18)
-	if _, err := io.ReadFull(conn, reply); err != nil {
-		t.Fatalf("v1 reply read: %v", err)
-	}
-	if m := binary.LittleEndian.Uint32(reply[0:4]); m != hsMagic {
-		t.Fatalf("v1 reply magic %#x", m)
-	}
-	if v := binary.LittleEndian.Uint16(reply[4:6]); v != 1 {
-		t.Fatalf("v1 peer answered with handshake version %d, want 1", v)
-	}
 	payload := []byte("from-the-past")
-	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
-	frame = append(frame, payload...)
-	if _, err := conn.Write(frame); err != nil {
+	stream := binary.LittleEndian.AppendUint32(header(hsVersion-1), uint32(len(payload)))
+	if _, err := conn.Write(append(stream, payload...)); err != nil {
 		t.Fatal(err)
 	}
-	got := col.wait(t, 1)
-	if got[0].from != 1 || got[0].data != "from-the-past" {
-		t.Fatalf("frame from v1 peer: from=%d data=%q", got[0].from, got[0].data)
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	// The listener hangs up right after this reply, never having entered
+	// its frame loop.
+	reply := make([]byte, len(tt.handshakeBytes(0)))
+	if _, err := io.ReadFull(conn, reply); err != nil || !bytes.Equal(reply, tt.handshakeBytes(0)) {
+		t.Fatalf("refused peer read % x, err %v; want the listener's header", reply, err)
 	}
-	helloMu.Lock()
-	defer helloMu.Unlock()
-	if len(hellos) != 1 || hellos[0] != nil {
-		t.Fatalf("v1 peer hello: got %v, want one nil payload", hellos)
+	col.mu.Lock()
+	defer col.mu.Unlock()
+	if len(col.frames) != 0 {
+		t.Fatalf("%d frames delivered from a refused peer", len(col.frames))
 	}
 }
 
@@ -498,7 +498,7 @@ func TestTCPLeaderHandsOffBacklog(t *testing.T) {
 
 	followerDone := make(chan error, 1)
 	go func() { followerDone <- tt.Send(1, []byte("tail")) }()
-	waitLane(t, l, func() bool { return l.pending() > 0 })
+	waitLane(t, l, func() bool { return l.pendBytes > 0 })
 
 	// Drain the leader's round; its Send must return even though the
 	// follower's frame is still pending.
