@@ -150,8 +150,8 @@ func TestDistMembershipNodeDeath(t *testing.T) {
 		t.Fatalf("call to adopted locality: %v %v", v, err)
 	}
 
-	// Quiescence across the survivors: every work unit charged to the
-	// corpse has been released, so Wait terminates.
+	// Quiescence across the survivors: the corpse's lanes have left the
+	// sums and its unacked triggers are dropped, so Wait terminates.
 	rts[0].Wait()
 	rts[1].Wait()
 

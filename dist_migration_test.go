@@ -3,7 +3,7 @@ package parallex_test
 // Live-migration tests over a multi-node machine: an object's payload
 // crosses nodes while its global name stays valid, in-flight parcels chase
 // at most one forwarded hop, and stale senders learn the new owner from
-// the "moved" verdict piggybacked on delivery acknowledgements.
+// the "moved" hint the forwarding node sends back.
 
 import (
 	"fmt"
@@ -203,7 +203,7 @@ func TestMigrationStress3Node(t *testing.T) {
 
 	// Post-migration senders resolve the new home with at most one
 	// forwarded hop each: a stale first call may chase once (and is
-	// repointed by the piggybacked verdict); everything after goes direct.
+	// repointed by the forwarding node's hint); everything after goes direct.
 	before := forwardsTotal(rts)
 	for _, s := range senders {
 		for i := 0; i < 3; i++ {

@@ -18,8 +18,8 @@
 //     behind a migration fence (arriving parcels park, then re-route),
 //     the payload crosses the wire in the parcel value codec, the home
 //     directory commits a new generation, and a forwarding pointer plus
-//     piggybacked "moved" verdicts bound stale senders to one forwarded
-//     hop (see ErrMoved, MovedError).
+//     one-way "moved" hints hold stale senders to one forwarded hop (see
+//     ErrMoved, MovedError).
 //   - Parcels: message-driven work movement with continuation specifiers,
 //     so the locus of control migrates instead of bouncing back to the
 //     sender (see NewParcel, Runtime.SendFrom, Runtime.CallFrom).

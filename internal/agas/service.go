@@ -108,7 +108,7 @@ var ErrNodeLost = errors.New("px: node lost")
 // knew it: a forwarding pointer, left by a departed migration, answered
 // instead of an authoritative directory. Resolutions wrapping ErrMoved
 // (see MovedError) still carry a usable next hop; the parcel layer
-// re-routes toward it and piggybacks the verdict back to the sender.
+// re-routes toward it and hints the verdict back to the sender.
 var ErrMoved = errors.New("agas: object moved")
 
 // MovedError is the resolution outcome for an object that migrated away
@@ -379,7 +379,7 @@ func (s *Service) Locate(g GID) (int, uint64, error) {
 // unversioned route-toward-home guess). When the answer comes from a
 // forwarding pointer — the object migrated away from this node — the owner
 // and generation are returned alongside a *MovedError wrapping ErrMoved,
-// so the parcel layer can re-route the access and piggyback the "moved"
+// so the parcel layer can re-route the access and hint the "moved"
 // verdict back to the stale sender.
 func (s *Service) OwnerGen(g GID) (int, uint64, error) {
 	if g.IsNil() {

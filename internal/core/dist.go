@@ -17,13 +17,12 @@ import (
 // transport, the locality→node map, and the cross-node accounting that
 // extends quiescence detection over the wire.
 //
-// Accounting model: a parcel leaving this node keeps its local work unit
-// charged until the receiving node acknowledges the frame; the receiver
-// charges its own unit before acknowledging, so an in-flight parcel is
-// counted by at least one node at every instant. Global quiescence is then
-// detected with a Mattern-style two-wave probe: all nodes report zero
-// pending work and identical, balanced send/receive totals across two
-// consecutive waves.
+// Accounting model: a parcel is a one-way message — nothing acknowledges
+// it. The per-peer sent/recv totals are the one ledger of parcels in
+// flight (see snapshot for the ordering rules that make them sound), and
+// global quiescence is detected with a Mattern-style two-wave probe: all
+// nodes report zero pending work and identical, balanced send/receive
+// totals across two consecutive waves.
 type distState struct {
 	rt   *Runtime
 	tr   transport.Transport
@@ -31,12 +30,8 @@ type distState struct {
 	lmap *agas.LocalityMap
 	home int // first resident locality; anchors failure accounting
 
-	sent atomic.Int64 // parcel frames sent (successfully handed to the transport)
-	recv atomic.Int64 // parcel frames received
-
-	// peerTab is the per-peer lane state: parcel counters, the
-	// sent-but-unacked count whose work units a death must release,
-	// liveness, and the phi detector. It grows copy-on-write as nodes join.
+	// peerTab is the per-peer lane state: parcel counters, liveness, and
+	// the phi detector. It grows copy-on-write as nodes join.
 	peerTab atomic.Pointer[[]*peerState]
 	growMu  sync.Mutex
 
@@ -80,13 +75,6 @@ type distState struct {
 	halt     chan struct{}
 }
 
-// ackFrame is the plain per-parcel receipt, shared across sends, so the
-// receive path acks without allocating. Sharing is safe even on the TCP
-// transport's zero-copy path: Send references the frame until the write
-// covering it returns (blocking the caller that long), but never mutates
-// it, and this frame is never written to by anyone.
-var ackFrame = []byte{fAck}
-
 // rpcReply is the outcome of one migration frame exchange.
 type rpcReply struct {
 	ok  bool
@@ -127,7 +115,10 @@ func newDistState(r *Runtime, tr transport.Transport, node int, lmap *agas.Local
 }
 
 // onFrame is the transport receive handler. It runs on transport
-// goroutines; everything it does is either non-blocking or a bounded send.
+// goroutines. The parcel arm never sends: a reader blocked writing while
+// its peer's reader does the same is a deadlock once both socket buffers
+// fill. The control arms (trigger acks, drain replies, migration verdicts)
+// still answer inline with a bounded send.
 func (d *distState) onFrame(from int, frame []byte) {
 	if len(frame) == 0 {
 		d.rt.recordError(fmt.Errorf("core: empty frame from node %d", from))
@@ -167,11 +158,10 @@ func (d *distState) onFrame(from int, frame []byte) {
 	m, err := row.decode(frame[1:], env)
 	if err != nil {
 		if kind == fParcel || kind == fParcelI {
-			// The sender charged this frame to the lane and holds a work
-			// unit until its receipt: count and acknowledge it even though
-			// there is nothing to deliver, or the machine never balances.
+			// The sender counted this frame on the lane: count it here too,
+			// though there is nothing to deliver, or the machine never
+			// balances.
 			d.countParcel(from, kind)
-			d.sendAck(from, ackFrame)
 		}
 		d.rt.recordError(fmt.Errorf("core: bad %s frame (%s) of %d bytes from node %d: %w",
 			row.name, row.layout, len(frame), from, err))
@@ -179,13 +169,9 @@ func (d *distState) onFrame(from int, frame []byte) {
 	}
 	switch kind {
 	case fParcel, fParcelI:
-		d.countParcel(from, kind)
-		d.onParcel(from, m.p)
-	case fAck:
-		d.onAck(from)
-	case fAckMoved:
-		d.onAck(from)
-		// The piggybacked verdict repoints this node's translation caches.
+		d.onParcel(from, kind, m.p)
+	case fMoved:
+		// The hint repoints this node's translation caches.
 		if m.loc >= 0 && m.loc < d.rt.Localities() {
 			d.rt.agas.Repoint(m.g, m.loc, m.gen)
 		}
@@ -226,7 +212,6 @@ func (d *distState) onFrame(from int, frame []byte) {
 // countParcel notes one parcel frame received from a peer, decodable or
 // not: the quiescence sums count frames, as the sender's side does.
 func (d *distState) countParcel(from int, kind byte) {
-	d.recv.Add(1)
 	if ps := d.ensurePeer(from); ps != nil {
 		ps.recv.Add(1)
 	}
@@ -235,52 +220,19 @@ func (d *distState) countParcel(from int, kind byte) {
 	}
 }
 
-// onAck releases the work unit held by one acknowledged parcel. If the
-// peer was declared dead in the window between our send and its ack, the
-// death cleanup already released every unit charged to that lane, so a
-// straggler ack must not release a second time.
-func (d *distState) onAck(from int) {
-	ps := d.peer(from)
-	if ps == nil {
-		d.rt.doneWork()
-		return
-	}
-	ps.mu.Lock()
-	live := !ps.dead.Load() && ps.outstanding > 0
-	if live {
-		ps.outstanding--
-	}
-	ps.mu.Unlock()
-	if live {
-		d.rt.doneWork()
-	}
-}
-
 // onParcel delivers one decoded cross-node parcel. The work unit is
-// charged before the acknowledgement goes out so the parcel is never
-// uncounted. When this node knows the destination object lives elsewhere
-// — it departed by migration, or the home directory here names another
-// node — the acknowledgement carries a piggybacked "moved" verdict so the
-// stale sender repoints its caches before its next parcel.
+// charged before the frame is counted (see snapshot), and nothing is sent
+// back: the parcel is a one-way message.
 //
 // p is a pooled value that owns its bytes (the frame was the transport's
 // reused read buffer); ownership flows down the delivery path, which
 // releases it when dispatch completes.
-func (d *distState) onParcel(from int, p *parcel.Parcel) {
+func (d *distState) onParcel(from int, kind byte, p *parcel.Parcel) {
 	d.rt.addWork()
+	d.countParcel(from, kind)
 	owner, gen, err := d.resolveHere(p.Dest)
-	// gen 0 is an unversioned route-toward-home guess, not knowledge worth
-	// teaching the sender.
-	ack := ackFrame
-	if n, known := d.lmap.NodeOf(owner); err == nil && gen > 0 && known && n != d.node {
-		ack = encodeMoved(p.Dest, owner, gen)
-	}
-	d.sendAck(from, ack)
-	if d.rt.ring != nil {
-		d.rt.ring.Emitf(trace.KindParcelRecv, d.home, "from N%d %s", from, p)
-	}
 	d.rt.emitSpan(trace.SpanWireRecv, d.home, &p.Trace, p.Action)
-	d.deliver(p, owner, err)
+	d.deliver(from, p, owner, gen, err)
 }
 
 // resolveHere reports this node's authoritative knowledge of a
@@ -293,13 +245,16 @@ func (d *distState) resolveHere(g agas.GID) (owner int, gen uint64, err error) {
 	return d.rt.agas.ResolveAuthoritative(d.home, g)
 }
 
-// deliver routes a received parcel — already resolved by onParcel to
-// (owner, err) — to its resident locality, or, when the object is not
+// deliver routes a parcel received from node from — already resolved to
+// (owner, gen, err) — to its resident locality, or, when the object is not
 // hosted here, re-routes it through the standard forwarding path
 // (hop-bounded, traced, delayed); a forwarding pointer or the home
-// directory makes the chase a single hop. Runs with one work unit
+// directory makes the chase a single hop. A forwarded parcel whose
+// resolution is versioned also teaches its stale sender where the object
+// went; gen 0 — an unversioned route-toward-home guess, or a trigger,
+// whose sender was never taught — teaches nothing. Runs with one work unit
 // charged; every path releases it exactly once.
-func (d *distState) deliver(p *parcel.Parcel, owner int, err error) {
+func (d *distState) deliver(from int, p *parcel.Parcel, owner int, gen uint64, err error) {
 	r := d.rt
 	if err != nil {
 		r.deliverFailure(d.home, p, err)
@@ -311,11 +266,29 @@ func (d *distState) deliver(p *parcel.Parcel, owner int, err error) {
 		return
 	}
 	if node != d.node {
+		if gen > 0 {
+			d.hintMoved(from, p.Dest, owner, gen)
+		}
 		r.forward(d.home, p) // charges the new routing leg...
 		r.doneWork()         // ...so this one is released here
 		return
 	}
 	r.enqueue(owner, p)
+}
+
+// hintMoved tells node that g now lives at owner under generation gen, so
+// the stale sender repoints its caches before its next parcel. The send is
+// a charged task on the home locality: a worker may block on a full
+// socket, the read goroutine that called deliver may not.
+func (d *distState) hintMoved(node int, g agas.GID, owner int, gen uint64) {
+	r := d.rt
+	r.addWork()
+	r.mustPost(r.loc(d.home).Post(func() {
+		defer r.doneWork()
+		// Only a hint: unheard, the sender stays stale and its next parcel
+		// is forwarded (and hinted) again.
+		_ = d.sendRetry(node, encodeMoved(g, owner, gen))
+	}))
 }
 
 // sendRetry delivers a control frame: sendRetryLane on lane 0.
@@ -363,23 +336,12 @@ func (d *distState) sendRetryLane(node, lane int, frame []byte) error {
 	}
 }
 
-// sendAck sends a parcel receipt: the shared ackFrame, or an fAckMoved
-// that additionally teaches the sender where the destination went.
-func (d *distState) sendAck(node int, frame []byte) {
-	if err := d.sendRetry(node, frame); err != nil {
-		// The sender stays unreachable: its work unit for this parcel
-		// leaks and its Wait will block until the operator intervenes —
-		// parcels are not fault tolerant. Record for diagnosis.
-		d.rt.recordError(fmt.Errorf("core: ack to node %d: %w", node, err))
-	}
-}
-
-// sendParcel ships p to node. The caller's work unit for p stays charged
-// until the peer acknowledges; on transport failure the parcel fails
-// locally (parcels are at-most-once, as on the modelled network).
-// sendParcel consumes p: the encode buffer returns to its pool once the
-// transport has taken the bytes, and the parcel itself is released unless
-// it was recycled into the failure path.
+// sendParcel ships p to node: count, send, and release the caller's work
+// unit for p once the transport has taken the frame (see snapshot). On
+// transport failure the parcel fails locally (parcels are at-most-once, as
+// on the modelled network). sendParcel consumes p: the encode buffer
+// returns to its pool once the transport has taken the bytes, and the
+// parcel itself is released unless it was recycled into the failure path.
 func (d *distState) sendParcel(node, src int, p *parcel.Parcel) {
 	ps := d.ensurePeer(node)
 	if ps == nil {
@@ -387,17 +349,12 @@ func (d *distState) sendParcel(node, src int, p *parcel.Parcel) {
 		return
 	}
 	// A parcel toward the declared-dead fails fast with the typed loss
-	// error instead of dialing a corpse. The outstanding count is taken
-	// under the lane lock so a racing death declaration either sees this
-	// parcel's unit and releases it, or never sees it at all.
-	ps.mu.Lock()
+	// error instead of dialing a corpse. A death racing past this check
+	// needs no undoing: the lane's counts leave the sums with the verdict.
 	if ps.dead.Load() {
-		ps.mu.Unlock()
 		d.rt.deliverFailure(src, p, fmt.Errorf("core: node %d: %w", node, agas.ErrNodeLost))
 		return
 	}
-	ps.outstanding++
-	ps.mu.Unlock()
 	// The wire.send span is emitted before encoding so the trailer names
 	// it as the receiving hop's parent.
 	d.rt.emitSpan(trace.SpanWireSend, src, &p.Trace, p.Action)
@@ -414,7 +371,6 @@ func (d *distState) sendParcel(node, src int, p *parcel.Parcel) {
 	if w.B, interned = appendParcel(w.B, p, tbl); interned {
 		d.internedSent.Add(1)
 	}
-	d.sent.Add(1)
 	ps.sent.Add(1)
 	// Parcels ride the lane their destination hashes to; per-object order
 	// is the per-lane FIFO.
@@ -424,26 +380,16 @@ func (d *distState) sendParcel(node, src int, p *parcel.Parcel) {
 	// buffer once we're here.
 	parcel.PutWire(w)
 	if err != nil {
-		d.sent.Add(-1)
-		ps.sent.Add(-1)
-		// Undo the outstanding charge — unless a death raced in and
-		// already released this unit, in which case re-charge it so the
-		// failure delivery below releases a unit that exists.
-		ps.mu.Lock()
-		if ps.dead.Load() {
-			ps.mu.Unlock()
-			d.rt.addWork()
-		} else {
-			if ps.outstanding > 0 {
-				ps.outstanding--
-			}
-			ps.mu.Unlock()
-		}
+		// The peer will never count this frame. Counters only grow, so the
+		// refusal is booked on this lane's receive side instead of taken
+		// back off sent.
+		ps.returned.Add(1)
 		d.rt.deliverFailure(src, p, fmt.Errorf("core: transport to node %d: %w", node, err))
 		return
 	}
 	parcel.Release(p)
 	d.rt.slow.ParcelsSent.Inc()
+	d.rt.doneWork()
 }
 
 // migrateRPCTimeout bounds how long a migration waits for a peer's
@@ -537,9 +483,6 @@ func (d *distState) onMigrate(from int, m frameMsg) {
 		// The sender just placed this object here: the local balancer
 		// defers to that decision for a cooldown before re-judging it.
 		d.rt.coolBalance(g)
-		if d.rt.ring != nil {
-			d.rt.ring.Emitf(trace.KindMigration, to, "installed %v gen %d from N%d", g, gen, from)
-		}
 		return nil
 	}
 	d.replyOutcome(from, fMigrateOK, m.id, install())
@@ -579,7 +522,9 @@ func (d *distState) onRPCReply(m frameMsg) {
 // declared dead. Traffic exchanged with a corpse can never balance — its
 // side of the ledger died with it — so quiescence sums live lanes only;
 // both ends of a dead lane exclude it symmetrically because the death
-// verdict is gossiped machine-wide.
+// verdict is gossiped machine-wide. That exclusion — not any released work
+// unit — is what lets Wait return after a death. A send the transport
+// refused counts as received back on its own lane.
 func (d *distState) liveTotals() (sent, recv uint64) {
 	tab := *d.peerTab.Load()
 	for n, ps := range tab {
@@ -587,17 +532,48 @@ func (d *distState) liveTotals() (sent, recv uint64) {
 			continue
 		}
 		sent += uint64(ps.sent.Load())
-		recv += uint64(ps.recv.Load())
+		recv += uint64(ps.recv.Load() + ps.returned.Load())
 	}
 	return sent, recv
 }
 
-// replyDrain answers a quiescence probe with this node's instantaneous
-// accounting snapshot over live lanes, stamped with its membership
-// fingerprint so a prober on a divergent view invalidates the wave.
+// wireTotals sums the parcel frames the transport accepted from this node
+// and the ones it delivered to it, over every lane, dead ones included
+// (px.wire.sent, px.wire.recv).
+func (d *distState) wireTotals() (sent, recv int64) {
+	for _, ps := range *d.peerTab.Load() {
+		if ps != nil {
+			sent += ps.sent.Load() - ps.returned.Load()
+			recv += ps.recv.Load()
+		}
+	}
+	return sent, recv
+}
+
+// snapshot is this node's accounting as one probe wave sees it: the live
+// totals, read first, then the pending work count. A parcel in flight is
+// proven by the totals alone (Mattern's four-counter method: two waves
+// that both read every node idle and the same balanced sums bracket an
+// instant with no message in flight and no node active), given three
+// ordering rules:
+//
+//   - the sender counts, then sends, then releases its work unit, so an
+//     unsent parcel is covered by the unit and a sent one by the count;
+//   - the receiver charges its work unit, then counts, so a snapshot that
+//     sees the receipt also sees the unit or the finished work;
+//   - counters never decrease, so a wave cannot read a send and a later
+//     wave its undoing with a real message slipped in between.
+func (d *distState) snapshot() (pending int64, sent, recv uint64) {
+	sent, recv = d.liveTotals()
+	return d.rt.pending.Load(), sent, recv
+}
+
+// replyDrain answers a quiescence probe with this node's snapshot,
+// stamped with its membership fingerprint so a prober on a divergent view
+// invalidates the wave.
 func (d *distState) replyDrain(to int, seq uint64) {
-	sent, recv := d.liveTotals()
-	buf := encodeDrainReply(seq, d.rt.pending.Load(), sent, recv, d.lmap.Fingerprint())
+	pending, sent, recv := d.snapshot()
+	buf := encodeDrainReply(seq, pending, sent, recv, d.lmap.Fingerprint())
 	if err := d.sendRetry(to, buf); err != nil {
 		d.rt.recordError(fmt.Errorf("core: drain reply to node %d: %w", to, err))
 	}
@@ -639,8 +615,8 @@ func (d *distState) probe() (allZero bool, sent, recv uint64, ok bool) {
 
 	probeFrame := encodeID(fDrain, seq)
 
-	allZero = d.rt.pending.Load() == 0
-	sent, recv = d.liveTotals()
+	pending, sent, recv := d.snapshot()
+	allZero = pending == 0
 	need := make(map[int]bool)
 	ok = true
 	for n := 0; n < d.lmap.Nodes(); n++ {

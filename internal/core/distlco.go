@@ -30,7 +30,6 @@ import (
 	"repro/internal/agas"
 	"repro/internal/lco"
 	"repro/internal/parcel"
-	"repro/internal/trace"
 )
 
 // TrigOp identifies one distributed LCO trigger operation. The values are
@@ -452,9 +451,6 @@ func (r *Runtime) triggerLCO(src int, tid uint64, op TrigOp, slot uint32, g agas
 	r.checkResident(src)
 	if g.IsNil() {
 		panic("core: trigger to nil GID")
-	}
-	if r.ring != nil {
-		r.ring.Emitf(trace.KindLCOTrigger, src, "%s -> %v tid %d", op, g, tid)
 	}
 	if r.dist != nil {
 		if owner, err := r.agas.ResolveCached(src, g); err == nil {

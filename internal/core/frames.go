@@ -26,12 +26,11 @@ import (
 // above frameKindEnd and gets a row in frameKinds.
 const (
 	fParcel     byte = iota + 1 // parcel, action names spelled out
-	fAck                        // per-parcel receipt; releases the sender's work unit
 	fDrain                      // quiescence probe
 	fDrainReply                 // probe answer: the replier's accounting snapshot
 	fGoodbye                    // clean departure with final totals
 	fHalt                       // cooperative machine-wide halt request
-	fAckMoved                   // receipt + "the object moved" verdict
+	fMoved                      // one-way "the object moved" hint to a stale sender
 	fMigrate                    // object payload push
 	fMigrateOK                  // migrate push outcome
 	fDirUpdate                  // home-directory commit request
@@ -92,12 +91,11 @@ type frameKind struct {
 // target and layout tests iterate it.
 var frameKinds = [frameKindEnd]frameKind{
 	fParcel:     {"fParcel", "parcel, [trace]", decodeParcel},
-	fAck:        {"fAck", "(empty)", decodeEmpty},
 	fDrain:      {"fDrain", "u64 seq", decodeID},
 	fDrainReply: {"fDrainReply", "u64 seq, i64 pending, u64 sent, u64 recv, u64 fingerprint", decodeDrainReply},
 	fGoodbye:    {"fGoodbye", "u64 sent, u64 recv", decodeGoodbye},
 	fHalt:       {"fHalt", "(empty)", decodeEmpty},
-	fAckMoved:   {"fAckMoved", "gid, u32 owner, u64 gen", decodeMoved},
+	fMoved:      {"fMoved", "gid, u32 owner, u64 gen", decodeMoved},
 	fMigrate:    {"fMigrate", "u64 xid, gid, u32 to, u64 gen, value record", decodeMigrate},
 	fMigrateOK:  {"fMigrateOK", "u64 xid, u8 ok, u16 len, error text", decodeOutcome},
 	fDirUpdate:  {"fDirUpdate", "u64 xid, gid, u32 owner, u64 gen", decodeDirUpdate},
@@ -300,7 +298,7 @@ func decodeGoodbye(b []byte, _ frameEnv) (m frameMsg, err error) {
 }
 
 func encodeMoved(g agas.GID, owner int, gen uint64) []byte {
-	buf := append(make([]byte, 0, 1+agas.GIDSize+12), fAckMoved)
+	buf := append(make([]byte, 0, 1+agas.GIDSize+12), fMoved)
 	buf = g.Encode(buf)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(owner))
 	return binary.LittleEndian.AppendUint64(buf, gen)
@@ -461,7 +459,7 @@ func decodeLoad(b []byte, env frameEnv) (m frameMsg, err error) {
 // range and dial-back address, which is how a joining node tells an
 // established machine where to reach it.
 const (
-	helloVersion = 3
+	helloVersion = 4
 
 	// maxInternActions bounds the announced table by entry count, and
 	// helloPrefix additionally bounds it by encoded bytes (the transport

@@ -49,7 +49,7 @@ func reencode(t testing.TB, kind byte, m frameMsg, send parcel.Table) []byte {
 			t.Fatalf("a parcel decoded from the interned form does not fit it: %s", m.p)
 		}
 		return f
-	case fAck, fHalt:
+	case fHalt:
 		return []byte{kind}
 	case fDrain, fLCOAck, fBeat:
 		return encodeID(kind, m.id)
@@ -57,7 +57,7 @@ func reencode(t testing.TB, kind byte, m frameMsg, send parcel.Table) []byte {
 		return encodeDrainReply(m.id, m.pending, m.sent, m.recv, m.fp)
 	case fGoodbye:
 		return encodeGoodbye(m.sent, m.recv)
-	case fAckMoved:
+	case fMoved:
 		return encodeMoved(m.g, m.loc, m.gen)
 	case fMigrate:
 		return append(encodeMigHeader(fMigrate, m.id, m.g, m.loc, m.gen, len(m.body)), m.body...)
@@ -159,13 +159,12 @@ func frameSamples(send parcel.Table) []frameSample {
 		{label: "interned parcel", frame: interned(known), want: frameMsg{p: internedWant(*known)}},
 		{label: "interned parcel, unannounced action", frame: interned(late), want: frameMsg{p: internedWant(*late)}},
 		{label: "interned parcel, traced", frame: interned(&traced), want: frameMsg{p: internedWant(traced)}, traced: true},
-		{label: "ack", frame: []byte{fAck}},
 		{label: "halt", frame: []byte{fHalt}},
 		{label: "drain", frame: encodeID(fDrain, 42), want: frameMsg{id: 42}},
 		{label: "drain reply", frame: encodeDrainReply(42, -3, 100, 99, 0xf00d),
 			want: frameMsg{id: 42, pending: -3, sent: 100, recv: 99, fp: 0xf00d}},
 		{label: "goodbye", frame: encodeGoodbye(7, 8), want: frameMsg{sent: 7, recv: 8}},
-		{label: "moved verdict", frame: encodeMoved(g, 6, 9), want: frameMsg{g: g, loc: 6, gen: 9}},
+		{label: "moved hint", frame: encodeMoved(g, 6, 9), want: frameMsg{g: g, loc: 6, gen: 9}},
 		{label: "migrate", frame: append(mig, 0xde, 0xad, 0xbe),
 			want: frameMsg{id: 11, g: g, loc: 6, gen: 4, body: []byte{0xde, 0xad, 0xbe}}, open: len(mig)},
 		{label: "migrate ok", frame: encodeOutcome(fMigrateOK, 11, nil), want: frameMsg{id: 11, ok: true}},
@@ -190,8 +189,8 @@ func frameSamples(send parcel.Table) []frameSample {
 // listing, under the byte value the wire format fixes for it, and the
 // layout tests below have a sample of it.
 func TestFrameKindsListed(t *testing.T) {
-	wire := []string{1: "fParcel", "fAck", "fDrain", "fDrainReply", "fGoodbye", "fHalt", "fAckMoved",
-		"fMigrate", "fMigrateOK", "fDirUpdate", "fDirOK", "fParcelI", "fLCOSet", "fLCOFire", "fLCOAck",
+	wire := []string{1: "fParcel", "fDrain", "fDrainReply", "fGoodbye", "fHalt", "fMoved", "fMigrate",
+		"fMigrateOK", "fDirUpdate", "fDirOK", "fParcelI", "fLCOSet", "fLCOFire", "fLCOAck",
 		"fBeat", "fDead", "fLoad"}
 	if len(wire) != int(frameKindEnd) {
 		t.Fatalf("%d kind constants, %d pinned wire values", frameKindEnd-1, len(wire)-1)
@@ -311,6 +310,9 @@ func FuzzFrameDecode(f *testing.F) {
 	g := agas.GID{Home: 3, Kind: agas.KindData, Seq: 99}
 	f.Add(append(encodeMigHeader(fMigrate, ^uint64(0), g, -1, ^uint64(0), 0), 0xff))
 	f.Add(encodeLoad([]loadEntry{{loc: 1 << 20, score: 1}, {loc: 0xffff, score: 2}})) // localities no machine has
+	f.Add(encodeMoved(g, -1, ^uint64(0)))                                             // a hint toward no locality
+	f.Add([]byte{fDrain})                                                             // what hello v3's one-byte parcel receipt reads as now
+	f.Add([]byte{frameKindEnd})                                                       // the value the dense renumbering retired
 	f.Add(encodeHello([]string{"px.lco.set", "app.frob"}, nil))
 	f.Add(encodeHello(nil, &memberHello{node: 1, lo: 4, hi: 8, addr: "[::1]:70000"}))
 	f.Add(encodeHello([]string{"px.lco.set"}, &memberHello{node: 3, lo: 12, hi: 16, addr: "127.0.0.1:9999"}))

@@ -9,11 +9,13 @@ package core
 // idempotent trigger IDs absorb the duplicates retransmission (or
 // duplication faults) creates.
 //
-// Accounting follows the parcel invariant: the sender's work unit for a
-// trigger stays charged until the peer acknowledges it, and the receiver
-// charges its own unit before acknowledging, so an in-flight trigger is
-// counted by at least one node at every instant and Wait cannot declare
-// quiescence across a trigger in flight.
+// Accounting: the sender's work unit for a trigger stays charged until the
+// peer acknowledges it, and the receiver charges its own unit before
+// acknowledging, so an in-flight trigger is counted by at least one node at
+// every instant and Wait cannot declare quiescence across a trigger in
+// flight. (Parcels, which nothing acknowledges, are covered by the per-peer
+// totals instead — see distState.snapshot.) The acknowledgement is sent
+// inline, from the transport's read goroutine.
 
 import (
 	"fmt"
@@ -276,7 +278,7 @@ func (d *distState) onLCOTrigger(from int, m frameMsg) {
 	p.Hops = m.hops // the frame carries the chain's spent forwarding budget
 	p.Trace = m.tc  // the trigger keeps its chain's trace across the hop
 	owner, _, rerr := d.resolveHere(m.g)
-	d.deliver(p, owner, rerr)
+	d.deliver(from, p, owner, 0, rerr)
 }
 
 // onLCOAck resolves the pending entry for an acknowledged trigger,

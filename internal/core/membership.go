@@ -63,14 +63,13 @@ func IsNodeLost(err error) bool {
 }
 
 // peerState is this node's per-peer wire accounting and liveness record.
-// The parcel counters and the outstanding (sent-but-unacked) count used
-// to be machine-global; membership needs them per lane so a death can
-// release exactly the work units charged to the corpse and quiescence can
-// sum live lanes only.
+// The parcel counters are per lane so quiescence can sum live lanes only;
+// none of them ever decreases (see distState.snapshot).
 type peerState struct {
-	sent     atomic.Int64 // parcels sent to this peer
+	sent     atomic.Int64 // parcels counted toward this peer, refused sends included
 	recv     atomic.Int64 // parcels received from this peer
-	dead     atomic.Bool  // declared dead (written under mu)
+	returned atomic.Int64 // sends to this peer the transport refused: never to be received there
+	dead     atomic.Bool  // declared dead; the first to flip it runs the cleanup
 	departed atomic.Bool  // peer said goodbye: clean shutdown, not a death
 	det      atomic.Pointer[transport.PhiDetector]
 	// table is the action table the peer announced in its hello: what its
@@ -85,9 +84,6 @@ type peerState struct {
 	// reconnect is not dead while its parcel lanes are demonstrably alive —
 	// any-lane traffic vetoes the silence verdict.
 	lastFrame atomic.Int64
-
-	mu          sync.Mutex
-	outstanding int // parcels sent, not yet acked: work units held open
 }
 
 // detector returns the peer's phi detector, creating it on first use.
@@ -159,7 +155,7 @@ type memberState struct {
 	deaths    atomic.Uint64
 	joins     atomic.Uint64
 	rehomes   atomic.Uint64 // localities adopted off dead nodes, machine-wide view
-	released  atomic.Uint64 // work units released by deaths
+	released  atomic.Uint64 // unacked trigger frames (one work unit each) dropped by deaths
 	beatsSent atomic.Uint64
 	beatsRecv atomic.Uint64
 }
@@ -256,9 +252,9 @@ func (m *memberState) check(now time.Time) {
 	}
 }
 
-// declareDead transitions peer n to dead and runs the cleanup fan-out:
-// release the work units charged to the corpse (so a Mattern Wait in
-// progress unblocks), abandon unacked LCO trigger frames addressed to it,
+// declareDead transitions peer n to dead — which takes its lane out of the
+// quiescence sums, so a Mattern Wait in progress unblocks — and runs the
+// cleanup fan-out: abandon unacked LCO trigger frames addressed to it,
 // re-home its localities in the membership map (firing adoption and
 // shard-reinstall subscribers), fail every local future registered as
 // waiting on state homed there, and gossip the death so the verdict is
@@ -276,31 +272,20 @@ func (m *memberState) declareDead(n int, why string) {
 	}
 	// A peer that said goodbye shut down cleanly: its silence is expected,
 	// not a death — locally suspected or gossiped. Its totals already live
-	// in the departure records, so quiescence needs no release either.
+	// in the departure records, so quiescence needs no exclusion either.
 	if ps.departed.Load() {
 		return
 	}
-	ps.mu.Lock()
-	if ps.dead.Load() {
-		ps.mu.Unlock()
+	if !ps.dead.CompareAndSwap(false, true) {
 		return
 	}
-	ps.dead.Store(true)
-	released := ps.outstanding
-	ps.outstanding = 0
-	ps.mu.Unlock()
-
-	released += d.dropPendTo(n)
+	released := m.releaseTriggersTo(n)
 	m.deaths.Add(1)
-	m.released.Add(uint64(released))
-	for i := 0; i < released; i++ {
-		d.rt.doneWork()
-	}
 	if ev, ok := d.lmap.MarkDead(n); ok {
 		m.rehomes.Add(uint64(len(ev.Moved)))
 	}
 	d.rt.failLostWaiters(n)
-	d.rt.recordError(fmt.Errorf("core: node %d declared dead (%s); released %d work units: %w", n, why, released, agas.ErrNodeLost))
+	d.rt.recordError(fmt.Errorf("core: node %d declared dead (%s); dropped %d unacked trigger frames: %w", n, why, released, agas.ErrNodeLost))
 
 	// Shoot-the-other-node gossip: the death verdict propagates to every
 	// live peer so the machine converges on one view. Receivers that
@@ -316,7 +301,7 @@ func (m *memberState) declareDead(n int, why string) {
 
 // excommunicate handles this node being declared dead by a live peer: the
 // machine has moved on without us, and partition heal is unsupported. We
-// mark every peer dead locally so held work units release and a local
+// mark every peer dead locally so no lane is left to balance and a local
 // Wait/Shutdown can complete, then stop beating. The process keeps
 // running so its operator can read metrics and exit cleanly.
 func (m *memberState) excommunicate() {
@@ -329,26 +314,24 @@ func (m *memberState) excommunicate() {
 			continue
 		}
 		ps := d.ensurePeer(n)
-		if ps == nil {
+		if ps == nil || !ps.dead.CompareAndSwap(false, true) {
 			continue
 		}
-		ps.mu.Lock()
-		if ps.dead.Load() {
-			ps.mu.Unlock()
-			continue
-		}
-		ps.dead.Store(true)
-		released := ps.outstanding
-		ps.outstanding = 0
-		ps.mu.Unlock()
-		released += d.dropPendTo(n)
-		m.released.Add(uint64(released))
-		for i := 0; i < released; i++ {
-			d.rt.doneWork()
-		}
+		m.releaseTriggersTo(n)
 		d.rt.failLostWaiters(n)
 	}
 	d.rt.recordError(fmt.Errorf("core: this node was declared dead by the machine: %w", agas.ErrNodeLost))
+}
+
+// releaseTriggersTo abandons the unacked trigger frames addressed to dead
+// node n and releases the work unit each one held; it reports how many.
+func (m *memberState) releaseTriggersTo(n int) int {
+	released := m.d.dropPendTo(n)
+	m.released.Add(uint64(released))
+	for i := 0; i < released; i++ {
+		m.d.rt.doneWork()
+	}
+	return released
 }
 
 // onBeat handles a heartbeat frame: proof of life for the sender.

@@ -7,7 +7,6 @@ import (
 	"repro/internal/agas"
 	"repro/internal/lco"
 	"repro/internal/parcel"
-	"repro/internal/trace"
 )
 
 // NewObjectAt installs v as a globally named object of the given kind on
@@ -91,8 +90,8 @@ func (r *Runtime) FreeObject(g agas.GID) {
 // codec when the destination is on another node — the home directory
 // commits the new owner under a bumped generation, and a forwarding
 // pointer is left behind so in-flight parcels chase at most one hop.
-// Senders with stale translations learn the new owner from a "moved"
-// verdict piggybacked on their next delivery acknowledgement.
+// Senders with stale translations learn the new owner from the "moved"
+// hint the node that forwards their next parcel sends back.
 //
 // Migration is initiated on the node currently owning the object, and for
 // a cross-node destination the payload must be encodable by the parcel
@@ -131,9 +130,6 @@ func (r *Runtime) Migrate(g agas.GID, to int) error {
 	r.fences.close(g)
 	err = r.migrateLocked(g, from, to, gen+1)
 	for _, pk := range r.fences.open(g) {
-		if r.ring != nil {
-			r.ring.Emitf(trace.KindMigration, pk.loc, "unpark %s", pk.p)
-		}
 		r.route(pk.loc, pk.p)
 	}
 	return err
@@ -170,7 +166,7 @@ func (r *Runtime) migrateLocked(g agas.GID, from, to int, newGen uint64) error {
 		if err != nil {
 			// Ambiguous (unconfirmed push): the peer may hold the object, so
 			// reinstalling could duplicate it. Commit forward and record —
-			// the same stance the transport takes on an unreachable acker.
+			// the same stance trigger frames take past their give-up bound.
 			r.recordError(fmt.Errorf("core: migrate of %v: %w", g, err))
 		}
 	}
@@ -194,9 +190,6 @@ func (r *Runtime) migrateLocked(g agas.GID, from, to int, newGen uint64) error {
 		r.agas.SetForward(g, to, newGen)
 	}
 	r.agas.Repoint(g, to, newGen)
-	if r.ring != nil {
-		r.ring.Emitf(trace.KindMigration, from, "%v -> L%d gen %d", g, to, newGen)
-	}
 	r.slow.Migrations.Inc()
 	// A move that stayed on this node lands under a local balancer
 	// cooldown, exactly as a cross-node arrival does on its receiver:

@@ -188,8 +188,8 @@ func (r *Runtime) buildMetricsRegistry() *metrics.Registry {
 
 	// Cross-node transport (multi-node machines only).
 	if d := r.dist; d != nil {
-		reg.RegisterFunc("px.wire.sent", d.sent.Load)
-		reg.RegisterFunc("px.wire.recv", d.recv.Load)
+		reg.RegisterFunc("px.wire.sent", func() int64 { n, _ := d.wireTotals(); return n })
+		reg.RegisterFunc("px.wire.recv", func() int64 { _, n := d.wireTotals(); return n })
 		reg.RegisterFunc("px.wire.interned_sent", func() int64 { return int64(d.internedSent.Load()) })
 		reg.RegisterFunc("px.wire.interned_recv", func() int64 { return int64(d.internedRecv.Load()) })
 		reg.RegisterFunc("px.lco.trigger.sent", func() int64 { return int64(d.lco.sent.Load()) })

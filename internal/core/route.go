@@ -42,9 +42,6 @@ func (r *Runtime) route(src int, p *parcel.Parcel) {
 	}
 	if owner == src {
 		r.slow.ParcelsLocal.Inc()
-		if r.ring != nil {
-			r.ring.Emitf(trace.KindParcelSend, src, "local %s", p)
-		}
 		r.enqueue(owner, p)
 		return
 	}
@@ -57,10 +54,8 @@ func (r *Runtime) route(src int, p *parcel.Parcel) {
 		if node != r.dist.node {
 			// The owner lives in another process: the parcel crosses the
 			// real network in wire form. The work unit charged by SendFrom
-			// stays held until the peer acknowledges the frame.
-			if r.ring != nil {
-				r.ring.Emitf(trace.KindParcelSend, src, "to node %d %s", node, p)
-			}
+			// stays held until the transport has taken the frame (a trigger's
+			// until the peer acknowledges it).
 			if p.Action == ActionLCOTrigger && len(p.Cont) == 0 {
 				// Identified triggers never ride at-most-once parcels over
 				// the wire: re-ship as an acknowledged LCO frame so the
@@ -77,9 +72,6 @@ func (r *Runtime) route(src int, p *parcel.Parcel) {
 		}
 	}
 	r.slow.ParcelsSent.Inc()
-	if r.ring != nil {
-		r.ring.Emitf(trace.KindParcelSend, src, "to L%d %s", owner, p)
-	}
 	// Cross-locality parcels ride the wire format even in-process, so the
 	// encode/route/decode path every remote parcel takes is exercised;
 	// same-locality sends (above) bypass it, as the model prescribes.
@@ -153,14 +145,6 @@ func (r *Runtime) deliverWire(src, owner int, p *parcel.Parcel, w *parcel.WireBu
 	// crosses by field copy (both ends are this runtime).
 	dp.Trace = p.Trace
 	parcel.Release(p)
-	r.deliverDirect(owner, dp)
-}
-
-// deliverDirect hands an owned parcel to its destination locality.
-func (r *Runtime) deliverDirect(owner int, dp *parcel.Parcel) {
-	if r.ring != nil {
-		r.ring.Emitf(trace.KindParcelRecv, owner, "%s", dp)
-	}
 	r.enqueue(owner, dp)
 }
 
@@ -205,7 +189,7 @@ func (d *wireDelivery) deliverOne() {
 	if last {
 		parcel.Release(d.p)
 	}
-	d.r.deliverDirect(d.owner, dp)
+	d.r.enqueue(d.owner, dp)
 }
 
 // execTask is the pooled unit posted to a locality for one parcel
@@ -322,9 +306,6 @@ func (r *Runtime) execute(loc int, p *parcel.Parcel, rd *parcel.Reader, ctx *Con
 			r.addWork()
 			r.slow.Parked.Inc()
 			r.emitSpan(trace.SpanPark, loc, &tc, action)
-			if r.ring != nil {
-				r.ring.Emitf(trace.KindMigration, loc, "parked %s", action)
-			}
 			return
 		}
 	}
@@ -408,9 +389,6 @@ func (r *Runtime) forward(loc int, p *parcel.Parcel) {
 	}
 	r.agas.Invalidate(loc, p.Dest)
 	r.emitSpan(trace.SpanMigrate, loc, &p.Trace, p.Action)
-	if r.ring != nil {
-		r.ring.Emitf(trace.KindMigration, loc, "forward hop %d %s", p.Hops, p)
-	}
 	r.addWork() // the new routing leg; our caller releases the old one
 	time.AfterFunc(time.Duration(p.Hops)*5*time.Microsecond, func() {
 		r.route(loc, p)
@@ -427,9 +405,6 @@ func (r *Runtime) failParcel(loc int, p *parcel.Parcel, err error) {
 		// A trigger toward an LCO that died with its node is equally
 		// terminal: the waiters registered against that node are failed by
 		// the membership layer, so the trigger itself has no one to tell.
-		if r.ring != nil {
-			r.ring.Emitf(trace.KindLCOTrigger, loc, "late trigger to freed target %s", p)
-		}
 		parcel.Release(p)
 		return
 	}

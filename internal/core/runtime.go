@@ -51,8 +51,6 @@ type Config struct {
 	// flattening — it rides as text inside the verdict message. Zero
 	// defaults to 2ms; negative omits the hint.
 	RetryAfterHint time.Duration
-	// TraceCapacity sizes the event ring; 0 disables tracing.
-	TraceCapacity int
 	// Faults optionally injects parcel loss/duplication (tests only). It
 	// applies to the modelled network path (cross-node parcels are not
 	// subject to it) and to cross-node LCO trigger frames — which survive
@@ -147,7 +145,6 @@ type Runtime struct {
 	locs   []atomic.Pointer[locality.Locality]
 	agas   *agas.Service
 	net    network.Model
-	ring   *trace.Ring
 	slow   *metrics.SLOW
 	reg    *thread.Registry
 	acts   *actionRegistry
@@ -246,9 +243,6 @@ func New(cfg Config) *Runtime {
 		resident, _ = lmap.NodeRange(cfg.NodeID)
 	}
 	r.quietC = sync.NewCond(&r.quiet)
-	if cfg.TraceCapacity > 0 {
-		r.ring = trace.NewRing(cfg.TraceCapacity)
-	}
 	// Only resident localities get execution machinery; entries for
 	// localities hosted by other nodes stay nil and are reached by parcel
 	// (until a death re-homes them here — see adoptLocalities).
@@ -478,9 +472,6 @@ func (r *Runtime) SLOW() *metrics.SLOW { return r.slow }
 
 // Threads exposes the thread registry.
 func (r *Runtime) Threads() *thread.Registry { return r.reg }
-
-// Trace returns the event ring, or nil if tracing is disabled.
-func (r *Runtime) Trace() *trace.Ring { return r.ring }
 
 // Metrics exposes the named-metric registry (px.* names), suitable for
 // serving with pprofserve.ServeMetrics.

@@ -149,33 +149,3 @@ func TestPropertyMigrationStormDeliversAll(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestTraceRecordsParcelFlow(t *testing.T) {
-	r := New(Config{Localities: 2, TraceCapacity: 1024})
-	defer r.Shutdown()
-	obj := r.NewDataAt(1, struct{}{})
-	r.Spawn(0, func(ctx *Context) {
-		ctx.Send(parcel.New(obj, ActionNop, nil))
-	})
-	r.Wait()
-	ring := r.Trace()
-	if ring == nil {
-		t.Fatal("trace ring missing despite capacity")
-	}
-	if ring.Len() == 0 {
-		t.Fatal("no trace events recorded")
-	}
-	snap := ring.Snapshot()
-	var sends, recvs int
-	for _, ev := range snap {
-		switch ev.Kind.String() {
-		case "parcel.send":
-			sends++
-		case "parcel.recv":
-			recvs++
-		}
-	}
-	if sends == 0 || recvs == 0 {
-		t.Fatalf("trace missing flow: sends=%d recvs=%d", sends, recvs)
-	}
-}

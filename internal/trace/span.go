@@ -1,3 +1,10 @@
+// Package trace records the distributed trace spans of sampled parcels:
+// every hop of one logical operation — post, steal, wire send/recv, park,
+// migrate, LCO trigger — becomes one Span sharing the parcel's trace ID,
+// across continuation chains and node boundaries. The buffer is sharded by
+// locality so concurrent hops on different localities never contend on one
+// lock, and each shard is a fixed-size ring so recording can stay enabled
+// indefinitely.
 package trace
 
 import (
@@ -6,15 +13,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// Distributed trace spans. Where the Ring records free-form local events
-// for debugging, Spans records the structured per-hop records of sampled
-// parcel traces: every hop of one logical operation — post, steal, wire
-// send/recv, park, migrate, LCO trigger — becomes one Span sharing the
-// parcel's trace ID, across continuation chains and node boundaries.
-// The buffer is sharded by locality so concurrent hops on different
-// localities never contend on one lock, and each shard is a fixed-size
-// ring so recording can stay enabled indefinitely.
 
 // SpanKind classifies one hop of a distributed trace.
 type SpanKind uint8

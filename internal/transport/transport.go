@@ -3,7 +3,7 @@
 // contiguous range of localities; the runtime layers parcel routing,
 // distributed quiescence, and live object migration on top of the frame
 // service defined here. Frames are opaque — the runtime's kinds (parcels,
-// acks with piggybacked migration verdicts, MIGRATE payload pushes,
+// "moved" hints, trigger acks, MIGRATE payload pushes,
 // directory commits, drain probes) all ride the same service, so a
 // migration payload coalesces into the TCP transport's group-commit
 // batches exactly as parcels do.
@@ -57,8 +57,8 @@ type Transport interface {
 	// will NOT reach the peer's handler. Implementations must uphold this
 	// by dropping the connection mid-frame on a failed write rather than
 	// ever completing a frame after reporting failure — the runtime's
-	// quiescence accounting releases a parcel's work unit on Send failure
-	// and would double-release if the peer acknowledged it anyway.
+	// quiescence accounting books a refused parcel as returned to its
+	// sender and would count it twice if the peer received it anyway.
 	Send(node int, frame []byte) error
 	// Close releases the transport. In-flight frames may be dropped.
 	// Close is idempotent; after it returns no handler calls are made.
@@ -72,7 +72,7 @@ type Transport interface {
 // The runtime exploits this by affinity-hashing parcels on their
 // destination GID — per-object ordering is preserved while independent
 // objects stop queueing behind each other — and by keeping control
-// traffic (acks, hellos, membership beats, drain probes) on lane 0, so a
+// traffic (trigger acks, membership beats, drain probes) on lane 0, so a
 // transport without lane support behaves identically via plain Send.
 type LaneTransport interface {
 	Transport
