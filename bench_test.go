@@ -115,7 +115,7 @@ func BenchmarkWireSameHost(b *testing.B) {
 
 // BenchmarkSchedMigrate bounces one object between two localities with
 // four chasing call streams: the cost of a live migration under fire
-// (fence quiesce, parking, directory commit, cache repoint).
+// (fence quiesce, parking, directory commit, re-routing).
 func BenchmarkSchedMigrate(b *testing.B) {
 	schedbench.Migrate(b, 4)
 }
@@ -426,13 +426,13 @@ func BenchmarkChipSimStream(b *testing.B) {
 	}
 }
 
-// BenchmarkAGASResolveCached measures the translation fast path.
+// BenchmarkAGASResolveCached measures the translation fast path for a
+// name homed on this node: the import-table miss, then the directory load.
 func BenchmarkAGASResolveCached(b *testing.B) {
 	rt := parallex.New(parallex.Config{Localities: 4})
 	defer rt.Shutdown()
 	g := rt.NewDataAt(2, "obj")
 	svc := rt.AGAS()
-	svc.ResolveCached(0, g) // warm the cache
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

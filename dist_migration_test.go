@@ -103,7 +103,7 @@ func TestCrossNodeMigrationRoundTrip(t *testing.T) {
 	if owner, err := rts[0].AGAS().Owner(obj); err != nil || owner != 3 {
 		t.Fatalf("home directory owner = %d, %v; want 3", owner, err)
 	}
-	call(rts[0], 0) // stale sender: forwarded once, then repointed
+	call(rts[0], 0) // home node: its own directory names the new owner
 	call(rts[1], 2) // owning node: local
 	call(rts[2], 4) // third party routes toward home, chases once
 
@@ -139,6 +139,54 @@ func TestCrossNodeMigrationRoundTrip(t *testing.T) {
 
 	shutdownAll(t, rts)
 	waitGoroutines(t, baseline)
+}
+
+// TestMovedHintHoldsThirdPartyToOneHop covers the one sender the hint
+// table exists for: a node that is neither the object's home, nor its
+// owner, nor a holder of a forwarding pointer. Its first call is routed
+// toward home, forwarded once and hinted; every later call goes direct.
+func TestMovedHintHoldsThirdPartyToOneHop(t *testing.T) {
+	rts := startMigrationMachine(t)
+	obj := rts[1].NewDataAt(2, []int64{0})
+	if err := rts[1].Migrate(obj, 4); err != nil {
+		t.Fatalf("migrate to L4: %v", err)
+	}
+	call := func() {
+		t.Helper()
+		if _, err := rts[0].CallFrom(0, obj, "mig.bump", nil).Get(); err != nil {
+			t.Fatalf("call from node 0: %v", err)
+		}
+	}
+
+	before := forwardsTotal(rts)
+	call()
+	if hops := forwardsTotal(rts) - before; hops != 1 {
+		t.Fatalf("first third-party call took %d forwarded hops, want 1", hops)
+	}
+	// The hint is a one-way frame racing the reply: wait for it to land.
+	hinted := func() bool {
+		owner, err := rts[0].AGAS().ResolveCached(0, obj)
+		return err == nil && owner == 4
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for !hinted() {
+		if time.Now().After(deadline) {
+			t.Fatal("node 0 never learned where the object went")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	before = forwardsTotal(rts)
+	for i := 0; i < 5; i++ {
+		call()
+	}
+	if hops := forwardsTotal(rts) - before; hops != 0 {
+		t.Fatalf("hinted sender took %d forwarded hops, want 0", hops)
+	}
+	if v, ok := rts[2].LocalObject(4, obj); !ok || v.([]int64)[0] != 6 {
+		t.Fatalf("payload at L4 = %v (present %v), want [6]", v, ok)
+	}
+
+	shutdownAll(t, rts)
 }
 
 // TestMigrationStress3Node is the acceptance stress: concurrent
@@ -203,7 +251,7 @@ func TestMigrationStress3Node(t *testing.T) {
 
 	// Post-migration senders resolve the new home with at most one
 	// forwarded hop each: a stale first call may chase once (and is
-	// repointed by the forwarding node's hint); everything after goes direct.
+	// hinted by the forwarding node); everything after goes direct.
 	before := forwardsTotal(rts)
 	for _, s := range senders {
 		for i := 0; i < 3; i++ {

@@ -19,7 +19,7 @@
 //     the payload crosses the wire in the parcel value codec, the home
 //     directory commits a new generation, and a forwarding pointer plus
 //     one-way "moved" hints hold stale senders to one forwarded hop (see
-//     ErrMoved, MovedError).
+//     Runtime.Migrate).
 //   - Parcels: message-driven work movement with continuation specifiers,
 //     so the locus of control migrates instead of bouncing back to the
 //     sender (see NewParcel, Runtime.SendFrom, Runtime.CallFrom).

@@ -7,6 +7,15 @@ import (
 	"testing/quick"
 )
 
+// migrate commits a move of g to locality to at the next generation.
+func migrate(s *Service, g GID, to int) error {
+	_, gen, err := s.Locate(g)
+	if err != nil {
+		return err
+	}
+	return s.CommitMigration(g, to, gen+1)
+}
+
 func TestGIDEncodeDecodeRoundTrip(t *testing.T) {
 	g := GID{Home: 42, Kind: KindLCO, Seq: 987654321}
 	buf := g.Encode(nil)
@@ -97,11 +106,11 @@ func TestAllocWellKnownIdempotent(t *testing.T) {
 	if owner, err := s.Owner(g); err != nil || owner != 2 {
 		t.Fatalf("owner = %d, %v; want 2", owner, err)
 	}
-	gen1, _ := func() (uint64, error) { _, gen, err := s.OwnerGen(g); return gen, err }()
+	_, gen1, _ := s.Locate(g)
 	if g2 := s.AllocWellKnown(2, KindData, 0); g2 != g {
 		t.Fatalf("re-registration changed the name: %v vs %v", g2, g)
 	}
-	_, gen2, err := s.OwnerGen(g)
+	_, gen2, err := s.Locate(g)
 	if err != nil || gen2 != gen1 {
 		t.Fatalf("re-registration disturbed the live entry: gen %d -> %d, %v", gen1, gen2, err)
 	}
@@ -144,45 +153,42 @@ func TestOwnerUnknown(t *testing.T) {
 func TestMigrationMovesOwnership(t *testing.T) {
 	s := NewService(4)
 	g := s.Alloc(0, KindData)
-	if err := s.Migrate(g, 3); err != nil {
+	if err := migrate(s, g, 3); err != nil {
 		t.Fatal(err)
 	}
-	owner, err := s.Owner(g)
+	owner, gen, err := s.Locate(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if owner != 3 {
 		t.Fatalf("owner after migrate = %d, want 3", owner)
 	}
-	gen, err := s.Generation(g)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if gen != 2 {
 		t.Fatalf("generation = %d, want 2", gen)
 	}
 }
 
+// A directory commit is visible to every locality of the node at once:
+// nothing in front of the directory can hold the old owner.
 func TestCachedResolutionGoesStale(t *testing.T) {
 	s := NewService(4)
 	g := s.Alloc(0, KindData)
-	// Locality 1 resolves and caches.
-	owner, err := s.ResolveCached(1, g)
-	if err != nil || owner != 0 {
-		t.Fatalf("resolve = %d, %v", owner, err)
+	for from := 0; from < 4; from++ {
+		if owner, err := s.ResolveCached(from, g); err != nil || owner != 0 {
+			t.Fatalf("resolve from %d = %d, %v", from, owner, err)
+		}
 	}
-	// Object migrates; cache is deliberately incoherent.
-	if err := s.Migrate(g, 2); err != nil {
+	if err := migrate(s, g, 2); err != nil {
 		t.Fatal(err)
 	}
-	stale, _ := s.ResolveCached(1, g)
-	if stale != 0 {
-		t.Fatalf("expected stale answer 0, got %d", stale)
+	for from := 0; from < 4; from++ {
+		if owner, err := s.ResolveCached(from, g); err != nil || owner != 2 {
+			t.Fatalf("resolve from %d after commit = %d, %v; want 2 with no Invalidate", from, owner, err)
+		}
 	}
-	// Forwarding repair: invalidate then re-resolve.
+	// The forwarding repair still counts its hop.
 	s.Invalidate(1, g)
-	fresh, _ := s.ResolveCached(1, g)
-	if fresh != 2 {
+	if fresh, _ := s.ResolveCached(1, g); fresh != 2 {
 		t.Fatalf("post-invalidate resolve = %d, want 2", fresh)
 	}
 	if s.Forwards.Load() != 1 {
@@ -190,17 +196,32 @@ func TestCachedResolutionGoesStale(t *testing.T) {
 	}
 }
 
+// Every translation is booked exactly once: as a resolution when a
+// resident directory answered, as a hit when none was needed.
 func TestCacheHitAccounting(t *testing.T) {
-	s := NewService(2)
-	g := s.Alloc(0, KindData)
-	s.ResolveCached(1, g) // miss
-	s.ResolveCached(1, g) // hit
-	s.ResolveCached(1, g) // hit
-	if s.Resolutions.Load() != 1 {
-		t.Fatalf("resolutions = %d, want 1", s.Resolutions.Load())
+	s := NewService(4)
+	s.SetDistribution(MustLocalityMap([]Range{{0, 2}, {2, 4}}), 0)
+	here := s.Alloc(0, KindData)
+	there := GID{Home: 3, Kind: KindData, Seq: 7}
+	for i := 1; i <= 3; i++ {
+		s.ResolveCached(1, here)
+		if res, hits := s.Resolutions.Load(), s.CacheHits.Load(); res != uint64(i) || hits != 0 {
+			t.Fatalf("after %d resolves of a name homed here: resolutions %d hits %d", i, res, hits)
+		}
 	}
-	if s.CacheHits.Load() != 2 {
-		t.Fatalf("hits = %d, want 2", s.CacheHits.Load())
+	for i := 1; i <= 3; i++ {
+		s.ResolveCached(1, there)
+		if res, hits := s.Resolutions.Load(), s.CacheHits.Load(); res != 3 || hits != uint64(i) {
+			t.Fatalf("after %d resolves of a name homed away: resolutions %d hits %d", i, res, hits)
+		}
+	}
+	// A hinted answer and an authoritative one are still one translation each.
+	s.Repoint(there, 2, 5)
+	s.ResolveCached(0, there)
+	s.ResolveAuthoritative(0, there)
+	s.ResolveAuthoritative(0, here)
+	if res, hits := s.Resolutions.Load(), s.CacheHits.Load(); res != 4 || hits != 5 {
+		t.Fatalf("resolutions %d hits %d; want 4 and 5", res, hits)
 	}
 }
 
@@ -216,7 +237,7 @@ func TestFreeRemovesName(t *testing.T) {
 
 func TestMigrateUnknown(t *testing.T) {
 	s := NewService(2)
-	if err := s.Migrate(GID{Home: 0, Kind: KindData, Seq: 12345}, 1); err == nil {
+	if err := migrate(s, GID{Home: 0, Kind: KindData, Seq: 12345}, 1); err == nil {
 		t.Fatal("migrating unknown name succeeded")
 	}
 }
@@ -232,13 +253,13 @@ func TestPropertyMigrationConverges(t *testing.T) {
 		last := 0
 		for _, m := range moves {
 			to := int(m) % n
-			if err := s.Migrate(g, to); err != nil {
+			if err := migrate(s, g, to); err != nil {
 				return false
 			}
 			last = to
 		}
 		v := int(viewer) % n
-		s.ResolveCached(v, g) // may populate stale cache
+		s.ResolveCached(v, g)
 		s.Invalidate(v, g)
 		got, err := s.ResolveCached(v, g)
 		return err == nil && got == last
@@ -267,7 +288,7 @@ func TestConcurrentAllocAndResolve(t *testing.T) {
 					return
 				}
 				if rng.Intn(4) == 0 {
-					s.Migrate(probe, rng.Intn(8))
+					migrate(s, probe, rng.Intn(8))
 				}
 			}
 		}()

@@ -1,9 +1,11 @@
 // Package agas implements the ParalleX global name space: every first-class
 // object — data, actions, LCOs, processes, and even hardware resources — has
 // a global identifier that can be named from any locality. Objects move;
-// names do not. Translation uses a home-based directory per locality with
-// per-locality caches that may go stale (the model explicitly has no global
-// cache coherence), repaired by forwarding.
+// names do not. Translation is computed, not cached: a home-based directory
+// per locality answers for the names homed on this node, and a name homed
+// elsewhere is routed toward the home locality its GID carries. What can
+// go stale is a hint — a "moved" verdict another node taught this one (the
+// model explicitly has no global coherence) — repaired by forwarding.
 package agas
 
 import (

@@ -162,7 +162,7 @@ func TestDistributedResolutionRoutesToHomeNode(t *testing.T) {
 	mustPanic(t, "off-node alloc", func() { s.Alloc(2, KindData) })
 	// The home directory accepts a migration to a locality hosted by the
 	// other node: ownership is global, only the directory is local.
-	if err := s.Migrate(g, 2); err != nil {
+	if err := migrate(s, g, 2); err != nil {
 		t.Errorf("cross-node migrate rejected: %v", err)
 	}
 	if owner, err := s.Owner(g); err != nil || owner != 2 {
@@ -171,7 +171,7 @@ func TestDistributedResolutionRoutesToHomeNode(t *testing.T) {
 	// Committing into a directory homed on the other node is refused: the
 	// commit must be routed to the home node instead.
 	remoteHomed := GID{Home: 3, Kind: KindData, Seq: 42}
-	if err := s.Migrate(remoteHomed, 0); err == nil {
+	if err := migrate(s, remoteHomed, 0); err == nil {
 		t.Error("migrate commit accepted for a remotely homed directory entry")
 	}
 	if err := s.CommitMigration(remoteHomed, 0, 2); err == nil {
@@ -188,26 +188,17 @@ func TestImportAndForwardResolution(t *testing.T) {
 	// local hosting locality, not back toward home.
 	g := GID{Home: 3, Kind: KindData, Seq: 9}
 	s.SetImport(g, 1, 2)
-	if owner, gen, err := s.OwnerGen(g); err != nil || owner != 1 || gen != 2 {
-		t.Fatalf("imported OwnerGen = %d gen %d, %v; want 1 gen 2", owner, gen, err)
-	}
-	if gen, err := s.Generation(g); err != nil || gen != 2 {
-		t.Fatalf("imported Generation = %d, %v; want 2", gen, err)
+	if owner, gen, err := s.Locate(g); err != nil || owner != 1 || gen != 2 {
+		t.Fatalf("imported Locate = %d gen %d, %v; want 1 gen 2", owner, gen, err)
 	}
 
-	// After it departs, a forwarding pointer answers with ErrMoved naming
-	// the next hop.
+	// After it departs, a forwarding pointer answers with the next hop and
+	// the generation of the move.
 	s.DropImport(g)
 	s.SetForward(g, 3, 3)
-	owner, gen, err := s.OwnerGen(g)
-	if !errors.Is(err, ErrMoved) {
-		t.Fatalf("departed OwnerGen err = %v; want ErrMoved", err)
-	}
-	var mv *MovedError
-	if !errors.As(err, &mv) || mv.To != 3 || mv.Gen != 3 || owner != 3 || gen != 3 {
+	if owner, gen, err := s.Locate(g); err != nil || owner != 3 || gen != 3 {
 		t.Fatalf("forwarding verdict = %d gen %d (%v)", owner, gen, err)
 	}
-	// Owner folds the verdict into a plain next hop.
 	if o, err := s.Owner(g); err != nil || o != 3 {
 		t.Fatalf("Owner over forward = %d, %v", o, err)
 	}
@@ -221,56 +212,122 @@ func TestImportAndForwardResolution(t *testing.T) {
 	if _, _, ok := s.Forward(g); ok {
 		t.Fatal("Free left a forwarding pointer")
 	}
-	if o, _, err := s.OwnerGen(g); err != nil || o != 3 {
+	if o, _, err := s.Locate(g); err != nil || o != 3 {
 		t.Fatalf("after Free resolution should fall back to home: %d, %v", o, err)
 	}
 }
 
+// The hint table's whole contract: it answers only where Locate can do no
+// better than the route toward home, never for first-hand resolutions, and
+// a name homed here takes a "moved" verdict as the late directory commit.
 func TestStaleCacheResolutionAfterMigration(t *testing.T) {
 	s := NewService(4)
-	g := s.Alloc(0, KindData)
+	s.SetDistribution(MustLocalityMap([]Range{{0, 2}, {2, 4}}), 1) // this node hosts 2,3
+	g := GID{Home: 0, Kind: KindData, Seq: 11}                     // homed on the other node
 
-	// Locality 2 caches the original owner.
-	if owner, err := s.ResolveCached(2, g); err != nil || owner != 0 {
-		t.Fatalf("initial resolve = %d, %v", owner, err)
+	resolve := func(what string, want int) {
+		t.Helper()
+		if owner, err := s.ResolveCached(2, g); err != nil || owner != want {
+			t.Fatalf("%s: ResolveCached = %d, %v; want %d", what, owner, err, want)
+		}
 	}
-	if err := s.Migrate(g, 3); err != nil {
+	firstHand := func(what string, want int, wantGen uint64) {
+		t.Helper()
+		if owner, gen, err := s.Locate(g); err != nil || owner != want || gen != wantGen {
+			t.Fatalf("%s: Locate = %d gen %d, %v; want %d gen %d", what, owner, gen, err, want, wantGen)
+		}
+		if owner, gen, err := s.ResolveAuthoritative(2, g); err != nil || owner != want || gen != wantGen {
+			t.Fatalf("%s: ResolveAuthoritative = %d gen %d, %v; want %d gen %d", what, owner, gen, err, want, wantGen)
+		}
+	}
+
+	resolve("no hint", 0)
+	firstHand("no hint", 0, 0)
+
+	// A hint steers sends; what may be taught onward stays first-hand.
+	s.Repoint(g, 3, 5)
+	resolve("hinted", 3)
+	firstHand("hinted", 0, 0)
+	// An older (replayed) verdict cannot roll it back.
+	s.Repoint(g, 1, 4)
+	resolve("stale verdict", 3)
+
+	// An import or a forwarding pointer outranks the hint.
+	s.SetImport(g, 2, 6)
+	resolve("imported", 2)
+	s.DropImport(g)
+	s.SetForward(g, 1, 7)
+	resolve("forwarded", 1)
+	firstHand("forwarded", 1, 7)
+	s.DropForward(g)
+	resolve("hint again", 3)
+
+	// Invalidate and Free each drop it.
+	s.Invalidate(2, g)
+	resolve("invalidated", 0)
+	s.Repoint(g, 3, 5)
+	resolve("re-hinted", 3)
+	s.Free(g)
+	resolve("freed", 0)
+
+	// A verdict about a name homed HERE lands in the directory iff it is
+	// newer, and never creates a name.
+	h := s.Alloc(2, KindData)
+	s.Repoint(h, 1, 3)
+	if owner, gen, err := s.Locate(h); err != nil || owner != 1 || gen != 3 {
+		t.Fatalf("late commit by hint = %d gen %d, %v; want 1 gen 3", owner, gen, err)
+	}
+	s.Repoint(h, 0, 2)
+	if owner, gen, err := s.Locate(h); err != nil || owner != 1 || gen != 3 {
+		t.Fatalf("stale hint moved ownership: %d gen %d, %v", owner, gen, err)
+	}
+	if _, ok := s.hints.get(h); ok {
+		t.Fatal("a name homed here left a hint")
+	}
+	// A replayed CommitMigration at an older generation is a no-op too.
+	if err := s.CommitMigration(h, 3, 2); err != nil {
 		t.Fatal(err)
 	}
-	// The cache is deliberately stale (no coherence) ...
-	if stale, _ := s.ResolveCached(2, g); stale != 0 {
-		t.Fatalf("expected stale cache to answer 0, got %d", stale)
-	}
-	// ... a Repoint verdict at the migration generation repairs it in
-	// place ...
-	gen, err := s.Generation(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Repoint(g, 3, gen)
-	if fresh, _ := s.ResolveCached(2, g); fresh != 3 {
-		t.Fatalf("repointed cache = %d, want 3", fresh)
-	}
-	// ... and an older (replayed) verdict cannot roll it back.
-	s.Repoint(g, 0, gen-1)
-	if held, _ := s.ResolveCached(2, g); held != 3 {
-		t.Fatalf("stale verdict rolled cache back to %d", held)
-	}
-	// Repoint never creates lines: locality 1 has no cached translation
-	// and must still consult the directory on first use.
-	before := s.Resolutions.Load()
-	if owner, _ := s.ResolveCached(1, g); owner != 3 {
-		t.Fatalf("cold resolve after migration = %d, want 3", owner)
-	}
-	if s.Resolutions.Load() != before+1 {
-		t.Fatal("cold locality did not consult the directory")
-	}
-	// A replayed CommitMigration at an older generation is a no-op.
-	if err := s.CommitMigration(g, 1, gen-1); err != nil {
-		t.Fatal(err)
-	}
-	if owner, err := s.Owner(g); err != nil || owner != 3 {
+	if owner, err := s.Owner(h); err != nil || owner != 1 {
 		t.Fatalf("stale commit moved ownership: %d, %v", owner, err)
+	}
+	unknown := GID{Home: 3, Kind: KindData, Seq: 4242}
+	s.Repoint(unknown, 2, 9)
+	if _, err := s.Owner(unknown); !errors.Is(err, ErrUnknown) {
+		t.Fatalf("hint created a name: %v", err)
+	}
+}
+
+// One-shot names (a reply future per call) must leave nothing behind:
+// every table is bounded by live names and migrations, never by traffic.
+func TestOneShotNamesLeaveNothingBehind(t *testing.T) {
+	s := NewService(4)
+	s.SetDistribution(MustLocalityMap([]Range{{0, 2}, {2, 4}}), 0)
+	for i := 0; i < 1000; i++ {
+		g := GID{Home: 3, Kind: KindLCO, Seq: uint64(i + 1)} // a remote caller's reply name
+		if i%2 == 0 {
+			g = s.Alloc(i%4/2, KindLCO)
+		}
+		for from := 0; from < 4; from++ {
+			if _, err := s.ResolveCached(from, g); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := s.ResolveAuthoritative(from, g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Free(g)
+	}
+	for i, d := range s.shards.Load().dirs {
+		d.entries.Range(func(k, _ any) bool {
+			t.Errorf("directory %d still holds %v", i, k)
+			return false
+		})
+	}
+	for name, c := range map[string]*cowEntries{"imports": s.imports, "forwards": s.forwards, "hints": s.hints} {
+		if n := len(*c.m.Load()); n != 0 {
+			t.Errorf("%s holds %d entries", name, n)
+		}
 	}
 }
 

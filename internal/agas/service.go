@@ -23,7 +23,7 @@ type entry struct {
 // loads of immutable *entry values; read-modify-write updates (migration
 // commits) serialize on mu, which plain inserts (Alloc) do not need.
 type directory struct {
-	mu      sync.Mutex // serializes Migrate/CommitMigration read-modify-writes
+	mu      sync.Mutex // serializes CommitMigration read-modify-writes
 	entries sync.Map   // GID -> *entry
 }
 
@@ -37,26 +37,10 @@ func (d *directory) load(g GID) (entry, bool) {
 	return *e, true
 }
 
-// cacheLine is one possibly-stale translation held by a locality, tagged
-// with the migration generation it was learned at (0 when the translation
-// is an unversioned route-toward-home guess). Immutable once published.
-type cacheLine struct {
-	owner int
-	gen   uint64
-}
-
-// translationCache is a locality's private, incoherent translation cache.
-// The hit path — one Load of an immutable *cacheLine — touches no locks;
-// fills happen once per (locality, name) and repair writes
-// (Invalidate/Repoint) ride sync.Map's compare-and-swap.
-type translationCache struct {
-	m sync.Map // GID -> *cacheLine
-}
-
-// cowEntries is a small read-mostly GID→entry table (the import and
-// forwarding tables): reads load an immutable map snapshot with no lock,
-// writes — migration-rate events — take the mutex, copy, and publish a
-// new snapshot.
+// cowEntries is a small read-mostly GID→entry table (the import,
+// forwarding and hint tables): reads load an immutable map snapshot with
+// no lock, writes — migration-rate events — take the mutex, copy, and
+// publish a new snapshot.
 type cowEntries struct {
 	mu sync.Mutex
 	m  atomic.Pointer[map[GID]entry]
@@ -89,6 +73,32 @@ func (c *cowEntries) mutate(fn func(m map[GID]entry)) {
 	c.m.Store(&next)
 }
 
+// raise records g → (owner, gen) unless the table already knows a
+// generation at least as new, so replayed or reordered verdicts cannot
+// roll an entry back.
+func (c *cowEntries) raise(g GID, owner int, gen uint64) {
+	if e, ok := c.get(g); ok && e.gen >= gen {
+		return
+	}
+	c.mutate(func(m map[GID]entry) {
+		if e, ok := m[g]; !ok || e.gen < gen {
+			m[g] = entry{owner: owner, gen: gen}
+		}
+	})
+}
+
+// drop removes g. It is idempotent, and free for names the table never
+// held — the overwhelmingly common case (every consumed call future is
+// freed) skips the copy-on-write publish on a lock-free miss.
+func (c *cowEntries) drop(g GID) {
+	if _, ok := c.get(g); !ok {
+		return
+	}
+	c.mutate(func(m map[GID]entry) {
+		delete(m, g)
+	})
+}
+
 // ErrUnknown reports a resolution of a name this node's authoritative
 // structures have never seen — or have already freed. Callers running
 // idempotent protocols (duplicated LCO triggers racing a consumed
@@ -104,37 +114,13 @@ var ErrUnknown = errors.New("agas: unknown name")
 // boundaries.
 var ErrNodeLost = errors.New("px: node lost")
 
-// ErrMoved reports that an object is no longer where the resolver last
-// knew it: a forwarding pointer, left by a departed migration, answered
-// instead of an authoritative directory. Resolutions wrapping ErrMoved
-// (see MovedError) still carry a usable next hop; the parcel layer
-// re-routes toward it and hints the verdict back to the sender.
-var ErrMoved = errors.New("agas: object moved")
-
-// MovedError is the resolution outcome for an object that migrated away
-// from this node: To is where the departing migration pushed it (possibly
-// itself stale by now) and Gen the generation of that move. It wraps
-// ErrMoved so callers can test with errors.Is/errors.As.
-type MovedError struct {
-	GID GID
-	To  int
-	Gen uint64
-}
-
-// Error renders the forwarding verdict.
-func (e *MovedError) Error() string {
-	return fmt.Sprintf("agas: %v moved to locality %d (gen %d)", e.GID, e.To, e.Gen)
-}
-
-// Unwrap ties MovedError to the ErrMoved sentinel.
-func (e *MovedError) Unwrap() error { return ErrMoved }
-
 // Service is the AGAS for one simulated machine: n localities, each with an
-// authoritative directory for the GIDs it allocated and a private
-// translation cache. The service also hosts the hierarchical symbolic
-// namespace.
+// authoritative directory for the GIDs it allocated. The service also hosts
+// the hierarchical symbolic namespace. Translation is computed, not
+// cached: a name homed here is one lock-free directory load away, and a
+// name homed elsewhere carries its home locality in the GID.
 //
-// On a multi-node machine three structures cooperate to keep migrated
+// On a multi-node machine four structures cooperate to keep migrated
 // names resolvable from anywhere without global coherence:
 //
 //   - the home directory (on the node hosting GID.Home) is authoritative
@@ -143,14 +129,18 @@ func (e *MovedError) Unwrap() error { return ErrMoved }
 //     lives elsewhere, so arriving parcels resolve locally;
 //   - forwarding pointers record objects that migrated away from this
 //     node, so in-flight parcels chase at most one hop instead of
-//     bouncing through the home directory.
+//     bouncing through the home directory;
+//   - hints record "moved" verdicts other nodes taught this one about
+//     objects homed elsewhere — the one thing a node cannot work out for
+//     itself. A hint is second-hand and may be out of date; a wrong one
+//     costs a forwarded hop, on which Invalidate drops it.
 type Service struct {
 	seq atomic.Uint64
 	ns  *Namespace
 
-	// shards holds the per-locality directories and translation caches
-	// behind one atomic snapshot, so the per-parcel resolve path stays a
-	// lock-free load while Grow (a membership join) appends localities.
+	// shards holds the per-locality directories behind one atomic
+	// snapshot, so the per-parcel resolve path stays a lock-free load
+	// while Grow (a membership join) appends localities.
 	shards atomic.Pointer[svcShards]
 	growMu sync.Mutex
 
@@ -164,6 +154,13 @@ type Service struct {
 	// migration pushed them. Copy-on-write like imports.
 	forwards *cowEntries
 
+	// hints: where objects homed on other nodes were last reported to live
+	// (Repoint). Written at migration rate, never by a resolution, so the
+	// table is bounded by migrations, not by traffic. Copy-on-write like
+	// imports; kept apart from forwards because Invalidate drops a hint on
+	// the very resolution a forwarding pointer may just have answered.
+	hints *cowEntries
+
 	// lmap/selfNode are set when the service is one node of a multi-process
 	// machine. Directories for localities hosted by other nodes are then
 	// never authoritative here: resolution routes toward the home locality
@@ -171,11 +168,14 @@ type Service struct {
 	lmap     *LocalityMap
 	selfNode int
 
-	// Resolutions counts cache-miss directory consultations; CacheHits
-	// counts translations answered locally. The ratio is the address
-	// translation efficiency the paper's "efficient address translation"
-	// requirement refers to. Forwards counts stale-translation repairs
-	// (each Invalidate), so it bounds how many forwarded hops parcels took.
+	// Resolutions counts translations that consulted a resident home
+	// directory; CacheHits counts translations answered without one (an
+	// import, a forwarding pointer, a hint, or the home the name carries).
+	// Locate books every translation exactly once. The ratio is the
+	// address translation efficiency the paper's "efficient address
+	// translation" requirement refers to. Forwards counts stale-translation
+	// repairs (each Invalidate), so it bounds how many forwarded hops
+	// parcels took.
 	Resolutions atomic.Uint64
 	CacheHits   atomic.Uint64
 	Forwards    atomic.Uint64
@@ -183,9 +183,8 @@ type Service struct {
 
 // svcShards is one immutable snapshot of the per-locality structures.
 type svcShards struct {
-	n      int
-	dirs   []*directory
-	caches []*translationCache
+	n    int
+	dirs []*directory
 }
 
 // NewService creates an AGAS over n localities.
@@ -197,19 +196,19 @@ func NewService(n int) *Service {
 		ns:       NewNamespace(),
 		imports:  newCOWEntries(),
 		forwards: newCOWEntries(),
+		hints:    newCOWEntries(),
 	}
-	sh := &svcShards{n: n, dirs: make([]*directory, n), caches: make([]*translationCache, n)}
+	sh := &svcShards{n: n, dirs: make([]*directory, n)}
 	for i := 0; i < n; i++ {
 		sh.dirs[i] = &directory{}
-		sh.caches[i] = &translationCache{}
 	}
 	s.shards.Store(sh)
 	return s
 }
 
 // Grow extends the service to n localities (a membership join announced
-// new ones). Existing directories and caches are shared by the new
-// snapshot; growth to a smaller or equal count is a no-op.
+// new ones). Existing directories are shared by the new snapshot; growth
+// to a smaller or equal count is a no-op.
 func (s *Service) Grow(n int) {
 	s.growMu.Lock()
 	defer s.growMu.Unlock()
@@ -218,13 +217,11 @@ func (s *Service) Grow(n int) {
 		return
 	}
 	sh := &svcShards{
-		n:      n,
-		dirs:   append(append(make([]*directory, 0, n), old.dirs...), make([]*directory, n-old.n)...),
-		caches: append(append(make([]*translationCache, 0, n), old.caches...), make([]*translationCache, n-old.n)...),
+		n:    n,
+		dirs: append(append(make([]*directory, 0, n), old.dirs...), make([]*directory, n-old.n)...),
 	}
 	for i := old.n; i < n; i++ {
 		sh.dirs[i] = &directory{}
-		sh.caches[i] = &translationCache{}
 	}
 	s.shards.Store(sh)
 }
@@ -350,38 +347,21 @@ func (s *Service) AllocWellKnown(home int, kind Kind, slot int) GID {
 	return g
 }
 
-// Owner returns the best current owner of g known to this node. It prefers,
-// in order: the import table (the object lives here), the authoritative
-// home directory (when the home locality is hosted here), a forwarding
-// pointer (the object lived here once and departed), and finally the home
-// locality itself — the parcel layer then routes toward it and the owning
-// node completes resolution. It reports an error for unknown names; a
-// forwarding-pointer answer is folded into a plain owner (use OwnerGen to
-// observe the ErrMoved verdict).
+// Owner is Locate without the generation.
 func (s *Service) Owner(g GID) (int, error) {
 	owner, _, err := s.Locate(g)
 	return owner, err
 }
 
-// Locate is OwnerGen with any forwarding verdict already folded into a
-// plain next hop — the form routing callers want. Use OwnerGen to
-// observe whether resolution crossed a forwarding pointer (ErrMoved).
+// Locate is the one resolution every caller shares: the best current owner
+// of g this node can work out for itself, with the migration generation of
+// the answer. It prefers, in order: the import table (the object lives
+// here), the authoritative home directory (when the home locality is hosted
+// here — unknown names report ErrUnknown or ErrNodeLost), a forwarding
+// pointer (the object lived here once and departed), and finally the home
+// locality the name carries, at generation 0 — the parcel layer then
+// routes toward it and the owning node completes resolution.
 func (s *Service) Locate(g GID) (int, uint64, error) {
-	owner, gen, err := s.OwnerGen(g)
-	var mv *MovedError
-	if errors.As(err, &mv) {
-		return mv.To, mv.Gen, nil
-	}
-	return owner, gen, err
-}
-
-// OwnerGen is Owner with the migration generation of the answer (0 for an
-// unversioned route-toward-home guess). When the answer comes from a
-// forwarding pointer — the object migrated away from this node — the owner
-// and generation are returned alongside a *MovedError wrapping ErrMoved,
-// so the parcel layer can re-route the access and hint the "moved"
-// verdict back to the stale sender.
-func (s *Service) OwnerGen(g GID) (int, uint64, error) {
 	if g.IsNil() {
 		return 0, 0, fmt.Errorf("agas: resolve of nil GID")
 	}
@@ -391,14 +371,17 @@ func (s *Service) OwnerGen(g GID) (int, uint64, error) {
 		return 0, 0, fmt.Errorf("agas: %v homed beyond machine (%d localities)", g, sh.n)
 	}
 	if e, ok := s.imports.get(g); ok {
+		s.CacheHits.Add(1)
 		return e.owner, e.gen, nil
 	}
 	if !s.resident(home) {
+		s.CacheHits.Add(1)
 		if e, ok := s.forwards.get(g); ok {
-			return e.owner, e.gen, &MovedError{GID: g, To: e.owner, Gen: e.gen}
+			return e.owner, e.gen, nil
 		}
 		return home, 0, nil
 	}
+	s.Resolutions.Add(1)
 	e, ok := sh.dirs[home].load(g)
 	if !ok {
 		// A miss in an adopted directory shard is not "never existed":
@@ -413,119 +396,57 @@ func (s *Service) OwnerGen(g GID) (int, uint64, error) {
 	return e.owner, e.gen, nil
 }
 
-// ResolveCached translates g from the perspective of locality from. It
-// prefers the locality's private cache and falls back to OwnerGen, filling
-// the cache (forwarding-pointer answers are absorbed: the caller gets the
-// next hop as a plain owner). The answer may be stale if the object has
-// since migrated; callers discover staleness when the presumed owner
+// ResolveCached translates g for a parcel leaving locality from: Locate,
+// plus — only where Locate can do no better than the generation-0 route
+// toward home — the hint table. A hinted answer may be stale if the object
+// has since moved again; callers discover that when the presumed owner
 // misses the access, and then Invalidate and retry — the forwarding path
-// counted by Forwards. A cache hit — the steady state of every parcel
-// send — is one lock-free load of an immutable line.
+// counted by Forwards. Every read on the way is a lock-free load.
 func (s *Service) ResolveCached(from int, g GID) (int, error) {
 	s.checkLoc(from)
-	c := s.shards.Load().caches[from]
-	if v, ok := c.m.Load(g); ok {
-		s.CacheHits.Add(1)
-		return v.(*cacheLine).owner, nil
-	}
 	owner, gen, err := s.Locate(g)
-	if err != nil {
-		return 0, err
-	}
-	s.Resolutions.Add(1)
-	c.store(g, owner, gen)
-	return owner, nil
-}
-
-// store publishes a translation, keeping the newest generation when lines
-// race: a concurrent writer with a newer verdict must not be overwritten
-// by this older answer.
-func (c *translationCache) store(g GID, owner int, gen uint64) {
-	line := &cacheLine{owner: owner, gen: gen}
-	for {
-		old, loaded := c.m.LoadOrStore(g, line)
-		if !loaded {
-			return
-		}
-		o := old.(*cacheLine)
-		if o.gen >= gen {
-			return
-		}
-		if c.m.CompareAndSwap(g, old, line) {
-			return
+	if err == nil && gen == 0 {
+		if e, ok := s.hints.get(g); ok {
+			owner = e.owner
 		}
 	}
+	return owner, err
 }
 
-// ResolveAuthoritative translates g for locality from directly against
-// this node's authoritative knowledge — never the private cache, because
-// the answer may back a "moved" verdict taught to a remote sender. The
-// consult is counted as a Resolution (it is a directory consult, keeping
-// the translation-efficiency ratio comparable with the cached path) and
-// warms from's cache in place so subsequent local sends go direct.
+// ResolveAuthoritative translates g for locality from against this node's
+// first-hand knowledge only — Locate, never a hint, because the answer may
+// back a "moved" verdict taught onward to a remote sender.
 func (s *Service) ResolveAuthoritative(from int, g GID) (int, uint64, error) {
 	s.checkLoc(from)
-	owner, gen, err := s.Locate(g)
-	if err != nil {
-		return 0, 0, err
-	}
-	s.Resolutions.Add(1)
-	s.shards.Load().caches[from].store(g, owner, gen)
-	return owner, gen, nil
+	return s.Locate(g)
 }
 
-// Invalidate drops locality from's cached translation for g, forcing the
-// next ResolveCached to consult the home directory. It records a forward.
+// Invalidate drops the hint for g after a resolution from locality from
+// missed its object, so the next ResolveCached routes toward the home
+// directory. It records a forward.
 func (s *Service) Invalidate(from int, g GID) {
 	s.checkLoc(from)
-	s.shards.Load().caches[from].m.Delete(g)
+	s.hints.drop(g)
 	s.Forwards.Add(1)
 }
 
-// Repoint applies a "moved" verdict: every resident locality whose cache
-// holds a translation for g older than gen is updated to the new owner in
-// place. Lines are never created — caches fill on demand — and a verdict
-// older than what a cache already knows is ignored, so racing verdicts
-// from interleaved migrations converge on the newest generation.
+// Repoint applies a "moved" verdict taught by another node: g now lives at
+// owner under generation gen. For a name homed elsewhere the verdict is
+// recorded as a hint; for a name homed here it is the late CommitMigration
+// of a move whose directory commit never arrived. Either way the newest
+// generation wins, so racing verdicts from interleaved migrations
+// converge, and a verdict about a name this node cannot resolve (homed
+// beyond the machine, or freed) is ignored.
 func (s *Service) Repoint(g GID, owner int, gen uint64) {
-	for _, c := range s.shards.Load().caches {
-		for {
-			old, ok := c.m.Load(g)
-			if !ok || old.(*cacheLine).gen >= gen {
-				break
-			}
-			if c.m.CompareAndSwap(g, old, &cacheLine{owner: owner, gen: gen}) {
-				break
-			}
-		}
-	}
-}
-
-// Migrate atomically moves ownership of g to locality to in its home
-// directory, bumping the generation. The home locality must be hosted by
-// this node (the directory is authoritative only there); the destination
-// may be any locality of the machine, including one hosted elsewhere.
-// Caches are deliberately left stale — staleness is repaired by
-// forwarding and Repoint verdicts, not coherence.
-func (s *Service) Migrate(g GID, to int) error {
-	s.checkLoc(to)
 	home := int(g.Home)
-	sh := s.shards.Load()
-	if home >= sh.n {
-		return fmt.Errorf("agas: %v homed beyond machine", g)
+	if home >= s.shards.Load().n {
+		return
 	}
-	if !s.resident(home) {
-		return fmt.Errorf("agas: directory for %v is on node %d; commit the migration there", g, s.hostOf(home))
+	if s.resident(home) {
+		_ = s.CommitMigration(g, owner, gen) // errors only for a freed name
+		return
 	}
-	d := sh.dirs[home]
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	e, ok := d.load(g)
-	if !ok {
-		return fmt.Errorf("agas: migrate of unknown name %v", g)
-	}
-	d.entries.Store(g, &entry{owner: to, gen: e.gen + 1})
-	return nil
+	s.hints.raise(g, owner, gen)
 }
 
 // CommitMigration records in g's home directory that the object now lives
@@ -567,29 +488,16 @@ func (s *Service) SetImport(g GID, loc int, gen uint64) {
 }
 
 // DropImport removes the import record for g (the object migrated away or
-// was freed). It is idempotent, and free for names never imported — the
-// overwhelmingly common case (every consumed call future is freed) skips
-// the copy-on-write publish on a lock-free miss.
-func (s *Service) DropImport(g GID) {
-	if _, ok := s.imports.get(g); !ok {
-		return
-	}
-	s.imports.mutate(func(m map[GID]entry) {
-		delete(m, g)
-	})
-}
+// was freed).
+func (s *Service) DropImport(g GID) { s.imports.drop(g) }
 
 // SetForward leaves a forwarding pointer: g migrated away from this node
 // to locality `to` at the given generation. Subsequent resolutions here
-// answer with a MovedError naming `to`, so in-flight parcels chase one
-// hop instead of detouring through the home directory.
+// answer `to`, so in-flight parcels chase one hop instead of detouring
+// through the home directory.
 func (s *Service) SetForward(g GID, to int, gen uint64) {
 	s.checkLoc(to)
-	s.forwards.mutate(func(m map[GID]entry) {
-		if e, ok := m[g]; !ok || e.gen < gen {
-			m[g] = entry{owner: to, gen: gen}
-		}
-	})
+	s.forwards.raise(g, to, gen)
 }
 
 // Forward reports the forwarding pointer for g, if this node left one.
@@ -599,59 +507,29 @@ func (s *Service) Forward(g GID) (to int, gen uint64, ok bool) {
 }
 
 // DropForward removes the forwarding pointer for g (the object came back,
-// or was freed machine-wide). It is idempotent; like DropImport, a
-// lock-free miss skips the copy-on-write publish.
-func (s *Service) DropForward(g GID) {
-	if _, ok := s.forwards.get(g); !ok {
-		return
-	}
-	s.forwards.mutate(func(m map[GID]entry) {
-		delete(m, g)
-	})
-}
+// or was freed machine-wide).
+func (s *Service) DropForward(g GID) { s.forwards.drop(g) }
 
-// Free removes g from its home directory, import table, and forwarding
-// table, and is idempotent. Directory entries homed on other nodes are
-// left to their owning node.
+// Free removes g from its home directory and the import, forwarding and
+// hint tables, and is idempotent. Directory entries homed on other nodes
+// are left to their owning node.
 func (s *Service) Free(g GID) {
-	s.DropImport(g)
-	s.DropForward(g)
+	s.imports.drop(g)
+	s.forwards.drop(g)
+	s.hints.drop(g)
 	home := int(g.Home)
 	sh := s.shards.Load()
 	if home >= sh.n || !s.resident(home) {
 		return
 	}
-	// The delete serializes with Migrate/CommitMigration's read-modify-
-	// write on the same mutex: otherwise a concurrent migration that
+	// The delete serializes with CommitMigration's read-modify-write on
+	// the same mutex: otherwise a concurrent migration that
 	// loaded the entry before this free could re-publish it afterwards,
 	// resurrecting the freed name in the directory.
 	d := sh.dirs[home]
 	d.mu.Lock()
 	d.entries.Delete(g)
 	d.mu.Unlock()
-}
-
-// Generation reports the migration generation of g (1 when newly
-// allocated) from this node's most authoritative source: the home
-// directory when hosted here, otherwise the import record of a locally
-// hosted object.
-func (s *Service) Generation(g GID) (uint64, error) {
-	home := int(g.Home)
-	sh := s.shards.Load()
-	if home >= sh.n {
-		return 0, fmt.Errorf("agas: %v homed beyond machine", g)
-	}
-	if !s.resident(home) {
-		if e, ok := s.imports.get(g); ok {
-			return e.gen, nil
-		}
-		return 0, fmt.Errorf("agas: generation of %v only known to its home node", g)
-	}
-	e, ok := sh.dirs[home].load(g)
-	if !ok {
-		return 0, fmt.Errorf("agas: unknown name %v", g)
-	}
-	return e.gen, nil
 }
 
 func (s *Service) checkLoc(i int) {

@@ -343,7 +343,6 @@ func encodeValueArg(v any) ([]byte, error) {
 type Context struct {
 	rt  *Runtime
 	loc int
-	th  interface{ Suspend() error }
 	// tid is the parcel-derived trigger ID for the dispatch in flight
 	// (see parcelTriggerID): it makes continuation-borne DistLCO triggers
 	// idempotent under duplicated delivery. Zero for non-parcel threads.
@@ -380,17 +379,11 @@ func (c *Context) Await(f *lco.Future) (any, error) {
 		return v, err // dependency already satisfied: no suspension
 	}
 	c.rt.slow.Suspensions.Inc()
-	if c.th != nil {
-		c.th.Suspend()
-	}
 	var v any
 	var err error
 	start := now()
 	c.rt.loc(c.loc).Suspend(func() { v, err = f.Get() })
 	c.rt.slow.Waiting.ObserveDuration(now().Sub(start))
-	if t, ok := c.th.(interface{ Resume() error }); ok {
-		t.Resume()
-	}
 	return v, err
 }
 

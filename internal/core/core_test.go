@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -189,7 +190,7 @@ func TestMigrationWithForwarding(t *testing.T) {
 		target.(*box).v.Add(1)
 		return nil, nil
 	})
-	// Warm locality 3's translation cache so it goes stale after migration.
+	// Locality 3 reaches the object at its first home.
 	r.Spawn(3, func(ctx *Context) {
 		ctx.Send(parcel.New(gid, "test.inc", nil))
 	})
@@ -201,7 +202,8 @@ func TestMigrationWithForwarding(t *testing.T) {
 	if owner != 2 {
 		t.Fatalf("owner = %d, want 2", owner)
 	}
-	// Parcel from 3 uses the stale cache, lands at 0, forwards to 2.
+	// The same sender reaches it at its new home: the directory commit is
+	// visible to every locality at once.
 	r.Spawn(3, func(ctx *Context) {
 		ctx.Send(parcel.New(gid, "test.inc", nil))
 	})
@@ -424,5 +426,34 @@ func TestManyConcurrentCalls(t *testing.T) {
 	r.Wait()
 	if sum.Load() != n*(n-1)/2 {
 		t.Fatalf("sum = %d, want %d", sum.Load(), n*(n-1)/2)
+	}
+}
+
+// A split-phase call mints a one-shot reply name; once the future is
+// consumed nothing on either side of the call may remember it. The bound
+// is per call, so a leak of even one table entry (tens of bytes) fails.
+func TestCallFromRetainsNothingPerCall(t *testing.T) {
+	r := newTestRuntime(t, 2)
+	obj := r.NewDataAt(1, struct{}{})
+	run := func(n int) uint64 {
+		for i := 0; i < n; i++ {
+			if _, err := r.CallFrom(0, obj, ActionNop, nil).Get(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.Wait()
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	const calls = 30000
+	before := run(2000) // warm the pools and the scheduler
+	after := run(calls)
+	perCall := (float64(after) - float64(before)) / calls
+	t.Logf("heap retained %.1f B per consumed call", perCall)
+	if perCall > 16 {
+		t.Fatalf("heap grew %.1f B per consumed call over %d calls, want <= 16", perCall, calls)
 	}
 }

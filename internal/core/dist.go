@@ -171,7 +171,8 @@ func (d *distState) onFrame(from int, frame []byte) {
 	case fParcel, fParcelI:
 		d.onParcel(from, kind, m.p)
 	case fMoved:
-		// The hint repoints this node's translation caches.
+		// The hint is recorded for names homed elsewhere and applied as a
+		// late directory commit for names homed here (agas.Repoint).
 		if m.loc >= 0 && m.loc < d.rt.Localities() {
 			d.rt.agas.Repoint(m.g, m.loc, m.gen)
 		}
@@ -235,12 +236,11 @@ func (d *distState) onParcel(from int, kind byte, p *parcel.Parcel) {
 	d.deliver(from, p, owner, gen, err)
 }
 
-// resolveHere reports this node's authoritative knowledge of a
-// destination — the owning locality and its generation, with any
-// forwarding verdict folded into the next hop. The consult counts as an
-// AGAS resolution and warms the home locality's cache; it deliberately
-// never reads that cache, since a stale line must not back a "moved"
-// verdict. Unknown names report the error.
+// resolveHere reports this node's first-hand knowledge of a destination —
+// the owning locality and its generation, a forwarding pointer answering
+// with the next hop. It deliberately never reads a hint, since a
+// second-hand verdict must not be taught onward as a "moved" verdict.
+// Unknown names report the error.
 func (d *distState) resolveHere(g agas.GID) (owner int, gen uint64, err error) {
 	return d.rt.agas.ResolveAuthoritative(d.home, g)
 }
@@ -277,7 +277,7 @@ func (d *distState) deliver(from int, p *parcel.Parcel, owner int, gen uint64, e
 }
 
 // hintMoved tells node that g now lives at owner under generation gen, so
-// the stale sender repoints its caches before its next parcel. The send is
+// the stale sender records the hint before its next parcel. The send is
 // a charged task on the home locality: a worker may block on a full
 // socket, the read goroutine that called deliver may not.
 func (d *distState) hintMoved(node int, g agas.GID, owner int, gen uint64) {
@@ -464,8 +464,8 @@ func (d *distState) replyOutcome(node int, kind byte, xid uint64, opErr error) {
 }
 
 // onMigrate installs an inbound migrated object: decode the payload, put
-// it in the destination locality's store, and record the import (plus a
-// cache repoint) so parcels already routed here resolve to it at once.
+// it in the destination locality's store, and record the import so parcels
+// already routed here resolve to it at once.
 func (d *distState) onMigrate(from int, m frameMsg) {
 	g, to, gen := m.g, m.loc, m.gen
 	install := func() error {
@@ -479,7 +479,6 @@ func (d *distState) onMigrate(from int, m frameMsg) {
 		d.rt.loc(to).Store().Put(g, v)
 		d.rt.agas.DropForward(g)
 		d.rt.agas.SetImport(g, to, gen)
-		d.rt.agas.Repoint(g, to, gen)
 		// The sender just placed this object here: the local balancer
 		// defers to that decision for a cooldown before re-judging it.
 		d.rt.coolBalance(g)
@@ -489,18 +488,14 @@ func (d *distState) onMigrate(from int, m frameMsg) {
 }
 
 // onDirUpdate commits a remote owner's migration in this node's
-// authoritative home directory and repoints local caches.
+// authoritative home directory.
 func (d *distState) onDirUpdate(from int, m frameMsg) {
 	g, to, gen := m.g, m.loc, m.gen
 	commit := func() error {
 		if to < 0 || to >= d.rt.Localities() {
 			return fmt.Errorf("locality %d outside machine", to)
 		}
-		if err := d.rt.agas.CommitMigration(g, to, gen); err != nil {
-			return err
-		}
-		d.rt.agas.Repoint(g, to, gen)
-		return nil
+		return d.rt.agas.CommitMigration(g, to, gen)
 	}
 	d.replyOutcome(from, fDirOK, m.id, commit())
 }

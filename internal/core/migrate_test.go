@@ -161,7 +161,7 @@ func TestMigrationGenerationsAdvance(t *testing.T) {
 		if err := r.Migrate(obj, to); err != nil {
 			t.Fatalf("move %d: %v", i, err)
 		}
-		gen, err := r.AGAS().Generation(obj)
+		_, gen, err := r.AGAS().Locate(obj)
 		if err != nil || gen != uint64(i)+2 {
 			t.Fatalf("after move %d generation = %d, %v; want %d", i, gen, err, i+2)
 		}

@@ -137,8 +137,8 @@ func (r *Runtime) Migrate(g agas.GID, to int) error {
 
 // migrateLocked performs the fenced move of g from resident locality
 // `from` to locality `to` at generation newGen: payload transfer, then
-// directory commit, then local routing state (imports, forwarding
-// pointer, cache repoint).
+// directory commit, then local routing state (import or forwarding
+// pointer).
 func (r *Runtime) migrateLocked(g agas.GID, from, to int, newGen uint64) error {
 	v, ok := r.loc(from).Store().Take(g)
 	if !ok {
@@ -173,8 +173,9 @@ func (r *Runtime) migrateLocked(g agas.GID, from, to int, newGen uint64) error {
 	// Commit the new owner in the home directory, wherever it lives. On
 	// commit failure the object HAS still moved — only the directory
 	// lags (unreachable home node, or the name was freed mid-move) — so
-	// the routing state below is installed regardless: forwarding
-	// pointers and repointed caches keep the name resolvable either way.
+	// the routing state below is installed regardless: the forwarding
+	// pointer keeps the name resolvable, and the "moved" hint it sends a
+	// lagging home node is applied there as the late commit.
 	var commitErr error
 	if homeNode := r.nodeOf(int(g.Home)); homeNode == r.NodeID() {
 		commitErr = r.agas.CommitMigration(g, to, newGen)
@@ -189,7 +190,6 @@ func (r *Runtime) migrateLocked(g agas.GID, from, to int, newGen uint64) error {
 	} else if !r.Resident(int(g.Home)) {
 		r.agas.SetForward(g, to, newGen)
 	}
-	r.agas.Repoint(g, to, newGen)
 	r.slow.Migrations.Inc()
 	// A move that stayed on this node lands under a local balancer
 	// cooldown, exactly as a cross-node arrival does on its receiver:

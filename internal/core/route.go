@@ -315,7 +315,7 @@ func (r *Runtime) execute(loc int, p *parcel.Parcel, rd *parcel.Reader, ctx *Con
 			r.fences.exit(p.Dest)
 		}
 		// The object is not here: our (or the sender's) translation was
-		// stale — an ErrMoved resolution will name the forwarding target.
+		// stale — the next resolution will name the forwarding target.
 		// Repair and re-route.
 		r.forward(loc, p)
 		return
@@ -340,14 +340,10 @@ func (r *Runtime) execute(loc int, p *parcel.Parcel, rd *parcel.Reader, ctx *Con
 	if p.Trace.Sampled() && isTriggerAction(p.Action) {
 		r.emitSpan(trace.SpanTrigger, loc, &p.Trace, p.Action)
 	}
-	th := r.reg.New(loc)
 	r.slow.ThreadsSpawned.Inc()
-	th.Start()
-	ctx.rt, ctx.loc, ctx.th, ctx.tid = r, loc, th, parcelTriggerID(p)
+	ctx.rt, ctx.loc, ctx.tid = r, loc, parcelTriggerID(p)
 	rd.Reset(p.Args)
 	res, err := fn(ctx, target, rd)
-	th.Terminate()
-	r.reg.Recycle(th)
 	if fenced {
 		r.fences.exit(p.Dest)
 	}

@@ -17,7 +17,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/network"
 	"repro/internal/parcel"
-	"repro/internal/thread"
 	"repro/internal/trace"
 	"repro/internal/transport"
 )
@@ -146,7 +145,6 @@ type Runtime struct {
 	agas   *agas.Service
 	net    network.Model
 	slow   *metrics.SLOW
-	reg    *thread.Registry
 	acts   *actionRegistry
 	hwGID  []agas.GID // per-locality hardware names
 	faults *faultState
@@ -230,7 +228,6 @@ func New(cfg Config) *Runtime {
 		agas:       agas.NewService(cfg.Localities),
 		net:        cfg.Net,
 		slow:       metrics.NewSLOW(),
-		reg:        thread.NewRegistry(),
 		acts:       newActionRegistry(),
 		faults:     newFaultState(cfg.Faults),
 		fences:     newFenceTable(),
@@ -470,9 +467,6 @@ func (r *Runtime) AGAS() *agas.Service { return r.agas }
 // SLOW exposes the degradation-source instrumentation.
 func (r *Runtime) SLOW() *metrics.SLOW { return r.slow }
 
-// Threads exposes the thread registry.
-func (r *Runtime) Threads() *thread.Registry { return r.reg }
-
 // Metrics exposes the named-metric registry (px.* names), suitable for
 // serving with pprofserve.ServeMetrics.
 func (r *Runtime) Metrics() *metrics.Registry { return r.mreg }
@@ -621,15 +615,11 @@ func (r *Runtime) Errors() []error {
 func (r *Runtime) Spawn(loc int, fn func(*Context)) {
 	r.checkResident(loc)
 	r.addWork()
-	th := r.reg.New(loc)
 	r.slow.ThreadsSpawned.Inc()
 	r.mustPost(r.loc(loc).Post(func() {
 		defer r.doneWork()
-		th.Start()
-		fn(&Context{rt: r, loc: loc, th: th})
+		fn(&Context{rt: r, loc: loc})
 		r.slow.TasksExecuted.Inc()
-		th.Terminate()
-		r.reg.Recycle(th)
 	}))
 }
 

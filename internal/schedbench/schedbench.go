@@ -254,7 +254,7 @@ func FanOutFanIn(b *testing.B, width int) {
 // bounced between two localities b.N times while a chasing stream of
 // split-phase calls keeps the object busy, so every move pays the full
 // AGAS-v2 protocol — fence quiesce, parcel parking, directory commit,
-// cache repoint, and the forwarded hops of the chasers.
+// and the forwarded hops of the chasers.
 func Migrate(b *testing.B, chasers int) {
 	rt := parallex.New(parallex.Config{Localities: 2, WorkersPerLocality: 2})
 	defer rt.Shutdown()
@@ -329,7 +329,7 @@ func parcelFlood(b *testing.B, producers int, cfg parallex.Config) {
 	rt := parallex.New(cfg)
 	defer rt.Shutdown()
 	obj := rt.NewDataAt(1, struct{}{})
-	// Warm the translation cache so the timed region measures steady state.
+	// Warm the pools and the workers so the timed region measures steady state.
 	rt.SendFrom(0, parcel.Acquire(obj, parallex.ActionNop, nil))
 	rt.Wait()
 	b.ReportAllocs()

@@ -37,9 +37,6 @@ type (
 	GID = agas.GID
 	// Kind types a global name.
 	Kind = agas.Kind
-	// MovedError is a resolution verdict naming where a migrated object
-	// went; it wraps ErrMoved. See Runtime.Migrate.
-	MovedError = agas.MovedError
 
 	// DistLCO is a globally addressable LCO: any node may trigger it by
 	// GID, it migrates live, and duplicated trigger delivery is absorbed
@@ -151,12 +148,6 @@ const (
 	ReduceMax   = core.ReduceMax
 	ReduceCount = core.ReduceCount
 )
-
-// ErrMoved is the sentinel wrapped by MovedError: an object is no longer
-// where a resolver last knew it, and a forwarding pointer names the next
-// hop. The runtime re-routes parcels on it transparently; it surfaces
-// only to code inspecting AGAS resolution directly (Service.OwnerGen).
-var ErrMoved = agas.ErrMoved
 
 // ErrOverloaded is the typed load-shed verdict: a locality at its
 // admission limit (Config.AdmitLimit) rejected a sheddable parcel (see
