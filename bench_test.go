@@ -385,6 +385,36 @@ func BenchmarkFutureCycle(b *testing.B) {
 	}
 }
 
+// benchmarkCallFrom measures one split-phase call across two localities,
+// issue to answer in hand; TestCallFromAllocBudget in internal/core gates
+// the allocations these report.
+func benchmarkCallFrom(b *testing.B, action string, register func(*parallex.Runtime)) {
+	rt := parallex.New(parallex.Config{Localities: 2, WorkersPerLocality: 2, Register: register})
+	defer rt.Shutdown()
+	obj := rt.NewDataAt(1, struct{}{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rt.CallFrom(0, obj, action, nil).Get(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCallFromNop is the call whose reply carries no value.
+func BenchmarkCallFromNop(b *testing.B) { benchmarkCallFrom(b, parallex.ActionNop, nil) }
+
+// BenchmarkCallFromValue64 is the call whose reply carries 64 bytes, the
+// shape of pxmark's KV get.
+func BenchmarkCallFromValue64(b *testing.B) {
+	value := make([]byte, 64)
+	benchmarkCallFrom(b, "bench.value64", func(rt *parallex.Runtime) {
+		rt.MustRegisterAction("bench.value64", func(*parallex.Context, any, *parallex.ArgsReader) (any, error) {
+			return value, nil
+		})
+	})
+}
+
 // BenchmarkSpawnWaitLocal measures thread spawn through the runtime.
 func BenchmarkSpawnWaitLocal(b *testing.B) {
 	rt := parallex.New(parallex.Config{Localities: 1, WorkersPerLocality: 4})

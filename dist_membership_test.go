@@ -102,11 +102,36 @@ func TestDistMembershipNodeDeath(t *testing.T) {
 	// death), every further frame is silently destroyed.
 	var faults [3]parallex.Faults
 	faults[2] = parallex.Faults{}.KillPeerAfter(2, 80)
-	rts, _ := startMemberMachine(t, faults, registerTestActions)
+	// dist.hold answers with its tag once the test releases that tag.
+	entered := make(chan int64, 2)
+	release := map[int64]chan struct{}{1: make(chan struct{}), 2: make(chan struct{})}
+	rts, _ := startMemberMachine(t, faults, func(rt *parallex.Runtime) {
+		registerTestActions(rt)
+		rt.MustRegisterAction("dist.hold", func(ctx *parallex.Context, target any, args *parallex.ArgsReader) (any, error) {
+			tag := args.Int64()
+			if err := args.Err(); err != nil {
+				return nil, err
+			}
+			entered <- tag
+			<-release[tag]
+			return tag, nil
+		})
+	})
 
 	// State homed on the doomed node, installed while it is still alive.
 	data := rts[2].NewDataAt(4, []float64{1, 2, 3})
 	lcoGID := rts[2].NewDistFutureAt(5)
+
+	// A call the doomed node makes from locality 4, held open on node 1
+	// until after the death: its reply is named by node 2's first slot
+	// there.
+	held := rts[1].NewDataAt(2, struct{}{})
+	rts[2].CallFrom(4, held, "dist.hold", parallex.NewArgs().Int64(1).Encode())
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the doomed node's call never reached node 1")
+	}
 
 	// Prove the machine works pre-crash.
 	if v, err := rts[0].CallFrom(0, data, "dist.sum", nil).Get(); err != nil || v.(float64) != 6 {
@@ -145,6 +170,29 @@ func TestDistMembershipNodeDeath(t *testing.T) {
 	if !rts[0].Resident(4) || !rts[0].Resident(5) {
 		t.Fatalf("node 0 did not adopt localities 4,5: members %+v", rts[0].Members())
 	}
+	// The adopter starts locality 4's reply slots afresh, so its first call
+	// from there sits in the slot index and generation the corpse's call
+	// had. The corpse's reply, released now, routes to locality 4's new
+	// host; it names node 2 as its minter and must not resolve node 0's
+	// slot.
+	mine := rts[0].CallFrom(4, held, "dist.hold", parallex.NewArgs().Int64(2).Encode())
+	<-entered
+	close(release[1])
+	deadline = time.Now().Add(10 * time.Second)
+	for rts[0].Metrics().Snapshot()["px.reply.stale"] == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the corpse's reply never reached the adopter of its locality")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if v, err, ok := mine.TryGet(); ok {
+		t.Fatalf("a reply minted by the dead node resolved the adopter's slot: %v, %v", v, err)
+	}
+	close(release[2])
+	if v, err := mine.Get(); err != nil || v.(int64) != 2 {
+		t.Fatalf("the adopter's own call: %v, %v; want 2", v, err)
+	}
+
 	adopted := rts[0].NewDataAt(4, []float64{40, 2})
 	if v, err := rts[1].CallFrom(2, adopted, "dist.sum", nil).Get(); err != nil || v.(float64) != 42 {
 		t.Fatalf("call to adopted locality: %v %v", v, err)

@@ -225,6 +225,44 @@ func TestCacheHitAccounting(t *testing.T) {
 	}
 }
 
+// A reply name resolves to the home it carries on every node — resident
+// home or not, hinted or not, adopted off a dead node or not — and counts
+// as a translation that needed no directory.
+func TestReplyNamesResolveToTheirHome(t *testing.T) {
+	s := NewService(4)
+	m := MustLocalityMap([]Range{{0, 2}, {2, 4}})
+	s.SetDistribution(m, 0)
+	for _, home := range []uint32{1, 3} {
+		g := GID{Home: home, Kind: KindReply, Seq: 1<<52 | 7<<32 | 9}
+		s.Repoint(g, 0, 4) // a forged "moved" verdict must not redirect a reply
+		for _, resolve := range []func() (int, error){
+			func() (int, error) { return s.ResolveCached(0, g) },
+			func() (int, error) { o, _, err := s.ResolveAuthoritative(0, g); return o, err },
+		} {
+			if owner, err := resolve(); err != nil || owner != int(home) {
+				t.Fatalf("reply homed at %d resolved to %d, %v", home, owner, err)
+			}
+		}
+		s.Free(g)
+	}
+	if res, hits := s.Resolutions.Load(), s.CacheHits.Load(); res != 0 || hits != 4 {
+		t.Fatalf("resolutions %d hits %d; want 0 and 4", res, hits)
+	}
+	m.MarkDead(1)
+	if owner, err := s.Owner(GID{Home: 3, Kind: KindReply, Seq: 1}); err != nil || owner != 3 {
+		t.Fatalf("reply homed on an adopted locality: %d, %v", owner, err)
+	}
+	if _, err := s.Owner(GID{Home: 4, Kind: KindReply, Seq: 1}); err == nil {
+		t.Fatal("reply homed beyond the machine resolved")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Alloc minted a reply name")
+		}
+	}()
+	s.Alloc(0, KindReply)
+}
+
 func TestFreeRemovesName(t *testing.T) {
 	s := NewService(2)
 	g := s.Alloc(0, KindData)
@@ -393,6 +431,9 @@ func TestNamespaceList(t *testing.T) {
 func TestKindString(t *testing.T) {
 	if KindAction.String() != "action" {
 		t.Fatalf("KindAction = %q", KindAction)
+	}
+	if KindReply.String() != "reply" || KindReply.Movable() || KindHardware.Movable() || !KindLCO.Movable() {
+		t.Fatalf("KindReply = %q, movable %v", KindReply, KindReply.Movable())
 	}
 	if Kind(99).String() == "" {
 		t.Fatal("unknown kind empty")

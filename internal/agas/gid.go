@@ -27,9 +27,14 @@ const (
 	KindProcess
 	KindThread
 	KindHardware
+	// KindReply names the one-shot reply slot of a split-phase call. The
+	// name is addressable, not registered: it lives in no directory, its
+	// home locality never changes, and the minting runtime alone gives its
+	// Seq a meaning (see Locate, and the reply table in internal/core).
+	KindReply
 )
 
-var kindNames = [...]string{"invalid", "data", "action", "lco", "process", "thread", "hardware"}
+var kindNames = [...]string{"invalid", "data", "action", "lco", "process", "thread", "hardware", "reply"}
 
 // String returns the kind's name.
 func (k Kind) String() string {
@@ -38,6 +43,11 @@ func (k Kind) String() string {
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
+
+// Movable reports whether names of kind k may migrate. Hardware and reply
+// names are bound to their home locality for life, so they pass no
+// migration fence and the balancer never weighs them.
+func (k Kind) Movable() bool { return k != KindHardware && k != KindReply }
 
 // GID is a 128-bit global identifier. Home is the locality whose directory
 // is authoritative for the object (a routing hint, not its current

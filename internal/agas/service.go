@@ -273,8 +273,8 @@ func (s *Service) Namespace() *Namespace { return s.ns }
 // locality home.
 func (s *Service) Alloc(home int, kind Kind) GID {
 	s.checkLoc(home)
-	if kind == KindInvalid {
-		panic("agas: cannot allocate invalid kind")
+	if kind == KindInvalid || kind == KindReply {
+		panic(fmt.Sprintf("agas: cannot allocate a name of kind %s", kind))
 	}
 	if !s.resident(home) {
 		panic(fmt.Sprintf("agas: alloc homed at locality %d, hosted by node %d not node %d",
@@ -360,7 +360,9 @@ func (s *Service) Owner(g GID) (int, error) {
 // here — unknown names report ErrUnknown or ErrNodeLost), a forwarding
 // pointer (the object lived here once and departed), and finally the home
 // locality the name carries, at generation 0 — the parcel layer then
-// routes toward it and the owning node completes resolution.
+// routes toward it and the owning node completes resolution. A reply name
+// (KindReply) is in none of the tables and never moves: its answer is the
+// home it carries, on every node.
 func (s *Service) Locate(g GID) (int, uint64, error) {
 	if g.IsNil() {
 		return 0, 0, fmt.Errorf("agas: resolve of nil GID")
@@ -369,6 +371,10 @@ func (s *Service) Locate(g GID) (int, uint64, error) {
 	sh := s.shards.Load()
 	if home >= sh.n {
 		return 0, 0, fmt.Errorf("agas: %v homed beyond machine (%d localities)", g, sh.n)
+	}
+	if g.Kind == KindReply {
+		s.CacheHits.Add(1)
+		return home, 0, nil
 	}
 	if e, ok := s.imports.get(g); ok {
 		s.CacheHits.Add(1)
@@ -405,7 +411,7 @@ func (s *Service) Locate(g GID) (int, uint64, error) {
 func (s *Service) ResolveCached(from int, g GID) (int, error) {
 	s.checkLoc(from)
 	owner, gen, err := s.Locate(g)
-	if err == nil && gen == 0 {
+	if err == nil && gen == 0 && g.Kind != KindReply {
 		if e, ok := s.hints.get(g); ok {
 			owner = e.owner
 		}

@@ -318,23 +318,14 @@ func applyPlainTrigger(target any, op TrigOp, raw []byte) error {
 	return fmt.Errorf("core: %s trigger on %T", op, target)
 }
 
-// decodeValueArg reads a single EncodeAny-encoded value from args.
+// decodeValueArg reads the single value a continuation parcel carries (see
+// parcel.AcquireValue), decoding the record where it lies in args.
 func decodeValueArg(args *parcel.Reader) (any, error) {
-	raw := args.Bytes()
+	raw := args.BytesAliased()
 	if err := args.Err(); err != nil {
 		return nil, err
 	}
 	return parcel.DecodeAny(raw)
-}
-
-// encodeValueArg wraps an action result for a continuation parcel: the
-// value is EncodeAny'd then carried as a single bytes argument.
-func encodeValueArg(v any) ([]byte, error) {
-	raw, err := parcel.EncodeAny(v)
-	if err != nil {
-		return nil, err
-	}
-	return parcel.NewArgs().Bytes(raw).Encode(), nil
 }
 
 // Context is the view of the runtime an executing thread sees: which

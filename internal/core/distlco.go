@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/agas"
 	"repro/internal/lco"
@@ -404,18 +405,18 @@ func (r *Runtime) SubscribeLCO(src int, g agas.GID, w Waiter) {
 
 // WaitLCO returns a plain local future (homed at resident locality src)
 // that resolves when the LCO named g does — the remote-wait primitive:
-// the future's name subscribes to g exactly as any waiter would, so it
-// keeps working while g migrates between nodes. The future's global name
-// is freed once it fires; use Context.Await (or Future.Get off-thread) to
-// block on it. Subscribing to a name that was already freed leaves the
-// future unresolved forever (the straggler-tolerant trigger protocol
-// cannot distinguish a wrong name from a late duplicate), so wait before
-// freeing, not after.
+// the future's reply slot subscribes to g exactly as any waiter would, so
+// it keeps working while g migrates between nodes; use Context.Await (or
+// Future.Get off-thread) to block on it. Subscribing to a name that was
+// already freed leaves the future unresolved forever (the
+// straggler-tolerant trigger protocol cannot distinguish a wrong name from
+// a late duplicate), so wait before freeing, not after.
 func (r *Runtime) WaitLCO(src int, g agas.GID) *lco.Future {
-	fgid, fut := r.NewFutureAt(src)
-	fut.OnReady(func(any, error) { r.FreeObject(fgid) })
-	r.trackRemoteFuture(fgid, fut.OnReady, g)
-	r.SubscribeLCO(src, g, Waiter{Target: fgid, Op: TrigSet})
+	r.checkResident(src)
+	reply, fut := r.openReply(src, g, time.Time{})
+	if !reply.IsNil() {
+		r.SubscribeLCO(src, g, Waiter{Target: reply, Op: TrigSet})
+	}
 	return fut
 }
 

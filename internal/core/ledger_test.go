@@ -207,7 +207,7 @@ func TestLedgerDeathWithParcelInFlight(t *testing.T) {
 	m, obj := startLedgerMachine(t)
 	remote, _ := m.rts[1].NewFutureAt(2)
 	m.wires[0].set(wirePark, fParcel, fParcelI, fLCOSet)
-	fut := m.rts[0].CallFrom(0, obj, "intern.echo", nil) // registered through trackRemoteFuture
+	fut := m.rts[0].CallFrom(0, obj, "intern.echo", nil) // its reply slot waits on node 1
 	if err := m.rts[0].SetLCO(0, remote, int64(1)); err != nil {
 		t.Fatal(err)
 	}

@@ -256,8 +256,8 @@ func (m *memberState) check(now time.Time) {
 // quiescence sums, so a Mattern Wait in progress unblocks — and runs the
 // cleanup fan-out: abandon unacked LCO trigger frames addressed to it,
 // re-home its localities in the membership map (firing adoption and
-// shard-reinstall subscribers), fail every local future registered as
-// waiting on state homed there, and gossip the death so the verdict is
+// shard-reinstall subscribers), fail every reply slot waiting on state
+// homed there, and gossip the death so the verdict is
 // authoritative machine-wide. Only the first transition does any of this;
 // a death heard twice is a no-op, which bounds the gossip epidemic.
 func (m *memberState) declareDead(n int, why string) {
@@ -391,77 +391,6 @@ func (d *distState) onMemberHello(from int, mh *memberHello) {
 	}
 	d.rt.agas.Grow(d.lmap.Localities())
 	m.joins.Add(1)
-}
-
-// depRegistry maps local waiter futures to the remote node hosting the
-// state they await, so a death can fail exactly the futures it strands.
-type depRegistry struct {
-	mu sync.Mutex
-	m  map[agas.GID]int
-}
-
-func (dr *depRegistry) track(g agas.GID, node int) {
-	dr.mu.Lock()
-	if dr.m == nil {
-		dr.m = make(map[agas.GID]int)
-	}
-	dr.m[g] = node
-	dr.mu.Unlock()
-}
-
-func (dr *depRegistry) drop(g agas.GID) {
-	dr.mu.Lock()
-	delete(dr.m, g)
-	dr.mu.Unlock()
-}
-
-func (dr *depRegistry) takeNode(node int) []agas.GID {
-	dr.mu.Lock()
-	var gs []agas.GID
-	for g, n := range dr.m {
-		if n == node {
-			gs = append(gs, g)
-		}
-	}
-	for _, g := range gs {
-		delete(dr.m, g)
-	}
-	dr.mu.Unlock()
-	return gs
-}
-
-// trackRemoteFuture registers fgid — a local future that will be resolved
-// by a continuation or trigger from whichever node hosts dep — with the
-// dependency registry. If that node dies before the future resolves, the
-// future fails with the node-lost error instead of hanging; if the node
-// is already dead at registration, it fails immediately.
-func (r *Runtime) trackRemoteFuture(fgid agas.GID, onReady func(func(any, error)), dep agas.GID) {
-	d := r.dist
-	if d == nil {
-		return
-	}
-	node, ok := d.lmap.NodeOf(int(dep.Home))
-	if !ok || node == d.node {
-		return
-	}
-	r.deps.track(fgid, node)
-	onReady(func(any, error) { r.deps.drop(fgid) })
-	if d.peerDead(node) {
-		r.FailLCO(d.home, fgid, agas.ErrNodeLost.Error())
-	}
-}
-
-// failLostWaiters fails every registered local future stranded by node's
-// death. The failure rides the normal trigger path, so DistLCO dedup and
-// plain-future already-set absorption apply.
-func (r *Runtime) failLostWaiters(node int) {
-	d := r.dist
-	if d == nil {
-		return
-	}
-	for _, g := range r.deps.takeNode(node) {
-		r.FailLCO(d.home, g, agas.ErrNodeLost.Error())
-	}
 }
 
 // MemberInfo is one row of a Members snapshot.

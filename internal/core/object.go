@@ -68,8 +68,12 @@ func (r *Runtime) LocalObject(loc int, g agas.GID) (any, bool) {
 }
 
 // FreeObject removes g from the machine entirely. Names homed on other
-// nodes are left to their owning node (freeing is not routed).
+// nodes are left to their owning node (freeing is not routed). A reply
+// name has nothing to free: its slot empties itself on first use.
 func (r *Runtime) FreeObject(g agas.GID) {
+	if g.Kind == agas.KindReply {
+		return
+	}
 	owner, err := r.agas.Owner(g)
 	if err != nil {
 		return
@@ -100,8 +104,8 @@ func (r *Runtime) FreeObject(g agas.GID) {
 // mutually migrating each other's targets deadlock the same way.
 func (r *Runtime) Migrate(g agas.GID, to int) error {
 	r.checkLoc(to)
-	if g.Kind == agas.KindHardware {
-		return fmt.Errorf("core: migrate of %v: hardware names are immovable", g)
+	if !g.Kind.Movable() {
+		return fmt.Errorf("core: migrate of %v: %s names are immovable", g, g.Kind)
 	}
 	r.lockMigration(g)
 	defer r.unlockMigration(g)
@@ -257,17 +261,15 @@ func approxSize(v any) int {
 // CallFrom invokes action on dest from locality src, returning a future
 // homed at src that resolves with the action's result. This is the
 // split-phase transaction at the heart of the model: the caller does not
-// block; the parcel carries a continuation naming the future.
+// block; the parcel carries a continuation naming the future's reply slot
+// (see reply.go).
 func (r *Runtime) CallFrom(src int, dest agas.GID, action string, args []byte) *lco.Future {
-	fgid, fut := r.NewFutureAt(src)
-	start := now()
-	fut.OnReady(func(any, error) {
-		r.slow.Latency.ObserveDuration(now().Sub(start))
-		// One-shot future: release its name once consumed.
-		r.FreeObject(fgid)
-	})
-	r.trackRemoteFuture(fgid, fut.OnReady, dest)
-	p := parcel.Acquire(dest, action, args, parcel.Continuation{Target: fgid, Action: ActionLCOSet})
+	r.checkResident(src)
+	reply, fut := r.openReply(src, dest, now())
+	if reply.IsNil() {
+		return fut
+	}
+	p := parcel.Acquire(dest, action, args, parcel.Continuation{Target: reply, Action: ActionLCOSet})
 	r.SendFrom(src, p)
 	return fut
 }

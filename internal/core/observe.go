@@ -149,6 +149,16 @@ func (r *Runtime) buildMetricsRegistry() *metrics.Registry {
 	reg.RegisterFunc("px.threads.spawned", r.slow.ThreadsSpawned.Value)
 	reg.RegisterFunc("px.migrations", r.slow.Migrations.Value)
 
+	// One-shot reply slots (CallFrom, WaitLCO).
+	reg.RegisterFunc("px.reply.stale", func() int64 { return int64(r.staleReplies.Load()) })
+	reg.RegisterFunc("px.reply.slots_live", func() int64 {
+		n := 0
+		for i := range r.replies {
+			n += r.replies[i].live()
+		}
+		return int64(n)
+	})
+
 	// AGAS translation.
 	reg.RegisterFunc("px.agas.resolutions", func() int64 { return int64(r.agas.Resolutions.Load()) })
 	reg.RegisterFunc("px.agas.cache_hits", func() int64 { return int64(r.agas.CacheHits.Load()) })

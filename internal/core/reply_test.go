@@ -1,0 +1,289 @@
+package core
+
+import (
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/agas"
+	"repro/internal/lco"
+	"repro/internal/parcel"
+)
+
+// replyCounters reads the two px.reply.* metrics.
+func replyCounters(r *Runtime) (stale, live float64) {
+	snap := r.Metrics().Snapshot()
+	return snap["px.reply.stale"], snap["px.reply.slots_live"]
+}
+
+// TestReplyTableRecyclesSlots: a table grows to the peak of outstanding
+// replies and no further, every slot is taken exactly once, and a name is
+// dead the moment its slot is — whether or not the slot has a new holder.
+func TestReplyTableRecyclesSlots(t *testing.T) {
+	var tab replyTable
+	const node = 3
+	f1, f2 := lco.NewFuture(), lco.NewFuture()
+	s1, ok1 := tab.open(node, f1, time.Time{}, noDep)
+	s2, ok2 := tab.open(node, f2, time.Time{}, 5)
+	if !ok1 || !ok2 || s1 == s2 || tab.live() != 2 {
+		t.Fatalf("open: %#x %v, %#x %v, %d live", s1, ok1, s2, ok2, tab.live())
+	}
+	if _, ok := tab.take(node+1, s1); ok {
+		t.Fatal("a name minted by another node took a slot")
+	}
+	if _, ok := tab.take(node, s1+2<<replyGenBits); ok {
+		t.Fatal("a name beyond the table took a slot")
+	}
+	if got, ok := tab.take(node, s1); !ok || got.fut != f1 {
+		t.Fatalf("take = %+v, %v; want the first future", got, ok)
+	}
+	if _, ok := tab.take(node, s1); ok {
+		t.Fatal("a spent name took its slot twice")
+	}
+	f3 := lco.NewFuture()
+	s3, _ := tab.open(node, f3, time.Time{}, 5)
+	if s3>>replyGenBits != s1>>replyGenBits || uint32(s3) != uint32(s1)+1 || len(tab.slots) != 2 {
+		t.Fatalf("reopened %#x after %#x in a table of %d: want the same slot, next generation", s3, s1, len(tab.slots))
+	}
+	if _, ok := tab.take(node, s1); ok {
+		t.Fatal("the previous holder's name took the recycled slot")
+	}
+	if lost := tab.takeNode(5); len(lost) != 2 || tab.live() != 0 {
+		t.Fatalf("takeNode(5) = %d slots, %d still live; want both", len(lost), tab.live())
+	}
+	if _, ok := tab.take(node, s2); ok {
+		t.Fatal("a slot failed by a death was taken again")
+	}
+}
+
+// TestReplyNamesStayOutOfAGAS: a reply name is addressable but not
+// registered, so the operations that act on registered names refuse it or
+// leave it alone.
+func TestReplyNamesStayOutOfAGAS(t *testing.T) {
+	r := newTestRuntime(t, 2)
+	reply, fut := r.openReply(0, r.LocalityGID(1), time.Time{})
+	if reply.Kind != agas.KindReply || reply.Home != 0 {
+		t.Fatalf("reply name %v, want a reply homed at 0", reply)
+	}
+	if err := r.Migrate(reply, 1); err == nil {
+		t.Fatal("migration of a reply name accepted")
+	}
+	r.FreeObject(reply)
+	if _, live := replyCounters(r); live != 1 {
+		t.Fatalf("%v slots live after FreeObject on the name, want 1", live)
+	}
+	hits := r.AGAS().CacheHits.Load()
+	if owner, gen, err := r.AGAS().Locate(reply); err != nil || owner != 0 || gen != 0 {
+		t.Fatalf("Locate(reply) = %d, %d, %v; want its home at generation 0", owner, gen, err)
+	}
+	if got := r.AGAS().CacheHits.Load(); got != hits+1 {
+		t.Fatalf("reply translation booked %d cache hits, want 1", got-hits)
+	}
+	if err := r.SetLCO(1, reply, int64(5)); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := fut.Get(); err != nil || v.(int64) != 5 {
+		t.Fatalf("trigger on the reply name: %v, %v", v, err)
+	}
+	r.Wait()
+	if stale, live := replyCounters(r); stale != 0 || live != 0 {
+		t.Fatalf("stale=%v live=%v after one reply, want 0 and 0", stale, live)
+	}
+}
+
+// TestUndecodableReplyFailsTheFuture: a reply spends its slot even when its
+// value cannot be decoded, so the decode error must reach the waiter — no
+// later reply can.
+func TestUndecodableReplyFailsTheFuture(t *testing.T) {
+	r := newTestRuntime(t, 2)
+	reply, fut := r.openReply(0, r.LocalityGID(1), time.Time{})
+	r.SendFrom(1, parcel.New(reply, ActionLCOSet, []byte{0xff}))
+	if v, err := fut.Get(); err == nil {
+		t.Fatalf("garbage reply resolved the future with %v", v)
+	}
+	r.Wait()
+	if _, live := replyCounters(r); live != 0 {
+		t.Fatalf("%v slots live after the reply", live)
+	}
+}
+
+// TestCallFromAllocBudget pins what a split-phase call may allocate: the
+// future and its channel, and for a value the copy and the box the
+// receiving side's decode makes (the action's own result is the caller's).
+func TestCallFromAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector randomizes sync.Pool reuse; exact alloc counts only hold without -race")
+	}
+	r := newTestRuntime(t, 2)
+	value := make([]byte, 64)
+	r.MustRegisterAction("reply.value64", func(*Context, any, *parcel.Reader) (any, error) {
+		return value, nil
+	})
+	obj := r.NewDataAt(1, struct{}{})
+	for _, tc := range []struct {
+		action string
+		budget float64
+	}{{ActionNop, 3}, {"reply.value64", 6}} {
+		call := func() {
+			if _, err := r.CallFrom(0, obj, tc.action, nil).Get(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 100; i++ {
+			call() // warm the pools and the slot table
+		}
+		r.Wait()
+		if allocs := testing.AllocsPerRun(1000, call); allocs > tc.budget {
+			t.Errorf("CallFrom(%s).Get() allocates %.1f/op, budget %.0f", tc.action, allocs, tc.budget)
+		} else {
+			t.Logf("CallFrom(%s).Get(): %.1f allocs/op", tc.action, allocs)
+		}
+	}
+}
+
+// TestLedgerReplayedReplyMissesRecycledSlot: a reply frame replayed after
+// its slot was handed to a new holder is dropped and counted, and the new
+// holder's future hears nothing of it.
+func TestLedgerReplayedReplyMissesRecycledSlot(t *testing.T) {
+	m, obj := startLedgerMachine(t)
+	// Hold back node 1's reply, then let it through, keeping a copy.
+	m.wires[1].set(wirePark, fParcel, fParcelI)
+	parked := make(chan struct{}, 1)
+	m.wires[1].observe(func(_ byte, fate int) {
+		if fate == wirePark {
+			parked <- struct{}{}
+		}
+	})
+	first := m.rts[0].CallFrom(0, obj, "intern.echo", nil)
+	<-parked
+	m.wires[1].observe(nil)
+	var reply []byte
+	m.wires[1].release(t, func(frame []byte) []byte {
+		reply = append([]byte(nil), frame...)
+		return frame
+	})
+	m.wantEcho(t, first)
+	m.wait(t)
+
+	// The freed slot goes to a wait on an LCO nothing sets yet.
+	tab := &m.rts[0].replies[0]
+	pending := m.rts[0].NewDistFutureAt(0)
+	second := m.rts[0].WaitLCO(0, pending)
+	m.wait(t)
+	if len(tab.slots) != 1 || tab.live() != 1 {
+		t.Fatalf("table has %d slots, %d live; want the one slot recycled", len(tab.slots), tab.live())
+	}
+
+	// Replay, booked as a send so the ledger still balances: wait returns
+	// once node 0 has received the frame and finished with it.
+	m.rts[1].dist.peer(0).sent.Add(1)
+	if err := m.wires[1].Transport.Send(0, reply); err != nil {
+		t.Fatal(err)
+	}
+	m.wait(t)
+	if stale, live := replyCounters(m.rts[0]); stale != 1 || live != 1 {
+		t.Fatalf("after the replay: stale=%v live=%v, want 1 and 1", stale, live)
+	}
+	if v, err, ok := second.TryGet(); ok {
+		t.Fatalf("the replayed reply resolved the slot's new holder: %v, %v", v, err)
+	}
+	if errs := m.rts[0].Errors(); len(errs) != 0 {
+		t.Fatalf("the stale reply was recorded as an error: %v", errs)
+	}
+
+	if err := m.rts[0].SetLCO(0, pending, int64(9)); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := second.Get(); err != nil || v.(int64) != 9 {
+		t.Fatalf("the new holder: %v, %v; want 9", v, err)
+	}
+	m.stop(t)
+}
+
+// TestDuplicatedReplySetsOnce: with every parcel duplicated the call runs
+// twice and four replies come back; one resolves the future, the others
+// find the slot spent and vanish without a runtime error.
+func TestDuplicatedReplySetsOnce(t *testing.T) {
+	r := New(Config{
+		Localities:         2,
+		WorkersPerLocality: 2,
+		Faults:             Faults{DupOneIn: 1, Seed: 3},
+	})
+	defer r.Shutdown()
+	var runs atomic.Int64
+	r.MustRegisterAction("reply.count", func(*Context, any, *parcel.Reader) (any, error) {
+		return runs.Add(1), nil
+	})
+	obj := r.NewDataAt(1, struct{}{})
+	fut := r.CallFrom(0, obj, "reply.count", nil)
+	var sets atomic.Int64
+	fut.OnReady(func(any, error) { sets.Add(1) })
+	if v, err := fut.Get(); err != nil || v.(int64) < 1 || v.(int64) > 2 {
+		t.Fatalf("duplicated call: %v, %v", v, err)
+	}
+	r.Wait()
+	if runs.Load() != 2 || sets.Load() != 1 {
+		t.Fatalf("action ran %d times, future resolved %d times; want 2 and 1", runs.Load(), sets.Load())
+	}
+	if stale, live := replyCounters(r); stale != 3 || live != 0 {
+		t.Fatalf("stale=%v live=%v, want the 3 surplus replies counted and no slot live", stale, live)
+	}
+	if errs := r.Errors(); len(errs) != 0 {
+		t.Fatalf("duplicate replies recorded runtime errors: %v", errs)
+	}
+}
+
+// TestConcurrentCallsRaceNodeDeath: 1024 callers, each with its own getter,
+// race a death verdict on the node they call. Every future resolves with
+// the answer or fails with the node-lost verdict, exactly once, and none
+// hangs.
+func TestConcurrentCallsRaceNodeDeath(t *testing.T) {
+	m, obj := startLedgerMachine(t)
+	const callers = 1024
+	var issued, resolved, answered, lost atomic.Int64
+	var wg sync.WaitGroup
+	kill := make(chan struct{})
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fut := m.rts[0].CallFrom(0, obj, "intern.echo", nil)
+			fut.OnReady(func(any, error) { resolved.Add(1) })
+			if issued.Add(1) == callers/2 {
+				close(kill)
+			}
+			switch v, err := fut.Get(); {
+			case err == nil && v.(int64) == 42:
+				answered.Add(1)
+			case IsNodeLost(err):
+				lost.Add(1)
+			default:
+				t.Errorf("call ended with %v, %v: want 42 or the node-lost verdict", v, err)
+			}
+		}()
+	}
+	<-kill
+	m.rts[0].dist.mb.declareDead(1, "reply race test")
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("%d of %d calls hang after the death verdict (%d answered, %d lost)",
+			callers-answered.Load()-lost.Load(), callers, answered.Load(), lost.Load())
+	}
+	m.rts[0].Wait()
+	if resolved.Load() != callers || answered.Load()+lost.Load() != callers {
+		t.Fatalf("%d resolutions, %d answered + %d lost; want %d each way", resolved.Load(), answered.Load(), lost.Load(), callers)
+	}
+	if _, live := replyCounters(m.rts[0]); live != 0 {
+		t.Fatalf("%v slots still live", live)
+	}
+	t.Logf("%d answered, %d lost", answered.Load(), lost.Load())
+	m.rts[1].Terminate()
+	m.rts[0].Shutdown()
+}

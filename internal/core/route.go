@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/agas"
+	"repro/internal/lco"
 	"repro/internal/locality"
 	"repro/internal/parcel"
 	"repro/internal/trace"
@@ -243,9 +244,9 @@ func (r *Runtime) enqueue(loc int, p *parcel.Parcel) {
 	}
 	// The balancer's arrival sampling: one nil check when balancing is
 	// off (the zero-alloc contract), one atomic add when on, a shard
-	// mutex only on the sampled minority. Hardware names never migrate,
-	// so their arrivals are not attributed.
-	if b := r.bal; b != nil && p.Dest.Kind != agas.KindHardware {
+	// mutex only on the sampled minority. Names that never migrate are
+	// not attributed.
+	if b := r.bal; b != nil && p.Dest.Kind.Movable() {
 		b.sampler.Record(p.Dest, loc)
 	}
 	t := execTaskPool.Get().(*execTask)
@@ -279,10 +280,12 @@ func (r *Runtime) mustPost(err error) {
 }
 
 // execute runs the parcel's action as a fresh ephemeral thread on loc.
-// Non-hardware targets pass through the migration fence: the execution is
+// Movable targets pass through the migration fence: the execution is
 // registered so a migration can quiesce the object, and if a migration is
 // in progress the parcel parks (keeping a work unit charged) until the
-// move commits and the fence re-routes it.
+// move commits and the fence re-routes it. A reply name's target is the
+// future in its slot, not an object in the store; a reply that finds the
+// slot spent is a counted, dropped duplicate.
 //
 // execute consumes p: dispatch (successful or failed) ends with the
 // parcel released to its pool; the park and forward paths instead pass
@@ -291,7 +294,7 @@ func (r *Runtime) mustPost(err error) {
 // ActionFunc contract forbids retaining either beyond the action's
 // return.
 func (r *Runtime) execute(loc int, p *parcel.Parcel, rd *parcel.Reader, ctx *Context) {
-	fenced := p.Dest.Kind != agas.KindHardware
+	fenced := p.Dest.Kind.Movable()
 	if fenced {
 		// Snapshot the fields the park branch reports before enter: a
 		// false return means the fence owns the parcel, and a concurrent
@@ -309,8 +312,17 @@ func (r *Runtime) execute(loc int, p *parcel.Parcel, rd *parcel.Reader, ctx *Con
 			return
 		}
 	}
-	target, ok := r.loc(loc).Store().Get(p.Dest)
-	if !ok {
+	var target any
+	var reply *lco.Future
+	if p.Dest.Kind == agas.KindReply {
+		if reply = r.takeReply(loc, p.Dest); reply == nil {
+			parcel.Release(p)
+			return
+		}
+		target = reply
+	} else if v, ok := r.loc(loc).Store().Get(p.Dest); ok {
+		target = v
+	} else {
 		if fenced {
 			r.fences.exit(p.Dest)
 		}
@@ -349,16 +361,21 @@ func (r *Runtime) execute(loc int, p *parcel.Parcel, rd *parcel.Reader, ctx *Con
 	}
 	r.slow.TasksExecuted.Inc()
 	if err != nil {
+		if reply != nil {
+			// The slot is spent, so no later reply can resolve the future
+			// (a value whose codec this node lacks, say): its waiter hears
+			// this error rather than nothing.
+			_ = reply.Fail(err)
+		}
 		r.failParcel(loc, p, err)
 		return
 	}
 	if cont, more := p.PopContinuation(); more {
-		args, encErr := encodeValueArg(res)
+		np, encErr := parcel.AcquireValue(cont.Target, cont.Action, res, p.Cont...)
 		if encErr != nil {
 			r.failParcel(loc, p, encErr)
 			return
 		}
-		np := parcel.Acquire(cont.Target, cont.Action, args, p.Cont...)
 		// The continuation inherits the chain's parcel ID: a fault-
 		// duplicated parcel then spawns continuations with identical
 		// identity, so a DistLCO target deduplicates them (the remaining
@@ -395,12 +412,13 @@ func (r *Runtime) forward(loc int, p *parcel.Parcel) {
 // records it on the runtime when no continuation exists. It consumes p.
 func (r *Runtime) failParcel(loc int, p *parcel.Parcel, err error) {
 	if p.Action == ActionLCOTrigger && (errors.Is(err, agas.ErrUnknown) || IsNodeLost(err)) {
-		// A duplicated or retransmitted trigger chasing an LCO that was
-		// already consumed and freed (one-shot waiter futures): the first
-		// copy did the work, so the straggler is benignly late, not lost.
-		// A trigger toward an LCO that died with its node is equally
-		// terminal: the waiters registered against that node are failed by
-		// the membership layer, so the trigger itself has no one to tell.
+		// A duplicated or retransmitted trigger chasing a named LCO that
+		// was already consumed and freed: the first copy did the work, so
+		// the straggler is benignly late, not lost. (A straggler toward a
+		// reply slot never gets here — execute drops and counts it.) A
+		// trigger toward an LCO that died with its node is equally
+		// terminal: the reply slots waiting on that node are failed by the
+		// membership layer, so the trigger itself has no one to tell.
 		parcel.Release(p)
 		return
 	}

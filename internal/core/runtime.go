@@ -183,9 +183,12 @@ type Runtime struct {
 	migMu      sync.Mutex
 	migrations map[agas.GID]chan struct{}
 
-	// deps registers local futures awaiting remote state, so a node
-	// death fails exactly the futures it strands (see membership.go).
-	deps depRegistry
+	// replies holds the one-shot reply slots of CallFrom and WaitLCO, one
+	// table per locality of the startup width (see reply.go);
+	// staleReplies counts the replies that found their slot already
+	// resolved or handed out again (px.reply.stale).
+	replies      []replyTable
+	staleReplies atomic.Uint64
 
 	pending  atomic.Int64
 	quiet    sync.Mutex
@@ -244,6 +247,7 @@ func New(cfg Config) *Runtime {
 	// localities hosted by other nodes stay nil and are reached by parcel
 	// (until a death re-homes them here — see adoptLocalities).
 	r.locs = make([]atomic.Pointer[locality.Locality], cfg.Localities)
+	r.replies = make([]replyTable, cfg.Localities)
 	for i := resident.Lo; i < resident.Hi; i++ {
 		r.locs[i].Store(r.newLocality(i, cfg.Stealing))
 	}

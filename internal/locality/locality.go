@@ -444,6 +444,11 @@ func (w *worker) parkWait() {
 	// find would otherwise be missed forever.
 	if l.queued.Load() > 0 || l.closed.Load() {
 		w.unpark()
+		// Work is counted that find could not see: its poster is between
+		// count and push (or a sibling between pop and uncount), and that
+		// goroutine may be runnable on this very P. Yield to it; a worker
+		// that spins here instead is only preempted every 10 ms.
+		runtime.Gosched()
 		return
 	}
 	w.idle.MarkIdle()

@@ -43,14 +43,13 @@ func RegisterValueCodec(name string, c ValueCodec) {
 	valueCodecOrder = append(valueCodecOrder, name)
 }
 
-// encodeCustom renders a tagCustom record: tag | u16 name | u32 payload.
-func encodeCustom(name string, payload []byte) []byte {
-	buf := make([]byte, 0, 1+2+len(name)+4+len(payload))
-	buf = append(buf, tagCustom)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(name)))
-	buf = append(buf, name...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	return append(buf, payload...)
+// appendCustom appends a tagCustom record: tag | u16 name | u32 payload.
+func appendCustom(dst []byte, name string, payload []byte) []byte {
+	dst = append(dst, tagCustom)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(name)))
+	dst = append(dst, name...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	return append(dst, payload...)
 }
 
 // decodeCustom parses a tagCustom record and dispatches to its codec.
@@ -87,31 +86,35 @@ func decodeCustom(buf []byte) (any, error) {
 // codec. It supports the codec's value set: nil, bool, int/int64, uint64,
 // float64, string, []byte, []float64, []int64, and agas.GID. Action results
 // travel through this when forwarded to a continuation.
-func EncodeAny(v any) ([]byte, error) {
-	a := NewArgs()
+func EncodeAny(v any) ([]byte, error) { return AppendAny(nil, v) }
+
+// AppendAny appends the EncodeAny record of v to dst; on error dst is
+// returned unchanged.
+func AppendAny(dst []byte, v any) ([]byte, error) {
+	a := Args{buf: dst}
 	switch x := v.(type) {
 	case nil:
-		return a.Bool(false).Encode(), nil // nil travels as a false bool sentinel record
+		a.Bool(false) // nil travels as a false bool sentinel record
 	case bool:
-		return a.Bool(x).Encode(), nil
+		a.Bool(x)
 	case int:
-		return a.Int64(int64(x)).Encode(), nil
+		a.Int64(int64(x))
 	case int64:
-		return a.Int64(x).Encode(), nil
+		a.Int64(x)
 	case uint64:
-		return a.Uint64(x).Encode(), nil
+		a.Uint64(x)
 	case float64:
-		return a.Float64(x).Encode(), nil
+		a.Float64(x)
 	case string:
-		return a.String(x).Encode(), nil
+		a.String(x)
 	case []byte:
-		return a.Bytes(x).Encode(), nil
+		a.Bytes(x)
 	case []float64:
-		return a.Float64s(x).Encode(), nil
+		a.Float64s(x)
 	case []int64:
-		return a.Int64s(x).Encode(), nil
+		a.Int64s(x)
 	case agas.GID:
-		return a.GID(x).Encode(), nil
+		a.GID(x)
 	default:
 		valueCodecMu.RLock()
 		names := valueCodecOrder
@@ -122,14 +125,15 @@ func EncodeAny(v any) ([]byte, error) {
 			valueCodecMu.RUnlock()
 			payload, ok, err := c.Encode(v)
 			if err != nil {
-				return nil, fmt.Errorf("parcel: value codec %q: %w", name, err)
+				return dst, fmt.Errorf("parcel: value codec %q: %w", name, err)
 			}
 			if ok {
-				return encodeCustom(name, payload), nil
+				return appendCustom(dst, name, payload), nil
 			}
 		}
-		return nil, fmt.Errorf("parcel: cannot encode %T as parcel value", v)
+		return dst, fmt.Errorf("parcel: cannot encode %T as parcel value", v)
 	}
+	return a.buf, nil
 }
 
 // DecodeAny decodes a value produced by EncodeAny by dispatching on the

@@ -1,7 +1,9 @@
 package parcel
 
 import (
+	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -52,7 +54,7 @@ func TestCustomValueCodecUnknownAndCorrupt(t *testing.T) {
 		t.Fatal("unencodable type accepted")
 	}
 	// A record naming an unregistered codec must error, not panic.
-	raw := encodeCustom("test.nope", []byte{1, 2, 3})
+	raw := appendCustom(nil, "test.nope", []byte{1, 2, 3})
 	if _, err := DecodeAny(raw); err == nil {
 		t.Fatal("unregistered codec decoded")
 	}
@@ -91,4 +93,39 @@ func TestRegisterValueCodecValidation(t *testing.T) {
 		Encode: func(any) ([]byte, bool, error) { return nil, false, nil },
 		Decode: func([]byte) (any, error) { return nil, fmt.Errorf("no") },
 	})
+}
+
+// TestAcquireValueMatchesTwoStepEncoding: the in-place encoding is byte for
+// byte the record the two-step form (EncodeAny, then a bytes argument)
+// builds, for every built-in value type and a custom one, and a recycled
+// parcel's backing store leaves no residue in the next record.
+func TestAcquireValueMatchesTwoStepEncoding(t *testing.T) {
+	values := []any{nil, true, 7, int64(-7), uint64(7), 3.5, "text", []byte("sixty-four bytes, or fewer"),
+		[]byte{}, []float64{1, 2}, []int64{3, 4}, sampleGID(5), testPoint{X: 1, Y: 2}}
+	for _, v := range values {
+		raw, err := EncodeAny(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := NewArgs().Bytes(raw).Encode()
+		p, err := AcquireValue(sampleGID(1), "act", v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(p.Args, want) {
+			t.Errorf("AcquireValue(%#v) args = %x, want %x", v, p.Args, want)
+		}
+		rd := NewReader(p.Args)
+		got, err := DecodeAny(rd.BytesAliased())
+		if err != nil || rd.Err() != nil {
+			t.Errorf("decoding %#v in place: %v, %v", v, err, rd.Err())
+		}
+		if ref, _ := DecodeAny(raw); !reflect.DeepEqual(got, ref) {
+			t.Errorf("in-place decode of %#v = %#v, want %#v", v, got, ref)
+		}
+		Release(p)
+	}
+	if _, err := AcquireValue(sampleGID(1), "act", struct{ q int }{}); err == nil {
+		t.Fatal("unencodable value accepted")
+	}
 }

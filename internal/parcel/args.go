@@ -218,6 +218,17 @@ func (r *Reader) String() string {
 
 // Bytes reads a byte slice (copied).
 func (r *Reader) Bytes() []byte {
+	v := r.BytesAliased()
+	if v == nil {
+		return nil
+	}
+	return append([]byte(nil), v...)
+}
+
+// BytesAliased reads a byte slice without copying it: the result aliases
+// the record and is valid only as long as the record is. It is for
+// consumers that decode the bytes before the record's owner recycles it.
+func (r *Reader) BytesAliased() []byte {
 	if !r.tag(tagBytes, "bytes") || !r.need(4, "bytes") {
 		return nil
 	}
@@ -226,7 +237,7 @@ func (r *Reader) Bytes() []byte {
 	if !r.need(n, "bytes body") {
 		return nil
 	}
-	v := append([]byte(nil), r.buf[r.pos:r.pos+n]...)
+	v := r.buf[r.pos : r.pos+n : r.pos+n]
 	r.pos += n
 	return v
 }

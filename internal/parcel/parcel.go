@@ -118,13 +118,22 @@ func (p *Parcel) PushContinuation(c Continuation) {
 }
 
 // PopContinuation removes and returns the first continuation; ok is false
-// when none remain.
+// when none remain. A parcel-owned stack shifts down in place: reslicing
+// from the front would give up one element of capacity per pop, and a
+// pooled parcel would then regrow its stack on every recycle. A stack still
+// aliasing the caller's slice (see PushContinuation) is resliced instead.
 func (p *Parcel) PopContinuation() (Continuation, bool) {
 	if len(p.Cont) == 0 {
 		return Continuation{}, false
 	}
 	c := p.Cont[0]
-	p.Cont = p.Cont[1:]
+	if !p.ownsCont {
+		p.Cont = p.Cont[1:]
+		return c, true
+	}
+	n := copy(p.Cont, p.Cont[1:])
+	p.Cont[n] = Continuation{}
+	p.Cont = p.Cont[:n]
 	return c, true
 }
 

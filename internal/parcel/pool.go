@@ -1,6 +1,7 @@
 package parcel
 
 import (
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
@@ -69,6 +70,26 @@ func Acquire(dest agas.GID, action string, args []byte, cont ...Continuation) *P
 	p.Hops = 0
 	p.Trace = TraceCtx{}
 	return p
+}
+
+// AcquireValue is Acquire for the parcel a continuation receives: its
+// argument record is the single value v (a bytes argument holding v's
+// EncodeAny record — what core's px.lco.* actions read), encoded once,
+// straight into the parcel's own backing store, which recycles with it.
+func AcquireValue(dest agas.GID, action string, v any, cont ...Continuation) (*Parcel, error) {
+	p := Acquire(dest, action, nil, cont...)
+	// tag | u32 length | record: the length is patched once the record,
+	// written in place after it, is known.
+	buf := append(p.argsBuf[:0], tagBytes, 0, 0, 0, 0)
+	buf, err := AppendAny(buf, v)
+	if err != nil {
+		Release(p)
+		return nil, err
+	}
+	binary.LittleEndian.PutUint32(buf[1:], uint32(len(buf)-5))
+	p.argsBuf = buf
+	p.Args = buf
+	return p, nil
 }
 
 // blank returns a pooled zero parcel for DecodeInto to fill.

@@ -25,6 +25,33 @@ func TestPushContinuationOrder(t *testing.T) {
 	}
 }
 
+// TestPopContinuationKeepsPooledCapacity: popping from the front must not
+// give the pooled parcel's continuation capacity away, or every recycle of
+// a parcel that carried a continuation regrows the stack.
+func TestPopContinuationKeepsPooledCapacity(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector randomizes sync.Pool reuse; exact alloc counts only hold without -race")
+	}
+	// Interned, as on the runtime's wire: the plain form allocates its
+	// action strings.
+	var tbl Table = testTable{"known.a", "known.b"}
+	wire := New(sampleGID(9), "known.a", nil, Continuation{Target: sampleGID(1), Action: "known.b"}).EncodeInterned(nil, tbl)
+	run := func() {
+		p, _, err := DecodePooledInterned(wire, tbl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c, ok := p.PopContinuation(); !ok || c.Action != "known.b" || len(p.Cont) != 0 {
+			t.Fatalf("pop = %+v, %v with %d left", c, ok, len(p.Cont))
+		}
+		Release(p)
+	}
+	run() // warm the pool
+	if allocs := testing.AllocsPerRun(100, run); allocs > 0 {
+		t.Fatalf("decode, pop, release cycle allocates %.1f/op, want 0", allocs)
+	}
+}
+
 // TestPushContinuationAmortized proves pushing is amortized O(1)
 // allocations: pushing N continuations onto one parcel must allocate far
 // fewer than N times (only capacity-doubling growth), where the old
