@@ -121,9 +121,9 @@ func BenchmarkSchedMigrate(b *testing.B) {
 }
 
 // BenchmarkDistFutureRoundTrip measures one distributed-future
-// synchronization across a two-node machine: create, remote set over an
-// fLCOSet frame, acknowledgement, and the waiter fire back. CI gates its
-// regression against BENCH_baseline.json.
+// synchronization across a two-node machine: create, a remote set as a
+// trigger parcel, and the waiter fire back. CI gates its regression
+// against BENCH_baseline.json.
 func BenchmarkDistFutureRoundTrip(b *testing.B) {
 	schedbench.DistFutureRoundTrip(b)
 }

@@ -199,7 +199,7 @@ func TestDistMembershipNodeDeath(t *testing.T) {
 	}
 
 	// Quiescence across the survivors: the corpse's lanes have left the
-	// sums and its unacked triggers are dropped, so Wait terminates.
+	// sums, so Wait terminates.
 	rts[0].Wait()
 	rts[1].Wait()
 

@@ -153,10 +153,8 @@ const (
 	ActionLCOContribute = "px.lco.contribute"
 	// ActionLCOTrigger applies one identified, idempotent trigger to a
 	// distributed LCO target: args carry the trigger ID, operation, slot,
-	// and value record (see Runtime.SetLCO and friends). It is the local
-	// leg of the distributed LCO protocol; cross-node hops ride
-	// fLCOSet/fLCOFire frames that re-enter this action on the owning
-	// node.
+	// and value record (see Runtime.SetLCO and friends). Every trigger,
+	// same-node or cross-node, is a parcel carrying this action.
 	ActionLCOTrigger = "px.lco.trigger"
 	// ActionNop does nothing; useful for measuring pure parcel overhead.
 	ActionNop = "px.nop"

@@ -154,6 +154,30 @@ func TestActionErrorPropagatesToCaller(t *testing.T) {
 	}
 }
 
+// TestUnencodableResultFailsItsContinuation: a result that cannot be
+// encoded for its continuation fails that continuation — here the caller's
+// future — so the call answers with the encode error.
+func TestUnencodableResultFailsItsContinuation(t *testing.T) {
+	r := newTestRuntime(t, 2)
+	obj := r.NewDataAt(1, struct{}{})
+	r.MustRegisterAction("test.chan", func(*Context, any, *parcel.Reader) (any, error) {
+		return make(chan int), nil
+	})
+	fut := r.CallFrom(0, obj, "test.chan", nil)
+	select {
+	case <-fut.Done():
+	case <-time.After(2 * time.Second):
+		t.Fatal("a call whose result cannot be encoded never answered")
+	}
+	if _, err := fut.Get(); err == nil || !strings.Contains(err.Error(), "cannot encode chan int") {
+		t.Fatalf("call = %v, want the encode error", err)
+	}
+	r.Wait()
+	if errs := r.Errors(); len(errs) != 0 {
+		t.Fatalf("the failure was recorded instead of delivered: %v", errs)
+	}
+}
+
 func TestUnknownActionRecordsError(t *testing.T) {
 	r := newTestRuntime(t, 2)
 	obj := r.NewDataAt(1, struct{}{})

@@ -60,14 +60,10 @@ type distState struct {
 	rpcSeq uint64
 	rpc    map[uint64]chan rpcReply
 
-	// lco is the sender/receiver state of the acknowledging LCO trigger
-	// protocol (see lcoframes.go).
-	lco lcoSendState
-
 	// laneTr is non-nil when the transport shards peer pairs across
 	// several connections (transport.LaneTransport); lanes caches its lane
-	// count. Parcel and LCO-trigger traffic is spread across lanes by
-	// destination-GID affinity (laneOf); control frames ride lane 0.
+	// count. Parcel traffic is spread across lanes by destination-GID
+	// affinity (laneOf); control frames ride lane 0.
 	laneTr transport.LaneTransport
 	lanes  int
 
@@ -117,8 +113,8 @@ func newDistState(r *Runtime, tr transport.Transport, node int, lmap *agas.Local
 // onFrame is the transport receive handler. It runs on transport
 // goroutines. The parcel arm never sends: a reader blocked writing while
 // its peer's reader does the same is a deadlock once both socket buffers
-// fill. The control arms (trigger acks, drain replies, migration verdicts)
-// still answer inline with a bounded send.
+// fill. The control arms (drain replies, migration verdicts) still answer
+// inline with a bounded send.
 func (d *distState) onFrame(from int, frame []byte) {
 	if len(frame) == 0 {
 		d.rt.recordError(fmt.Errorf("core: empty frame from node %d", from))
@@ -182,10 +178,6 @@ func (d *distState) onFrame(from int, frame []byte) {
 		d.onRPCReply(m)
 	case fDirUpdate:
 		d.onDirUpdate(from, m)
-	case fLCOSet, fLCOFire:
-		d.onLCOTrigger(from, m)
-	case fLCOAck:
-		d.onLCOAck(m.id)
 	case fDrain:
 		d.replyDrain(from, m.id)
 	case fDrainReply:
@@ -251,9 +243,8 @@ func (d *distState) resolveHere(g agas.GID) (owner int, gen uint64, err error) {
 // (hop-bounded, traced, delayed); a forwarding pointer or the home
 // directory makes the chase a single hop. A forwarded parcel whose
 // resolution is versioned also teaches its stale sender where the object
-// went; gen 0 — an unversioned route-toward-home guess, or a trigger,
-// whose sender was never taught — teaches nothing. Runs with one work unit
-// charged; every path releases it exactly once.
+// went; gen 0 — an unversioned route-toward-home guess — teaches nothing.
+// Runs with one work unit charged; every path releases it exactly once.
 func (d *distState) deliver(from int, p *parcel.Parcel, owner int, gen uint64, err error) {
 	r := d.rt
 	if err != nil {
@@ -337,11 +328,15 @@ func (d *distState) sendRetryLane(node, lane int, frame []byte) error {
 }
 
 // sendParcel ships p to node: count, send, and release the caller's work
-// unit for p once the transport has taken the frame (see snapshot). On
-// transport failure the parcel fails locally (parcels are at-most-once, as
-// on the modelled network). sendParcel consumes p: the encode buffer
-// returns to its pool once the transport has taken the bytes, and the
-// parcel itself is released unless it was recycled into the failure path.
+// unit for p once the transport has taken the frame (see snapshot). It
+// rests on the wire's one delivery guarantee, which LCO triggers need too:
+// frames on a lane arrive in order, and none is lost while the peer lives.
+// A Send that still fails after sendRetryLane's redial fails p as any
+// routing error does (failParcel), and a frame in flight to a node later
+// declared dead is released by the ledger (liveTotals), not retried.
+// sendParcel consumes p: the encode buffer returns to its pool once the
+// transport has taken the bytes, and the parcel itself is released unless
+// it was recycled into the failure path.
 func (d *distState) sendParcel(node, src int, p *parcel.Parcel) {
 	ps := d.ensurePeer(node)
 	if ps == nil {

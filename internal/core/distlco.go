@@ -9,14 +9,13 @@ package core
 //
 // Triggers are identified and idempotent: every logical trigger carries a
 // machine-unique trigger ID, and every physical copy of it (a fault-
-// injected duplicate, or a retransmission of an unacknowledged frame)
-// carries the same ID, which the target's dedup set absorbs. Cross-node
-// triggers ride dedicated fLCOSet/fLCOFire frames (see lcoframes.go) that
-// are retried until acknowledged — the "acknowledging LCO protocol" the
-// at-most-once parcel layer defers reliability to. Same-node triggers ride
-// ordinary parcels (action px.lco.trigger), which passes them through the
-// migration fence: a trigger arriving mid-migration parks and re-routes
-// exactly like any parcel.
+// injected duplicate, or a replayed frame) carries the same ID, which the
+// target's dedup set absorbs. A trigger is an ordinary parcel (action
+// px.lco.trigger) sent to the LCO's name, on one node or across the wire:
+// it is counted by the in-flight ledger, parks at a migration fence and
+// chases a forwarding pointer exactly like any parcel. The wire is FIFO per
+// lane and reliable while the peer lives (see distState.sendParcel), so a
+// trigger needs no acknowledgement of its own.
 //
 // Resolution fires the LCO's subscribed waiters: each waiter names another
 // LCO (by GID) and the trigger operation to apply there, so fan-in trees
@@ -34,8 +33,8 @@ import (
 )
 
 // TrigOp identifies one distributed LCO trigger operation. The values are
-// wire-visible (they travel in fLCOSet/fLCOFire frames and px.lco.trigger
-// parcels) and must not be renumbered.
+// wire-visible (they travel in px.lco.trigger parcels) and must not be
+// renumbered.
 type TrigOp uint8
 
 // Trigger operations.
@@ -48,7 +47,7 @@ const (
 	TrigSignal
 	// TrigContribute folds the value into a reduction.
 	TrigContribute
-	// TrigSupply fills one dataflow input slot (Waiter.Slot / the frame's
+	// TrigSupply fills one dataflow input slot (Waiter.Slot / the trigger's
 	// slot field names the slot).
 	TrigSupply
 	// TrigWait subscribes a waiter: the value encodes the waiter record.
@@ -356,19 +355,19 @@ func (r *Runtime) SetLCO(src int, g agas.GID, v any) error {
 	if err != nil {
 		return err
 	}
-	r.triggerLCO(src, r.nextTID(), TrigSet, 0, g, raw, false)
+	r.triggerLCO(src, r.nextTID(), TrigSet, 0, g, raw)
 	return nil
 }
 
 // FailLCO resolves the LCO named g with an error.
 func (r *Runtime) FailLCO(src int, g agas.GID, msg string) {
 	raw, _ := parcel.EncodeAny(msg)
-	r.triggerLCO(src, r.nextTID(), TrigFail, 0, g, raw, false)
+	r.triggerLCO(src, r.nextTID(), TrigFail, 0, g, raw)
 }
 
 // SignalLCO delivers one identified gate arrival to g.
 func (r *Runtime) SignalLCO(src int, g agas.GID) {
-	r.triggerLCO(src, r.nextTID(), TrigSignal, 0, g, nil, false)
+	r.triggerLCO(src, r.nextTID(), TrigSignal, 0, g, nil)
 }
 
 // ContributeLCO folds v into the reduction named g.
@@ -377,7 +376,7 @@ func (r *Runtime) ContributeLCO(src int, g agas.GID, v any) error {
 	if err != nil {
 		return err
 	}
-	r.triggerLCO(src, r.nextTID(), TrigContribute, 0, g, raw, false)
+	r.triggerLCO(src, r.nextTID(), TrigContribute, 0, g, raw)
 	return nil
 }
 
@@ -387,7 +386,7 @@ func (r *Runtime) SupplyLCO(src int, g agas.GID, slot uint32, v any) error {
 	if err != nil {
 		return err
 	}
-	r.triggerLCO(src, r.nextTID(), TrigSupply, slot, g, raw, false)
+	r.triggerLCO(src, r.nextTID(), TrigSupply, slot, g, raw)
 	return nil
 }
 
@@ -400,7 +399,7 @@ func (r *Runtime) SubscribeLCO(src int, g agas.GID, w Waiter) {
 		panic("core: subscribe with nil waiter target")
 	}
 	raw := parcel.NewArgs().GID(w.Target).Uint64(uint64(w.Op)).Uint64(uint64(w.Slot)).Encode()
-	r.triggerLCO(src, r.nextTID(), TrigWait, 0, g, raw, false)
+	r.triggerLCO(src, r.nextTID(), TrigWait, 0, g, raw)
 }
 
 // WaitLCO returns a plain local future (homed at resident locality src)
@@ -435,36 +434,16 @@ func decodeWaiter(raw []byte) (Waiter, error) {
 	return w, nil
 }
 
-// encodeTriggerArgs builds the px.lco.trigger argument record. value is
-// copied into the record, so transport read buffers may be reused.
+// encodeTriggerArgs builds the px.lco.trigger argument record.
 func encodeTriggerArgs(tid uint64, op TrigOp, slot uint32, value []byte) []byte {
 	return parcel.NewArgs().Uint64(tid).Uint64(uint64(op)).Uint64(uint64(slot)).Bytes(value).Encode()
 }
 
-// triggerLCO routes one identified trigger toward the LCO named g. A
-// target owned by another node rides a dedicated fLCOSet/fLCOFire frame —
-// retried until acknowledged, so a dropped frame is retransmitted and the
-// target's dedup set absorbs the duplicates. A locally owned target rides
-// an ordinary parcel, which passes it through the migration fence and the
-// forwarding chase like any other access. fired marks resolution
-// deliveries (waiter fires) for the frame type and trace.
-func (r *Runtime) triggerLCO(src int, tid uint64, op TrigOp, slot uint32, g agas.GID, value []byte, fired bool) {
-	r.checkResident(src)
-	if g.IsNil() {
-		panic("core: trigger to nil GID")
-	}
-	if r.dist != nil {
-		if owner, err := r.agas.ResolveCached(src, g); err == nil {
-			if node, known := r.dist.lmap.NodeOf(owner); known && node != r.dist.node {
-				r.dist.sendLCOTrigger(node, tid, op, slot, 0, g, value, fired, parcel.TraceCtx{})
-				return
-			}
-		}
-		// A resolution error falls through to the parcel path, which
-		// delivers the failure through the standard accounting.
-	}
-	p := parcel.Acquire(g, ActionLCOTrigger, encodeTriggerArgs(tid, op, slot, value))
-	r.SendFrom(src, p)
+// triggerLCO sends one identified trigger to the LCO named g as a
+// px.lco.trigger parcel, wherever g lives: the parcel path counts it,
+// fences it and forwards it like any other access.
+func (r *Runtime) triggerLCO(src int, tid uint64, op TrigOp, slot uint32, g agas.GID, value []byte) {
+	r.SendFrom(src, parcel.Acquire(g, ActionLCOTrigger, encodeTriggerArgs(tid, op, slot, value)))
 }
 
 // fireWaiter delivers one resolution to a subscribed waiter: the waiter's
@@ -472,16 +451,16 @@ func (r *Runtime) triggerLCO(src int, tid uint64, op TrigOp, slot uint32, g agas
 func (r *Runtime) fireWaiter(src int, w Waiter, val any, failMsg string) {
 	if failMsg != "" {
 		raw, _ := parcel.EncodeAny(failMsg)
-		r.triggerLCO(src, r.nextTID(), TrigFail, 0, w.Target, raw, true)
+		r.triggerLCO(src, r.nextTID(), TrigFail, 0, w.Target, raw)
 		return
 	}
 	raw, err := parcel.EncodeAny(val)
 	if err != nil {
 		raw, _ = parcel.EncodeAny(fmt.Sprintf("resolved value not wire-encodable: %v", err))
-		r.triggerLCO(src, r.nextTID(), TrigFail, 0, w.Target, raw, true)
+		r.triggerLCO(src, r.nextTID(), TrigFail, 0, w.Target, raw)
 		return
 	}
-	r.triggerLCO(src, r.nextTID(), w.Op, w.Slot, w.Target, raw, true)
+	r.triggerLCO(src, r.nextTID(), w.Op, w.Slot, w.Target, raw)
 }
 
 // applyDistTrigger applies one identified trigger to a locally hosted
@@ -551,9 +530,7 @@ func (r *Runtime) applyDistTrigger(loc int, l *DistLCO, tid uint64, op TrigOp, s
 		// effect, so it must not be counted as applied — a duplicate that
 		// is still in flight stays free to retry, and every failing copy
 		// surfaces through the action error path instead of being
-		// silently absorbed as a duplicate of a phantom success. (Cross-
-		// node frames are acked on receipt, so a frame whose apply fails
-		// is not retransmitted; the recorded error is the signal.)
+		// silently absorbed as a duplicate of a phantom success.
 		l.mu.Unlock()
 		return aerr
 	}

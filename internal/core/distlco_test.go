@@ -112,12 +112,14 @@ func TestDistLCOLocalDuplicationIdempotence(t *testing.T) {
 }
 
 // TestDistLCORemoteDuplicationIdempotence runs the same storm across a
-// 3-node loopback fabric with duplication injected on every node, so
-// triggers cross the fLCOSet frame path and their duplicates must be
-// absorbed by the target's dedup set.
+// 3-node loopback fabric. The wire between nodes loses and duplicates
+// nothing, so each trigger starts as an intra-node parcel, duplicated at
+// 1-in-2, whose continuation signals or contributes to the LCOs on node 0:
+// a duplicated first hop puts two same-ID triggers on the wire, and the
+// target's dedup set must absorb the second.
 func TestDistLCORemoteDuplicationIdempotence(t *testing.T) {
 	fabric := transport.NewFabric(3)
-	ranges := []agas.Range{{Lo: 0, Hi: 1}, {Lo: 1, Hi: 2}, {Lo: 2, Hi: 3}}
+	ranges := []agas.Range{{Lo: 0, Hi: 2}, {Lo: 2, Hi: 4}, {Lo: 4, Hi: 6}}
 	rts := make([]*Runtime, 3)
 	for i := range rts {
 		rts[i] = New(Config{
@@ -126,6 +128,11 @@ func TestDistLCORemoteDuplicationIdempotence(t *testing.T) {
 			NodeLocalities:     ranges,
 			WorkersPerLocality: 2,
 			Faults:             Faults{DupOneIn: 2, Seed: int64(i + 1)},
+			Register: func(r *Runtime) {
+				r.MustRegisterAction("test.one", func(*Context, any, *parcel.Reader) (any, error) {
+					return int64(1), nil
+				})
+			},
 		})
 	}
 	defer func() {
@@ -139,19 +146,21 @@ func TestDistLCORemoteDuplicationIdempotence(t *testing.T) {
 	red := rts[0].NewDistReduceAt(0, 2*perNode, ReduceSum, int64(0))
 	wg := rts[0].WaitLCO(0, gate)
 	wr := rts[0].WaitLCO(0, red)
-	for i := 0; i < perNode; i++ {
-		for n := 1; n <= 2; n++ {
-			rts[n].SignalLCO(n, gate)
-			if err := rts[n].ContributeLCO(n, red, int64(n)); err != nil {
-				t.Fatal(err)
-			}
+	for n := 1; n <= 2; n++ {
+		lo := ranges[n].Lo
+		hop := rts[n].NewDataAt(lo+1, struct{}{})
+		for i := 0; i < perNode; i++ {
+			rts[n].SendFrom(lo, parcel.New(hop, "test.one", nil,
+				parcel.Continuation{Target: gate, Action: ActionLCOSignal}))
+			rts[n].SendFrom(lo, parcel.New(hop, "test.one", nil,
+				parcel.Continuation{Target: red, Action: ActionLCOContribute}))
 		}
 	}
 	if _, err := wg.Get(); err != nil {
 		t.Fatalf("remote gate under duplication: %v", err)
 	}
-	if v, err := wr.Get(); err != nil || v.(int64) != perNode*3 {
-		t.Fatalf("remote reduce = %v, %v; want %d", v, err, perNode*3)
+	if v, err := wr.Get(); err != nil || v.(int64) != 2*perNode {
+		t.Fatalf("remote reduce = %v, %v; want %d", v, err, 2*perNode)
 	}
 	rts[0].Wait()
 	var duped uint64
@@ -165,6 +174,11 @@ func TestDistLCORemoteDuplicationIdempotence(t *testing.T) {
 		if errs := r.Errors(); len(errs) != 0 {
 			t.Fatalf("node %d recorded errors: %v", i, errs)
 		}
+	}
+	// Each signal counted once, plus the wait subscription.
+	obj, _ := rts[0].LocalObject(0, gate)
+	if seen := obj.(*DistLCO).TriggersSeen(); seen != 2*perNode+1 {
+		t.Fatalf("gate recorded %d distinct triggers, want %d", seen, 2*perNode+1)
 	}
 }
 
@@ -393,13 +407,11 @@ func TestDistLCOLateTriggerToFreedTarget(t *testing.T) {
 	}
 }
 
-// TestLCOTriggerStatsSingleProcess pins the degenerate stats surface.
-func TestLCOTriggerStatsSingleProcess(t *testing.T) {
+// TestSingleProcessNodeView pins the degenerate machine view of a runtime
+// with no transport: one node holding every locality.
+func TestSingleProcessNodeView(t *testing.T) {
 	r := New(Config{Localities: 1})
 	defer r.Shutdown()
-	if s, rcv, rt := r.LCOTriggerStats(); s != 0 || rcv != 0 || rt != 0 {
-		t.Fatalf("single-process trigger stats = %d %d %d, want zeros", s, rcv, rt)
-	}
 	if r.Nodes() != 1 {
 		t.Fatalf("Nodes() = %d on a single process", r.Nodes())
 	}

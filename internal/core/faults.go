@@ -5,17 +5,19 @@ import (
 	"sync"
 )
 
-// Faults injects message-level failures into the parcel transport, for
-// testing the delivery semantics the model implies: parcels are at-most-
-// once by default (a lost parcel is lost; reliability is layered above),
-// and idempotent LCO protocols must tolerate duplication. The crash and
-// partition knobs are deterministic: they count wire frames crossing this
-// node's boundary and flip at an exact frame count, so a failing chaos
-// run replays bit-for-bit from its seed and counts.
+// Faults injects message-level failures, for testing the delivery
+// semantics the model implies. Drops and duplicates hit parcels between two
+// localities of one node; an LCO trigger may be duplicated, which its
+// target's dedup set absorbs, but never dropped. The wire between nodes
+// loses nothing while both ends live, so its faults are crashes and
+// partitions. Those knobs are deterministic: they count wire frames
+// crossing this node's boundary and flip at an exact frame count, so a
+// failing chaos run replays bit-for-bit from its seed and counts.
 type Faults struct {
-	// DropOneIn drops one in every n remote parcels (0 disables).
+	// DropOneIn drops one in every n intra-node parcels other than
+	// triggers (0 disables).
 	DropOneIn int
-	// DupOneIn duplicates one in every n remote parcels (0 disables).
+	// DupOneIn duplicates one in every n intra-node parcels (0 disables).
 	DupOneIn int
 	// Seed makes the fault pattern reproducible.
 	Seed int64
@@ -100,12 +102,10 @@ func (f *faultState) silence(self, other int) bool {
 	return mute
 }
 
-// verdict decides one message's fate: deliver 0, 1, or 2 copies.
-// dropAllowed is false for messages the runtime guarantees delivery of —
-// local LCO trigger parcels, whose leg has no retransmission to recover a
-// loss — which stay subject to duplication but never to drops. Cross-node
-// LCO trigger frames pass true: the acknowledging protocol retransmits
-// them, so a drop exercises recovery instead of losing the trigger.
+// verdict decides one intra-node parcel's fate: deliver 0, 1, or 2
+// copies. dropAllowed is false for messages the runtime guarantees
+// delivery of — LCO triggers, which nothing retransmits — and those stay
+// subject to duplication but never to drops.
 func (f *faultState) verdict(dropAllowed bool) (copies int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -4,12 +4,12 @@ package core
 // payload that rides the transport handshake, and the one bounds-checked
 // cursor all of it is read through. Everything here is a pure function over
 // bytes — what a node does with a decoded frame lives with the protocol it
-// belongs to (dist.go, lcoframes.go, membership.go, balance.go).
+// belongs to (dist.go, membership.go, balance.go).
 //
 // Every transport frame is one kind byte followed by that kind's body.
 // Bodies are exact: a frame shorter or longer than its layout is rejected,
-// with one stated exception — a parcel or LCO trigger may be followed by
-// exactly one trace-context trailer (parcel.TraceWireSize bytes).
+// with one stated exception — a parcel may be followed by exactly one
+// trace-context trailer (parcel.TraceWireSize bytes).
 
 import (
 	"encoding/binary"
@@ -36,9 +36,6 @@ const (
 	fDirUpdate                  // home-directory commit request
 	fDirOK                      // commit outcome
 	fParcelI                    // parcel, actions as positions in the sender's announced table
-	fLCOSet                     // acknowledged LCO trigger
-	fLCOFire                    // LCO resolution delivery to a waiter; same body as fLCOSet
-	fLCOAck                     // trigger receipt; stops retransmission
 	fBeat                       // membership heartbeat
 	fDead                       // authoritative death verdict
 	fLoad                       // balancer load report
@@ -49,15 +46,11 @@ const (
 // which each kind fills the fields its layout names.
 type frameMsg struct {
 	p    *parcel.Parcel // pooled and owned by whoever holds the message
-	id   uint64         // exchange ID, trigger ID, probe sequence number, or beat fingerprint
+	id   uint64         // exchange ID, probe sequence number, or beat fingerprint
 	g    agas.GID
 	loc  int    // a locality index
 	gen  uint64 // directory generation
-	body []byte // migrate payload or trigger value; aliases the frame
-	op   TrigOp
-	slot uint32
-	hops int
-	tc   parcel.TraceCtx
+	body []byte // migrate payload; aliases the frame
 	ok   bool   // outcome verdict
 	text string // outcome error message
 
@@ -101,9 +94,6 @@ var frameKinds = [frameKindEnd]frameKind{
 	fDirUpdate:  {"fDirUpdate", "u64 xid, gid, u32 owner, u64 gen", decodeDirUpdate},
 	fDirOK:      {"fDirOK", "u64 xid, u8 ok, u16 len, error text", decodeOutcome},
 	fParcelI:    {"fParcelI", "interned parcel, [trace]", decodeParcelI},
-	fLCOSet:     {"fLCOSet", "u64 tid, u8 op, gid, u32 slot, u32 hops, u32 len, value, [trace]", decodeLCOTrigger},
-	fLCOFire:    {"fLCOFire", "u64 tid, u8 op, gid, u32 slot, u32 hops, u32 len, value, [trace]", decodeLCOTrigger},
-	fLCOAck:     {"fLCOAck", "u64 tid", decodeID},
 	fBeat:       {"fBeat", "u64 fingerprint", decodeID},
 	fDead:       {"fDead", "u16 node", decodeDead},
 	fLoad:       {"fLoad", "u16 n, n x (u32 locality, f64 score)", decodeLoad},
@@ -252,8 +242,7 @@ func decodeEmpty(b []byte, _ frameEnv) (m frameMsg, err error) {
 }
 
 // encodeID and decodeID are the kinds whose whole body is one u64: a probe
-// sequence number (fDrain), a trigger ID (fLCOAck), a membership
-// fingerprint (fBeat).
+// sequence number (fDrain), a membership fingerprint (fBeat).
 func encodeID(kind byte, id uint64) []byte {
 	buf := append(make([]byte, 0, 9), kind)
 	return binary.LittleEndian.AppendUint64(buf, id)
@@ -374,37 +363,6 @@ func decodeOutcome(b []byte, _ frameEnv) (m frameMsg, err error) {
 	return m, c.end()
 }
 
-// encodeLCOTrigger renders one trigger frame. hops carries the
-// forwarding-hop count the trigger has already spent, so the MaxHops bound
-// survives it being re-shipped node to node while it chases a migrating
-// target.
-func encodeLCOTrigger(kind byte, tid uint64, op TrigOp, slot uint32, hops int, g agas.GID, value []byte, tc parcel.TraceCtx) []byte {
-	buf := append(make([]byte, 0, 1+8+1+agas.GIDSize+4+4+4+len(value)+parcel.TraceWireSize), kind)
-	buf = binary.LittleEndian.AppendUint64(buf, tid)
-	buf = append(buf, byte(op))
-	buf = g.Encode(buf)
-	buf = binary.LittleEndian.AppendUint32(buf, slot)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(hops))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(value)))
-	buf = append(buf, value...)
-	if !tc.Zero() {
-		buf = tc.Append(buf)
-	}
-	return buf
-}
-
-func decodeLCOTrigger(b []byte, _ frameEnv) (m frameMsg, err error) {
-	c := cursor{b: b}
-	m.id = c.u64()
-	m.op = TrigOp(c.u8())
-	m.g = c.gid()
-	m.slot = c.u32()
-	m.hops = int(c.u32())
-	m.body = c.bytes32()
-	m.tc = c.trace()
-	return m, c.end()
-}
-
 func encodeDead(node int) []byte {
 	buf := append(make([]byte, 0, 3), fDead)
 	return binary.LittleEndian.AppendUint16(buf, uint16(node))
@@ -459,7 +417,7 @@ func decodeLoad(b []byte, env frameEnv) (m frameMsg, err error) {
 // range and dial-back address, which is how a joining node tells an
 // established machine where to reach it.
 const (
-	helloVersion = 4
+	helloVersion = 5
 
 	// maxInternActions bounds the announced table by entry count, and
 	// helloPrefix additionally bounds it by encoded bytes (the transport

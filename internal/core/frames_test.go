@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -51,7 +52,7 @@ func reencode(t testing.TB, kind byte, m frameMsg, send parcel.Table) []byte {
 		return f
 	case fHalt:
 		return []byte{kind}
-	case fDrain, fLCOAck, fBeat:
+	case fDrain, fBeat:
 		return encodeID(kind, m.id)
 	case fDrainReply:
 		return encodeDrainReply(m.id, m.pending, m.sent, m.recv, m.fp)
@@ -69,8 +70,6 @@ func reencode(t testing.TB, kind byte, m frameMsg, send parcel.Table) []byte {
 			opErr = errors.New(m.text)
 		}
 		return encodeOutcome(kind, m.id, opErr)
-	case fLCOSet, fLCOFire:
-		return encodeLCOTrigger(kind, m.id, m.op, m.slot, m.hops, m.g, m.body, m.tc)
 	case fDead:
 		return encodeDead(m.node)
 	case fLoad:
@@ -172,13 +171,6 @@ func frameSamples(send parcel.Table) []frameSample {
 		{label: "dir update", frame: encodeMigHeader(fDirUpdate, 12, g, 1, 5, 0), want: frameMsg{id: 12, g: g, loc: 1, gen: 5}},
 		{label: "dir ok", frame: encodeOutcome(fDirOK, 12, nil), want: frameMsg{id: 12, ok: true}},
 		{label: "dir rejected", frame: encodeOutcome(fDirOK, 12, errors.New("stale generation")), want: frameMsg{id: 12, text: "stale generation"}},
-		{label: "trigger", frame: encodeLCOTrigger(fLCOSet, 0xABCD, TrigSupply, 6, 4, g, []byte("hello"), parcel.TraceCtx{}),
-			want: frameMsg{id: 0xABCD, op: TrigSupply, slot: 6, hops: 4, g: g, body: []byte("hello")}},
-		{label: "trigger, empty value", frame: encodeLCOTrigger(fLCOSet, 1, TrigSignal, 0, 0, g, nil, parcel.TraceCtx{}),
-			want: frameMsg{id: 1, op: TrigSignal, g: g}},
-		{label: "fire, traced", frame: encodeLCOTrigger(fLCOFire, 2, TrigSet, 0, 0, g, []byte("v"), tc),
-			want: frameMsg{id: 2, op: TrigSet, g: g, body: []byte("v"), tc: tc}, traced: true},
-		{label: "trigger ack", frame: encodeID(fLCOAck, 99), want: frameMsg{id: 99}},
 		{label: "beat", frame: encodeID(fBeat, 0xdeadbeefcafef00d), want: frameMsg{id: 0xdeadbeefcafef00d}},
 		{label: "dead", frame: encodeDead(7), want: frameMsg{node: 7}},
 		{label: "load", frame: encodeLoad(loads), want: frameMsg{loads: loads}},
@@ -190,8 +182,7 @@ func frameSamples(send parcel.Table) []frameSample {
 // layout tests below have a sample of it.
 func TestFrameKindsListed(t *testing.T) {
 	wire := []string{1: "fParcel", "fDrain", "fDrainReply", "fGoodbye", "fHalt", "fMoved", "fMigrate",
-		"fMigrateOK", "fDirUpdate", "fDirOK", "fParcelI", "fLCOSet", "fLCOFire", "fLCOAck",
-		"fBeat", "fDead", "fLoad"}
+		"fMigrateOK", "fDirUpdate", "fDirOK", "fParcelI", "fBeat", "fDead", "fLoad"}
 	if len(wire) != int(frameKindEnd) {
 		t.Fatalf("%d kind constants, %d pinned wire values", frameKindEnd-1, len(wire)-1)
 	}
@@ -312,7 +303,27 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(encodeLoad([]loadEntry{{loc: 1 << 20, score: 1}, {loc: 0xffff, score: 2}})) // localities no machine has
 	f.Add(encodeMoved(g, -1, ^uint64(0)))                                             // a hint toward no locality
 	f.Add([]byte{fDrain})                                                             // what hello v3's one-byte parcel receipt reads as now
-	f.Add([]byte{frameKindEnd})                                                       // the value the dense renumbering retired
+	// What a hello v4 peer sent under bytes 12–17: its three trigger kinds
+	// (bytes the dense renumbering gave to fBeat, fDead and fLoad), then
+	// fBeat, fDead and fLoad themselves, under bytes that now name no kind.
+	v4Trigger := func(kind byte, op TrigOp, value string) []byte {
+		b := g.Encode(append(binary.LittleEndian.AppendUint64([]byte{kind}, 7), byte(op)))
+		b = binary.LittleEndian.AppendUint64(b, 0) // u32 slot, u32 hops
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(value)))
+		return append(b, value...)
+	}
+	for _, old := range [][]byte{
+		v4Trigger(12, TrigSignal, ""),
+		v4Trigger(13, TrigSet, "v"),
+		encodeID(14, 7),
+		encodeID(15, 0xdeadbeefcafef00d),
+		{16, 7, 0},
+		{17, 1, 0, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0x29, 0x40},
+	} {
+		f.Add(old)
+		f.Add(old[:len(old)/2])
+		f.Add(append(old[:len(old):len(old)], 0))
+	}
 	f.Add(encodeHello([]string{"px.lco.set", "app.frob"}, nil))
 	f.Add(encodeHello(nil, &memberHello{node: 1, lo: 4, hi: 8, addr: "[::1]:70000"}))
 	f.Add(encodeHello([]string{"px.lco.set"}, &memberHello{node: 3, lo: 12, hi: 16, addr: "127.0.0.1:9999"}))

@@ -159,17 +159,12 @@ func (m *ledgerMachine) wantInFlight(t *testing.T, n uint64) {
 	}
 }
 
-// TestLedgerParcelInFlight: a parcel the wire has taken but not delivered is
-// held by no work unit anywhere — the totals alone keep Wait from returning.
-func TestLedgerParcelInFlight(t *testing.T) {
-	m, obj := startLedgerMachine(t)
-	m.wires[0].set(wirePark, fParcel, fParcelI)
-	fut := m.rts[0].CallFrom(0, obj, "intern.echo", nil)
-	if n := m.rts[0].pending.Load(); n != 0 {
-		t.Fatalf("sender holds %d work units for a parcel the wire has taken", n)
-	}
-	m.wantInFlight(t, 1)
-
+// waitBlocked starts Wait on node 0 and checks that it has not returned
+// three probe waves later: Wait returns on two agreeing waves, so a third
+// one starting means the first two did not satisfy it. The channel closes
+// once Wait returns.
+func (m *ledgerMachine) waitBlocked(t *testing.T) <-chan struct{} {
+	t.Helper()
 	probed := make(chan struct{}, 1) // a token per wave node 0 starts, extras dropped
 	m.wires[0].observe(func(kind byte, _ int) {
 		if kind == fDrain {
@@ -184,8 +179,6 @@ func TestLedgerParcelInFlight(t *testing.T) {
 		m.rts[0].Wait()
 		close(done)
 	}()
-	// Wait returns on two agreeing waves: a third one starting means the
-	// first two ran and did not satisfy it.
 	for wave := 0; wave < 3; wave++ {
 		select {
 		case <-probed:
@@ -193,6 +186,20 @@ func TestLedgerParcelInFlight(t *testing.T) {
 			t.Fatal("Wait returned with a parcel in flight")
 		}
 	}
+	return done
+}
+
+// TestLedgerParcelInFlight: a parcel the wire has taken but not delivered is
+// held by no work unit anywhere — the totals alone keep Wait from returning.
+func TestLedgerParcelInFlight(t *testing.T) {
+	m, obj := startLedgerMachine(t)
+	m.wires[0].set(wirePark, fParcel, fParcelI)
+	fut := m.rts[0].CallFrom(0, obj, "intern.echo", nil)
+	if n := m.rts[0].pending.Load(); n != 0 {
+		t.Fatalf("sender holds %d work units for a parcel the wire has taken", n)
+	}
+	m.wantInFlight(t, 1)
+	done := m.waitBlocked(t)
 
 	m.wires[0].release(t, nil)
 	m.wantEcho(t, fut)
@@ -200,28 +207,73 @@ func TestLedgerParcelInFlight(t *testing.T) {
 	m.stop(t)
 }
 
-// TestLedgerDeathWithParcelInFlight: a death takes the corpse's lane out of
-// the sums, which is all a parcel lost with it needs; only the trigger frame
-// pending to the corpse held a work unit for the cleanup to release.
+// TestLedgerDeathWithParcelInFlight: a trigger is a parcel like any other.
+// Parked on the wire beside a call, it holds no work unit and the totals
+// alone keep Wait from returning; the receiver's death takes its lane out
+// of the sums, which is all either lost parcel needs.
 func TestLedgerDeathWithParcelInFlight(t *testing.T) {
 	m, obj := startLedgerMachine(t)
 	remote, _ := m.rts[1].NewFutureAt(2)
-	m.wires[0].set(wirePark, fParcel, fParcelI, fLCOSet)
+	m.wires[0].set(wirePark, fParcel, fParcelI)
 	fut := m.rts[0].CallFrom(0, obj, "intern.echo", nil) // its reply slot waits on node 1
 	if err := m.rts[0].SetLCO(0, remote, int64(1)); err != nil {
 		t.Fatal(err)
 	}
+	if n := m.rts[0].pending.Load(); n != 0 {
+		t.Fatalf("sender holds %d work units for parcels the wire has taken", n)
+	}
+	m.wantInFlight(t, 2)
+	done := m.waitBlocked(t)
+
 	m.rts[1].Terminate()
 	m.rts[0].dist.mb.declareDead(1, "ledger test")
-
 	if _, err := fut.Get(); !IsNodeLost(err) {
 		t.Fatalf("call stranded on the dead node: %v, want the node-lost verdict", err)
 	}
-	m.rts[0].Wait()
-	if got := m.rts[0].Metrics().Snapshot()["px.membership.released"]; got != 1 {
-		t.Fatalf("px.membership.released = %v, want 1: the trigger frame, not the parcel", got)
+	<-done
+	for _, err := range m.rts[0].Errors() {
+		if !strings.Contains(err.Error(), "node 1 declared dead") {
+			t.Fatalf("node 0 recorded %v; the death verdict is all it should record", err)
+		}
 	}
 	m.rts[0].Shutdown()
+}
+
+// TestLedgerReplayedTriggerAppliesOnce: a trigger frame delivered twice is
+// applied once, by its trigger ID, and the replay is no error.
+func TestLedgerReplayedTriggerAppliesOnce(t *testing.T) {
+	m, _ := startLedgerMachine(t)
+	red := m.rts[1].NewDistReduceAt(2, 2, ReduceSum, int64(0))
+	m.wires[0].set(wirePark, fParcel, fParcelI)
+	if err := m.rts[0].ContributeLCO(0, red, int64(5)); err != nil {
+		t.Fatal(err)
+	}
+	var trigger []byte
+	m.wires[0].release(t, func(frame []byte) []byte {
+		trigger = append([]byte(nil), frame...)
+		return frame
+	})
+	m.wait(t)
+
+	// Replay, booked as a send so the ledger still balances: wait returns
+	// once node 1 has received the frame and finished with it.
+	m.rts[0].dist.peer(1).sent.Add(1)
+	if err := m.wires[0].Transport.Send(1, trigger); err != nil {
+		t.Fatal(err)
+	}
+	m.wait(t)
+	obj, _ := m.rts[1].LocalObject(2, red)
+	l := obj.(*DistLCO)
+	if acc, _, _ := l.Resolved(); l.Pending() != 1 || l.TriggersSeen() != 1 || acc != int64(5) {
+		t.Fatalf("after the replay: %d pending, %d triggers seen, sum %v; want 1, 1 and 5",
+			l.Pending(), l.TriggersSeen(), acc)
+	}
+	for i, rt := range m.rts {
+		if errs := rt.Errors(); len(errs) != 0 {
+			t.Fatalf("node %d recorded errors: %v", i, errs)
+		}
+	}
+	m.stop(t)
 }
 
 // TestLedgerCountsUndecodableParcel: a parcel frame that fails to decode is

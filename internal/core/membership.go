@@ -155,7 +155,6 @@ type memberState struct {
 	deaths    atomic.Uint64
 	joins     atomic.Uint64
 	rehomes   atomic.Uint64 // localities adopted off dead nodes, machine-wide view
-	released  atomic.Uint64 // unacked trigger frames (one work unit each) dropped by deaths
 	beatsSent atomic.Uint64
 	beatsRecv atomic.Uint64
 }
@@ -254,10 +253,9 @@ func (m *memberState) check(now time.Time) {
 
 // declareDead transitions peer n to dead — which takes its lane out of the
 // quiescence sums, so a Mattern Wait in progress unblocks — and runs the
-// cleanup fan-out: abandon unacked LCO trigger frames addressed to it,
-// re-home its localities in the membership map (firing adoption and
-// shard-reinstall subscribers), fail every reply slot waiting on state
-// homed there, and gossip the death so the verdict is
+// cleanup fan-out: re-home its localities in the membership map (firing
+// adoption and shard-reinstall subscribers), fail every reply slot waiting
+// on state homed there, and gossip the death so the verdict is
 // authoritative machine-wide. Only the first transition does any of this;
 // a death heard twice is a no-op, which bounds the gossip epidemic.
 func (m *memberState) declareDead(n int, why string) {
@@ -279,13 +277,12 @@ func (m *memberState) declareDead(n int, why string) {
 	if !ps.dead.CompareAndSwap(false, true) {
 		return
 	}
-	released := m.releaseTriggersTo(n)
 	m.deaths.Add(1)
 	if ev, ok := d.lmap.MarkDead(n); ok {
 		m.rehomes.Add(uint64(len(ev.Moved)))
 	}
 	d.rt.failLostWaiters(n)
-	d.rt.recordError(fmt.Errorf("core: node %d declared dead (%s); dropped %d unacked trigger frames: %w", n, why, released, agas.ErrNodeLost))
+	d.rt.recordError(fmt.Errorf("core: node %d declared dead (%s): %w", n, why, agas.ErrNodeLost))
 
 	// Shoot-the-other-node gossip: the death verdict propagates to every
 	// live peer so the machine converges on one view. Receivers that
@@ -317,21 +314,9 @@ func (m *memberState) excommunicate() {
 		if ps == nil || !ps.dead.CompareAndSwap(false, true) {
 			continue
 		}
-		m.releaseTriggersTo(n)
 		d.rt.failLostWaiters(n)
 	}
 	d.rt.recordError(fmt.Errorf("core: this node was declared dead by the machine: %w", agas.ErrNodeLost))
-}
-
-// releaseTriggersTo abandons the unacked trigger frames addressed to dead
-// node n and releases the work unit each one held; it reports how many.
-func (m *memberState) releaseTriggersTo(n int) int {
-	released := m.d.dropPendTo(n)
-	m.released.Add(uint64(released))
-	for i := 0; i < released; i++ {
-		m.d.rt.doneWork()
-	}
-	return released
 }
 
 // onBeat handles a heartbeat frame: proof of life for the sender.

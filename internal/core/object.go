@@ -169,8 +169,7 @@ func (r *Runtime) migrateLocked(g agas.GID, from, to int, newGen uint64) error {
 		}
 		if err != nil {
 			// Ambiguous (unconfirmed push): the peer may hold the object, so
-			// reinstalling could duplicate it. Commit forward and record —
-			// the same stance trigger frames take past their give-up bound.
+			// reinstalling could duplicate it. Commit forward and record.
 			r.recordError(fmt.Errorf("core: migrate of %v: %w", g, err))
 		}
 	}

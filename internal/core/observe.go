@@ -202,9 +202,6 @@ func (r *Runtime) buildMetricsRegistry() *metrics.Registry {
 		reg.RegisterFunc("px.wire.recv", func() int64 { _, n := d.wireTotals(); return n })
 		reg.RegisterFunc("px.wire.interned_sent", func() int64 { return int64(d.internedSent.Load()) })
 		reg.RegisterFunc("px.wire.interned_recv", func() int64 { return int64(d.internedRecv.Load()) })
-		reg.RegisterFunc("px.lco.trigger.sent", func() int64 { return int64(d.lco.sent.Load()) })
-		reg.RegisterFunc("px.lco.trigger.recv", func() int64 { return int64(d.lco.recv.Load()) })
-		reg.RegisterFunc("px.lco.trigger.retried", func() int64 { return int64(d.lco.retried.Load()) })
 		// Group-commit batcher activity, when the transport reports it
 		// (the TCP transport does).
 		if bt, ok := d.tr.(interface {
@@ -239,7 +236,6 @@ func (r *Runtime) buildMetricsRegistry() *metrics.Registry {
 		reg.RegisterFunc("px.membership.deaths", mbCounter(func(m *memberState) uint64 { return m.deaths.Load() }))
 		reg.RegisterFunc("px.membership.joins", mbCounter(func(m *memberState) uint64 { return m.joins.Load() }))
 		reg.RegisterFunc("px.membership.rehomes", mbCounter(func(m *memberState) uint64 { return m.rehomes.Load() }))
-		reg.RegisterFunc("px.membership.released", mbCounter(func(m *memberState) uint64 { return m.released.Load() }))
 		reg.RegisterFunc("px.membership.beats_sent", mbCounter(func(m *memberState) uint64 { return m.beatsSent.Load() }))
 		reg.RegisterFunc("px.membership.beats_recv", mbCounter(func(m *memberState) uint64 { return m.beatsRecv.Load() }))
 	}

@@ -55,19 +55,7 @@ func (r *Runtime) route(src int, p *parcel.Parcel) {
 		if node != r.dist.node {
 			// The owner lives in another process: the parcel crosses the
 			// real network in wire form. The work unit charged by SendFrom
-			// stays held until the transport has taken the frame (a trigger's
-			// until the peer acknowledges it).
-			if p.Action == ActionLCOTrigger && len(p.Cont) == 0 {
-				// Identified triggers never ride at-most-once parcels over
-				// the wire: re-ship as an acknowledged LCO frame so the
-				// retransmit-until-acked guarantee survives forwarding hops
-				// (a trigger chasing its target across a migration). Frames
-				// carry no continuation stack, so the rare user-built
-				// trigger parcel with continuations keeps ordinary parcel
-				// semantics instead of silently losing its chain.
-				r.dist.sendTriggerParcel(node, src, p)
-				return
-			}
+			// stays held until the transport has taken the frame.
 			r.dist.sendParcel(node, src, p)
 			return
 		}
@@ -95,8 +83,7 @@ func (r *Runtime) route(src int, p *parcel.Parcel) {
 		copies = r.faults.verdict(p.Action != ActionLCOTrigger)
 	}
 	if copies == 0 {
-		// Lost in the network. Parcels are at-most-once; reliability, if
-		// needed, is layered above (acknowledging LCO protocols).
+		// Lost to the fault injector, which never drops a trigger.
 		parcel.PutWire(w)
 		parcel.Release(p)
 		r.mustPost(r.loc(src).Post(func() { r.doneWork() }))
@@ -373,7 +360,8 @@ func (r *Runtime) execute(loc int, p *parcel.Parcel, rd *parcel.Reader, ctx *Con
 	if cont, more := p.PopContinuation(); more {
 		np, encErr := parcel.AcquireValue(cont.Target, cont.Action, res, p.Cont...)
 		if encErr != nil {
-			r.failParcel(loc, p, encErr)
+			// The value was for cont, so cont hears why it never came.
+			r.failTo(loc, p, cont, encErr)
 			return
 		}
 		// The continuation inherits the chain's parcel ID: a fault-
@@ -412,13 +400,14 @@ func (r *Runtime) forward(loc int, p *parcel.Parcel) {
 // records it on the runtime when no continuation exists. It consumes p.
 func (r *Runtime) failParcel(loc int, p *parcel.Parcel, err error) {
 	if p.Action == ActionLCOTrigger && (errors.Is(err, agas.ErrUnknown) || IsNodeLost(err)) {
-		// A duplicated or retransmitted trigger chasing a named LCO that
-		// was already consumed and freed: the first copy did the work, so
-		// the straggler is benignly late, not lost. (A straggler toward a
+		// A duplicated trigger chasing a named LCO that was already
+		// consumed and freed: the first copy did the work, so the
+		// straggler is benignly late, not lost. (A straggler toward a
 		// reply slot never gets here — execute drops and counts it.) A
-		// trigger toward an LCO that died with its node is equally
-		// terminal: the reply slots waiting on that node are failed by the
-		// membership layer, so the trigger itself has no one to tell.
+		// trigger toward an LCO that died with its node, or one whose send
+		// found that node dead, is equally terminal: the reply slots
+		// waiting on that node are failed by the membership layer, so the
+		// trigger itself has no one to tell.
 		parcel.Release(p)
 		return
 	}
@@ -428,6 +417,12 @@ func (r *Runtime) failParcel(loc int, p *parcel.Parcel, err error) {
 		parcel.Release(p)
 		return
 	}
+	r.failTo(loc, p, cont, err)
+}
+
+// failTo delivers err to cont, a continuation already popped off p, and
+// consumes p.
+func (r *Runtime) failTo(loc int, p *parcel.Parcel, cont parcel.Continuation, err error) {
 	args := parcel.NewArgs().String(err.Error()).Encode()
 	np := parcel.Acquire(cont.Target, ActionLCOFail, args)
 	np.ID = p.ID // failure deliveries share the chain identity too

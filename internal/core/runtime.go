@@ -50,13 +50,12 @@ type Config struct {
 	// flattening — it rides as text inside the verdict message. Zero
 	// defaults to 2ms; negative omits the hint.
 	RetryAfterHint time.Duration
-	// Faults optionally injects parcel loss/duplication (tests only). It
-	// applies to the modelled network path (cross-node parcels are not
-	// subject to it) and to cross-node LCO trigger frames — which survive
-	// it: triggers are an acknowledging protocol, so a dropped frame is
-	// retransmitted and a duplicated one absorbed by idempotent trigger
-	// IDs. Local trigger parcels are exempt from drops (the local leg has
-	// no retransmission) but still subject to duplication.
+	// Faults optionally injects parcel loss/duplication (tests only). Loss
+	// and duplication apply to the modelled network path between two
+	// localities of one node; the wire between nodes is reliable while the
+	// peer lives, so only the crash and partition knobs act on it. LCO
+	// trigger parcels are exempt from drops (nothing retransmits them) but
+	// still subject to duplication, which their trigger IDs absorb.
 	Faults Faults
 
 	// Transport, when set, makes this runtime one node of a multi-process
@@ -562,7 +561,6 @@ func (r *Runtime) Shutdown() {
 			r.dist.mb.stopLoop()
 		}
 		r.dist.goodbye()
-		r.dist.stopLCO()
 		r.dist.tr.Close()
 	}
 	for i := range r.locs {
@@ -589,7 +587,6 @@ func (r *Runtime) Terminate() {
 		if r.dist.mb != nil {
 			r.dist.mb.stopLoop()
 		}
-		r.dist.stopLCO()
 		r.dist.tr.Close()
 	}
 	for i := range r.locs {

@@ -388,10 +388,10 @@ func ParcelPingPong(b *testing.B) {
 // DistFutureRoundTrip measures the distributed LCO trigger path end to
 // end on a two-node loopback-fabric machine: per iteration, node 0 mints
 // a distributed future and subscribes a local waiter, node 1 resolves it
-// with an fLCOSet frame, and the resolution fires back through the waiter
-// — create, subscribe, cross-node trigger, ack, fire. This is the
-// latency of one split-phase synchronization through the acknowledging
-// LCO protocol, and its regression gate protects the trigger hot path.
+// with a trigger parcel, and the resolution fires back through the waiter
+// — create, subscribe, cross-node trigger, fire. This is the latency of
+// one split-phase synchronization through distributed LCO triggers, and
+// its regression gate protects the trigger hot path.
 func DistFutureRoundTrip(b *testing.B) {
 	fabric := transport.NewFabric(2)
 	ranges := []parallex.LocalityRange{{Lo: 0, Hi: 1}, {Lo: 1, Hi: 2}}

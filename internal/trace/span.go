@@ -24,9 +24,9 @@ const (
 	// SpanSteal: an idle worker took queued work from a sibling or victim
 	// (operational — not tied to one trace, recorded with trace ID 0).
 	SpanSteal
-	// SpanWireSend: a parcel or trigger frame left this node.
+	// SpanWireSend: a parcel left this node.
 	SpanWireSend
-	// SpanWireRecv: a parcel or trigger frame arrived from a peer node.
+	// SpanWireRecv: a parcel arrived from a peer node.
 	SpanWireRecv
 	// SpanPark: a parcel was held by a migration fence until the move
 	// committed.

@@ -960,8 +960,8 @@ func (t *TCP) isClosed() bool {
 // path is tried before TCP (see shm.go). The full retry budget is startup
 // grace for a first connection; reconnects after a break get only a
 // couple of attempts, because Send is called from latency-sensitive paths
-// (trigger acks, drain probes on transport goroutines) that must not stall for
-// minutes on a dead peer.
+// (drain replies and migration verdicts on transport goroutines) that must
+// not stall for minutes on a dead peer.
 func (t *TCP) dial(node, lane int, addr string, reconnect bool) (net.Conn, error) {
 	attempts := t.cfg.DialAttempts
 	if reconnect && attempts > 2 {

@@ -3,8 +3,8 @@
 // contiguous range of localities; the runtime layers parcel routing,
 // distributed quiescence, and live object migration on top of the frame
 // service defined here. Frames are opaque — the runtime's kinds (parcels,
-// "moved" hints, trigger acks, MIGRATE payload pushes,
-// directory commits, drain probes) all ride the same service, so a
+// "moved" hints, MIGRATE payload pushes, directory commits, drain
+// probes) all ride the same service, so a
 // migration payload coalesces into the TCP transport's group-commit
 // batches exactly as parcels do.
 //
@@ -72,7 +72,7 @@ type Transport interface {
 // The runtime exploits this by affinity-hashing parcels on their
 // destination GID — per-object ordering is preserved while independent
 // objects stop queueing behind each other — and by keeping control
-// traffic (trigger acks, membership beats, drain probes) on lane 0, so a
+// traffic (membership beats, drain probes, migration RPCs) on lane 0, so a
 // transport without lane support behaves identically via plain Send.
 type LaneTransport interface {
 	Transport
