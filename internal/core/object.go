@@ -134,7 +134,7 @@ func (r *Runtime) Migrate(g agas.GID, to int) error {
 	r.fences.close(g)
 	err = r.migrateLocked(g, from, to, gen+1)
 	for _, pk := range r.fences.open(g) {
-		r.route(pk.loc, pk.p)
+		r.runReply(r.route(pk.loc, pk.p))
 	}
 	return err
 }
@@ -261,14 +261,16 @@ func approxSize(v any) int {
 // homed at src that resolves with the action's result. This is the
 // split-phase transaction at the heart of the model: the caller does not
 // block; the parcel carries a continuation naming the future's reply slot
-// (see reply.go).
+// (see reply.go). Its parcel's ID decides whether SLOW clocks it.
 func (r *Runtime) CallFrom(src int, dest agas.GID, action string, args []byte) *lco.Future {
 	r.checkResident(src)
-	reply, fut := r.openReply(src, dest, now())
+	p := parcel.Acquire(dest, action, args, parcel.Continuation{Action: ActionLCOSet})
+	reply, fut := r.openReply(src, dest, slowClock(p.ID))
 	if reply.IsNil() {
+		parcel.Release(p)
 		return fut
 	}
-	p := parcel.Acquire(dest, action, args, parcel.Continuation{Target: reply, Action: ActionLCOSet})
+	p.Cont[0].Target = reply
 	r.SendFrom(src, p)
 	return fut
 }

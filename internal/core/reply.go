@@ -164,7 +164,7 @@ func (r *Runtime) takeReply(loc int, g agas.GID) *lco.Future {
 	return s.fut
 }
 
-// observeReply books a finished call's round trip as SLOW latency.
+// observeReply books a sampled call's round trip as SLOW latency.
 func (r *Runtime) observeReply(s replySlot) {
 	if !s.start.IsZero() {
 		r.slow.Latency.ObserveDuration(now().Sub(s.start))

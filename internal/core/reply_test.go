@@ -1,6 +1,8 @@
 package core
 
 import (
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -140,6 +142,110 @@ func TestCallFromAllocBudget(t *testing.T) {
 			t.Logf("CallFrom(%s).Get(): %.1f allocs/op", tc.action, allocs)
 		}
 	}
+}
+
+// TestNodeLocalCallCostsOneTask: a reply to a call from this node resolves
+// on the goroutine that routes it, so a node-local call runs one locality
+// task, the callee's — whether the callee is on a neighbouring locality or
+// on the caller's own.
+func TestNodeLocalCallCostsOneTask(t *testing.T) {
+	const calls = 1000
+	for _, home := range []int{1, 0} {
+		r := newTestRuntime(t, 2)
+		obj := r.NewDataAt(home, struct{}{})
+		futs := make([]*lco.Future, calls)
+		for i := range futs {
+			futs[i] = r.CallFrom(0, obj, ActionNop, nil)
+		}
+		r.Wait()
+		for _, f := range futs {
+			if _, err := f.Get(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if stale, live := replyCounters(r); stale != 0 || live != 0 {
+			t.Fatalf("stale=%v live=%v, want 0 and 0", stale, live)
+		}
+		if errs := r.Errors(); len(errs) != 0 {
+			t.Fatalf("runtime errors: %v", errs)
+		}
+		// A task is counted just after it releases the work unit Wait
+		// watches; the counts settle once Shutdown has joined the workers.
+		r.Shutdown()
+		if got := r.loc(0).TasksRun() + r.loc(1).TasksRun(); got != calls {
+			t.Fatalf("%d calls to L%d from L0 ran %d tasks, want %d", calls, home, got, calls)
+		}
+	}
+}
+
+// TestRemoteReplyRunsOnAWorker: a reply read off the wire still takes a
+// task on the caller's locality. Its callbacks may block on a send, which a
+// read goroutine must not do, so none of them runs under the frame handler
+// or the fabric's delivery loop.
+func TestRemoteReplyRunsOnAWorker(t *testing.T) {
+	m, obj := startLedgerMachine(t)
+	// Hold back node 1's reply until the callback is registered.
+	m.wires[1].set(wirePark, fParcel, fParcelI)
+	parked := make(chan struct{}, 1)
+	m.wires[1].observe(func(_ byte, fate int) {
+		if fate == wirePark {
+			parked <- struct{}{}
+		}
+	})
+	fut := m.rts[0].CallFrom(0, obj, "intern.echo", nil)
+	<-parked
+	m.wires[1].observe(nil)
+	stack := make(chan []string, 1)
+	fut.OnReady(func(any, error) {
+		pcs := make([]uintptr, 64)
+		frames := runtime.CallersFrames(pcs[:runtime.Callers(1, pcs)])
+		var fns []string
+		for {
+			f, more := frames.Next()
+			fns = append(fns, f.Function)
+			if !more {
+				break
+			}
+		}
+		stack <- fns
+	})
+	m.wires[1].release(t, nil)
+	m.wantEcho(t, fut)
+	fns := <-stack
+	onWorker := false
+	for _, fn := range fns {
+		if strings.HasSuffix(fn, "(*distState).onFrame") || strings.HasSuffix(fn, "(*inprocEndpoint).deliver") {
+			t.Fatalf("the reply's callback ran on the read goroutine:\n%s", strings.Join(fns, "\n"))
+		}
+		onWorker = onWorker || strings.HasSuffix(fn, "locality.(*Locality).runTask")
+	}
+	if !onWorker {
+		t.Fatalf("the reply's callback ran outside a locality task:\n%s", strings.Join(fns, "\n"))
+	}
+	m.stop(t)
+}
+
+// TestSLOWIsSampled: node-local calls still feed SLOW's Latency and Overhead,
+// but only a sample of them does.
+func TestSLOWIsSampled(t *testing.T) {
+	r := newTestRuntime(t, 2)
+	obj := r.NewDataAt(1, struct{}{})
+	for i := 0; i < 6400; i++ {
+		if _, err := r.CallFrom(0, obj, ActionNop, nil).Get(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.Wait()
+	s := r.SLOW()
+	sent := s.ParcelsSent.Value() + s.ParcelsLocal.Value()
+	lat, ovh := s.Latency.Count(), s.Overhead.Count()
+	if lat == 0 || ovh == 0 || 32*lat > sent || 32*ovh > sent {
+		t.Fatalf("%d parcels booked %d latency and %d overhead samples; want each in (0, 1/32 of the parcels]", sent, lat, ovh)
+	}
+	if line := s.String(); strings.Contains(line, " lat(mean)=0 ") || strings.Contains(line, " ovh(mean)=0 ") {
+		t.Fatalf("SLOW prints a zero latency or overhead mean: %s", line)
+	}
+	t.Logf("%d parcels: %d latency, %d overhead samples", sent, lat, ovh)
 }
 
 // TestLedgerReplayedReplyMissesRecycledSlot: a reply frame replayed after

@@ -85,8 +85,12 @@ func (f *Future) TryGet() (v any, err error, ok bool) {
 func (f *Future) Done() <-chan struct{} { return f.done }
 
 // OnReady registers cb to run when the future resolves; if it already has,
-// cb runs immediately on the calling goroutine. This is the parcel
-// continuation hook: the runtime attaches "send result onward" callbacks.
+// cb runs immediately on the calling goroutine. Otherwise cb runs on the
+// goroutine that resolves the future: for a runtime call answered on the
+// same node that is the worker that ran the callee (the reply resolves
+// inline, see core.Runtime.SendFrom); for one answered by another node, a
+// worker of the caller's locality. This is the parcel continuation hook:
+// the runtime attaches "send result onward" callbacks.
 func (f *Future) OnReady(cb func(v any, err error)) {
 	f.mu.Lock()
 	if f.set {

@@ -179,9 +179,14 @@ func (h *Histogram) Quantile(q float64) float64 {
 // produced by the DES models).
 type SLOW struct {
 	Starvation *Histogram // idle interval lengths per execution site
-	Latency    *Histogram // remote access round-trip times
-	Overhead   *Histogram // runtime critical-path management cost per task
-	Waiting    *Histogram // time blocked on contended shared resources
+	// Latency holds split-phase call round trips, issue to reply. The
+	// runtime samples it: 1 call in 64, picked by parcel ID.
+	Latency *Histogram
+	// Overhead holds the cost of routing one parcel, send to hand-off
+	// (enqueue, transport, or the start of an inline reply). The runtime
+	// samples it: 1 parcel in 64, picked by parcel ID.
+	Overhead *Histogram
+	Waiting  *Histogram // time blocked on contended shared resources
 
 	TasksExecuted  Counter
 	ParcelsSent    Counter
