@@ -101,31 +101,6 @@ func (a *actionRegistry) byID(id uint32) (ActionFunc, bool) {
 // prefix to peers as its interning table.
 func (a *actionRegistry) snapshot() *actionSet { return a.set.Load() }
 
-// actionSet implements parcel.Table for the in-process serialized path:
-// encoder and decoder share the registry, so wire positions are simply
-// dense IDs shifted to 0-based. Snapshots are append-only — a position
-// interned against an older snapshot resolves identically against every
-// later one — so encode and decode may legally observe different
-// snapshots of one registry.
-
-// IDOf reports the 0-based wire position of a registered action name.
-func (s *actionSet) IDOf(name string) (uint32, bool) {
-	id, ok := s.byName[name]
-	if !ok {
-		return 0, false
-	}
-	return id - 1, true
-}
-
-// ActionOf resolves a 0-based wire position to the interned name and its
-// 1-based dense dispatch ID.
-func (s *actionSet) ActionOf(id uint32) (string, uint32, bool) {
-	if int(id) >= len(s.names) {
-		return "", parcel.NoAID, false
-	}
-	return s.names[id], id + 1, true
-}
-
 // RegisterAction installs a named action. Registration must happen before
 // parcels naming the action are sent; duplicate names are rejected.
 func (r *Runtime) RegisterAction(name string, fn ActionFunc) error {

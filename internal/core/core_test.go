@@ -318,8 +318,10 @@ func TestLocalParcelBypassesNetwork(t *testing.T) {
 	}
 }
 
-func TestSerializationRoundTripsParcels(t *testing.T) {
-	r := newTestRuntime(t, 2) // serialization on by default
+// TestCrossLocalityParcelCarriesItsArgs: a parcel sent to another locality
+// of the node arrives with its argument record intact.
+func TestCrossLocalityParcelCarriesItsArgs(t *testing.T) {
+	r := newTestRuntime(t, 2)
 	var got atomic.Value
 	obj := r.NewDataAt(1, struct{}{})
 	r.MustRegisterAction("test.echoargs", func(ctx *Context, target any, args *parcel.Reader) (any, error) {

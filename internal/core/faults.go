@@ -6,18 +6,17 @@ import (
 )
 
 // Faults injects message-level failures, for testing the delivery
-// semantics the model implies. Drops and duplicates hit parcels between two
-// localities of one node; an LCO trigger may be duplicated, which its
-// target's dedup set absorbs, but never dropped. The wire between nodes
-// loses nothing while both ends live, so its faults are crashes and
-// partitions. Those knobs are deterministic: they count wire frames
-// crossing this node's boundary and flip at an exact frame count, so a
-// failing chaos run replays bit-for-bit from its seed and counts.
+// semantics the model implies. Nothing loses a parcel while its
+// destination's node lives: the wire between nodes promises that, and a
+// parcel between two localities of one node moves by pointer. Duplication
+// hits those node-local parcels; trigger IDs, the targets' dedup sets and
+// spent reply slots absorb the copies. Between nodes the faults are
+// crashes and partitions. Those knobs are deterministic: they count wire
+// frames crossing this node's boundary and flip at an exact frame count,
+// so a failing chaos run replays bit-for-bit from its seed and counts.
 type Faults struct {
-	// DropOneIn drops one in every n intra-node parcels other than
-	// triggers (0 disables).
-	DropOneIn int
-	// DupOneIn duplicates one in every n intra-node parcels (0 disables).
+	// DupOneIn duplicates one in every n parcels between two localities of
+	// this node (0 disables).
 	DupOneIn int
 	// Seed makes the fault pattern reproducible.
 	Seed int64
@@ -60,7 +59,6 @@ type faultState struct {
 	mu        sync.Mutex
 	rng       *rand.Rand
 	cfg       Faults
-	dropped   uint64
 	duped     uint64
 	killCount int    // frames this node has seen toward KillAfter
 	partCount int    // frames across the A<->B link toward PartitionAfter
@@ -68,7 +66,7 @@ type faultState struct {
 }
 
 func newFaultState(cfg Faults) *faultState {
-	if cfg.DropOneIn == 0 && cfg.DupOneIn == 0 && cfg.KillAfter == 0 && cfg.PartitionAfter == 0 {
+	if cfg.DupOneIn == 0 && cfg.KillAfter == 0 && cfg.PartitionAfter == 0 {
 		return nil
 	}
 	return &faultState{rng: rand.New(rand.NewSource(cfg.Seed)), cfg: cfg}
@@ -102,32 +100,15 @@ func (f *faultState) silence(self, other int) bool {
 	return mute
 }
 
-// verdict decides one intra-node parcel's fate: deliver 0, 1, or 2
-// copies. dropAllowed is false for messages the runtime guarantees
-// delivery of — LCO triggers, which nothing retransmits — and those stay
-// subject to duplication but never to drops.
-func (f *faultState) verdict(dropAllowed bool) (copies int) {
+// duplicate decides whether one node-local parcel is delivered twice.
+func (f *faultState) duplicate() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.cfg.DropOneIn > 0 && f.rng.Intn(f.cfg.DropOneIn) == 0 && dropAllowed {
-		f.dropped++
-		return 0
-	}
 	if f.cfg.DupOneIn > 0 && f.rng.Intn(f.cfg.DupOneIn) == 0 {
 		f.duped++
-		return 2
+		return true
 	}
-	return 1
-}
-
-// Dropped reports parcels destroyed by fault injection.
-func (r *Runtime) Dropped() uint64 {
-	if r.faults == nil {
-		return 0
-	}
-	r.faults.mu.Lock()
-	defer r.faults.mu.Unlock()
-	return r.faults.dropped
+	return false
 }
 
 // Duplicated reports parcels delivered twice by fault injection.

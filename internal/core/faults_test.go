@@ -1,39 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/parcel"
 )
-
-func TestDropFaultsLoseExactlyTheDroppedParcels(t *testing.T) {
-	r := New(Config{
-		Localities:         2,
-		WorkersPerLocality: 2,
-		Faults:             Faults{DropOneIn: 4, Seed: 7},
-	})
-	defer r.Shutdown()
-	var hits atomic.Int64
-	r.MustRegisterAction("fault.count", func(ctx *Context, target any, args *parcel.Reader) (any, error) {
-		hits.Add(1)
-		return nil, nil
-	})
-	obj := r.NewDataAt(1, struct{}{})
-	const n = 400
-	for i := 0; i < n; i++ {
-		r.SendFrom(0, parcel.New(obj, "fault.count", nil))
-	}
-	r.Wait()
-	dropped := int64(r.Dropped())
-	if dropped == 0 {
-		t.Fatal("fault injector dropped nothing at 1-in-4")
-	}
-	if hits.Load()+dropped != n {
-		t.Fatalf("conservation violated: %d delivered + %d dropped != %d",
-			hits.Load(), dropped, n)
-	}
-}
 
 func TestDuplicationFaultsAndIdempotentLCOs(t *testing.T) {
 	r := New(Config{
@@ -100,10 +73,55 @@ func TestDuplicatedFutureSetReportsSecondWrite(t *testing.T) {
 	}
 }
 
+// TestDuplicateOwnsItsArgs: a duplicated node-local parcel is a copy that
+// owns its argument bytes. The original may run and be released (here
+// poisoned) before the copy runs, so a copy that referenced the original's
+// bytes would read the poison. Each chain's first hop stays on L1; its
+// continuation crosses L1 → L0 carrying the value in its own argsBuf
+// (AcquireValue), and every crossing is duplicated.
+func TestDuplicateOwnsItsArgs(t *testing.T) {
+	parcel.SetPoolDebug(true)
+	defer parcel.SetPoolDebug(false)
+	r := New(Config{
+		Localities:         2,
+		WorkersPerLocality: 2,
+		Faults:             Faults{DupOneIn: 1, Seed: 13},
+	})
+	defer r.Shutdown()
+	want := make([]byte, 64)
+	for i := range want {
+		want[i] = byte(i + 1)
+	}
+	var seen, wrong atomic.Int64
+	r.MustRegisterAction("dup.value64", func(*Context, any, *parcel.Reader) (any, error) {
+		return want, nil
+	})
+	r.MustRegisterAction("dup.check", func(_ *Context, _ any, args *parcel.Reader) (any, error) {
+		v, err := decodeValueArg(args)
+		if got, ok := v.([]byte); err != nil || !ok || !bytes.Equal(got, want) {
+			wrong.Add(1)
+		}
+		seen.Add(1)
+		return nil, nil
+	})
+	first, last := r.NewDataAt(1, struct{}{}), r.NewDataAt(0, struct{}{})
+	const n = 200
+	for i := 0; i < n; i++ {
+		r.SendFrom(1, parcel.New(first, "dup.value64", nil, parcel.Continuation{Target: last, Action: "dup.check"}))
+	}
+	r.Wait()
+	if seen.Load() != 2*n || wrong.Load() != 0 {
+		t.Fatalf("L0 saw %d values, %d of them wrong; want %d, all exact", seen.Load(), wrong.Load(), 2*n)
+	}
+	if errs := r.Errors(); len(errs) != 0 {
+		t.Fatalf("runtime errors: %v", errs)
+	}
+}
+
 func TestNoFaultsByDefault(t *testing.T) {
 	r := New(Config{Localities: 2})
 	defer r.Shutdown()
-	if r.Dropped() != 0 || r.Duplicated() != 0 {
+	if r.Duplicated() != 0 || r.Silenced() != 0 {
 		t.Fatal("fault counters nonzero without injection")
 	}
 }
@@ -147,7 +165,7 @@ func TestCrashAndPartitionFaultsAreDeterministic(t *testing.T) {
 		t.Fatal("silenced a frame on an unrelated link")
 	}
 	// Zero knobs build no injector at all.
-	if newFaultState(Faults{DropOneIn: 0}) != nil {
+	if newFaultState(Faults{Seed: 99}) != nil {
 		t.Fatal("fault state built with nothing configured")
 	}
 }

@@ -171,7 +171,6 @@ func (r *Runtime) buildMetricsRegistry() *metrics.Registry {
 	reg.RegisterFunc("px.pool.wire.misses", func() int64 { _, _, _, m := parcel.PoolStats(); return int64(m) })
 
 	// Fault injection (0 unless configured).
-	reg.RegisterFunc("px.faults.dropped", func() int64 { return int64(r.Dropped()) })
 	reg.RegisterFunc("px.faults.duplicated", func() int64 { return int64(r.Duplicated()) })
 
 	// Adaptive self-balancing (only when BalanceInterval enables it, so

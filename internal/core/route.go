@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/agas"
@@ -16,9 +15,11 @@ import (
 
 // SendFrom routes p from locality src toward the owner of p.Dest, where it
 // executes as a new thread. A parcel for another locality of this node
-// crosses the in-process wire (encode, decode, modelled latency); one for
-// another node crosses the transport. A reply to a call from this node
-// resolves on the calling goroutine instead: setting a future never blocks.
+// moves by pointer, after the network model's latency if it models one; one
+// for another node crosses the transport. Until dispatch a node-local
+// parcel references its Args rather than copying them. A reply to a call
+// from this node resolves on the calling goroutine instead: setting a
+// future never blocks.
 func (r *Runtime) SendFrom(src int, p *parcel.Parcel) {
 	r.checkResident(src)
 	if p.Dest.IsNil() {
@@ -75,82 +76,36 @@ func (r *Runtime) route(src int, p *parcel.Parcel) *parcel.Parcel {
 		}
 	}
 	r.slow.ParcelsSent.Inc()
-	// Cross-locality parcels ride the wire format even in-process, so the
-	// encode/route/decode path every remote parcel takes is exercised;
-	// same-locality sends (above) bypass it, as the model prescribes.
-	w := parcel.GetWire()
-	var tbl *actionSet
-	if p.InternEncodable() {
-		// The in-process wire interns against the local registry: both
-		// ends share it, and snapshots are append-only, so positions
-		// resolve across concurrent registrations.
-		tbl = r.acts.snapshot()
-		w.B = p.EncodeInterned(w.B, tbl)
-	} else {
-		// An action name only the plain format can carry (it can never be
-		// registered, so dispatch will fail it gracefully); tbl nil routes
-		// the decode side to the plain codec.
-		w.B = p.Encode(w.B)
+	// Another locality of this node shares this address space, so the
+	// parcel itself moves, as on the same-locality path above. A fault-
+	// injected duplicate is a copy that owns its argument bytes, because the
+	// original may be dispatched and released first; it carries its own
+	// work unit.
+	var dup *parcel.Parcel
+	if r.faults != nil && r.faults.duplicate() {
+		r.addWork()
+		dup = parcel.Clone(p)
 	}
-	copies := 1
-	if r.faults != nil {
-		copies = r.faults.verdict(p.Action != ActionLCOTrigger)
-	}
-	if copies == 0 {
-		// Lost to the fault injector, which never drops a trigger.
-		parcel.PutWire(w)
-		parcel.Release(p)
-		r.mustPost(r.loc(src).Post(func() { r.doneWork() }))
-		return nil
-	}
-	if copies == 2 {
-		r.addWork() // the duplicate carries its own work unit
-	}
-	lat := r.net.Latency(src, owner, len(w.B))
-	if copies == 1 && lat <= 0 {
-		// The steady-state leg: serialize, decode into a pooled parcel,
-		// dispatch — no closures, no timers, no allocation.
-		return r.deliverWire(src, owner, p, w, tbl)
-	}
-	// Latency-modelled or duplicated wire delivery: the original parcel and
-	// the encode buffer stay alive until the last copy has decoded, then
-	// return to their pools.
-	d := &wireDelivery{r: r, src: src, owner: owner, p: p, w: w, tbl: tbl}
-	d.left.Store(int32(copies))
-	for c := 0; c < copies; c++ {
-		if lat <= 0 {
-			d.deliverOne()
-			continue
+	if lat := r.net.Latency(src, owner, len(p.Args)); lat > 0 {
+		r.handOffAfter(lat, owner, p)
+		if dup != nil {
+			r.handOffAfter(lat, owner, dup)
 		}
-		time.AfterFunc(lat, d.deliverOne)
-	}
-	return nil
-}
-
-// deliverWire decodes the serialized form of p out of w into a pooled
-// parcel and hands it off, recycling the buffer and the original parcel.
-// A nil tbl means the parcel was encoded in the plain format (see route).
-func (r *Runtime) deliverWire(src, owner int, p *parcel.Parcel, w *parcel.WireBuf, tbl *actionSet) *parcel.Parcel {
-	var dp *parcel.Parcel
-	var derr error
-	if tbl != nil {
-		dp, _, derr = parcel.DecodePooledInterned(w.B, tbl)
-	} else {
-		dp, _, derr = parcel.DecodePooled(w.B)
-	}
-	parcel.PutWire(w)
-	if derr != nil {
-		r.deliverFailure(src, p, fmt.Errorf("core: wire corruption: %w", derr))
 		return nil
 	}
-	// The in-process wire form carries no trailer; the trace context
-	// crosses by field copy (both ends are this runtime).
-	dp.Trace = p.Trace
-	parcel.Release(p)
-	return r.handOff(owner, dp)
+	if dup != nil {
+		r.runReply(r.handOff(owner, p))
+		p = dup
+	}
+	return r.handOff(owner, p)
 }
 
-// handOff ends an in-process leg of route: it enqueues p on locality loc,
+// handOffAfter is handOff after the network model's latency, on a timer.
+func (r *Runtime) handOffAfter(lat time.Duration, loc int, p *parcel.Parcel) {
+	time.AfterFunc(lat, func() { r.runReply(r.handOff(loc, p)) })
+}
+
+// handOff ends a node-local leg of route: it enqueues p on locality loc,
 // or returns it to be run inline if it is for a reply slot. A reply read
 // off the wire is always enqueued (distState.deliver): a read goroutine
 // must not run callbacks that may block on a send.
@@ -171,50 +126,6 @@ func (r *Runtime) runReply(p *parcel.Parcel) {
 		t.r, t.loc, t.p = r, int(p.Dest.Home), p
 		t.fire()
 	}
-}
-
-// wireDelivery is the latency-modelled (or fault-duplicated) wire leg:
-// each copy decodes its own pooled parcel from the shared encode buffer;
-// the last one done returns the buffer and the original parcel.
-type wireDelivery struct {
-	r          *Runtime
-	src, owner int
-	p          *parcel.Parcel
-	w          *parcel.WireBuf
-	tbl        *actionSet
-	left       atomic.Int32
-	failed     atomic.Bool
-}
-
-func (d *wireDelivery) deliverOne() {
-	var dp *parcel.Parcel
-	var derr error
-	if d.tbl != nil {
-		dp, _, derr = parcel.DecodePooledInterned(d.w.B, d.tbl)
-	} else {
-		dp, _, derr = parcel.DecodePooled(d.w.B)
-	}
-	last := d.left.Add(-1) == 0
-	if last {
-		parcel.PutWire(d.w)
-	}
-	if derr != nil {
-		// Copies decode the same bytes, so either every copy fails here or
-		// none does; success and failure paths never race on p. The first
-		// failing copy consumes p for failure delivery, the rest only
-		// release their work units.
-		if d.failed.CompareAndSwap(false, true) {
-			d.r.deliverFailure(d.src, d.p, fmt.Errorf("core: wire corruption: %w", derr))
-			return
-		}
-		d.r.mustPost(d.r.loc(d.src).Post(func() { d.r.doneWork() }))
-		return
-	}
-	dp.Trace = d.p.Trace
-	if last {
-		parcel.Release(d.p)
-	}
-	d.r.runReply(d.r.handOff(d.owner, dp))
 }
 
 // execTask is the pooled unit posted to a locality (or run inline, for a

@@ -3,8 +3,35 @@ package core
 import (
 	"testing"
 
+	"repro/internal/parcel"
 	"repro/internal/transport"
 )
+
+// TestNodeLocalParcelsMoveByPointer: a parcel between two localities of one
+// node is handed over, never encoded, so neither leg of a node-local call
+// (request to L1, reply to L0) takes an encode buffer from the pool.
+func TestNodeLocalParcelsMoveByPointer(t *testing.T) {
+	r := newTestRuntime(t, 2)
+	obj := r.NewDataAt(1, struct{}{})
+	call := func() {
+		if _, err := r.CallFrom(0, obj, ActionNop, nil).Get(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		call() // warm the pools and the slot table
+	}
+	r.Wait()
+	wireGets := func() uint64 { _, _, hits, misses := parcel.PoolStats(); return hits + misses }
+	before := wireGets()
+	const calls = 1000
+	for i := 0; i < calls; i++ {
+		call()
+	}
+	if got := wireGets() - before; got != 0 {
+		t.Fatalf("%d node-local calls took %d WireBufs from the pool, want 0", calls, got)
+	}
+}
 
 // TestRouteIntoUnadoptedLocality: a death verdict re-homes the corpse's
 // localities onto this node in the membership map before adoptLocalities

@@ -28,7 +28,9 @@ type Config struct {
 	// WorkersPerLocality bounds concurrently running threads per locality.
 	// Default 4.
 	WorkersPerLocality int
-	// Net models inter-locality latency. Default: ideal (zero latency).
+	// Net models the latency between two localities of this node: a parcel
+	// between them is handed over by pointer once the model's latency for
+	// its argument record has passed. Default: ideal (zero latency).
 	Net network.Model
 	// Policy selects queue service order.
 	Policy locality.Policy
@@ -50,12 +52,11 @@ type Config struct {
 	// flattening — it rides as text inside the verdict message. Zero
 	// defaults to 2ms; negative omits the hint.
 	RetryAfterHint time.Duration
-	// Faults optionally injects parcel loss/duplication (tests only). Loss
-	// and duplication apply to the modelled network path between two
-	// localities of one node; the wire between nodes is reliable while the
-	// peer lives, so only the crash and partition knobs act on it. LCO
-	// trigger parcels are exempt from drops (nothing retransmits them) but
-	// still subject to duplication, which their trigger IDs absorb.
+	// Faults optionally injects faults (tests only). Duplication applies to
+	// parcels between two localities of one node; trigger IDs and spent
+	// reply slots absorb the copies. No parcel to a live node is dropped:
+	// the wire between nodes is reliable while the peer lives, so only the
+	// crash and partition knobs act on it.
 	Faults Faults
 
 	// Transport, when set, makes this runtime one node of a multi-process

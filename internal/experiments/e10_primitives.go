@@ -74,7 +74,7 @@ func RunE10(count int) []E10Result {
 		}
 		rt.Wait()
 	})
-	mk("parcel remote 1-way", count, "cross-locality, serialized, ideal net", func(n int) {
+	mk("parcel remote 1-way", count, "cross-locality, by pointer, ideal net", func(n int) {
 		for i := 0; i < n; i++ {
 			rt.SendFrom(0, parcel.New(remoteObj, core.ActionNop, nil))
 		}

@@ -13,8 +13,12 @@ import (
 // linear: a pooled parcel has exactly one holder at a time — the holder
 // either passes it on (enqueue, park, re-route) or calls Release exactly
 // once when dispatch completes. Encode buffers follow the same rule: the
-// encoder releases after the frame has been flushed to the transport or
-// decoded by the in-process delivery.
+// encoder releases after the frame has been flushed to the transport.
+//
+// A parcel between localities of one node is handed over by pointer and is
+// never encoded, so its Args are referenced, not copied, until dispatch:
+// whoever built them must leave them untouched until then. Clone is the one
+// copy, for a parcel that must outlive its original's release.
 //
 // Parcels built by New (the public constructor) are not pooled: Release
 // ignores them, so application code that retains a parcel after sending
@@ -90,6 +94,21 @@ func AcquireValue(dest agas.GID, action string, v any, cont ...Continuation) (*P
 	p.argsBuf = buf
 	p.Args = buf
 	return p, nil
+}
+
+// Clone returns a pooled copy of p, identity included, that owns its
+// argument bytes and continuation stack: it stays valid after p is
+// released (and, under pool debugging, poisoned).
+func Clone(p *Parcel) *Parcel {
+	c := blank()
+	c.ID, c.Dest, c.Action, c.AID = p.ID, p.Dest, p.Action, p.AID
+	if len(p.Args) > 0 {
+		c.argsBuf = append(c.argsBuf[:0], p.Args...)
+		c.Args = c.argsBuf
+	}
+	c.Cont = append(c.Cont, p.Cont...)
+	c.Src, c.Hops, c.Trace = p.Src, p.Hops, p.Trace
+	return c
 }
 
 // blank returns a pooled zero parcel for DecodeInto to fill.

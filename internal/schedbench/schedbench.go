@@ -300,10 +300,10 @@ func Migrate(b *testing.B, chasers int) {
 }
 
 // ParcelFlood drives b.N nop parcels from locality 0 to an object on
-// locality 1 through the full steady-state path — post, AGAS resolve,
-// wire encode, decode, dispatch — on one two-locality runtime with
-// serialization forced. Its allocs/op figure is the hot path's allocation
-// budget per parcel and is gated in CI (cmd/benchdiff -allocdrop).
+// locality 1 through the full steady-state node-local path — post, AGAS
+// resolve, pointer hand-off, dispatch — on one two-locality runtime. Its
+// allocs/op figure is the hot path's allocation budget per parcel and is
+// gated in CI (cmd/benchdiff -allocdrop).
 func ParcelFlood(b *testing.B, producers int) {
 	parcelFlood(b, producers, parallex.Config{Localities: 2, WorkersPerLocality: 4})
 }
@@ -356,9 +356,9 @@ func parcelFlood(b *testing.B, producers int, cfg parallex.Config) {
 }
 
 // ParcelPingPong bounces one parcel rally between objects on two
-// localities: each action send is a full post→route→encode→decode→dispatch
-// leg with no batching or parallelism to hide behind — per-parcel latency
-// and allocation, measured end to end.
+// localities: each action send is a full post→route→hand-off→dispatch leg
+// with no batching or parallelism to hide behind — per-parcel latency and
+// allocation, measured end to end.
 func ParcelPingPong(b *testing.B) {
 	rt := parallex.New(parallex.Config{Localities: 2, WorkersPerLocality: 1})
 	defer rt.Shutdown()

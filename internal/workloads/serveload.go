@@ -45,8 +45,9 @@ type OpenLoopConfig struct {
 	// response futures are homed at).
 	SrcLoc int
 	// Timeout bounds one attempt's wait for a verdict before the request
-	// is re-issued (requests ride at-most-once parcels; a modelled-network
-	// drop would otherwise hang the client forever). Default 2s.
+	// is re-issued. Nothing drops a request while its node lives, but a
+	// node that goes silent before its death is declared would otherwise
+	// hold the client until the node-lost verdict. Default 2s.
 	Timeout time.Duration
 	// Retries is how many times a shed or timed-out request is re-issued
 	// before it counts as lost. Default 8.
