@@ -155,7 +155,7 @@ func registerBuiltins(a *actionRegistry) {
 		case *DistLCO:
 			// A continuation-borne trigger: the dedup ID derives from the
 			// carrying parcel, so a fault-duplicated delivery applies once.
-			raw := args.Bytes()
+			raw := args.BytesAliased()
 			if err := args.Err(); err != nil {
 				return nil, err
 			}
@@ -210,7 +210,7 @@ func registerBuiltins(a *actionRegistry) {
 			}
 			return nil, nil
 		case *DistLCO:
-			raw := args.Bytes()
+			raw := args.BytesAliased()
 			if err := args.Err(); err != nil {
 				return nil, err
 			}
@@ -222,7 +222,7 @@ func registerBuiltins(a *actionRegistry) {
 		tid := args.Uint64()
 		op := TrigOp(args.Uint64())
 		slot := uint32(args.Uint64())
-		raw := args.Bytes()
+		raw := args.BytesAliased()
 		if err := args.Err(); err != nil {
 			return nil, err
 		}
@@ -247,6 +247,10 @@ func registerBuiltins(a *actionRegistry) {
 // contribution is counted as delivered. Synchronization that must
 // survive duplication faults targets a DistLCO, whose trigger IDs dedup
 // every operation.
+//
+// Like applyDistTrigger, it reads raw and keeps nothing of it: raw aliases
+// the trigger parcel's argument record, which recycles once the action
+// returns, and DecodeAny copies every value out of the record it reads.
 func applyPlainTrigger(target any, op TrigOp, raw []byte) error {
 	switch t := target.(type) {
 	case *lco.Future:

@@ -351,43 +351,29 @@ func parcelTriggerID(p *parcel.Parcel) uint64 {
 // trigger is identified and idempotent: a duplicated delivery applies
 // once. v must be wire-encodable.
 func (r *Runtime) SetLCO(src int, g agas.GID, v any) error {
-	raw, err := parcel.EncodeAny(v)
-	if err != nil {
-		return err
-	}
-	r.triggerLCO(src, r.nextTID(), TrigSet, 0, g, raw)
-	return nil
+	return r.triggerValue(src, g, r.nextTID(), TrigSet, 0, v)
 }
 
 // FailLCO resolves the LCO named g with an error.
 func (r *Runtime) FailLCO(src int, g agas.GID, msg string) {
-	raw, _ := parcel.EncodeAny(msg)
-	r.triggerLCO(src, r.nextTID(), TrigFail, 0, g, raw)
+	_ = r.triggerValue(src, g, r.nextTID(), TrigFail, 0, msg) // a string always encodes
 }
 
 // SignalLCO delivers one identified gate arrival to g.
 func (r *Runtime) SignalLCO(src int, g agas.GID) {
-	r.triggerLCO(src, r.nextTID(), TrigSignal, 0, g, nil)
+	p, a := newTrigger(g, r.nextTID(), TrigSignal, 0)
+	a.Bytes(nil)
+	r.sendTrigger(src, p, a)
 }
 
 // ContributeLCO folds v into the reduction named g.
 func (r *Runtime) ContributeLCO(src int, g agas.GID, v any) error {
-	raw, err := parcel.EncodeAny(v)
-	if err != nil {
-		return err
-	}
-	r.triggerLCO(src, r.nextTID(), TrigContribute, 0, g, raw)
-	return nil
+	return r.triggerValue(src, g, r.nextTID(), TrigContribute, 0, v)
 }
 
 // SupplyLCO fills dataflow slot of the template named g with v.
 func (r *Runtime) SupplyLCO(src int, g agas.GID, slot uint32, v any) error {
-	raw, err := parcel.EncodeAny(v)
-	if err != nil {
-		return err
-	}
-	r.triggerLCO(src, r.nextTID(), TrigSupply, slot, g, raw)
-	return nil
+	return r.triggerValue(src, g, r.nextTID(), TrigSupply, slot, v)
 }
 
 // SubscribeLCO registers waiter w on the LCO named g, wherever in the
@@ -398,8 +384,11 @@ func (r *Runtime) SubscribeLCO(src int, g agas.GID, w Waiter) {
 	if w.Target.IsNil() {
 		panic("core: subscribe with nil waiter target")
 	}
-	raw := parcel.NewArgs().GID(w.Target).Uint64(uint64(w.Op)).Uint64(uint64(w.Slot)).Encode()
-	r.triggerLCO(src, r.nextTID(), TrigWait, 0, g, raw)
+	p, a := newTrigger(g, r.nextTID(), TrigWait, 0)
+	mark := a.OpenRecord()
+	a.GID(w.Target).Uint64(uint64(w.Op)).Uint64(uint64(w.Slot))
+	a.CloseRecord(mark)
+	r.sendTrigger(src, p, a)
 }
 
 // WaitLCO returns a plain local future (homed at resident locality src)
@@ -434,39 +423,56 @@ func decodeWaiter(raw []byte) (Waiter, error) {
 	return w, nil
 }
 
-// encodeTriggerArgs builds the px.lco.trigger argument record.
-func encodeTriggerArgs(tid uint64, op TrigOp, slot uint32, value []byte) []byte {
-	return parcel.NewArgs().Uint64(tid).Uint64(uint64(op)).Uint64(uint64(slot)).Bytes(value).Encode()
+// newTrigger acquires a px.lco.trigger parcel to g and writes the
+// trigger's header into the parcel's own argument store. The caller
+// appends the value field in place and hands both to sendTrigger, so a
+// trigger record is built once, in the parcel that carries it.
+func newTrigger(g agas.GID, tid uint64, op TrigOp, slot uint32) (*parcel.Parcel, *parcel.Args) {
+	p := parcel.Acquire(g, ActionLCOTrigger, nil)
+	a := p.OwnArgs()
+	a.Uint64(tid).Uint64(uint64(op)).Uint64(uint64(slot))
+	return p, a
 }
 
-// triggerLCO sends one identified trigger to the LCO named g as a
-// px.lco.trigger parcel, wherever g lives: the parcel path counts it,
-// fences it and forwards it like any other access.
-func (r *Runtime) triggerLCO(src int, tid uint64, op TrigOp, slot uint32, g agas.GID, value []byte) {
-	r.SendFrom(src, parcel.Acquire(g, ActionLCOTrigger, encodeTriggerArgs(tid, op, slot, value)))
+// sendTrigger seals the record newTrigger started and sends the trigger to
+// the LCO it names, wherever that lives: the parcel path counts it, fences
+// it and forwards it like any other access.
+func (r *Runtime) sendTrigger(src int, p *parcel.Parcel, a *parcel.Args) {
+	p.Args = a.Encode()
+	r.SendFrom(src, p)
+}
+
+// triggerValue sends one identified trigger carrying v's value record.
+// Nothing is sent when v is not wire-encodable.
+func (r *Runtime) triggerValue(src int, g agas.GID, tid uint64, op TrigOp, slot uint32, v any) error {
+	p, a := newTrigger(g, tid, op, slot)
+	if err := a.Value(v); err != nil {
+		parcel.Release(p)
+		return err
+	}
+	r.sendTrigger(src, p, a)
+	return nil
 }
 
 // fireWaiter delivers one resolution to a subscribed waiter: the waiter's
 // operation with the resolved value, or TrigFail with the error message.
 func (r *Runtime) fireWaiter(src int, w Waiter, val any, failMsg string) {
 	if failMsg != "" {
-		raw, _ := parcel.EncodeAny(failMsg)
-		r.triggerLCO(src, r.nextTID(), TrigFail, 0, w.Target, raw)
+		r.FailLCO(src, w.Target, failMsg)
 		return
 	}
-	raw, err := parcel.EncodeAny(val)
-	if err != nil {
-		raw, _ = parcel.EncodeAny(fmt.Sprintf("resolved value not wire-encodable: %v", err))
-		r.triggerLCO(src, r.nextTID(), TrigFail, 0, w.Target, raw)
-		return
+	if err := r.triggerValue(src, w.Target, r.nextTID(), w.Op, w.Slot, val); err != nil {
+		r.FailLCO(src, w.Target, fmt.Sprintf("resolved value not wire-encodable: %v", err))
 	}
-	r.triggerLCO(src, r.nextTID(), w.Op, w.Slot, w.Target, raw)
 }
 
 // applyDistTrigger applies one identified trigger to a locally hosted
 // DistLCO, firing waiters on resolution. It runs inside a parcel action
 // (a work unit is charged), so waiter fires charge their own legs through
-// the normal send path.
+// the normal send path. raw may alias the trigger parcel's argument
+// record, valid only until the action returns, so nothing here retains
+// it: values are decoded out of it (DecodeAny copies) and a waiter record
+// is parsed into a Waiter.
 func (r *Runtime) applyDistTrigger(loc int, l *DistLCO, tid uint64, op TrigOp, slot uint32, raw []byte) error {
 	var v any
 	var err error

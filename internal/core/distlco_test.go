@@ -392,15 +392,18 @@ func TestDistLCOLateTriggerToFreedTarget(t *testing.T) {
 	r := New(Config{Localities: 2, WorkersPerLocality: 2})
 	defer r.Shutdown()
 	fgid, fut := r.NewFutureAt(0)
-	raw, _ := parcel.EncodeAny(int64(1))
-	r.SendFrom(1, parcel.Acquire(fgid, ActionLCOTrigger, encodeTriggerArgs(77, TrigSet, 0, raw)))
+	if err := r.triggerValue(1, fgid, 77, TrigSet, 0, int64(1)); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := fut.Get(); err != nil {
 		t.Fatal(err)
 	}
 	r.Wait()
 	r.FreeObject(fgid)
 	// The straggler: same trigger, target gone.
-	r.SendFrom(1, parcel.Acquire(fgid, ActionLCOTrigger, encodeTriggerArgs(77, TrigSet, 0, raw)))
+	if err := r.triggerValue(1, fgid, 77, TrigSet, 0, int64(1)); err != nil {
+		t.Fatal(err)
+	}
 	r.Wait()
 	if errs := r.Errors(); len(errs) != 0 {
 		t.Fatalf("late trigger to freed target recorded errors: %v", errs)

@@ -77,7 +77,7 @@ func TestDuplicatedFutureSetReportsSecondWrite(t *testing.T) {
 // owns its argument bytes. The original may run and be released (here
 // poisoned) before the copy runs, so a copy that referenced the original's
 // bytes would read the poison. Each chain's first hop stays on L1; its
-// continuation crosses L1 → L0 carrying the value in its own argsBuf
+// continuation crosses L1 → L0 carrying the value in its own argument store
 // (AcquireValue), and every crossing is duplicated.
 func TestDuplicateOwnsItsArgs(t *testing.T) {
 	parcel.SetPoolDebug(true)

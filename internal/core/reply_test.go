@@ -111,8 +111,9 @@ func TestUndecodableReplyFailsTheFuture(t *testing.T) {
 }
 
 // TestCallFromAllocBudget pins what a split-phase call may allocate: the
-// future and its channel, and for a value the copy and the box the
-// receiving side's decode makes (the action's own result is the caller's).
+// future and nothing else for a call with no value; for a value, also the
+// action's own result box and the copy and box the receiving side's decode
+// makes. Argument records, the reply parcel and the wait cost nothing.
 func TestCallFromAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector randomizes sync.Pool reuse; exact alloc counts only hold without -race")
@@ -126,7 +127,7 @@ func TestCallFromAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		action string
 		budget float64
-	}{{ActionNop, 3}, {"reply.value64", 6}} {
+	}{{ActionNop, 1}, {"reply.value64", 4}} {
 		call := func() {
 			if _, err := r.CallFrom(0, obj, tc.action, nil).Get(); err != nil {
 				t.Fatal(err)

@@ -371,8 +371,8 @@ func (r *Runtime) failParcel(loc int, p *parcel.Parcel, err error) {
 // failTo delivers err to cont, a continuation already popped off p, and
 // consumes p.
 func (r *Runtime) failTo(loc int, p *parcel.Parcel, cont parcel.Continuation, err error) {
-	args := parcel.NewArgs().String(err.Error()).Encode()
-	np := parcel.Acquire(cont.Target, ActionLCOFail, args)
+	np := parcel.Acquire(cont.Target, ActionLCOFail, nil)
+	np.Args = np.OwnArgs().String(err.Error()).Encode()
 	np.ID = p.ID // failure deliveries share the chain identity too
 	np.Trace = p.Trace
 	parcel.Release(p)

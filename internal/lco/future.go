@@ -18,18 +18,33 @@ var ErrAlreadySet = errors.New("lco: already set")
 
 // Future is a single-assignment value with blocking and callback-style
 // consumers. The zero value is not usable; create with NewFuture.
+//
+// A future costs one allocation, itself: a blocking Get parks on the
+// embedded wait group, the channel Done returns is made only for a caller
+// that selects on a still-unresolved future, and the callback slice only
+// once OnReady is used.
 type Future struct {
 	mu   sync.Mutex
-	done chan struct{}
+	wg   sync.WaitGroup // holds one count until resolution; Get waits on it
+	done chan struct{}  // made by Done while unresolved, closed on resolution
 	set  bool
 	val  any
 	err  error
 	cbs  []func(any, error)
 }
 
+// closedDone is the channel Done hands out once a future has resolved.
+var closedDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
 // NewFuture returns an empty future.
 func NewFuture() *Future {
-	return &Future{done: make(chan struct{})}
+	f := &Future{}
+	f.wg.Add(1)
+	return f
 }
 
 // Set delivers the value, waking all waiters and running registered
@@ -55,8 +70,11 @@ func (f *Future) resolve(v any, err error) error {
 	f.val, f.err = v, err
 	cbs := f.cbs
 	f.cbs = nil
-	close(f.done)
+	if f.done != nil {
+		close(f.done)
+	}
 	f.mu.Unlock()
+	f.wg.Done()
 	for _, cb := range cbs {
 		cb(v, err)
 	}
@@ -67,7 +85,7 @@ func (f *Future) resolve(v any, err error) error {
 // This is the "suspend the consumer thread" path; in the runtime the
 // blocked goroutine is exactly the paper's depleted thread.
 func (f *Future) Get() (any, error) {
-	<-f.done
+	f.wg.Wait()
 	return f.val, f.err
 }
 
@@ -81,8 +99,20 @@ func (f *Future) TryGet() (v any, err error, ok bool) {
 	return f.val, f.err, true
 }
 
-// Done returns a channel closed on resolution, for use in select.
-func (f *Future) Done() <-chan struct{} { return f.done }
+// Done returns a channel closed on resolution, for use in select. A
+// resolved future returns a shared, already closed channel, so only a
+// select on a future still pending makes one.
+func (f *Future) Done() <-chan struct{} {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.set {
+		return closedDone
+	}
+	if f.done == nil {
+		f.done = make(chan struct{})
+	}
+	return f.done
+}
 
 // OnReady registers cb to run when the future resolves; if it already has,
 // cb runs immediately on the calling goroutine. Otherwise cb runs on the

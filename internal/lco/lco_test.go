@@ -125,6 +125,149 @@ func TestFutureManyWaiters(t *testing.T) {
 	}
 }
 
+// TestFutureConcurrentGetters races 1,024 consumers against one Set: a
+// third block in Get, a third select on Done, a third register OnReady.
+// Every one of them must see the single value, and no Done channel may be
+// left open.
+func TestFutureConcurrentGetters(t *testing.T) {
+	const getters = 1024
+	f := NewFuture()
+	var start, end sync.WaitGroup
+	start.Add(getters)
+	end.Add(getters)
+	var wrong, callbacks atomic.Int32
+	check := func(v any, err error) {
+		if n, ok := v.(int); !ok || n != 123 || err != nil {
+			wrong.Add(1)
+		}
+	}
+	go func() {
+		start.Wait()
+		if err := f.Set(123); err != nil {
+			t.Error(err)
+		}
+	}()
+	for i := 0; i < getters; i++ {
+		go func(i int) {
+			start.Wait()
+			switch i % 3 {
+			case 0:
+				defer end.Done()
+				check(f.Get())
+			case 1:
+				defer end.Done()
+				<-f.Done()
+				v, err, ok := f.TryGet()
+				if !ok {
+					wrong.Add(1)
+				}
+				check(v, err)
+			case 2:
+				f.OnReady(func(v any, err error) {
+					check(v, err)
+					callbacks.Add(1)
+					end.Done()
+				})
+			}
+		}(i)
+		start.Done()
+	}
+	end.Wait()
+	if n := wrong.Load(); n != 0 {
+		t.Fatalf("%d getters saw a wrong or missing value", n)
+	}
+	if n := callbacks.Load(); n != getters/3 {
+		t.Fatalf("%d callbacks ran, want %d", n, getters/3)
+	}
+	if !f.Resolved() {
+		t.Fatal("future not resolved after every getter returned")
+	}
+}
+
+// TestFutureAllocatesOnlyItself pins the future's cost: NewFuture, Set and
+// Get allocate the future and nothing else, and Done on a resolved future
+// hands out the shared closed channel.
+func TestFutureAllocatesOnlyItself(t *testing.T) {
+	var sink *Future
+	if n := testing.AllocsPerRun(1000, func() {
+		f := NewFuture()
+		f.Set(nil)
+		f.Get()
+		sink = f
+	}); n != 1 {
+		t.Fatalf("NewFuture/Set/Get allocates %.1f/op, want 1", n)
+	}
+	_ = sink
+
+	f := NewFuture()
+	f.Set(nil)
+	if n := testing.AllocsPerRun(1000, func() { <-f.Done() }); n != 0 {
+		t.Fatalf("Done on a resolved future allocates %.1f/op, want 0", n)
+	}
+}
+
+// TestFutureDoneBeforeSet: a channel taken while the future is pending is
+// closed by the resolution.
+func TestFutureDoneBeforeSet(t *testing.T) {
+	f := NewFuture()
+	done := f.Done()
+	select {
+	case <-done:
+		t.Fatal("Done closed before the future resolved")
+	default:
+	}
+	if f.Done() != done {
+		t.Fatal("a pending future made a second Done channel")
+	}
+	f.Fail(nil)
+	<-done
+	if _, err := f.Get(); err == nil {
+		t.Fatal("failed future returned no error")
+	}
+}
+
+// BenchmarkFutureAvailable is a future's whole life: make, set, get.
+func BenchmarkFutureAvailable(b *testing.B) {
+	b.ReportAllocs()
+	futures := make([]*Future, b.N)
+	for i := range futures {
+		futures[i] = NewFuture()
+	}
+	b.ResetTimer()
+	for _, f := range futures {
+		f.Set(nil)
+		f.Get()
+	}
+}
+
+// BenchmarkFutureGet reads a resolved future.
+func BenchmarkFutureGet(b *testing.B) {
+	b.ReportAllocs()
+	f := NewFuture()
+	f.Set(nil)
+	for i := 0; i < b.N; i++ {
+		f.Get()
+	}
+}
+
+// BenchmarkFutureReady polls a resolved future, through Resolved and
+// through a select on Done.
+func BenchmarkFutureReady(b *testing.B) {
+	b.ReportAllocs()
+	f := NewFuture()
+	f.Set(nil)
+	for i := 0; i < b.N; i++ {
+		if !f.Resolved() {
+			b.Fatal("unresolved")
+		}
+		select {
+		case <-f.Done():
+		default:
+			b.Fatal("Done not closed")
+		}
+	}
+}
+
 func TestDataflowFiresOnceWithAllInputs(t *testing.T) {
 	d := NewDataflow(3, func(in []any) (any, error) {
 		return in[0].(int) + in[1].(int) + in[2].(int), nil

@@ -10,7 +10,9 @@ import (
 
 // ValueCodec extends EncodeAny/DecodeAny with one application value type.
 // Encode reports ok=false when v is not its type (the next codec is
-// tried); Decode reconstructs a value from the bytes Encode produced.
+// tried); Decode reconstructs a value from the bytes Encode produced and
+// must not retain them: DecodeAny is handed records that alias a pooled
+// parcel's arguments, so a decoded value owns its memory.
 // Codecs travel by name, so a codec must be registered under the same name
 // on every node that may host the value — the same contract actions obey.
 type ValueCodec struct {
@@ -138,7 +140,7 @@ func AppendAny(dst []byte, v any) ([]byte, error) {
 
 // DecodeAny decodes a value produced by EncodeAny by dispatching on the
 // leading type tag. Integers come back as int64 and byte/float/int vectors
-// as their slice types.
+// as their slice types. The value never aliases buf.
 func DecodeAny(buf []byte) (any, error) {
 	if len(buf) == 0 {
 		return nil, fmt.Errorf("parcel: empty value record")

@@ -129,3 +129,63 @@ func TestAcquireValueMatchesTwoStepEncoding(t *testing.T) {
 		t.Fatal("unencodable value accepted")
 	}
 }
+
+// TestOwnArgsRecordsInPlace: a trigger-shaped record (header fields, a
+// value, a nested record) built in a parcel's own store reads back like
+// the two-step form, an unencodable value leaves the builder untouched,
+// and once the pool is warm the whole cycle allocates nothing.
+func TestOwnArgsRecordsInPlace(t *testing.T) {
+	nested := NewArgs().GID(sampleGID(3)).Uint64(4).Encode()
+	raw, _ := EncodeAny("value")
+	want := NewArgs().Uint64(1).Bytes(raw).Bytes(nested).Encode()
+	bad := any(struct{ q int }{})
+	build := func(withBad bool) *Parcel {
+		p := Acquire(sampleGID(1), "act", nil)
+		a := p.OwnArgs()
+		a.Uint64(1)
+		if err := a.Value("value"); err != nil {
+			t.Fatal(err)
+		}
+		if withBad && a.Value(bad) == nil {
+			t.Fatal("unencodable value accepted")
+		}
+		mark := a.OpenRecord()
+		a.GID(sampleGID(3)).Uint64(4)
+		a.CloseRecord(mark)
+		p.Args = a.Encode()
+		return p
+	}
+	p := build(true)
+	if !bytes.Equal(p.Args, want) {
+		t.Fatalf("in-place record = %x, want %x", p.Args, want)
+	}
+	Release(p)
+	if raceEnabled {
+		return
+	}
+	if allocs := testing.AllocsPerRun(100, func() { Release(build(false)) }); allocs != 0 {
+		t.Fatalf("building a record in a warm parcel allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestArgsGrowByField: each field reserves its whole encoding at once, so
+// a one-field record costs one allocation and a two-field record at most
+// two, however long the fields are.
+func TestArgsGrowByField(t *testing.T) {
+	var sink []byte
+	value, vector := make([]byte, 128), make([]float64, 128)
+	for _, tc := range []struct {
+		name  string
+		build func() []byte
+		max   float64
+	}{
+		{"string", func() []byte { return NewArgs().String("key-000042").Encode() }, 1},
+		{"string+bytes", func() []byte { return NewArgs().String("key-000042").Bytes(value).Encode() }, 2},
+		{"gid+float64s", func() []byte { return NewArgs().GID(sampleGID(1)).Float64s(vector).Encode() }, 2},
+	} {
+		if allocs := testing.AllocsPerRun(100, func() { sink = tc.build() }); allocs > tc.max {
+			t.Errorf("%s record allocates %.0f times, want at most %.0f", tc.name, allocs, tc.max)
+		}
+	}
+	_ = sink
+}

@@ -34,8 +34,22 @@ const (
 // NewArgs returns an empty argument record builder.
 func NewArgs() *Args { return &Args{} }
 
+// grow makes room for n more bytes in one step, at least doubling the
+// capacity when the record has to move: each field reserves its whole
+// encoding before writing it, so a record grows field by field, never
+// byte by byte.
+func (a *Args) grow(n int) {
+	if cap(a.buf)-len(a.buf) >= n {
+		return
+	}
+	buf := make([]byte, len(a.buf), max(2*cap(a.buf), len(a.buf)+n))
+	copy(buf, a.buf)
+	a.buf = buf
+}
+
 // Int64 appends v.
 func (a *Args) Int64(v int64) *Args {
+	a.grow(9)
 	a.buf = append(a.buf, tagInt64)
 	a.buf = binary.LittleEndian.AppendUint64(a.buf, uint64(v))
 	return a
@@ -43,6 +57,7 @@ func (a *Args) Int64(v int64) *Args {
 
 // Uint64 appends v.
 func (a *Args) Uint64(v uint64) *Args {
+	a.grow(9)
 	a.buf = append(a.buf, tagUint64)
 	a.buf = binary.LittleEndian.AppendUint64(a.buf, v)
 	return a
@@ -50,6 +65,7 @@ func (a *Args) Uint64(v uint64) *Args {
 
 // Float64 appends v.
 func (a *Args) Float64(v float64) *Args {
+	a.grow(9)
 	a.buf = append(a.buf, tagFloat64)
 	a.buf = binary.LittleEndian.AppendUint64(a.buf, math.Float64bits(v))
 	return a
@@ -61,12 +77,14 @@ func (a *Args) Bool(v bool) *Args {
 	if v {
 		b = 1
 	}
+	a.grow(2)
 	a.buf = append(a.buf, tagBool, b)
 	return a
 }
 
 // String appends v.
 func (a *Args) String(v string) *Args {
+	a.grow(5 + len(v))
 	a.buf = append(a.buf, tagString)
 	a.buf = binary.LittleEndian.AppendUint32(a.buf, uint32(len(v)))
 	a.buf = append(a.buf, v...)
@@ -75,6 +93,7 @@ func (a *Args) String(v string) *Args {
 
 // Bytes appends v.
 func (a *Args) Bytes(v []byte) *Args {
+	a.grow(5 + len(v))
 	a.buf = append(a.buf, tagBytes)
 	a.buf = binary.LittleEndian.AppendUint32(a.buf, uint32(len(v)))
 	a.buf = append(a.buf, v...)
@@ -83,6 +102,7 @@ func (a *Args) Bytes(v []byte) *Args {
 
 // GID appends v.
 func (a *Args) GID(v agas.GID) *Args {
+	a.grow(1 + agas.GIDSize)
 	a.buf = append(a.buf, tagGID)
 	a.buf = v.Encode(a.buf)
 	return a
@@ -90,6 +110,7 @@ func (a *Args) GID(v agas.GID) *Args {
 
 // Float64s appends a vector.
 func (a *Args) Float64s(v []float64) *Args {
+	a.grow(5 + 8*len(v))
 	a.buf = append(a.buf, tagFloat64s)
 	a.buf = binary.LittleEndian.AppendUint32(a.buf, uint32(len(v)))
 	for _, x := range v {
@@ -100,6 +121,7 @@ func (a *Args) Float64s(v []float64) *Args {
 
 // Int64s appends a vector.
 func (a *Args) Int64s(v []int64) *Args {
+	a.grow(5 + 8*len(v))
 	a.buf = append(a.buf, tagInt64s)
 	a.buf = binary.LittleEndian.AppendUint32(a.buf, uint32(len(v)))
 	for _, x := range v {
@@ -108,7 +130,37 @@ func (a *Args) Int64s(v []int64) *Args {
 	return a
 }
 
-// Bytes returns the encoded record. The builder must not be reused after.
+// OpenRecord starts a bytes field whose contents are a nested record,
+// written in place with the builder's other methods; CloseRecord, given
+// the mark OpenRecord returned, patches the field's length. The nested
+// record reads back as one Bytes (or BytesAliased) value.
+func (a *Args) OpenRecord() (mark int) {
+	a.grow(5)
+	a.buf = append(a.buf, tagBytes, 0, 0, 0, 0)
+	return len(a.buf)
+}
+
+// CloseRecord ends the bytes field OpenRecord started at mark.
+func (a *Args) CloseRecord(mark int) {
+	binary.LittleEndian.PutUint32(a.buf[mark-4:], uint32(len(a.buf)-mark))
+}
+
+// Value appends v's EncodeAny record as a bytes field, encoded in place:
+// the single-value argument px.lco.* actions read. On error (v is not
+// encodable) the builder is left as it was.
+func (a *Args) Value(v any) error {
+	mark := a.OpenRecord()
+	buf, err := AppendAny(a.buf, v)
+	if err != nil {
+		a.buf = a.buf[:mark-5]
+		return err
+	}
+	a.buf = buf
+	a.CloseRecord(mark)
+	return nil
+}
+
+// Encode returns the encoded record. The builder must not be reused after.
 func (a *Args) Encode() []byte { return a.buf }
 
 // Reader decodes an argument record in write order.
@@ -202,16 +254,21 @@ func (r *Reader) Bool() bool {
 }
 
 // String reads a string.
-func (r *Reader) String() string {
+func (r *Reader) String() string { return string(r.StringAliased()) }
+
+// StringAliased reads a string's bytes without copying them, with
+// BytesAliased's lifetime: for a lookup such as m[string(b)], which
+// allocates no string.
+func (r *Reader) StringAliased() []byte {
 	if !r.tag(tagString, "string") || !r.need(4, "string") {
-		return ""
+		return nil
 	}
 	n := int(binary.LittleEndian.Uint32(r.buf[r.pos:]))
 	r.pos += 4
 	if !r.need(n, "string body") {
-		return ""
+		return nil
 	}
-	v := string(r.buf[r.pos : r.pos+n])
+	v := r.buf[r.pos : r.pos+n : r.pos+n]
 	r.pos += n
 	return v
 }

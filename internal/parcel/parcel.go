@@ -55,10 +55,11 @@ type Parcel struct {
 	// and parsed by DecodeTrace (see trace.go).
 	Trace TraceCtx
 
-	// argsBuf is the parcel-owned backing store DecodeInto copies argument
-	// bytes into; it survives pool recycles so steady-state decodes do not
+	// own is the parcel-owned argument store: DecodeInto copies argument
+	// bytes into it and OwnArgs builds records in it. It survives pool
+	// recycles, so steady-state decodes and runtime-built records do not
 	// allocate.
-	argsBuf []byte
+	own Args
 	// pooled marks parcels from the pool (Acquire/DecodeInto); Release
 	// ignores the rest.
 	pooled bool
@@ -240,8 +241,8 @@ func DecodeInto(p *Parcel, src []byte) ([]byte, error) {
 // therefore only valid while src is: a consumer must finish with the
 // parcel (or copy Args) before the buffer holding src is reused, which is
 // exactly the transport Handler contract. The parcel is freshly
-// allocated, never pooled — handing it to Release would recycle argsBuf
-// capacity it does not own.
+// allocated, never pooled — handing it to Release would recycle argument
+// store capacity it does not own.
 //
 // Use it for strictly synchronous consumers (decode, inspect, drop within
 // the handler); anything that enqueues or retains the parcel must use
@@ -289,8 +290,8 @@ func decodeInto(p *Parcel, src []byte, interned bool, t Table, aliasArgs bool) (
 	case aliasArgs:
 		p.Args = src[:argLen:argLen]
 	default:
-		p.argsBuf = append(p.argsBuf[:0], src[:argLen]...)
-		p.Args = p.argsBuf
+		p.own.buf = append(p.own.buf[:0], src[:argLen]...)
+		p.Args = p.own.buf
 	}
 	src = src[argLen:]
 	if len(src) < 2 {

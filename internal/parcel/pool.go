@@ -1,7 +1,6 @@
 package parcel
 
 import (
-	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
@@ -76,23 +75,26 @@ func Acquire(dest agas.GID, action string, args []byte, cont ...Continuation) *P
 	return p
 }
 
+// OwnArgs starts a fresh argument record in p's own store, which recycles
+// with p, and returns its builder: once the pool is warm a record written
+// here costs no allocation. Set p.Args to the builder's Encode when done.
+// The store belongs to p, so Release and Clone need no further care.
+func (p *Parcel) OwnArgs() *Args {
+	p.own.buf = p.own.buf[:0]
+	return &p.own
+}
+
 // AcquireValue is Acquire for the parcel a continuation receives: its
-// argument record is the single value v (a bytes argument holding v's
-// EncodeAny record — what core's px.lco.* actions read), encoded once,
-// straight into the parcel's own backing store, which recycles with it.
+// argument record is the single value v (Args.Value, what core's px.lco.*
+// actions read), encoded once, in place, in the parcel's own store.
 func AcquireValue(dest agas.GID, action string, v any, cont ...Continuation) (*Parcel, error) {
 	p := Acquire(dest, action, nil, cont...)
-	// tag | u32 length | record: the length is patched once the record,
-	// written in place after it, is known.
-	buf := append(p.argsBuf[:0], tagBytes, 0, 0, 0, 0)
-	buf, err := AppendAny(buf, v)
-	if err != nil {
+	a := p.OwnArgs()
+	if err := a.Value(v); err != nil {
 		Release(p)
 		return nil, err
 	}
-	binary.LittleEndian.PutUint32(buf[1:], uint32(len(buf)-5))
-	p.argsBuf = buf
-	p.Args = buf
+	p.Args = a.Encode()
 	return p, nil
 }
 
@@ -103,8 +105,8 @@ func Clone(p *Parcel) *Parcel {
 	c := blank()
 	c.ID, c.Dest, c.Action, c.AID = p.ID, p.Dest, p.Action, p.AID
 	if len(p.Args) > 0 {
-		c.argsBuf = append(c.argsBuf[:0], p.Args...)
-		c.Args = c.argsBuf
+		c.own.buf = append(c.own.buf[:0], p.Args...)
+		c.Args = c.own.buf
 	}
 	c.Cont = append(c.Cont, p.Cont...)
 	c.Src, c.Hops, c.Trace = p.Src, p.Hops, p.Trace
@@ -140,11 +142,11 @@ func Release(p *Parcel) {
 	if p == nil || !p.pooled {
 		return
 	}
-	if cap(p.argsBuf) > maxPooledCapacity {
+	if cap(p.own.buf) > maxPooledCapacity {
 		// A jumbo payload must not pin megabytes of backing array on a
 		// pool entry serving ~100-byte steady-state parcels (the same
 		// guard the TCP read buffer applies).
-		p.argsBuf = nil
+		p.own.buf = nil
 	}
 	if poolDebug.Load() {
 		if p.released {
@@ -185,11 +187,11 @@ func poison(p *Parcel) {
 	p.Trace = TraceCtx{}
 	// Shred only the parcel-owned backing store: an Acquire'd parcel merely
 	// references its caller's args slice, which is not ours to scribble on.
-	buf := p.argsBuf[:cap(p.argsBuf)]
+	buf := p.own.buf[:cap(p.own.buf)]
 	for i := range buf {
 		buf[i] = 0xdd
 	}
-	p.argsBuf = p.argsBuf[:0]
+	p.own.buf = p.own.buf[:0]
 	for i := range p.Cont {
 		p.Cont[i] = Continuation{Action: "px.poisoned.use-after-release"}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -118,6 +119,67 @@ func TestTCPLanesMixedLaneCounts(t *testing.T) {
 	cols[1].wait(t, 4)
 	if got := cols[0].wait(t, 1); got[0].data != "plain" {
 		t.Fatalf("got %q", got[0].data)
+	}
+}
+
+// TestTCPLaneSendAllocatesNothing pins the lane's round state: a warmed
+// single sender's SendLane reuses the lane's header chunks, gather vector
+// and write cursor every round, so a frame costs no allocation on either
+// the same-host fabric or plain TCP. The receiving handler only counts, so
+// the process-wide count is the transport's own.
+func TestTCPLaneSendAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector randomizes sync.Pool reuse; exact alloc counts only hold without -race")
+	}
+	for _, tc := range []struct {
+		name     string
+		sameHost bool
+	}{{"same-host", true}, {"tcp-only", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var got atomic.Int64
+			tcps := make([]*TCP, 2)
+			addrs := make([]string, 2)
+			for i := range tcps {
+				tt, err := NewTCP(TCPConfig{Self: i, Listen: "127.0.0.1:0", Peers: make([]string, 2),
+					DisableSameHost: !tc.sameHost})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer tt.Close()
+				tcps[i], addrs[i] = tt, tt.Addr().String()
+			}
+			for _, tt := range tcps {
+				tt.SetPeers(addrs)
+				tt.SetHandler(func(int, []byte) { got.Add(1) })
+				if err := tt.Start(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			frame := make([]byte, 128)
+			send := func() {
+				if err := tcps[0].SendLane(1, 0, frame); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 100; i++ {
+				send() // dial, handshake, and warm the pools
+			}
+			const runs = 1000
+			allocs := testing.AllocsPerRun(runs, send)
+			deadline := time.Now().Add(10 * time.Second)
+			for got.Load() < 100+runs+1 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := got.Load(); n != 100+runs+1 {
+				t.Fatalf("%d frames arrived, want %d", n, 100+runs+1)
+			}
+			if same := tcps[0].SameHostConns() > 0; same != tc.sameHost {
+				t.Fatalf("same-host fabric in use = %v, want %v", same, tc.sameHost)
+			}
+			if allocs != 0 {
+				t.Fatalf("SendLane allocates %.2f/frame, want 0", allocs)
+			}
+		})
 	}
 }
 

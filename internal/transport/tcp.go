@@ -192,11 +192,19 @@ type tcpLane struct {
 
 	// Pending batch: vec alternates 4-byte header slices (carved from hdr
 	// chunks) and caller frame slices; pendBytes is their total length.
-	// spareVec recycles the round's backing array.
-	vec       net.Buffers
-	spareVec  net.Buffers
-	hdrChunks []*[]byte // header chunks feeding vec; recycled per round
-	pendBytes int
+	// spareVec and spareChunks hold the previous round's backing arrays, so
+	// the pending and the in-flight round swap lists instead of making new
+	// ones.
+	vec         net.Buffers
+	spareVec    net.Buffers
+	hdrChunks   []*[]byte // header chunks feeding vec
+	spareChunks []*[]byte
+	pendBytes   int
+
+	// cursor is the flushing round's writev cursor, touched only by the one
+	// flusher and outside mu. As a lane field it is on the heap already; a
+	// local net.Buffers would escape there on every round through WriteTo.
+	cursor net.Buffers
 
 	waiters []tcpWaiter // senders whose frames sit in the pending batch
 
@@ -838,9 +846,8 @@ func (t *TCP) flushRound(l *tcpLane, node, lane int, addr string) flushResult {
 	waiters := l.waiters
 	conn := l.conn
 	reconnect := l.connected
-	l.vec = l.spareVec[:0]
-	l.spareVec = nil
-	l.hdrChunks = nil
+	l.vec, l.spareVec = l.spareVec[:0], nil
+	l.hdrChunks, l.spareChunks = l.spareChunks[:0], nil
 	l.pendBytes = 0
 	l.waiters = nil
 	l.batches++
@@ -861,12 +868,11 @@ func (t *TCP) flushRound(l *tcpLane, node, lane int, addr string) flushResult {
 		}
 	}
 	if res.err == nil {
-		// WriteTo advances its receiver as buffers complete; vecOrig keeps
-		// the original headers so the backing array can be recycled
-		// afterwards.
-		vecOrig := vec
-		n, err := vec.WriteTo(conn)
-		vec = vecOrig
+		// WriteTo consumes its receiver as buffers complete, so it runs on
+		// the cursor and vec keeps the round's slices for recycling.
+		l.cursor = vec
+		n, err := l.cursor.WriteTo(conn)
+		l.cursor = nil
 		res.okBytes = int(n)
 		if err != nil {
 			res.err = err
@@ -885,9 +891,8 @@ func (t *TCP) flushRound(l *tcpLane, node, lane int, addr string) flushResult {
 	for _, c := range chunks {
 		hdrChunkPool.Put(c)
 	}
-	for i := range vec {
-		vec[i] = nil
-	}
+	clear(chunks)
+	clear(vec)
 
 	if conn != nil && t.isClosed() {
 		// Close swept the peers while our write was in flight; don't
@@ -901,6 +906,7 @@ func (t *TCP) flushRound(l *tcpLane, node, lane int, addr string) flushResult {
 		l.connected = true
 	}
 	l.spareVec = vec[:0]
+	l.spareChunks = chunks[:0]
 	return res
 }
 

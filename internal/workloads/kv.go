@@ -38,6 +38,10 @@ const KVSlot = 0
 // KVShard is one locality's partition of the key space. Parcels for one
 // shard normally land on one worker (object affinity), but steals may run
 // them concurrently, so the map is lock-protected.
+//
+// A stored value is never mutated: put stores a private copy and replaces
+// the map entry, so get returns the stored slice itself, and a reader
+// holding it keeps a consistent value whatever later puts do.
 type KVShard struct {
 	mu sync.Mutex
 	m  map[string][]byte
@@ -85,22 +89,22 @@ func RegisterKVService(rt *core.Runtime) {
 		if !ok {
 			return nil, fmt.Errorf("workloads: %s on %T", ActionKVGet, target)
 		}
-		key := args.String()
+		key := args.StringAliased()
 		if err := args.Err(); err != nil {
 			return nil, err
 		}
 		gets.Inc()
 		sh.mu.Lock()
-		v, found := sh.m[key]
+		v, found := sh.m[string(key)] // a lookup: no key string is made
 		sh.mu.Unlock()
 		if !found {
 			misses.Inc()
 			return []byte(nil), nil
 		}
 		hits.Inc()
-		// Copy out: the action result is encoded after the shard lock is
-		// released, and a concurrent put may replace the stored slice.
-		return append([]byte(nil), v...), nil
+		// No copy: stored values are immutable (see KVShard), so the slice
+		// stays valid while the result is encoded after the lock is gone.
+		return v, nil
 	})
 	rt.MustRegisterAction(ActionKVPut, func(ctx *core.Context, target any, args *parcel.Reader) (any, error) {
 		sh, ok := target.(*KVShard)
@@ -108,13 +112,13 @@ func RegisterKVService(rt *core.Runtime) {
 			return nil, fmt.Errorf("workloads: %s on %T", ActionKVPut, target)
 		}
 		key := args.String()
-		val := args.Bytes()
+		val := append([]byte(nil), args.BytesAliased()...) // the one private copy
 		if err := args.Err(); err != nil {
 			return nil, err
 		}
 		puts.Inc()
 		sh.mu.Lock()
-		sh.m[key] = append([]byte(nil), val...)
+		sh.m[key] = val
 		sh.mu.Unlock()
 		return int64(len(val)), nil
 	})

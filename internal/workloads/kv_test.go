@@ -2,6 +2,10 @@ package workloads
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -58,6 +62,100 @@ func TestKVPutGetRoundTrip(t *testing.T) {
 	}
 	if snap["px.serve.hits"] != 1 || snap["px.serve.misses"] != 1 {
 		t.Fatalf("hits=%v misses=%v, want 1 and 1", snap["px.serve.hits"], snap["px.serve.misses"])
+	}
+}
+
+// TestKVGetSeesWholePuts races puts and gets on one key. Get returns the
+// stored slice itself, which is sound only because a stored value is never
+// mutated: every get must read exactly one of the values put, byte for
+// byte, even though each putter scribbles over its argument record the
+// moment its put returns (a shard that kept an alias to it would serve the
+// scribble). Run it under -race to catch an in-place update.
+func TestKVGetSeesWholePuts(t *testing.T) {
+	const (
+		putters, getters = 4, 4
+		perPutter        = 200
+		valueBytes       = 64
+	)
+	rt := newKVRuntime(t, 2, 0)
+	key := "kv.contended"
+	dest := KVShardGID(KVKeyLocality(key, rt.Localities()))
+	value := func(id uint64) []byte {
+		v := make([]byte, valueBytes)
+		binary.LittleEndian.PutUint64(v, id)
+		for i := 8; i < valueBytes; i++ {
+			v[i] = byte(id) ^ byte(i)
+		}
+		return v
+	}
+	put := func(src int, id uint64) error {
+		args := parcel.NewArgs().String(key).Bytes(value(id)).Encode()
+		_, err := rt.CallFrom(src, dest, ActionKVPut, args).Get()
+		for i := range args {
+			args[i] = 0xdd
+		}
+		return err
+	}
+	if err := put(0, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	errs := make(chan error, putters+getters)
+	for p := 0; p < putters; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 1; i <= perPutter; i++ {
+				if err := put(p%2, uint64(p*perPutter+i)); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(p)
+	}
+	var reads atomic.Int64
+	var readers sync.WaitGroup
+	for g := 0; g < getters; g++ {
+		readers.Add(1)
+		go func(g int) {
+			defer readers.Done()
+			args := parcel.NewArgs().String(key).Encode()
+			for {
+				v, err := rt.CallFrom(g%2, dest, ActionKVGet, args).Get()
+				if err != nil {
+					errs <- err
+					return
+				}
+				got, _ := v.([]byte)
+				if len(got) != valueBytes {
+					errs <- fmt.Errorf("get read %d bytes, want %d", len(got), valueBytes)
+					return
+				}
+				id := binary.LittleEndian.Uint64(got)
+				if id > putters*perPutter || !bytes.Equal(got, value(id)) {
+					errs <- fmt.Errorf("get read a value no put wrote: %x", got)
+					return
+				}
+				reads.Add(1)
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if reads.Load() < getters {
+		t.Fatalf("%d gets completed, want at least %d", reads.Load(), getters)
 	}
 }
 
