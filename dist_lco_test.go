@@ -2,9 +2,8 @@ package parallex_test
 
 // Distributed LCO tests over real TCP: three runtime instances on
 // loopback form one machine, and globally addressable futures, gates, and
-// reductions are triggered across it — under duplication faults and across
-// live migration of the LCO itself, without losing or double-counting a
-// single trigger.
+// reductions are triggered across it — across live migration of the LCO
+// itself, without losing or double-counting a single trigger.
 
 import (
 	"fmt"
@@ -19,8 +18,8 @@ import (
 )
 
 // startTCPMachine builds a three-node TCP machine on loopback with two
-// localities per node and the given per-node fault injection.
-func startTCPMachine(t testing.TB, faults parallex.Faults, register func(*parallex.Runtime)) []*parallex.Runtime {
+// localities per node.
+func startTCPMachine(t testing.TB, register func(*parallex.Runtime)) []*parallex.Runtime {
 	t.Helper()
 	ranges := make([][2]int, len(distRanges))
 	for i, rg := range distRanges {
@@ -49,7 +48,6 @@ func startTCPMachine(t testing.TB, faults parallex.Faults, register func(*parall
 			NodeID:             i,
 			NodeLocalities:     distRanges,
 			WorkersPerLocality: 2,
-			Faults:             faults,
 			Register:           register,
 		})
 	}
@@ -69,14 +67,11 @@ func stopMachine(t testing.TB, rts []*parallex.Runtime, wantClean bool) {
 
 // TestDistLCOFutureTriangleTCP is the acceptance scenario: node A (0)
 // creates a future, node B (1) sets it, and node C's (2) waiting
-// continuation fires — over real TCP, with duplication faults injected on
-// every node. The wire between nodes duplicates nothing, so B's set starts
-// as a one-hop parcel between B's two localities whose continuation sets
-// the future: a duplicated hop puts two same-ID sets on the wire to A, and
-// the future's dedup set must absorb the second.
+// continuation fires — over real TCP. B's set starts as a one-hop parcel
+// between B's two localities whose continuation sets the future on A.
 func TestDistLCOFutureTriangleTCP(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	rts := startTCPMachine(t, parallex.Faults{DupOneIn: 2, Seed: 21}, func(rt *parallex.Runtime) {
+	rts := startTCPMachine(t, func(rt *parallex.Runtime) {
 		rt.MustRegisterAction("triangle.value", func(_ *parallex.Context, _ any, args *parallex.ArgsReader) (any, error) {
 			v := args.Int64()
 			return v, args.Err()
@@ -99,13 +94,6 @@ func TestDistLCOFutureTriangleTCP(t *testing.T) {
 		rts[0].Wait()
 		rts[0].FreeObject(fut)
 	}
-	var duped uint64
-	for _, rt := range rts {
-		duped += rt.Duplicated()
-	}
-	if duped == 0 {
-		t.Fatal("no duplication injected at 1-in-2 across 8 rounds")
-	}
 	stopMachine(t, rts, true)
 	waitGoroutines(t, baseline)
 }
@@ -116,7 +104,7 @@ func TestDistLCOFutureTriangleTCP(t *testing.T) {
 // stale set chases the forwarding pointer, and the waiting continuation
 // still fires.
 func TestDistLCOFutureMigratesWhileWaited(t *testing.T) {
-	rts := startTCPMachine(t, parallex.Faults{DupOneIn: 3, Seed: 31}, nil)
+	rts := startTCPMachine(t, nil)
 	for round := 0; round < 6; round++ {
 		fut := rts[0].NewDistFutureAt(0)
 		wait := rts[2].WaitLCO(4, fut)
@@ -138,7 +126,7 @@ func TestDistLCOFutureMigratesWhileWaited(t *testing.T) {
 // TestDistCollectTCP runs the collect gate trees — reduce, broadcast,
 // barrier — across the TCP machine.
 func TestDistCollectTCP(t *testing.T) {
-	rts := startTCPMachine(t, parallex.Faults{}, collect.RegisterActions)
+	rts := startTCPMachine(t, collect.RegisterActions)
 
 	red, err := collect.NewReduce(rts[0], 0, "tcp-sum", []int{2, 2, 2}, parallex.ReduceSum, int64(0))
 	if err != nil {
@@ -211,12 +199,29 @@ func TestDistCollectTCP(t *testing.T) {
 	stopMachine(t, rts, true)
 }
 
+// wantOneShort checks that the DistLCO g, hosted at loc on rt, is one
+// trigger short of resolving and, when acc is non-nil, holds exactly acc:
+// sized one past the triggers sent, it proves each was applied once.
+func wantOneShort(t *testing.T, rt *parallex.Runtime, loc int, g parallex.GID, acc any) {
+	t.Helper()
+	obj, ok := rt.LocalObject(loc, g)
+	if !ok {
+		t.Fatalf("%v not hosted at L%d", g, loc)
+	}
+	l := obj.(*parallex.DistLCO)
+	v, _, resolved := l.Resolved()
+	if l.Pending() != 1 || resolved || (acc != nil && v != acc) {
+		t.Fatalf("%v: %d pending, resolved=%v, accumulator %v; want 1, false and %v", g, l.Pending(), resolved, v, acc)
+	}
+}
+
 // TestDistLCOSoak is the distributed LCO stress: every iteration builds a
 // gate and a reduction, subscribes waiters from every node, fires
 // triggers from every node while the gate migrates to another node, and
-// checks exact counts — under duplication injection, which idempotent
-// trigger IDs absorb; the counters afterwards must prove the injector
-// actually ran. PX_SOAK_ITERS scales the loop (the nightly CI soak uses
+// checks exact counts. Both LCOs are sized one past the triggers sent and
+// the contributions are distinct, so once the storm has landed each must
+// hold exactly one short with the exact sum: a trigger lost or applied
+// twice shows. PX_SOAK_ITERS scales the loop (the nightly CI soak uses
 // 20); the default keeps the test in tier-1 budgets.
 func TestDistLCOSoak(t *testing.T) {
 	iters := 2
@@ -227,13 +232,16 @@ func TestDistLCOSoak(t *testing.T) {
 		}
 		iters = n
 	}
-	rts := startTCPMachine(t, parallex.Faults{DupOneIn: 5, Seed: 41}, nil)
+	rts := startTCPMachine(t, nil)
 	const perNode = 12
+	const total = 3 * perNode
+	// Node n contributes n*perNode+1 .. (n+1)*perNode: 1..total in all.
+	const sum = total * (total + 1) / 2
 	for it := 0; it < iters; it++ {
 		owner := it % 3
 		ownerLoc := rts[owner].NodeRange(owner).Lo
-		gate := rts[owner].NewDistGateAt(ownerLoc, 3*perNode)
-		red := rts[owner].NewDistReduceAt(ownerLoc, 3*perNode, parallex.ReduceSum, int64(0))
+		gate := rts[owner].NewDistGateAt(ownerLoc, total+1)
+		red := rts[owner].NewDistReduceAt(ownerLoc, total+1, parallex.ReduceSum, int64(0))
 		gateWaits := make([]*parallex.Future, 3)
 		redWaits := make([]*parallex.Future, 3)
 		for node := 0; node < 3; node++ {
@@ -250,7 +258,7 @@ func TestDistLCOSoak(t *testing.T) {
 				for i := 0; i < perNode; i++ {
 					loc := rg.Lo + i%rg.Count()
 					rts[node].SignalLCO(loc, gate)
-					if err := rts[node].ContributeLCO(loc, red, int64(1)); err != nil {
+					if err := rts[node].ContributeLCO(loc, red, int64(node*perNode+i+1)); err != nil {
 						done <- err
 						return
 					}
@@ -258,7 +266,8 @@ func TestDistLCOSoak(t *testing.T) {
 				done <- nil
 			}(node)
 		}
-		dest := rts[(owner+1)%3].NodeRange((owner + 1) % 3).Lo
+		next := (owner + 1) % 3
+		dest := rts[next].NodeRange(next).Lo
 		if err := rts[owner].Migrate(gate, dest); err != nil {
 			t.Fatalf("iter %d: migrate: %v", it, err)
 		}
@@ -266,6 +275,13 @@ func TestDistLCOSoak(t *testing.T) {
 			if err := <-done; err != nil {
 				t.Fatalf("iter %d: trigger storm: %v", it, err)
 			}
+		}
+		rts[0].Wait()
+		wantOneShort(t, rts[next], dest, gate, nil)
+		wantOneShort(t, rts[owner], ownerLoc, red, int64(sum))
+		rts[owner].SignalLCO(ownerLoc, gate)
+		if err := rts[owner].ContributeLCO(ownerLoc, red, int64(total+1)); err != nil {
+			t.Fatal(err)
 		}
 		for node := 0; node < 3; node++ {
 			if _, err := gateWaits[node].Get(); err != nil {
@@ -275,21 +291,12 @@ func TestDistLCOSoak(t *testing.T) {
 			if err != nil {
 				t.Fatalf("iter %d: node %d reduce wait: %v", it, node, err)
 			}
-			if v.(int64) != 3*perNode {
-				t.Fatalf("iter %d: node %d reduce = %v, want %d — a trigger was lost or double-counted",
-					it, node, v, 3*perNode)
+			if v.(int64) != sum+total+1 {
+				t.Fatalf("iter %d: node %d reduce = %v, want %d", it, node, v, sum+total+1)
 			}
 		}
 		rts[0].Wait()
 	}
-	// The soak must be able to prove injection actually happened.
-	var duped uint64
-	for _, rt := range rts {
-		duped += rt.Duplicated()
-	}
-	if duped == 0 {
-		t.Error("soak injected no duplicates at 1-in-5")
-	}
-	t.Logf("soak: %d iters, %d dups", iters, duped)
+	t.Logf("soak: %d iters", iters)
 	stopMachine(t, rts, true)
 }

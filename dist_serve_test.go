@@ -3,10 +3,10 @@ package parallex_test
 // The serving tier over a real 3-node TCP machine: pxload's open-loop
 // generator library drives the sharded KV service end to end. Two
 // scenarios gate in CI's multinode job — forced overload must shed with
-// typed verdicts and lose nothing, and duplicated node-local parcels must
-// leave every request completed exactly once. Nothing drops a request:
-// the wire loses no frame while its peer lives, and a node-local parcel
-// moves by pointer. Retry after a crash is TestDistServeChaos's subject.
+// typed verdicts and lose nothing, and requests retried after a timeout
+// must each complete once. Nothing drops a request: the wire loses no
+// frame while its peer lives, and a node-local parcel moves by pointer.
+// Retry after a crash is TestDistServeChaos's subject.
 
 import (
 	"testing"
@@ -19,11 +19,10 @@ import (
 // startServeMachine builds the 3-node TCP serving machine: KV actions
 // registered on every node (sheddable, behind admission control when
 // admit > 0), one shard per locality at its well-known name.
-func startServeMachine(t testing.TB, admit int, faults parallex.Faults) []*parallex.Runtime {
+func startServeMachine(t testing.TB, admit int) []*parallex.Runtime {
 	t.Helper()
 	rts := startObsMachine(t, func(node int, cfg *parallex.Config) {
 		cfg.AdmitLimit = admit
-		cfg.Faults = faults
 		cfg.Register = workloads.RegisterKVService
 	})
 	for _, rt := range rts {
@@ -38,7 +37,7 @@ func startServeMachine(t testing.TB, admit int, faults parallex.Faults) []*paral
 // every request must end in a verdict — completed or explicitly rejected,
 // zero lost.
 func TestDistServeOverloadTCP(t *testing.T) {
-	rts := startServeMachine(t, 1, parallex.Faults{})
+	rts := startServeMachine(t, 1)
 	// Drive from node 2's first locality: most keys hash to shards on
 	// nodes 0 and 1, so both the requests and their shed verdicts cross
 	// the wire.
@@ -69,19 +68,41 @@ func TestDistServeOverloadTCP(t *testing.T) {
 	stopMachine(t, rts, true)
 }
 
-// TestDistServeFaultRecoveryTCP is the duplication scenario: every node
-// duplicates one in three parcels between its own localities, so some
-// requests run twice and some replies arrive twice. Every request must
-// complete once, with nothing lost, failed or rejected; the second reply
-// to a call must be counted stale, not delivered; and the run must report
-// a full px-bench/v1 latency profile.
+// TestDistServeFaultRecoveryTCP is the retry-after-timeout scenario: both
+// workers of the locality the client calls from are held busy for the
+// first 100ms of the run, so replies from other nodes queue behind them,
+// attempts time out and are re-issued. Every request must complete once,
+// with nothing lost, failed or rejected; each abandoned attempt's late
+// reply resolves its own future, so none is counted stale; and the run
+// must report a full px-bench/v1 latency profile.
 func TestDistServeFaultRecoveryTCP(t *testing.T) {
-	rts := startServeMachine(t, 0, parallex.Faults{DupOneIn: 3, Seed: 53})
+	entered := make(chan struct{}, 2)
+	release := make(chan struct{})
+	rts := startObsMachine(t, func(node int, cfg *parallex.Config) {
+		cfg.Register = func(rt *parallex.Runtime) {
+			workloads.RegisterKVService(rt)
+			rt.MustRegisterAction("serve.hold", func(*parallex.Context, any, *parallex.ArgsReader) (any, error) {
+				entered <- struct{}{}
+				<-release
+				return nil, nil
+			})
+		}
+	})
+	for _, rt := range rts {
+		workloads.InstallKVShards(rt)
+	}
+	src := rts[2].NodeRange(2).Lo
+	for i := 0; i < 2; i++ {
+		rts[2].SendFrom(src, parallex.NewParcel(rts[2].NewDataAt(src, struct{}{}), "serve.hold", nil))
+	}
+	<-entered
+	<-entered
+	time.AfterFunc(100*time.Millisecond, func() { close(release) })
 	res := workloads.RunOpenLoop(rts[2], workloads.OpenLoopConfig{
 		Rate:     3000,
 		Requests: 240,
-		SrcLoc:   rts[2].NodeRange(2).Lo,
-		Timeout:  300 * time.Millisecond,
+		SrcLoc:   src,
+		Timeout:  20 * time.Millisecond,
 		Retries:  8,
 	})
 	if res.Lost != 0 || res.Failed != 0 || res.Rejected != 0 {
@@ -90,12 +111,16 @@ func TestDistServeFaultRecoveryTCP(t *testing.T) {
 	if res.Completed != res.Issued {
 		t.Fatalf("completed %d of %d issued", res.Completed, res.Issued)
 	}
+	if res.TimedOut == 0 || res.Retried == 0 {
+		t.Fatalf("timedout=%d retried=%d: the held locality delayed nothing", res.TimedOut, res.Retried)
+	}
+	rts[0].Wait()
 	var stale float64
 	for _, rt := range rts {
 		stale += rt.Metrics().Snapshot()["px.reply.stale"]
 	}
-	if stale == 0 {
-		t.Fatal("no duplicated reply was counted stale at 1-in-3")
+	if stale != 0 {
+		t.Fatalf("%v replies counted stale; every late reply has its own abandoned future", stale)
 	}
 	rec := res.Record("dist-serve")
 	if rec.P50Ns <= 0 || rec.P99Ns < rec.P50Ns || rec.P999Ns < rec.P99Ns {

@@ -100,10 +100,10 @@ func (c *cowEntries) drop(g GID) {
 }
 
 // ErrUnknown reports a resolution of a name this node's authoritative
-// structures have never seen — or have already freed. Callers running
-// idempotent protocols (duplicated LCO triggers racing a consumed
-// one-shot future) test for it with errors.Is and treat the access as
-// benignly late rather than as a fault.
+// structures have never seen — or have already freed. Callers whose
+// access may race a Free (an LCO trigger on one lane, the LCO's Free on
+// another) test for it with errors.Is and treat the access as benignly
+// late rather than as a fault.
 var ErrUnknown = errors.New("agas: unknown name")
 
 // ErrNodeLost reports a resolution against a locality that was re-homed

@@ -126,10 +126,10 @@ const (
 	ActionLCOSignal = "px.lco.signal"
 	// ActionLCOContribute contributes the parcel's value to a Reduce target.
 	ActionLCOContribute = "px.lco.contribute"
-	// ActionLCOTrigger applies one identified, idempotent trigger to a
-	// distributed LCO target: args carry the trigger ID, operation, slot,
-	// and value record (see Runtime.SetLCO and friends). Every trigger,
-	// same-node or cross-node, is a parcel carrying this action.
+	// ActionLCOTrigger applies one trigger to a distributed LCO target:
+	// args carry the operation, slot and value record (see Runtime.SetLCO
+	// and friends). Every trigger, same-node or cross-node, is a parcel
+	// carrying this action.
 	ActionLCOTrigger = "px.lco.trigger"
 	// ActionNop does nothing; useful for measuring pure parcel overhead.
 	ActionNop = "px.nop"
@@ -153,8 +153,6 @@ func registerBuiltins(a *actionRegistry) {
 			}
 			return v, nil
 		case *DistLCO:
-			// A continuation-borne trigger: the dedup ID derives from the
-			// carrying parcel, so a fault-duplicated delivery applies once.
 			raw := args.BytesAliased()
 			if err := args.Err(); err != nil {
 				return nil, err
@@ -163,7 +161,7 @@ func registerBuiltins(a *actionRegistry) {
 			if err != nil {
 				return nil, err
 			}
-			return v, ctx.rt.applyDistTrigger(ctx.loc, f, ctx.tid, TrigSet, 0, raw)
+			return v, ctx.rt.applyDistTrigger(ctx.loc, f, TrigSet, 0, raw)
 		}
 		return nil, fmt.Errorf("core: %s on %T", ActionLCOSet, target)
 	})
@@ -181,7 +179,7 @@ func registerBuiltins(a *actionRegistry) {
 			return nil, nil
 		case *DistLCO:
 			raw, _ := parcel.EncodeAny(msg)
-			return nil, ctx.rt.applyDistTrigger(ctx.loc, f, ctx.tid, TrigFail, 0, raw)
+			return nil, ctx.rt.applyDistTrigger(ctx.loc, f, TrigFail, 0, raw)
 		}
 		return nil, fmt.Errorf("core: %s on %T", ActionLCOFail, target)
 	})
@@ -192,7 +190,7 @@ func registerBuiltins(a *actionRegistry) {
 		case *lco.Metathread:
 			g.Signal()
 		case *DistLCO:
-			return nil, ctx.rt.applyDistTrigger(ctx.loc, g, ctx.tid, TrigSignal, 0, nil)
+			return nil, ctx.rt.applyDistTrigger(ctx.loc, g, TrigSignal, 0, nil)
 		default:
 			return nil, fmt.Errorf("core: %s on %T", ActionLCOSignal, target)
 		}
@@ -214,12 +212,11 @@ func registerBuiltins(a *actionRegistry) {
 			if err := args.Err(); err != nil {
 				return nil, err
 			}
-			return nil, ctx.rt.applyDistTrigger(ctx.loc, red, ctx.tid, TrigContribute, 0, raw)
+			return nil, ctx.rt.applyDistTrigger(ctx.loc, red, TrigContribute, 0, raw)
 		}
 		return nil, fmt.Errorf("core: %s on %T", ActionLCOContribute, target)
 	})
 	mustReg(ActionLCOTrigger, func(ctx *Context, target any, args *parcel.Reader) (any, error) {
-		tid := args.Uint64()
 		op := TrigOp(args.Uint64())
 		slot := uint32(args.Uint64())
 		raw := args.BytesAliased()
@@ -228,7 +225,7 @@ func registerBuiltins(a *actionRegistry) {
 		}
 		switch t := target.(type) {
 		case *DistLCO:
-			return nil, ctx.rt.applyDistTrigger(ctx.loc, t, tid, op, slot, raw)
+			return nil, ctx.rt.applyDistTrigger(ctx.loc, t, op, slot, raw)
 		default:
 			return nil, applyPlainTrigger(t, op, raw)
 		}
@@ -239,14 +236,11 @@ func registerBuiltins(a *actionRegistry) {
 }
 
 // applyPlainTrigger maps a distributed trigger onto a process-local LCO —
-// the waiter futures of WaitLCO, or any plain LCO a trigger names. Plain
-// LCOs carry no dedup set, so idempotence here is what the type itself
-// offers: single-assignment targets (set/fail — the whole WaitLCO fire
-// path) absorb a duplicated delivery silently because the first copy
-// carried this exact value, but a plain AndGate signal or Reduce
-// contribution is counted as delivered. Synchronization that must
-// survive duplication faults targets a DistLCO, whose trigger IDs dedup
-// every operation.
+// the waiter futures of WaitLCO, or any plain LCO a trigger names. Both
+// LCO families apply each trigger once, as it is dispatched once, and
+// both ignore a set or fail on a target already resolved. What still
+// divides them is that a plain LCO keeps its waiters as callbacks and so
+// cannot migrate, where a DistLCO keeps them as data.
 //
 // Like applyDistTrigger, it reads raw and keeps nothing of it: raw aliases
 // the trigger parcel's argument record, which recycles once the action
@@ -311,10 +305,6 @@ func decodeValueArg(args *parcel.Reader) (any, error) {
 type Context struct {
 	rt  *Runtime
 	loc int
-	// tid is the parcel-derived trigger ID for the dispatch in flight
-	// (see parcelTriggerID): it makes continuation-borne DistLCO triggers
-	// idempotent under duplicated delivery. Zero for non-parcel threads.
-	tid uint64
 }
 
 // Locality reports the executing locality.

@@ -2,20 +2,18 @@ package core
 
 // Distributed LCOs: globally addressable futures, gates, reductions, and
 // dataflow templates. A DistLCO is an ordinary AGAS object (KindLCO) whose
-// whole state — counters, accumulator, subscribed waiters, and the set of
-// trigger IDs already applied — is wire-encodable, so the object can
-// live-migrate between nodes like any other and in-flight triggers chase
-// the forwarding pointer like any parcel.
+// whole state — counters, accumulator and subscribed waiters — is
+// wire-encodable, so the object can live-migrate between nodes like any
+// other and in-flight triggers chase the forwarding pointer like any
+// parcel.
 //
-// Triggers are identified and idempotent: every logical trigger carries a
-// machine-unique trigger ID, and every physical copy of it (a fault-
-// injected duplicate, or a replayed frame) carries the same ID, which the
-// target's dedup set absorbs. A trigger is an ordinary parcel (action
-// px.lco.trigger) sent to the LCO's name, on one node or across the wire:
-// it is counted by the in-flight ledger, parks at a migration fence and
-// chases a forwarding pointer exactly like any parcel. The wire is FIFO per
-// lane and reliable while the peer lives (see distState.sendParcel), so a
-// trigger needs no acknowledgement of its own.
+// A trigger is an ordinary parcel (action px.lco.trigger) sent to the
+// LCO's name, on one node or across the wire: it is counted by the
+// in-flight ledger, parks at a migration fence and chases a forwarding
+// pointer exactly like any parcel. The wire is FIFO per lane and reliable
+// while the peer lives (see distState.sendParcel), and each parcel is
+// dispatched once, so a trigger needs neither an acknowledgement nor an
+// identity of its own: it is applied exactly once.
 //
 // Resolution fires the LCO's subscribed waiters: each waiter names another
 // LCO (by GID) and the trigger operation to apply there, so fan-in trees
@@ -107,7 +105,6 @@ type DistLCO struct {
 	resolved bool
 	slots    []any // dataflow inputs
 	filled   []bool
-	dedup    lco.Dedup
 	waiters  []Waiter
 }
 
@@ -132,14 +129,6 @@ func (l *DistLCO) WaiterCount() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.waiters)
-}
-
-// TriggersSeen reports how many distinct identified triggers have been
-// applied — the dedup set's size, for tests asserting duplicate absorption.
-func (l *DistLCO) TriggersSeen() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dedup.Len()
 }
 
 // ReduceFn folds one contribution into a reduction accumulator. Reducers
@@ -280,7 +269,7 @@ func (r *Runtime) NewDistFutureAt(loc int, waiters ...Waiter) agas.GID {
 }
 
 // NewDistGateAt creates a globally addressable and-gate at loc expecting
-// n >= 1 signals. Duplicated signals with the same trigger ID count once.
+// n >= 1 signals.
 func (r *Runtime) NewDistGateAt(loc, n int, waiters ...Waiter) agas.GID {
 	if n < 1 {
 		panic(fmt.Sprintf("core: distributed gate needs at least 1 signal, got %d", n))
@@ -319,61 +308,32 @@ func (r *Runtime) NewDistDataflowAt(loc, n int, op string, waiters ...Waiter) ag
 	return r.NewObjectAt(loc, agas.KindLCO, l)
 }
 
-// nextTID mints a machine-unique trigger ID: the node index salts the top
-// bits so IDs minted by different processes never collide in a dedup set.
-func (r *Runtime) nextTID() uint64 {
-	return uint64(r.NodeID()+1)<<48 | (r.tidSeq.Add(1) & (1<<48 - 1))
-}
-
-// parcelTriggerID derives the trigger ID for triggers borne by an
-// ordinary parcel — a continuation naming a DistLCO through the px.lco.*
-// builtins. Continuations inherit their chain's parcel ID (see execute),
-// so a fault-duplicated parcel and the continuations it spawns all
-// derive the same ID as the original's and the duplicates are absorbed.
-// Distinctness holds because parcel IDs are machine-unique: the minting
-// process stamps its origin salt into the ID's top 16 bits (see
-// parcel.SetIDOrigin) and inheritance carries that salt across nodes
-// unchanged — a chain minted on node A keeps A's identity however many
-// localities its continuations fire from — while the remaining
-// continuation-stack depth separates the steps of one chain (a chain may
-// legally trigger the same LCO at two steps). Bit 63 separates
-// parcel-derived IDs from node-minted ones. The sequence truncates to 40
-// bits here; a collision needs two same-origin parcels exactly 2^40
-// mintings apart hitting one LCO at equal depth.
-func parcelTriggerID(p *parcel.Parcel) uint64 {
-	return 1<<63 |
-		(p.ID>>48&0x7fff)<<48 |
-		(uint64(len(p.Cont))&0xff)<<40 |
-		(p.ID & (1<<40 - 1))
-}
-
-// SetLCO resolves the LCO named g with v, from resident locality src. The
-// trigger is identified and idempotent: a duplicated delivery applies
-// once. v must be wire-encodable.
+// SetLCO resolves the LCO named g with v, from resident locality src. v
+// must be wire-encodable.
 func (r *Runtime) SetLCO(src int, g agas.GID, v any) error {
-	return r.triggerValue(src, g, r.nextTID(), TrigSet, 0, v)
+	return r.triggerValue(src, g, TrigSet, 0, v)
 }
 
 // FailLCO resolves the LCO named g with an error.
 func (r *Runtime) FailLCO(src int, g agas.GID, msg string) {
-	_ = r.triggerValue(src, g, r.nextTID(), TrigFail, 0, msg) // a string always encodes
+	_ = r.triggerValue(src, g, TrigFail, 0, msg) // a string always encodes
 }
 
-// SignalLCO delivers one identified gate arrival to g.
+// SignalLCO delivers one gate arrival to g.
 func (r *Runtime) SignalLCO(src int, g agas.GID) {
-	p, a := newTrigger(g, r.nextTID(), TrigSignal, 0)
+	p, a := newTrigger(g, TrigSignal, 0)
 	a.Bytes(nil)
 	r.sendTrigger(src, p, a)
 }
 
 // ContributeLCO folds v into the reduction named g.
 func (r *Runtime) ContributeLCO(src int, g agas.GID, v any) error {
-	return r.triggerValue(src, g, r.nextTID(), TrigContribute, 0, v)
+	return r.triggerValue(src, g, TrigContribute, 0, v)
 }
 
 // SupplyLCO fills dataflow slot of the template named g with v.
 func (r *Runtime) SupplyLCO(src int, g agas.GID, slot uint32, v any) error {
-	return r.triggerValue(src, g, r.nextTID(), TrigSupply, slot, v)
+	return r.triggerValue(src, g, TrigSupply, slot, v)
 }
 
 // SubscribeLCO registers waiter w on the LCO named g, wherever in the
@@ -384,7 +344,7 @@ func (r *Runtime) SubscribeLCO(src int, g agas.GID, w Waiter) {
 	if w.Target.IsNil() {
 		panic("core: subscribe with nil waiter target")
 	}
-	p, a := newTrigger(g, r.nextTID(), TrigWait, 0)
+	p, a := newTrigger(g, TrigWait, 0)
 	mark := a.OpenRecord()
 	a.GID(w.Target).Uint64(uint64(w.Op)).Uint64(uint64(w.Slot))
 	a.CloseRecord(mark)
@@ -396,9 +356,9 @@ func (r *Runtime) SubscribeLCO(src int, g agas.GID, w Waiter) {
 // the future's reply slot subscribes to g exactly as any waiter would, so
 // it keeps working while g migrates between nodes; use Context.Await (or
 // Future.Get off-thread) to block on it. Subscribing to a name that was
-// already freed leaves the future unresolved forever (the
-// straggler-tolerant trigger protocol cannot distinguish a wrong name from
-// a late duplicate), so wait before freeing, not after.
+// already freed leaves the future unresolved forever: a trigger to a
+// freed name is dropped silently, because it may only have raced the
+// Free on another lane, so wait before freeing, not after.
 func (r *Runtime) WaitLCO(src int, g agas.GID) *lco.Future {
 	r.checkResident(src)
 	reply, fut := r.openReply(src, g, time.Time{})
@@ -427,10 +387,10 @@ func decodeWaiter(raw []byte) (Waiter, error) {
 // trigger's header into the parcel's own argument store. The caller
 // appends the value field in place and hands both to sendTrigger, so a
 // trigger record is built once, in the parcel that carries it.
-func newTrigger(g agas.GID, tid uint64, op TrigOp, slot uint32) (*parcel.Parcel, *parcel.Args) {
+func newTrigger(g agas.GID, op TrigOp, slot uint32) (*parcel.Parcel, *parcel.Args) {
 	p := parcel.Acquire(g, ActionLCOTrigger, nil)
 	a := p.OwnArgs()
-	a.Uint64(tid).Uint64(uint64(op)).Uint64(uint64(slot))
+	a.Uint64(uint64(op)).Uint64(uint64(slot))
 	return p, a
 }
 
@@ -442,10 +402,10 @@ func (r *Runtime) sendTrigger(src int, p *parcel.Parcel, a *parcel.Args) {
 	r.SendFrom(src, p)
 }
 
-// triggerValue sends one identified trigger carrying v's value record.
-// Nothing is sent when v is not wire-encodable.
-func (r *Runtime) triggerValue(src int, g agas.GID, tid uint64, op TrigOp, slot uint32, v any) error {
-	p, a := newTrigger(g, tid, op, slot)
+// triggerValue sends one trigger carrying v's value record. Nothing is
+// sent when v is not wire-encodable.
+func (r *Runtime) triggerValue(src int, g agas.GID, op TrigOp, slot uint32, v any) error {
+	p, a := newTrigger(g, op, slot)
 	if err := a.Value(v); err != nil {
 		parcel.Release(p)
 		return err
@@ -461,19 +421,19 @@ func (r *Runtime) fireWaiter(src int, w Waiter, val any, failMsg string) {
 		r.FailLCO(src, w.Target, failMsg)
 		return
 	}
-	if err := r.triggerValue(src, w.Target, r.nextTID(), w.Op, w.Slot, val); err != nil {
+	if err := r.triggerValue(src, w.Target, w.Op, w.Slot, val); err != nil {
 		r.FailLCO(src, w.Target, fmt.Sprintf("resolved value not wire-encodable: %v", err))
 	}
 }
 
-// applyDistTrigger applies one identified trigger to a locally hosted
-// DistLCO, firing waiters on resolution. It runs inside a parcel action
+// applyDistTrigger applies one trigger to a locally hosted DistLCO,
+// firing waiters on resolution. It runs inside a parcel action
 // (a work unit is charged), so waiter fires charge their own legs through
 // the normal send path. raw may alias the trigger parcel's argument
 // record, valid only until the action returns, so nothing here retains
 // it: values are decoded out of it (DecodeAny copies) and a waiter record
 // is parsed into a Waiter.
-func (r *Runtime) applyDistTrigger(loc int, l *DistLCO, tid uint64, op TrigOp, slot uint32, raw []byte) error {
+func (r *Runtime) applyDistTrigger(loc int, l *DistLCO, op TrigOp, slot uint32, raw []byte) error {
 	var v any
 	var err error
 	switch op {
@@ -487,11 +447,6 @@ func (r *Runtime) applyDistTrigger(loc int, l *DistLCO, tid uint64, op TrigOp, s
 			return werr
 		}
 		l.mu.Lock()
-		if l.dedup.Contains(tid) {
-			l.mu.Unlock()
-			return nil
-		}
-		l.dedup.Add(tid)
 		if l.resolved {
 			val, failMsg := l.val, l.failMsg
 			l.mu.Unlock()
@@ -508,12 +463,9 @@ func (r *Runtime) applyDistTrigger(loc int, l *DistLCO, tid uint64, op TrigOp, s
 	}
 
 	l.mu.Lock()
-	if l.dedup.Contains(tid) {
-		l.mu.Unlock()
-		return nil
-	}
 	if l.resolved {
-		// One-shot: late or unidentified-duplicate triggers are ignored.
+		// One-shot: a trigger past resolution (a second set, a signal
+		// beyond the gate's count) has nothing left to change.
 		l.mu.Unlock()
 		return nil
 	}
@@ -522,7 +474,6 @@ func (r *Runtime) applyDistTrigger(loc int, l *DistLCO, tid uint64, op TrigOp, s
 		if msg == "" {
 			msg = "LCO failed"
 		}
-		l.dedup.Add(tid)
 		l.failMsg = msg
 		waiters := l.resolveLocked()
 		l.mu.Unlock()
@@ -532,15 +483,9 @@ func (r *Runtime) applyDistTrigger(loc int, l *DistLCO, tid uint64, op TrigOp, s
 		return nil
 	}
 	if aerr := l.applyValueLocked(r, op, slot, v); aerr != nil {
-		// Deliberately not recorded in the dedup set: the trigger took no
-		// effect, so it must not be counted as applied — a duplicate that
-		// is still in flight stays free to retry, and every failing copy
-		// surfaces through the action error path instead of being
-		// silently absorbed as a duplicate of a phantom success.
 		l.mu.Unlock()
 		return aerr
 	}
-	l.dedup.Add(tid)
 	if l.need > 0 {
 		l.mu.Unlock()
 		return nil
@@ -555,8 +500,8 @@ func (r *Runtime) applyDistTrigger(loc int, l *DistLCO, tid uint64, op TrigOp, s
 }
 
 // applyValueLocked advances the state machine by one value-carrying
-// trigger; the caller holds l.mu and has already handled dedup,
-// resolution, and TrigFail.
+// trigger; the caller holds l.mu and has already handled resolution and
+// TrigFail.
 func (l *DistLCO) applyValueLocked(r *Runtime, op TrigOp, slot uint32, v any) error {
 	switch {
 	case op == TrigSet && l.kind == lcoFuture:
@@ -576,8 +521,7 @@ func (l *DistLCO) applyValueLocked(r *Runtime, op TrigOp, slot uint32, v any) er
 			return fmt.Errorf("core: dataflow slot %d out of range [0,%d)", slot, len(l.slots))
 		}
 		if l.filled[slot] {
-			// A distinct trigger refilling a slot is a program bug; a
-			// duplicated one was already absorbed by dedup.
+			// Each trigger is applied once, so a refill is a program bug.
 			return fmt.Errorf("core: dataflow slot %d already supplied", slot)
 		}
 		l.filled[slot] = true

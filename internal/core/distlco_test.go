@@ -67,56 +67,64 @@ func TestDistLCOLocalTriggerPaths(t *testing.T) {
 	}
 }
 
+// wantOneShort checks that the DistLCO g, hosted at loc, is one trigger
+// short of resolving and, when acc is non-nil, holds exactly acc: sized one
+// past the triggers sent, it proves each of them was applied exactly once.
+func wantOneShort(t *testing.T, r *Runtime, loc int, g agas.GID, acc any) {
+	t.Helper()
+	obj, ok := r.LocalObject(loc, g)
+	if !ok {
+		t.Fatalf("%v not hosted at L%d", g, loc)
+	}
+	l := obj.(*DistLCO)
+	v, _, resolved := l.Resolved()
+	if l.Pending() != 1 || resolved || (acc != nil && v != acc) {
+		t.Fatalf("%v: %d pending, resolved=%v, accumulator %v; want 1, false and %v", g, l.Pending(), resolved, v, acc)
+	}
+}
+
 // TestDistLCOLocalDuplicationIdempotence floods distributed LCOs with
-// trigger parcels while the fault injector duplicates aggressively: the
-// identified triggers must count exactly once each, with no recorded
-// errors — the local trigger path's duplicate-delivery idempotence.
+// trigger parcels between two localities of one node: a gate and a reduce
+// sized one past the triggers sent hold exactly one short, with the exact
+// sum of n distinct values, and resolve on the last trigger.
 func TestDistLCOLocalDuplicationIdempotence(t *testing.T) {
-	r := New(Config{
-		Localities:         2,
-		WorkersPerLocality: 2,
-		Faults:             Faults{DupOneIn: 1, Seed: 5}, // duplicate everything
-	})
+	r := New(Config{Localities: 2, WorkersPerLocality: 2})
 	defer r.Shutdown()
 
 	const n = 100
-	gate := r.NewDistGateAt(1, n)
+	gate := r.NewDistGateAt(1, n+1)
 	wg := r.WaitLCO(0, gate)
-	red := r.NewDistReduceAt(1, n, ReduceSum, int64(0))
+	red := r.NewDistReduceAt(1, n+1, ReduceSum, int64(0))
 	wr := r.WaitLCO(0, red)
-	for i := 0; i < n; i++ {
+	for i := 1; i <= n; i++ {
 		r.SignalLCO(0, gate)
-		if err := r.ContributeLCO(0, red, int64(1)); err != nil {
+		if err := r.ContributeLCO(0, red, int64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := wg.Get(); err != nil {
-		t.Fatalf("gate under duplication: %v", err)
+	r.Wait()
+	wantOneShort(t, r, 1, gate, nil)
+	wantOneShort(t, r, 1, red, int64(n*(n+1)/2))
+	r.SignalLCO(0, gate)
+	if err := r.ContributeLCO(0, red, int64(n+1)); err != nil {
+		t.Fatal(err)
 	}
-	if v, err := wr.Get(); err != nil || v.(int64) != n {
-		t.Fatalf("reduce under duplication = %v, %v; want %d", v, err, n)
+	if _, err := wg.Get(); err != nil {
+		t.Fatalf("gate: %v", err)
+	}
+	if v, err := wr.Get(); err != nil || v.(int64) != (n+1)*(n+2)/2 {
+		t.Fatalf("reduce = %v, %v; want %d", v, err, (n+1)*(n+2)/2)
 	}
 	r.Wait()
-	if r.Duplicated() == 0 {
-		t.Fatal("fault injector duplicated nothing at 1-in-1")
-	}
 	if errs := r.Errors(); len(errs) != 0 {
-		t.Fatalf("duplicated identified triggers recorded errors: %v", errs)
-	}
-	// n signals plus the wait subscription, each exactly once.
-	if obj, ok := r.LocalObject(1, gate); ok {
-		if seen := obj.(*DistLCO).TriggersSeen(); seen != n+1 {
-			t.Fatalf("gate dedup recorded %d distinct triggers, want %d", seen, n+1)
-		}
+		t.Fatalf("runtime errors: %v", errs)
 	}
 }
 
 // TestDistLCORemoteDuplicationIdempotence runs the same storm across a
-// 3-node loopback fabric. The wire between nodes loses and duplicates
-// nothing, so each trigger starts as an intra-node parcel, duplicated at
-// 1-in-2, whose continuation signals or contributes to the LCOs on node 0:
-// a duplicated first hop puts two same-ID triggers on the wire, and the
-// target's dedup set must absorb the second.
+// 3-node loopback fabric: each trigger starts as an intra-node parcel
+// whose continuation signals or contributes to the LCOs on node 0, so it
+// crosses one node-local hop and then the wire.
 func TestDistLCORemoteDuplicationIdempotence(t *testing.T) {
 	fabric := transport.NewFabric(3)
 	ranges := []agas.Range{{Lo: 0, Hi: 2}, {Lo: 2, Hi: 4}, {Lo: 4, Hi: 6}}
@@ -127,10 +135,10 @@ func TestDistLCORemoteDuplicationIdempotence(t *testing.T) {
 			NodeID:             i,
 			NodeLocalities:     ranges,
 			WorkersPerLocality: 2,
-			Faults:             Faults{DupOneIn: 2, Seed: int64(i + 1)},
 			Register: func(r *Runtime) {
-				r.MustRegisterAction("test.one", func(*Context, any, *parcel.Reader) (any, error) {
-					return int64(1), nil
+				r.MustRegisterAction("test.echo", func(_ *Context, _ any, args *parcel.Reader) (any, error) {
+					v := args.Int64()
+					return v, args.Err()
 				})
 			},
 		})
@@ -142,61 +150,54 @@ func TestDistLCORemoteDuplicationIdempotence(t *testing.T) {
 	}()
 
 	const perNode = 40
-	gate := rts[0].NewDistGateAt(0, 2*perNode)
-	red := rts[0].NewDistReduceAt(0, 2*perNode, ReduceSum, int64(0))
+	gate := rts[0].NewDistGateAt(0, 2*perNode+1)
+	red := rts[0].NewDistReduceAt(0, 2*perNode+1, ReduceSum, int64(0))
 	wg := rts[0].WaitLCO(0, gate)
 	wr := rts[0].WaitLCO(0, red)
+	var sum int64
 	for n := 1; n <= 2; n++ {
 		lo := ranges[n].Lo
 		hop := rts[n].NewDataAt(lo+1, struct{}{})
 		for i := 0; i < perNode; i++ {
-			rts[n].SendFrom(lo, parcel.New(hop, "test.one", nil,
+			v := int64(n*1000 + i)
+			sum += v
+			rts[n].SendFrom(lo, parcel.New(hop, "test.echo", parcel.NewArgs().Int64(v).Encode(),
 				parcel.Continuation{Target: gate, Action: ActionLCOSignal}))
-			rts[n].SendFrom(lo, parcel.New(hop, "test.one", nil,
+			rts[n].SendFrom(lo, parcel.New(hop, "test.echo", parcel.NewArgs().Int64(v).Encode(),
 				parcel.Continuation{Target: red, Action: ActionLCOContribute}))
 		}
 	}
-	if _, err := wg.Get(); err != nil {
-		t.Fatalf("remote gate under duplication: %v", err)
+	rts[0].Wait()
+	wantOneShort(t, rts[0], 0, gate, nil)
+	wantOneShort(t, rts[0], 0, red, sum)
+	rts[1].SignalLCO(2, gate)
+	if err := rts[2].ContributeLCO(4, red, int64(1)); err != nil {
+		t.Fatal(err)
 	}
-	if v, err := wr.Get(); err != nil || v.(int64) != 2*perNode {
-		t.Fatalf("remote reduce = %v, %v; want %d", v, err, 2*perNode)
+	if _, err := wg.Get(); err != nil {
+		t.Fatalf("remote gate: %v", err)
+	}
+	if v, err := wr.Get(); err != nil || v.(int64) != sum+1 {
+		t.Fatalf("remote reduce = %v, %v; want %d", v, err, sum+1)
 	}
 	rts[0].Wait()
-	var duped uint64
-	for _, r := range rts {
-		duped += r.Duplicated()
-	}
-	if duped == 0 {
-		t.Fatal("no duplication injected across three nodes at 1-in-2")
-	}
 	for i, r := range rts {
 		if errs := r.Errors(); len(errs) != 0 {
 			t.Fatalf("node %d recorded errors: %v", i, errs)
 		}
 	}
-	// Each signal counted once, plus the wait subscription.
-	obj, _ := rts[0].LocalObject(0, gate)
-	if seen := obj.(*DistLCO).TriggersSeen(); seen != 2*perNode+1 {
-		t.Fatalf("gate recorded %d distinct triggers, want %d", seen, 2*perNode+1)
-	}
 }
 
 // TestDistLCOMidMigrationIdempotence hammers a distributed gate with
-// identified triggers while the gate migrates back and forth between
-// localities, with duplication injected: triggers park at the migration
-// fence, chase the forwarding pointer, and must still count exactly once
-// each — the dedup set travels with the object.
+// triggers while the gate migrates back and forth between localities:
+// triggers park at the migration fence and chase the forwarding pointer,
+// and must still count exactly once each.
 func TestDistLCOMidMigrationIdempotence(t *testing.T) {
-	r := New(Config{
-		Localities:         2,
-		WorkersPerLocality: 2,
-		Faults:             Faults{DupOneIn: 2, Seed: 9},
-	})
+	r := New(Config{Localities: 2, WorkersPerLocality: 2})
 	defer r.Shutdown()
 
 	const n = 120
-	gate := r.NewDistGateAt(0, n)
+	gate := r.NewDistGateAt(0, n+1)
 	done := r.WaitLCO(0, gate)
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -212,8 +213,11 @@ func TestDistLCOMidMigrationIdempotence(t *testing.T) {
 		}
 	}
 	wg.Wait()
+	r.Wait()
+	wantOneShort(t, r, 0, gate, nil) // the sixth move brought it home
+	r.SignalLCO(1, gate)
 	if _, err := done.Get(); err != nil {
-		t.Fatalf("gate under migration + duplication: %v", err)
+		t.Fatalf("gate under migration: %v", err)
 	}
 	r.Wait()
 	if errs := r.Errors(); len(errs) != 0 {
@@ -256,8 +260,6 @@ func TestDistLCOCodecRoundTrip(t *testing.T) {
 			{Target: agas.GID{Home: 0, Kind: agas.KindLCO, Seq: 4}, Op: TrigSupply, Slot: 2},
 		},
 	}
-	l.dedup.Add(101)
-	l.dedup.Add(202)
 	raw, err := parcel.EncodeAny(l)
 	if err != nil {
 		t.Fatal(err)
@@ -269,9 +271,6 @@ func TestDistLCOCodecRoundTrip(t *testing.T) {
 	d := back.(*DistLCO)
 	if d.kind != lcoReduce || d.need != 3 || d.opName != ReduceSum || d.val.(int64) != 7 {
 		t.Fatalf("state lost: %+v", d)
-	}
-	if d.dedup.Len() != 2 || !d.dedup.Seen(101) || !d.dedup.Seen(202) {
-		t.Fatal("dedup set lost")
 	}
 	if len(d.waiters) != 2 || d.waiters[0] != l.waiters[0] || d.waiters[1] != l.waiters[1] {
 		t.Fatalf("waiters lost: %+v", d.waiters)
@@ -313,53 +312,76 @@ func TestDistLCOContinuationTarget(t *testing.T) {
 	}
 }
 
-// TestDistLCOContinuationDuplicationIdempotence checks that
-// continuation-borne triggers (px.lco.signal/contribute naming a DistLCO)
-// are deduplicated under fault duplication: the trigger ID derives from
-// the carrying parcel, and a duplicated parcel shares its original's ID.
-func TestDistLCOContinuationDuplicationIdempotence(t *testing.T) {
-	r := New(Config{
-		Localities:         2,
-		WorkersPerLocality: 2,
-		Faults:             Faults{DupOneIn: 1, Seed: 23}, // duplicate everything
-	})
+// TestDistLCOCodecSizeIsState: a reduce's migration encoding carries its
+// state, not its history — it is as long after 1,000 applied contributions
+// as after one.
+func TestDistLCOCodecSizeIsState(t *testing.T) {
+	r := New(Config{Localities: 2, WorkersPerLocality: 2})
 	defer r.Shutdown()
-	r.MustRegisterAction("test.one", func(ctx *Context, target any, args *parcel.Reader) (any, error) {
-		return int64(1), nil
+	red := r.NewDistReduceAt(1, 2000, ReduceSum, int64(0))
+	encoded := func() int {
+		r.Wait()
+		obj, _ := r.LocalObject(1, red)
+		raw, err := parcel.EncodeAny(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(raw)
+	}
+	if err := r.ContributeLCO(0, red, int64(1)); err != nil {
+		t.Fatal(err)
+	}
+	one := encoded()
+	for i := 0; i < 999; i++ {
+		if err := r.ContributeLCO(0, red, int64(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if thousand := encoded(); thousand != one {
+		t.Fatalf("encoding is %d bytes after 1 contribution and %d after 1,000", one, thousand)
+	}
+}
+
+// TestDistLCOContinuationDuplicationIdempotence: continuation-borne
+// triggers (px.lco.signal/contribute naming a DistLCO) are applied once
+// each, like any trigger — a gate and a reduce sized one past them hold
+// one short, with the exact sum of n distinct values.
+func TestDistLCOContinuationDuplicationIdempotence(t *testing.T) {
+	r := New(Config{Localities: 2, WorkersPerLocality: 2})
+	defer r.Shutdown()
+	r.MustRegisterAction("test.echo", func(_ *Context, _ any, args *parcel.Reader) (any, error) {
+		v := args.Int64()
+		return v, args.Err()
 	})
 	const n = 60
 	obj := r.NewDataAt(1, struct{}{})
-	gate := r.NewDistGateAt(0, n)
-	red := r.NewDistReduceAt(0, n, ReduceSum, int64(0))
+	gate := r.NewDistGateAt(0, n+1)
+	red := r.NewDistReduceAt(0, n+1, ReduceSum, int64(0))
 	wg := r.WaitLCO(0, gate)
 	wr := r.WaitLCO(0, red)
-	for i := 0; i < n; i++ {
-		r.SendFrom(0, parcel.New(obj, "test.one", nil,
+	send := func(i int) {
+		args := parcel.NewArgs().Int64(int64(i)).Encode()
+		r.SendFrom(0, parcel.New(obj, "test.echo", args,
 			parcel.Continuation{Target: gate, Action: ActionLCOSignal}))
-		r.SendFrom(0, parcel.New(obj, "test.one", nil,
+		r.SendFrom(0, parcel.New(obj, "test.echo", args,
 			parcel.Continuation{Target: red, Action: ActionLCOContribute}))
 	}
-	if _, err := wg.Get(); err != nil {
-		t.Fatalf("gate via duplicated continuations: %v", err)
-	}
-	if v, err := wr.Get(); err != nil || v.(int64) != n {
-		t.Fatalf("reduce via duplicated continuations = %v, %v; want %d", v, err, n)
+	for i := 1; i <= n; i++ {
+		send(i)
 	}
 	r.Wait()
-	if r.Duplicated() == 0 {
-		t.Fatal("fault injector duplicated nothing at 1-in-1")
+	wantOneShort(t, r, 0, gate, nil)
+	wantOneShort(t, r, 0, red, int64(n*(n+1)/2))
+	send(n + 1)
+	if _, err := wg.Get(); err != nil {
+		t.Fatalf("gate via continuations: %v", err)
 	}
+	if v, err := wr.Get(); err != nil || v.(int64) != (n+1)*(n+2)/2 {
+		t.Fatalf("reduce via continuations = %v, %v; want %d", v, err, (n+1)*(n+2)/2)
+	}
+	r.Wait()
 	if errs := r.Errors(); len(errs) != 0 {
 		t.Fatalf("runtime errors: %v", errs)
-	}
-	// The sharp check: every continuation parcel must have carried a
-	// distinct identified trigger (n signals + the wait subscription).
-	// With unidentified (ID 0) triggers the gate would have resolved
-	// after half the parcels and recorded only the subscription.
-	if obj, ok := r.LocalObject(0, gate); ok {
-		if seen := obj.(*DistLCO).TriggersSeen(); seen != n+1 {
-			t.Fatalf("gate recorded %d distinct triggers, want %d", seen, n+1)
-		}
 	}
 }
 
@@ -386,13 +408,14 @@ func TestRegisterReducerValidation(t *testing.T) {
 }
 
 // TestDistLCOLateTriggerToFreedTarget checks the benign-straggler path: a
-// duplicated trigger arriving after its one-shot target was consumed and
-// freed is dropped silently instead of polluting the error log.
+// trigger arriving after its one-shot target was consumed and freed — one
+// that raced the Free on another lane — is dropped silently instead of
+// polluting the error log.
 func TestDistLCOLateTriggerToFreedTarget(t *testing.T) {
 	r := New(Config{Localities: 2, WorkersPerLocality: 2})
 	defer r.Shutdown()
 	fgid, fut := r.NewFutureAt(0)
-	if err := r.triggerValue(1, fgid, 77, TrigSet, 0, int64(1)); err != nil {
+	if err := r.triggerValue(1, fgid, TrigSet, 0, int64(1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := fut.Get(); err != nil {
@@ -400,8 +423,8 @@ func TestDistLCOLateTriggerToFreedTarget(t *testing.T) {
 	}
 	r.Wait()
 	r.FreeObject(fgid)
-	// The straggler: same trigger, target gone.
-	if err := r.triggerValue(1, fgid, 77, TrigSet, 0, int64(1)); err != nil {
+	// The straggler: a second set, target gone.
+	if err := r.triggerValue(1, fgid, TrigSet, 0, int64(1)); err != nil {
 		t.Fatal(err)
 	}
 	r.Wait()

@@ -2,9 +2,9 @@ package core
 
 // Wire codec for DistLCO state, registered with the parcel value codec
 // registry so Runtime.Migrate can push a live distributed LCO to another
-// node exactly like any data object: counters, accumulator, subscribed
-// waiters, and the dedup set all travel, so a duplicate of a trigger
-// applied before the move is still absorbed after it.
+// node exactly like any data object: counters, accumulator and subscribed
+// waiters all travel, so the encoding is the size of the LCO's state, not
+// of its history.
 
 import (
 	"encoding/binary"
@@ -19,7 +19,7 @@ import (
 // decode anywhere.
 const DistLCOCodecName = "px.distlco"
 
-const distLCOCodecVersion = 1
+const distLCOCodecVersion = 2
 
 func init() {
 	parcel.RegisterValueCodec(DistLCOCodecName, parcel.ValueCodec{
@@ -68,7 +68,7 @@ func encodeDistLCO(v any) ([]byte, bool, error) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	buf := make([]byte, 0, 64+16*len(l.waiters)+8*l.dedup.Len())
+	buf := make([]byte, 0, 64+16*len(l.waiters))
 	buf = append(buf, distLCOCodecVersion, byte(l.kind))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(l.need))
 	buf = appendString16(buf, l.opName)
@@ -91,11 +91,6 @@ func encodeDistLCO(v any) ([]byte, bool, error) {
 		if buf, err = appendValueRecord(buf, l.slots[i], l.filled[i]); err != nil {
 			return nil, true, fmt.Errorf("slot %d: %w", i, err)
 		}
-	}
-	ids := l.dedup.IDs()
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ids)))
-	for _, id := range ids {
-		buf = binary.LittleEndian.AppendUint64(buf, id)
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(l.waiters)))
 	for _, w := range l.waiters {
@@ -124,7 +119,7 @@ func decodeDistLCO(buf []byte) (any, error) {
 		return fail(fmt.Errorf("accumulator: %w", err))
 	}
 	// Counts are checked against what is left before anything is sized by
-	// them: each slot costs at least its presence byte, each dedup ID eight.
+	// them: each slot costs at least its presence byte.
 	nslots := int(c.u32())
 	if nslots > len(c.b) {
 		return fail(fmt.Errorf("slot count %d exceeds payload", nslots))
@@ -137,13 +132,6 @@ func decodeDistLCO(buf []byte) (any, error) {
 				return fail(fmt.Errorf("slot %d: %w", i, err))
 			}
 		}
-	}
-	ndedup := int(c.u32())
-	if ndedup > len(c.b)/8 {
-		return fail(fmt.Errorf("dedup set truncated"))
-	}
-	for i := 0; i < ndedup; i++ {
-		l.dedup.Add(c.u64())
 	}
 	nwait := int(c.u32())
 	if nwait > len(c.b)/(agas.GIDSize+5) {

@@ -1,26 +1,16 @@
 package core
 
-import (
-	"math/rand"
-	"sync"
-)
+import "sync"
 
-// Faults injects message-level failures, for testing the delivery
-// semantics the model implies. Nothing loses a parcel while its
+// Faults injects node-level failures, for testing the delivery semantics
+// the model implies. Nothing loses or repeats a parcel while its
 // destination's node lives: the wire between nodes promises that, and a
-// parcel between two localities of one node moves by pointer. Duplication
-// hits those node-local parcels; trigger IDs, the targets' dedup sets and
-// spent reply slots absorb the copies. Between nodes the faults are
-// crashes and partitions. Those knobs are deterministic: they count wire
-// frames crossing this node's boundary and flip at an exact frame count,
-// so a failing chaos run replays bit-for-bit from its seed and counts.
+// parcel between two localities of one node moves by pointer, so each
+// parcel is dispatched once. The injected faults are therefore crashes and
+// partitions only. Those knobs are deterministic: they count wire frames
+// crossing this node's boundary and flip at an exact frame count, so a
+// failing chaos run replays bit-for-bit from its counts.
 type Faults struct {
-	// DupOneIn duplicates one in every n parcels between two localities of
-	// this node (0 disables).
-	DupOneIn int
-	// Seed makes the fault pattern reproducible.
-	Seed int64
-
 	// KillNode/KillAfter crash node KillNode: once that node has seen
 	// KillAfter wire frames (in plus out, counted at the runtime's frame
 	// layer), every subsequent frame in either direction is silently
@@ -57,19 +47,17 @@ func (f Faults) PartitionPeersAfter(a, b, n int) Faults {
 // faultState is the runtime's fault injector.
 type faultState struct {
 	mu        sync.Mutex
-	rng       *rand.Rand
 	cfg       Faults
-	duped     uint64
 	killCount int    // frames this node has seen toward KillAfter
 	partCount int    // frames across the A<->B link toward PartitionAfter
 	silenced  uint64 // frames silently destroyed by kill or partition
 }
 
 func newFaultState(cfg Faults) *faultState {
-	if cfg.DupOneIn == 0 && cfg.KillAfter == 0 && cfg.PartitionAfter == 0 {
+	if cfg.KillAfter == 0 && cfg.PartitionAfter == 0 {
 		return nil
 	}
-	return &faultState{rng: rand.New(rand.NewSource(cfg.Seed)), cfg: cfg}
+	return &faultState{cfg: cfg}
 }
 
 // silence decides whether one wire frame between self and other (either
@@ -98,27 +86,6 @@ func (f *faultState) silence(self, other int) bool {
 		f.silenced++
 	}
 	return mute
-}
-
-// duplicate decides whether one node-local parcel is delivered twice.
-func (f *faultState) duplicate() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.cfg.DupOneIn > 0 && f.rng.Intn(f.cfg.DupOneIn) == 0 {
-		f.duped++
-		return true
-	}
-	return false
-}
-
-// Duplicated reports parcels delivered twice by fault injection.
-func (r *Runtime) Duplicated() uint64 {
-	if r.faults == nil {
-		return 0
-	}
-	r.faults.mu.Lock()
-	defer r.faults.mu.Unlock()
-	return r.faults.duped
 }
 
 // Silenced reports wire frames destroyed by an armed crash or partition.

@@ -1,19 +1,19 @@
 package core
 
 import (
-	"bytes"
+	"errors"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/lco"
 	"repro/internal/parcel"
 )
 
+// TestDuplicationFaultsAndIdempotentLCOs: node-local parcels are delivered
+// exactly once, so a count of deliveries and a gate sized one past its
+// signals both come out exact — any repeated dispatch would show.
 func TestDuplicationFaultsAndIdempotentLCOs(t *testing.T) {
-	r := New(Config{
-		Localities:         2,
-		WorkersPerLocality: 2,
-		Faults:             Faults{DupOneIn: 3, Seed: 11},
-	})
+	r := New(Config{Localities: 2, WorkersPerLocality: 2})
 	defer r.Shutdown()
 	var hits atomic.Int64
 	r.MustRegisterAction("fault.count", func(ctx *Context, target any, args *parcel.Reader) (any, error) {
@@ -26,112 +26,66 @@ func TestDuplicationFaultsAndIdempotentLCOs(t *testing.T) {
 		r.SendFrom(0, parcel.New(obj, "fault.count", nil))
 	}
 	r.Wait()
-	duped := int64(r.Duplicated())
-	if duped == 0 {
-		t.Fatal("fault injector duplicated nothing at 1-in-3")
-	}
-	if hits.Load() != n+duped {
-		t.Fatalf("delivered %d, want %d + %d duplicates", hits.Load(), n, duped)
+	if hits.Load() != n {
+		t.Fatalf("delivered %d, want exactly %d", hits.Load(), n)
 	}
 
-	// An AndGate tolerates duplicated signals: extra signals past zero are
-	// ignored, so a gate sized for n still fires exactly once.
-	ggid, gate := r.NewAndGateAt(0, n)
+	// A gate sized for n+1 holds after n signals, then fires once on the
+	// last one.
+	ggid, gate := r.NewAndGateAt(0, n+1)
 	var fires atomic.Int64
 	gate.OnFire(func() { fires.Add(1) })
 	for i := 0; i < n; i++ {
 		r.SendFrom(1, parcel.New(ggid, ActionLCOSignal, nil))
 	}
 	r.Wait()
+	if left := gate.Remaining(); left != 1 || fires.Load() != 0 {
+		t.Fatalf("after %d signals: %d remaining, %d fires; want 1 and 0", n, left, fires.Load())
+	}
+	r.SendFrom(1, parcel.New(ggid, ActionLCOSignal, nil))
+	r.Wait()
 	gate.Wait()
 	if fires.Load() != 1 {
-		t.Fatalf("gate fired %d times under duplication", fires.Load())
+		t.Fatalf("gate fired %d times, want 1", fires.Load())
 	}
 }
 
+// TestDuplicatedFutureSetReportsSecondWrite: futures are single-assignment,
+// so a second set parcel must surface as an ErrAlreadySet runtime error,
+// not silent corruption.
 func TestDuplicatedFutureSetReportsSecondWrite(t *testing.T) {
-	// Futures are single-assignment: a duplicated set parcel must surface
-	// as an ErrAlreadySet runtime error, not silent corruption. Force
-	// duplication of every parcel.
-	r := New(Config{
-		Localities:         2,
-		WorkersPerLocality: 1,
-		Faults:             Faults{DupOneIn: 1, Seed: 3},
-	})
+	r := New(Config{Localities: 2, WorkersPerLocality: 1})
 	defer r.Shutdown()
 	fgid, fut := r.NewFutureAt(1)
 	val, _ := parcel.EncodeAny(int64(9))
-	r.SendFrom(0, parcel.New(fgid, ActionLCOSet, parcel.NewArgs().Bytes(val).Encode()))
+	for i := 0; i < 2; i++ {
+		r.SendFrom(0, parcel.New(fgid, ActionLCOSet, parcel.NewArgs().Bytes(val).Encode()))
+	}
 	r.Wait()
 	v, err := fut.Get()
 	if err != nil || v.(int64) != 9 {
 		t.Fatalf("first set lost: %v %v", v, err)
 	}
 	errs := r.Errors()
-	if len(errs) == 0 {
-		t.Fatal("duplicate set swallowed silently")
-	}
-}
-
-// TestDuplicateOwnsItsArgs: a duplicated node-local parcel is a copy that
-// owns its argument bytes. The original may run and be released (here
-// poisoned) before the copy runs, so a copy that referenced the original's
-// bytes would read the poison. Each chain's first hop stays on L1; its
-// continuation crosses L1 → L0 carrying the value in its own argument store
-// (AcquireValue), and every crossing is duplicated.
-func TestDuplicateOwnsItsArgs(t *testing.T) {
-	parcel.SetPoolDebug(true)
-	defer parcel.SetPoolDebug(false)
-	r := New(Config{
-		Localities:         2,
-		WorkersPerLocality: 2,
-		Faults:             Faults{DupOneIn: 1, Seed: 13},
-	})
-	defer r.Shutdown()
-	want := make([]byte, 64)
-	for i := range want {
-		want[i] = byte(i + 1)
-	}
-	var seen, wrong atomic.Int64
-	r.MustRegisterAction("dup.value64", func(*Context, any, *parcel.Reader) (any, error) {
-		return want, nil
-	})
-	r.MustRegisterAction("dup.check", func(_ *Context, _ any, args *parcel.Reader) (any, error) {
-		v, err := decodeValueArg(args)
-		if got, ok := v.([]byte); err != nil || !ok || !bytes.Equal(got, want) {
-			wrong.Add(1)
-		}
-		seen.Add(1)
-		return nil, nil
-	})
-	first, last := r.NewDataAt(1, struct{}{}), r.NewDataAt(0, struct{}{})
-	const n = 200
-	for i := 0; i < n; i++ {
-		r.SendFrom(1, parcel.New(first, "dup.value64", nil, parcel.Continuation{Target: last, Action: "dup.check"}))
-	}
-	r.Wait()
-	if seen.Load() != 2*n || wrong.Load() != 0 {
-		t.Fatalf("L0 saw %d values, %d of them wrong; want %d, all exact", seen.Load(), wrong.Load(), 2*n)
-	}
-	if errs := r.Errors(); len(errs) != 0 {
-		t.Fatalf("runtime errors: %v", errs)
+	if len(errs) != 1 || !errors.Is(errs[0], lco.ErrAlreadySet) {
+		t.Fatalf("second set recorded %v, want one ErrAlreadySet", errs)
 	}
 }
 
 func TestNoFaultsByDefault(t *testing.T) {
 	r := New(Config{Localities: 2})
 	defer r.Shutdown()
-	if r.Duplicated() != 0 || r.Silenced() != 0 {
-		t.Fatal("fault counters nonzero without injection")
+	if r.Silenced() != 0 {
+		t.Fatal("fault counter nonzero without injection")
 	}
 }
 
 // TestCrashAndPartitionFaultsAreDeterministic: the kill and partition
 // knobs count wire frames and flip at an exact count, so two injectors
 // with the same config silence exactly the same frame sequence — the
-// property that makes a failing chaos run replayable from its seed.
+// property that makes a failing chaos run replayable from its counts.
 func TestCrashAndPartitionFaultsAreDeterministic(t *testing.T) {
-	cfg := Faults{Seed: 99}.KillPeerAfter(2, 5).PartitionPeersAfter(0, 1, 3)
+	cfg := Faults{}.KillPeerAfter(2, 5).PartitionPeersAfter(0, 1, 3)
 	run := func() []bool {
 		f := newFaultState(cfg)
 		// A fixed interleaving of frames as seen by node 2 (the victim)
@@ -165,7 +119,7 @@ func TestCrashAndPartitionFaultsAreDeterministic(t *testing.T) {
 		t.Fatal("silenced a frame on an unrelated link")
 	}
 	// Zero knobs build no injector at all.
-	if newFaultState(Faults{Seed: 99}) != nil {
+	if newFaultState(Faults{}) != nil {
 		t.Fatal("fault state built with nothing configured")
 	}
 }

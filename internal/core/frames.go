@@ -417,7 +417,7 @@ func decodeLoad(b []byte, env frameEnv) (m frameMsg, err error) {
 // range and dial-back address, which is how a joining node tells an
 // established machine where to reach it.
 const (
-	helloVersion = 5
+	helloVersion = 6
 
 	// maxInternActions bounds the announced table by entry count, and
 	// helloPrefix additionally bounds it by encoded bytes (the transport

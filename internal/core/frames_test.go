@@ -330,6 +330,8 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(encodeHello(manyActionNames(64), nil))
 	f.Add(encodeHello([]string{""}, &memberHello{}))
 	f.Add([]byte{helloVersion - 1, 0, 0, 0, 0, 0})
+	// A hello v5 peer: its trigger records led with a trigger ID.
+	f.Add(append([]byte{5}, encodeHello([]string{"px.lco.trigger"}, nil)[1:]...))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 	f.Add(bytes.Repeat([]byte{0x00}, 40))

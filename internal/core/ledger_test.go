@@ -239,43 +239,6 @@ func TestLedgerDeathWithParcelInFlight(t *testing.T) {
 	m.rts[0].Shutdown()
 }
 
-// TestLedgerReplayedTriggerAppliesOnce: a trigger frame delivered twice is
-// applied once, by its trigger ID, and the replay is no error.
-func TestLedgerReplayedTriggerAppliesOnce(t *testing.T) {
-	m, _ := startLedgerMachine(t)
-	red := m.rts[1].NewDistReduceAt(2, 2, ReduceSum, int64(0))
-	m.wires[0].set(wirePark, fParcel, fParcelI)
-	if err := m.rts[0].ContributeLCO(0, red, int64(5)); err != nil {
-		t.Fatal(err)
-	}
-	var trigger []byte
-	m.wires[0].release(t, func(frame []byte) []byte {
-		trigger = append([]byte(nil), frame...)
-		return frame
-	})
-	m.wait(t)
-
-	// Replay, booked as a send so the ledger still balances: wait returns
-	// once node 1 has received the frame and finished with it.
-	m.rts[0].dist.peer(1).sent.Add(1)
-	if err := m.wires[0].Transport.Send(1, trigger); err != nil {
-		t.Fatal(err)
-	}
-	m.wait(t)
-	obj, _ := m.rts[1].LocalObject(2, red)
-	l := obj.(*DistLCO)
-	if acc, _, _ := l.Resolved(); l.Pending() != 1 || l.TriggersSeen() != 1 || acc != int64(5) {
-		t.Fatalf("after the replay: %d pending, %d triggers seen, sum %v; want 1, 1 and 5",
-			l.Pending(), l.TriggersSeen(), acc)
-	}
-	for i, rt := range m.rts {
-		if errs := rt.Errors(); len(errs) != 0 {
-			t.Fatalf("node %d recorded errors: %v", i, errs)
-		}
-	}
-	m.stop(t)
-}
-
 // TestLedgerCountsUndecodableParcel: a parcel frame that fails to decode is
 // still a frame the sender counted, so the receiver counts it too — and, as
 // for any parcel, sends nothing back.

@@ -170,9 +170,6 @@ func (r *Runtime) buildMetricsRegistry() *metrics.Registry {
 	reg.RegisterFunc("px.pool.wire.hits", func() int64 { _, _, h, _ := parcel.PoolStats(); return int64(h) })
 	reg.RegisterFunc("px.pool.wire.misses", func() int64 { _, _, _, m := parcel.PoolStats(); return int64(m) })
 
-	// Fault injection (0 unless configured).
-	reg.RegisterFunc("px.faults.duplicated", func() int64 { return int64(r.Duplicated()) })
-
 	// Adaptive self-balancing (only when BalanceInterval enables it, so
 	// a disabled balancer is invisible in the metric namespace too —
 	// "is balancing on?" is answerable by probing for px.balance.ticks).

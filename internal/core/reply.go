@@ -20,10 +20,10 @@ import (
 //
 // The index picks a slot in the home locality's table; the generation,
 // bumped every time the slot is handed out, tells the one reply the slot
-// waits for from every earlier holder's late or duplicated one. The node is
-// the process that minted the name: after a death the adopter of the home
-// locality starts that locality's table afresh, and a reply to the corpse's
-// slots must not land in it.
+// waits for from every earlier holder's late one. The node is the process
+// that minted the name: after a death the adopter of the home locality
+// starts that locality's table afresh, and a reply to the corpse's slots
+// must not land in it.
 const (
 	replyGenBits  = 32
 	replyIdxBits  = 20
@@ -152,8 +152,8 @@ func (r *Runtime) openReply(src int, dep agas.GID, start time.Time) (agas.GID, *
 }
 
 // takeReply resolves an arriving reply's name to the future it waits on,
-// emptying the slot; nil means the reply is stale — a duplicate, or late
-// for a slot already failed by a death — and was counted.
+// emptying the slot; nil means the reply is stale — late for a slot
+// already failed by a death, or handed out again since — and was counted.
 func (r *Runtime) takeReply(loc int, g agas.GID) *lco.Future {
 	s, ok := r.replies[loc].take(r.NodeID(), g.Seq)
 	if !ok {

@@ -308,39 +308,6 @@ func TestLedgerReplayedReplyMissesRecycledSlot(t *testing.T) {
 	m.stop(t)
 }
 
-// TestDuplicatedReplySetsOnce: with every parcel duplicated the call runs
-// twice and four replies come back; one resolves the future, the others
-// find the slot spent and vanish without a runtime error.
-func TestDuplicatedReplySetsOnce(t *testing.T) {
-	r := New(Config{
-		Localities:         2,
-		WorkersPerLocality: 2,
-		Faults:             Faults{DupOneIn: 1, Seed: 3},
-	})
-	defer r.Shutdown()
-	var runs atomic.Int64
-	r.MustRegisterAction("reply.count", func(*Context, any, *parcel.Reader) (any, error) {
-		return runs.Add(1), nil
-	})
-	obj := r.NewDataAt(1, struct{}{})
-	fut := r.CallFrom(0, obj, "reply.count", nil)
-	var sets atomic.Int64
-	fut.OnReady(func(any, error) { sets.Add(1) })
-	if v, err := fut.Get(); err != nil || v.(int64) < 1 || v.(int64) > 2 {
-		t.Fatalf("duplicated call: %v, %v", v, err)
-	}
-	r.Wait()
-	if runs.Load() != 2 || sets.Load() != 1 {
-		t.Fatalf("action ran %d times, future resolved %d times; want 2 and 1", runs.Load(), sets.Load())
-	}
-	if stale, live := replyCounters(r); stale != 3 || live != 0 {
-		t.Fatalf("stale=%v live=%v, want the 3 surplus replies counted and no slot live", stale, live)
-	}
-	if errs := r.Errors(); len(errs) != 0 {
-		t.Fatalf("duplicate replies recorded runtime errors: %v", errs)
-	}
-}
-
 // TestConcurrentCallsRaceNodeDeath: 1024 callers, each with its own getter,
 // race a death verdict on the node they call. Every future resolves with
 // the answer or fails with the node-lost verdict, exactly once, and none

@@ -77,32 +77,12 @@ func (r *Runtime) route(src int, p *parcel.Parcel) *parcel.Parcel {
 	}
 	r.slow.ParcelsSent.Inc()
 	// Another locality of this node shares this address space, so the
-	// parcel itself moves, as on the same-locality path above. A fault-
-	// injected duplicate is a copy that owns its argument bytes, because the
-	// original may be dispatched and released first; it carries its own
-	// work unit.
-	var dup *parcel.Parcel
-	if r.faults != nil && r.faults.duplicate() {
-		r.addWork()
-		dup = parcel.Clone(p)
-	}
+	// parcel itself moves, as on the same-locality path above.
 	if lat := r.net.Latency(src, owner, len(p.Args)); lat > 0 {
-		r.handOffAfter(lat, owner, p)
-		if dup != nil {
-			r.handOffAfter(lat, owner, dup)
-		}
+		time.AfterFunc(lat, func() { r.runReply(r.handOff(owner, p)) })
 		return nil
 	}
-	if dup != nil {
-		r.runReply(r.handOff(owner, p))
-		p = dup
-	}
 	return r.handOff(owner, p)
-}
-
-// handOffAfter is handOff after the network model's latency, on a timer.
-func (r *Runtime) handOffAfter(lat time.Duration, loc int, p *parcel.Parcel) {
-	time.AfterFunc(lat, func() { r.runReply(r.handOff(loc, p)) })
 }
 
 // handOff ends a node-local leg of route: it enqueues p on locality loc,
@@ -220,7 +200,7 @@ func (r *Runtime) mustPost(err error) {
 // in progress the parcel parks (keeping a work unit charged) until the
 // move commits and the fence re-routes it. A reply name's target is the
 // future in its slot, not an object in the store; a reply that finds the
-// slot spent is a counted, dropped duplicate.
+// slot spent is late, and is counted and dropped.
 //
 // execute consumes p: dispatch (successful or failed) ends with the
 // parcel released to its pool; the park and forward paths instead pass
@@ -288,7 +268,10 @@ func (r *Runtime) execute(loc int, p *parcel.Parcel, rd *parcel.Reader, ctx *Con
 		r.emitSpan(trace.SpanTrigger, loc, &p.Trace, p.Action)
 	}
 	r.slow.ThreadsSpawned.Inc()
-	ctx.rt, ctx.loc, ctx.tid = r, loc, parcelTriggerID(p)
+	if seen := r.dispatched.Load(); seen != nil {
+		(*seen)(p)
+	}
+	ctx.rt, ctx.loc = r, loc
 	rd.Reset(p.Args)
 	res, err := fn(ctx, target, rd)
 	if fenced {
@@ -312,12 +295,9 @@ func (r *Runtime) execute(loc int, p *parcel.Parcel, rd *parcel.Reader, ctx *Con
 			r.failTo(loc, p, cont, encErr)
 			return
 		}
-		// The continuation inherits the chain's parcel ID: a fault-
-		// duplicated parcel then spawns continuations with identical
-		// identity, so a DistLCO target deduplicates them (the remaining
-		// stack depth distinguishes the steps of one chain — see
-		// parcelTriggerID). The trace context is inherited the same way,
-		// so one trace ID spans the whole continuation chain.
+		// The continuation inherits the chain's parcel ID, which keys
+		// SLOW's clock sampling, and its trace context, so a sampled
+		// chain is clocked and traced on every step.
 		np.ID = p.ID
 		np.Trace = p.Trace
 		parcel.Release(p) // after Acquire copied the continuation tail
@@ -348,14 +328,12 @@ func (r *Runtime) forward(loc int, p *parcel.Parcel) {
 // records it on the runtime when no continuation exists. It consumes p.
 func (r *Runtime) failParcel(loc int, p *parcel.Parcel, err error) {
 	if p.Action == ActionLCOTrigger && (errors.Is(err, agas.ErrUnknown) || IsNodeLost(err)) {
-		// A duplicated trigger chasing a named LCO that was already
-		// consumed and freed: the first copy did the work, so the
-		// straggler is benignly late, not lost. (A straggler toward a
-		// reply slot never gets here — execute drops and counts it.) A
-		// trigger toward an LCO that died with its node, or one whose send
-		// found that node dead, is equally terminal: the reply slots
-		// waiting on that node are failed by the membership layer, so the
-		// trigger itself has no one to tell.
+		// A trigger whose LCO is gone: it raced the LCO's Free on another
+		// lane, or the LCO died with its node (or the send found that node
+		// dead). It is late, not lost: the reply slots waiting on a dead
+		// node are failed by the membership layer, so the trigger has no
+		// one to tell. (A late reply never gets here — execute drops and
+		// counts it.)
 		parcel.Release(p)
 		return
 	}

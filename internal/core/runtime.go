@@ -52,11 +52,10 @@ type Config struct {
 	// flattening — it rides as text inside the verdict message. Zero
 	// defaults to 2ms; negative omits the hint.
 	RetryAfterHint time.Duration
-	// Faults optionally injects faults (tests only). Duplication applies to
-	// parcels between two localities of one node; trigger IDs and spent
-	// reply slots absorb the copies. No parcel to a live node is dropped:
-	// the wire between nodes is reliable while the peer lives, so only the
-	// crash and partition knobs act on it.
+	// Faults optionally injects faults (tests only): crashes and
+	// partitions. No parcel to a live node is dropped or repeated: the wire
+	// between nodes is reliable while the peer lives, and a parcel between
+	// two localities of one node moves by pointer.
 	Faults Faults
 
 	// Transport, when set, makes this runtime one node of a multi-process
@@ -171,9 +170,8 @@ type Runtime struct {
 	sampledRoots atomic.Uint64 // traces minted locally (px.trace.sampled)
 
 	// reducers names the fold operators distributed reductions and
-	// dataflow templates apply; tidSeq mints this node's trigger IDs.
+	// dataflow templates apply.
 	reducers *reducerRegistry
-	tidSeq   atomic.Uint64
 
 	// migrations serializes moves per object: each GID has at most one
 	// migration in flight from this node (the fence's single-closer
@@ -199,6 +197,10 @@ type Runtime struct {
 	// terminating marks an abrupt (crash-model) teardown: work dropped
 	// by closed localities is expected, not a programming error.
 	terminating atomic.Bool
+
+	// dispatched, when set, sees every parcel execute hands to its action.
+	// Only tests set it; it is nil otherwise.
+	dispatched atomic.Pointer[func(*parcel.Parcel)]
 }
 
 // New builds and starts a runtime. Callers must Shutdown when done.
@@ -278,10 +280,6 @@ func New(cfg Config) *Runtime {
 	// starts delivering afterwards, so registrations cannot race arriving
 	// parcels.
 	if cfg.Transport != nil {
-		// Parcel IDs minted by this process carry the node's origin salt,
-		// so trigger IDs derived from inherited parcel IDs stay unique
-		// machine-wide (see parcelTriggerID).
-		parcel.SetIDOrigin(uint16(cfg.NodeID) + 1)
 		r.dist = newDistState(r, cfg.Transport, cfg.NodeID, lmap)
 		// Membership engages when the transport can grow (AddPeer).
 		if _, canGrow := cfg.Transport.(transport.MemberTransport); canGrow {

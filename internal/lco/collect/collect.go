@@ -8,9 +8,8 @@
 // LCOs instead of rank-synchronous barriers.
 //
 // Because every tree node is an ordinary AGAS object, a collective
-// survives live migration of its gates (pending triggers chase the
-// forwarding pointer) and tolerates duplicated trigger delivery through
-// the protocol's idempotent trigger IDs.
+// survives live migration of its gates: pending triggers chase the
+// forwarding pointer.
 //
 // Collectives are identified by a caller-chosen string. The initiating
 // node builds the tree with NewReduce/NewBroadcast/NewBarrier — which
@@ -35,8 +34,8 @@ import (
 
 // ActionInstall is the action that installs a collective's per-node leaf.
 // It executes on each participating node's hardware object and is
-// idempotent per collective ID, so a fault-duplicated install parcel
-// cannot build the leaf twice.
+// idempotent per collective ID: installing an ID this node already holds
+// answers the existing leaf instead of building a second one.
 const ActionInstall = "px.collect.install"
 
 // ActionUninstall is ActionInstall's inverse: it frees this node's leaf
@@ -44,8 +43,9 @@ const ActionInstall = "px.collect.install"
 // Idempotent — a second uninstall finds nothing and succeeds.
 const ActionUninstall = "px.collect.uninstall"
 
-// installMu serializes leaf installation within one process, making the
-// lookup-then-create sequence atomic against duplicated install parcels.
+// installMu serializes leaf installation and teardown within one process,
+// making the lookup-then-create sequence atomic against a concurrent
+// install or uninstall of the same ID.
 var installMu sync.Mutex
 
 // RegisterActions installs collect's actions on rt. On a multi-node
@@ -79,7 +79,7 @@ func installLeaf(ctx *core.Context, target any, args *parcel.Reader) (any, error
 	installMu.Lock()
 	defer installMu.Unlock()
 	if g, err := ns.Lookup(leafPath(id)); err == nil {
-		return g, nil // duplicated install: the first copy built the leaf
+		return g, nil // already installed here
 	}
 	var leaf agas.GID
 	switch kind {
@@ -142,8 +142,8 @@ func uninstallLeaf(ctx *core.Context, target any, args *parcel.Reader) (any, err
 
 // free fans the uninstall out to every node and then releases the root,
 // shared by the collectives' Free methods. Free a collective only after
-// it has resolved and its consumers are done: a straggling identified
-// trigger to a freed LCO is dropped benignly, but a *live* collective
+// it has resolved and its consumers are done: a straggling trigger to a
+// freed LCO is dropped benignly, but a *live* collective
 // loses arrivals.
 func free(r *core.Runtime, src int, id string, root agas.GID) error {
 	args := parcel.NewArgs().String(id).Encode()

@@ -10,7 +10,7 @@ import (
 
 // machine3 builds a three-node loopback-fabric machine with collect's
 // actions registered, two localities per node.
-func machine3(t *testing.T, faults core.Faults) []*core.Runtime {
+func machine3(t *testing.T) []*core.Runtime {
 	t.Helper()
 	fabric := transport.NewFabric(3)
 	ranges := []agas.Range{{Lo: 0, Hi: 2}, {Lo: 2, Hi: 4}, {Lo: 4, Hi: 6}}
@@ -21,7 +21,6 @@ func machine3(t *testing.T, faults core.Faults) []*core.Runtime {
 			NodeID:             i,
 			NodeLocalities:     ranges,
 			WorkersPerLocality: 2,
-			Faults:             faults,
 			Register:           RegisterActions,
 		})
 	}
@@ -59,7 +58,7 @@ func TestReduceSingleProcess(t *testing.T) {
 }
 
 func TestReduceAcrossNodes(t *testing.T) {
-	rts := machine3(t, core.Faults{})
+	rts := machine3(t)
 	defer shutdown(t, rts, true)
 	// Two contributions per node: each locality contributes its index.
 	red0, err := NewReduce(rts[0], 0, "rank-sum", []int{2, 2, 2}, core.ReduceSum, int64(0))
@@ -84,7 +83,7 @@ func TestReduceAcrossNodes(t *testing.T) {
 }
 
 func TestBroadcastAcrossNodes(t *testing.T) {
-	rts := machine3(t, core.Faults{})
+	rts := machine3(t)
 	defer shutdown(t, rts, true)
 	bc, err := NewBroadcast(rts[0], 0, "announce")
 	if err != nil {
@@ -118,7 +117,7 @@ func TestBroadcastAcrossNodes(t *testing.T) {
 }
 
 func TestBarrierAcrossNodes(t *testing.T) {
-	rts := machine3(t, core.Faults{})
+	rts := machine3(t)
 	defer shutdown(t, rts, true)
 	bar0, err := NewBarrier(rts[0], 0, "phase-1", []int{2, 2, 2})
 	if err != nil {
@@ -157,39 +156,41 @@ func TestBarrierAcrossNodes(t *testing.T) {
 	}
 }
 
+// TestReduceWithDuplicationFaults: every contribution is applied exactly
+// once. Node 2's leaf is sized one past its two contributions, so with
+// six distinct values in the tree holds unresolved, and the seventh
+// resolves it to the exact sum.
 func TestReduceWithDuplicationFaults(t *testing.T) {
-	rts := machine3(t, core.Faults{DupOneIn: 2, Seed: 13})
-	// Install parcels may be duplicated: the install action is idempotent,
-	// but the duplicate's continuation re-sets the driver's one-shot call
-	// future, which is a recorded (expected) error — so don't demand a
-	// clean error log, only a correct result.
-	defer shutdown(t, rts, false)
-	red0, err := NewReduce(rts[0], 0, "dup-sum", []int{2, 2, 2}, core.ReduceSum, int64(0))
+	rts := machine3(t)
+	defer shutdown(t, rts, true)
+	red0, err := NewReduce(rts[0], 0, "exact-sum", []int{2, 2, 3}, core.ReduceSum, int64(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := red0.Result(0)
+	var last *Reduce
 	for node := 0; node < 3; node++ {
-		red, err := AttachReduce(rts[node], "dup-sum")
+		red, err := AttachReduce(rts[node], "exact-sum")
 		if err != nil {
 			t.Fatal(err)
 		}
 		rg := rts[node].NodeRange(node)
 		for loc := rg.Lo; loc < rg.Hi; loc++ {
-			if err := red.Contribute(loc, int64(1)); err != nil {
+			if err := red.Contribute(loc, int64(loc+1)); err != nil {
 				t.Fatal(err)
 			}
 		}
+		last = red
 	}
-	if v, err := res.Get(); err != nil || v.(int64) != 6 {
-		t.Fatalf("reduce under duplication = %v, %v; want 6", v, err)
+	rts[0].Wait()
+	if v, err, ok := res.TryGet(); ok {
+		t.Fatalf("reduce resolved one contribution early: %v, %v", v, err)
 	}
-	var duped uint64
-	for _, rt := range rts {
-		duped += rt.Duplicated()
+	if err := last.Contribute(rts[2].NodeRange(2).Lo, int64(100)); err != nil {
+		t.Fatal(err)
 	}
-	if duped == 0 {
-		t.Fatal("no duplication injected at 1-in-2")
+	if v, err := res.Get(); err != nil || v.(int64) != 121 {
+		t.Fatalf("reduce = %v, %v; want 121 (1+..+6, then 100)", v, err)
 	}
 }
 
@@ -209,7 +210,7 @@ func TestAttachUnknownCollective(t *testing.T) {
 }
 
 func TestFreeTearsTheCollectiveDown(t *testing.T) {
-	rts := machine3(t, core.Faults{})
+	rts := machine3(t)
 	defer shutdown(t, rts, true)
 	red0, err := NewReduce(rts[0], 0, "freed-sum", []int{2, 2, 2}, core.ReduceSum, int64(0))
 	if err != nil {
@@ -254,7 +255,7 @@ func TestFreeTearsTheCollectiveDown(t *testing.T) {
 }
 
 func TestBarrierAndBroadcastFree(t *testing.T) {
-	rts := machine3(t, core.Faults{})
+	rts := machine3(t)
 	defer shutdown(t, rts, true)
 	bar, err := NewBarrier(rts[0], 0, "freed-bar", []int{1, 1, 1})
 	if err != nil {

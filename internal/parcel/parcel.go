@@ -30,7 +30,10 @@ const NoAID = uint32(0)
 
 // Parcel is one message-driven task descriptor.
 type Parcel struct {
-	// ID is unique within a runtime, for tracing and deduplication.
+	// ID is unique among the parcels one process mints. It keys SLOW's
+	// 1-in-64 clock sampling, and a continuation inherits it from the
+	// parcel whose action produced its value, so a whole chain is sampled
+	// or not.
 	ID uint64
 	// Dest is the global name of the target object. The runtime routes the
 	// parcel to the locality currently owning Dest.
@@ -71,26 +74,11 @@ type Parcel struct {
 	ownsCont bool
 }
 
-var (
-	idCounter atomic.Uint64
-	idOrigin  atomic.Uint64
-)
+var idCounter atomic.Uint64
 
-// SetIDOrigin salts every subsequently minted parcel ID with origin in the
-// ID's top 16 bits, making IDs unique machine-wide rather than merely
-// process-wide: each process of a multi-node machine installs a distinct
-// origin (the core runtime passes its node index + 1) before application
-// parcels are minted. Continuations and fault-injected duplicates inherit
-// their chain's ID verbatim, so the origin survives cross-node hops — the
-// distributed LCO layer derives idempotence keys from it. A process
-// hosting several runtimes (in-process multi-node tests) overwrites the
-// salt as each starts; uniqueness still holds there because every runtime
-// in the process draws from the one shared sequence.
-func SetIDOrigin(origin uint16) { idOrigin.Store(uint64(origin) << 48) }
-
-// NextID mints a machine-unique parcel ID: the current origin salt over a
-// 48-bit process-wide sequence.
-func NextID() uint64 { return idOrigin.Load() | (idCounter.Add(1) & (1<<48 - 1)) }
+// NextID mints a parcel ID from one process-wide sequence: every runtime of
+// the process, and so every node of an in-process machine, draws from it.
+func NextID() uint64 { return idCounter.Add(1) }
 
 // New builds a parcel with a fresh ID.
 func New(dest agas.GID, action string, args []byte, cont ...Continuation) *Parcel {

@@ -16,8 +16,7 @@ import (
 //
 // A parcel between localities of one node is handed over by pointer and is
 // never encoded, so its Args are referenced, not copied, until dispatch:
-// whoever built them must leave them untouched until then. Clone is the one
-// copy, for a parcel that must outlive its original's release.
+// whoever built them must leave them untouched until then.
 //
 // Parcels built by New (the public constructor) are not pooled: Release
 // ignores them, so application code that retains a parcel after sending
@@ -78,7 +77,7 @@ func Acquire(dest agas.GID, action string, args []byte, cont ...Continuation) *P
 // OwnArgs starts a fresh argument record in p's own store, which recycles
 // with p, and returns its builder: once the pool is warm a record written
 // here costs no allocation. Set p.Args to the builder's Encode when done.
-// The store belongs to p, so Release and Clone need no further care.
+// The store belongs to p, so Release needs no further care.
 func (p *Parcel) OwnArgs() *Args {
 	p.own.buf = p.own.buf[:0]
 	return &p.own
@@ -96,21 +95,6 @@ func AcquireValue(dest agas.GID, action string, v any, cont ...Continuation) (*P
 	}
 	p.Args = a.Encode()
 	return p, nil
-}
-
-// Clone returns a pooled copy of p, identity included, that owns its
-// argument bytes and continuation stack: it stays valid after p is
-// released (and, under pool debugging, poisoned).
-func Clone(p *Parcel) *Parcel {
-	c := blank()
-	c.ID, c.Dest, c.Action, c.AID = p.ID, p.Dest, p.Action, p.AID
-	if len(p.Args) > 0 {
-		c.own.buf = append(c.own.buf[:0], p.Args...)
-		c.Args = c.own.buf
-	}
-	c.Cont = append(c.Cont, p.Cont...)
-	c.Src, c.Hops, c.Trace = p.Src, p.Hops, p.Trace
-	return c
 }
 
 // blank returns a pooled zero parcel for DecodeInto to fill.

@@ -17,8 +17,8 @@ import (
 // exchange with per-block dataflow gates: block i's step-s task fires when
 // blocks {i-1, i, i+1} finish step s-1, the same neighborhood dependence
 // with no rank-wide coupling. JacobiDistGates lifts those gates into
-// globally addressable distributed LCOs triggered by identified parcels,
-// so the synchronization tolerates duplicated delivery and lives in AGAS.
+// globally addressable distributed LCOs triggered by parcels, so the
+// synchronization lives in AGAS.
 // All are verified against JacobiRun.
 
 // JacobiCSP relaxes the field for steps sweeps over w.Size() ranks.
@@ -170,12 +170,11 @@ func neighborBlocks(b, blocks int) []int {
 // JacobiDistGates is the halo exchange on distributed gates: the same
 // per-block neighborhood dependence as JacobiParalleX, but every gate is
 // a globally addressable LCO (Runtime.NewDistGateAt) signalled through
-// identified parcel triggers instead of an in-memory callback object.
-// The gates are therefore first-class AGAS citizens — they can be
-// observed, triggered, or migrated from anywhere in the machine, and a
-// duplicated signal (Faults.DupOneIn) counts once — which makes this the
-// driver whose synchronization survives the failure and distribution
-// modes the in-memory variant cannot express.
+// parcel triggers instead of an in-memory callback object. The gates are
+// therefore first-class AGAS citizens — they can be observed, triggered,
+// or migrated from anywhere in the machine — which makes this the driver
+// whose synchronization survives the distribution modes the in-memory
+// variant cannot express.
 func JacobiDistGates(rt *core.Runtime, initial []float64, steps, blocks int) []float64 {
 	n := len(initial)
 	if blocks < 1 {

@@ -22,7 +22,7 @@ type (
 	Context = core.Context
 	// ActionFunc is a parcel action body.
 	ActionFunc = core.ActionFunc
-	// Faults configures parcel-level fault injection for tests.
+	// Faults configures crash and partition injection for tests.
 	Faults = core.Faults
 	// MembershipConfig tunes the failure detector and heartbeat cadence of
 	// an elastic multi-node machine (see Config.Membership).
@@ -39,8 +39,8 @@ type (
 	Kind = agas.Kind
 
 	// DistLCO is a globally addressable LCO: any node may trigger it by
-	// GID, it migrates live, and duplicated trigger delivery is absorbed
-	// by idempotent trigger IDs. See Runtime.NewDistFutureAt and friends.
+	// GID, it migrates live, and each trigger is applied once. See
+	// Runtime.NewDistFutureAt and friends.
 	DistLCO = core.DistLCO
 	// TrigOp identifies one distributed LCO trigger operation.
 	TrigOp = core.TrigOp
