@@ -626,15 +626,14 @@ func runReduce(rt *parallex.Runtime, home, iters int) {
 	n := rt.Localities()
 	want := int64(n * (n - 1) / 2)
 	for i := 0; i < iters; i++ {
-		rgid, red := rt.NewReduceAt(home, n, int64(0), func(acc, v any) any {
-			return acc.(int64) + v.(int64)
-		})
+		rgid := rt.NewDistReduceAt(home, n, parallex.ReduceSum, int64(0))
+		out := rt.WaitLCO(home, rgid)
 		for loc := 0; loc < n; loc++ {
 			p := parallex.NewParcel(rt.LocalityGID(loc), "pxnode.rank", nil,
 				parallex.Continuation{Target: rgid, Action: parallex.ActionLCOContribute})
 			rt.SendFrom(home, p)
 		}
-		v, err := red.Out().Get()
+		v, err := out.Get()
 		if err != nil {
 			die(rt, "pxnode: reduce round %d: %v", i, err)
 		}

@@ -71,7 +71,9 @@ func TestIntegrationPipelineAcrossSubsystems(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate.Wait()
+	if _, err := gate.Get(); err != nil {
+		t.Fatal(err)
+	}
 	proc.Join()
 	got, _ := total.Read(0).Get()
 	if got.(int64) != 25*int64(P) {

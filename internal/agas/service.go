@@ -269,6 +269,14 @@ func (s *Service) Localities() int { return s.shards.Load().n }
 // Namespace returns the symbolic hierarchical namespace.
 func (s *Service) Namespace() *Namespace { return s.ns }
 
+// DirLen reports how many names locality loc's home directory holds: an
+// instrumentation hook, as locality.Store.Len is for objects.
+func (s *Service) DirLen(loc int) int {
+	n := 0
+	s.shards.Load().dirs[loc].entries.Range(func(any, any) bool { n++; return true })
+	return n
+}
+
 // Alloc mints a fresh GID of the given kind homed (and initially owned) at
 // locality home.
 func (s *Service) Alloc(home int, kind Kind) GID {

@@ -115,25 +115,32 @@ func (r *Runtime) MustRegisterAction(name string, fn ActionFunc) {
 	}
 }
 
-// Built-in action names. The LCO actions let continuations target futures,
-// gates and reductions transparently.
+// Built-in action names. The LCO actions let continuations target any LCO
+// named in the global address space — a DistLCO, or the one-shot future
+// in a reply slot (CallFrom, WaitLCO, NewFutureAt) — through one trigger
+// interface (see applyTrigger).
 const (
 	// ActionLCOSet resolves a future target with the parcel's value.
 	ActionLCOSet = "px.lco.set"
 	// ActionLCOFail fails a future target with an error message argument.
 	ActionLCOFail = "px.lco.fail"
-	// ActionLCOSignal signals an AndGate or Metathread target.
+	// ActionLCOSignal delivers one arrival to a gate target.
 	ActionLCOSignal = "px.lco.signal"
-	// ActionLCOContribute contributes the parcel's value to a Reduce target.
+	// ActionLCOContribute contributes the parcel's value to a reduce target.
 	ActionLCOContribute = "px.lco.contribute"
-	// ActionLCOTrigger applies one trigger to a distributed LCO target:
+	// ActionLCOTrigger applies any trigger operation to an LCO target:
 	// args carry the operation, slot and value record (see Runtime.SetLCO
-	// and friends). Every trigger, same-node or cross-node, is a parcel
-	// carrying this action.
+	// and friends). Every trigger the runtime sends itself, same-node or
+	// cross-node, is a parcel carrying this action.
 	ActionLCOTrigger = "px.lco.trigger"
 	// ActionNop does nothing; useful for measuring pure parcel overhead.
 	ActionNop = "px.nop"
 )
+
+// ErrTriggerMismatch reports a trigger operation its target does not
+// accept: a signal to a future, a contribute to a gate, any trigger to an
+// object that is not an LCO.
+var ErrTriggerMismatch = errors.New("trigger does not apply to this target")
 
 func registerBuiltins(a *actionRegistry) {
 	mustReg := func(name string, fn ActionFunc) {
@@ -141,81 +148,35 @@ func registerBuiltins(a *actionRegistry) {
 			panic(err)
 		}
 	}
-	mustReg(ActionLCOSet, func(ctx *Context, target any, args *parcel.Reader) (any, error) {
-		switch f := target.(type) {
-		case *lco.Future:
-			v, err := decodeValueArg(args)
-			if err != nil {
-				return nil, err
-			}
-			if err := f.Set(v); err != nil {
-				return nil, err
-			}
-			return v, nil
-		case *DistLCO:
+	// The value-carrying actions' argument is one value record.
+	valueAction := func(op TrigOp) ActionFunc {
+		return func(ctx *Context, target any, args *parcel.Reader) (any, error) {
 			raw := args.BytesAliased()
 			if err := args.Err(); err != nil {
 				return nil, err
 			}
-			v, err := parcel.DecodeAny(raw)
-			if err != nil {
-				return nil, err
+			v, err := ctx.rt.applyTrigger(ctx.loc, target, op, 0, raw)
+			if op != TrigSet {
+				v = nil // only a set hands its value on to a continuation
 			}
-			return v, ctx.rt.applyDistTrigger(ctx.loc, f, TrigSet, 0, raw)
+			return v, err
 		}
-		return nil, fmt.Errorf("core: %s on %T", ActionLCOSet, target)
-	})
+	}
+	mustReg(ActionLCOSet, valueAction(TrigSet))
 	mustReg(ActionLCOFail, func(ctx *Context, target any, args *parcel.Reader) (any, error) {
 		msg := args.String()
 		if err := args.Err(); err != nil {
 			return nil, err
 		}
-		switch f := target.(type) {
-		case *lco.Future:
-			failErr := fmt.Errorf("remote action failed: %s", msg)
-			if err := f.Fail(failErr); err != nil {
-				return nil, err
-			}
-			return nil, nil
-		case *DistLCO:
-			raw, _ := parcel.EncodeAny(msg)
-			return nil, ctx.rt.applyDistTrigger(ctx.loc, f, TrigFail, 0, raw)
-		}
-		return nil, fmt.Errorf("core: %s on %T", ActionLCOFail, target)
+		raw, _ := parcel.EncodeAny(msg) // a string always encodes
+		_, err := ctx.rt.applyTrigger(ctx.loc, target, TrigFail, 0, raw)
+		return nil, err
 	})
-	mustReg(ActionLCOSignal, func(ctx *Context, target any, args *parcel.Reader) (any, error) {
-		switch g := target.(type) {
-		case *lco.AndGate:
-			g.Signal()
-		case *lco.Metathread:
-			g.Signal()
-		case *DistLCO:
-			return nil, ctx.rt.applyDistTrigger(ctx.loc, g, TrigSignal, 0, nil)
-		default:
-			return nil, fmt.Errorf("core: %s on %T", ActionLCOSignal, target)
-		}
-		return nil, nil
+	mustReg(ActionLCOSignal, func(ctx *Context, target any, _ *parcel.Reader) (any, error) {
+		_, err := ctx.rt.applyTrigger(ctx.loc, target, TrigSignal, 0, nil)
+		return nil, err
 	})
-	mustReg(ActionLCOContribute, func(ctx *Context, target any, args *parcel.Reader) (any, error) {
-		switch red := target.(type) {
-		case *lco.Reduce:
-			v, err := decodeValueArg(args)
-			if err != nil {
-				return nil, err
-			}
-			if err := red.Contribute(v); err != nil {
-				return nil, err
-			}
-			return nil, nil
-		case *DistLCO:
-			raw := args.BytesAliased()
-			if err := args.Err(); err != nil {
-				return nil, err
-			}
-			return nil, ctx.rt.applyDistTrigger(ctx.loc, red, TrigContribute, 0, raw)
-		}
-		return nil, fmt.Errorf("core: %s on %T", ActionLCOContribute, target)
-	})
+	mustReg(ActionLCOContribute, valueAction(TrigContribute))
 	mustReg(ActionLCOTrigger, func(ctx *Context, target any, args *parcel.Reader) (any, error) {
 		op := TrigOp(args.Uint64())
 		slot := uint32(args.Uint64())
@@ -223,80 +184,45 @@ func registerBuiltins(a *actionRegistry) {
 		if err := args.Err(); err != nil {
 			return nil, err
 		}
-		switch t := target.(type) {
-		case *DistLCO:
-			return nil, ctx.rt.applyDistTrigger(ctx.loc, t, op, slot, raw)
-		default:
-			return nil, applyPlainTrigger(t, op, raw)
-		}
+		_, err := ctx.rt.applyTrigger(ctx.loc, target, op, slot, raw)
+		return nil, err
 	})
 	mustReg(ActionNop, func(ctx *Context, target any, args *parcel.Reader) (any, error) {
 		return nil, nil
 	})
 }
 
-// applyPlainTrigger maps a distributed trigger onto a process-local LCO —
-// the waiter futures of WaitLCO, or any plain LCO a trigger names. Both
-// LCO families apply each trigger once, as it is dispatched once, and
-// both ignore a set or fail on a target already resolved. What still
-// divides them is that a plain LCO keeps its waiters as callbacks and so
-// cannot migrate, where a DistLCO keeps them as data.
-//
-// Like applyDistTrigger, it reads raw and keeps nothing of it: raw aliases
-// the trigger parcel's argument record, which recycles once the action
-// returns, and DecodeAny copies every value out of the record it reads.
-func applyPlainTrigger(target any, op TrigOp, raw []byte) error {
+// applyTrigger applies one trigger to the LCO a built-in action targets,
+// and is the one place that tells LCO targets apart: a DistLCO takes
+// every operation its kind accepts, and the future in a reply slot takes
+// a set or a fail. It decodes a value-carrying trigger's record once and
+// returns the value. raw aliases the trigger parcel's argument record,
+// which recycles once the action returns, so nothing here keeps it:
+// DecodeAny copies every value out of the record it reads.
+func (r *Runtime) applyTrigger(loc int, target any, op TrigOp, slot uint32, raw []byte) (any, error) {
+	var v any
+	switch op {
+	case TrigSet, TrigFail, TrigContribute, TrigSupply:
+		var err error
+		if v, err = parcel.DecodeAny(raw); err != nil {
+			return nil, fmt.Errorf("core: %s trigger value: %w", op, err)
+		}
+	}
 	switch t := target.(type) {
+	case *DistLCO:
+		return v, r.applyDistTrigger(loc, t, op, slot, v, raw)
 	case *lco.Future:
+		// The slot was emptied as the parcel reached it, so this is the
+		// first and only trigger the future sees; a later one is stale.
 		switch op {
 		case TrigSet:
-			v, err := parcel.DecodeAny(raw)
-			if err != nil {
-				return err
-			}
-			if err := t.Set(v); err != nil && !errors.Is(err, lco.ErrAlreadySet) {
-				return err
-			}
-			return nil
+			return v, t.Set(v)
 		case TrigFail:
-			v, err := parcel.DecodeAny(raw)
-			if err != nil {
-				return err
-			}
 			msg, _ := v.(string)
-			if err := t.Fail(fmt.Errorf("remote LCO failed: %s", msg)); err != nil && !errors.Is(err, lco.ErrAlreadySet) {
-				return err
-			}
-			return nil
-		}
-	case *lco.AndGate:
-		if op == TrigSignal {
-			t.Signal()
-			return nil
-		}
-	case *lco.Reduce:
-		if op == TrigContribute {
-			v, err := parcel.DecodeAny(raw)
-			if err != nil {
-				return err
-			}
-			if err := t.Contribute(v); err != nil && !errors.Is(err, lco.ErrAlreadySet) {
-				return err
-			}
-			return nil
+			return nil, t.Fail(fmt.Errorf("remote action failed: %s", msg))
 		}
 	}
-	return fmt.Errorf("core: %s trigger on %T", op, target)
-}
-
-// decodeValueArg reads the single value a continuation parcel carries (see
-// parcel.AcquireValue), decoding the record where it lies in args.
-func decodeValueArg(args *parcel.Reader) (any, error) {
-	raw := args.BytesAliased()
-	if err := args.Err(); err != nil {
-		return nil, err
-	}
-	return parcel.DecodeAny(raw)
+	return nil, fmt.Errorf("core: %s trigger on %T: %w", op, target, ErrTriggerMismatch)
 }
 
 // Context is the view of the runtime an executing thread sees: which
@@ -344,6 +270,3 @@ func (c *Context) Await(f *lco.Future) (any, error) {
 	c.rt.slow.Waiting.ObserveDuration(now().Sub(start))
 	return v, err
 }
-
-// NewFuture creates a future LCO homed at this locality with a global name.
-func (c *Context) NewFuture() (agas.GID, *lco.Future) { return c.rt.NewFutureAt(c.loc) }

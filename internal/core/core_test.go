@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/agas"
 	"repro/internal/lco"
-	"repro/internal/locality"
 	"repro/internal/network"
 	"repro/internal/parcel"
 )
@@ -355,31 +354,6 @@ func TestNetworkLatencyIsApplied(t *testing.T) {
 	// Round trip: request + continuation = at least 2 injections.
 	if time.Duration(elapsed.Load()) < 6*time.Millisecond {
 		t.Fatalf("round trip %v, want >= 6ms", time.Duration(elapsed.Load()))
-	}
-}
-
-func TestBroadcastReachesAllLocalities(t *testing.T) {
-	r := newTestRuntime(t, 5)
-	var hits atomic.Int32
-	r.MustRegisterAction("test.mark", func(ctx *Context, target any, args *parcel.Reader) (any, error) {
-		if _, ok := target.(*locality.Locality); !ok {
-			return nil, fmt.Errorf("broadcast target is %T", target)
-		}
-		hits.Add(1)
-		return nil, nil
-	})
-	var fired atomic.Bool
-	r.Spawn(0, func(ctx *Context) {
-		gate := r.Broadcast(0, "test.mark", nil)
-		ctx.Runtime() // keep ctx used
-		gate.OnFire(func() { fired.Store(true) })
-	})
-	r.Wait()
-	if hits.Load() != 5 {
-		t.Fatalf("broadcast hit %d localities, want 5", hits.Load())
-	}
-	if !fired.Load() {
-		t.Fatal("broadcast gate never fired")
 	}
 }
 

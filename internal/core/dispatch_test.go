@@ -394,3 +394,13 @@ func onceKillAndPartition(t *testing.T, wires []transport.Transport, o *dispatch
 	rts[0].Shutdown()
 	rts[1].Shutdown()
 }
+
+// decodeValueArg reads the single value a continuation parcel carries (see
+// parcel.AcquireValue), decoding the record where it lies in args.
+func decodeValueArg(args *parcel.Reader) (any, error) {
+	raw := args.BytesAliased()
+	if err := args.Err(); err != nil {
+		return nil, err
+	}
+	return parcel.DecodeAny(raw)
+}

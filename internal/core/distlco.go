@@ -429,22 +429,15 @@ func (r *Runtime) fireWaiter(src int, w Waiter, val any, failMsg string) {
 // applyDistTrigger applies one trigger to a locally hosted DistLCO,
 // firing waiters on resolution. It runs inside a parcel action
 // (a work unit is charged), so waiter fires charge their own legs through
-// the normal send path. raw may alias the trigger parcel's argument
-// record, valid only until the action returns, so nothing here retains
-// it: values are decoded out of it (DecodeAny copies) and a waiter record
-// is parsed into a Waiter.
-func (r *Runtime) applyDistTrigger(loc int, l *DistLCO, op TrigOp, slot uint32, raw []byte) error {
-	var v any
-	var err error
-	switch op {
-	case TrigSet, TrigContribute, TrigSupply, TrigFail:
-		if v, err = parcel.DecodeAny(raw); err != nil {
-			return fmt.Errorf("core: %s trigger value: %w", op, err)
-		}
-	case TrigWait:
-		w, werr := decodeWaiter(raw)
-		if werr != nil {
-			return werr
+// the normal send path. v is the trigger's value, already decoded by
+// applyTrigger; raw is its record, which only a subscription reads (into
+// a Waiter) and which aliases the trigger parcel's arguments, valid only
+// until the action returns.
+func (r *Runtime) applyDistTrigger(loc int, l *DistLCO, op TrigOp, slot uint32, v any, raw []byte) error {
+	if op == TrigWait {
+		w, err := decodeWaiter(raw)
+		if err != nil {
+			return err
 		}
 		l.mu.Lock()
 		if l.resolved {
@@ -456,10 +449,6 @@ func (r *Runtime) applyDistTrigger(loc int, l *DistLCO, op TrigOp, slot uint32, 
 		l.waiters = append(l.waiters, w)
 		l.mu.Unlock()
 		return nil
-	case TrigSignal:
-		// no value
-	default:
-		return fmt.Errorf("core: unknown trigger op %d", op)
 	}
 
 	l.mu.Lock()
@@ -539,7 +528,7 @@ func (l *DistLCO) applyValueLocked(r *Runtime, op TrigOp, slot uint32, v any) er
 			l.val = acc
 		}
 	default:
-		return fmt.Errorf("core: %s trigger on %s LCO", op, l.kindName())
+		return fmt.Errorf("core: %s trigger on %s LCO: %w", op, l.kindName(), ErrTriggerMismatch)
 	}
 	return nil
 }

@@ -414,7 +414,8 @@ func TestRegisterReducerValidation(t *testing.T) {
 func TestDistLCOLateTriggerToFreedTarget(t *testing.T) {
 	r := New(Config{Localities: 2, WorkersPerLocality: 2})
 	defer r.Shutdown()
-	fgid, fut := r.NewFutureAt(0)
+	fgid := r.NewDistFutureAt(0)
+	fut := r.WaitLCO(0, fgid)
 	if err := r.triggerValue(1, fgid, TrigSet, 0, int64(1)); err != nil {
 		t.Fatal(err)
 	}

@@ -213,7 +213,7 @@ func TestLedgerParcelInFlight(t *testing.T) {
 // of the sums, which is all either lost parcel needs.
 func TestLedgerDeathWithParcelInFlight(t *testing.T) {
 	m, obj := startLedgerMachine(t)
-	remote, _ := m.rts[1].NewFutureAt(2)
+	remote := m.rts[1].NewDistFutureAt(2)
 	m.wires[0].set(wirePark, fParcel, fParcelI)
 	fut := m.rts[0].CallFrom(0, obj, "intern.echo", nil) // its reply slot waits on node 1
 	if err := m.rts[0].SetLCO(0, remote, int64(1)); err != nil {

@@ -37,25 +37,6 @@ func (r *Runtime) NewObjectAtWellKnown(loc int, kind agas.Kind, slot int, v any)
 	return g
 }
 
-// NewFutureAt creates a future LCO homed at loc with a global name, so
-// remote parcels can target it as a continuation.
-func (r *Runtime) NewFutureAt(loc int) (agas.GID, *lco.Future) {
-	f := lco.NewFuture()
-	return r.NewObjectAt(loc, agas.KindLCO, f), f
-}
-
-// NewAndGateAt creates a named AndGate LCO at loc expecting n signals.
-func (r *Runtime) NewAndGateAt(loc, n int) (agas.GID, *lco.AndGate) {
-	g := lco.NewAndGate(n)
-	return r.NewObjectAt(loc, agas.KindLCO, g), g
-}
-
-// NewReduceAt creates a named Reduce LCO at loc.
-func (r *Runtime) NewReduceAt(loc, n int, init any, op func(acc, v any) any) (agas.GID, *lco.Reduce) {
-	red := lco.NewReduce(n, init, op)
-	return r.NewObjectAt(loc, agas.KindLCO, red), red
-}
-
 // LocalObject fetches an object from loc's store without any routing; it is
 // an instrumentation/test hook, not a model operation.
 func (r *Runtime) LocalObject(loc int, g agas.GID) (any, bool) {
@@ -273,16 +254,4 @@ func (r *Runtime) CallFrom(src int, dest agas.GID, action string, args []byte) *
 	p.Cont[0].Target = reply
 	r.SendFrom(src, p)
 	return fut
-}
-
-// Broadcast sends the action to every locality's hardware object — used by
-// runtime services (echo invalidation waves, percolation prestaging).
-func (r *Runtime) Broadcast(src int, action string, args []byte) *lco.AndGate {
-	n := r.Localities()
-	ggid, gate := r.NewAndGateAt(src, n)
-	for i := 0; i < n; i++ {
-		p := parcel.Acquire(r.LocalityGID(i), action, args, parcel.Continuation{Target: ggid, Action: ActionLCOSignal})
-		r.SendFrom(src, p)
-	}
-	return gate
 }

@@ -9,7 +9,7 @@ import (
 	"repro/internal/lco"
 )
 
-// A one-shot reply — the future behind CallFrom or WaitLCO — is a slot, not
+// A one-shot reply — the future behind CallFrom, WaitLCO or NewFutureAt — is a slot, not
 // a name: exactly one parcel will ever target it, it never migrates, and it
 // dies on first use, so it is addressed without being registered. Its GID
 // has kind agas.KindReply, the caller's locality as Home (which agas.Locate
@@ -123,13 +123,14 @@ func (t *replyTable) live() int {
 
 // openReply creates the one-shot future of a split-phase exchange issued
 // from resident locality src, and the reply name to hand the other side.
-// dep names the object the reply comes from: when its home is on another
-// node, that node's death fails the future with the node-lost verdict. A
-// nil name means the future has already failed and nothing is to be sent.
+// dep names the object the reply comes from, if any: when its home is on
+// another node, that node's death fails the future with the node-lost
+// verdict. A nil name returned means the future has already failed and
+// nothing is to be sent.
 func (r *Runtime) openReply(src int, dep agas.GID, start time.Time) (agas.GID, *lco.Future) {
 	fut := lco.NewFuture()
 	node := noDep
-	if d := r.dist; d != nil {
+	if d := r.dist; d != nil && !dep.IsNil() {
 		if n, ok := d.lmap.NodeOf(int(dep.Home)); ok && n != d.node {
 			node = n
 		}
@@ -149,6 +150,18 @@ func (r *Runtime) openReply(src int, dep agas.GID, start time.Time) (agas.GID, *
 		return agas.Nil, fut
 	}
 	return g, fut
+}
+
+// NewFutureAt creates a one-shot future homed at resident locality loc,
+// and the global name through which a parcel continuation, or SetLCO and
+// FailLCO from any node, resolves it. The name is a reply slot, as a
+// CallFrom's is: the first set or fail resolves the future and empties
+// the slot, a later one is counted in px.reply.stale, and nothing is left
+// to free. An LCO that is observed more than once, or may migrate, is a
+// DistLCO (NewDistFutureAt).
+func (r *Runtime) NewFutureAt(loc int) (agas.GID, *lco.Future) {
+	r.checkResident(loc)
+	return r.openReply(loc, agas.Nil, time.Time{})
 }
 
 // takeReply resolves an arriving reply's name to the future it waits on,

@@ -361,3 +361,44 @@ func TestConcurrentCallsRaceNodeDeath(t *testing.T) {
 	m.rts[1].Terminate()
 	m.rts[0].Shutdown()
 }
+
+// TestNewFutureAtLeavesNoObject: a named future is a reply slot, so a
+// continuation chain ending at one leaves nothing behind — no object in
+// its locality's store, no name in the directory, no live slot — once the
+// chain has resolved it.
+func TestNewFutureAtLeavesNoObject(t *testing.T) {
+	r := newTestRuntime(t, 3)
+	r.MustRegisterAction("leak.add1", func(_ *Context, _ any, args *parcel.Reader) (any, error) {
+		v, err := decodeValueArg(args)
+		if err != nil {
+			return nil, err
+		}
+		return v.(int64) + 1, nil
+	})
+	obj1, obj2 := r.NewDataAt(1, "stage1"), r.NewDataAt(2, "stage2")
+	objects, names := r.loc(0).Store().Len(), r.AGAS().DirLen(0)
+	const chains = 1000
+	for i := 0; i < chains; i++ {
+		fgid, fut := r.NewFutureAt(0)
+		p, err := parcel.AcquireValue(obj1, "leak.add1", int64(i),
+			parcel.Continuation{Target: obj2, Action: "leak.add1"},
+			parcel.Continuation{Target: fgid, Action: ActionLCOSet})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.SendFrom(0, p)
+		if v, err := fut.Get(); err != nil || v.(int64) != int64(i+2) {
+			t.Fatalf("chain %d resolved %v, %v; want %d", i, v, err, i+2)
+		}
+	}
+	r.Wait()
+	if got := r.loc(0).Store().Len(); got != objects {
+		t.Fatalf("locality 0 holds %d objects after %d chains, want %d", got, chains, objects)
+	}
+	if got := r.AGAS().DirLen(0); got != names {
+		t.Fatalf("locality 0's directory holds %d names after %d chains, want %d", got, chains, names)
+	}
+	if stale, live := replyCounters(r); stale != 0 || live != 0 {
+		t.Fatalf("stale=%v live=%v after %d chains, want 0 and 0", stale, live, chains)
+	}
+}

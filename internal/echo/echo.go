@@ -189,13 +189,17 @@ func (v *Var) Write(from int, val any) (*lco.Future, error) {
 	v.writeMu.Lock()
 	gen := v.gen.Add(1)
 	v.writeMu.Unlock()
-	gateGID, gate := v.rt.NewAndGateAt(from, len(v.cells))
+	gate := v.rt.NewDistGateAt(from, len(v.cells))
 	fut := lco.NewFuture()
-	gate.OnFire(func() {
-		v.rt.FreeObject(gateGID)
+	v.rt.WaitLCO(from, gate).OnReady(func(_ any, err error) {
+		v.rt.FreeObject(gate)
+		if err != nil {
+			fut.Fail(err)
+			return
+		}
 		fut.Set(gen)
 	})
-	args := parcel.NewArgs().Uint64(gen).Bytes(raw).GID(gateGID).Encode()
+	args := parcel.NewArgs().Uint64(gen).Bytes(raw).GID(gate).Encode()
 	v.rt.SendFrom(from, parcel.New(v.cells[0], ActionUpdate, args))
 	return fut, nil
 }

@@ -156,21 +156,23 @@ func (p *Process) Invoke(from int, method string, payload []byte) (*lco.Future, 
 	return p.InvokeAt(from, 0, method, payload)
 }
 
-// InvokeAll invokes the method on every part concurrently, returning an
-// AndGate that fires when all parts have completed.
-func (p *Process) InvokeAll(from int, method string, payload []byte) (*lco.AndGate, error) {
-	gateGID, gate := p.rt.NewAndGateAt(from, len(p.parts))
-	gate.OnFire(func() { p.rt.FreeObject(gateGID) })
+// InvokeAll invokes the method on every part concurrently, returning a
+// future that resolves when all parts have completed, or fails with the
+// first part's failure.
+func (p *Process) InvokeAll(from int, method string, payload []byte) (*lco.Future, error) {
+	gate := p.rt.NewDistGateAt(from, len(p.parts))
+	done := p.rt.WaitLCO(from, gate)
+	done.OnReady(func(any, error) { p.rt.FreeObject(gate) })
 	args := parcel.NewArgs().String(method).Bytes(payload).Encode()
 	for _, gid := range p.parts {
 		if err := p.beginInvocation(); err != nil {
 			return nil, err
 		}
 		pcl := parcel.New(gid, ActionInvoke, args,
-			parcel.Continuation{Target: gateGID, Action: core.ActionLCOSignal})
+			parcel.Continuation{Target: gate, Action: core.ActionLCOSignal})
 		p.rt.SendFrom(from, pcl)
 	}
-	return gate, nil
+	return done, nil
 }
 
 // SpawnChild creates a nested process of the same runtime, tracked for

@@ -74,7 +74,9 @@ func TestInvokeAllReachesEveryPart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate.Wait()
+	if _, err := gate.Get(); err != nil {
+		t.Fatal(err)
+	}
 	rt.Wait()
 	for loc := 0; loc < 4; loc++ {
 		if counts[loc].Load() != 1 {
@@ -225,7 +227,9 @@ func TestMethodsCanInvokeSiblings(t *testing.T) {
 				return nil, err
 			}
 			ctx.Runtime() // document ctx availability
-			gate.Wait()
+			if _, err := gate.Get(); err != nil {
+				return nil, err
+			}
 			return int64(len(p.Members())), nil
 		},
 	})

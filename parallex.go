@@ -201,8 +201,10 @@ func NewArgs() *Args { return parcel.NewArgs() }
 // ReadArgs decodes an argument record.
 func ReadArgs(buf []byte) *ArgsReader { return parcel.NewReader(buf) }
 
-// NewFuture creates an unresolved future LCO (unnamed; use
-// Runtime.NewFutureAt for a globally named one).
+// NewFuture creates an unresolved, process-local future LCO with no global
+// name. Runtime.NewFutureAt gives a one-shot future a name a continuation
+// can resolve; an LCO observed more than once or migrated is a DistLCO
+// (Runtime.NewDistFutureAt and friends).
 func NewFuture() *Future { return lco.NewFuture() }
 
 // NewDataflow creates an n-input dataflow template.
