@@ -94,8 +94,8 @@ func BenchmarkTCPRing3(b *testing.B) {
 }
 
 // BenchmarkWireWritevBatch floods large frames through the transport's
-// vectored write path (group-commit batches leave as one writev over the
-// callers' frame slices). CI holds it within 25% of BENCH_baseline.json.
+// defaults over the same-host fabric (each lane writer carries everything
+// queued in one write). CI holds it within 25% of BENCH_baseline.json.
 func BenchmarkWireWritevBatch(b *testing.B) {
 	schedbench.WireWritevBatch(b)
 }

@@ -273,7 +273,7 @@ func (b *balancerState) broadcast(d *distState, entries []loadEntry) {
 		if n == d.node || !nodeEligible(d, n, now, thr) {
 			continue
 		}
-		_ = d.sendRetry(n, frame)
+		_ = d.send(n, frame)
 	}
 }
 

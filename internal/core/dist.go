@@ -111,10 +111,12 @@ func newDistState(r *Runtime, tr transport.Transport, node int, lmap *agas.Local
 }
 
 // onFrame is the transport receive handler. It runs on transport
-// goroutines. The parcel arm never sends: a reader blocked writing while
-// its peer's reader does the same is a deadlock once both socket buffers
-// fill. The control arms (drain replies, migration verdicts) still answer
-// inline with a bounded send.
+// goroutines. A reader may Send, which never waits, and never SendLane,
+// which may wait for room on a lane: a reader waiting on its own node's
+// lane while the peer's reader does the same is a deadlock once both
+// socket buffers fill. So the control arms (drain replies, migration
+// verdicts, moved hints) answer inline, and parcels only ever leave from
+// a worker or a timer.
 func (d *distState) onFrame(from int, frame []byte) {
 	if len(frame) == 0 {
 		d.rt.recordError(fmt.Errorf("core: empty frame from node %d", from))
@@ -268,23 +270,22 @@ func (d *distState) deliver(from int, p *parcel.Parcel, owner int, gen uint64, e
 }
 
 // hintMoved tells node that g now lives at owner under generation gen, so
-// the stale sender records the hint before its next parcel. The send is
-// a charged task on the home locality: a worker may block on a full
-// socket, the read goroutine that called deliver may not.
+// the stale sender records the hint before its next parcel. It is only a
+// hint: unheard, the sender stays stale and its next parcel is forwarded
+// (and hinted) again.
 func (d *distState) hintMoved(node int, g agas.GID, owner int, gen uint64) {
-	r := d.rt
-	r.addWork()
-	r.mustPost(r.loc(d.home).Post(func() {
-		defer r.doneWork()
-		// Only a hint: unheard, the sender stays stale and its next parcel
-		// is forwarded (and hinted) again.
-		_ = d.sendRetry(node, encodeMoved(g, owner, gen))
-	}))
+	_ = d.send(node, encodeMoved(g, owner, gen))
 }
 
-// sendRetry delivers a control frame: sendRetryLane on lane 0.
-func (d *distState) sendRetry(node int, frame []byte) error {
-	return d.sendRetryLane(node, 0, frame)
+// send delivers a control frame on lane 0. The transport copies the frame
+// and never waits, so a read goroutine may call it (see onFrame). An armed
+// crash or partition destroys the frame here and reports success — from
+// this node's perspective the bytes left; the network ate them.
+func (d *distState) send(node int, frame []byte) error {
+	if f := d.rt.faults; f != nil && f.silence(d.node, node) {
+		return nil
+	}
+	return d.tr.Send(node, frame)
 }
 
 // laneOf affinity-hashes a destination GID onto a transport lane. All
@@ -303,37 +304,29 @@ func (d *distState) laneOf(g agas.GID) int {
 	return int((h >> 32) % uint64(d.lanes))
 }
 
-// sendRetryLane delivers a frame on a transport lane (any lane is lane 0
-// on a laneless transport), retrying once: a Send error means
-// non-delivery, and the second attempt redials a connection that went
-// stale since its last use, so a single transient break cannot lose a
-// frame between two healthy nodes. An armed crash or partition destroys
-// the frame here and reports success — from this node's perspective the
-// bytes left; the network ate them.
-func (d *distState) sendRetryLane(node, lane int, frame []byte) error {
+// sendLane delivers a parcel frame on a transport lane (any lane is lane
+// 0 on a laneless transport). SendLane may wait for room on the lane, so
+// no read goroutine calls it. The lane redials a broken connection itself,
+// so a single transient break cannot lose a frame between two healthy
+// nodes. Faults apply as in send.
+func (d *distState) sendLane(node, lane int, frame []byte) error {
 	if f := d.rt.faults; f != nil && f.silence(d.node, node) {
 		return nil
 	}
-	for attempt := 0; ; attempt++ {
-		var err error
-		if d.laneTr == nil {
-			err = d.tr.Send(node, frame)
-		} else {
-			err = d.laneTr.SendLane(node, lane, frame)
-		}
-		if err == nil || attempt == 1 {
-			return err
-		}
+	if d.laneTr == nil {
+		return d.tr.Send(node, frame)
 	}
+	return d.laneTr.SendLane(node, lane, frame)
 }
 
 // sendParcel ships p to node: count, send, and release the caller's work
 // unit for p once the transport has taken the frame (see snapshot). It
 // rests on the wire's one delivery guarantee, which LCO triggers need too:
 // frames on a lane arrive in order, and none is lost while the peer lives.
-// A Send that still fails after sendRetryLane's redial fails p as any
-// routing error does (failParcel), and a frame in flight to a node later
-// declared dead is released by the ledger (liveTotals), not retried.
+// A frame the transport refuses to take fails p as any routing error does
+// (failParcel); a frame taken but dropped because its peer became
+// unreachable, like any frame in flight to a node later declared dead, is
+// released by the ledger (liveTotals), not retried.
 // sendParcel consumes p: the encode buffer returns to its pool once the
 // transport has taken the bytes, and the parcel itself is released unless
 // it was recycled into the failure path.
@@ -369,10 +362,8 @@ func (d *distState) sendParcel(node, src int, p *parcel.Parcel) {
 	ps.sent.Add(1)
 	// Parcels ride the lane their destination hashes to; per-object order
 	// is the per-lane FIFO.
-	err := d.sendRetryLane(node, d.laneOf(p.Dest), w.B)
-	// Safe even on the zero-copy transport: Send does not return until
-	// the write covering w.B has completed, so nothing references the
-	// buffer once we're here.
+	err := d.sendLane(node, d.laneOf(p.Dest), w.B)
+	// The transport copied w.B, so nothing references it any more.
 	parcel.PutWire(w)
 	if err != nil {
 		// The peer will never count this frame. Counters only grow, so the
@@ -411,7 +402,7 @@ func (d *distState) rpcCall(node int, xid uint64, g agas.GID, frame []byte) (del
 		delete(d.rpc, xid)
 		d.rpcMu.Unlock()
 	}()
-	if err := d.sendRetry(node, frame); err != nil {
+	if err := d.send(node, frame); err != nil {
 		return false, fmt.Errorf("core: migration frame to node %d: %w", node, err)
 	}
 	select {
@@ -453,7 +444,7 @@ func (d *distState) commitDir(node int, g agas.GID, to int, gen uint64) error {
 
 // replyOutcome answers migration exchange xid with its ok/error verdict.
 func (d *distState) replyOutcome(node int, kind byte, xid uint64, opErr error) {
-	if err := d.sendRetry(node, encodeOutcome(kind, xid, opErr)); err != nil {
+	if err := d.send(node, encodeOutcome(kind, xid, opErr)); err != nil {
 		d.rt.recordError(fmt.Errorf("core: migration verdict to node %d: %w", node, err))
 	}
 }
@@ -564,7 +555,7 @@ func (d *distState) snapshot() (pending int64, sent, recv uint64) {
 func (d *distState) replyDrain(to int, seq uint64) {
 	pending, sent, recv := d.snapshot()
 	buf := encodeDrainReply(seq, pending, sent, recv, d.lmap.Fingerprint())
-	if err := d.sendRetry(to, buf); err != nil {
+	if err := d.send(to, buf); err != nil {
 		d.rt.recordError(fmt.Errorf("core: drain reply to node %d: %w", to, err))
 	}
 }
@@ -622,7 +613,7 @@ func (d *distState) probe() (allZero bool, sent, recv uint64, ok bool) {
 			recv += rep.recv
 			continue
 		}
-		if err := d.sendRetry(n, probeFrame); err != nil {
+		if err := d.send(n, probeFrame); err != nil {
 			ok = false
 			continue
 		}
@@ -715,7 +706,7 @@ func (d *distState) goodbye() {
 	d.drainMu.Unlock()
 	for n := 0; n < d.lmap.Nodes(); n++ {
 		if n != d.node && !gone[n] && !d.peerDead(n) {
-			d.sendRetry(n, buf) // best effort: the peer may be gone anyway
+			d.send(n, buf) // best effort: the peer may be gone anyway
 		}
 	}
 }
@@ -726,7 +717,7 @@ func (d *distState) goodbye() {
 func (d *distState) requestHalt() {
 	for n := 0; n < d.lmap.Nodes(); n++ {
 		if n != d.node && !d.peerDead(n) {
-			if err := d.sendRetry(n, []byte{fHalt}); err != nil {
+			if err := d.send(n, []byte{fHalt}); err != nil {
 				d.rt.recordError(fmt.Errorf("core: halt to node %d: %w", n, err))
 			}
 		}

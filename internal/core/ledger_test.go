@@ -21,7 +21,7 @@ import (
 const (
 	wirePass   = iota // hand it to the fabric
 	wirePark          // accept it, and hold it until release
-	wireRefuse        // fail the Send, as a broken connection does
+	wireRefuse        // fail the Send, as a transport that cannot take the frame does
 )
 
 // ledgerWire wraps one fabric endpoint of a two-node machine.

@@ -210,7 +210,7 @@ func (m *memberState) beat() {
 		if ps := d.peer(n); ps != nil && (ps.dead.Load() || ps.departed.Load()) {
 			continue
 		}
-		if d.sendRetry(n, frame) == nil {
+		if d.send(n, frame) == nil {
 			m.beatsSent.Add(1)
 		}
 	}
@@ -292,7 +292,7 @@ func (m *memberState) declareDead(n int, why string) {
 		if p == d.node || p == n {
 			continue
 		}
-		_ = d.sendRetry(p, frame)
+		_ = d.send(p, frame)
 	}
 }
 

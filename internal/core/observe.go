@@ -198,14 +198,17 @@ func (r *Runtime) buildMetricsRegistry() *metrics.Registry {
 		reg.RegisterFunc("px.wire.recv", func() int64 { _, n := d.wireTotals(); return n })
 		reg.RegisterFunc("px.wire.interned_sent", func() int64 { return int64(d.internedSent.Load()) })
 		reg.RegisterFunc("px.wire.interned_recv", func() int64 { return int64(d.internedRecv.Load()) })
-		// Group-commit batcher activity, when the transport reports it
-		// (the TCP transport does).
+		// Lane writer activity, when the transport reports it (the TCP
+		// transport does): writes made, frames they carried, frames dropped
+		// toward an unreachable peer, and sends that waited at a lane's
+		// bound.
 		if bt, ok := d.tr.(interface {
-			BatchStats() (batches, handoffs, backpressured uint64)
+			BatchStats() (writes, frames, dropped, backpressured uint64)
 		}); ok {
-			reg.RegisterFunc("px.wire.batches", func() int64 { n, _, _ := bt.BatchStats(); return int64(n) })
-			reg.RegisterFunc("px.wire.batch_handoffs", func() int64 { _, n, _ := bt.BatchStats(); return int64(n) })
-			reg.RegisterFunc("px.wire.backpressured", func() int64 { _, _, n := bt.BatchStats(); return int64(n) })
+			reg.RegisterFunc("px.wire.batches", func() int64 { n, _, _, _ := bt.BatchStats(); return int64(n) })
+			reg.RegisterFunc("px.wire.frames", func() int64 { _, n, _, _ := bt.BatchStats(); return int64(n) })
+			reg.RegisterFunc("px.wire.dropped", func() int64 { _, _, n, _ := bt.BatchStats(); return int64(n) })
+			reg.RegisterFunc("px.wire.backpressured", func() int64 { _, _, _, n := bt.BatchStats(); return int64(n) })
 		}
 		// Lane sharding and the same-host fabric, when the transport has
 		// them (the TCP transport does).

@@ -11,21 +11,12 @@ import (
 
 // wireFrameSize is the payload carried per frame in the wire-path
 // benchmarks. Large enough that the send path's per-frame byte handling
-// (one iovec append) dominates over framing bookkeeping, small enough that
-// several frames share each group-commit batch.
+// (one copy onto the lane) dominates over framing bookkeeping, small
+// enough that several frames share each write.
 const wireFrameSize = 32 << 10
 
-// wireSenders and wireBatchWindow shape the flood so group commit forms
-// real batches on any machine: with a brief linger per round, the
-// concurrent senders queue behind the leader's window and each flush
-// carries a full gather vector, which is the regime the writev path
-// exists for. Without a window, a fast non-blocking loopback write can
-// complete before the scheduler runs another sender — one frame per
-// syscall, nothing to vector.
-const (
-	wireSenders     = 16
-	wireBatchWindow = 50 * time.Microsecond
-)
+// wireSenders is the number of goroutines flooding the pair.
+const wireSenders = 16
 
 // wirePair builds a two-node TCP machine on loopback, applies tune to
 // both configs, and returns the transports plus a delivered-frame
@@ -69,9 +60,7 @@ func wirePair(b *testing.B, tune func(*transport.TCPConfig)) ([]*transport.TCP, 
 // wireFlood pushes b.N frames from node 0 to node 1 across the given
 // number of concurrent senders, sender i pinned to lane i%lanes, and
 // waits for every frame to reach the receiving handler before stopping
-// the clock. Because Send blocks until the flush round covering its
-// frame completes, the measured rate is the sustained throughput of the
-// group-commit write path itself.
+// the clock.
 func wireFlood(b *testing.B, senders int, nodes []*transport.TCP, got *atomic.Uint64) {
 	b.Helper()
 	lanes := nodes[0].Lanes()
@@ -81,7 +70,7 @@ func wireFlood(b *testing.B, senders int, nodes []*transport.TCP, got *atomic.Ui
 	}
 	b.SetBytes(wireFrameSize)
 	b.ReportAllocs()
-	batches0, _, _ := nodes[0].BatchStats()
+	writes0, frames0, _, _ := nodes[0].BatchStats()
 	b.ResetTimer()
 	var wg sync.WaitGroup
 	for s := 0; s < senders; s++ {
@@ -111,20 +100,19 @@ func wireFlood(b *testing.B, senders int, nodes []*transport.TCP, got *atomic.Ui
 	if sec := b.Elapsed().Seconds(); sec > 0 {
 		b.ReportMetric(float64(b.N)/sec, "frames/s")
 	}
-	if batches, _, _ := nodes[0].BatchStats(); batches > batches0 {
-		b.ReportMetric(float64(b.N)/float64(batches-batches0), "frames/batch")
+	if writes, frames, _, _ := nodes[0].BatchStats(); writes > writes0 {
+		b.ReportMetric(float64(frames-frames0)/float64(writes-writes0), "frames/batch")
 	}
 }
 
-// WireWritevBatch floods frames through the transport defaults: vectored
-// writes (each group-commit batch leaves as one writev over the callers'
-// own frame slices, never copied) and alias decode on the receiver. It
-// runs over the same-host fabric — the two nodes share this host, so that
-// is the fabric they would actually get.
+// WireWritevBatch floods frames through the transport defaults over the
+// same-host fabric: each lane's writer carries everything queued in one
+// write, and the receiver alias-decodes. It has the same shape as
+// WireSameHost; the name, from when batches left as one writev over the
+// senders' own slices, stays because CI's required list and the committed
+// baseline key on it.
 func WireWritevBatch(b *testing.B) {
-	nodes, got := wirePair(b, func(cfg *transport.TCPConfig) {
-		cfg.BatchWindow = wireBatchWindow
-	})
+	nodes, got := wirePair(b, nil)
 	wireFlood(b, wireSenders, nodes, got)
 	if nodes[0].SameHostConns() == 0 {
 		b.Fatal("same-host fabric was not selected for a loopback pair")
@@ -132,23 +120,22 @@ func WireWritevBatch(b *testing.B) {
 }
 
 // WireShardedFanout runs the flood over real loopback TCP with four
-// lanes per peer, senders spread across them: four independent
-// group-commit pipelines to the same node, the configuration the
-// runtime drives with destination-GID affinity hashing.
+// lanes per peer, senders spread across them: four independent lane
+// writers to the same node, the configuration the runtime drives with
+// destination-GID affinity hashing.
 func WireShardedFanout(b *testing.B) {
 	nodes, got := wirePair(b, func(cfg *transport.TCPConfig) {
 		cfg.DisableSameHost = true
 		cfg.Lanes = 4
-		cfg.BatchWindow = wireBatchWindow
 	})
 	wireFlood(b, wireSenders, nodes, got)
 }
 
-// WireSameHost is the flood over a completely untuned transport — no
-// batch window, every knob at its default — on a loopback pair, where
-// the transport auto-selects the same-host Unix-domain fabric: what
-// colocated processes get out of the box. Compare against
-// WireShardedFanout for the TCP-vs-fabric gap.
+// WireSameHost is the flood over a completely untuned transport — every
+// knob at its default — on a loopback pair, where the transport
+// auto-selects the same-host Unix-domain fabric: what colocated processes
+// get out of the box. Compare against WireShardedFanout for the
+// TCP-vs-fabric gap.
 func WireSameHost(b *testing.B) {
 	nodes, got := wirePair(b, nil)
 	wireFlood(b, wireSenders, nodes, got)

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -54,8 +55,8 @@ func TestTCPLanesFanout(t *testing.T) {
 	// Every lane must have actually carried traffic — the point of
 	// sharding is that frames do NOT all funnel through one stream.
 	for lane := 0; lane < 4; lane++ {
-		if batches, _, _ := tt.LaneBatchStats(lane); batches == 0 {
-			t.Fatalf("lane %d wrote no batches", lane)
+		if writes, _, _, _ := tt.LaneBatchStats(lane); writes == 0 {
+			t.Fatalf("lane %d made no writes", lane)
 		}
 	}
 	for _, n := range nodes {
@@ -123,9 +124,9 @@ func TestTCPLanesMixedLaneCounts(t *testing.T) {
 }
 
 // TestTCPLaneSendAllocatesNothing pins the lane's round state: a warmed
-// single sender's SendLane reuses the lane's header chunks, gather vector
-// and write cursor every round, so a frame costs no allocation on either
-// the same-host fabric or plain TCP. The receiving handler only counts, so
+// single sender's SendLane copies into the lane's two swapped buffers and
+// the writer reuses them every round, so a frame costs no allocation on
+// either the same-host fabric or plain TCP. The receiving handler only counts, so
 // the process-wide count is the transport's own.
 func TestTCPLaneSendAllocatesNothing(t *testing.T) {
 	if raceEnabled {
@@ -345,30 +346,23 @@ func TestTCPSameHostStaleSocket(t *testing.T) {
 	}
 }
 
-// TestTCPLanesCloseUnblocks verifies Close wakes senders blocked on the
-// MaxPending bound of any lane.
+// TestTCPLanesCloseUnblocks verifies Close wakes a sender waiting at the
+// bound of any lane: it returns ErrClosed instead of waiting for a writer
+// whose peer never reads.
 func TestTCPLanesCloseUnblocks(t *testing.T) {
-	nodes, _ := newTCPPair(t, func(c *TCPConfig) {
-		c.Lanes = 2
-		c.MaxPending = 64
-	})
-	defer nodes[1].Close()
-	tt := nodes[0].(*TCP)
-	l := tt.peers[1].lanes[1]
-	l.mu.Lock()
-	l.flushing = true
-	l.pendBytes = 128
-	l.mu.Unlock()
+	tt := newStalledTCP(t, func(c *TCPConfig) { c.Lanes = 2 })
+	l, _ := stallLane(t, tt, 1)
+	fillLane(t, tt, l, 1)
 	done := make(chan error, 1)
 	go func() { done <- tt.SendLane(1, 1, []byte("stuck")) }()
-	time.Sleep(20 * time.Millisecond)
-	nodes[0].Close()
+	waitLane(t, l, func() bool { return l.backpressured == 1 })
+	tt.Close()
 	select {
 	case err := <-done:
-		if err == nil {
-			t.Fatal("blocked send succeeded after Close")
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("waiting send returned %v after Close, want ErrClosed", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Close did not unblock a backpressured lane sender")
+		t.Fatal("Close did not unblock a sender waiting at the lane bound")
 	}
 }

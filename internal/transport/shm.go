@@ -7,9 +7,9 @@ package transport
 // deterministically from the TCP port, and a dialer whose target is a
 // loopback address probes for that socket first: if it exists and
 // connects, the frame stream rides the Unix socket — same handshake, same
-// framing, same batcher — and falls back to TCP otherwise. The selection
-// is invisible above the transport: a same-host connection is just a
-// net.Conn whose writev is cheaper.
+// framing, same lane writer — and falls back to TCP otherwise. The
+// selection is invisible above the transport: a same-host connection is
+// just a net.Conn whose writes are cheaper.
 //
 // The fabric is best-effort by design. A host where the socket path
 // cannot be bound stays TCP-only; a stale socket left by a crashed

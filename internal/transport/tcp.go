@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,36 +33,14 @@ type TCPConfig struct {
 	// ordering is preserved within a lane only. Control traffic (plain
 	// Send) rides lane 0. Default 1; capped at MaxLanes.
 	Lanes int
-	// DialAttempts bounds connection attempts per Send; peers commonly
-	// start in arbitrary order, so dialing retries. Default 40.
+	// DialAttempts bounds a lane's first connection attempts; peers
+	// commonly start in arbitrary order, so dialing retries. Default 40.
 	DialAttempts int
 	// DialBackoff is the initial retry delay, doubling per attempt up to
 	// 500ms. Default 25ms.
 	DialBackoff time.Duration
 	// HandshakeTimeout bounds the handshake exchange. Default 5s.
 	HandshakeTimeout time.Duration
-	// BatchWindow, when positive, lets a flush linger up to this long so
-	// more frames coalesce into one write. The linger is adaptive: the
-	// flusher yields the processor and writes as soon as the pending
-	// batch stops growing, so the window is a bound, not a fixed delay.
-	// Zero (the default) still batches by group commit: frames posted
-	// while a write syscall is in flight are coalesced into the next one,
-	// so batching costs idle senders no latency at all.
-	BatchWindow time.Duration
-	// BatchBytes is the buffered-byte level at which a window-delayed
-	// flush stops waiting and writes immediately. Default 64KB. Ignored
-	// when BatchWindow is zero.
-	BatchBytes int
-	// MaxPending bounds each lane's pending (buffered, unwritten) bytes.
-	// A sender that finds the buffer full blocks — woken in FIFO order as
-	// flush rounds free space — instead of growing the batch without
-	// bound, so one hot sender cannot stretch every other sender's
-	// group-commit latency arbitrarily: a round is at most MaxPending
-	// bytes plus what arrives during its write. The bound is soft by one
-	// frame, which also lets frames larger than MaxPending through once
-	// the buffer drains below it. Default 4MB; negative disables the
-	// bound.
-	MaxPending int
 	// DisableSameHost turns off the same-host fabric: peers are always
 	// dialed over TCP even when a Unix-domain listener advertises that
 	// they share this host. See shm.go.
@@ -88,6 +65,16 @@ type TCPConfig struct {
 // announce — a corrupt hello must not imply an absurd connection count).
 const MaxLanes = 16
 
+// laneBound bounds the bytes a lane holds unwritten: SendLane waits while
+// a lane holds this much (Send never waits). It is soft by one frame, so a
+// larger frame passes once the lane drains. 256KB keeps 32KB-frame floods
+// streaming without letting one hot lane queue megabytes.
+const laneBound = 256 << 10
+
+// closeFlushTimeout bounds the last write Close lets each lane make: the
+// frames it already holds, on a connection already up.
+const closeFlushTimeout = time.Second
+
 func (c *TCPConfig) fill() {
 	if c.Lanes <= 0 {
 		c.Lanes = 1
@@ -104,12 +91,6 @@ func (c *TCPConfig) fill() {
 	if c.HandshakeTimeout <= 0 {
 		c.HandshakeTimeout = 5 * time.Second
 	}
-	if c.BatchBytes <= 0 {
-		c.BatchBytes = 64 << 10
-	}
-	if c.MaxPending == 0 {
-		c.MaxPending = 4 << 20
-	}
 	if c.ReadBufferBytes <= 0 {
 		c.ReadBufferBytes = 256 << 10
 	}
@@ -123,31 +104,17 @@ func (c *TCPConfig) fill() {
 
 // TCP carries frames between nodes as length-prefixed records on TCP
 // streams (or Unix-domain streams when peers share a host — see shm.go).
-// Each node listens for its peers and lazily dials Lanes outbound
-// (send-only) connections per peer, so connection establishment order
-// never matters; a failed dial retries with exponential backoff a bounded
-// number of times.
+// Each node listens for its peers and keeps Lanes outbound (send-only)
+// connections per peer.
 //
-// Sends batch by group commit: the first sender to a (peer, lane) becomes
-// the flush leader and writes whatever is pending; senders arriving while
-// the leader's syscall is in flight append to the next batch and wait for
-// its result, so concurrent parcel streams coalesce into a fraction of
-// the syscalls with no added latency when traffic is sparse. The batch is
-// a gather vector handed to writev (net.Buffers): a pending frame is the
-// caller's own slice, referenced — not copied — until the write covering
-// it returns, which is safe because Send does not return before that
-// write's verdict. Frame length headers are carved from pooled chunks and
-// recycled with the round. BatchWindow adds an optional time budget for
-// throughput-biased deployments.
-//
-// The batcher is fair per lane: a leader writes exactly one round — the
-// batch containing its own frame — and hands any backlog that accumulated
-// during the write to a detached drainer goroutine, so no sender is held
-// captive flushing other senders' traffic. MaxPending bounds the pending
-// bytes with FIFO blocking admission, so a hot sender saturating one lane
-// backs itself off while everyone else's frames keep riding bounded
-// rounds. BatchStats exposes the batcher's aggregated activity for the
-// px.wire.* metric bridge; LaneBatchStats exposes one lane's.
+// Senders enqueue and lanes write. Send and SendLane copy the frame, behind
+// its length, onto the lane's pending buffer and return. Each lane has one
+// writer goroutine, started by its first frame, which owns the connection:
+// it dials, retrying so peers may start in any order, and writes
+// everything that built up during its previous write as one write. A lone
+// frame leaves at once and a burst leaves together. SendLane waits while
+// the lane holds laneBound unwritten bytes; Send never waits, so a read
+// goroutine may send.
 type TCP struct {
 	cfg TCPConfig
 	ln  net.Listener
@@ -168,10 +135,19 @@ type TCP struct {
 	onHello func(node int, payload []byte)
 	started bool
 	closed  bool
+	quit    chan struct{} // closed by Close: cuts a writer's dial backoff short
 	inbound map[net.Conn]struct{}
+	streams map[[2]int]inStream // the latest reader of each (node, lane)
 
 	peers []*tcpPeer
-	wg    sync.WaitGroup
+	wg    sync.WaitGroup // accept loops, readers and lane writers
+}
+
+// inStream is the reader of one peer lane's inbound connection; done is
+// closed when it exits.
+type inStream struct {
+	conn net.Conn
+	done chan struct{}
 }
 
 // tcpPeer is one remote node: its lane set. Lane 0 carries control
@@ -181,75 +157,25 @@ type tcpPeer struct {
 	lanes []*tcpLane
 }
 
-// tcpLane is one (peer, lane) connection with its own group-commit
-// batcher, backpressure bound, and stats.
+// tcpLane is one (peer, lane) connection: the frames senders have handed
+// it, and the state its one writer goroutine shares with them.
 type tcpLane struct {
-	mu        sync.Mutex
-	room      *sync.Cond // signals space in the pending batch to blocked senders
-	conn      net.Conn
-	connected bool // a connection has succeeded at least once
-	flushing  bool // a leader or drainer is running flush rounds
+	mu   sync.Mutex
+	wake *sync.Cond // wakes the writer: frames pending, or closing
+	room *sync.Cond // wakes SendLane callers waiting at laneBound
 
-	// Pending batch: vec alternates 4-byte header slices (carved from hdr
-	// chunks) and caller frame slices; pendBytes is their total length.
-	// spareVec and spareChunks hold the previous round's backing arrays, so
-	// the pending and the in-flight round swap lists instead of making new
-	// ones.
-	vec         net.Buffers
-	spareVec    net.Buffers
-	hdrChunks   []*[]byte // header chunks feeding vec
-	spareChunks []*[]byte
-	pendBytes   int
+	// pending holds copies of the taken frames, each behind its 4-byte
+	// length; queued counts them. The writer swaps in the buffer of its
+	// previous write when it takes pending: two buffers serve every round.
+	pending []byte
+	queued  int
 
-	// cursor is the flushing round's writev cursor, touched only by the one
-	// flusher and outside mu. As a lane field it is on the heap already; a
-	// local net.Buffers would escape there on every round through WriteTo.
-	cursor net.Buffers
+	conn    net.Conn // the writer's latest connection; Close bounds its last write
+	running bool     // the writer goroutine has started
+	closing bool     // Close has begun: no more frames, no more dials
 
-	waiters []tcpWaiter // senders whose frames sit in the pending batch
-
-	// Batcher activity, guarded by mu (see TCP.BatchStats).
-	batches       uint64 // flush rounds written
-	handoffs      uint64 // backlogs handed from a leader to a drainer
-	backpressured uint64 // sends that blocked on the MaxPending bound
-}
-
-// tcpWaiter is one follower's claim on a batch: the byte offset its frame
-// ends at and the channel its delivery verdict arrives on.
-type tcpWaiter struct {
-	end int
-	ch  chan error
-}
-
-// hdrChunkSize is the capacity of one pooled header chunk: 4-byte frame
-// length headers are carved from it sequentially, so one chunk covers 128
-// frames of a batch before the next is pulled from the pool. Chunks are
-// fixed-capacity by construction — a header sub-slice already gathered
-// into the iovec must never be invalidated by a growing append.
-const hdrChunkSize = 512
-
-var hdrChunkPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, hdrChunkSize)
-	return &b
-}}
-
-// flushResult is the outcome of one batch write: the error, if any, and
-// how many bytes the kernel accepted before it. Frames wholly inside the
-// accepted prefix were sent exactly as a successful unbatched write would
-// have sent them; frames at or past the cut were torn or never written, so
-// the mid-frame connection drop guarantees the peer discards them — the
-// Send contract that an error implies non-delivery, preserved per frame.
-type flushResult struct {
-	err     error
-	okBytes int
-}
-
-// verdict resolves one frame's Send result from its batch's outcome.
-func (r flushResult) verdict(end, node int) error {
-	if r.err == nil || end <= r.okBytes {
-		return nil
-	}
-	return fmt.Errorf("transport: send to node %d: %w", node, r.err)
+	// Writer activity, guarded by mu (see TCP.BatchStats).
+	writes, frames, dropped, backpressured uint64
 }
 
 // NewTCP binds the node's listen address and returns the transport.
@@ -269,7 +195,8 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", cfg.Listen, err)
 	}
-	t := &TCP{cfg: cfg, ln: ln, inbound: make(map[net.Conn]struct{})}
+	t := &TCP{cfg: cfg, ln: ln, quit: make(chan struct{}),
+		inbound: make(map[net.Conn]struct{}), streams: make(map[[2]int]inStream)}
 	if !cfg.DisableSameHost {
 		// Best effort: a host where the socket path cannot be bound (odd
 		// TempDir permissions, path collisions) simply stays TCP-only.
@@ -287,6 +214,7 @@ func newTCPPeer(lanes int) *tcpPeer {
 	p := &tcpPeer{lanes: make([]*tcpLane, lanes)}
 	for i := range p.lanes {
 		l := &tcpLane{}
+		l.wake = sync.NewCond(&l.mu)
 		l.room = sync.NewCond(&l.mu)
 		p.lanes[i] = l
 	}
@@ -325,7 +253,8 @@ func (t *TCP) growPeers(node int) {
 
 // AddPeer records node's dial address and announced locality range,
 // growing the peer table when the node is new (MemberTransport). The
-// joining peer becomes sendable immediately; the first Send dials it.
+// joining peer becomes sendable immediately; its lanes dial on their first
+// frame.
 func (t *TCP) AddPeer(node int, addr string, lo, hi int) error {
 	if node < 0 || node >= MaxJoinNodes {
 		return fmt.Errorf("transport: joining node %d outside [0,%d)", node, MaxJoinNodes)
@@ -589,14 +518,13 @@ func (t *TCP) serveConn(conn net.Conn) {
 		delete(t.inbound, conn)
 		t.mu.Unlock()
 	}()
-	deadline := time.Now().Add(t.cfg.HandshakeTimeout)
-	conn.SetDeadline(deadline)
+	conn.SetDeadline(time.Now().Add(t.cfg.HandshakeTimeout))
 	br := bufio.NewReaderSize(conn, t.cfg.ReadBufferBytes)
-	from, hello, _, err := t.readHandshake(br)
+	from, hello, lane, err := t.readHandshake(br)
 	if err != nil {
 		if errors.Is(err, errHandshakeVersion) {
-			// Answer before hanging up: the dialer has a caller to report
-			// to, and our header tells it which build is the odd one out.
+			// Answer before hanging up: our header tells the dialer which
+			// build is the odd one out.
 			conn.Write(t.handshakeBytes(0))
 		}
 		return
@@ -605,6 +533,23 @@ func (t *TCP) serveConn(conn net.Conn) {
 		return
 	}
 	conn.SetDeadline(time.Time{})
+	// A redialed lane's new connection must not overtake what is still
+	// buffered on the one it replaces: wait for that reader to drain (it
+	// ends at the torn frame), cutting it after HandshakeTimeout.
+	key, done := [2]int{from, lane}, make(chan struct{})
+	defer close(done)
+	t.mu.Lock()
+	prev := t.streams[key]
+	t.streams[key] = inStream{conn, done}
+	t.mu.Unlock()
+	if prev.done != nil {
+		select {
+		case <-prev.done:
+		case <-time.After(t.cfg.HandshakeTimeout):
+			prev.conn.Close()
+			<-prev.done
+		}
+	}
 	// The hello is delivered before any frame from this connection: frames
 	// that depend on it (interned parcels) decode against it in order.
 	t.deliverHello(from, hello)
@@ -613,10 +558,10 @@ func (t *TCP) serveConn(conn net.Conn) {
 	var frame []byte
 	poison := t.cfg.PoisonAliasedReads
 	for {
-		n, err := readFrameLen(br, &lenBuf)
-		if err != nil {
+		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
 			return
 		}
+		n := binary.LittleEndian.Uint32(lenBuf[:])
 		if n > MaxFrame {
 			return // corrupt stream; drop the connection
 		}
@@ -665,37 +610,31 @@ func (t *TCP) serveConn(conn net.Conn) {
 	}
 }
 
-// readFrameLen reads one 4-byte frame length header.
-func readFrameLen(br *bufio.Reader, lenBuf *[4]byte) (uint32, error) {
-	if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(lenBuf[:]), nil
-}
-
-// Send delivers frame to node on lane 0, dialing (with bounded retries) on
-// first use or after a connection failure. See SendLane for the batching
-// and ownership contract.
+// Send delivers frame to node on lane 0. It never waits: the frame is
+// copied onto the lane and Send returns, whatever the lane holds.
 func (t *TCP) Send(node int, frame []byte) error {
-	return t.SendLane(node, 0, frame)
+	return t.send(node, 0, frame, false)
 }
 
-// SendLane delivers frame to node on the given lane (LaneTransport).
-// Concurrent sends to one lane batch: the frame joins the lane's pending
-// gather vector, and either this call becomes the flush leader — writing
-// the one round that carries its own frame, then handing any backlog to a
-// drainer goroutine — or it waits for the leader to report its batch's
-// fate. Either way SendLane does not return until the write covering its
-// frame has completed, so the caller may recycle frame's backing buffer
-// the moment SendLane returns even on the zero-copy path. With MaxPending
-// set, a sender that finds the pending batch full blocks until a flush
-// round frees space.
+// SendLane delivers frame to node on the given lane (LaneTransport). The
+// frame is copied onto the lane, so the caller may reuse its buffer when
+// SendLane returns; while the lane holds laneBound unwritten bytes,
+// SendLane first waits for its writer to take them.
 func (t *TCP) SendLane(node, lane int, frame []byte) error {
+	return t.send(node, lane, frame, true)
+}
+
+// send takes one frame onto a lane, waiting for room first when wait is
+// set, and starts the lane's writer on its first frame.
+func (t *TCP) send(node, lane int, frame []byte, wait bool) error {
 	if err := checkNode(t, node); err != nil {
 		return err
 	}
 	if lane < 0 || lane >= t.cfg.Lanes {
 		return fmt.Errorf("transport: lane %d outside [0,%d)", lane, t.cfg.Lanes)
+	}
+	if len(frame) > MaxFrame {
+		return fmt.Errorf("transport: frame of %d bytes exceeds limit %d", len(frame), MaxFrame)
 	}
 	t.mu.Lock()
 	if t.closed {
@@ -703,282 +642,197 @@ func (t *TCP) SendLane(node, lane int, frame []byte) error {
 		return ErrClosed
 	}
 	l := t.peers[node].lanes[lane]
-	addr := ""
-	if node < len(t.cfg.Peers) {
-		addr = t.cfg.Peers[node]
-	}
+	addr := t.peerAddr(node)
 	t.mu.Unlock()
 	if addr == "" {
 		return fmt.Errorf("transport: no address for node %d", node)
 	}
-	if len(frame) > MaxFrame {
-		return fmt.Errorf("transport: frame of %d bytes exceeds limit %d", len(frame), MaxFrame)
-	}
 
 	l.mu.Lock()
-	if max := t.cfg.MaxPending; max > 0 {
-		// Admission: while a flush is active and the pending batch is at
-		// the bound, wait for a round to free space. Wakeups are FIFO
-		// (sync.Cond queues waiters in order), so a hot sender cannot
-		// perpetually cut the line. The bound is soft by one frame: the
-		// sender admitted at pendBytes == max-1 may push the batch past
-		// max, which also lets frames larger than MaxPending through.
-		blocked := false
-		for l.flushing && l.pendBytes >= max {
-			if t.isClosed() {
-				l.mu.Unlock()
-				return ErrClosed
-			}
-			if !blocked {
-				blocked = true
-				l.backpressured++
-			}
+	if wait && len(l.pending) >= laneBound && !l.closing {
+		l.backpressured++
+		for len(l.pending) >= laneBound && !l.closing {
 			l.room.Wait()
 		}
 	}
-	l.append(frame)
-	myEnd := l.pendBytes
-	if l.flushing {
-		// Follower: a leader's write is in flight; our frame rides the
-		// next batch. Wait for that batch's verdict — which also keeps
-		// frame's bytes alive until the writev covering them returns.
-		ch := make(chan error, 1)
-		l.waiters = append(l.waiters, tcpWaiter{end: myEnd, ch: ch})
+	if l.closing {
 		l.mu.Unlock()
-		return <-ch
+		return ErrClosed
 	}
-	l.flushing = true
-	res := t.flushRound(l, node, lane, addr)
-	myErr := res.verdict(myEnd, node)
-	if l.pendBytes > 0 {
-		// Frames arrived while our round's write was in flight. Hand the
-		// backlog to a drainer goroutine instead of flushing it here: the
-		// leader already paid for the round carrying its own frame, and
-		// holding it captive writing other senders' traffic would let one
-		// hot stream tax whichever caller happened to lead.
-		l.handoffs++
-		l.mu.Unlock()
-		go t.drainLane(l, node, lane, addr)
-		return myErr
+	l.pending = binary.LittleEndian.AppendUint32(l.pending, uint32(len(frame)))
+	l.pending = append(l.pending, frame...)
+	l.queued++
+	if !l.running {
+		l.running = true
+		t.wg.Add(1)
+		go t.writeLane(l, node, lane)
 	}
-	l.flushing = false
-	l.room.Broadcast()
+	l.wake.Signal()
 	l.mu.Unlock()
-	return myErr
+	return nil
 }
 
-// append adds one frame to the lane's pending batch. The frame slice
-// itself is referenced — the caller's Send blocks until the covering write
-// returns, which is what makes the zero-copy safe; the 4-byte length
-// header is carved from a pooled fixed-capacity chunk so the sub-slice can
-// never be invalidated by a growing append. Callers hold l.mu.
-func (l *tcpLane) append(frame []byte) {
-	chunk := l.hdrChunk()
-	start := len(*chunk)
-	*chunk = binary.LittleEndian.AppendUint32(*chunk, uint32(len(frame)))
-	l.vec = append(l.vec, (*chunk)[start:start+4], frame)
-	l.pendBytes += 4 + len(frame)
+// peerAddr reports node's dial address, "" when none is known. Callers
+// hold t.mu.
+func (t *TCP) peerAddr(node int) string {
+	if node < len(t.cfg.Peers) {
+		return t.cfg.Peers[node]
+	}
+	return ""
 }
 
-// hdrChunk returns a header chunk with room for one more header, pulling
-// a fresh one from the pool when the current chunk is full. Callers hold
-// l.mu.
-func (l *tcpLane) hdrChunk() *[]byte {
-	if n := len(l.hdrChunks); n > 0 {
-		if c := l.hdrChunks[n-1]; cap(*c)-len(*c) >= 4 {
-			return c
+// writeLane is a lane's writer. Each round it takes everything queued and
+// writes it in one call, dialing first when the lane has no connection. A
+// failed write closes the connection mid-frame, so the peer discards the
+// torn frame, redials, and resends from the first frame the kernel did not
+// wholly take. When the dial fails the peer is unreachable: the lane drops
+// what it holds and counts it (the runtime's death verdict settles those
+// frames). Once Close marks the lane closing, the writer writes what it
+// holds on a connection already up, never dials, and exits.
+func (t *TCP) writeLane(l *tcpLane, node, lane int) {
+	defer t.wg.Done()
+	var spare []byte
+	l.mu.Lock()
+	conn := l.conn
+	l.mu.Unlock()
+	connected := conn != nil // redials after the first connection get the short budget
+	for {
+		l.mu.Lock()
+		for len(l.pending) == 0 && !l.closing {
+			l.wake.Wait()
+		}
+		buf, queued := l.pending, l.queued
+		l.pending, l.queued = spare[:0], 0
+		l.room.Broadcast()
+		l.mu.Unlock()
+		if len(buf) == 0 {
+			break // closing, and nothing left to write
+		}
+
+		off, sent, writes := 0, 0, uint64(0)
+		for off < len(buf) {
+			if conn == nil {
+				if conn = t.connect(l, node, lane, connected); conn == nil {
+					break
+				}
+				connected = true
+			}
+			n, err := conn.Write(buf[off:])
+			writes++
+			end, whole := wholeFrames(buf[off:], n)
+			off, sent = off+end, sent+whole
+			if err != nil {
+				conn.Close()
+				conn = nil
+			}
+		}
+
+		l.mu.Lock()
+		l.writes += writes
+		l.frames += uint64(sent)
+		if lost := queued - sent; lost > 0 {
+			// Unreachable, or closing without a connection: drop the rest
+			// of the round and everything queued behind it.
+			l.dropped += uint64(lost + l.queued)
+			l.pending, l.queued = l.pending[:0], 0
+			l.room.Broadcast()
+		}
+		l.mu.Unlock()
+		if cap(buf) <= 4*laneBound {
+			spare = buf // a jumbo frame's buffer is not kept
 		}
 	}
-	c := hdrChunkPool.Get().(*[]byte)
-	*c = (*c)[:0]
-	l.hdrChunks = append(l.hdrChunks, c)
-	return c
-}
-
-// drainLane runs flush rounds for one lane until its pending batch
-// empties, then releases flush leadership. It runs detached from any
-// sender; after Close it terminates promptly because every round fails
-// fast with ErrClosed verdicts.
-func (t *TCP) drainLane(l *tcpLane, node, lane int, addr string) {
-	l.mu.Lock()
-	for l.pendBytes > 0 {
-		t.flushRound(l, node, lane, addr)
+	if conn != nil {
+		conn.Close()
 	}
-	l.flushing = false
-	l.room.Broadcast()
-	l.mu.Unlock()
 }
 
-// flushRound writes one batch — everything pending for the lane — and
-// delivers per-frame verdicts to the senders waiting on it. Called with
-// l.mu held and flushing set; returns with l.mu re-held. The result lets
-// a leader derive the verdict for its own frame (followers of this round
-// get theirs on their channels).
-//
-// The batch is a net.Buffers handed to writev: the pooled encode buffers
-// referenced by it are owned by their (blocked) senders until the verdicts
-// go out, and the header chunks return to their pool here.
-// net.Buffers.WriteTo reports the bytes the kernel accepted before any
-// error, which is what the per-frame verdict offsets compare against.
-func (t *TCP) flushRound(l *tcpLane, node, lane int, addr string) flushResult {
-	if t.cfg.BatchWindow > 0 && l.conn != nil && l.pendBytes < t.cfg.BatchBytes {
-		// Throughput bias: linger once per batch so more frames join —
-		// adaptively, by yielding the processor and flushing as soon as a
-		// pass finds the batch stopped growing, with BatchWindow as the
-		// hard bound. A fixed sleep can't express a µs-scale window (timer
-		// granularity rounds it up to milliseconds) and would tax sparse
-		// traffic with the full window on every flush; the yield loop
-		// costs one scheduler pass when nobody else is sending.
-		deadline := time.Now().Add(t.cfg.BatchWindow)
-		for {
-			last := l.pendBytes
-			l.mu.Unlock()
-			runtime.Gosched()
-			l.mu.Lock()
-			if l.pendBytes == last || l.pendBytes >= t.cfg.BatchBytes ||
-				!time.Now().Before(deadline) {
-				break
+// connect dials a lane's peer, unless Close has begun, and installs the
+// connection where Close can bound its last write. nil means the lane has
+// no connection: the peer is unreachable or the transport is closing.
+func (t *TCP) connect(l *tcpLane, node, lane int, reconnect bool) net.Conn {
+	select {
+	case <-t.quit:
+		return nil
+	default:
+	}
+	conn, err := t.dial(node, lane, reconnect)
+	if err != nil {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.conn = conn
+	if l.closing {
+		conn.SetWriteDeadline(time.Now().Add(closeFlushTimeout))
+	}
+	return conn
+}
+
+// wholeFrames reports how far into b the first n bytes complete frames:
+// the offset just past the last whole frame, and how many frames that is.
+func wholeFrames(b []byte, n int) (end, frames int) {
+	for end+4 <= n {
+		next := end + 4 + int(binary.LittleEndian.Uint32(b[end:]))
+		if next > n {
+			break
+		}
+		end, frames = next, frames+1
+	}
+	return end, frames
+}
+
+// BatchStats reports the lane writers' cumulative activity over every peer
+// and lane, which the runtime bridges into px.wire.* metrics: writes made,
+// frames they carried, frames dropped because their peer was unreachable
+// or the transport closed first, and SendLane calls that waited for room.
+func (t *TCP) BatchStats() (writes, frames, dropped, backpressured uint64) {
+	return t.LaneBatchStats(-1)
+}
+
+// LaneBatchStats reports one lane's writer activity summed across peers;
+// a negative lane sums them all.
+func (t *TCP) LaneBatchStats(lane int) (writes, frames, dropped, backpressured uint64) {
+	t.mu.Lock()
+	peers := t.peers
+	t.mu.Unlock()
+	for _, p := range peers {
+		for i, l := range p.lanes {
+			if lane < 0 || i == lane {
+				l.mu.Lock()
+				writes += l.writes
+				frames += l.frames
+				dropped += l.dropped
+				backpressured += l.backpressured
+				l.mu.Unlock()
 			}
 		}
 	}
-	vec := l.vec
-	chunks := l.hdrChunks
-	waiters := l.waiters
-	conn := l.conn
-	reconnect := l.connected
-	l.vec, l.spareVec = l.spareVec[:0], nil
-	l.hdrChunks, l.spareChunks = l.spareChunks[:0], nil
-	l.pendBytes = 0
-	l.waiters = nil
-	l.batches++
-	// The pending batch just emptied: backpressured senders may append
-	// to the next batch while this round's write is in flight.
-	l.room.Broadcast()
-	l.mu.Unlock()
-
-	var res flushResult
-	if t.isClosed() {
-		res.err = ErrClosed
-	} else if conn == nil {
-		c, err := t.dial(node, lane, addr, reconnect)
-		if err != nil {
-			res.err = err
-		} else {
-			conn = c
-		}
-	}
-	if res.err == nil {
-		// WriteTo consumes its receiver as buffers complete, so it runs on
-		// the cursor and vec keeps the round's slices for recycling.
-		l.cursor = vec
-		n, err := l.cursor.WriteTo(conn)
-		l.cursor = nil
-		res.okBytes = int(n)
-		if err != nil {
-			res.err = err
-			// Drop the stream mid-frame so the peer discards every
-			// frame past the accepted prefix.
-			conn.Close()
-			conn = nil
-		}
-	}
-	for _, w := range waiters {
-		w.ch <- res.verdict(w.end, node)
-	}
-
-	// The round is settled: recycle the header chunks and drop the frame
-	// references so callers' pooled buffers are no longer pinned.
-	for _, c := range chunks {
-		hdrChunkPool.Put(c)
-	}
-	clear(chunks)
-	clear(vec)
-
-	if conn != nil && t.isClosed() {
-		// Close swept the peers while our write was in flight; don't
-		// re-install a connection nobody will close again.
-		conn.Close()
-		conn = nil
-	}
-	l.mu.Lock()
-	l.conn = conn
-	if conn != nil {
-		l.connected = true
-	}
-	l.spareVec = vec[:0]
-	l.spareChunks = chunks[:0]
-	return res
-}
-
-// BatchStats reports the group-commit batcher's cumulative activity summed
-// across every peer and lane: flush rounds written, backlogs handed from a
-// leader to a drainer goroutine, and sends that blocked on the MaxPending
-// admission bound. The distributed runtime bridges these into px.wire.*
-// metrics; LaneBatchStats exposes the per-lane view.
-func (t *TCP) BatchStats() (batches, handoffs, backpressured uint64) {
-	t.mu.Lock()
-	peers := t.peers
-	t.mu.Unlock()
-	for _, p := range peers {
-		for _, l := range p.lanes {
-			l.mu.Lock()
-			batches += l.batches
-			handoffs += l.handoffs
-			backpressured += l.backpressured
-			l.mu.Unlock()
-		}
-	}
-	return batches, handoffs, backpressured
-}
-
-// LaneBatchStats reports one lane's batcher activity summed across peers.
-func (t *TCP) LaneBatchStats(lane int) (batches, handoffs, backpressured uint64) {
-	if lane < 0 || lane >= t.cfg.Lanes {
-		return 0, 0, 0
-	}
-	t.mu.Lock()
-	peers := t.peers
-	t.mu.Unlock()
-	for _, p := range peers {
-		l := p.lanes[lane]
-		l.mu.Lock()
-		batches += l.batches
-		handoffs += l.handoffs
-		backpressured += l.backpressured
-		l.mu.Unlock()
-	}
-	return batches, handoffs, backpressured
+	return writes, frames, dropped, backpressured
 }
 
 // SameHostConns reports how many outbound connections took the same-host
 // Unix-domain fabric instead of TCP.
 func (t *TCP) SameHostConns() uint64 { return t.shmConns.Load() }
 
-func (t *TCP) isClosed() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.closed
-}
-
-// dial establishes an outbound connection to node at addr, retrying with
+// dial establishes a lane's outbound connection to node, retrying with
 // exponential backoff so peers may start in any order. When the peer
 // shares this host and advertises a same-host listener, the Unix-domain
 // path is tried before TCP (see shm.go). The full retry budget is startup
-// grace for a first connection; reconnects after a break get only a
-// couple of attempts, because Send is called from latency-sensitive paths
-// (drain replies and migration verdicts on transport goroutines) that must
-// not stall for minutes on a dead peer.
-func (t *TCP) dial(node, lane int, addr string, reconnect bool) (net.Conn, error) {
+// grace for a lane's first connection; a redial after a break gets only a
+// couple of attempts, so a lane to a dead peer drops its frames quickly
+// instead of holding them for the length of the startup grace.
+func (t *TCP) dial(node, lane int, reconnect bool) (net.Conn, error) {
 	attempts := t.cfg.DialAttempts
 	if reconnect && attempts > 2 {
 		attempts = 2
 	}
+	t.mu.Lock()
+	addr := t.peerAddr(node)
+	t.mu.Unlock()
 	backoff := t.cfg.DialBackoff
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
-		if t.isClosed() {
-			return nil, ErrClosed
-		}
 		conn, err := t.dialOnce(addr)
 		if err == nil {
 			if err = t.completeDial(conn, node, lane); err == nil {
@@ -987,7 +841,11 @@ func (t *TCP) dial(node, lane int, addr string, reconnect bool) (net.Conn, error
 			conn.Close()
 		}
 		lastErr = err
-		time.Sleep(backoff)
+		select {
+		case <-t.quit:
+			return nil, ErrClosed
+		case <-time.After(backoff):
+		}
 		if backoff *= 2; backoff > 500*time.Millisecond {
 			backoff = 500 * time.Millisecond
 		}
@@ -1009,9 +867,9 @@ func (t *TCP) dialOnce(addr string) (net.Conn, error) {
 
 // completeDial runs the client half of the handshake and verifies the
 // answering node is the one we meant to reach. The peer's hello payload
-// (read from its handshake response) is delivered before the dial is
-// declared complete, so a sender holds the peer's announcement before its
-// first frame on the new connection.
+// (read from its handshake response) is delivered, on the lane's writer,
+// before the dial is declared complete, so the node holds the peer's
+// announcement before its first frame on the new connection leaves.
 func (t *TCP) completeDial(conn net.Conn, node, lane int) error {
 	conn.SetDeadline(time.Now().Add(t.cfg.HandshakeTimeout))
 	defer conn.SetDeadline(time.Time{})
@@ -1029,8 +887,10 @@ func (t *TCP) completeDial(conn net.Conn, node, lane int) error {
 	return nil
 }
 
-// Close shuts the listeners and every connection, then waits for the
-// accept and read goroutines to drain.
+// Close shuts the listeners and inbound connections, lets every lane
+// writer push the frames it already holds onto a connection already up
+// (within closeFlushTimeout; a lane without one drops them), and waits for
+// the accept, read and write goroutines to finish.
 func (t *TCP) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -1039,9 +899,9 @@ func (t *TCP) Close() error {
 		return nil
 	}
 	t.closed = true
-	conns := make([]net.Conn, 0, len(t.inbound))
+	close(t.quit)
 	for c := range t.inbound {
-		conns = append(conns, c)
+		c.Close()
 	}
 	peers := t.peers
 	t.mu.Unlock()
@@ -1050,21 +910,17 @@ func (t *TCP) Close() error {
 		t.shm.Close()
 		removeSameHost(t.ln.Addr())
 	}
-	for _, c := range conns {
-		c.Close()
-	}
+	deadline := time.Now().Add(closeFlushTimeout)
 	for _, p := range peers {
 		for _, l := range p.lanes {
 			l.mu.Lock()
+			l.closing = true
 			if l.conn != nil {
-				// Pending batches are abandoned: the leader's next round
-				// sees the closed transport and fails its waiters,
-				// upholding Close's "in-flight frames may be dropped".
-				l.conn.Close()
-				l.conn = nil
+				l.conn.SetWriteDeadline(deadline)
 			}
-			// Senders blocked on the MaxPending bound re-check and observe
-			// the closed transport.
+			// The writer flushes and exits; senders waiting for room
+			// observe the close.
+			l.wake.Signal()
 			l.room.Broadcast()
 			l.mu.Unlock()
 		}

@@ -4,9 +4,10 @@
 // distributed quiescence, and live object migration on top of the frame
 // service defined here. Frames are opaque — the runtime's kinds (parcels,
 // "moved" hints, MIGRATE payload pushes, directory commits, drain
-// probes) all ride the same service, so a
-// migration payload coalesces into the TCP transport's group-commit
-// batches exactly as parcels do.
+// probes) all ride the same service. A send is split-phase, like the
+// parcel it carries: the transport copies the frame and returns, and
+// delivery happens later — on TCP, one writer per lane carries whatever
+// built up in one write.
 //
 // Two implementations are provided: an in-process loopback fabric for
 // deterministic tests (NewFabric) and a TCP transport carrying
@@ -52,16 +53,22 @@ type Transport interface {
 	SetHelloHandler(h func(node int, payload []byte))
 	// Start begins receiving. Sends before Start may fail.
 	Start() error
-	// Send delivers frame to the given node. Delivery is asynchronous,
-	// ordered per node pair, and at-most-once: an error means the frame
-	// will NOT reach the peer's handler. Implementations must uphold this
-	// by dropping the connection mid-frame on a failed write rather than
-	// ever completing a frame after reporting failure — the runtime's
-	// quiescence accounting books a refused parcel as returned to its
-	// sender and would count it twice if the peer received it anyway.
+	// Send hands frame to the transport for delivery to the given node
+	// and returns without waiting for the wire; the transport copies the
+	// frame, so the caller may reuse its buffer at once. An error means
+	// the frame was not taken — the transport is closed, the node is
+	// bad, there is no address for it, or the frame is too large — and
+	// will NOT reach the peer's handler: the runtime's quiescence
+	// accounting books a refused parcel as returned to its sender and
+	// would count it twice if the peer received it anyway. A frame once
+	// taken arrives in order per node pair, at most once, and is dropped
+	// only if its peer is unreachable or the transport closes. Send never
+	// waits, so a receive handler may call it.
 	Send(node int, frame []byte) error
-	// Close releases the transport. In-flight frames may be dropped.
-	// Close is idempotent; after it returns no handler calls are made.
+	// Close releases the transport. A frame already taken may still be
+	// written on a connection that is up, within a bounded time; anything
+	// else in flight is dropped. Close is idempotent; after it returns no
+	// handler calls are made.
 	Close() error
 }
 
@@ -80,8 +87,10 @@ type LaneTransport interface {
 	// >= 1. Plain Send is equivalent to SendLane on lane 0.
 	Lanes() int
 	// SendLane delivers frame to node on the given lane, under the same
-	// at-most-once, error-means-non-delivery contract as Send. lane must
-	// be in [0, Lanes()).
+	// contract as Send: an error means the frame was not taken (a lane
+	// outside [0, Lanes()) is one more reason). Unlike Send it may wait
+	// for room when the lane holds a bounded backlog, so a receive
+	// handler must not call it.
 	SendLane(node, lane int, frame []byte) error
 }
 

@@ -234,9 +234,10 @@ func newTCPPair(t *testing.T, tune func(*TCPConfig)) ([]Transport, []*collector)
 	return nodes, cols
 }
 
-// checkBatchedFlood drives many concurrent senders at node 1 and verifies
-// every frame arrives intact and in per-sender order despite batching.
-func checkBatchedFlood(t *testing.T, nodes []Transport, cols []*collector) {
+// checkBatchedFlood drives many concurrent senders at node 1 through send
+// and verifies every frame arrives intact and in per-sender order. A frame
+// is "s<sender>.<seq>." followed by pad zero bytes.
+func checkBatchedFlood(t *testing.T, send func(frame []byte) error, cols []*collector, pad int) {
 	t.Helper()
 	const senders, perSender = 8, 200
 	var wg sync.WaitGroup
@@ -246,7 +247,8 @@ func checkBatchedFlood(t *testing.T, nodes []Transport, cols []*collector) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perSender; i++ {
-				if err := nodes[0].Send(1, []byte(fmt.Sprintf("s%d.%d", s, i))); err != nil {
+				frame := append([]byte(fmt.Sprintf("s%d.%d.", s, i)), make([]byte, pad)...)
+				if err := send(frame); err != nil {
 					t.Errorf("send s%d.%d: %v", s, i, err)
 					return
 				}
@@ -258,7 +260,7 @@ func checkBatchedFlood(t *testing.T, nodes []Transport, cols []*collector) {
 	next := make([]int, senders)
 	for _, f := range frames {
 		var s, i int
-		if _, err := fmt.Sscanf(f.data, "s%d.%d", &s, &i); err != nil || f.from != 0 {
+		if _, err := fmt.Sscanf(f.data, "s%d.%d.", &s, &i); err != nil || f.from != 0 || len(f.data) < pad {
 			t.Fatalf("corrupt frame %q from %d", f.data, f.from)
 		}
 		if i != next[s] {
@@ -269,31 +271,18 @@ func checkBatchedFlood(t *testing.T, nodes []Transport, cols []*collector) {
 }
 
 // TestTCPGroupCommitBatching floods one peer connection from many
-// goroutines with the default zero batch window: batching must come purely
-// from group commit, with no lost, torn, or reordered frames.
+// goroutines: the lane writer batches whatever they queue, with no lost,
+// torn, or reordered frames.
 func TestTCPGroupCommitBatching(t *testing.T) {
 	nodes, cols := newTCPPair(t, nil)
-	checkBatchedFlood(t, nodes, cols)
+	checkBatchedFlood(t, func(f []byte) error { return nodes[0].Send(1, f) }, cols, 0)
 	for _, n := range nodes {
 		n.Close()
 	}
 }
 
-// TestTCPBatchWindow does the same under a positive linger window, which
-// exercises the delayed-flush path and the BatchBytes early-out.
-func TestTCPBatchWindow(t *testing.T) {
-	nodes, cols := newTCPPair(t, func(c *TCPConfig) {
-		c.BatchWindow = 200 * time.Microsecond
-		c.BatchBytes = 4 << 10
-	})
-	checkBatchedFlood(t, nodes, cols)
-	for _, n := range nodes {
-		n.Close()
-	}
-}
-
-// TestTCPSendAfterCloseErrors pins the ErrClosed path with batching in
-// place.
+// TestTCPSendAfterCloseErrors pins the ErrClosed path: a closed transport
+// takes no frame.
 func TestTCPSendAfterCloseErrors(t *testing.T) {
 	nodes, _ := newTCPPair(t, nil)
 	if err := nodes[0].Send(1, []byte("pre")); err != nil {
@@ -308,7 +297,7 @@ func TestTCPSendAfterCloseErrors(t *testing.T) {
 
 func TestTCPHandshakeRejectsWrongRanges(t *testing.T) {
 	// Two nodes configured with conflicting locality partitions must not
-	// exchange frames.
+	// exchange frames. Send takes the frame; the lane cannot connect.
 	ta, err := NewTCP(TCPConfig{Self: 0, Listen: "127.0.0.1:0",
 		Ranges: [][2]int{{0, 2}, {2, 4}}, Peers: make([]string, 2),
 		DialAttempts: 2, DialBackoff: 5 * time.Millisecond})
@@ -335,8 +324,25 @@ func TestTCPHandshakeRejectsWrongRanges(t *testing.T) {
 	if err := tb.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if err := ta.Send(1, []byte("mismatched")); err == nil {
-		t.Fatal("send across mismatched partitions succeeded")
+	if err := ta.Send(1, []byte("mismatched")); err != nil {
+		t.Fatalf("send not taken: %v", err)
+	}
+	// The lane writer's dial fails the range check, so the peer is
+	// unreachable: the frame is dropped and counted, never delivered.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, _, dropped, _ := ta.BatchStats(); dropped == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("frame across mismatched partitions was not dropped")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cb.mu.Lock()
+	defer cb.mu.Unlock()
+	if len(cb.frames) != 0 {
+		t.Fatalf("%d frames delivered across mismatched partitions", len(cb.frames))
 	}
 }
 
@@ -407,114 +413,263 @@ func TestTCPRefusesOtherHandshakeVersions(t *testing.T) {
 	}
 }
 
-// TestTCPMaxPendingFlood floods a peer through a tiny pending-byte bound:
-// backpressure must throttle senders without losing, tearing, or
-// reordering frames.
-func TestTCPMaxPendingFlood(t *testing.T) {
-	nodes, cols := newTCPPair(t, func(c *TCPConfig) {
-		c.MaxPending = 256
-	})
-	checkBatchedFlood(t, nodes, cols)
-	if batches, _, _ := nodes[0].(*TCP).BatchStats(); batches == 0 {
-		t.Fatal("flood wrote no batches")
+// newStalledTCP builds node 0 of a two-node machine whose peer address
+// leads nowhere, for tests that install the lane connection themselves
+// (stallLane). Close runs at cleanup.
+func newStalledTCP(t *testing.T, tune func(*TCPConfig)) *TCP {
+	t.Helper()
+	cfg := TCPConfig{Self: 0, Listen: "127.0.0.1:0", Peers: make([]string, 2), DialAttempts: 1}
+	if tune != nil {
+		tune(&cfg)
 	}
-	for _, n := range nodes {
-		n.Close()
-	}
-}
-
-// TestTCPMaxPendingBackpressure pins the admission mechanics directly: a
-// sender that finds the pending buffer at the bound while a flush is
-// active blocks, is counted, and proceeds once a round frees space.
-func TestTCPMaxPendingBackpressure(t *testing.T) {
-	nodes, cols := newTCPPair(t, func(c *TCPConfig) {
-		c.MaxPending = 64
-	})
-	tt := nodes[0].(*TCP)
-	l := tt.peers[1].lanes[0]
-
-	// Simulate a flush in progress with the pending batch already at the
-	// bound.
-	l.mu.Lock()
-	l.flushing = true
-	l.pendBytes = 128
-	l.mu.Unlock()
-
-	done := make(chan error, 1)
-	go func() { done <- tt.Send(1, []byte("held")) }()
-	select {
-	case err := <-done:
-		t.Fatalf("send returned %v despite a full pending buffer", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-
-	// Free the batch the way a finished flush round would.
-	l.mu.Lock()
-	l.pendBytes = 0
-	l.flushing = false
-	l.room.Broadcast()
-	l.mu.Unlock()
-
-	if err := <-done; err != nil {
-		t.Fatalf("send after space freed: %v", err)
-	}
-	if got := cols[1].wait(t, 1); got[0].data != "held" {
-		t.Fatalf("got %q, want %q", got[0].data, "held")
-	}
-	if _, _, backpressured := tt.BatchStats(); backpressured != 1 {
-		t.Fatalf("backpressured = %d, want 1", backpressured)
-	}
-	for _, n := range nodes {
-		n.Close()
-	}
-}
-
-// TestTCPLeaderHandsOffBacklog verifies flush-leader fairness: a leader
-// whose write completes with new frames already buffered returns after its
-// own round and leaves the backlog to a drainer goroutine, so the leader
-// is never held captive flushing other senders' traffic.
-func TestTCPLeaderHandsOffBacklog(t *testing.T) {
-	tt, err := NewTCP(TCPConfig{Self: 0, Listen: "127.0.0.1:0", Peers: make([]string, 2)})
+	tt, err := NewTCP(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tt.SetPeers([]string{tt.Addr().String(), "127.0.0.1:9"})
-	defer tt.Close()
+	t.Cleanup(func() { tt.Close() })
+	return tt
+}
 
-	// Install a synchronous pipe as the established connection: a write
-	// stays in flight until this test reads it, which lets us park the
-	// leader's round deterministically while a follower queues behind it.
+// stallLane installs one end of a synchronous pipe as the connection of
+// tt's lane to node 1, before anything is sent on it: the lane writer's
+// writes block until the test reads the returned end, which nobody does
+// unless the test says so.
+func stallLane(t *testing.T, tt *TCP, lane int) (*tcpLane, net.Conn) {
+	t.Helper()
 	cli, srv := net.Pipe()
-	defer srv.Close()
-	l := tt.peers[1].lanes[0]
+	t.Cleanup(func() { srv.Close() })
+	l := tt.peers[1].lanes[lane]
 	l.mu.Lock()
 	l.conn = cli
-	l.connected = true
 	l.mu.Unlock()
+	return l, srv
+}
 
-	leaderDone := make(chan error, 1)
-	go func() { leaderDone <- tt.Send(1, []byte("lead")) }()
-	waitLane(t, l, func() bool { return l.flushing && l.batches == 1 })
+// fillLane sends a first frame on a stalled lane, waits until the writer
+// has taken it (its write now blocks on the pipe), then queues exactly
+// laneBound bytes of 1KB records behind it: the lane is at its bound.
+func fillLane(t *testing.T, tt *TCP, l *tcpLane, lane int) (filler []byte) {
+	t.Helper()
+	if err := tt.SendLane(1, lane, []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	waitLane(t, l, func() bool { return l.running && l.queued == 0 })
+	filler = bytes.Repeat([]byte{'f'}, 1020) // 1KB with its length header
+	for i := 0; i < laneBound/1024; i++ {
+		if err := tt.SendLane(1, lane, filler); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitLane(t, l, func() bool { return len(l.pending) == laneBound })
+	return filler
+}
 
-	followerDone := make(chan error, 1)
-	go func() { followerDone <- tt.Send(1, []byte("tail")) }()
-	waitLane(t, l, func() bool { return l.pendBytes > 0 })
+// TestTCPSendReturnsWhileWriteStalled: Send copies the frame and returns
+// while the lane's write is stuck in the kernel, so the caller may
+// overwrite its buffer at once; the peer still receives the original.
+func TestTCPSendReturnsWhileWriteStalled(t *testing.T) {
+	tt := newStalledTCP(t, nil)
+	l, srv := stallLane(t, tt, 0)
+	if err := tt.Send(1, []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	waitLane(t, l, func() bool { return l.queued == 0 })
+	buf := []byte("original")
+	done := make(chan error, 1)
+	go func() { done <- tt.Send(1, buf) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Send waited on a stalled write")
+	}
+	copy(buf, "scribble")
+	readFrame(t, srv, "first")
+	readFrame(t, srv, "original")
+}
 
-	// Drain the leader's round; its Send must return even though the
-	// follower's frame is still pending.
-	readFrame(t, srv, "lead")
-	if err := <-leaderDone; err != nil {
-		t.Fatalf("leader send: %v", err)
+// TestTCPLaneBoundBackpressure: a lane holding laneBound unwritten bytes
+// makes SendLane wait, counted once, while Send still returns; the waiter
+// proceeds once the writer takes the backlog, and every frame arrives in
+// order.
+func TestTCPLaneBoundBackpressure(t *testing.T) {
+	tt := newStalledTCP(t, nil)
+	l, srv := stallLane(t, tt, 0)
+	filler := fillLane(t, tt, l, 0)
+
+	held := make(chan error, 1)
+	go func() { held <- tt.SendLane(1, 0, []byte("held")) }()
+	waitLane(t, l, func() bool { return l.backpressured == 1 })
+	sent := make(chan error, 1)
+	go func() { sent <- tt.Send(1, []byte("control")) }()
+	select {
+	case err := <-sent:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Send waited at the lane bound")
+	}
+	select {
+	case err := <-held:
+		t.Fatalf("SendLane returned %v at the lane bound", err)
+	default:
 	}
 
-	// The detached drainer flushes the backlog.
-	readFrame(t, srv, "tail")
-	if err := <-followerDone; err != nil {
-		t.Fatalf("follower send: %v", err)
+	readFrame(t, srv, "first")
+	for i := 0; i < laneBound/1024; i++ {
+		readFrame(t, srv, string(filler))
 	}
-	batches, handoffs, _ := tt.BatchStats()
-	if batches != 2 || handoffs != 1 {
-		t.Fatalf("batches=%d handoffs=%d, want 2 and 1", batches, handoffs)
+	readFrame(t, srv, "control")
+	if err := <-held; err != nil {
+		t.Fatalf("send after the backlog was taken: %v", err)
+	}
+	readFrame(t, srv, "held")
+	if _, _, _, backpressured := tt.BatchStats(); backpressured != 1 {
+		t.Fatalf("backpressured = %d, want 1", backpressured)
+	}
+}
+
+// TestTCPLaneBoundFlood floods a peer whose handler is slow to start, so
+// the lane reaches its bound: SendLane must wait without losing, tearing,
+// or reordering frames.
+func TestTCPLaneBoundFlood(t *testing.T) {
+	nodes, cols := newTCPPair(t, nil)
+	tt := nodes[0].(*TCP)
+	slow := cols[1].handle
+	var once sync.Once
+	peer := nodes[1].(*TCP)
+	peer.mu.Lock()
+	peer.handler = func(from int, frame []byte) {
+		once.Do(func() { time.Sleep(100 * time.Millisecond) })
+		slow(from, frame)
+	}
+	peer.mu.Unlock()
+	checkBatchedFlood(t, func(f []byte) error { return tt.SendLane(1, 0, f) }, cols, 4<<10)
+	if writes, _, _, backpressured := tt.BatchStats(); writes == 0 || backpressured == 0 {
+		t.Fatalf("writes=%d backpressured=%d, want both nonzero", writes, backpressured)
+	}
+	for _, n := range nodes {
+		n.Close()
+	}
+}
+
+// TestTCPCloseFlushesTakenFrames: frames a lane has taken are still
+// written by Close when the lane's connection is up.
+func TestTCPCloseFlushesTakenFrames(t *testing.T) {
+	nodes, cols := newTCPPair(t, nil)
+	defer nodes[1].Close()
+	if err := nodes[0].Send(1, []byte("warm")); err != nil {
+		t.Fatal(err)
+	}
+	cols[1].wait(t, 1) // the lane is connected
+	for i := 0; i < 100; i++ {
+		if err := nodes[0].Send(1, []byte(fmt.Sprintf("f%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nodes[0].Close()
+	for i, f := range cols[1].wait(t, 101)[1:] {
+		if f.data != fmt.Sprintf("f%d", i) {
+			t.Fatalf("frame %d reads %q", i, f.data)
+		}
+	}
+}
+
+// TestTCPCloseBoundedByStalledPeer: a peer that never reads cannot hold
+// Close past its flush deadline; the frame it never took is dropped.
+func TestTCPCloseBoundedByStalledPeer(t *testing.T) {
+	tt := newStalledTCP(t, nil)
+	l, _ := stallLane(t, tt, 0)
+	if err := tt.Send(1, []byte("stuck")); err != nil {
+		t.Fatal(err)
+	}
+	waitLane(t, l, func() bool { return l.queued == 0 })
+	start := time.Now()
+	tt.Close()
+	if took := time.Since(start); took > closeFlushTimeout+2*time.Second {
+		t.Fatalf("Close took %v with a stalled peer, deadline %v", took, closeFlushTimeout)
+	}
+	if _, _, dropped, _ := tt.BatchStats(); dropped != 1 {
+		t.Fatalf("dropped = %d, want 1", dropped)
+	}
+}
+
+// TestTCPRedialMidFlood cuts a lane's connection in the middle of a
+// multi-sender flood. The writer redials and resends from the first frame
+// the kernel did not wholly take: every sender's frames arrive strictly
+// in order, none twice, and each sender's last frame, sent only after the
+// cut, arrives.
+func TestTCPRedialMidFlood(t *testing.T) {
+	nodes, cols := newTCPPair(t, nil)
+	defer nodes[1].Close()
+	defer nodes[0].Close()
+	tt := nodes[0].(*TCP)
+	l := tt.peers[1].lanes[0]
+	const senders, perSender = 4, 2000
+	cut := make(chan struct{})
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < perSender; i++ {
+				if i == perSender-1 {
+					<-cut
+				}
+				frame := append([]byte(fmt.Sprintf("s%d.%d.", s, i)), make([]byte, 200)...)
+				if err := tt.SendLane(1, 0, frame); err != nil {
+					t.Errorf("send s%d.%d: %v", s, i, err)
+					return
+				}
+			}
+		}(s)
+	}
+	cols[1].wait(t, senders*perSender/4)
+	l.mu.Lock()
+	if l.conn != nil {
+		l.conn.Close()
+	}
+	l.mu.Unlock()
+	close(cut)
+	wg.Wait()
+
+	last := make([]int, senders)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		cols[1].mu.Lock()
+		frames := append(cols[1].frames[:0:0], cols[1].frames...)
+		cols[1].mu.Unlock()
+		for s := range last {
+			last[s] = -1
+		}
+		for _, f := range frames {
+			var s, i int
+			if _, err := fmt.Sscanf(f.data, "s%d.%d.", &s, &i); err != nil {
+				t.Fatalf("corrupt frame %q", f.data[:16])
+			}
+			if i <= last[s] {
+				t.Fatalf("sender %d: frame %d arrived after frame %d", s, i, last[s])
+			}
+			last[s] = i
+		}
+		done := true
+		for _, i := range last {
+			done = done && i == perSender-1
+		}
+		if done {
+			if dials := tt.SameHostConns(); dials < 2 {
+				t.Fatalf("the lane dialed %d times, want a redial", dials)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("last frames seen %v, want %d each", last, perSender-1)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -88,8 +88,9 @@ type (
 
 	// Transport moves parcels between the nodes of a multi-process machine.
 	Transport = transport.Transport
-	// TCPTransport is the frame transport over real TCP streams, with
-	// group-commit parcel batching on the wire.
+	// TCPTransport is the frame transport over real TCP streams: senders
+	// enqueue, and one writer per lane batches whatever built up into
+	// each write.
 	TCPTransport = transport.TCP
 	// TCPTransportConfig parameterizes one node's TCP transport.
 	TCPTransportConfig = transport.TCPConfig
