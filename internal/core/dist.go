@@ -58,7 +58,7 @@ type distState struct {
 	// timed out can never resolve a later exchange for the same object.
 	rpcMu  sync.Mutex
 	rpcSeq uint64
-	rpc    map[uint64]chan rpcReply
+	rpc    map[uint64]rpcWait
 
 	// laneTr is non-nil when the transport shards peer pairs across
 	// several connections (transport.LaneTransport); lanes caches its lane
@@ -71,10 +71,18 @@ type distState struct {
 	halt     chan struct{}
 }
 
-// rpcReply is the outcome of one migration frame exchange.
+// rpcWait is one outstanding migration exchange: the node it waits on
+// and where its verdict goes.
+type rpcWait struct {
+	node int
+	ch   chan rpcReply
+}
+
+// rpcReply is the outcome of one migration frame exchange; lost means the
+// peer was declared dead first.
 type rpcReply struct {
-	ok  bool
-	msg string
+	ok, lost bool
+	msg      string
 }
 
 type drainReply struct {
@@ -94,7 +102,7 @@ func newDistState(r *Runtime, tr transport.Transport, node int, lmap *agas.Local
 		home:     hr.Lo,
 		drains:   make(map[uint64]chan drainReply),
 		departed: make(map[int]drainReply),
-		rpc:      make(map[uint64]chan rpcReply),
+		rpc:      make(map[uint64]rpcWait),
 		halt:     make(chan struct{}),
 	}
 	d.lanes = 1
@@ -395,18 +403,27 @@ var errMigrateUnacked = errors.New("migration unconfirmed by peer")
 func (d *distState) rpcCall(node int, xid uint64, g agas.GID, frame []byte) (delivered bool, err error) {
 	ch := make(chan rpcReply, 1)
 	d.rpcMu.Lock()
-	d.rpc[xid] = ch
+	d.rpc[xid] = rpcWait{node, ch}
 	d.rpcMu.Unlock()
 	defer func() {
 		d.rpcMu.Lock()
 		delete(d.rpc, xid)
 		d.rpcMu.Unlock()
 	}()
+	// Registered first, checked second: a death declared in between finds
+	// the exchange (failRPCs), one declared before is seen here.
+	if d.peerDead(node) {
+		return false, fmt.Errorf("core: migration to node %d: %w", node, agas.ErrNodeLost)
+	}
 	if err := d.send(node, frame); err != nil {
 		return false, fmt.Errorf("core: migration frame to node %d: %w", node, err)
 	}
 	select {
 	case rep := <-ch:
+		if rep.lost {
+			// Dead is final: whatever it applied is gone with it.
+			return false, fmt.Errorf("core: migration to node %d: %w", node, agas.ErrNodeLost)
+		}
 		if !rep.ok {
 			// The peer rejected the frame and provably did not apply it.
 			return false, fmt.Errorf("core: node %d rejected migration of %v: %s", node, g, rep.msg)
@@ -489,12 +506,28 @@ func (d *distState) onDirUpdate(from int, m frameMsg) {
 // onRPCReply resolves the waiter for a migration exchange verdict.
 func (d *distState) onRPCReply(m frameMsg) {
 	d.rpcMu.Lock()
-	ch, ok := d.rpc[m.id]
+	w, ok := d.rpc[m.id]
 	d.rpcMu.Unlock()
 	if ok {
 		select {
-		case ch <- rpcReply{ok: m.ok, msg: m.text}:
+		case w.ch <- rpcReply{ok: m.ok, msg: m.text}:
 		default: // a duplicate reply
+		}
+	}
+}
+
+// failRPCs ends every migration exchange waiting on node n, just declared
+// dead, so its caller rolls back at once instead of waiting out
+// migrateRPCTimeout.
+func (d *distState) failRPCs(n int) {
+	d.rpcMu.Lock()
+	defer d.rpcMu.Unlock()
+	for _, w := range d.rpc {
+		if w.node == n {
+			select {
+			case w.ch <- rpcReply{lost: true}:
+			default: // its verdict already arrived
+			}
 		}
 	}
 }

@@ -7,9 +7,13 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"io"
+	"net"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/agas"
 	"repro/internal/lco"
@@ -306,4 +310,144 @@ func TestLedgerRefusedSendKeepsTotalsMonotone(t *testing.T) {
 	}
 	m.wires[0].release(t, nil)
 	m.stop(t)
+}
+
+// cutLink relays TCP connections from its own address to target until cut;
+// then it closes every relayed connection and refuses new ones: a link
+// between two live nodes that breaks and stays broken.
+type cutLink struct {
+	ln     net.Listener
+	target string
+	mu     sync.Mutex
+	conns  []net.Conn
+	isCut  bool
+}
+
+func newCutLink(t *testing.T, target string) *cutLink {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &cutLink{ln: ln, target: target}
+	go c.serve()
+	return c
+}
+
+func (c *cutLink) serve() {
+	for {
+		in, err := c.ln.Accept()
+		if err != nil {
+			return
+		}
+		out, err := net.Dial("tcp", c.target)
+		if err != nil {
+			in.Close()
+			continue
+		}
+		c.mu.Lock()
+		if c.isCut {
+			in.Close()
+			out.Close()
+		}
+		c.conns = append(c.conns, in, out)
+		c.mu.Unlock()
+		go io.Copy(out, in)
+		go io.Copy(in, out)
+	}
+}
+
+func (c *cutLink) cut() {
+	c.ln.Close()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.isCut = true
+	for _, conn := range c.conns {
+		conn.Close()
+	}
+}
+
+// TestLedgerUnreachablePeerGetsVerdict: when the link from node 0 to a
+// live node 1 breaks and the redial is refused, node 0's lane drops what
+// it holds and reports node 1 unreachable. The death verdict that follows
+// settles everything that waited on the lost frames: the call fails with
+// the node-lost error, a migration to node 1 rolls back well inside its
+// confirmation timeout, and Wait returns.
+func TestLedgerUnreachablePeerGetsVerdict(t *testing.T) {
+	var tcps [2]*transport.TCP
+	addrs := make([]string, 2)
+	for i := range tcps {
+		tr, err := transport.NewTCP(transport.TCPConfig{
+			Self: i, Listen: "127.0.0.1:0", Peers: make([]string, 2), DisableSameHost: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tcps[i], addrs[i] = tr, tr.Addr().String()
+	}
+	link := newCutLink(t, addrs[1])
+	tcps[0].SetPeers([]string{addrs[0], link.ln.Addr().String()})
+	tcps[1].SetPeers(addrs)
+	var rts [2]*Runtime
+	for i := range rts {
+		rts[i] = New(Config{
+			Transport:          tcps[i],
+			NodeID:             i,
+			NodeLocalities:     internRanges,
+			WorkersPerLocality: 2,
+			Membership:         MembershipConfig{HeartbeatInterval: 10 * time.Millisecond, DeadAfter: 250 * time.Millisecond},
+			Register: func(rt *Runtime) {
+				rt.MustRegisterAction("intern.echo", func(_ *Context, target any, _ *parcel.Reader) (any, error) {
+					return target, nil
+				})
+			},
+		})
+	}
+	obj := rts[1].NewDataAt(2, int64(42))
+	if v, err := rts[0].CallFrom(0, obj, "intern.echo", nil).Get(); err != nil || v.(int64) != 42 {
+		t.Fatalf("call over the live link: %v, %v; want 42", v, err)
+	}
+	mine := rts[0].NewDataAt(0, int64(7))
+
+	link.cut()
+	called := make(chan error, 1)
+	fut := rts[0].CallFrom(0, obj, "intern.echo", nil)
+	go func() {
+		_, err := fut.Get()
+		called <- err
+	}()
+	migrated := make(chan error, 1)
+	go func() { migrated <- rts[0].Migrate(mine, 2) }()
+	for _, op := range []struct {
+		what string
+		done chan error
+	}{{"call", called}, {"migration", migrated}} {
+		select {
+		case err := <-op.done:
+			if !IsNodeLost(err) {
+				t.Fatalf("%s across the broken link: %v, want the node-lost verdict", op.what, err)
+			}
+		case <-time.After(migrateRPCTimeout / 2):
+			t.Fatalf("%s across the broken link is still waiting", op.what)
+		}
+	}
+	if v, err := rts[0].CallFrom(0, mine, "intern.echo", nil).Get(); err != nil || v.(int64) != 7 {
+		t.Fatalf("the object whose migration failed: %v, %v; want it back home answering 7", v, err)
+	}
+	waited := make(chan struct{})
+	go func() {
+		rts[0].Wait()
+		close(waited)
+	}()
+	select {
+	case <-waited:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Wait still blocked after the verdict")
+	}
+	if errs := fmt.Sprint(rts[0].Errors()); !strings.Contains(errs, "node 1 declared dead (unreachable") {
+		t.Fatalf("node 0 recorded %s, want node 1 declared dead as unreachable", errs)
+	}
+	for _, rt := range rts {
+		rt.Shutdown()
+	}
 }

@@ -71,7 +71,10 @@ type peerState struct {
 	returned atomic.Int64 // sends to this peer the transport refused: never to be received there
 	dead     atomic.Bool  // declared dead; the first to flip it runs the cleanup
 	departed atomic.Bool  // peer said goodbye: clean shutdown, not a death
-	det      atomic.Pointer[transport.PhiDetector]
+	// unreachable is the wall-clock nanosecond a transport lane first
+	// dropped frames taken for this peer (0: never); see onUnreachable.
+	unreachable atomic.Int64
+	det         atomic.Pointer[transport.PhiDetector]
 	// table is the action table the peer announced in its hello: what its
 	// fParcelI frames decode against. Nil until the hello arrives; the last
 	// hello wins.
@@ -230,6 +233,13 @@ func (m *memberState) check(now time.Time) {
 		if ps == nil || ps.dead.Load() || ps.departed.Load() {
 			continue
 		}
+		// Frames a lane dropped are lost for good, so the machine cannot
+		// balance until their peer is dead. The verdict waits DeadAfter,
+		// so a peer that was leaving has its goodbye heard first.
+		if at := ps.unreachable.Load(); at != 0 && now.Sub(time.Unix(0, at)) >= m.cfg.DeadAfter {
+			m.declareDead(n, "unreachable: a lane dropped frames for it")
+			continue
+		}
 		det := ps.det.Load()
 		if det == nil || det.Samples() < 2 {
 			continue
@@ -254,8 +264,8 @@ func (m *memberState) check(now time.Time) {
 // declareDead transitions peer n to dead — which takes its lane out of the
 // quiescence sums, so a Mattern Wait in progress unblocks — and runs the
 // cleanup fan-out: re-home its localities in the membership map (firing
-// adoption and shard-reinstall subscribers), fail every reply slot waiting
-// on state homed there, and gossip the death so the verdict is
+// adoption and shard-reinstall subscribers), fail every reply slot and
+// migration exchange waiting on it, and gossip the death so the verdict is
 // authoritative machine-wide. Only the first transition does any of this;
 // a death heard twice is a no-op, which bounds the gossip epidemic.
 func (m *memberState) declareDead(n int, why string) {
@@ -282,6 +292,7 @@ func (m *memberState) declareDead(n int, why string) {
 		m.rehomes.Add(uint64(len(ev.Moved)))
 	}
 	d.rt.failLostWaiters(n)
+	d.failRPCs(n)
 	d.rt.recordError(fmt.Errorf("core: node %d declared dead (%s): %w", n, why, agas.ErrNodeLost))
 
 	// Shoot-the-other-node gossip: the death verdict propagates to every
@@ -315,6 +326,7 @@ func (m *memberState) excommunicate() {
 			continue
 		}
 		d.rt.failLostWaiters(n)
+		d.failRPCs(n)
 	}
 	d.rt.recordError(fmt.Errorf("core: this node was declared dead by the machine: %w", agas.ErrNodeLost))
 }
@@ -328,6 +340,16 @@ func (d *distState) onBeat(from int) {
 	ps.detector().Heartbeat(time.Now())
 	if d.mb != nil {
 		d.mb.beatsRecv.Add(1)
+	}
+}
+
+// onUnreachable is the transport's report that a lane dropped frames
+// taken for node n because n could not be reached. It only stamps the
+// peer; the membership check turns the stamp into a death verdict, which
+// releases the dropped frames from the ledger (see memberState.check).
+func (d *distState) onUnreachable(n int) {
+	if ps := d.ensurePeer(n); ps != nil {
+		ps.unreachable.CompareAndSwap(0, time.Now().UnixNano())
 	}
 }
 

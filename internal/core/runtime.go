@@ -295,6 +295,11 @@ func New(cfg Config) *Runtime {
 				}
 			}
 			r.dist.mb = newMemberState(r.dist, cfg.Membership, addr)
+			// A frame a lane drops is settled by the death verdict it
+			// leads to.
+			if lt, ok := cfg.Transport.(transport.LossTransport); ok {
+				lt.SetUnreachableHandler(r.dist.onUnreachable)
+			}
 		}
 		// The runtime's own subscriber runs before any application one
 		// (registration order), so adoption precedes workload rehoming.

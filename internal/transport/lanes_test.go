@@ -278,6 +278,34 @@ func TestTCPJumboFrameCopyPath(t *testing.T) {
 	}
 }
 
+// TestTCPJumboFrameThenFlood sends a frame too large for the lane to keep
+// its buffer, then floods the lane from many senders: the writer must not
+// hand the buffer it is writing back to the senders, so every later frame
+// still arrives intact and in order.
+func TestTCPJumboFrameThenFlood(t *testing.T) {
+	nodes, cols := newTCPPair(t, nil)
+	defer nodes[0].Close()
+	defer nodes[1].Close()
+	// A large first frame leaves the lane a spare buffer that holds much
+	// of the flood without growing, so a writer that handed it out twice
+	// would have senders append over the bytes it is writing.
+	if err := nodes[0].Send(1, make([]byte, 512<<10)); err != nil {
+		t.Fatal(err)
+	}
+	cols[1].wait(t, 1)
+	jumbo := bytes.Repeat([]byte{'j'}, 2<<20)
+	if err := nodes[0].Send(1, jumbo); err != nil {
+		t.Fatal(err)
+	}
+	if got := cols[1].wait(t, 2); got[1].data != string(jumbo) {
+		t.Fatal("jumbo frame corrupted in flight")
+	}
+	cols[1].mu.Lock()
+	cols[1].frames = nil
+	cols[1].mu.Unlock()
+	checkBatchedFlood(t, func(f []byte) error { return nodes[0].Send(1, f) }, cols, 1<<10)
+}
+
 // TestTCPSameHostFabric verifies the Unix-domain fast path engages
 // automatically for loopback peers: a pair on 127.0.0.1 must carry its
 // frames over the advertised socket (SameHostConns > 0), and a pair with

@@ -17,6 +17,7 @@ package transport
 // the whole mechanism off (CI exercises both modes).
 
 import (
+	"context"
 	"net"
 	"os"
 	"path/filepath"
@@ -76,7 +77,7 @@ func listenSameHost(bound net.Addr) (net.Listener, error) {
 // dialSameHost probes the same-host fabric for a peer dial address:
 // loopback target, advertised socket present, connection accepted. The
 // bool reports whether the fabric applied; false means dial TCP.
-func dialSameHost(addr string, timeout time.Duration) (net.Conn, bool) {
+func dialSameHost(ctx context.Context, d *net.Dialer, addr string) (net.Conn, bool) {
 	if !isLoopbackAddr(addr) {
 		return nil, false
 	}
@@ -87,7 +88,7 @@ func dialSameHost(addr string, timeout time.Duration) (net.Conn, bool) {
 	if _, err := os.Stat(path); err != nil {
 		return nil, false
 	}
-	conn, err := net.DialTimeout("unix", path, timeout)
+	conn, err := d.DialContext(ctx, "unix", path)
 	if err != nil {
 		return nil, false
 	}

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -129,13 +130,17 @@ type TCP struct {
 	selfRange [2]int
 	hasRange  bool
 
-	mu      sync.Mutex
-	handler Handler
-	hello   []byte
-	onHello func(node int, payload []byte)
-	started bool
-	closed  bool
-	quit    chan struct{} // closed by Close: cuts a writer's dial backoff short
+	mu            sync.Mutex
+	handler       Handler
+	hello         []byte
+	onHello       func(node int, payload []byte)
+	onUnreachable func(node int)
+	started       bool
+	closed        bool
+	// quit is cancelled by Close: it aborts a writer's dial, handshake
+	// and backoff at once.
+	quit    context.Context
+	cancel  context.CancelFunc
 	inbound map[net.Conn]struct{}
 	streams map[[2]int]inStream // the latest reader of each (node, lane)
 
@@ -195,8 +200,9 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", cfg.Listen, err)
 	}
-	t := &TCP{cfg: cfg, ln: ln, quit: make(chan struct{}),
+	t := &TCP{cfg: cfg, ln: ln,
 		inbound: make(map[net.Conn]struct{}), streams: make(map[[2]int]inStream)}
+	t.quit, t.cancel = context.WithCancel(context.Background())
 	if !cfg.DisableSameHost {
 		// Best effort: a host where the socket path cannot be bound (odd
 		// TempDir permissions, path collisions) simply stays TCP-only.
@@ -335,6 +341,15 @@ func (t *TCP) SetHelloHandler(h func(node int, payload []byte)) {
 		panic("transport: SetHelloHandler after Start")
 	}
 	t.onHello = h
+}
+
+// SetUnreachableHandler installs the receiver told that a lane dropped
+// frames because node could not be reached (LossTransport). It runs on the
+// lane's writer goroutine and must not block.
+func (t *TCP) SetUnreachableHandler(h func(node int)) {
+	t.mu.Lock()
+	t.onUnreachable = h
+	t.mu.Unlock()
 }
 
 // deliverHello hands a peer's handshake payload to the hello handler.
@@ -686,9 +701,10 @@ func (t *TCP) peerAddr(node int) string {
 // failed write closes the connection mid-frame, so the peer discards the
 // torn frame, redials, and resends from the first frame the kernel did not
 // wholly take. When the dial fails the peer is unreachable: the lane drops
-// what it holds and counts it (the runtime's death verdict settles those
-// frames). Once Close marks the lane closing, the writer writes what it
-// holds on a connection already up, never dials, and exits.
+// what it holds, counts it, and reports the peer to the unreachable
+// handler, whose death verdict settles those frames. Once Close marks the
+// lane closing, the writer writes what it holds on a connection already
+// up, never dials, and exits.
 func (t *TCP) writeLane(l *tcpLane, node, lane int) {
 	defer t.wg.Done()
 	var spare []byte
@@ -730,7 +746,8 @@ func (t *TCP) writeLane(l *tcpLane, node, lane int) {
 		l.mu.Lock()
 		l.writes += writes
 		l.frames += uint64(sent)
-		if lost := queued - sent; lost > 0 {
+		lost := queued - sent
+		if lost > 0 {
 			// Unreachable, or closing without a connection: drop the rest
 			// of the round and everything queued behind it.
 			l.dropped += uint64(lost + l.queued)
@@ -738,8 +755,19 @@ func (t *TCP) writeLane(l *tcpLane, node, lane int) {
 			l.room.Broadcast()
 		}
 		l.mu.Unlock()
+		if lost > 0 && t.quit.Err() == nil {
+			t.mu.Lock()
+			report := t.onUnreachable
+			t.mu.Unlock()
+			if report != nil {
+				report(node)
+			}
+		}
+		// The next round appends to spare, so it must not be the buffer
+		// now pending: a jumbo frame's buffer is let go, not kept.
+		spare = nil
 		if cap(buf) <= 4*laneBound {
-			spare = buf // a jumbo frame's buffer is not kept
+			spare = buf
 		}
 	}
 	if conn != nil {
@@ -751,10 +779,8 @@ func (t *TCP) writeLane(l *tcpLane, node, lane int) {
 // connection where Close can bound its last write. nil means the lane has
 // no connection: the peer is unreachable or the transport is closing.
 func (t *TCP) connect(l *tcpLane, node, lane int, reconnect bool) net.Conn {
-	select {
-	case <-t.quit:
+	if t.quit.Err() != nil {
 		return nil
-	default:
 	}
 	conn, err := t.dial(node, lane, reconnect)
 	if err != nil {
@@ -842,7 +868,7 @@ func (t *TCP) dial(node, lane int, reconnect bool) (net.Conn, error) {
 		}
 		lastErr = err
 		select {
-		case <-t.quit:
+		case <-t.quit.Done():
 			return nil, ErrClosed
 		case <-time.After(backoff):
 		}
@@ -854,23 +880,26 @@ func (t *TCP) dial(node, lane int, reconnect bool) (net.Conn, error) {
 }
 
 // dialOnce makes one connection attempt, preferring the same-host fabric
-// when it applies.
+// when it applies. Close aborts it.
 func (t *TCP) dialOnce(addr string) (net.Conn, error) {
+	d := net.Dialer{Timeout: t.cfg.HandshakeTimeout}
 	if !t.cfg.DisableSameHost {
-		if conn, ok := dialSameHost(addr, t.cfg.HandshakeTimeout); ok {
+		if conn, ok := dialSameHost(t.quit, &d, addr); ok {
 			t.shmConns.Add(1)
 			return conn, nil
 		}
 	}
-	return net.DialTimeout("tcp", addr, t.cfg.HandshakeTimeout)
+	return d.DialContext(t.quit, "tcp", addr)
 }
 
 // completeDial runs the client half of the handshake and verifies the
 // answering node is the one we meant to reach. The peer's hello payload
 // (read from its handshake response) is delivered, on the lane's writer,
 // before the dial is declared complete, so the node holds the peer's
-// announcement before its first frame on the new connection leaves.
+// announcement before its first frame on the new connection leaves. Close
+// aborts the exchange by closing the connection.
 func (t *TCP) completeDial(conn net.Conn, node, lane int) error {
+	defer context.AfterFunc(t.quit, func() { conn.Close() })()
 	conn.SetDeadline(time.Now().Add(t.cfg.HandshakeTimeout))
 	defer conn.SetDeadline(time.Time{})
 	if _, err := conn.Write(t.handshakeBytes(lane)); err != nil {
@@ -887,10 +916,11 @@ func (t *TCP) completeDial(conn net.Conn, node, lane int) error {
 	return nil
 }
 
-// Close shuts the listeners and inbound connections, lets every lane
-// writer push the frames it already holds onto a connection already up
-// (within closeFlushTimeout; a lane without one drops them), and waits for
-// the accept, read and write goroutines to finish.
+// Close shuts the listeners and inbound connections, aborts every dial in
+// progress, lets every lane writer push the frames it already holds onto a
+// connection already up (within closeFlushTimeout; a lane without one
+// drops them), and waits for the accept, read and write goroutines to
+// finish.
 func (t *TCP) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -899,7 +929,7 @@ func (t *TCP) Close() error {
 		return nil
 	}
 	t.closed = true
-	close(t.quit)
+	t.cancel()
 	for c := range t.inbound {
 		c.Close()
 	}

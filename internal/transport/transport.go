@@ -108,6 +108,19 @@ type MemberTransport interface {
 	AddPeer(node int, addr string, lo, hi int) error
 }
 
+// LossTransport is optionally implemented by transports that can drop a
+// frame they have taken, because its peer could not be reached. The
+// runtime turns the report into a death verdict for that peer, which
+// releases the dropped frames from its quiescence accounting and fails
+// the calls and migrations waiting on the peer.
+type LossTransport interface {
+	Transport
+	// SetUnreachableHandler installs the receiver told that frames taken
+	// for node were dropped because node could not be reached. It runs on
+	// a transport goroutine and must not block.
+	SetUnreachableHandler(h func(node int))
+}
+
 // MaxJoinNodes bounds the node ID a joining peer may announce — a sanity
 // cap so a corrupt handshake cannot force a giant peer-table allocation.
 const MaxJoinNodes = 4096

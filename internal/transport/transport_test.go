@@ -598,6 +598,75 @@ func TestTCPCloseBoundedByStalledPeer(t *testing.T) {
 	}
 }
 
+// TestTCPUnreachableReported: a lane that cannot reach its peer drops the
+// frames it took and names the peer to the unreachable handler; frames
+// dropped because the transport closed are not reported.
+func TestTCPUnreachableReported(t *testing.T) {
+	tt := newStalledTCP(t, nil)
+	reported := make(chan int, 4)
+	tt.SetUnreachableHandler(func(node int) { reported <- node })
+	if err := tt.Send(1, []byte("lost")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case node := <-reported:
+		if node != 1 {
+			t.Fatalf("reported node %d unreachable, want 1", node)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the dropped frame was never reported")
+	}
+	if _, _, dropped, _ := tt.BatchStats(); dropped != 1 {
+		t.Fatalf("dropped = %d, want 1", dropped)
+	}
+
+	l, _ := stallLane(t, tt, 0)
+	if err := tt.Send(1, []byte("stuck")); err != nil {
+		t.Fatal(err)
+	}
+	waitLane(t, l, func() bool { return l.queued == 0 })
+	tt.Close()
+	if len(reported) != 0 {
+		t.Fatal("a frame dropped by Close was reported as unreachable")
+	}
+}
+
+// TestTCPCloseAbortsDial: a peer that accepts the connection but never
+// answers the handshake cannot hold Close for the handshake timeout.
+func TestTCPCloseAbortsDial(t *testing.T) {
+	mute, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mute.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if c, err := mute.Accept(); err == nil {
+			accepted <- c
+		}
+	}()
+	tt, err := NewTCP(TCPConfig{Self: 0, Listen: "127.0.0.1:0", Peers: make([]string, 2),
+		DisableSameHost: true, HandshakeTimeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tt.SetPeers([]string{tt.Addr().String(), mute.Addr().String()})
+	if err := tt.Send(1, []byte("never")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case c := <-accepted:
+		defer c.Close()
+	case <-time.After(5 * time.Second):
+		t.Fatal("the lane never dialed")
+	}
+	start := time.Now()
+	tt.Close()
+	if took := time.Since(start); took > closeFlushTimeout+2*time.Second {
+		t.Fatalf("Close took %v with a handshake in progress", took)
+	}
+}
+
 // TestTCPRedialMidFlood cuts a lane's connection in the middle of a
 // multi-sender flood. The writer redials and resends from the first frame
 // the kernel did not wholly take: every sender's frames arrive strictly
