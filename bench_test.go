@@ -93,13 +93,6 @@ func BenchmarkTCPRing3(b *testing.B) {
 	schedbench.TCPRing3(b)
 }
 
-// BenchmarkWireWritevBatch floods large frames through the transport's
-// defaults over the same-host fabric (each lane writer carries everything
-// queued in one write). CI holds it within 25% of BENCH_baseline.json.
-func BenchmarkWireWritevBatch(b *testing.B) {
-	schedbench.WireWritevBatch(b)
-}
-
 // BenchmarkWireShardedFanout runs the flood across four lanes per peer —
 // the sharded-connection configuration the runtime drives with
 // destination-GID affinity hashing.

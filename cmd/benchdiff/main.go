@@ -11,7 +11,7 @@
 //	    -baseline BENCH_baseline.json -threshold 0.25 \
 //	    -speedup base=SchedPostDispatchMutex,opt=SchedPostDispatchDeques,min=2 \
 //	    -allocdrop SchedParcelFlood=0.5,SchedParcelPingPong=0.5 \
-//	    -require WireWritevBatch,WireShardedFanout,WireSameHost
+//	    -require WireShardedFanout,WireSameHost
 //
 // -speedup is repeatable; each instance is an independent in-run gate.
 // -require fails the run when a named benchmark is absent from it (or

@@ -32,44 +32,25 @@ var fastMembership = parallex.MembershipConfig{
 	DeadAfter:         250 * time.Millisecond,
 }
 
-// startMemberMachine builds a three-node TCP machine with membership on
-// fast knobs; per-node fault configs arm crashes and partitions. The
-// returned addresses let later nodes join the machine.
-func startMemberMachine(t testing.TB, faults [3]parallex.Faults, register func(*parallex.Runtime)) ([]*parallex.Runtime, []string) {
+// startMemberMachine builds a three-node TCP machine (startObsMachine)
+// with membership on fast knobs. Node 2's endpoint sits behind the
+// returned fault injector, which arm, when set, arms before the machine
+// starts. The returned addresses let later nodes join the machine.
+func startMemberMachine(t testing.TB, arm func(*transport.Faulty), register func(*parallex.Runtime)) ([]*parallex.Runtime, *transport.Faulty, []string) {
 	t.Helper()
-	ranges := make([][2]int, len(distRanges))
-	for i, rg := range distRanges {
-		ranges[i] = [2]int{rg.Lo, rg.Hi}
+	victim := &transport.Faulty{}
+	if arm != nil {
+		arm(victim)
 	}
-	tcps := make([]*transport.TCP, 3)
 	addrs := make([]string, 3)
-	for i := range tcps {
-		tr, err := newWireTCP(parallex.TCPTransportConfig{
-			Self:   i,
-			Listen: "127.0.0.1:0",
-			Peers:  make([]string, 3),
-			Ranges: ranges,
-		})
-		if err != nil {
-			t.Fatalf("tcp node %d: %v", i, err)
+	rts := startObsMachine(t, func(node int, cfg *parallex.Config) {
+		addrs[node] = cfg.Transport.(*transport.TCP).Addr().String()
+		if node == 2 {
+			victim.Transport, cfg.Transport = cfg.Transport, victim
 		}
-		tcps[i] = tr
-		addrs[i] = tr.Addr().String()
-	}
-	rts := make([]*parallex.Runtime, 3)
-	for i, tr := range tcps {
-		tr.SetPeers(addrs)
-		rts[i] = parallex.New(parallex.Config{
-			Transport:          tr,
-			NodeID:             i,
-			NodeLocalities:     distRanges,
-			WorkersPerLocality: 2,
-			Faults:             faults[i],
-			Membership:         fastMembership,
-			Register:           register,
-		})
-	}
-	return rts, addrs
+		cfg.Membership, cfg.Register = fastMembership, register
+	})
+	return rts, victim, addrs
 }
 
 // awaitDead polls until node `dead` is declared dead as rt sees it.
@@ -96,16 +77,15 @@ func awaitDead(t *testing.T, rt *parallex.Runtime, dead int) {
 // verdict — all with no goroutine leaks.
 func TestDistMembershipNodeDeath(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	// The victim carries its own crash config: after 80 wire frames in
-	// or out (enough to deliver the first several heartbeats — the
-	// detector needs positive evidence of life before it may declare a
-	// death), every further frame is silently destroyed.
-	var faults [3]parallex.Faults
-	faults[2] = parallex.Faults{}.KillPeerAfter(2, 80)
+	// The victim's wire kills it after 80 frames in or out (enough to
+	// deliver the first several heartbeats — the detector needs positive
+	// evidence of life before it may declare a death): every further
+	// frame is silently destroyed.
+	kill := func(w *transport.Faulty) { w.KillAfter = 80 }
 	// dist.hold answers with its tag once the test releases that tag.
 	entered := make(chan int64, 2)
 	release := map[int64]chan struct{}{1: make(chan struct{}), 2: make(chan struct{})}
-	rts, _ := startMemberMachine(t, faults, func(rt *parallex.Runtime) {
+	rts, victim, _ := startMemberMachine(t, kill, func(rt *parallex.Runtime) {
 		registerTestActions(rt)
 		rt.MustRegisterAction("dist.hold", func(ctx *parallex.Context, target any, args *parallex.ArgsReader) (any, error) {
 			tag := args.Int64()
@@ -140,7 +120,7 @@ func TestDistMembershipNodeDeath(t *testing.T) {
 
 	// Wait for the crash to arm (the victim starts destroying frames).
 	deadline := time.Now().Add(10 * time.Second)
-	for rts[2].Silenced() == 0 {
+	for victim.Silenced() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("kill fault never armed")
 		}
@@ -231,7 +211,7 @@ func TestDistMembershipNodeDeath(t *testing.T) {
 // into the new localities complete — in both directions.
 func TestDistMembershipJoin(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	rts, addrs := startMemberMachine(t, [3]parallex.Faults{}, registerTestActions)
+	rts, _, addrs := startMemberMachine(t, nil, registerTestActions)
 
 	// The joiner: node 3, hosting fresh localities [6,8). Its transport
 	// knows every incumbent; the incumbents learn its address from the
@@ -313,9 +293,7 @@ func TestDistMembershipJoin(t *testing.T) {
 // requests may hang and zero may end without a verdict.
 func TestDistServeChaos(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	var faults [3]parallex.Faults
-	faults[2] = parallex.Faults{}.KillPeerAfter(2, 300)
-	rts, _ := startMemberMachine(t, faults, workloads.RegisterKVService)
+	rts, victim, _ := startMemberMachine(t, func(w *transport.Faulty) { w.KillAfter = 300 }, workloads.RegisterKVService)
 	for _, rt := range rts {
 		workloads.InstallKVShards(rt)
 	}
@@ -330,7 +308,7 @@ func TestDistServeChaos(t *testing.T) {
 		Retries:  40,
 	})
 
-	if rts[2].Silenced() == 0 {
+	if victim.Silenced() == 0 {
 		t.Fatal("the kill never armed: the run proved nothing")
 	}
 	awaitDead(t, rts[0], 2)
@@ -368,13 +346,11 @@ func TestDistMembershipChaosSoak(t *testing.T) {
 	}
 	baseline := runtime.NumGoroutine()
 	const seed = 4242
-	var faults [3]parallex.Faults
 	// Partition heal is unsupported, so the victim suffers both faults:
 	// node 2 is cut off from node 1 early, then crashes entirely. Node 0
 	// bridges until the crash, after which the survivors converge.
-	faults[2] = parallex.Faults{}.KillPeerAfter(2, 2500).PartitionPeersAfter(1, 2, 1200)
 	t.Logf("chaos soak seed %d: kill node 2 after 2500 frames, partition 1<->2 after 1200", seed)
-	rts, _ := startMemberMachine(t, faults, workloads.RegisterKVService)
+	rts, victim, _ := startMemberMachine(t, func(w *transport.Faulty) { w.CutPeer, w.CutAfter, w.KillAfter = 1, 1200, 2500 }, workloads.RegisterKVService)
 	for _, rt := range rts {
 		workloads.InstallKVShards(rt)
 	}
@@ -391,6 +367,9 @@ func TestDistMembershipChaosSoak(t *testing.T) {
 	t.Logf("chaos soak result: %+v", struct {
 		Issued, Completed, Rejected, Lost, Failed, Retried, NodeLost, TimedOut int
 	}{res.Issued, res.Completed, res.Rejected, res.Lost, res.Failed, res.Retried, res.NodeLost, res.TimedOut})
+	if victim.Silenced() == 0 {
+		t.Fatal("the faults never armed: the soak proved nothing")
+	}
 
 	awaitDead(t, rts[0], 2)
 	awaitDead(t, rts[1], 2)

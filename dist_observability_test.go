@@ -21,8 +21,8 @@ import (
 )
 
 // startObsMachine mirrors startTCPMachine but lets the caller adjust each
-// node's Config before New — the observability knobs (TraceSampleRate,
-// Faults) are per-node.
+// node's Config before New — the observability knobs (TraceSampleRate)
+// are per-node.
 func startObsMachine(t testing.TB, configure func(node int, cfg *parallex.Config)) []*parallex.Runtime {
 	t.Helper()
 	ranges := make([][2]int, len(distRanges))

@@ -82,18 +82,19 @@ func (r *Runtime) Sheds() uint64 {
 // so RetryAfter parses it back out of any error string.
 const retryAfterMark = "retry-after="
 
-// defaultRetryAfterHint is the backoff suggestion used when
-// Config.RetryAfterHint is zero: roughly a few admission-queue drain
-// times at serving-tier rates — long enough to let the queue breathe,
-// short enough that a shed request's end-to-end latency stays bounded
-// by a handful of retries.
-const defaultRetryAfterHint = 2 * time.Millisecond
+// retryAfterHint is the backoff suggestion carried inside every load-shed
+// verdict (see RetryAfter), so a client that observes ErrOverloaded can
+// sleep what the server suggests instead of guessing with blind
+// exponential backoff. It is roughly a few admission-queue drain times at
+// serving-tier rates — long enough to let the queue breathe, short enough
+// that a shed request's end-to-end latency stays bounded by a handful of
+// retries.
+const retryAfterHint = 2 * time.Millisecond
 
 // RetryAfter extracts the suggested backoff from a load-shed verdict, in
 // whatever form it arrived — the typed local error or the flattened wire
 // text of a remote one. ok is false when err carries no hint (it is not a
-// shed verdict, or the shedding node disabled hints); the caller then
-// falls back to its own backoff policy.
+// shed verdict); the caller then falls back to its own backoff policy.
 func RetryAfter(err error) (d time.Duration, ok bool) {
 	if err == nil {
 		return 0, false
@@ -120,18 +121,10 @@ func RetryAfter(err error) (d time.Duration, ok bool) {
 // work unit is released. It runs on the rejecting caller's goroutine —
 // posting the verdict delivery to the very queue that just reported
 // saturation would double queue pressure exactly when shedding it.
-// The verdict carries the node's retry-after hint (Config.RetryAfterHint)
-// so clients back off by the server's suggestion, not a guess.
+// The verdict carries the retry-after hint, and the hint survives wire
+// flattening: it rides as text inside the verdict message.
 func (r *Runtime) shedParcel(loc int, p *parcel.Parcel) {
-	hint := r.cfg.RetryAfterHint
-	if hint == 0 {
-		hint = defaultRetryAfterHint
-	}
-	if hint > 0 {
-		r.failParcel(loc, p, fmt.Errorf("%s: locality %d at admission limit (%s%s)",
-			overloadedMsg, loc, retryAfterMark, hint))
-	} else {
-		r.failParcel(loc, p, fmt.Errorf("%s: locality %d at admission limit", overloadedMsg, loc))
-	}
+	r.failParcel(loc, p, fmt.Errorf("%s: locality %d at admission limit (%s%s)",
+		overloadedMsg, loc, retryAfterMark, retryAfterHint))
 	r.doneWork()
 }

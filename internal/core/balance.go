@@ -190,7 +190,6 @@ func (b *balancerState) buildLoads(width int) []balance.Load {
 	r := b.r
 	d := r.dist
 	now := time.Now()
-	thr := suspectThreshold(d)
 
 	var remote map[int]remoteLoad
 	if d != nil {
@@ -219,19 +218,9 @@ func (b *balancerState) buildLoads(width int) []balance.Load {
 		if rl, ok := remote[i]; ok {
 			score = rl.score
 		}
-		loads = append(loads, balance.Load{Loc: i, Score: score, Eligible: nodeEligible(d, n, now, thr)})
+		loads = append(loads, balance.Load{Loc: i, Score: score, Eligible: nodeEligible(d, n, now)})
 	}
 	return loads
-}
-
-// suspectThreshold returns the phi value above which a peer is too
-// suspicious to receive migrated objects — the membership config's
-// threshold when membership runs, its documented default otherwise.
-func suspectThreshold(d *distState) float64 {
-	if d != nil && d.mb != nil {
-		return d.mb.cfg.SuspectThreshold
-	}
-	return 8
 }
 
 // nodeEligible reports whether node n may be targeted by a migration:
@@ -239,7 +228,7 @@ func suspectThreshold(d *distState) float64 {
 // and — once it has beaten — below the suspicion threshold. A node we
 // know nothing about (no peer state yet) is eligible: absence of evidence
 // is how a fixed machine looks.
-func nodeEligible(d *distState, n int, now time.Time, thr float64) bool {
+func nodeEligible(d *distState, n int, now time.Time) bool {
 	if n == d.node {
 		return true
 	}
@@ -253,7 +242,7 @@ func nodeEligible(d *distState, n int, now time.Time, thr float64) bool {
 	if ps.dead.Load() || ps.departed.Load() {
 		return false
 	}
-	if det := ps.det.Load(); det != nil && det.Phi(now) >= thr {
+	if det := ps.det.Load(); det != nil && det.Phi(now) >= suspectPhi {
 		return false
 	}
 	return true
@@ -268,12 +257,11 @@ func (b *balancerState) broadcast(d *distState, entries []loadEntry) {
 	}
 	frame := encodeLoad(entries)
 	now := time.Now()
-	thr := suspectThreshold(d)
 	for n := 0; n < d.lmap.Nodes(); n++ {
-		if n == d.node || !nodeEligible(d, n, now, thr) {
+		if n == d.node || !nodeEligible(d, n, now) {
 			continue
 		}
-		_ = d.send(n, frame)
+		_ = d.tr.Send(n, frame)
 	}
 }
 

@@ -70,24 +70,25 @@ var onceRanges = []agas.Range{{Lo: 0, Hi: 2}, {Lo: 2, Hi: 4}, {Lo: 4, Hi: 6}}
 // onceShapes are the transports the oracle runs over: the in-process
 // fabric, loopback TCP with one lane, and TCP with four lanes per peer
 // (over the same-host fabric when the platform has it). Each builds the
-// three endpoints; every one can grow, which engages membership.
+// three endpoints behind fault injectors; every one can grow, which
+// engages membership.
 var onceShapes = []struct {
 	name  string
-	wires func(t *testing.T) []transport.Transport
+	wires func(t *testing.T) []*transport.Faulty
 }{
-	{"fabric", func(*testing.T) []transport.Transport {
+	{"fabric", func(*testing.T) []*transport.Faulty {
 		fab := transport.NewFabric(3)
-		out := make([]transport.Transport, 3)
+		out := make([]*transport.Faulty, 3)
 		for i := range out {
-			out[i] = &ledgerWire{Transport: fab.Node(i)}
+			out[i] = &transport.Faulty{Transport: fab.Node(i)}
 		}
 		return out
 	}},
-	{"tcp-1lane", func(t *testing.T) []transport.Transport { return onceTCP(t, 1) }},
-	{"tcp-4lanes", func(t *testing.T) []transport.Transport { return onceTCP(t, 4) }},
+	{"tcp-1lane", func(t *testing.T) []*transport.Faulty { return onceTCP(t, 1) }},
+	{"tcp-4lanes", func(t *testing.T) []*transport.Faulty { return onceTCP(t, 4) }},
 }
 
-func onceTCP(t *testing.T, lanes int) []transport.Transport {
+func onceTCP(t *testing.T, lanes int) []*transport.Faulty {
 	ranges := make([][2]int, len(onceRanges))
 	for i, rg := range onceRanges {
 		ranges[i] = [2]int{rg.Lo, rg.Hi}
@@ -104,19 +105,19 @@ func onceTCP(t *testing.T, lanes int) []transport.Transport {
 		}
 		tcps[i], addrs[i] = tr, tr.Addr().String()
 	}
-	out := make([]transport.Transport, 3)
+	out := make([]*transport.Faulty, 3)
 	for i, tr := range tcps {
 		tr.SetPeers(addrs)
-		out[i] = tr
+		out[i] = &transport.Faulty{Transport: tr}
 	}
 	return out
 }
 
-// startOnceMachine starts the 3-node machine over wires with per-node
-// faults, its actions registered and the oracle watching. once.echo
-// answers its value, once.add its value plus one (both count their runs
-// in hits), and once.bump increments a []int64 counter object.
-func startOnceMachine(t *testing.T, wires []transport.Transport, faults [3]Faults, o *dispatchOracle, hits *atomic.Int64) []*Runtime {
+// startOnceMachine starts the 3-node machine over wires, its actions
+// registered and the oracle watching. once.echo answers its value,
+// once.add its value plus one (both count their runs in hits), and
+// once.bump increments a []int64 counter object.
+func startOnceMachine(t *testing.T, wires []*transport.Faulty, o *dispatchOracle, hits *atomic.Int64) []*Runtime {
 	register := func(r *Runtime) {
 		value := func(_ *Context, _ any, args *parcel.Reader) (any, error) {
 			hits.Add(1)
@@ -145,7 +146,6 @@ func startOnceMachine(t *testing.T, wires []transport.Transport, faults [3]Fault
 			NodeID:             i,
 			NodeLocalities:     onceRanges,
 			WorkersPerLocality: 2,
-			Faults:             faults[i],
 			Membership:         MembershipConfig{HeartbeatInterval: 10 * time.Millisecond, DeadAfter: 250 * time.Millisecond},
 			Register:           register,
 		})
@@ -172,7 +172,7 @@ func TestDispatchedOnce(t *testing.T) {
 		t.Run(shape.name, func(t *testing.T) {
 			var o dispatchOracle
 			var hits atomic.Int64
-			rts := startOnceMachine(t, shape.wires(t), [3]Faults{}, &o, &hits)
+			rts := startOnceMachine(t, shape.wires(t), &o, &hits)
 			calls := onceCallStorm(t, rts)
 			chains := onceChainsAndTriggers(t, rts)
 			onceMigrationUnderLoad(t, rts)
@@ -192,6 +192,72 @@ func TestDispatchedOnce(t *testing.T) {
 			onceKillAndPartition(t, shape.wires(t), &chaos)
 			chaos.check(t, 1)
 		})
+	}
+}
+
+// TestLocalParcelsDispatchedExactlyOnce: node-local parcels are delivered
+// exactly once, so a count of deliveries and a gate sized one past its
+// signals both come out exact — any repeated dispatch would show.
+func TestLocalParcelsDispatchedExactlyOnce(t *testing.T) {
+	r := New(Config{Localities: 2, WorkersPerLocality: 2})
+	defer r.Shutdown()
+	var hits atomic.Int64
+	r.MustRegisterAction("fault.count", func(ctx *Context, target any, args *parcel.Reader) (any, error) {
+		hits.Add(1)
+		return nil, nil
+	})
+	obj := r.NewDataAt(1, struct{}{})
+	const n = 300
+	for i := 0; i < n; i++ {
+		r.SendFrom(0, parcel.New(obj, "fault.count", nil))
+	}
+	r.Wait()
+	if hits.Load() != n {
+		t.Fatalf("delivered %d, want exactly %d", hits.Load(), n)
+	}
+
+	// A gate sized for n+1 holds after n signals, then resolves on the
+	// last one.
+	ggid := r.NewDistGateAt(0, n+1)
+	for i := 0; i < n; i++ {
+		r.SendFrom(1, parcel.New(ggid, ActionLCOSignal, nil))
+	}
+	r.Wait()
+	gate, _ := r.LocalObject(0, ggid)
+	done := r.WaitLCO(1, ggid)
+	r.Wait()
+	if left := gate.(*DistLCO).Pending(); left != 1 || done.Resolved() {
+		t.Fatalf("after %d signals: %d pending, resolved %v; want 1 and false", n, left, done.Resolved())
+	}
+	r.SendFrom(1, parcel.New(ggid, ActionLCOSignal, nil))
+	r.Wait()
+	if _, err := done.Get(); err != nil {
+		t.Fatalf("gate resolved with %v", err)
+	}
+}
+
+// TestDuplicatedFutureSetReportsSecondWrite: a named future is a reply
+// slot, so the first set resolves it and a second set finds the slot spent:
+// it is counted as a stale reply, the first value stands, and nothing is
+// recorded as a runtime error.
+func TestDuplicatedFutureSetReportsSecondWrite(t *testing.T) {
+	r := New(Config{Localities: 2, WorkersPerLocality: 1})
+	defer r.Shutdown()
+	fgid, fut := r.NewFutureAt(1)
+	for _, x := range []int64{9, 10} {
+		val, _ := parcel.EncodeAny(x)
+		r.SendFrom(0, parcel.New(fgid, ActionLCOSet, parcel.NewArgs().Bytes(val).Encode()))
+	}
+	r.Wait()
+	v, err := fut.Get()
+	if err != nil || v.(int64) != 9 {
+		t.Fatalf("first set lost: %v %v", v, err)
+	}
+	if errs := r.Errors(); len(errs) != 0 {
+		t.Fatalf("second set recorded %v, want no runtime error", errs)
+	}
+	if stale, live := replyCounters(r); stale != 1 || live != 0 {
+		t.Fatalf("stale=%v live=%v after two sets, want 1 and 0", stale, live)
 	}
 }
 
@@ -323,11 +389,10 @@ func onceMigrationUnderLoad(t *testing.T, rts []*Runtime) {
 // answers, fails with the node-lost verdict, or — when a survivor that had
 // not yet heard of the death forwarded it into the dead node — hears
 // nothing; the survivors declare node 2 dead and quiesce.
-func onceKillAndPartition(t *testing.T, wires []transport.Transport, o *dispatchOracle) {
-	var faults [3]Faults
-	faults[2] = Faults{}.PartitionPeersAfter(1, 2, 150).KillPeerAfter(2, 400)
+func onceKillAndPartition(t *testing.T, wires []*transport.Faulty, o *dispatchOracle) {
+	wires[2].CutPeer, wires[2].CutAfter, wires[2].KillAfter = 1, 150, 400
 	var hits atomic.Int64
-	rts := startOnceMachine(t, wires, faults, o, &hits)
+	rts := startOnceMachine(t, wires, o, &hits)
 	// A detector judges only a peer it has heard beat: every node hears
 	// each of its peers beat a few times before anything goes quiet.
 	deadline := time.Now().Add(10 * time.Second)
@@ -375,7 +440,7 @@ func onceKillAndPartition(t *testing.T, wires []transport.Transport, o *dispatch
 		}
 	}
 	wg.Wait()
-	if rts[2].Silenced() == 0 {
+	if wires[2].Silenced() == 0 {
 		t.Fatal("the kill never armed: the storm proved nothing")
 	}
 	for _, r := range rts[:2] {

@@ -130,11 +130,6 @@ func (d *distState) onFrame(from int, frame []byte) {
 		d.rt.recordError(fmt.Errorf("core: empty frame from node %d", from))
 		return
 	}
-	// An armed crash or partition destroys the frame before the runtime
-	// sees it — the node is mute, not misbehaving.
-	if f := d.rt.faults; f != nil && f.silence(d.node, from) {
-		return
-	}
 	// A death verdict is final: frames from the declared-dead are dropped,
 	// so a zombie (or a healed partition) cannot re-enter the accounting.
 	if d.peerDead(from) {
@@ -282,18 +277,7 @@ func (d *distState) deliver(from int, p *parcel.Parcel, owner int, gen uint64, e
 // hint: unheard, the sender stays stale and its next parcel is forwarded
 // (and hinted) again.
 func (d *distState) hintMoved(node int, g agas.GID, owner int, gen uint64) {
-	_ = d.send(node, encodeMoved(g, owner, gen))
-}
-
-// send delivers a control frame on lane 0. The transport copies the frame
-// and never waits, so a read goroutine may call it (see onFrame). An armed
-// crash or partition destroys the frame here and reports success — from
-// this node's perspective the bytes left; the network ate them.
-func (d *distState) send(node int, frame []byte) error {
-	if f := d.rt.faults; f != nil && f.silence(d.node, node) {
-		return nil
-	}
-	return d.tr.Send(node, frame)
+	_ = d.tr.Send(node, encodeMoved(g, owner, gen))
 }
 
 // laneOf affinity-hashes a destination GID onto a transport lane. All
@@ -316,11 +300,8 @@ func (d *distState) laneOf(g agas.GID) int {
 // 0 on a laneless transport). SendLane may wait for room on the lane, so
 // no read goroutine calls it. The lane redials a broken connection itself,
 // so a single transient break cannot lose a frame between two healthy
-// nodes. Faults apply as in send.
+// nodes.
 func (d *distState) sendLane(node, lane int, frame []byte) error {
-	if f := d.rt.faults; f != nil && f.silence(d.node, node) {
-		return nil
-	}
 	if d.laneTr == nil {
 		return d.tr.Send(node, frame)
 	}
@@ -415,7 +396,7 @@ func (d *distState) rpcCall(node int, xid uint64, g agas.GID, frame []byte) (del
 	if d.peerDead(node) {
 		return false, fmt.Errorf("core: migration to node %d: %w", node, agas.ErrNodeLost)
 	}
-	if err := d.send(node, frame); err != nil {
+	if err := d.tr.Send(node, frame); err != nil {
 		return false, fmt.Errorf("core: migration frame to node %d: %w", node, err)
 	}
 	select {
@@ -461,7 +442,7 @@ func (d *distState) commitDir(node int, g agas.GID, to int, gen uint64) error {
 
 // replyOutcome answers migration exchange xid with its ok/error verdict.
 func (d *distState) replyOutcome(node int, kind byte, xid uint64, opErr error) {
-	if err := d.send(node, encodeOutcome(kind, xid, opErr)); err != nil {
+	if err := d.tr.Send(node, encodeOutcome(kind, xid, opErr)); err != nil {
 		d.rt.recordError(fmt.Errorf("core: migration verdict to node %d: %w", node, err))
 	}
 }
@@ -588,7 +569,7 @@ func (d *distState) snapshot() (pending int64, sent, recv uint64) {
 func (d *distState) replyDrain(to int, seq uint64) {
 	pending, sent, recv := d.snapshot()
 	buf := encodeDrainReply(seq, pending, sent, recv, d.lmap.Fingerprint())
-	if err := d.send(to, buf); err != nil {
+	if err := d.tr.Send(to, buf); err != nil {
 		d.rt.recordError(fmt.Errorf("core: drain reply to node %d: %w", to, err))
 	}
 }
@@ -646,7 +627,7 @@ func (d *distState) probe() (allZero bool, sent, recv uint64, ok bool) {
 			recv += rep.recv
 			continue
 		}
-		if err := d.send(n, probeFrame); err != nil {
+		if err := d.tr.Send(n, probeFrame); err != nil {
 			ok = false
 			continue
 		}
@@ -739,7 +720,7 @@ func (d *distState) goodbye() {
 	d.drainMu.Unlock()
 	for n := 0; n < d.lmap.Nodes(); n++ {
 		if n != d.node && !gone[n] && !d.peerDead(n) {
-			d.send(n, buf) // best effort: the peer may be gone anyway
+			d.tr.Send(n, buf) // best effort: the peer may be gone anyway
 		}
 	}
 }
@@ -750,7 +731,7 @@ func (d *distState) goodbye() {
 func (d *distState) requestHalt() {
 	for n := 0; n < d.lmap.Nodes(); n++ {
 		if n != d.node && !d.peerDead(n) {
-			if err := d.send(n, []byte{fHalt}); err != nil {
+			if err := d.tr.Send(n, []byte{fHalt}); err != nil {
 				d.rt.recordError(fmt.Errorf("core: halt to node %d: %w", n, err))
 			}
 		}

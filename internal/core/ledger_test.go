@@ -6,7 +6,7 @@ package core
 // a frame the wire has taken, and nothing is ever sent back for one.
 
 import (
-	"errors"
+	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -21,88 +21,40 @@ import (
 	"repro/internal/transport"
 )
 
-// What a ledgerWire does with an outbound frame of a given kind.
-const (
-	wirePass   = iota // hand it to the fabric
-	wirePark          // accept it, and hold it until release
-	wireRefuse        // fail the Send, as a transport that cannot take the frame does
-)
-
-// ledgerWire wraps one fabric endpoint of a two-node machine.
-type ledgerWire struct {
-	transport.Transport
-
-	mu     sync.Mutex
-	fate   [frameKindEnd]int
-	parked [][]byte                  // frames accepted and held back
-	onSend func(kind byte, fate int) // sees every frame handed to Send, on the sender's goroutine
-}
-
-func (w *ledgerWire) Send(node int, frame []byte) error {
-	kind := frame[0]
-	w.mu.Lock()
-	fate, onSend := w.fate[kind], w.onSend
-	if fate == wirePark {
-		// The sender reuses its buffer once Send returns.
-		w.parked = append(w.parked, append([]byte(nil), frame...))
-	}
-	w.mu.Unlock()
-	if onSend != nil {
-		onSend(kind, fate)
-	}
-	switch fate {
-	case wirePark:
-		return nil
-	case wireRefuse:
-		return errors.New("ledger test: connection refused")
-	}
-	return w.Transport.Send(node, frame)
-}
-
-// AddPeer makes the wire a transport.MemberTransport, which is what engages
-// the membership layer; this machine never grows.
-func (w *ledgerWire) AddPeer(int, string, int, int) error {
-	return errors.New("ledger test: fixed machine")
-}
-
-// set fixes the fate of the given frame kinds from here on.
-func (w *ledgerWire) set(fate int, kinds ...byte) {
-	w.mu.Lock()
-	for _, k := range kinds {
-		w.fate[k] = fate
-	}
-	w.mu.Unlock()
-}
-
-func (w *ledgerWire) observe(onSend func(kind byte, fate int)) {
-	w.mu.Lock()
-	w.onSend = onSend
-	w.mu.Unlock()
-}
-
-// release passes every kind again and sends the parked frames on to the
-// other node, each through edit first when there is one.
-func (w *ledgerWire) release(t *testing.T, edit func([]byte) []byte) {
-	t.Helper()
-	w.mu.Lock()
-	w.fate = [frameKindEnd]int{}
-	parked := w.parked
-	w.parked = nil
-	w.mu.Unlock()
-	for _, frame := range parked {
-		if edit != nil {
-			frame = edit(frame)
-		}
-		if err := w.Transport.Send(1-w.Self(), frame); err != nil {
-			t.Fatalf("releasing a parked frame: %v", err)
-		}
-	}
-}
-
 // ledgerMachine is the interning tests' two-node machine over ledger wires.
 type ledgerMachine struct {
 	rts   [2]*Runtime
-	wires [2]*ledgerWire
+	wires [2]*transport.Faulty
+}
+
+// hold holds node's parcel frames from here on and passes the rest. The
+// channel it returns gets a token, extras dropped, for each frame of a
+// kind in signal.
+func (m *ledgerMachine) hold(node int, signal ...byte) <-chan struct{} {
+	c := make(chan struct{}, 1)
+	m.wires[node].SetRule(func(_ int, frame []byte) transport.Fate {
+		if bytes.IndexByte(signal, frame[0]) >= 0 {
+			select {
+			case c <- struct{}{}:
+			default:
+			}
+		}
+		if frame[0] == fParcel || frame[0] == fParcelI {
+			return transport.Hold
+		}
+		return transport.Pass
+	})
+	return c
+}
+
+// release passes every frame from node again and sends its held frames on
+// to the other node, each through edit first when there is one.
+func (m *ledgerMachine) release(t *testing.T, node int, edit func([]byte) []byte) {
+	t.Helper()
+	m.wires[node].SetRule(nil)
+	if err := m.wires[node].Release(edit); err != nil {
+		t.Fatalf("releasing a held frame: %v", err)
+	}
 }
 
 // startLedgerMachine also runs one call from node 0 to an object on node 1
@@ -114,7 +66,7 @@ func startLedgerMachine(t *testing.T) (m *ledgerMachine, obj agas.GID) {
 	m = &ledgerMachine{}
 	fab := transport.NewFabric(2)
 	for i := range m.wires {
-		m.wires[i] = &ledgerWire{Transport: fab.Node(i)}
+		m.wires[i] = &transport.Faulty{Transport: fab.Node(i)}
 	}
 	m.rts = startInternPair(t, [2]transport.Transport{m.wires[0], m.wires[1]})
 	obj = m.rts[1].NewDataAt(2, int64(42))
@@ -163,21 +115,13 @@ func (m *ledgerMachine) wantInFlight(t *testing.T, n uint64) {
 	}
 }
 
-// waitBlocked starts Wait on node 0 and checks that it has not returned
-// three probe waves later: Wait returns on two agreeing waves, so a third
-// one starting means the first two did not satisfy it. The channel closes
-// once Wait returns.
+// waitBlocked starts Wait on node 0, whose parcels are held, and checks
+// that it has not returned three probe waves later: Wait returns on two
+// agreeing waves, so a third one starting means the first two did not
+// satisfy it. The channel closes once Wait returns.
 func (m *ledgerMachine) waitBlocked(t *testing.T) <-chan struct{} {
 	t.Helper()
-	probed := make(chan struct{}, 1) // a token per wave node 0 starts, extras dropped
-	m.wires[0].observe(func(kind byte, _ int) {
-		if kind == fDrain {
-			select {
-			case probed <- struct{}{}:
-			default:
-			}
-		}
-	})
+	probed := m.hold(0, fDrain) // a token per wave node 0 starts
 	done := make(chan struct{})
 	go func() {
 		m.rts[0].Wait()
@@ -197,7 +141,7 @@ func (m *ledgerMachine) waitBlocked(t *testing.T) <-chan struct{} {
 // held by no work unit anywhere — the totals alone keep Wait from returning.
 func TestLedgerParcelInFlight(t *testing.T) {
 	m, obj := startLedgerMachine(t)
-	m.wires[0].set(wirePark, fParcel, fParcelI)
+	m.hold(0)
 	fut := m.rts[0].CallFrom(0, obj, "intern.echo", nil)
 	if n := m.rts[0].pending.Load(); n != 0 {
 		t.Fatalf("sender holds %d work units for a parcel the wire has taken", n)
@@ -205,7 +149,7 @@ func TestLedgerParcelInFlight(t *testing.T) {
 	m.wantInFlight(t, 1)
 	done := m.waitBlocked(t)
 
-	m.wires[0].release(t, nil)
+	m.release(t, 0, nil)
 	m.wantEcho(t, fut)
 	<-done
 	m.stop(t)
@@ -218,7 +162,7 @@ func TestLedgerParcelInFlight(t *testing.T) {
 func TestLedgerDeathWithParcelInFlight(t *testing.T) {
 	m, obj := startLedgerMachine(t)
 	remote := m.rts[1].NewDistFutureAt(2)
-	m.wires[0].set(wirePark, fParcel, fParcelI)
+	m.hold(0)
 	fut := m.rts[0].CallFrom(0, obj, "intern.echo", nil) // its reply slot waits on node 1
 	if err := m.rts[0].SetLCO(0, remote, int64(1)); err != nil {
 		t.Fatal(err)
@@ -248,16 +192,17 @@ func TestLedgerDeathWithParcelInFlight(t *testing.T) {
 // for any parcel, sends nothing back.
 func TestLedgerCountsUndecodableParcel(t *testing.T) {
 	m, obj := startLedgerMachine(t)
-	m.wires[0].set(wirePark, fParcel, fParcelI)
+	m.hold(0)
 	m.rts[0].SendFrom(0, parcel.New(obj, "intern.echo", nil))
-	m.wires[1].observe(func(kind byte, _ int) {
-		if kind != fDrain && kind != fDrainReply && kind != fBeat {
+	m.wires[1].SetRule(func(_ int, frame []byte) transport.Fate {
+		if kind := frame[0]; kind != fDrain && kind != fDrainReply && kind != fBeat {
 			t.Errorf("node 1 sent a %s frame; a parcel is answered by nothing", kindOf(kind).name)
 		}
+		return transport.Pass
 	})
-	m.wires[0].release(t, func(frame []byte) []byte {
+	m.release(t, 0, func(frame []byte) []byte {
 		if frame[0] != fParcelI {
-			t.Fatalf("parked frame is kind %d, want fParcelI", frame[0])
+			t.Fatalf("held frame is kind %d, want fParcelI", frame[0])
 		}
 		return frame[:len(frame)/2]
 	})
@@ -281,20 +226,27 @@ func TestLedgerRefusedSendKeepsTotalsMonotone(t *testing.T) {
 	m, obj := startLedgerMachine(t)
 	d := m.rts[0].dist
 	var seen [][2]uint64
-	note := func(byte, int) {
+	note := func() {
 		sent, recv := d.liveTotals()
 		seen = append(seen, [2]uint64{sent, recv})
 	}
 	accepted := m.rts[0].Metrics().Snapshot()["px.wire.sent"]
-	note(0, 0)
-	m.wires[0].set(wireRefuse, fParcel, fParcelI)
-	m.wires[0].observe(note) // mid-refusal, and on this goroutine: CallFrom sends synchronously
+	note()
+	// The rule notes mid-refusal, on this goroutine: CallFrom sends
+	// synchronously.
+	m.wires[0].SetRule(func(_ int, frame []byte) transport.Fate {
+		if frame[0] == fParcel || frame[0] == fParcelI {
+			note()
+			return transport.Refuse
+		}
+		return transport.Pass
+	})
 	_, err := m.rts[0].CallFrom(0, obj, "intern.echo", nil).Get()
 	if err == nil || !strings.Contains(err.Error(), "transport to node 1") {
 		t.Fatalf("refused call: %v, want the transport error", err)
 	}
-	m.wires[0].observe(nil)
-	note(0, 0)
+	m.wires[0].SetRule(nil)
+	note()
 
 	for i := 1; i < len(seen); i++ {
 		if seen[i][0] < seen[i-1][0] || seen[i][1] < seen[i-1][1] {
@@ -308,7 +260,6 @@ func TestLedgerRefusedSendKeepsTotalsMonotone(t *testing.T) {
 	if got := m.rts[0].Metrics().Snapshot()["px.wire.sent"]; got != accepted {
 		t.Fatalf("px.wire.sent went %v -> %v over a frame the transport refused", accepted, got)
 	}
-	m.wires[0].release(t, nil)
 	m.stop(t)
 }
 

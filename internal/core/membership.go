@@ -17,28 +17,26 @@ import (
 // transport.MemberTransport, i.e. the machine can grow): each
 // node beats every HeartbeatInterval, feeds peers' beats into per-peer
 // phi-accrual detectors, and declares a peer dead when its accrued
-// suspicion crosses SuspectThreshold AND it has been silent for at least
+// suspicion crosses phi 8 AND it has been silent for at least
 // DeadAfter — the hard floor rides out scheduler stalls that pure phi
 // would misread on loaded CI machines.
 type MembershipConfig struct {
 	// HeartbeatInterval is the beat period (default 250ms).
 	HeartbeatInterval time.Duration
-	// SuspectThreshold is the phi value at which a peer becomes deathly
-	// suspect (default 8: odds of a false positive one in 10^8 under the
-	// observed arrival distribution).
-	SuspectThreshold float64
 	// DeadAfter is the minimum silence before a suspect peer may be
 	// declared dead (default 3s, floored at 4x HeartbeatInterval).
 	DeadAfter time.Duration
 }
 
+// suspectPhi is the phi value at which a peer becomes deathly suspect:
+// odds of a false positive one in 10^8 under the observed arrival
+// distribution. A suspect peer receives no migrated objects either.
+const suspectPhi = 8
+
 // withDefaults fills zero fields with production defaults.
 func (c MembershipConfig) withDefaults() MembershipConfig {
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = 250 * time.Millisecond
-	}
-	if c.SuspectThreshold <= 0 {
-		c.SuspectThreshold = 8
 	}
 	if c.DeadAfter <= 0 {
 		c.DeadAfter = 3 * time.Second
@@ -199,8 +197,8 @@ func (m *memberState) stopLoop() {
 
 // beat sends one heartbeat to every live peer in the map. Beats carry
 // the sender's membership fingerprint so drift is observable; they ride
-// the same frame service as parcels and are subject to the same armed
-// kill/partition faults, which is exactly how a crashed node goes silent.
+// the same frame service as parcels, so a kill a test injects on the
+// wire mutes them too, exactly as a crashed node goes silent.
 // On an otherwise idle machine the first beat is also what forces the lazy
 // dial that exchanges hellos.
 func (m *memberState) beat() {
@@ -213,7 +211,7 @@ func (m *memberState) beat() {
 		if ps := d.peer(n); ps != nil && (ps.dead.Load() || ps.departed.Load()) {
 			continue
 		}
-		if d.send(n, frame) == nil {
+		if d.tr.Send(n, frame) == nil {
 			m.beatsSent.Add(1)
 		}
 	}
@@ -244,8 +242,8 @@ func (m *memberState) check(now time.Time) {
 		if det == nil || det.Samples() < 2 {
 			continue
 		}
-		silence := now.Sub(det.LastHeartbeat())
-		if silence < m.cfg.DeadAfter {
+		silent := now.Sub(det.LastHeartbeat())
+		if silent < m.cfg.DeadAfter {
 			continue
 		}
 		// Silence must hold across every lane, not just the beat stream:
@@ -254,10 +252,10 @@ func (m *memberState) check(now time.Time) {
 		if last := ps.lastFrame.Load(); last != 0 && now.Sub(time.Unix(0, last)) < m.cfg.DeadAfter {
 			continue
 		}
-		if det.Phi(now) < m.cfg.SuspectThreshold {
+		if det.Phi(now) < suspectPhi {
 			continue
 		}
-		m.declareDead(n, fmt.Sprintf("silent %v, phi %.1f", silence.Round(time.Millisecond), det.Phi(now)))
+		m.declareDead(n, fmt.Sprintf("silent %v, phi %.1f", silent.Round(time.Millisecond), det.Phi(now)))
 	}
 }
 
@@ -303,7 +301,7 @@ func (m *memberState) declareDead(n int, why string) {
 		if p == d.node || p == n {
 			continue
 		}
-		_ = d.send(p, frame)
+		_ = d.tr.Send(p, frame)
 	}
 }
 

@@ -109,7 +109,7 @@ func (r *Runtime) Migrate(g agas.GID, to int) error {
 
 	// Quiesce: running actions on g drain, later arrivals park until the
 	// move commits, then re-route toward the new owner. A park does not
-	// consume the MaxHops forwarding budget: it is the migration holding
+	// consume the maxHops forwarding budget: it is the migration holding
 	// the parcel, not a mis-route, and each re-park requires another
 	// in-flight migration, which bounds the cycle on its own.
 	r.fences.close(g)

@@ -186,16 +186,9 @@ func TestNodeLocalCallCostsOneTask(t *testing.T) {
 func TestRemoteReplyRunsOnAWorker(t *testing.T) {
 	m, obj := startLedgerMachine(t)
 	// Hold back node 1's reply until the callback is registered.
-	m.wires[1].set(wirePark, fParcel, fParcelI)
-	parked := make(chan struct{}, 1)
-	m.wires[1].observe(func(_ byte, fate int) {
-		if fate == wirePark {
-			parked <- struct{}{}
-		}
-	})
+	held := m.hold(1, fParcel, fParcelI)
 	fut := m.rts[0].CallFrom(0, obj, "intern.echo", nil)
-	<-parked
-	m.wires[1].observe(nil)
+	<-held
 	stack := make(chan []string, 1)
 	fut.OnReady(func(any, error) {
 		pcs := make([]uintptr, 64)
@@ -210,7 +203,7 @@ func TestRemoteReplyRunsOnAWorker(t *testing.T) {
 		}
 		stack <- fns
 	})
-	m.wires[1].release(t, nil)
+	m.release(t, 1, nil)
 	m.wantEcho(t, fut)
 	fns := <-stack
 	onWorker := false
@@ -255,18 +248,11 @@ func TestSLOWIsSampled(t *testing.T) {
 func TestLedgerReplayedReplyMissesRecycledSlot(t *testing.T) {
 	m, obj := startLedgerMachine(t)
 	// Hold back node 1's reply, then let it through, keeping a copy.
-	m.wires[1].set(wirePark, fParcel, fParcelI)
-	parked := make(chan struct{}, 1)
-	m.wires[1].observe(func(_ byte, fate int) {
-		if fate == wirePark {
-			parked <- struct{}{}
-		}
-	})
+	held := m.hold(1, fParcel, fParcelI)
 	first := m.rts[0].CallFrom(0, obj, "intern.echo", nil)
-	<-parked
-	m.wires[1].observe(nil)
+	<-held
 	var reply []byte
-	m.wires[1].release(t, func(frame []byte) []byte {
+	m.release(t, 1, func(frame []byte) []byte {
 		reply = append([]byte(nil), frame...)
 		return frame
 	})

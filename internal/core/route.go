@@ -307,13 +307,17 @@ func (r *Runtime) execute(loc int, p *parcel.Parcel, rd *parcel.Reader, ctx *Con
 	parcel.Release(p)
 }
 
+// maxHops bounds the forwarding retries of a parcel chasing a migrating
+// object.
+const maxHops = 64
+
 // forward re-resolves a stale destination and re-routes the parcel,
 // bounding the retry count. Re-delivery is slightly delayed so a migration
 // in progress can land.
 func (r *Runtime) forward(loc int, p *parcel.Parcel) {
 	p.Hops++
-	if p.Hops > r.cfg.MaxHops {
-		r.failParcel(loc, p, fmt.Errorf("core: %s exceeded %d forwarding hops", p, r.cfg.MaxHops))
+	if p.Hops > maxHops {
+		r.failParcel(loc, p, fmt.Errorf("core: %s exceeded %d forwarding hops", p, maxHops))
 		return
 	}
 	r.agas.Invalidate(loc, p.Dest)

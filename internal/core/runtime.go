@@ -36,8 +36,6 @@ type Config struct {
 	Policy locality.Policy
 	// Stealing enables idle localities to steal queued work.
 	Stealing bool
-	// MaxHops bounds forwarding retries for migrating objects. Default 64.
-	MaxHops int
 	// AdmitLimit bounds each resident locality's queue depth as seen by
 	// sheddable parcels (actions declared with Runtime.MarkSheddable): a
 	// delivery that finds the destination locality holding this many
@@ -45,18 +43,6 @@ type Config struct {
 	// continuation instead of queueing without bound. Zero (the default)
 	// disables admission control. Runtime-internal work is never shed.
 	AdmitLimit int
-	// RetryAfterHint is the backoff suggestion carried inside every
-	// load-shed verdict (see RetryAfter): a client that observes
-	// ErrOverloaded can sleep exactly what the server suggests instead of
-	// guessing with blind exponential backoff. The hint survives wire
-	// flattening — it rides as text inside the verdict message. Zero
-	// defaults to 2ms; negative omits the hint.
-	RetryAfterHint time.Duration
-	// Faults optionally injects faults (tests only): crashes and
-	// partitions. No parcel to a live node is dropped or repeated: the wire
-	// between nodes is reliable while the peer lives, and a parcel between
-	// two localities of one node moves by pointer.
-	Faults Faults
 
 	// Transport, when set, makes this runtime one node of a multi-process
 	// machine: parcels for localities hosted elsewhere travel over it in
@@ -126,9 +112,6 @@ func (c *Config) fill() {
 	if c.Net == nil {
 		c.Net = network.NewIdeal(c.Localities)
 	}
-	if c.MaxHops <= 0 {
-		c.MaxHops = 64
-	}
 }
 
 // Runtime is one ParalleX machine instance.
@@ -140,13 +123,12 @@ type Runtime struct {
 	// a formerly nil slot while parcels race the swap). The slice itself
 	// is fixed at startup width; localities announced by later joiners
 	// are reached only by parcel and can never be adopted here.
-	locs   []atomic.Pointer[locality.Locality]
-	agas   *agas.Service
-	net    network.Model
-	slow   *metrics.SLOW
-	acts   *actionRegistry
-	hwGID  []agas.GID // per-locality hardware names
-	faults *faultState
+	locs  []atomic.Pointer[locality.Locality]
+	agas  *agas.Service
+	net   network.Model
+	slow  *metrics.SLOW
+	acts  *actionRegistry
+	hwGID []agas.GID // per-locality hardware names
 
 	// sheddable names the externally driven actions whose deliveries pass
 	// through admission control. Written only before the transport starts
@@ -234,7 +216,6 @@ func New(cfg Config) *Runtime {
 		net:        cfg.Net,
 		slow:       metrics.NewSLOW(),
 		acts:       newActionRegistry(),
-		faults:     newFaultState(cfg.Faults),
 		fences:     newFenceTable(),
 		reducers:   newReducerRegistry(),
 		migrations: make(map[agas.GID]chan struct{}),
@@ -286,13 +267,8 @@ func New(cfg Config) *Runtime {
 			// The announced dial-back address: what a grown machine's
 			// peers use to reach a joiner.
 			addr := ""
-			switch a := cfg.Transport.(type) {
-			case interface{ Addr() string }:
-				addr = a.Addr()
-			case interface{ Addr() net.Addr }:
-				if la := a.Addr(); la != nil {
-					addr = la.String()
-				}
+			if a, ok := cfg.Transport.(interface{ Addr() net.Addr }); ok && a.Addr() != nil {
+				addr = a.Addr().String()
 			}
 			r.dist.mb = newMemberState(r.dist, cfg.Membership, addr)
 			// A frame a lane drops is settled by the death verdict it

@@ -156,11 +156,11 @@ func TestBarrierAcrossNodes(t *testing.T) {
 	}
 }
 
-// TestReduceWithDuplicationFaults: every contribution is applied exactly
+// TestReduceAppliesEachContributionOnce: every contribution is applied exactly
 // once. Node 2's leaf is sized one past its two contributions, so with
 // six distinct values in the tree holds unresolved, and the seventh
 // resolves it to the exact sum.
-func TestReduceWithDuplicationFaults(t *testing.T) {
+func TestReduceAppliesEachContributionOnce(t *testing.T) {
 	rts := machine3(t)
 	defer shutdown(t, rts, true)
 	red0, err := NewReduce(rts[0], 0, "exact-sum", []int{2, 2, 3}, core.ReduceSum, int64(0))

@@ -105,20 +105,6 @@ func wireFlood(b *testing.B, senders int, nodes []*transport.TCP, got *atomic.Ui
 	}
 }
 
-// WireWritevBatch floods frames through the transport defaults over the
-// same-host fabric: each lane's writer carries everything queued in one
-// write, and the receiver alias-decodes. It has the same shape as
-// WireSameHost; the name, from when batches left as one writev over the
-// senders' own slices, stays because CI's required list and the committed
-// baseline key on it.
-func WireWritevBatch(b *testing.B) {
-	nodes, got := wirePair(b, nil)
-	wireFlood(b, wireSenders, nodes, got)
-	if nodes[0].SameHostConns() == 0 {
-		b.Fatal("same-host fabric was not selected for a loopback pair")
-	}
-}
-
 // WireShardedFanout runs the flood over real loopback TCP with four
 // lanes per peer, senders spread across them: four independent lane
 // writers to the same node, the configuration the runtime drives with

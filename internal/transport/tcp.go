@@ -46,14 +46,6 @@ type TCPConfig struct {
 	// dialed over TCP even when a Unix-domain listener advertises that
 	// they share this host. See shm.go.
 	DisableSameHost bool
-	// ReadBufferBytes sizes each inbound connection's read buffer. Frames
-	// that fit it are delivered as aliased sub-slices of it (zero receive
-	// copies); larger frames take the copy path. It also bounds the alias
-	// path's hidden cost: a frame that straddles the buffer's end is slid
-	// to the front before it can be peeked contiguously, so the buffer
-	// should be a healthy multiple of the common frame size. Default
-	// 256KB.
-	ReadBufferBytes int
 	// PoisonAliasedReads scribbles 0xdd over every aliased frame after
 	// its handler returns, so a handler that illegally retained the slice
 	// observes garbage (and, under -race, a write/read race) instead of
@@ -71,6 +63,14 @@ const MaxLanes = 16
 // larger frame passes once the lane drains. 256KB keeps 32KB-frame floods
 // streaming without letting one hot lane queue megabytes.
 const laneBound = 256 << 10
+
+// readBufferBytes sizes each inbound connection's read buffer. Frames that
+// fit it are delivered as aliased sub-slices of it (zero receive copies);
+// larger frames take the copy path. It also bounds the alias path's hidden
+// cost: a frame that straddles the buffer's end is slid to the front before
+// it can be peeked contiguously, so the buffer is a healthy multiple of the
+// common frame size.
+const readBufferBytes = 256 << 10
 
 // closeFlushTimeout bounds the last write Close lets each lane make: the
 // frames it already holds, on a connection already up.
@@ -91,12 +91,6 @@ func (c *TCPConfig) fill() {
 	}
 	if c.HandshakeTimeout <= 0 {
 		c.HandshakeTimeout = 5 * time.Second
-	}
-	if c.ReadBufferBytes <= 0 {
-		c.ReadBufferBytes = 256 << 10
-	}
-	if c.ReadBufferBytes < 4<<10 {
-		c.ReadBufferBytes = 4 << 10
 	}
 	if !c.PoisonAliasedReads {
 		c.PoisonAliasedReads = poisonAliasDefault
@@ -534,7 +528,7 @@ func (t *TCP) serveConn(conn net.Conn) {
 		t.mu.Unlock()
 	}()
 	conn.SetDeadline(time.Now().Add(t.cfg.HandshakeTimeout))
-	br := bufio.NewReaderSize(conn, t.cfg.ReadBufferBytes)
+	br := bufio.NewReaderSize(conn, readBufferBytes)
 	from, hello, lane, err := t.readHandshake(br)
 	if err != nil {
 		if errors.Is(err, errHandshakeVersion) {

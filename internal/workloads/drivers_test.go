@@ -197,7 +197,7 @@ func TestJacobiDistGatesMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestJacobiDistGatesUnderDuplicationFaults(t *testing.T) {
+func TestJacobiDistGatesSignalsApplyOnce(t *testing.T) {
 	// The distributed-gate halo exchange across four localities stays
 	// exact: each gate signal is applied once, so no gate opens before all
 	// of its neighbours' halos are written.

@@ -22,8 +22,6 @@ type (
 	Context = core.Context
 	// ActionFunc is a parcel action body.
 	ActionFunc = core.ActionFunc
-	// Faults configures crash and partition injection for tests.
-	Faults = core.Faults
 	// MembershipConfig tunes the failure detector and heartbeat cadence of
 	// an elastic multi-node machine (see Config.Membership).
 	MembershipConfig = core.MembershipConfig
@@ -265,7 +263,10 @@ func NewTCPTransport(cfg TCPTransportConfig) (*transport.TCP, error) {
 }
 
 // NewLoopbackFabric creates an in-process n-node interconnect for
-// deterministic multi-node tests; Node(i) yields node i's Transport.
+// deterministic multi-node tests; Node(i) yields node i's Transport. Fault
+// injection happens on the wire, not through Config: the repo's own tests
+// wrap an endpoint, fabric or TCP, in transport.Faulty to kill its node or
+// cut one of its links after an exact frame count.
 func NewLoopbackFabric(n int) *transport.Fabric { return transport.NewFabric(n) }
 
 // EncodeValue encodes a dynamically-typed value for parcel transport.
