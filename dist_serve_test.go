@@ -9,6 +9,7 @@ package parallex_test
 // Retry after a crash is TestDistServeChaos's subject.
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -68,10 +69,39 @@ func TestDistServeOverloadTCP(t *testing.T) {
 	stopMachine(t, rts, true)
 }
 
+// TestDistServeShedsAtTheTarget: under an admission limit the KV actions,
+// though direct, are queued through admission control on the node that
+// serves them, so a burst from node 0 at node 1's shards is shed on node
+// 1. A direct path that skipped admission would shed nothing there.
+func TestDistServeShedsAtTheTarget(t *testing.T) {
+	rts := startServeMachine(t, 1)
+	target := rts[1].NodeRange(1)
+	var futs []*parallex.Future
+	for i := 0; len(futs) < 400; i++ {
+		key := fmt.Sprintf("burst-%d", i)
+		loc := workloads.KVKeyLocality(key, rts[0].Localities())
+		if loc < target.Lo || loc >= target.Hi {
+			continue
+		}
+		args := parallex.NewArgs().String(key).Encode()
+		futs = append(futs, rts[0].CallFrom(0, workloads.KVShardGID(loc), workloads.ActionKVGet, args))
+	}
+	for _, f := range futs {
+		if _, err := f.Get(); err != nil && !parallex.IsOverloaded(err) {
+			t.Fatalf("get: %v, want an answer or the overload verdict", err)
+		}
+	}
+	if rts[1].Sheds() == 0 {
+		t.Fatalf("%d gets in one burst at node 1's shards under AdmitLimit 1: node 1 shed none", len(futs))
+	}
+	stopMachine(t, rts, true)
+}
+
 // TestDistServeFaultRecoveryTCP is the retry-after-timeout scenario: both
 // workers of the locality the client calls from are held busy for the
-// first 100ms of the run, so replies from other nodes queue behind them,
-// attempts time out and are re-issued. Every request must complete once,
+// first 100ms of the run, so requests for that locality's own shard queue
+// behind them, attempts time out and are re-issued. (Replies from other
+// nodes settle on the read goroutine and do not wait for the workers.) Every request must complete once,
 // with nothing lost, failed or rejected; each abandoned attempt's late
 // reply resolves its own future, so none is counted stale; and the run
 // must report a full px-bench/v1 latency profile.

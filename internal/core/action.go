@@ -155,7 +155,7 @@ func registerBuiltins(a *actionRegistry) {
 			if err := args.Err(); err != nil {
 				return nil, err
 			}
-			v, err := ctx.rt.applyTrigger(ctx.loc, target, op, 0, raw)
+			v, err := ctx.rt.applyTrigger(ctx, target, op, 0, raw)
 			if op != TrigSet {
 				v = nil // only a set hands its value on to a continuation
 			}
@@ -169,11 +169,11 @@ func registerBuiltins(a *actionRegistry) {
 			return nil, err
 		}
 		raw, _ := parcel.EncodeAny(msg) // a string always encodes
-		_, err := ctx.rt.applyTrigger(ctx.loc, target, TrigFail, 0, raw)
+		_, err := ctx.rt.applyTrigger(ctx, target, TrigFail, 0, raw)
 		return nil, err
 	})
 	mustReg(ActionLCOSignal, func(ctx *Context, target any, _ *parcel.Reader) (any, error) {
-		_, err := ctx.rt.applyTrigger(ctx.loc, target, TrigSignal, 0, nil)
+		_, err := ctx.rt.applyTrigger(ctx, target, TrigSignal, 0, nil)
 		return nil, err
 	})
 	mustReg(ActionLCOContribute, valueAction(TrigContribute))
@@ -184,7 +184,7 @@ func registerBuiltins(a *actionRegistry) {
 		if err := args.Err(); err != nil {
 			return nil, err
 		}
-		_, err := ctx.rt.applyTrigger(ctx.loc, target, op, slot, raw)
+		_, err := ctx.rt.applyTrigger(ctx, target, op, slot, raw)
 		return nil, err
 	})
 	mustReg(ActionNop, func(ctx *Context, target any, args *parcel.Reader) (any, error) {
@@ -198,8 +198,10 @@ func registerBuiltins(a *actionRegistry) {
 // a set or a fail. It decodes a value-carrying trigger's record once and
 // returns the value. raw aliases the trigger parcel's argument record,
 // which recycles once the action returns, so nothing here keeps it:
-// DecodeAny copies every value out of the record it reads.
-func (r *Runtime) applyTrigger(loc int, target any, op TrigOp, slot uint32, raw []byte) (any, error) {
+// DecodeAny copies every value out of the record it reads. ctx is the
+// trigger's dispatch: its locality, and whether it runs on a read
+// goroutine (settle).
+func (r *Runtime) applyTrigger(ctx *Context, target any, op TrigOp, slot uint32, raw []byte) (any, error) {
 	var v any
 	switch op {
 	case TrigSet, TrigFail, TrigContribute, TrigSupply:
@@ -210,16 +212,16 @@ func (r *Runtime) applyTrigger(loc int, target any, op TrigOp, slot uint32, raw 
 	}
 	switch t := target.(type) {
 	case *DistLCO:
-		return v, r.applyDistTrigger(loc, t, op, slot, v, raw)
+		return v, r.applyDistTrigger(ctx.loc, t, op, slot, v, raw)
 	case *lco.Future:
 		// The slot was emptied as the parcel reached it, so this is the
 		// first and only trigger the future sees; a later one is stale.
 		switch op {
 		case TrigSet:
-			return v, t.Set(v)
+			return v, r.settle(ctx, t, v, nil)
 		case TrigFail:
 			msg, _ := v.(string)
-			return nil, t.Fail(fmt.Errorf("remote action failed: %s", msg))
+			return nil, r.settle(ctx, t, nil, fmt.Errorf("remote action failed: %s", msg))
 		}
 	}
 	return nil, fmt.Errorf("core: %s trigger on %T: %w", op, target, ErrTriggerMismatch)
@@ -228,9 +230,18 @@ func (r *Runtime) applyTrigger(loc int, target any, op TrigOp, slot uint32, raw 
 // Context is the view of the runtime an executing thread sees: which
 // locality it is on, and the operations the model allows — sending parcels,
 // spawning local threads, creating LCOs, and suspending on dependencies.
+//
+// A direct action running on a transport read goroutine (see MarkDirect)
+// sees the same operations, under the reader's rule that nothing waits:
+// Send and Call never wait on a lane (a full lane hands the send to a
+// task on this locality), Spawn posts as it always does, and Await of a
+// future not yet resolved fails with ErrDirectAwait instead of suspending.
 type Context struct {
 	rt  *Runtime
 	loc int
+	// reader marks a dispatch on a transport read goroutine: a reply
+	// resolving its slot, or a direct action.
+	reader bool
 }
 
 // Locality reports the executing locality.
@@ -240,12 +251,12 @@ func (c *Context) Locality() int { return c.loc }
 func (c *Context) Runtime() *Runtime { return c.rt }
 
 // Send routes a parcel; the source locality is stamped automatically.
-func (c *Context) Send(p *parcel.Parcel) { c.rt.SendFrom(c.loc, p) }
+func (c *Context) Send(p *parcel.Parcel) { c.rt.sendFrom(c.loc, p, c.reader) }
 
 // Call invokes action on dest and returns a future (homed here) for the
 // result — split-phase remote invocation.
 func (c *Context) Call(dest agas.GID, action string, args []byte) *lco.Future {
-	return c.rt.CallFrom(c.loc, dest, action, args)
+	return c.rt.callFrom(c.loc, dest, action, args, c.reader)
 }
 
 // Spawn starts a new local thread.
@@ -257,10 +268,15 @@ func (c *Context) SpawnAt(loc int, fn func(*Context)) { c.rt.Spawn(loc, fn) }
 
 // Await suspends the current thread on f: the execution slot is released
 // while blocked (the thread depletes into the future's wait list) and
-// re-acquired on resumption, exactly the paper's suspension semantics.
+// re-acquired on resumption, exactly the paper's suspension semantics. A
+// direct action on a read goroutine has no slot to release: there Await
+// of an unresolved future returns ErrDirectAwait at once.
 func (c *Context) Await(f *lco.Future) (any, error) {
 	if v, err, ok := f.TryGet(); ok {
 		return v, err // dependency already satisfied: no suspension
+	}
+	if c.reader {
+		return nil, ErrDirectAwait
 	}
 	c.rt.slow.Suspensions.Inc()
 	var v any

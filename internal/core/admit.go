@@ -49,7 +49,10 @@ func IsOverloaded(err error) bool {
 // MarkSheddable declares the named actions externally driven: their
 // parcels are delivered through admission control and may be rejected
 // with ErrOverloaded when the destination locality is saturated (see
-// Config.AdmitLimit). On a multi-node machine call it in Config.Register,
+// Config.AdmitLimit). An action also marked direct (MarkDirect) skips the
+// queue, and so admission, only while AdmitLimit is 0: under a limit,
+// admission control is the overload policy and it is queued like any
+// other. On a multi-node machine call it in Config.Register,
 // alongside the action registrations themselves — the set must be
 // complete before the transport starts delivering, and it is read
 // lock-free on the delivery path afterwards.
@@ -120,11 +123,12 @@ func RetryAfter(err error) (d time.Duration, ok bool) {
 // requester's future, across the wire if need be) and the delivery's
 // work unit is released. It runs on the rejecting caller's goroutine —
 // posting the verdict delivery to the very queue that just reported
-// saturation would double queue pressure exactly when shedding it.
+// saturation would double queue pressure exactly when shedding it — which
+// may be a read goroutine (reader; see sendFrom).
 // The verdict carries the retry-after hint, and the hint survives wire
 // flattening: it rides as text inside the verdict message.
-func (r *Runtime) shedParcel(loc int, p *parcel.Parcel) {
+func (r *Runtime) shedParcel(loc int, p *parcel.Parcel, reader bool) {
 	r.failParcel(loc, p, fmt.Errorf("%s: locality %d at admission limit (%s%s)",
-		overloadedMsg, loc, retryAfterMark, retryAfterHint))
+		overloadedMsg, loc, retryAfterMark, retryAfterHint), reader)
 	r.doneWork()
 }

@@ -113,8 +113,8 @@ func onceTCP(t *testing.T, lanes int) []*transport.Faulty {
 	return out
 }
 
-// startOnceMachine starts the 3-node machine over wires, its actions
-// registered and the oracle watching. once.echo answers its value,
+// startOnceMachine starts the 3-node machine over wires, each behind a
+// reader guard, its actions registered and the oracle watching. once.echo answers its value,
 // once.add its value plus one (both count their runs in hits), and
 // once.bump increments a []int64 counter object.
 func startOnceMachine(t *testing.T, wires []*transport.Faulty, o *dispatchOracle, hits *atomic.Int64) []*Runtime {
@@ -142,7 +142,7 @@ func startOnceMachine(t *testing.T, wires []*transport.Faulty, o *dispatchOracle
 	rts := make([]*Runtime, 3)
 	for i := range rts {
 		rts[i] = New(Config{
-			Transport:          wires[i],
+			Transport:          guardReader(t, wires[i]),
 			NodeID:             i,
 			NodeLocalities:     onceRanges,
 			WorkersPerLocality: 2,

@@ -118,13 +118,15 @@ func newDistState(r *Runtime, tr transport.Transport, node int, lmap *agas.Local
 	return d
 }
 
-// onFrame is the transport receive handler. It runs on transport
-// goroutines. A reader may Send, which never waits, and never SendLane,
-// which may wait for room on a lane: a reader waiting on its own node's
-// lane while the peer's reader does the same is a deadlock once both
-// socket buffers fill. So the control arms (drain replies, migration
-// verdicts, moved hints) answer inline, and parcels only ever leave from
-// a worker or a timer.
+// onFrame is the transport receive handler. It runs on transport read
+// goroutines, and a reader never waits on a lane: a reader waiting on its
+// own node's lane while the peer's reader does the same is a deadlock
+// once both socket buffers fill. A reader may Send and TrySendLane, which
+// never wait, and never SendLane, which may. So the control arms (drain
+// replies, migration verdicts, moved hints) answer inline with Send, and
+// the parcels a reader dispatches itself — replies and direct actions
+// (see direct.go) — send theirs through sendParcel's reader path, which
+// hands a send a full lane refuses to a task.
 func (d *distState) onFrame(from int, frame []byte) {
 	if len(frame) == 0 {
 		d.rt.recordError(fmt.Errorf("core: empty frame from node %d", from))
@@ -135,12 +137,12 @@ func (d *distState) onFrame(from int, frame []byte) {
 	if d.peerDead(from) {
 		return
 	}
-	// Stamp liveness before dispatch: the death check counts silence
+	// Count the frame before dispatch: the death check measures silence
 	// across ALL lanes of a peer, so any frame kind on any lane vetoes a
 	// pending verdict (see memberState.check).
 	ps := d.peer(from)
 	if ps != nil {
-		ps.lastFrame.Store(time.Now().UnixNano())
+		ps.frames.Add(1)
 	}
 	kind := frame[0]
 	row := kindOf(kind)
@@ -249,6 +251,8 @@ func (d *distState) resolveHere(g agas.GID) (owner int, gen uint64, err error) {
 // directory makes the chase a single hop. A forwarded parcel whose
 // resolution is versioned also teaches its stale sender where the object
 // went; gen 0 — an unversioned route-toward-home guess — teaches nothing.
+// A reply or a direct action for a resident target runs here, on the read
+// goroutine (runsDirect); anything else is queued on its locality.
 // Runs with one work unit charged; every path releases it exactly once.
 func (d *distState) deliver(from int, p *parcel.Parcel, owner int, gen uint64, err error) {
 	r := d.rt
@@ -265,17 +269,23 @@ func (d *distState) deliver(from int, p *parcel.Parcel, owner int, gen uint64, e
 		if gen > 0 {
 			d.hintMoved(from, p.Dest, owner, gen)
 		}
-		r.forward(d.home, p) // charges the new routing leg...
-		r.doneWork()         // ...so this one is released here
+		r.forward(d.home, p, true) // charges the new routing leg...
+		r.doneWork()               // ...so this one is released here
 		return
 	}
-	r.enqueue(owner, p)
+	if r.runsDirect(owner, p) {
+		r.sampleArrival(owner, p)
+		r.runInline(owner, p, true)
+		return
+	}
+	r.enqueue(owner, p, true)
 }
 
 // hintMoved tells node that g now lives at owner under generation gen, so
 // the stale sender records the hint before its next parcel. It is only a
 // hint: unheard, the sender stays stale and its next parcel is forwarded
-// (and hinted) again.
+// (and hinted) again. It runs on the read goroutine and sends with Send,
+// which never waits.
 func (d *distState) hintMoved(node int, g agas.GID, owner int, gen uint64) {
 	_ = d.tr.Send(node, encodeMoved(g, owner, gen))
 }
@@ -297,13 +307,16 @@ func (d *distState) laneOf(g agas.GID) int {
 }
 
 // sendLane delivers a parcel frame on a transport lane (any lane is lane
-// 0 on a laneless transport). SendLane may wait for room on the lane, so
-// no read goroutine calls it. The lane redials a broken connection itself,
-// so a single transient break cannot lose a frame between two healthy
-// nodes.
-func (d *distState) sendLane(node, lane int, frame []byte) error {
-	if d.laneTr == nil {
+// 0 on a laneless transport, whose Send never waits). SendLane may wait
+// for room on the lane, so a read goroutine (reader) takes TrySendLane,
+// which refuses instead. The lane redials a broken connection itself, so
+// a single transient break cannot lose a frame between two healthy nodes.
+func (d *distState) sendLane(node, lane int, frame []byte, reader bool) error {
+	switch {
+	case d.laneTr == nil:
 		return d.tr.Send(node, frame)
+	case reader:
+		return d.laneTr.TrySendLane(node, lane, frame)
 	}
 	return d.laneTr.SendLane(node, lane, frame)
 }
@@ -319,7 +332,11 @@ func (d *distState) sendLane(node, lane int, frame []byte) error {
 // sendParcel consumes p: the encode buffer returns to its pool once the
 // transport has taken the bytes, and the parcel itself is released unless
 // it was recycled into the failure path.
-func (d *distState) sendParcel(node, src int, p *parcel.Parcel) {
+//
+// A read goroutine (reader) never waits for room on a lane: when the lane
+// is full the refusal is booked like any other, and the send, with p and
+// its work unit, moves to a task on src, which sends again and may wait.
+func (d *distState) sendParcel(node, src int, p *parcel.Parcel, reader bool) {
 	ps := d.ensurePeer(node)
 	if ps == nil {
 		d.rt.deliverFailure(src, p, fmt.Errorf("core: node %d outside machine: %w", node, agas.ErrUnknown))
@@ -351,7 +368,7 @@ func (d *distState) sendParcel(node, src int, p *parcel.Parcel) {
 	ps.sent.Add(1)
 	// Parcels ride the lane their destination hashes to; per-object order
 	// is the per-lane FIFO.
-	err := d.sendLane(node, d.laneOf(p.Dest), w.B)
+	err := d.sendLane(node, d.laneOf(p.Dest), w.B, reader)
 	// The transport copied w.B, so nothing references it any more.
 	parcel.PutWire(w)
 	if err != nil {
@@ -359,6 +376,10 @@ func (d *distState) sendParcel(node, src int, p *parcel.Parcel) {
 		// refusal is booked on this lane's receive side instead of taken
 		// back off sent.
 		ps.returned.Add(1)
+		if reader && errors.Is(err, transport.ErrLaneFull) {
+			d.rt.mustPost(d.rt.loc(src).Post(func() { d.sendParcel(node, src, p, false) }))
+			return
+		}
 		d.rt.deliverFailure(src, p, fmt.Errorf("core: transport to node %d: %w", node, err))
 		return
 	}

@@ -57,10 +57,11 @@ func (m *ledgerMachine) release(t *testing.T, node int, edit func([]byte) []byte
 	}
 }
 
-// startLedgerMachine also runs one call from node 0 to an object on node 1
-// to completion: the reply arrives behind node 1's hello, so node 0's
-// parcels are interned (fParcelI) from then on, and the totals the cases
-// compare start non-zero.
+// startLedgerMachine puts each node's wire behind a reader guard. It also
+// runs one call from node 0 to an object on node 1 to completion: the
+// reply arrives behind node 1's hello, so node 0's parcels are interned
+// (fParcelI) from then on, and the totals the cases compare start
+// non-zero.
 func startLedgerMachine(t *testing.T) (m *ledgerMachine, obj agas.GID) {
 	t.Helper()
 	m = &ledgerMachine{}
@@ -68,7 +69,7 @@ func startLedgerMachine(t *testing.T) (m *ledgerMachine, obj agas.GID) {
 	for i := range m.wires {
 		m.wires[i] = &transport.Faulty{Transport: fab.Node(i)}
 	}
-	m.rts = startInternPair(t, [2]transport.Transport{m.wires[0], m.wires[1]})
+	m.rts = startInternPair(t, [2]transport.Transport{guardReader(t, m.wires[0]), guardReader(t, m.wires[1])})
 	obj = m.rts[1].NewDataAt(2, int64(42))
 	m.wantEcho(t, m.rts[0].CallFrom(0, obj, "intern.echo", nil))
 	m.wait(t)

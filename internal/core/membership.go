@@ -78,13 +78,19 @@ type peerState struct {
 	// hello wins.
 	table atomic.Pointer[recvTable]
 
-	// lastFrame is the wall-clock nanosecond of the last frame of ANY kind
-	// received from this peer, across every transport lane. The death check
-	// consults it alongside the beat detector: on a sharded transport the
-	// beat rides lane 0, and a peer whose lane-0 stream is wedged behind a
-	// reconnect is not dead while its parcel lanes are demonstrably alive —
-	// any-lane traffic vetoes the silence verdict.
-	lastFrame atomic.Int64
+	// frames counts the frames of ANY kind received from this peer,
+	// across every transport lane. The death check consults it alongside
+	// the beat detector: on a sharded transport the beat rides lane 0, and
+	// a peer whose lane-0 stream is wedged behind a reconnect is not dead
+	// while its parcel lanes are demonstrably alive — any-lane traffic
+	// vetoes the silence verdict. A count costs a frame one atomic add
+	// where a clock read cost more.
+	frames atomic.Uint64
+	// framesSeen is frames as the death check last read it, and framesAt
+	// the check's tick at which it last changed. Only the membership loop
+	// touches them.
+	framesSeen uint64
+	framesAt   time.Time
 }
 
 // detector returns the peer's phi detector, creating it on first use.
@@ -231,6 +237,13 @@ func (m *memberState) check(now time.Time) {
 		if ps == nil || ps.dead.Load() || ps.departed.Load() {
 			continue
 		}
+		// Silence across every lane is measured from the tick at which
+		// the peer's frame count last moved, so it is read at most one
+		// tick late, which errs toward alive; DeadAfter is at least four
+		// ticks.
+		if c := ps.frames.Load(); c != ps.framesSeen {
+			ps.framesSeen, ps.framesAt = c, now
+		}
 		// Frames a lane dropped are lost for good, so the machine cannot
 		// balance until their peer is dead. The verdict waits DeadAfter,
 		// so a peer that was leaving has its goodbye heard first.
@@ -249,7 +262,7 @@ func (m *memberState) check(now time.Time) {
 		// Silence must hold across every lane, not just the beat stream:
 		// a peer whose heartbeats are stuck behind a lane-0 reconnect but
 		// whose parcel lanes still deliver is alive.
-		if last := ps.lastFrame.Load(); last != 0 && now.Sub(time.Unix(0, last)) < m.cfg.DeadAfter {
+		if !ps.framesAt.IsZero() && now.Sub(ps.framesAt) < m.cfg.DeadAfter {
 			continue
 		}
 		if det.Phi(now) < suspectPhi {

@@ -115,7 +115,7 @@ func (r *Runtime) Migrate(g agas.GID, to int) error {
 	r.fences.close(g)
 	err = r.migrateLocked(g, from, to, gen+1)
 	for _, pk := range r.fences.open(g) {
-		r.runReply(r.route(pk.loc, pk.p))
+		r.runReply(r.route(pk.loc, pk.p, false), false)
 	}
 	return err
 }
@@ -244,6 +244,12 @@ func approxSize(v any) int {
 // block; the parcel carries a continuation naming the future's reply slot
 // (see reply.go). Its parcel's ID decides whether SLOW clocks it.
 func (r *Runtime) CallFrom(src int, dest agas.GID, action string, args []byte) *lco.Future {
+	return r.callFrom(src, dest, action, args, false)
+}
+
+// callFrom is CallFrom; reader marks a caller on a read goroutine (see
+// sendFrom).
+func (r *Runtime) callFrom(src int, dest agas.GID, action string, args []byte, reader bool) *lco.Future {
 	r.checkResident(src)
 	p := parcel.Acquire(dest, action, args, parcel.Continuation{Action: ActionLCOSet})
 	reply, fut := r.openReply(src, dest, slowClock(p.ID))
@@ -252,6 +258,6 @@ func (r *Runtime) CallFrom(src int, dest agas.GID, action string, args []byte) *
 		return fut
 	}
 	p.Cont[0].Target = reply
-	r.SendFrom(src, p)
+	r.sendFrom(src, p, reader)
 	return fut
 }

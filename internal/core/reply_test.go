@@ -179,12 +179,17 @@ func TestNodeLocalCallCostsOneTask(t *testing.T) {
 	}
 }
 
-// TestRemoteReplyRunsOnAWorker: a reply read off the wire still takes a
-// task on the caller's locality. Its callbacks may block on a send, which a
-// read goroutine must not do, so none of them runs under the frame handler
-// or the fabric's delivery loop.
-func TestRemoteReplyRunsOnAWorker(t *testing.T) {
+// TestRemoteReplySettlesOnTheReader: a reply read off the wire settles
+// its future on the read goroutine, so Get wakes with no task run on the
+// caller's node; a callback registered with OnReady is application code,
+// which may block, so it runs in a locality task, never under the frame
+// handler or the fabric's delivery loop.
+func TestRemoteReplySettlesOnTheReader(t *testing.T) {
 	m, obj := startLedgerMachine(t)
+	const calls = 10
+	for i := 0; i < calls; i++ {
+		m.wantEcho(t, m.rts[0].CallFrom(i%2, obj, "intern.echo", nil))
+	}
 	// Hold back node 1's reply until the callback is registered.
 	held := m.hold(1, fParcel, fParcelI)
 	fut := m.rts[0].CallFrom(0, obj, "intern.echo", nil)
@@ -217,6 +222,11 @@ func TestRemoteReplyRunsOnAWorker(t *testing.T) {
 		t.Fatalf("the reply's callback ran outside a locality task:\n%s", strings.Join(fns, "\n"))
 	}
 	m.stop(t)
+	// A task is counted just after it releases the work unit Wait
+	// watches; the counts settle once Shutdown has joined the workers.
+	if got := m.rts[0].loc(0).TasksRun() + m.rts[0].loc(1).TasksRun(); got != 1 {
+		t.Fatalf("%d remote calls, one with a callback, ran %d tasks on the caller's node; want 1, the callback's", calls+2, got)
+	}
 }
 
 // TestSLOWIsSampled: node-local calls still feed SLOW's Latency and Overhead,

@@ -20,7 +20,13 @@ import (
 // parcel references its Args rather than copying them. A reply to a call
 // from this node resolves on the calling goroutine instead: setting a
 // future never blocks.
-func (r *Runtime) SendFrom(src int, p *parcel.Parcel) {
+func (r *Runtime) SendFrom(src int, p *parcel.Parcel) { r.sendFrom(src, p, false) }
+
+// sendFrom is SendFrom. reader marks a caller on a transport read
+// goroutine, which never waits on a lane (see distState.onFrame): its
+// parcels for other nodes take sendParcel's refusing lane send, and a
+// reply it resolves hands its callbacks to a task (settle).
+func (r *Runtime) sendFrom(src int, p *parcel.Parcel, reader bool) {
 	r.checkResident(src)
 	if p.Dest.IsNil() {
 		panic("core: send to nil GID")
@@ -29,11 +35,11 @@ func (r *Runtime) SendFrom(src int, p *parcel.Parcel) {
 	r.traceParcel(src, p)
 	r.addWork()
 	start := slowClock(p.ID)
-	reply := r.route(src, p)
+	reply := r.route(src, p, reader)
 	if !start.IsZero() {
 		r.slow.Overhead.ObserveDuration(now().Sub(start))
 	}
-	r.runReply(reply)
+	r.runReply(reply, reader)
 }
 
 // slowClock reads the clock for SLOW's Latency and Overhead for 1 parcel ID
@@ -49,9 +55,9 @@ func slowClock(id uint64) time.Time {
 
 // route resolves ownership and moves the parcel. The caller has already
 // charged one work unit for p; route (or the failure path) releases it via
-// the delivery task — or hands back a parcel for a reply slot of this node,
-// for the caller to run inline (runReply) once SendFrom's clock stops.
-func (r *Runtime) route(src int, p *parcel.Parcel) *parcel.Parcel {
+// the delivery task — or hands back a reply for a slot of this node, for
+// the caller to run inline (runReply) once SendFrom's clock stops.
+func (r *Runtime) route(src int, p *parcel.Parcel, reader bool) *parcel.Parcel {
 	owner, err := r.agas.ResolveCached(src, p.Dest)
 	if err != nil {
 		r.deliverFailure(src, p, err)
@@ -59,7 +65,7 @@ func (r *Runtime) route(src int, p *parcel.Parcel) *parcel.Parcel {
 	}
 	if owner == src {
 		r.slow.ParcelsLocal.Inc()
-		return r.handOff(owner, p)
+		return r.handOff(owner, p, reader)
 	}
 	if r.dist != nil {
 		node, known := r.dist.lmap.NodeOf(owner)
@@ -71,7 +77,7 @@ func (r *Runtime) route(src int, p *parcel.Parcel) *parcel.Parcel {
 			// The owner lives in another process: the parcel crosses the
 			// real network in wire form. The work unit charged by SendFrom
 			// stays held until the transport has taken the frame.
-			r.dist.sendParcel(node, src, p)
+			r.dist.sendParcel(node, src, p, reader)
 			return nil
 		}
 	}
@@ -79,39 +85,47 @@ func (r *Runtime) route(src int, p *parcel.Parcel) *parcel.Parcel {
 	// Another locality of this node shares this address space, so the
 	// parcel itself moves, as on the same-locality path above.
 	if lat := r.net.Latency(src, owner, len(p.Args)); lat > 0 {
-		time.AfterFunc(lat, func() { r.runReply(r.handOff(owner, p)) })
+		time.AfterFunc(lat, func() { r.runReply(r.handOff(owner, p, false), false) })
 		return nil
 	}
-	return r.handOff(owner, p)
+	return r.handOff(owner, p, reader)
 }
 
-// handOff ends a node-local leg of route: it enqueues p on locality loc,
-// or returns it to be run inline if it is for a reply slot. A reply read
-// off the wire is always enqueued (distState.deliver): a read goroutine
-// must not run callbacks that may block on a send.
-func (r *Runtime) handOff(loc int, p *parcel.Parcel) *parcel.Parcel {
-	if p.Dest.Kind == agas.KindReply && r.loc(loc) != nil {
+// handOff ends a node-local leg of route: it returns p to be run inline
+// if it is a reply for a slot of resident locality loc (isReply), and
+// enqueues it on loc otherwise.
+func (r *Runtime) handOff(loc int, p *parcel.Parcel, reader bool) *parcel.Parcel {
+	if isReply(p) && r.loc(loc) != nil {
 		return p
 	}
-	r.enqueue(loc, p)
+	r.enqueue(loc, p, reader)
 	return nil
 }
 
 // runReply runs the reply route handed back, if any, on the calling
-// goroutine: the dispatch a task would run on the reply's home locality,
-// with pooled scratch of its own, since the caller's may still be live.
-func (r *Runtime) runReply(p *parcel.Parcel) {
+// goroutine, at the slot's home locality.
+func (r *Runtime) runReply(p *parcel.Parcel, reader bool) {
 	if p != nil {
-		t := execTaskPool.Get().(*execTask)
-		t.r, t.loc, t.p = r, int(p.Dest.Home), p
-		t.fire()
+		r.runInline(int(p.Dest.Home), p, reader)
 	}
 }
 
+// runInline runs the dispatch a task on resident locality loc would run
+// for p, on the calling goroutine, with pooled scratch of its own, since
+// the caller's may still be live. It releases p's work unit. reader marks
+// a transport read goroutine (see sendFrom).
+func (r *Runtime) runInline(loc int, p *parcel.Parcel, reader bool) {
+	t := execTaskPool.Get().(*execTask)
+	t.r, t.loc, t.p = r, loc, p
+	t.ctx.reader = reader
+	t.fire()
+}
+
 // execTask is the pooled unit posted to a locality (or run inline, for a
-// reply) for one parcel dispatch. Its run closure is bound at pool birth,
-// so the steady-state enqueue allocates neither a closure nor a task; the
-// embedded Reader is likewise reset per dispatch instead of allocated.
+// reply or a direct action) for one parcel dispatch. Its run closure is
+// bound at pool birth, so the steady-state enqueue allocates neither a
+// closure nor a task; the embedded Reader is likewise reset per dispatch
+// instead of allocated.
 type execTask struct {
 	r   *Runtime
 	loc int
@@ -145,8 +159,10 @@ func (t *execTask) fire() {
 // by SendFrom is released when the action (and its continuation sends) have
 // completed. The destination object's name is the placement hint: parcels
 // for one object land on one worker's deque, preserving its cache affinity
-// and keeping the deque lock uncontended for hot objects.
-func (r *Runtime) enqueue(loc int, p *parcel.Parcel) {
+// and keeping the deque lock uncontended for hot objects. A parcel shed by
+// admission control is failed on the calling goroutine, whose sends never
+// wait on a lane when reader is set.
+func (r *Runtime) enqueue(loc int, p *parcel.Parcel, reader bool) {
 	l := r.loc(loc)
 	if l == nil {
 		// The membership map names this node as loc's host, but nothing
@@ -157,13 +173,7 @@ func (r *Runtime) enqueue(loc int, p *parcel.Parcel) {
 		r.deliverFailure(r.dist.home, p, fmt.Errorf("core: locality %d is not installed on node %d: %w", loc, r.dist.node, agas.ErrNodeLost))
 		return
 	}
-	// The balancer's arrival sampling: one nil check when balancing is
-	// off (the zero-alloc contract), one atomic add when on, a shard
-	// mutex only on the sampled minority. Names that never migrate are
-	// not attributed.
-	if b := r.bal; b != nil && p.Dest.Kind.Movable() {
-		b.sampler.Record(p.Dest, loc)
-	}
+	r.sampleArrival(loc, p)
 	t := execTaskPool.Get().(*execTask)
 	t.r, t.loc, t.p = r, loc, p
 	if r.sheddable != nil {
@@ -174,12 +184,22 @@ func (r *Runtime) enqueue(loc int, p *parcel.Parcel) {
 				if !errors.Is(err, locality.ErrOverloaded) {
 					r.mustPost(err)
 				}
-				r.shedParcel(loc, p)
+				r.shedParcel(loc, p, reader)
 			}
 			return
 		}
 	}
 	r.mustPost(l.PostTo(int(p.Dest.Seq), t.run))
+}
+
+// sampleArrival is the balancer's arrival sampling of a parcel delivered
+// to loc, queued or direct: one nil check when balancing is off (the
+// zero-alloc contract), one atomic add when on, a shard mutex only on the
+// sampled minority. Names that never migrate are not attributed.
+func (r *Runtime) sampleArrival(loc int, p *parcel.Parcel) {
+	if b := r.bal; b != nil && p.Dest.Kind.Movable() {
+		b.sampler.Record(p.Dest, loc)
+	}
 }
 
 // mustPost converts a locality post failure into a panic: the runtime
@@ -207,7 +227,8 @@ func (r *Runtime) mustPost(err error) {
 // ownership on (to the fence and the re-route, respectively). rd and ctx
 // are the caller's pooled scratch, valid only for this dispatch — the
 // ActionFunc contract forbids retaining either beyond the action's
-// return.
+// return. ctx.reader marks a dispatch on a read goroutine: everything
+// execute sends then takes the reader's path (sendFrom).
 func (r *Runtime) execute(loc int, p *parcel.Parcel, rd *parcel.Reader, ctx *Context) {
 	fenced := p.Dest.Kind.Movable()
 	if fenced {
@@ -244,7 +265,7 @@ func (r *Runtime) execute(loc int, p *parcel.Parcel, rd *parcel.Reader, ctx *Con
 		// The object is not here: our (or the sender's) translation was
 		// stale — the next resolution will name the forwarding target.
 		// Repair and re-route.
-		r.forward(loc, p)
+		r.forward(loc, p, ctx.reader)
 		return
 	}
 	// An interned wire decode (or a previous dispatch of this parcel) has
@@ -261,7 +282,7 @@ func (r *Runtime) execute(loc int, p *parcel.Parcel, rd *parcel.Reader, ctx *Con
 		if fenced {
 			r.fences.exit(p.Dest)
 		}
-		r.failParcel(loc, p, fmt.Errorf("core: unknown action %q", p.Action))
+		r.failParcel(loc, p, fmt.Errorf("core: unknown action %q", p.Action), ctx.reader)
 		return
 	}
 	if p.Trace.Sampled() && isTriggerAction(p.Action) {
@@ -283,16 +304,16 @@ func (r *Runtime) execute(loc int, p *parcel.Parcel, rd *parcel.Reader, ctx *Con
 			// The slot is spent, so no later reply can resolve the future
 			// (a value whose codec this node lacks, say): its waiter hears
 			// this error rather than nothing.
-			_ = reply.Fail(err)
+			_ = r.settle(ctx, reply, nil, err)
 		}
-		r.failParcel(loc, p, err)
+		r.failParcel(loc, p, err, ctx.reader)
 		return
 	}
 	if cont, more := p.PopContinuation(); more {
 		np, encErr := parcel.AcquireValue(cont.Target, cont.Action, res, p.Cont...)
 		if encErr != nil {
 			// The value was for cont, so cont hears why it never came.
-			r.failTo(loc, p, cont, encErr)
+			r.failTo(loc, p, cont, encErr, ctx.reader)
 			return
 		}
 		// The continuation inherits the chain's parcel ID, which keys
@@ -301,7 +322,7 @@ func (r *Runtime) execute(loc int, p *parcel.Parcel, rd *parcel.Reader, ctx *Con
 		np.ID = p.ID
 		np.Trace = p.Trace
 		parcel.Release(p) // after Acquire copied the continuation tail
-		r.SendFrom(loc, np)
+		r.sendFrom(loc, np, ctx.reader)
 		return
 	}
 	parcel.Release(p)
@@ -313,24 +334,26 @@ const maxHops = 64
 
 // forward re-resolves a stale destination and re-routes the parcel,
 // bounding the retry count. Re-delivery is slightly delayed so a migration
-// in progress can land.
-func (r *Runtime) forward(loc int, p *parcel.Parcel) {
+// in progress can land; it leaves from a timer, so only the failure of a
+// parcel out of hops is sent from the caller's goroutine (reader).
+func (r *Runtime) forward(loc int, p *parcel.Parcel, reader bool) {
 	p.Hops++
 	if p.Hops > maxHops {
-		r.failParcel(loc, p, fmt.Errorf("core: %s exceeded %d forwarding hops", p, maxHops))
+		r.failParcel(loc, p, fmt.Errorf("core: %s exceeded %d forwarding hops", p, maxHops), reader)
 		return
 	}
 	r.agas.Invalidate(loc, p.Dest)
 	r.emitSpan(trace.SpanMigrate, loc, &p.Trace, p.Action)
 	r.addWork() // the new routing leg; our caller releases the old one
 	time.AfterFunc(time.Duration(p.Hops)*5*time.Microsecond, func() {
-		r.runReply(r.route(loc, p))
+		r.runReply(r.route(loc, p, false), false)
 	})
 }
 
 // failParcel delivers an action failure to the parcel's continuation, or
 // records it on the runtime when no continuation exists. It consumes p.
-func (r *Runtime) failParcel(loc int, p *parcel.Parcel, err error) {
+// reader marks a caller on a read goroutine (see sendFrom).
+func (r *Runtime) failParcel(loc int, p *parcel.Parcel, err error, reader bool) {
 	if p.Action == ActionLCOTrigger && (errors.Is(err, agas.ErrUnknown) || IsNodeLost(err)) {
 		// A trigger whose LCO is gone: it raced the LCO's Free on another
 		// lane, or the LCO died with its node (or the send found that node
@@ -347,18 +370,18 @@ func (r *Runtime) failParcel(loc int, p *parcel.Parcel, err error) {
 		parcel.Release(p)
 		return
 	}
-	r.failTo(loc, p, cont, err)
+	r.failTo(loc, p, cont, err, reader)
 }
 
 // failTo delivers err to cont, a continuation already popped off p, and
 // consumes p.
-func (r *Runtime) failTo(loc int, p *parcel.Parcel, cont parcel.Continuation, err error) {
+func (r *Runtime) failTo(loc int, p *parcel.Parcel, cont parcel.Continuation, err error, reader bool) {
 	np := parcel.Acquire(cont.Target, ActionLCOFail, nil)
 	np.Args = np.OwnArgs().String(err.Error()).Encode()
 	np.ID = p.ID // failure deliveries share the chain identity too
 	np.Trace = p.Trace
 	parcel.Release(p)
-	r.SendFrom(loc, np)
+	r.sendFrom(loc, np, reader)
 }
 
 // deliverFailure handles routing errors for a parcel whose work unit is
@@ -367,6 +390,6 @@ func (r *Runtime) deliverFailure(src int, p *parcel.Parcel, err error) {
 	// Release via a task so accounting stays uniform.
 	r.mustPost(r.loc(src).Post(func() {
 		defer r.doneWork()
-		r.failParcel(src, p, err)
+		r.failParcel(src, p, err, false)
 	}))
 }

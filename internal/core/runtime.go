@@ -134,8 +134,11 @@ type Runtime struct {
 	// through admission control. Written only before the transport starts
 	// (MarkSheddable), read lock-free on the delivery path.
 	sheddable map[string]struct{}
-	dist      *distState // nil for a single-process machine
-	fences    *fenceTable
+	// direct names the actions a read goroutine runs itself (MarkDirect),
+	// written and read like sheddable.
+	direct map[string]struct{}
+	dist   *distState // nil for a single-process machine
+	fences *fenceTable
 	// bal is the adaptive self-balancer; nil unless BalanceInterval > 0.
 	// The delivery hot path reads it with one nil check (see enqueue).
 	bal *balancerState

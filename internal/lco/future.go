@@ -61,10 +61,24 @@ func (f *Future) Fail(err error) error {
 }
 
 func (f *Future) resolve(v any, err error) error {
+	cbs, serr := f.Settle(v, err)
+	for _, cb := range cbs {
+		cb(v, err)
+	}
+	return serr
+}
+
+// Settle resolves the future with v, or fails it with err when err is not
+// nil, and wakes every waiter, as Set and Fail do, but hands the
+// registered callbacks back instead of running them: the caller runs
+// them, in order, with (v, err), wherever it chooses. The runtime settles
+// a reply this way on a transport read goroutine, which must not run
+// application code. Settling twice returns ErrAlreadySet and no callbacks.
+func (f *Future) Settle(v any, err error) ([]func(any, error), error) {
 	f.mu.Lock()
 	if f.set {
 		f.mu.Unlock()
-		return ErrAlreadySet
+		return nil, ErrAlreadySet
 	}
 	f.set = true
 	f.val, f.err = v, err
@@ -75,10 +89,7 @@ func (f *Future) resolve(v any, err error) error {
 	}
 	f.mu.Unlock()
 	f.wg.Done()
-	for _, cb := range cbs {
-		cb(v, err)
-	}
-	return nil
+	return cbs, nil
 }
 
 // Get blocks until the future resolves and returns its value or error.
@@ -115,11 +126,14 @@ func (f *Future) Done() <-chan struct{} {
 }
 
 // OnReady registers cb to run when the future resolves; if it already has,
-// cb runs immediately on the calling goroutine. Otherwise cb runs on the
-// goroutine that resolves the future: for a runtime call answered on the
-// same node that is the worker that ran the callee (the reply resolves
-// inline, see core.Runtime.SendFrom); for one answered by another node, a
-// worker of the caller's locality. This is the parcel continuation hook:
+// cb runs immediately on the calling goroutine. Otherwise cb runs where
+// the future is resolved: by Set or Fail, on that goroutine, which for a
+// runtime call answered on the same node is the worker that ran the
+// callee (the reply resolves inline, see core.Runtime.SendFrom); by
+// Settle, wherever its caller runs the callbacks handed back, which for a
+// reply read off the wire is one task on the caller's locality. A
+// callback registered after Settle but before that task runs executes at
+// once, ahead of the earlier ones. This is the parcel continuation hook:
 // the runtime attaches "send result onward" callbacks.
 func (f *Future) OnReady(cb func(v any, err error)) {
 	f.mu.Lock()

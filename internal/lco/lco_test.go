@@ -86,6 +86,34 @@ func TestFutureOnReadyAfterSet(t *testing.T) {
 	}
 }
 
+// TestFutureSettleHandsBackCallbacks: Settle wakes waiters and returns the
+// registered callbacks, in order, without running them; a second settle
+// is refused and returns none.
+func TestFutureSettleHandsBackCallbacks(t *testing.T) {
+	f := NewFuture()
+	var ran []int
+	f.OnReady(func(any, error) { ran = append(ran, 1) })
+	f.OnReady(func(any, error) { ran = append(ran, 2) })
+	done := f.Done()
+	cbs, err := f.Settle(7, nil)
+	if err != nil || len(cbs) != 2 || len(ran) != 0 {
+		t.Fatalf("Settle: %d callbacks, %v, %d already run; want 2, nil, 0", len(cbs), err, len(ran))
+	}
+	<-done
+	if v, err := f.Get(); v != 7 || err != nil {
+		t.Fatalf("Get after Settle: %v, %v", v, err)
+	}
+	for _, cb := range cbs {
+		cb(7, nil)
+	}
+	if len(ran) != 2 || ran[0] != 1 || ran[1] != 2 {
+		t.Fatalf("callbacks ran as %v, want [1 2]", ran)
+	}
+	if cbs, err := f.Settle(8, nil); !errors.Is(err, ErrAlreadySet) || cbs != nil {
+		t.Fatalf("second Settle: %d callbacks, %v; want none and ErrAlreadySet", len(cbs), err)
+	}
+}
+
 func TestFutureConcurrentSetExactlyOnce(t *testing.T) {
 	f := NewFuture()
 	var wins atomic.Int32

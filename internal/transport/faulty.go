@@ -135,6 +135,18 @@ func (f *Faulty) SendLane(node, lane int, frame []byte) error {
 	return f.sendLane(node, lane, frame)
 }
 
+// TrySendLane is SendLane that refuses a full lane instead of waiting; on
+// an endpoint without lanes it is Send, which never waits.
+func (f *Faulty) TrySendLane(node, lane int, frame []byte) error {
+	if taken, err := f.intercept(node, lane, frame); taken || err != nil {
+		return err
+	}
+	if lt, ok := f.Transport.(LaneTransport); ok {
+		return lt.TrySendLane(node, lane, frame)
+	}
+	return f.Transport.Send(node, frame)
+}
+
 func (f *Faulty) sendLane(node, lane int, frame []byte) error {
 	if lt, ok := f.Transport.(LaneTransport); ok {
 		return lt.SendLane(node, lane, frame)

@@ -118,8 +118,8 @@ func TestFaultyRule(t *testing.T) {
 	}
 }
 
-// TestFaultyKeepsTCPSurface: a wrapped TCP endpoint keeps its lanes and its
-// listen address; a wrapped fabric endpoint has one lane, no address, and
+// TestFaultyKeepsTCPSurface: a wrapped TCP endpoint keeps its lanes, both
+// lane sends and its listen address; a wrapped fabric endpoint has one lane, no address, and
 // a fixed machine.
 func TestFaultyKeepsTCPSurface(t *testing.T) {
 	nodes, cols := newTCPPair(t, func(c *TCPConfig) { c.Lanes = 3 })
@@ -133,8 +133,11 @@ func TestFaultyKeepsTCPSurface(t *testing.T) {
 	if err := f.SendLane(1, 2, []byte("lane2")); err != nil {
 		t.Fatal(err)
 	}
-	if got := cols[1].wait(t, 1); got[0].data != "lane2" {
-		t.Fatalf("node 1 received %v", got)
+	if err := f.TrySendLane(1, 1, []byte("lane1")); err != nil {
+		t.Fatal(err)
+	}
+	if got := received(t, cols[1], 2); got != "[lane2 lane1]" && got != "[lane1 lane2]" {
+		t.Fatalf("node 1 received %s", got)
 	}
 
 	fab := &Faulty{Transport: NewFabric(2).Node(0)}

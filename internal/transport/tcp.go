@@ -59,9 +59,10 @@ type TCPConfig struct {
 const MaxLanes = 16
 
 // laneBound bounds the bytes a lane holds unwritten: SendLane waits while
-// a lane holds this much (Send never waits). It is soft by one frame, so a
-// larger frame passes once the lane drains. 256KB keeps 32KB-frame floods
-// streaming without letting one hot lane queue megabytes.
+// a lane holds this much and TrySendLane refuses (Send never waits). It is
+// soft by one frame, so a larger frame passes once the lane drains. 256KB
+// keeps 32KB-frame floods streaming without letting one hot lane queue
+// megabytes.
 const laneBound = 256 << 10
 
 // readBufferBytes sizes each inbound connection's read buffer. Frames that
@@ -108,8 +109,8 @@ func (c *TCPConfig) fill() {
 // it dials, retrying so peers may start in any order, and writes
 // everything that built up during its previous write as one write. A lone
 // frame leaves at once and a burst leaves together. SendLane waits while
-// the lane holds laneBound unwritten bytes; Send never waits, so a read
-// goroutine may send.
+// the lane holds laneBound unwritten bytes and TrySendLane refuses; Send
+// never waits. A read goroutine may call Send and TrySendLane.
 type TCP struct {
 	cfg TCPConfig
 	ln  net.Listener
@@ -130,7 +131,9 @@ type TCP struct {
 	onHello       func(node int, payload []byte)
 	onUnreachable func(node int)
 	started       bool
-	closed        bool
+	// closed is set by Close, under mu; readers load it without mu, once
+	// per frame, so no frame is delivered once Close has begun.
+	closed atomic.Bool
 	// quit is cancelled by Close: it aborts a writer's dial, handshake
 	// and backoff at once.
 	quit    context.Context
@@ -360,7 +363,7 @@ func (t *TCP) deliverHello(node int, payload []byte) {
 func (t *TCP) Start() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.closed {
+	if t.closed.Load() {
 		return ErrClosed
 	}
 	if t.handler == nil {
@@ -492,17 +495,14 @@ func (t *TCP) acceptLoop(ln net.Listener) {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			t.mu.Lock()
-			closed := t.closed
-			t.mu.Unlock()
-			if closed {
+			if t.closed.Load() {
 				return
 			}
 			time.Sleep(5 * time.Millisecond)
 			continue
 		}
 		t.mu.Lock()
-		if t.closed {
+		if t.closed.Load() {
 			t.mu.Unlock()
 			conn.Close()
 			return
@@ -562,6 +562,11 @@ func (t *TCP) serveConn(conn net.Conn) {
 	// The hello is delivered before any frame from this connection: frames
 	// that depend on it (interned parcels) decode against it in order.
 	t.deliverHello(from, hello)
+	// The handler is set once, before Start, so one read serves the
+	// connection.
+	t.mu.Lock()
+	h := t.handler
+	t.mu.Unlock()
 	var lenBuf [4]byte
 	// The copy-path read buffer, grown to the largest copied frame seen.
 	var frame []byte
@@ -594,10 +599,7 @@ func (t *TCP) serveConn(conn net.Conn) {
 			}
 			body = frame
 		}
-		t.mu.Lock()
-		h, closed := t.handler, t.closed
-		t.mu.Unlock()
-		if closed {
+		if t.closed.Load() {
 			return
 		}
 		h(from, body)
@@ -619,10 +621,19 @@ func (t *TCP) serveConn(conn net.Conn) {
 	}
 }
 
+// What a send does when its lane holds laneBound unwritten bytes.
+type atBound int
+
+const (
+	overfill   atBound = iota // take the frame anyway (Send)
+	waitRoom                  // wait for the writer to make room (SendLane)
+	refuseFull                // refuse the frame with ErrLaneFull (TrySendLane)
+)
+
 // Send delivers frame to node on lane 0. It never waits: the frame is
 // copied onto the lane and Send returns, whatever the lane holds.
 func (t *TCP) Send(node int, frame []byte) error {
-	return t.send(node, 0, frame, false)
+	return t.send(node, 0, frame, overfill)
 }
 
 // SendLane delivers frame to node on the given lane (LaneTransport). The
@@ -630,12 +641,18 @@ func (t *TCP) Send(node int, frame []byte) error {
 // SendLane returns; while the lane holds laneBound unwritten bytes,
 // SendLane first waits for its writer to take them.
 func (t *TCP) SendLane(node, lane int, frame []byte) error {
-	return t.send(node, lane, frame, true)
+	return t.send(node, lane, frame, waitRoom)
 }
 
-// send takes one frame onto a lane, waiting for room first when wait is
-// set, and starts the lane's writer on its first frame.
-func (t *TCP) send(node, lane int, frame []byte, wait bool) error {
+// TrySendLane is SendLane that refuses the frame with ErrLaneFull where
+// SendLane would wait (LaneTransport).
+func (t *TCP) TrySendLane(node, lane int, frame []byte) error {
+	return t.send(node, lane, frame, refuseFull)
+}
+
+// send takes one frame onto a lane, doing what full says when the lane is
+// at laneBound, and starts the lane's writer on its first frame.
+func (t *TCP) send(node, lane int, frame []byte, full atBound) error {
 	if err := checkNode(t, node); err != nil {
 		return err
 	}
@@ -646,7 +663,7 @@ func (t *TCP) send(node, lane int, frame []byte, wait bool) error {
 		return fmt.Errorf("transport: frame of %d bytes exceeds limit %d", len(frame), MaxFrame)
 	}
 	t.mu.Lock()
-	if t.closed {
+	if t.closed.Load() {
 		t.mu.Unlock()
 		return ErrClosed
 	}
@@ -658,8 +675,12 @@ func (t *TCP) send(node, lane int, frame []byte, wait bool) error {
 	}
 
 	l.mu.Lock()
-	if wait && len(l.pending) >= laneBound && !l.closing {
+	if full != overfill && len(l.pending) >= laneBound && !l.closing {
 		l.backpressured++
+		if full == refuseFull {
+			l.mu.Unlock()
+			return ErrLaneFull
+		}
 		for len(l.pending) >= laneBound && !l.closing {
 			l.room.Wait()
 		}
@@ -805,7 +826,8 @@ func wholeFrames(b []byte, n int) (end, frames int) {
 // BatchStats reports the lane writers' cumulative activity over every peer
 // and lane, which the runtime bridges into px.wire.* metrics: writes made,
 // frames they carried, frames dropped because their peer was unreachable
-// or the transport closed first, and SendLane calls that waited for room.
+// or the transport closed first, and lane sends that met a full lane
+// (SendLane waited for room, TrySendLane refused).
 func (t *TCP) BatchStats() (writes, frames, dropped, backpressured uint64) {
 	return t.LaneBatchStats(-1)
 }
@@ -917,12 +939,12 @@ func (t *TCP) completeDial(conn net.Conn, node, lane int) error {
 // finish.
 func (t *TCP) Close() error {
 	t.mu.Lock()
-	if t.closed {
+	if t.closed.Load() {
 		t.mu.Unlock()
 		t.wg.Wait()
 		return nil
 	}
-	t.closed = true
+	t.closed.Store(true)
 	t.cancel()
 	for c := range t.inbound {
 		c.Close()

@@ -92,6 +92,10 @@ type LaneTransport interface {
 	// for room when the lane holds a bounded backlog, so a receive
 	// handler must not call it.
 	SendLane(node, lane int, frame []byte) error
+	// TrySendLane is SendLane that never waits: where SendLane would wait
+	// for room it refuses the frame with ErrLaneFull. A receive handler
+	// may call it.
+	TrySendLane(node, lane int, frame []byte) error
 }
 
 // MemberTransport is optionally implemented by transports whose machine
@@ -131,6 +135,10 @@ const MaxHello = 1 << 20
 
 // ErrClosed is returned by Send on a closed transport.
 var ErrClosed = errors.New("transport: closed")
+
+// ErrLaneFull is TrySendLane's refusal of a frame for a lane that holds
+// its bound of unwritten bytes. The frame was not taken.
+var ErrLaneFull = errors.New("transport: lane full")
 
 // MaxFrame bounds a frame's encoded size; a peer announcing a larger frame
 // is treated as corrupt and disconnected.

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -528,6 +529,35 @@ func TestTCPLaneBoundBackpressure(t *testing.T) {
 		t.Fatalf("send after the backlog was taken: %v", err)
 	}
 	readFrame(t, srv, "held")
+	if _, _, _, backpressured := tt.BatchStats(); backpressured != 1 {
+		t.Fatalf("backpressured = %d, want 1", backpressured)
+	}
+}
+
+// TestTCPTrySendLaneRefusesAtBound: where SendLane would wait, TrySendLane
+// refuses with ErrLaneFull at once, counted like a wait, and the refused
+// frame never reaches the peer; once the writer takes the backlog the lane
+// takes frames again.
+func TestTCPTrySendLaneRefusesAtBound(t *testing.T) {
+	tt := newStalledTCP(t, nil)
+	l, srv := stallLane(t, tt, 0)
+	filler := fillLane(t, tt, l, 0)
+	if err := tt.TrySendLane(1, 0, []byte("refused")); !errors.Is(err, ErrLaneFull) {
+		t.Fatalf("TrySendLane at the lane bound: %v, want ErrLaneFull", err)
+	}
+	if err := tt.Send(1, []byte("control")); err != nil {
+		t.Fatal(err)
+	}
+	readFrame(t, srv, "first")
+	for i := 0; i < laneBound/1024; i++ {
+		readFrame(t, srv, string(filler))
+	}
+	readFrame(t, srv, "control")
+	waitLane(t, l, func() bool { return len(l.pending) == 0 })
+	if err := tt.TrySendLane(1, 0, []byte("taken")); err != nil {
+		t.Fatalf("TrySendLane on a drained lane: %v", err)
+	}
+	readFrame(t, srv, "taken")
 	if _, _, _, backpressured := tt.BatchStats(); backpressured != 1 {
 		t.Fatalf("backpressured = %d, want 1", backpressured)
 	}

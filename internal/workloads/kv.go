@@ -6,8 +6,9 @@ package workloads
 // to the data. Requests arrive as ordinary parcels; the get/put actions
 // are marked sheddable, so a saturated locality rejects them with the
 // typed overload verdict (core.ErrOverloaded through the request's
-// continuation) instead of queueing without bound — the admission-control
-// story ROADMAP item 2 calls for.
+// continuation) instead of queueing without bound. Both are also direct:
+// a request read off the wire runs on the read goroutine, unless an
+// admission limit is set (see core.Runtime.MarkDirect).
 
 import (
 	"fmt"
@@ -19,9 +20,10 @@ import (
 	"repro/internal/parcel"
 )
 
-// Actions of the KV service. Both are sheddable: they enter through
-// admission control and may be rejected with core.ErrOverloaded under
-// saturation.
+// Actions of the KV service. Both are sheddable: under an admission limit
+// they enter through admission control and may be rejected with
+// core.ErrOverloaded under saturation. Both are direct: short, never
+// waiting, they run where their parcel lands when no limit is set.
 const (
 	// ActionKVGet reads a key: args {String key}, result the stored value
 	// ([]byte, empty for a miss).
@@ -72,8 +74,8 @@ func KVKeyLocality(key string, localities int) int {
 	return int(h.Sum32() % uint32(localities))
 }
 
-// RegisterKVService installs the get/put actions, marks them sheddable,
-// and registers the px.serve.* request counters. Call it once per runtime
+// RegisterKVService installs the get/put actions, marks them sheddable
+// and direct, and registers the px.serve.* request counters. Call it once per runtime
 // inside Config.Register (on every node of a distributed machine), like
 // the other workload action installers.
 func RegisterKVService(rt *core.Runtime) {
@@ -84,6 +86,7 @@ func RegisterKVService(rt *core.Runtime) {
 	misses := reg.Counter("px.serve.misses")
 
 	rt.MarkSheddable(ActionKVGet, ActionKVPut)
+	rt.MarkDirect(ActionKVGet, ActionKVPut)
 	rt.MustRegisterAction(ActionKVGet, func(ctx *core.Context, target any, args *parcel.Reader) (any, error) {
 		sh, ok := target.(*KVShard)
 		if !ok {

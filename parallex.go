@@ -152,8 +152,17 @@ const (
 // admission limit (Config.AdmitLimit) rejected a sheddable parcel (see
 // Runtime.MarkSheddable) instead of queueing it. It reaches the request's
 // continuation like any action failure; test with IsOverloaded, which
-// also recognizes the verdict's flattened wire form.
+// also recognizes the verdict's flattened wire form. An action both
+// sheddable and direct (Runtime.MarkDirect) runs on the read goroutine
+// that decodes it only while AdmitLimit is 0; under a limit it is queued
+// and admitted, and shed, on the node that serves it.
 var ErrOverloaded = core.ErrOverloaded
+
+// ErrDirectAwait is what Context.Await returns inside a direct action
+// (Runtime.MarkDirect) running on a transport read goroutine, when the
+// future is not yet resolved: a reader never suspends or waits. Send,
+// Call and Spawn work there and never wait.
+var ErrDirectAwait = core.ErrDirectAwait
 
 // IsOverloaded reports whether err is a load-shed verdict — the typed
 // ErrOverloaded from this process, or the flattened string form of one
