@@ -179,17 +179,12 @@ func TestNodeLocalCallCostsOneTask(t *testing.T) {
 	}
 }
 
-// TestRemoteReplySettlesOnTheReader: a reply read off the wire settles
-// its future on the read goroutine, so Get wakes with no task run on the
-// caller's node; a callback registered with OnReady is application code,
-// which may block, so it runs in a locality task, never under the frame
-// handler or the fabric's delivery loop.
-func TestRemoteReplySettlesOnTheReader(t *testing.T) {
+// TestRemoteReplyRunsOnAWorker: a callback registered with OnReady on a
+// remote call's future is application code, which may block, so it runs in
+// a locality task on the caller's node, never under the frame handler or
+// the fabric's delivery loop that read the reply.
+func TestRemoteReplyRunsOnAWorker(t *testing.T) {
 	m, obj := startLedgerMachine(t)
-	const calls = 10
-	for i := 0; i < calls; i++ {
-		m.wantEcho(t, m.rts[0].CallFrom(i%2, obj, "intern.echo", nil))
-	}
 	// Hold back node 1's reply until the callback is registered.
 	held := m.hold(1, fParcel, fParcelI)
 	fut := m.rts[0].CallFrom(0, obj, "intern.echo", nil)
@@ -225,7 +220,24 @@ func TestRemoteReplySettlesOnTheReader(t *testing.T) {
 	// A task is counted just after it releases the work unit Wait
 	// watches; the counts settle once Shutdown has joined the workers.
 	if got := m.rts[0].loc(0).TasksRun() + m.rts[0].loc(1).TasksRun(); got != 1 {
-		t.Fatalf("%d remote calls, one with a callback, ran %d tasks on the caller's node; want 1, the callback's", calls+2, got)
+		t.Fatalf("a remote call with a callback ran %d tasks on the caller's node; want 1, the callback's", got)
+	}
+}
+
+// TestRemoteReplySettlesOnTheReader: a reply read off the wire settles
+// its future on the read goroutine, so Get wakes with no task run on the
+// caller's node.
+func TestRemoteReplySettlesOnTheReader(t *testing.T) {
+	m, obj := startLedgerMachine(t)
+	const calls = 10
+	for i := 0; i < calls; i++ {
+		m.wantEcho(t, m.rts[0].CallFrom(i%2, obj, "intern.echo", nil))
+	}
+	m.stop(t)
+	// A task is counted just after it releases the work unit Wait
+	// watches; the counts settle once Shutdown has joined the workers.
+	if got := m.rts[0].loc(0).TasksRun() + m.rts[0].loc(1).TasksRun(); got != 0 {
+		t.Fatalf("%d remote calls ran %d tasks on the caller's node; want 0", calls, got)
 	}
 }
 

@@ -33,6 +33,7 @@ type Faulty struct {
 
 	silenced    atomic.Uint64
 	rule        atomic.Pointer[func(node int, frame []byte) Fate]
+	verdicts    sync.RWMutex // read-held from a rule's call to its Hold landing in held
 	mu          sync.Mutex
 	kills, cuts int
 	held        []heldFrame
@@ -44,13 +45,17 @@ type heldFrame struct {
 }
 
 // SetRule installs the verdict on each outbound frame not silenced; nil
-// passes all. The rule runs on the sender's goroutine and must not keep
-// frame.
+// passes all. The rule runs on the sender's goroutine and must neither
+// keep frame nor call Release.
 func (f *Faulty) SetRule(rule func(node int, frame []byte) Fate) { f.rule.Store(&rule) }
 
 // Release sends the held frames on in send order, each through edit first
-// when edit is not nil. No rule or count sees them again.
+// when edit is not nil. No rule or count sees them again. It waits for
+// verdicts in progress, so a frame whose rule has returned Hold, or has
+// signalled the caller from inside, is among those released.
 func (f *Faulty) Release(edit func([]byte) []byte) error {
+	f.verdicts.Lock()
+	f.verdicts.Unlock()
 	f.mu.Lock()
 	held := f.held
 	f.held = nil
@@ -96,6 +101,8 @@ func (f *Faulty) intercept(node, lane int, frame []byte) (taken bool, err error)
 	if rule == nil || *rule == nil {
 		return false, nil
 	}
+	f.verdicts.RLock()
+	defer f.verdicts.RUnlock()
 	switch (*rule)(node, frame) {
 	case Hold:
 		f.mu.Lock()
