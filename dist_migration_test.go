@@ -206,27 +206,39 @@ func TestMigrationStress3Node(t *testing.T) {
 	}{{0, 1}, {1, 2}, {2, 4}}
 
 	var wg sync.WaitGroup
-	for _, s := range senders {
+	// progress[i] receives once per call sender i completes, and closes
+	// when it stops.
+	progress := make([]chan struct{}, len(senders))
+	for i, s := range senders {
+		progress[i] = make(chan struct{}, calls)
 		wg.Add(1)
-		go func(rt *parallex.Runtime, src int) {
+		go func(rt *parallex.Runtime, src int, done chan<- struct{}) {
 			defer wg.Done()
+			defer close(done)
 			for i := 0; i < calls; i++ {
 				fut := rt.CallFrom(src, obj, "mig.bump", nil)
 				if _, err := fut.Get(); err != nil {
 					t.Errorf("call from L%d: %v", src, err)
 					return
 				}
+				done <- struct{}{}
 			}
-		}(rts[s.node], s.src)
+		}(rts[s.node], s.src, progress[i])
+	}
+	// underLoad waits until every sender has completed one more call.
+	underLoad := func() {
+		for _, c := range progress {
+			<-c
+		}
 	}
 
 	// Two cross-node moves while the calls are in flight: node 0 → node 1,
 	// then node 1 → node 2, each initiated on the current owner.
-	time.Sleep(3 * time.Millisecond)
+	underLoad()
 	if err := rts[0].Migrate(obj, 2); err != nil {
 		t.Fatalf("first migration: %v", err)
 	}
-	time.Sleep(3 * time.Millisecond)
+	underLoad()
 	if err := rts[1].Migrate(obj, 4); err != nil {
 		t.Fatalf("second migration: %v", err)
 	}

@@ -135,6 +135,12 @@ const (
 	ActionLCOTrigger = "px.lco.trigger"
 	// ActionNop does nothing; useful for measuring pure parcel overhead.
 	ActionNop = "px.nop"
+	// ActionAGASInstall installs a migrating object at the target
+	// locality, and ActionAGASCommit commits a migrated object's new owner
+	// in the target locality's home directory. A cross-node Migrate calls
+	// both on locality hardware names; they run on the read goroutine.
+	ActionAGASInstall = "px.agas.install"
+	ActionAGASCommit  = "px.agas.commit"
 )
 
 // ErrTriggerMismatch reports a trigger operation its target does not
@@ -190,6 +196,8 @@ func registerBuiltins(a *actionRegistry) {
 	mustReg(ActionNop, func(ctx *Context, target any, args *parcel.Reader) (any, error) {
 		return nil, nil
 	})
+	mustReg(ActionAGASInstall, agasInstall)
+	mustReg(ActionAGASCommit, agasCommit)
 }
 
 // applyTrigger applies one trigger to the LCO a built-in action targets,

@@ -81,9 +81,9 @@ func (r *Runtime) startBalancer() {
 
 // stopBalancer signals the policy loop and, when wait is true, blocks
 // until it has finished its current tick (including any in-flight
-// migration, which rpc timeouts bound). Shutdown waits — the loop must
-// not inject work after quiescence; Terminate only signals — a crash
-// model does not linger.
+// migration, whose waits migrateVerdictBound bounds). Shutdown waits —
+// the loop must not inject work after quiescence; Terminate only signals
+// — a crash model does not linger.
 func (r *Runtime) stopBalancer(wait bool) {
 	b := r.bal
 	if b == nil {
@@ -97,7 +97,7 @@ func (r *Runtime) stopBalancer(wait bool) {
 
 // coolBalance grants g a migration cooldown on this node's balancer, if
 // any. Called wherever a migration lands an object here — the local
-// commit path and the fMigrate install path — so a freshly placed
+// commit path and the px.agas.install action — so a freshly placed
 // object is not immediately re-judged by the receiver's policy loop.
 func (r *Runtime) coolBalance(g agas.GID) {
 	if b := r.bal; b != nil {

@@ -7,8 +7,9 @@ package core
 // included; the future's callbacks, which are application code, go to a
 // task. An action marked direct (MarkDirect) runs on the reader when its
 // target is resident here and nothing it sends can reach a movable name
-// out of order. Everything a reader dispatches obeys the reader's rule:
-// it never waits on a lane (see distState.onFrame).
+// out of order; migration's install and directory commit (px.agas.*) are
+// direct from construction. Everything a reader dispatches obeys the
+// reader's rule: it never waits on a lane (see distState.onFrame).
 
 import (
 	"errors"
@@ -44,9 +45,6 @@ var ErrDirectAwait = errors.New("core: a direct action on a read goroutine canno
 // MarkSheddable, call it in Config.Register: the set is read lock-free on
 // the delivery path once the transport starts.
 func (r *Runtime) MarkDirect(names ...string) {
-	if r.direct == nil {
-		r.direct = make(map[string]struct{}, len(names))
-	}
 	for _, name := range names {
 		if name == "" || strings.HasPrefix(name, "px.") {
 			panic("core: MarkDirect of an empty or built-in action name")

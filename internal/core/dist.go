@@ -52,14 +52,6 @@ type distState struct {
 	drains   map[uint64]chan drainReply
 	departed map[int]drainReply // final totals of nodes that said goodbye
 
-	// rpc holds the waiters for this node's outstanding migration
-	// exchanges, keyed by exchange ID. The ID — not the GID — matches a
-	// reply to its request, so a reply straggling in after its exchange
-	// timed out can never resolve a later exchange for the same object.
-	rpcMu  sync.Mutex
-	rpcSeq uint64
-	rpc    map[uint64]rpcWait
-
 	// laneTr is non-nil when the transport shards peer pairs across
 	// several connections (transport.LaneTransport); lanes caches its lane
 	// count. Parcel traffic is spread across lanes by destination-GID
@@ -69,20 +61,6 @@ type distState struct {
 
 	haltOnce sync.Once
 	halt     chan struct{}
-}
-
-// rpcWait is one outstanding migration exchange: the node it waits on
-// and where its verdict goes.
-type rpcWait struct {
-	node int
-	ch   chan rpcReply
-}
-
-// rpcReply is the outcome of one migration frame exchange; lost means the
-// peer was declared dead first.
-type rpcReply struct {
-	ok, lost bool
-	msg      string
 }
 
 type drainReply struct {
@@ -102,7 +80,6 @@ func newDistState(r *Runtime, tr transport.Transport, node int, lmap *agas.Local
 		home:     hr.Lo,
 		drains:   make(map[uint64]chan drainReply),
 		departed: make(map[int]drainReply),
-		rpc:      make(map[uint64]rpcWait),
 		halt:     make(chan struct{}),
 	}
 	d.lanes = 1
@@ -123,10 +100,11 @@ func newDistState(r *Runtime, tr transport.Transport, node int, lmap *agas.Local
 // own node's lane while the peer's reader does the same is a deadlock
 // once both socket buffers fill. A reader may Send and TrySendLane, which
 // never wait, and never SendLane, which may. So the control arms (drain
-// replies, migration verdicts, moved hints) answer inline with Send, and
-// the parcels a reader dispatches itself — replies and direct actions
-// (see direct.go) — send theirs through sendParcel's reader path, which
-// hands a send a full lane refuses to a task.
+// replies, moved hints) answer inline with Send, and the parcels a reader
+// dispatches itself — replies and direct actions, migration's installs
+// and directory commits among them (see direct.go) — send theirs through
+// sendParcel's reader path, which hands a send a full lane refuses to a
+// task.
 func (d *distState) onFrame(from int, frame []byte) {
 	if len(frame) == 0 {
 		d.rt.recordError(fmt.Errorf("core: empty frame from node %d", from))
@@ -179,12 +157,6 @@ func (d *distState) onFrame(from int, frame []byte) {
 		if m.loc >= 0 && m.loc < d.rt.Localities() {
 			d.rt.agas.Repoint(m.g, m.loc, m.gen)
 		}
-	case fMigrate:
-		d.onMigrate(from, m)
-	case fMigrateOK, fDirOK:
-		d.onRPCReply(m)
-	case fDirUpdate:
-		d.onDirUpdate(from, m)
 	case fDrain:
 		d.replyDrain(from, m.id)
 	case fDrainReply:
@@ -386,152 +358,6 @@ func (d *distState) sendParcel(node, src int, p *parcel.Parcel, reader bool) {
 	parcel.Release(p)
 	d.rt.slow.ParcelsSent.Inc()
 	d.rt.doneWork()
-}
-
-// migrateRPCTimeout bounds how long a migration waits for a peer's
-// confirmation before declaring the exchange ambiguous.
-const migrateRPCTimeout = 10 * time.Second
-
-// errMigrateUnacked marks a migration exchange whose frame was handed to
-// the transport but never confirmed: the peer may or may not have applied
-// it, so the caller must not assume either way.
-var errMigrateUnacked = errors.New("migration unconfirmed by peer")
-
-// rpcCall sends one migration frame (whose first 8 body bytes are the
-// exchange ID xid) to node and waits for the matching fMigrateOK/fDirOK.
-// delivered reports whether the peer may have applied the frame: false
-// only when the transport guaranteed non-delivery or the peer rejected
-// it, so the caller can safely roll back.
-func (d *distState) rpcCall(node int, xid uint64, g agas.GID, frame []byte) (delivered bool, err error) {
-	ch := make(chan rpcReply, 1)
-	d.rpcMu.Lock()
-	d.rpc[xid] = rpcWait{node, ch}
-	d.rpcMu.Unlock()
-	defer func() {
-		d.rpcMu.Lock()
-		delete(d.rpc, xid)
-		d.rpcMu.Unlock()
-	}()
-	// Registered first, checked second: a death declared in between finds
-	// the exchange (failRPCs), one declared before is seen here.
-	if d.peerDead(node) {
-		return false, fmt.Errorf("core: migration to node %d: %w", node, agas.ErrNodeLost)
-	}
-	if err := d.tr.Send(node, frame); err != nil {
-		return false, fmt.Errorf("core: migration frame to node %d: %w", node, err)
-	}
-	select {
-	case rep := <-ch:
-		if rep.lost {
-			// Dead is final: whatever it applied is gone with it.
-			return false, fmt.Errorf("core: migration to node %d: %w", node, agas.ErrNodeLost)
-		}
-		if !rep.ok {
-			// The peer rejected the frame and provably did not apply it.
-			return false, fmt.Errorf("core: node %d rejected migration of %v: %s", node, g, rep.msg)
-		}
-		return true, nil
-	case <-time.After(migrateRPCTimeout):
-		return true, fmt.Errorf("core: node %d: %w for %v", node, errMigrateUnacked, g)
-	}
-}
-
-// nextXID mints an exchange ID for one migration frame round trip.
-func (d *distState) nextXID() uint64 {
-	d.rpcMu.Lock()
-	d.rpcSeq++
-	xid := d.rpcSeq
-	d.rpcMu.Unlock()
-	return xid
-}
-
-// migrateTo pushes g's wire-encoded payload to node for installation at
-// locality to under generation gen, and waits for the peer's verdict.
-func (d *distState) migrateTo(node int, g agas.GID, to int, gen uint64, payload []byte) (delivered bool, err error) {
-	xid := d.nextXID()
-	frame := append(encodeMigHeader(fMigrate, xid, g, to, gen, len(payload)), payload...)
-	return d.rpcCall(node, xid, g, frame)
-}
-
-// commitDir asks g's home node to commit the migrated owner in its
-// authoritative directory.
-func (d *distState) commitDir(node int, g agas.GID, to int, gen uint64) error {
-	xid := d.nextXID()
-	_, err := d.rpcCall(node, xid, g, encodeMigHeader(fDirUpdate, xid, g, to, gen, 0))
-	return err
-}
-
-// replyOutcome answers migration exchange xid with its ok/error verdict.
-func (d *distState) replyOutcome(node int, kind byte, xid uint64, opErr error) {
-	if err := d.tr.Send(node, encodeOutcome(kind, xid, opErr)); err != nil {
-		d.rt.recordError(fmt.Errorf("core: migration verdict to node %d: %w", node, err))
-	}
-}
-
-// onMigrate installs an inbound migrated object: decode the payload, put
-// it in the destination locality's store, and record the import so parcels
-// already routed here resolve to it at once.
-func (d *distState) onMigrate(from int, m frameMsg) {
-	g, to, gen := m.g, m.loc, m.gen
-	install := func() error {
-		if to < 0 || to >= d.rt.Localities() || !d.rt.Resident(to) {
-			return fmt.Errorf("locality %d is not hosted by node %d", to, d.node)
-		}
-		v, err := parcel.DecodeAny(m.body)
-		if err != nil {
-			return fmt.Errorf("payload: %w", err)
-		}
-		d.rt.loc(to).Store().Put(g, v)
-		d.rt.agas.DropForward(g)
-		d.rt.agas.SetImport(g, to, gen)
-		// The sender just placed this object here: the local balancer
-		// defers to that decision for a cooldown before re-judging it.
-		d.rt.coolBalance(g)
-		return nil
-	}
-	d.replyOutcome(from, fMigrateOK, m.id, install())
-}
-
-// onDirUpdate commits a remote owner's migration in this node's
-// authoritative home directory.
-func (d *distState) onDirUpdate(from int, m frameMsg) {
-	g, to, gen := m.g, m.loc, m.gen
-	commit := func() error {
-		if to < 0 || to >= d.rt.Localities() {
-			return fmt.Errorf("locality %d outside machine", to)
-		}
-		return d.rt.agas.CommitMigration(g, to, gen)
-	}
-	d.replyOutcome(from, fDirOK, m.id, commit())
-}
-
-// onRPCReply resolves the waiter for a migration exchange verdict.
-func (d *distState) onRPCReply(m frameMsg) {
-	d.rpcMu.Lock()
-	w, ok := d.rpc[m.id]
-	d.rpcMu.Unlock()
-	if ok {
-		select {
-		case w.ch <- rpcReply{ok: m.ok, msg: m.text}:
-		default: // a duplicate reply
-		}
-	}
-}
-
-// failRPCs ends every migration exchange waiting on node n, just declared
-// dead, so its caller rolls back at once instead of waiting out
-// migrateRPCTimeout.
-func (d *distState) failRPCs(n int) {
-	d.rpcMu.Lock()
-	defer d.rpcMu.Unlock()
-	for _, w := range d.rpc {
-		if w.node == n {
-			select {
-			case w.ch <- rpcReply{lost: true}:
-			default: // its verdict already arrived
-			}
-		}
-	}
 }
 
 // liveTotals sums this node's parcel counters over lanes to peers not

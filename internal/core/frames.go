@@ -31,10 +31,6 @@ const (
 	fGoodbye                    // clean departure with final totals
 	fHalt                       // cooperative machine-wide halt request
 	fMoved                      // one-way "the object moved" hint to a stale sender
-	fMigrate                    // object payload push
-	fMigrateOK                  // migrate push outcome
-	fDirUpdate                  // home-directory commit request
-	fDirOK                      // commit outcome
 	fParcelI                    // parcel, actions as positions in the sender's announced table
 	fBeat                       // membership heartbeat
 	fDead                       // authoritative death verdict
@@ -45,14 +41,11 @@ const (
 // frameMsg is the decoded form of a frame of any kind: one flat record, of
 // which each kind fills the fields its layout names.
 type frameMsg struct {
-	p    *parcel.Parcel // pooled and owned by whoever holds the message
-	id   uint64         // exchange ID, probe sequence number, or beat fingerprint
-	g    agas.GID
-	loc  int    // a locality index
-	gen  uint64 // directory generation
-	body []byte // migrate payload; aliases the frame
-	ok   bool   // outcome verdict
-	text string // outcome error message
+	p   *parcel.Parcel // pooled and owned by whoever holds the message
+	id  uint64         // probe sequence number or beat fingerprint
+	g   agas.GID
+	loc int    // a locality index
+	gen uint64 // directory generation
 
 	pending    int64
 	sent, recv uint64
@@ -89,10 +82,6 @@ var frameKinds = [frameKindEnd]frameKind{
 	fGoodbye:    {"fGoodbye", "u64 sent, u64 recv", decodeGoodbye},
 	fHalt:       {"fHalt", "(empty)", decodeEmpty},
 	fMoved:      {"fMoved", "gid, u32 owner, u64 gen", decodeMoved},
-	fMigrate:    {"fMigrate", "u64 xid, gid, u32 to, u64 gen, value record", decodeMigrate},
-	fMigrateOK:  {"fMigrateOK", "u64 xid, u8 ok, u16 len, error text", decodeOutcome},
-	fDirUpdate:  {"fDirUpdate", "u64 xid, gid, u32 owner, u64 gen", decodeDirUpdate},
-	fDirOK:      {"fDirOK", "u64 xid, u8 ok, u16 len, error text", decodeOutcome},
 	fParcelI:    {"fParcelI", "interned parcel, [trace]", decodeParcelI},
 	fBeat:       {"fBeat", "u64 fingerprint", decodeID},
 	fDead:       {"fDead", "u16 node", decodeDead},
@@ -301,68 +290,6 @@ func decodeMoved(b []byte, _ frameEnv) (m frameMsg, err error) {
 	return m, c.end()
 }
 
-// encodeMigHeader builds the header fMigrate and fDirUpdate share, with
-// room for extra payload bytes behind it.
-func encodeMigHeader(kind byte, xid uint64, g agas.GID, loc int, gen uint64, extra int) []byte {
-	buf := append(make([]byte, 0, 9+agas.GIDSize+12+extra), kind)
-	buf = binary.LittleEndian.AppendUint64(buf, xid)
-	buf = g.Encode(buf)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(loc))
-	return binary.LittleEndian.AppendUint64(buf, gen)
-}
-
-func (c *cursor) migHeader(m *frameMsg) {
-	m.id = c.u64()
-	m.g = c.gid()
-	m.loc = c.loc()
-	m.gen = c.u64()
-}
-
-func decodeMigrate(b []byte, _ frameEnv) (m frameMsg, err error) {
-	c := cursor{b: b}
-	c.migHeader(&m)
-	m.body = c.rest()
-	return m, c.end()
-}
-
-func decodeDirUpdate(b []byte, _ frameEnv) (m frameMsg, err error) {
-	c := cursor{b: b}
-	c.migHeader(&m)
-	return m, c.end()
-}
-
-// maxOutcomeText bounds the error text an outcome frame carries.
-const maxOutcomeText = 1 << 15
-
-// encodeOutcome renders a migration exchange's verdict; a nil opErr is
-// success, which carries no text.
-func encodeOutcome(kind byte, xid uint64, opErr error) []byte {
-	var ok byte = 1
-	var text string
-	if opErr != nil {
-		ok = 0
-		if text = opErr.Error(); len(text) > maxOutcomeText {
-			text = text[:maxOutcomeText]
-		}
-	}
-	buf := append(make([]byte, 0, 12+len(text)), kind)
-	buf = binary.LittleEndian.AppendUint64(buf, xid)
-	buf = append(buf, ok)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(text)))
-	return append(buf, text...)
-}
-
-func decodeOutcome(b []byte, _ frameEnv) (m frameMsg, err error) {
-	c := cursor{b: b}
-	m.id = c.u64()
-	m.ok = c.u8() == 1
-	m.text = c.str16()
-	if (m.ok && m.text != "") || len(m.text) > maxOutcomeText {
-		return m, errField
-	}
-	return m, c.end()
-}
-
 func encodeDead(node int) []byte {
 	buf := append(make([]byte, 0, 3), fDead)
 	return binary.LittleEndian.AppendUint16(buf, uint16(node))
@@ -417,7 +344,7 @@ func decodeLoad(b []byte, env frameEnv) (m frameMsg, err error) {
 // range and dial-back address, which is how a joining node tells an
 // established machine where to reach it.
 const (
-	helloVersion = 6
+	helloVersion = 7
 
 	// maxInternActions bounds the announced table by entry count, and
 	// helloPrefix additionally bounds it by encoded bytes (the transport

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -60,16 +59,6 @@ func reencode(t testing.TB, kind byte, m frameMsg, send parcel.Table) []byte {
 		return encodeGoodbye(m.sent, m.recv)
 	case fMoved:
 		return encodeMoved(m.g, m.loc, m.gen)
-	case fMigrate:
-		return append(encodeMigHeader(fMigrate, m.id, m.g, m.loc, m.gen, len(m.body)), m.body...)
-	case fDirUpdate:
-		return encodeMigHeader(fDirUpdate, m.id, m.g, m.loc, m.gen, 0)
-	case fMigrateOK, fDirOK:
-		var opErr error
-		if !m.ok {
-			opErr = errors.New(m.text)
-		}
-		return encodeOutcome(kind, m.id, opErr)
 	case fDead:
 		return encodeDead(m.node)
 	case fLoad:
@@ -99,7 +88,7 @@ func sameMsg(a, b frameMsg) bool {
 			}
 		}
 	}
-	if !bytes.Equal(a.body, b.body) || len(a.loads) != len(b.loads) {
+	if len(a.loads) != len(b.loads) {
 		return false
 	}
 	for i := range a.loads {
@@ -107,7 +96,7 @@ func sameMsg(a, b frameMsg) bool {
 			return false
 		}
 	}
-	a.p, b.p, a.body, b.body, a.loads, b.loads = nil, nil, nil, nil, nil, nil
+	a.p, b.p, a.loads, b.loads = nil, nil, nil, nil
 	return reflect.DeepEqual(a, b)
 }
 
@@ -120,10 +109,6 @@ type frameSample struct {
 	// trailer off leaves a valid untraced frame, the one truncation that
 	// must be accepted.
 	traced bool
-	// open marks a layout whose last field runs to the end of the frame
-	// (fMigrate's value record, delimited and checked by the value codec):
-	// only cuts into the fixed header are truncations.
-	open int
 }
 
 func frameSamples(send parcel.Table) []frameSample {
@@ -150,7 +135,6 @@ func frameSamples(send parcel.Table) []frameSample {
 	}
 	plain := func(p *parcel.Parcel) []byte { f, _ := appendParcel(nil, p, nil); return f }
 	interned := func(p *parcel.Parcel) []byte { f, _ := appendParcel(nil, p, send); return f }
-	mig := encodeMigHeader(fMigrate, 11, g, 6, 4, 3)
 	loads := []loadEntry{{loc: 0, score: 0}, {loc: 5, score: 12.5}, {loc: frameTestWidth - 1, score: math.MaxFloat64}}
 	return []frameSample{
 		{label: "parcel", frame: plain(known), want: frameMsg{p: known}},
@@ -164,13 +148,6 @@ func frameSamples(send parcel.Table) []frameSample {
 			want: frameMsg{id: 42, pending: -3, sent: 100, recv: 99, fp: 0xf00d}},
 		{label: "goodbye", frame: encodeGoodbye(7, 8), want: frameMsg{sent: 7, recv: 8}},
 		{label: "moved hint", frame: encodeMoved(g, 6, 9), want: frameMsg{g: g, loc: 6, gen: 9}},
-		{label: "migrate", frame: append(mig, 0xde, 0xad, 0xbe),
-			want: frameMsg{id: 11, g: g, loc: 6, gen: 4, body: []byte{0xde, 0xad, 0xbe}}, open: len(mig)},
-		{label: "migrate ok", frame: encodeOutcome(fMigrateOK, 11, nil), want: frameMsg{id: 11, ok: true}},
-		{label: "migrate rejected", frame: encodeOutcome(fMigrateOK, 11, errors.New("no room")), want: frameMsg{id: 11, text: "no room"}},
-		{label: "dir update", frame: encodeMigHeader(fDirUpdate, 12, g, 1, 5, 0), want: frameMsg{id: 12, g: g, loc: 1, gen: 5}},
-		{label: "dir ok", frame: encodeOutcome(fDirOK, 12, nil), want: frameMsg{id: 12, ok: true}},
-		{label: "dir rejected", frame: encodeOutcome(fDirOK, 12, errors.New("stale generation")), want: frameMsg{id: 12, text: "stale generation"}},
 		{label: "beat", frame: encodeID(fBeat, 0xdeadbeefcafef00d), want: frameMsg{id: 0xdeadbeefcafef00d}},
 		{label: "dead", frame: encodeDead(7), want: frameMsg{node: 7}},
 		{label: "load", frame: encodeLoad(loads), want: frameMsg{loads: loads}},
@@ -181,8 +158,8 @@ func frameSamples(send parcel.Table) []frameSample {
 // listing, under the byte value the wire format fixes for it, and the
 // layout tests below have a sample of it.
 func TestFrameKindsListed(t *testing.T) {
-	wire := []string{1: "fParcel", "fDrain", "fDrainReply", "fGoodbye", "fHalt", "fMoved", "fMigrate",
-		"fMigrateOK", "fDirUpdate", "fDirOK", "fParcelI", "fBeat", "fDead", "fLoad"}
+	wire := []string{1: "fParcel", "fDrain", "fDrainReply", "fGoodbye", "fHalt", "fMoved",
+		"fParcelI", "fBeat", "fDead", "fLoad"}
 	if len(wire) != int(frameKindEnd) {
 		t.Fatalf("%d kind constants, %d pinned wire values", frameKindEnd-1, len(wire)-1)
 	}
@@ -239,10 +216,6 @@ func TestFrameLayouts(t *testing.T) {
 				m, err := row.decode(body[:cut], env)
 				parcel.Release(m.p)
 				switch {
-				case s.open > 0 && cut >= s.open-1:
-					if err != nil {
-						t.Fatalf("cut inside the open tail at %d rejected: %v", cut, err)
-					}
 				case s.traced && cut == len(body)-parcel.TraceWireSize:
 					if err != nil {
 						t.Fatalf("frame without its trailer rejected: %v", err)
@@ -251,11 +224,9 @@ func TestFrameLayouts(t *testing.T) {
 					t.Fatalf("truncation to %d of %d body bytes accepted", cut, len(body))
 				}
 			}
-			if s.open == 0 {
-				if m, err := row.decode(append(body[:len(body):len(body)], 0), env); err == nil {
-					parcel.Release(m.p)
-					t.Fatal("one trailing byte accepted")
-				}
+			if m, err := row.decode(append(body[:len(body):len(body)], 0), env); err == nil {
+				parcel.Release(m.p)
+				t.Fatal("one trailing byte accepted")
 			}
 		})
 	}
@@ -276,14 +247,27 @@ func TestFrameFieldBounds(t *testing.T) {
 	reject("load report with an infinite score", encodeLoad([]loadEntry{{loc: 1, score: math.Inf(1)}}))
 	reject("load report with a negative score", encodeLoad([]loadEntry{{loc: 1, score: -1}}))
 	reject("empty load report", []byte{fLoad, 0, 0})
-	okWithText := encodeOutcome(fDirOK, 1, errors.New("x"))
-	okWithText[9] = 1
-	reject("successful outcome carrying error text", okWithText)
+	_, recv := frameTestTables()
+	m, err := kindOf(7).decode(v6Migrate(agas.GID{Home: 3, Kind: agas.KindData, Seq: 99})[1:], frameEnv{tbl: recv, width: frameTestWidth})
+	if err == nil {
+		parcel.Release(m.p)
+		t.Error("a hello v6 peer's migrate frame accepted as an interned parcel")
+	}
 	reject("interned parcel without the sender's table", func() []byte {
 		send, _ := frameTestTables()
 		f, _ := appendParcel(nil, parcel.New(agas.GID{Home: 1, Kind: agas.KindData, Seq: 1}, "app.frob", nil), send)
 		return f
 	}())
+}
+
+// v6Migrate is what a hello v6 peer sent to install a migrating object:
+// kind 7, then u64 xid, gid, u32 to, u64 gen and a value record. Since
+// hello v7, kind 7 is fParcelI.
+func v6Migrate(g agas.GID) []byte {
+	b := g.Encode(binary.LittleEndian.AppendUint64([]byte{7}, ^uint64(0)))
+	b = binary.LittleEndian.AppendUint32(b, ^uint32(0))
+	b = binary.LittleEndian.AppendUint64(b, ^uint64(0))
+	return append(b, 0xff)
 }
 
 // FuzzFrameDecode feeds every decoder of socket input arbitrary bytes: the
@@ -299,13 +283,34 @@ func FuzzFrameDecode(f *testing.F) {
 		f.Add(append(s.frame[:len(s.frame):len(s.frame)], 0))
 	}
 	g := agas.GID{Home: 3, Kind: agas.KindData, Seq: 99}
-	f.Add(append(encodeMigHeader(fMigrate, ^uint64(0), g, -1, ^uint64(0), 0), 0xff))
+	// What a hello v6 peer sent under bytes 7–14: its four migration kinds
+	// (bytes the renumbering gave to fParcelI, fBeat, fDead and fLoad),
+	// then fParcelI, fBeat, fDead and fLoad themselves, under bytes that
+	// now name no kind.
+	v6Parcel, _ := appendParcel(nil, parcel.New(g, "app.frob", []byte{1}), send)
+	v6Parcel[0] = 11
+	v6DirUpdate := g.Encode(binary.LittleEndian.AppendUint64([]byte{9}, 8))
+	v6DirUpdate = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32(v6DirUpdate, 1), 5)
+	for _, old := range [][]byte{
+		v6Migrate(g),
+		append(binary.LittleEndian.AppendUint64([]byte{8}, 7), 1, 0, 0),
+		v6DirUpdate,
+		append(binary.LittleEndian.AppendUint64([]byte{10}, 8), 0, 5, 0, 's', 't', 'a', 'l', 'e'),
+		v6Parcel,
+		encodeID(12, 0xdeadbeefcafef00d),
+		{13, 7, 0},
+		{14, 1, 0, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x29, 0x40},
+	} {
+		f.Add(old)
+		f.Add(old[:len(old)/2])
+		f.Add(append(old[:len(old):len(old)], 0))
+	}
 	f.Add(encodeLoad([]loadEntry{{loc: 1 << 20, score: 1}, {loc: 0xffff, score: 2}})) // localities no machine has
 	f.Add(encodeMoved(g, -1, ^uint64(0)))                                             // a hint toward no locality
 	f.Add([]byte{fDrain})                                                             // what hello v3's one-byte parcel receipt reads as now
-	// What a hello v4 peer sent under bytes 12–17: its three trigger kinds
-	// (bytes the dense renumbering gave to fBeat, fDead and fLoad), then
-	// fBeat, fDead and fLoad themselves, under bytes that now name no kind.
+	// What a hello v4 peer sent under bytes 12–17: its three trigger
+	// kinds, then fBeat, fDead and fLoad, under bytes that now name no
+	// kind.
 	v4Trigger := func(kind byte, op TrigOp, value string) []byte {
 		b := g.Encode(append(binary.LittleEndian.AppendUint64([]byte{kind}, 7), byte(op)))
 		b = binary.LittleEndian.AppendUint64(b, 0) // u32 slot, u32 hops
@@ -339,9 +344,6 @@ func FuzzFrameDecode(f *testing.F) {
 		if len(data) > 0 {
 			if row := kindOf(data[0]); row != nil {
 				if m, err := row.decode(data[1:], env); err == nil {
-					if len(m.body) > len(data) {
-						t.Fatalf("%s: %d-byte run out of a %d-byte frame", row.name, len(m.body), len(data))
-					}
 					re := reencode(t, data[0], m, send)
 					m2, err := row.decode(re[1:], env)
 					if err != nil || !sameMsg(m, m2) {

@@ -27,12 +27,13 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 	// There is one hello: an empty payload, any other version, any
 	// truncation and any padding are all refused. Version 4 is the last
-	// one whose peers sent acknowledged trigger frames, and version 5 the
-	// last whose trigger records carried a trigger ID.
+	// one whose peers sent acknowledged trigger frames, version 5 the last
+	// whose trigger records carried a trigger ID, and version 6 the last
+	// that exchanged migration frames.
 	if _, _, err := parseHello(nil); err == nil {
 		t.Fatal("empty hello accepted")
 	}
-	for _, v := range []byte{0, 4, 5, helloVersion + 1} {
+	for _, v := range []byte{0, 4, 5, 6, helloVersion + 1} {
 		other := append([]byte{v}, payload[1:]...)
 		_, _, err := parseHello(other)
 		if err == nil {

@@ -319,13 +319,10 @@ func (c *cutLink) cut() {
 	}
 }
 
-// TestLedgerUnreachablePeerGetsVerdict: when the link from node 0 to a
-// live node 1 breaks and the redial is refused, node 0's lane drops what
-// it holds and reports node 1 unreachable. The death verdict that follows
-// settles everything that waited on the lost frames: the call fails with
-// the node-lost error, a migration to node 1 rolls back well inside its
-// confirmation timeout, and Wait returns.
-func TestLedgerUnreachablePeerGetsVerdict(t *testing.T) {
+// startCutPair starts two nodes over loopback TCP, node 0's link to node 1
+// running through a cutLink, with fast failure detection and intern.echo
+// (answer the target) plus register's actions registered.
+func startCutPair(t *testing.T, workers int, register func(*Runtime)) ([2]*Runtime, *cutLink) {
 	var tcps [2]*transport.TCP
 	addrs := make([]string, 2)
 	for i := range tcps {
@@ -346,15 +343,29 @@ func TestLedgerUnreachablePeerGetsVerdict(t *testing.T) {
 			Transport:          tcps[i],
 			NodeID:             i,
 			NodeLocalities:     internRanges,
-			WorkersPerLocality: 2,
+			WorkersPerLocality: workers,
 			Membership:         MembershipConfig{HeartbeatInterval: 10 * time.Millisecond, DeadAfter: 250 * time.Millisecond},
 			Register: func(rt *Runtime) {
 				rt.MustRegisterAction("intern.echo", func(_ *Context, target any, _ *parcel.Reader) (any, error) {
 					return target, nil
 				})
+				if register != nil {
+					register(rt)
+				}
 			},
 		})
 	}
+	return rts, link
+}
+
+// TestLedgerUnreachablePeerGetsVerdict: when the link from node 0 to a
+// live node 1 breaks and the redial is refused, node 0's lane drops what
+// it holds and reports node 1 unreachable. The death verdict that follows
+// settles everything that waited on the lost frames: the call fails with
+// the node-lost error, a migration to node 1 rolls back well inside its
+// verdict bound, and Wait returns.
+func TestLedgerUnreachablePeerGetsVerdict(t *testing.T) {
+	rts, link := startCutPair(t, 2, nil)
 	obj := rts[1].NewDataAt(2, int64(42))
 	if v, err := rts[0].CallFrom(0, obj, "intern.echo", nil).Get(); err != nil || v.(int64) != 42 {
 		t.Fatalf("call over the live link: %v, %v; want 42", v, err)
@@ -379,7 +390,7 @@ func TestLedgerUnreachablePeerGetsVerdict(t *testing.T) {
 			if !IsNodeLost(err) {
 				t.Fatalf("%s across the broken link: %v, want the node-lost verdict", op.what, err)
 			}
-		case <-time.After(migrateRPCTimeout / 2):
+		case <-time.After(migrateVerdictBound / 2):
 			t.Fatalf("%s across the broken link is still waiting", op.what)
 		}
 	}
@@ -398,6 +409,45 @@ func TestLedgerUnreachablePeerGetsVerdict(t *testing.T) {
 	}
 	if errs := fmt.Sprint(rts[0].Errors()); !strings.Contains(errs, "node 1 declared dead (unreachable") {
 		t.Fatalf("node 0 recorded %s, want node 1 declared dead as unreachable", errs)
+	}
+	for _, rt := range rts {
+		rt.Shutdown()
+	}
+}
+
+// TestMigrationFromActionHearsDeath: a Migrate inside an action, on a
+// locality whose one worker that action holds, toward a node whose link
+// then breaks. The death verdict must reach the blocked Migrate itself —
+// no task on that locality could run to deliver it — so the move ends
+// node-lost well inside its verdict bound and the object answers at home.
+func TestMigrationFromActionHearsDeath(t *testing.T) {
+	rts, link := startCutPair(t, 1, func(rt *Runtime) {
+		rt.MustRegisterAction("cut.move", func(ctx *Context, _ any, args *parcel.Reader) (any, error) {
+			g, to := args.GID(), int(args.Int64())
+			if err := args.Err(); err != nil {
+				return nil, err
+			}
+			return nil, ctx.Runtime().Migrate(g, to)
+		})
+	})
+	mine := rts[0].NewDataAt(0, int64(7))
+	obj := rts[1].NewDataAt(2, int64(42))
+	if v, err := rts[0].CallFrom(0, obj, "intern.echo", nil).Get(); err != nil || v.(int64) != 42 {
+		t.Fatalf("call over the live link: %v, %v; want 42", v, err)
+	}
+
+	link.cut()
+	move := rts[0].CallFrom(0, rts[0].LocalityGID(0), "cut.move", parcel.NewArgs().GID(mine).Int64(2).Encode())
+	select {
+	case <-move.Done():
+		if _, err := move.Get(); !IsNodeLost(err) {
+			t.Fatalf("migration from an action across the broken link: %v, want the node-lost verdict", err)
+		}
+	case <-time.After(migrateVerdictBound / 2):
+		t.Fatal("migration from an action across the broken link is still waiting")
+	}
+	if v, err := rts[0].CallFrom(0, mine, "intern.echo", nil).Get(); err != nil || v.(int64) != 7 {
+		t.Fatalf("the object whose migration failed: %v, %v; want it back home answering 7", v, err)
 	}
 	for _, rt := range rts {
 		rt.Shutdown()

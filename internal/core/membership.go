@@ -275,8 +275,8 @@ func (m *memberState) check(now time.Time) {
 // declareDead transitions peer n to dead — which takes its lane out of the
 // quiescence sums, so a Mattern Wait in progress unblocks — and runs the
 // cleanup fan-out: re-home its localities in the membership map (firing
-// adoption and shard-reinstall subscribers), fail every reply slot and
-// migration exchange waiting on it, and gossip the death so the verdict is
+// adoption and shard-reinstall subscribers), fail every reply slot
+// waiting on it, a migration's among them, and gossip the death so the verdict is
 // authoritative machine-wide. Only the first transition does any of this;
 // a death heard twice is a no-op, which bounds the gossip epidemic.
 func (m *memberState) declareDead(n int, why string) {
@@ -303,7 +303,6 @@ func (m *memberState) declareDead(n int, why string) {
 		m.rehomes.Add(uint64(len(ev.Moved)))
 	}
 	d.rt.failLostWaiters(n)
-	d.failRPCs(n)
 	d.rt.recordError(fmt.Errorf("core: node %d declared dead (%s): %w", n, why, agas.ErrNodeLost))
 
 	// Shoot-the-other-node gossip: the death verdict propagates to every
@@ -337,7 +336,6 @@ func (m *memberState) excommunicate() {
 			continue
 		}
 		d.rt.failLostWaiters(n)
-		d.failRPCs(n)
 	}
 	d.rt.recordError(fmt.Errorf("core: this node was declared dead by the machine: %w", agas.ErrNodeLost))
 }

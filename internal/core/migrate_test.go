@@ -1,13 +1,16 @@
 package core
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/agas"
+	"repro/internal/lco"
 	"repro/internal/parcel"
+	"repro/internal/transport"
 )
 
 // The migration fence must quiesce the object: an action observed running
@@ -193,21 +196,31 @@ func TestMigrationUnderConcurrentCalls(t *testing.T) {
 
 	const senders, calls = 4, 40
 	var wg sync.WaitGroup
+	// progress[s] receives once per call sender s completes, and closes
+	// when it stops.
+	progress := make([]chan struct{}, senders)
 	for s := 0; s < senders; s++ {
+		progress[s] = make(chan struct{}, calls)
 		wg.Add(1)
-		go func(src int) {
+		go func(src int, done chan<- struct{}) {
 			defer wg.Done()
+			defer close(done)
 			for i := 0; i < calls; i++ {
 				fut := r.CallFrom(src, obj, "mig.incr", nil)
 				if _, err := fut.Get(); err != nil {
 					t.Errorf("call from L%d: %v", src, err)
 					return
 				}
+				done <- struct{}{}
 			}
-		}(s)
+		}(s, progress[s])
 	}
 	for _, to := range []int{2, 3, 1} {
-		time.Sleep(2 * time.Millisecond)
+		// Each move waits for every sender to complete one more call, so
+		// the moves happen under load.
+		for _, c := range progress {
+			<-c
+		}
 		if err := r.Migrate(obj, to); err != nil {
 			t.Fatal(err)
 		}
@@ -219,5 +232,144 @@ func TestMigrationUnderConcurrentCalls(t *testing.T) {
 	}
 	if errs := r.Errors(); len(errs) != 0 {
 		t.Fatalf("runtime errors: %v", errs)
+	}
+}
+
+// pairWires returns the wires of a two-node machine: the in-process
+// fabric, or loopback TCP with one lane.
+func pairWires(t *testing.T, tcp bool) [2]transport.Transport {
+	if !tcp {
+		fab := transport.NewFabric(2)
+		return [2]transport.Transport{fab.Node(0), fab.Node(1)}
+	}
+	var tcps [2]*transport.TCP
+	addrs := make([]string, 2)
+	for i := range tcps {
+		tr, err := transport.NewTCP(transport.TCPConfig{
+			Self: i, Listen: "127.0.0.1:0", Peers: make([]string, 2), Lanes: 1, DisableSameHost: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tcps[i], addrs[i] = tr, tr.Addr().String()
+	}
+	for _, tr := range tcps {
+		tr.SetPeers(addrs)
+	}
+	return [2]transport.Transport{tcps[0], tcps[1]}
+}
+
+// TestCrossedMigrationsFromActions: two nodes with one locality and one
+// worker each, and an action on each that migrates a local object to the
+// other node at the same time. Each install reaches a node whose only
+// worker is held by the other action, so it must run on the read
+// goroutine that decodes it: queued behind that action, neither move
+// could complete.
+func TestCrossedMigrationsFromActions(t *testing.T) {
+	for _, wire := range []string{"fabric", "tcp-1lane"} {
+		t.Run(wire, func(t *testing.T) {
+			trs := pairWires(t, wire == "tcp-1lane")
+			var inActions sync.WaitGroup
+			inActions.Add(2)
+			var rts [2]*Runtime
+			for i := range rts {
+				rts[i] = New(Config{
+					Transport:          trs[i],
+					NodeID:             i,
+					NodeLocalities:     []agas.Range{{Lo: 0, Hi: 1}, {Lo: 1, Hi: 2}},
+					WorkersPerLocality: 1,
+					Register: func(r *Runtime) {
+						r.MustRegisterAction("cross.move", func(ctx *Context, _ any, args *parcel.Reader) (any, error) {
+							g, to := args.GID(), int(args.Int64())
+							if err := args.Err(); err != nil {
+								return nil, err
+							}
+							// Both workers are held before either move starts.
+							inActions.Done()
+							inActions.Wait()
+							return nil, ctx.Runtime().Migrate(g, to)
+						})
+						r.MustRegisterAction("cross.get", func(_ *Context, target any, _ *parcel.Reader) (any, error) {
+							return target, nil
+						})
+					},
+				})
+			}
+			defer func() {
+				for _, rt := range rts {
+					rt.Shutdown()
+				}
+			}()
+			objs := [2]agas.GID{rts[0].NewDataAt(0, int64(10)), rts[1].NewDataAt(1, int64(11))}
+			var moves [2]*lco.Future
+			for i, rt := range rts {
+				moves[i] = rt.CallFrom(i, rt.LocalityGID(i), "cross.move", parcel.NewArgs().GID(objs[i]).Int64(int64(1-i)).Encode())
+			}
+			deadline := time.After(migrateVerdictBound / 2)
+			for i, fut := range moves {
+				select {
+				case <-fut.Done():
+					if _, err := fut.Get(); err != nil {
+						t.Fatalf("node %d's move: %v", i, err)
+					}
+				case <-deadline:
+					t.Fatalf("node %d's move is still waiting: the crossed installs deadlocked", i)
+				}
+			}
+			for i, rt := range rts {
+				if _, ok := rt.LocalObject(i, objs[1-i]); !ok {
+					t.Errorf("node %d does not hold the object moved to it", i)
+				}
+				for j, g := range objs {
+					if v, err := rt.CallFrom(i, g, "cross.get", nil).Get(); err != nil || v.(int64) != int64(10+j) {
+						t.Errorf("node %d calling object %d: %v, %v; want %d", i, j, v, err, 10+j)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestMisdirectedInstallFails: an install whose args name another node
+// than the one it reaches is refused, and leaves neither the object nor
+// an import behind. The same install naming the node it reaches applies.
+func TestMisdirectedInstallFails(t *testing.T) {
+	trs := pairWires(t, false)
+	var rts [2]*Runtime
+	for i := range rts {
+		rts[i] = New(Config{Transport: trs[i], NodeID: i, NodeLocalities: internRanges})
+	}
+	defer func() {
+		for _, rt := range rts {
+			rt.Shutdown()
+		}
+	}()
+	install := func(g agas.GID, node int) error {
+		a := parcel.NewArgs().GID(g).Uint64(1).Int64(int64(node))
+		if err := a.Value(int64(5)); err != nil {
+			t.Fatal(err)
+		}
+		_, err := rts[0].CallFrom(0, rts[0].LocalityGID(2), ActionAGASInstall, a.Encode()).Get()
+		return err
+	}
+	stray := agas.GID{Home: 0, Kind: agas.KindData, Seq: 1 << 40}
+	if err := install(stray, 0); err == nil || !strings.Contains(err.Error(), "not hosted by node 0") {
+		t.Fatalf("install naming node 0 delivered to node 1: %v, want it refused", err)
+	}
+	if v, ok := rts[1].LocalObject(2, stray); ok {
+		t.Fatalf("the refused install stored %v", v)
+	}
+	if owner, gen, err := rts[1].AGAS().Locate(stray); err != nil || owner != 0 || gen != 0 {
+		t.Fatalf("node 1 locates the refused object at L%d gen %d (%v), want its home at gen 0: no import", owner, gen, err)
+	}
+	placed := agas.GID{Home: 0, Kind: agas.KindData, Seq: 1<<40 + 1}
+	if err := install(placed, 1); err != nil {
+		t.Fatalf("install naming node 1: %v", err)
+	}
+	if v, ok := rts[1].LocalObject(2, placed); !ok || v.(int64) != 5 {
+		t.Fatalf("the install stored %v (present %v), want 5", v, ok)
+	}
+	if owner, gen, err := rts[1].AGAS().Locate(placed); err != nil || owner != 2 || gen != 1 {
+		t.Fatalf("node 1 locates the installed object at L%d gen %d (%v), want L2 gen 1", owner, gen, err)
 	}
 }

@@ -137,20 +137,24 @@ func (r *Runtime) migrateLocked(g agas.GID, from, to int, newGen uint64) error {
 		}
 		r.loc(to).Store().Put(g, v)
 	} else {
-		payload, err := parcel.EncodeAny(v)
-		if err != nil {
+		p := parcel.Acquire(r.LocalityGID(to), ActionAGASInstall, nil, parcel.Continuation{Action: ActionLCOSet})
+		a := p.OwnArgs().GID(g).Uint64(newGen).Int64(int64(destNode))
+		if err := a.Value(v); err != nil {
+			parcel.Release(p)
 			r.loc(from).Store().Put(g, v)
 			return fmt.Errorf("core: migrate of %v: payload not wire-encodable: %w", g, err)
 		}
-		delivered, err := r.dist.migrateTo(destNode, g, to, newGen, payload)
-		if err != nil && !delivered {
-			// The peer provably does not have the object: reinstall.
+		p.Args = a.Encode()
+		unconfirmed, err := r.agasCall(from, p)
+		if err != nil && !unconfirmed {
+			// The destination provably does not have the object: reinstall.
 			r.loc(from).Store().Put(g, v)
-			return err
+			return fmt.Errorf("core: migrate of %v to L%d: %w", g, to, err)
 		}
 		if err != nil {
-			// Ambiguous (unconfirmed push): the peer may hold the object, so
-			// reinstalling could duplicate it. Commit forward and record.
+			// Ambiguous (unconfirmed install): the destination may hold the
+			// object, so reinstalling could duplicate it. Commit forward and
+			// record.
 			r.recordError(fmt.Errorf("core: migrate of %v: %w", g, err))
 		}
 	}
@@ -161,10 +165,14 @@ func (r *Runtime) migrateLocked(g agas.GID, from, to int, newGen uint64) error {
 	// pointer keeps the name resolvable, and the "moved" hint it sends a
 	// lagging home node is applied there as the late commit.
 	var commitErr error
-	if homeNode := r.nodeOf(int(g.Home)); homeNode == r.NodeID() {
+	if r.nodeOf(int(g.Home)) == r.NodeID() {
 		commitErr = r.agas.CommitMigration(g, to, newGen)
-	} else if err := r.dist.commitDir(homeNode, g, to, newGen); err != nil {
-		r.recordError(fmt.Errorf("core: migrate of %v: directory commit: %w", g, err))
+	} else {
+		p := parcel.Acquire(r.LocalityGID(int(g.Home)), ActionAGASCommit, nil, parcel.Continuation{Action: ActionLCOSet})
+		p.Args = p.OwnArgs().GID(g).Int64(int64(to)).Uint64(newGen).Encode()
+		if _, err := r.agasCall(from, p); err != nil {
+			r.recordError(fmt.Errorf("core: migrate of %v: directory commit: %w", g, err))
+		}
 	}
 	r.agas.DropImport(g)
 	if destNode == r.NodeID() {
@@ -183,6 +191,82 @@ func (r *Runtime) migrateLocked(g agas.GID, from, to int, newGen uint64) error {
 		r.coolBalance(g)
 	}
 	return commitErr
+}
+
+// migrateVerdictBound bounds a migration's wait for the verdict of its
+// install or its directory commit. A death fails the call sooner, but a
+// fixed machine (no membership) never declares one, and Shutdown waits for
+// the balancer's move.
+const migrateVerdictBound = 10 * time.Second
+
+// agasCall calls a built-in AGAS action from resident locality src and
+// waits for its verdict: p targets a locality's hardware name, and its one
+// continuation awaits the reply name. The reply slot's dep is the target
+// node, so the verdict is the action's result or error, or the node-lost
+// failure when that node dies; either way a failed call was not applied.
+// A call still unanswered after migrateVerdictBound is reported
+// unconfirmed, as it may have been applied, and its slot is taken back, so
+// a late reply counts in px.reply.stale.
+func (r *Runtime) agasCall(src int, p *parcel.Parcel) (unconfirmed bool, err error) {
+	action, dest := p.Action, p.Dest
+	reply, fut := r.call(src, p, time.Time{}, false)
+	select {
+	case <-fut.Done():
+	case <-time.After(migrateVerdictBound):
+		if _, ok := r.replies[src].take(r.NodeID(), reply.Seq); ok {
+			return true, fmt.Errorf("core: %s on %v unconfirmed after %v", action, dest, migrateVerdictBound)
+		}
+		// Whoever took the slot first is settling the future.
+	}
+	_, err = fut.Get()
+	return false, err
+}
+
+// agasInstall is px.agas.install, a migration's payload push, called on
+// the hardware name of the destination locality: it puts the object in
+// that locality's store and records the import, so parcels already routed
+// here resolve to it at once. Its args are the GID, the generation, the
+// node the sender expects to host the locality, and the object's value
+// record. An install that reaches another node — the locality was
+// re-homed by a death the sender had not heard of — is refused: the
+// sender's reply slot tracks only the node it named, so a rollback after
+// that node's death would duplicate an object installed here.
+func agasInstall(ctx *Context, _ any, args *parcel.Reader) (any, error) {
+	r, to := ctx.rt, ctx.loc
+	g, gen, node := args.GID(), args.Uint64(), int(args.Int64())
+	raw := args.BytesAliased()
+	if err := args.Err(); err != nil {
+		return nil, err
+	}
+	if node != r.NodeID() {
+		return nil, fmt.Errorf("locality %d is not hosted by node %d", to, node)
+	}
+	v, err := parcel.DecodeAny(raw)
+	if err != nil {
+		return nil, fmt.Errorf("payload: %w", err)
+	}
+	r.loc(to).Store().Put(g, v)
+	r.agas.DropForward(g)
+	r.agas.SetImport(g, to, gen)
+	// The sender just placed this object here: the local balancer defers
+	// to that decision for a cooldown before re-judging it.
+	r.coolBalance(g)
+	return nil, nil
+}
+
+// agasCommit is px.agas.commit, called on the hardware name of a migrated
+// object's home locality: it commits the new owner in this node's
+// authoritative directory. Its args are the GID, the new owner and the
+// generation.
+func agasCommit(ctx *Context, _ any, args *parcel.Reader) (any, error) {
+	g, to, gen := args.GID(), int(args.Int64()), args.Uint64()
+	if err := args.Err(); err != nil {
+		return nil, err
+	}
+	if to < 0 || to >= ctx.rt.Localities() {
+		return nil, fmt.Errorf("locality %d outside machine", to)
+	}
+	return nil, ctx.rt.agas.CommitMigration(g, to, gen)
 }
 
 // nodeOf reports which node hosts locality loc (0 on a single-process
@@ -252,12 +336,21 @@ func (r *Runtime) CallFrom(src int, dest agas.GID, action string, args []byte) *
 func (r *Runtime) callFrom(src int, dest agas.GID, action string, args []byte, reader bool) *lco.Future {
 	r.checkResident(src)
 	p := parcel.Acquire(dest, action, args, parcel.Continuation{Action: ActionLCOSet})
-	reply, fut := r.openReply(src, dest, slowClock(p.ID))
+	_, fut := r.call(src, p, slowClock(p.ID), reader)
+	return fut
+}
+
+// call sends p from resident locality src with a fresh reply slot's name
+// as the target of its one continuation, and returns that name and the
+// slot's future; a nil name means the future has already failed and p was
+// not sent. start is the slot's latency clock (openReply).
+func (r *Runtime) call(src int, p *parcel.Parcel, start time.Time, reader bool) (agas.GID, *lco.Future) {
+	reply, fut := r.openReply(src, p.Dest, start)
 	if reply.IsNil() {
 		parcel.Release(p)
-		return fut
+	} else {
+		p.Cont[0].Target = reply
+		r.sendFrom(src, p, reader)
 	}
-	p.Cont[0].Target = reply
-	r.sendFrom(src, p, reader)
-	return fut
+	return reply, fut
 }

@@ -145,7 +145,7 @@ func (r *Runtime) openReply(src int, dep agas.GID, start time.Time) (agas.GID, *
 	// the slot (failLostWaiters), one declared before is seen here.
 	if node != noDep && r.dist.peerDead(node) {
 		if s, ok := r.replies[src].take(r.NodeID(), seq); ok {
-			r.failLostReply(s)
+			r.failLostReply(src, s)
 		}
 		return agas.Nil, fut
 	}
@@ -184,32 +184,24 @@ func (r *Runtime) observeReply(s replySlot) {
 	}
 }
 
-// failLostReply fails a slot taken because the node it waited on died.
-func (r *Runtime) failLostReply(s replySlot) {
+// failLostReply fails a slot of resident locality loc, taken because the
+// node it waited on died. The future is settled in place, as a reply read
+// off the wire is (settle): its waiters wake at once — a Migrate blocked
+// on the only worker of loc would never see a task run — and only its
+// callbacks, which are application code, wait for a task on loc.
+func (r *Runtime) failLostReply(loc int, s replySlot) {
 	r.observeReply(s)
-	_ = s.fut.Fail(fmt.Errorf("core: node %d: %w", s.dep, agas.ErrNodeLost))
+	_ = r.settle(&Context{rt: r, loc: loc, reader: true}, s.fut, nil, fmt.Errorf("core: node %d: %w", s.dep, agas.ErrNodeLost))
 }
 
-// failLostWaiters fails every one-shot reply stranded by node's death. The
-// futures are failed from a task on their own locality — their callbacks
-// are application code, which must not run on the membership goroutine —
-// under a work unit, so Wait covers them.
+// failLostWaiters fails every one-shot reply stranded by node's death.
 func (r *Runtime) failLostWaiters(node int) {
 	for i := range r.replies {
-		l := r.loc(i)
-		if l == nil {
+		if r.loc(i) == nil {
 			continue
 		}
-		lost := r.replies[i].takeNode(node)
-		if len(lost) == 0 {
-			continue
+		for _, s := range r.replies[i].takeNode(node) {
+			r.failLostReply(i, s)
 		}
-		r.addWork()
-		r.mustPost(l.Post(func() {
-			defer r.doneWork()
-			for _, s := range lost {
-				r.failLostReply(s)
-			}
-		}))
 	}
 }

@@ -134,8 +134,8 @@ type Runtime struct {
 	// through admission control. Written only before the transport starts
 	// (MarkSheddable), read lock-free on the delivery path.
 	sheddable map[string]struct{}
-	// direct names the actions a read goroutine runs itself (MarkDirect),
-	// written and read like sheddable.
+	// direct names the actions a read goroutine runs itself (the px.agas.*
+	// actions and MarkDirect's), written and read like sheddable.
 	direct map[string]struct{}
 	dist   *distState // nil for a single-process machine
 	fences *fenceTable
@@ -222,6 +222,10 @@ func New(cfg Config) *Runtime {
 		fences:     newFenceTable(),
 		reducers:   newReducerRegistry(),
 		migrations: make(map[agas.GID]chan struct{}),
+		// Migration's exchanges run where they land: an install queued
+		// behind user work deadlocks two nodes whose only workers each
+		// migrate toward the other.
+		direct: map[string]struct{}{ActionAGASInstall: {}, ActionAGASCommit: {}},
 	}
 	resident := agas.Range{Lo: 0, Hi: cfg.Localities}
 	if lmap != nil {
@@ -564,7 +568,7 @@ func (r *Runtime) Terminate() {
 	}
 	r.terminating.Store(true)
 	// Signal only — a crash model does not wait for a policy tick (an
-	// in-flight migrate RPC is bounded by its own timeout).
+	// in-flight migration's wait is bounded by migrateVerdictBound).
 	r.stopBalancer(false)
 	if r.dist != nil {
 		if r.dist.mb != nil {

@@ -3,8 +3,8 @@
 // contiguous range of localities; the runtime layers parcel routing,
 // distributed quiescence, and live object migration on top of the frame
 // service defined here. Frames are opaque — the runtime's kinds (parcels,
-// "moved" hints, MIGRATE payload pushes, directory commits, drain
-// probes) all ride the same service. A send is split-phase, like the
+// migration's payload pushes and directory commits among them, "moved"
+// hints, drain probes) all ride the same service. A send is split-phase, like the
 // parcel it carries: the transport copies the frame and returns, and
 // delivery happens later — on TCP, one writer per lane carries whatever
 // built up in one write.
