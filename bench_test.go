@@ -23,11 +23,11 @@ import (
 )
 
 // --- scheduler and wire microbenchmarks (bodies in internal/schedbench,
-// shared with cmd/pxbench -sched; CI gates on these via cmd/benchdiff) ---
+// whose allocation test calls the same bodies) ---
 
 // BenchmarkSchedPostDispatchMutex is the retired single-mutex scheduler
 // under an 8-producer flood on 8 workers: the baseline the deque scheduler
-// is required to beat by >= 2x.
+// is required to beat by >= 2x (CI compares the two within one run).
 func BenchmarkSchedPostDispatchMutex(b *testing.B) {
 	schedbench.PostDispatchMutex(b, 8, 8)
 }
@@ -58,24 +58,23 @@ func BenchmarkSchedFanOutFanIn(b *testing.B) {
 
 // BenchmarkSchedParcelFlood floods nop parcels across two localities
 // through the full post/route/encode/decode/dispatch path. Its allocs/op
-// is CI-gated: the pooled hot path must stay at least 50% below the
-// committed baseline (cmd/benchdiff -allocdrop).
+// is pinned at 0 by TestHotPathsAllocationFree in internal/schedbench.
 func BenchmarkSchedParcelFlood(b *testing.B) {
 	schedbench.ParcelFlood(b, 4)
 }
 
 // BenchmarkSchedBalancerOff is the parcel flood with every adaptive-
 // balancer knob set but BalanceInterval zero — balancing staged, not
-// enabled. CI pins it at 0 allocs/op (cmd/benchdiff -allocdrop against
-// the committed zero-alloc baseline): the balancer's sampling branch on
-// the delivery path must cost nothing while dormant.
+// enabled. TestHotPathsAllocationFree pins it at 0 allocs/op: the
+// balancer's sampling branch on the delivery path must cost nothing while
+// dormant.
 func BenchmarkSchedBalancerOff(b *testing.B) {
 	schedbench.BalancerOff(b, 4)
 }
 
 // BenchmarkSchedParcelPingPong bounces one parcel rally between two
 // localities: per-parcel latency and allocation with nothing to hide it.
-// Also allocs/op-gated in CI.
+// Also pinned at 0 allocs/op by TestHotPathsAllocationFree.
 func BenchmarkSchedParcelPingPong(b *testing.B) {
 	schedbench.ParcelPingPong(b)
 }
@@ -115,17 +114,14 @@ func BenchmarkSchedMigrate(b *testing.B) {
 
 // BenchmarkDistFutureRoundTrip measures one distributed-future
 // synchronization across a two-node machine: create, a remote set as a
-// trigger parcel, and the waiter fire back. CI gates its regression
-// against BENCH_baseline.json.
+// trigger parcel, and the waiter fire back.
 func BenchmarkDistFutureRoundTrip(b *testing.B) {
 	schedbench.DistFutureRoundTrip(b)
 }
 
 // BenchmarkServeOpenLoop drives the sharded KV service with the
 // open-loop generator on an in-process 4-locality machine and reports the
-// serving latency profile as p50-ns/p99-ns/p999-ns custom units — the
-// px-bench/v1 latency fields CI's benchdiff gate pins against
-// BENCH_baseline.json (p99 may not regress >25%).
+// serving latency profile as p50-ns/p99-ns/p999-ns custom units.
 func BenchmarkServeOpenLoop(b *testing.B) {
 	rt := parallex.New(parallex.Config{
 		Localities:         4,
@@ -141,7 +137,7 @@ func BenchmarkServeOpenLoop(b *testing.B) {
 	b.ResetTimer()
 	// The arrival rate sits well under even a single-core machine's
 	// service capacity: the profile then measures dispatch latency, not
-	// queueing noise, which keeps the CI gate's variance low.
+	// queueing noise, which keeps its run-to-run variance low.
 	res := workloads.RunOpenLoop(rt, workloads.OpenLoopConfig{
 		Rate:     5000,
 		Requests: b.N,
@@ -151,10 +147,10 @@ func BenchmarkServeOpenLoop(b *testing.B) {
 	if res.Lost != 0 || res.Failed != 0 || res.Completed != res.Issued {
 		b.Fatalf("lost=%d failed=%d completed=%d/%d", res.Lost, res.Failed, res.Completed, res.Issued)
 	}
-	rec := res.Record("serve")
-	b.ReportMetric(rec.P50Ns, "p50-ns")
-	b.ReportMetric(rec.P99Ns, "p99-ns")
-	b.ReportMetric(rec.P999Ns, "p999-ns")
+	p50, p99, p999 := res.Percentiles()
+	b.ReportMetric(p50, "p50-ns")
+	b.ReportMetric(p99, "p99-ns")
+	b.ReportMetric(p999, "p999-ns")
 }
 
 // BenchmarkE1Figure1Architecture regenerates Figure 1 from the model.

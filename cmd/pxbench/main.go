@@ -3,99 +3,24 @@
 // paper-style tables. Individual experiments can be selected with -only.
 // Expected shapes are recorded in EXPERIMENTS.md; the same code paths run
 // as benchmarks in bench_test.go.
-//
-// -sched instead runs the scheduler/wire microbenchmark suite (the same
-// bodies bench_test.go wraps, from internal/schedbench), prints a table,
-// and writes the results as a machine-readable BENCH_<date>.json (schema
-// px-bench/v1, see internal/benchio); -json overrides the output path.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"strings"
-	"testing"
 	"time"
 
-	"repro/internal/benchio"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/parcel"
 	"repro/internal/pprofserve"
-	"repro/internal/schedbench"
 )
-
-// runSched executes the scheduler microbenchmark suite via
-// testing.Benchmark and reports it as a table plus an optional JSON suite.
-func runSched(jsonPath string) {
-	suite := benchio.NewSuite()
-	benches := []struct {
-		name string
-		fn   func(*testing.B)
-	}{
-		{"SchedPostDispatchMutex", func(b *testing.B) { schedbench.PostDispatchMutex(b, 8, 8) }},
-		{"SchedPostDispatchDeques", func(b *testing.B) { schedbench.PostDispatchDeques(b, 8, 8) }},
-		{"SchedPingPong", schedbench.PingPong},
-		{"SchedStealImbalance", func(b *testing.B) { schedbench.StealImbalance(b, 3) }},
-		{"SchedFanOutFanIn", func(b *testing.B) { schedbench.FanOutFanIn(b, 64) }},
-		{"SchedMigrate", func(b *testing.B) { schedbench.Migrate(b, 4) }},
-		{"SchedParcelFlood", func(b *testing.B) { schedbench.ParcelFlood(b, 4) }},
-		{"SchedParcelPingPong", schedbench.ParcelPingPong},
-		{"WireRoundTrip", schedbench.WireRoundTrip},
-		{"TCPRing3", schedbench.TCPRing3},
-		{"DistFutureRoundTrip", schedbench.DistFutureRoundTrip},
-	}
-	fmt.Printf("%-28s %12s %14s  extras\n", "benchmark", "iters", "ns/op")
-	for _, bm := range benches {
-		r := testing.Benchmark(bm.fn)
-		if r.N == 0 {
-			// testing.Benchmark swallows b.Fatal/b.Error and hands back a
-			// zero result; a zero-iteration record would poison the JSON
-			// with NaN and hide the failure from scripted callers.
-			fmt.Fprintf(os.Stderr, "pxbench: benchmark %s failed\n", bm.name)
-			os.Exit(1)
-		}
-		rec := benchio.Record{
-			Name:           bm.name,
-			Iters:          r.N,
-			NsPerOp:        float64(r.T.Nanoseconds()) / float64(r.N),
-			BytesPerOp:     float64(r.AllocedBytesPerOp()),
-			AllocsPerOp:    float64(r.AllocsPerOp()),
-			AllocsMeasured: true,
-		}
-		extras := make([]string, 0, len(r.Extra))
-		for unit, v := range r.Extra {
-			if rec.Extra == nil {
-				rec.Extra = map[string]float64{}
-			}
-			rec.Extra[unit] = v
-			extras = append(extras, fmt.Sprintf("%.4g %s", v, unit))
-		}
-		suite.Add(rec)
-		fmt.Printf("%-28s %12d %14.1f  %s\n", bm.name, rec.Iters, rec.NsPerOp, strings.Join(extras, "  "))
-	}
-	if mutex, ok := suite.Find("SchedPostDispatchMutex"); ok {
-		if deq, ok := suite.Find("SchedPostDispatchDeques"); ok && deq.NsPerOp > 0 {
-			fmt.Printf("\ndeque scheduler speedup over single-mutex baseline: %.2fx\n",
-				mutex.NsPerOp/deq.NsPerOp)
-		}
-	}
-	if jsonPath != "" {
-		if err := suite.WriteFile(jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "pxbench: write %s: %v\n", jsonPath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", jsonPath)
-	}
-}
 
 func main() {
 	only := flag.String("only", "", "comma-separated experiment ids (e.g. e3,e7,a2); empty = all")
 	quick := flag.Bool("quick", false, "smaller parameters for a fast pass")
-	sched := flag.Bool("sched", false, "run the scheduler/wire microbenchmark suite instead of the experiments")
-	jsonOut := flag.String("json", "", "with -sched: also write results to this path (default BENCH_<date>.json)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty = off")
 	metricsAddr := flag.String("metrics", "", "serve process-wide px.pool.* metrics as JSON on this address; empty = off")
 	flag.Parse()
@@ -113,15 +38,6 @@ func main() {
 		if _, err := pprofserve.ServeMetrics(*metricsAddr, reg, nil, log.Printf); err != nil {
 			log.Fatalf("pxbench: %v", err)
 		}
-	}
-
-	if *sched {
-		path := *jsonOut
-		if path == "" {
-			path = fmt.Sprintf("BENCH_%s.json", time.Now().UTC().Format("2006-01-02"))
-		}
-		runSched(path)
-		return
 	}
 
 	selected := map[string]bool{}

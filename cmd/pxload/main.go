@@ -17,27 +17,29 @@
 //
 // The run's summary — throughput, p50/p99/p999 latency, and the
 // shed/retry/lost counters — prints to stdout and, with -out, is written
-// as a px-bench/v1 JSON suite that cmd/benchdiff can gate.
+// as one JSON line in the shape bench/pxmark reports:
+// {"correct","attempted","failed","metrics":{name:{"value","unit"}}}.
 //
 // Drive a two-node machine, one serving node and one generator:
 //
 //	pxnode -node 0 -peers 127.0.0.1:9400,127.0.0.1:9401 -localities 2,2 -workload serve -admit 256 &
-//	pxload -node 1 -peers 127.0.0.1:9400,127.0.0.1:9401 -localities 2,2 -rate 20000 -n 100000 -out serve.json
+//	pxload -node 1 -peers 127.0.0.1:9400,127.0.0.1:9401 -localities 2,2 -rate 20000 -n 100000 -out serve.jsonl
 //
 // When pxload finishes it broadcasts the machine halt, so serve-mode
 // pxnodes drain and exit on their own.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"strconv"
 	"strings"
 	"time"
 
 	parallex "repro"
-	"repro/internal/benchio"
 	"repro/internal/pprofserve"
 	"repro/internal/workloads"
 )
@@ -58,8 +60,7 @@ func main() {
 	timeout := flag.Duration("timeout", 2*time.Second, "per-attempt wait for a verdict before re-issuing")
 	retries := flag.Int("retries", 8, "re-issues of a shed or timed-out request before it counts as rejected/lost")
 	backoff := flag.Duration("backoff", time.Millisecond, "delay before the first re-issue, doubling per attempt")
-	out := flag.String("out", "", "write the run as a px-bench/v1 JSON suite to this path; empty = stdout summary only")
-	name := flag.String("name", "pxload/serve", "record name in the px-bench/v1 suite")
+	out := flag.String("out", "", "write the run as one JSON result line to this path; empty = stdout summary only")
 	halt := flag.Bool("halt", true, "broadcast the machine halt when the run finishes")
 	metricsAddr := flag.String("metrics", "", "serve the px.* metrics registry as JSON on this address; empty = off")
 	flag.Parse()
@@ -123,22 +124,20 @@ func main() {
 		RetryBackoff: *backoff,
 	})
 
-	rec := res.Record(*name)
+	p50, p99, p999 := res.Percentiles()
 	fmt.Printf("pxload: %d issued in %v: %d completed, %d rejected, %d lost, %d failed\n",
 		res.Issued, res.Elapsed.Round(time.Millisecond), res.Completed, res.Rejected, res.Lost, res.Failed)
 	fmt.Printf("pxload: %d shed verdicts, %d retries, %d attempt timeouts\n",
 		res.Shed, res.Retried, res.TimedOut)
 	if res.Completed > 0 {
 		fmt.Printf("pxload: latency p50 %v  p99 %v  p999 %v (from scheduled arrival)\n",
-			time.Duration(rec.P50Ns), time.Duration(rec.P99Ns), time.Duration(rec.P999Ns))
+			time.Duration(p50), time.Duration(p99), time.Duration(p999))
 	}
 	if *out != "" {
-		suite := benchio.NewSuite()
-		suite.Add(rec)
-		if err := suite.WriteFile(*out); err != nil {
+		if err := os.WriteFile(*out, resultLine(res), 0o644); err != nil {
 			log.Fatalf("pxload: write %s: %v", *out, err)
 		}
-		fmt.Printf("pxload: wrote px-bench/v1 suite to %s\n", *out)
+		fmt.Printf("pxload: wrote result line to %s\n", *out)
 	}
 
 	if *halt {
@@ -148,6 +147,43 @@ func main() {
 	if res.Lost > 0 || res.Failed > 0 {
 		log.Fatalf("pxload: %d lost and %d failed requests", res.Lost, res.Failed)
 	}
+}
+
+// resultLine renders the run as one JSON line in pxmark's result shape.
+// correct means no request was lost or failed; failed counts every
+// request that ended without a value.
+func resultLine(res *workloads.OpenLoopResult) []byte {
+	type val struct {
+		Value float64 `json:"value"`
+		Unit  string  `json:"unit"`
+	}
+	p50, p99, p999 := res.Percentiles()
+	var opsPerS float64
+	if sec := res.Elapsed.Seconds(); sec > 0 {
+		opsPerS = float64(res.Completed) / sec
+	}
+	line := struct {
+		Correct   bool           `json:"correct"`
+		Attempted int            `json:"attempted"`
+		Failed    int            `json:"failed"`
+		Metrics   map[string]val `json:"metrics"`
+	}{
+		Correct:   res.Lost == 0 && res.Failed == 0,
+		Attempted: res.Issued,
+		Failed:    res.Issued - res.Completed,
+		Metrics: map[string]val{
+			"ops_per_s": {opsPerS, "1/s"},
+			"p50_us":    {p50 / 1e3, "us"},
+			"p99_us":    {p99 / 1e3, "us"},
+			"p999_us":   {p999 / 1e3, "us"},
+			"shed":      {float64(res.Shed), "count"},
+			"retried":   {float64(res.Retried), "count"},
+			"rejected":  {float64(res.Rejected), "count"},
+			"lost":      {float64(res.Lost), "count"},
+		},
+	}
+	buf, _ := json.Marshal(line) // plain numbers and strings cannot fail to marshal
+	return append(buf, '\n')
 }
 
 // parseLocalities turns "2,2,2" into contiguous per-node ranges.

@@ -104,7 +104,7 @@ func TestDistServeShedsAtTheTarget(t *testing.T) {
 // nodes settle on the read goroutine and do not wait for the workers.) Every request must complete once,
 // with nothing lost, failed or rejected; each abandoned attempt's late
 // reply resolves its own future, so none is counted stale; and the run
-// must report a full px-bench/v1 latency profile.
+// must report a full p50/p99/p999 latency profile.
 func TestDistServeFaultRecoveryTCP(t *testing.T) {
 	entered := make(chan struct{}, 2)
 	release := make(chan struct{})
@@ -152,9 +152,9 @@ func TestDistServeFaultRecoveryTCP(t *testing.T) {
 	if stale != 0 {
 		t.Fatalf("%v replies counted stale; every late reply has its own abandoned future", stale)
 	}
-	rec := res.Record("dist-serve")
-	if rec.P50Ns <= 0 || rec.P99Ns < rec.P50Ns || rec.P999Ns < rec.P99Ns {
-		t.Fatalf("latency profile p50=%v p99=%v p999=%v", rec.P50Ns, rec.P99Ns, rec.P999Ns)
+	p50, p99, p999 := res.Percentiles()
+	if p50 <= 0 || p99 < p50 || p999 < p99 {
+		t.Fatalf("latency profile p50=%v p99=%v p999=%v", p50, p99, p999)
 	}
 	stopMachine(t, rts, true)
 }

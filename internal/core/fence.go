@@ -19,7 +19,7 @@ import (
 // for one object hash to one shard. Per-object tracking costs every
 // non-hardware execution one uncontended shard lock plus a map
 // insert/delete — measured as lost in the noise of the per-parcel path
-// (E10 parcel-local and the benchdiff gate are unchanged) — and in
+// (E10 parcel-local and the parcel-flood benchmarks are unchanged) — and in
 // exchange a migration quiesces exactly its own object: a shard- or
 // locality-coarse count would stall migrations behind unrelated
 // long-running actions.

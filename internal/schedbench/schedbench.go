@@ -1,8 +1,7 @@
 // Package schedbench holds the scheduler and wire microbenchmark bodies
-// shared by the root bench_test.go (go test -bench) and cmd/pxbench
-// -sched (programmatic runs emitting BENCH_<date>.json). Keeping the
-// bodies in one place guarantees CI's regression gate and the
-// command-line harness measure the same code.
+// that the root bench_test.go wraps (go test -bench) and this package's
+// allocation test runs directly. Keeping the bodies in one place
+// guarantees the benchmarks and the test measure the same code.
 //
 // The package also preserves the pre-deque scheduler (MutexQueue) —
 // one mutex-guarded slice served by a dispatcher that spawns a goroutine
@@ -302,8 +301,8 @@ func Migrate(b *testing.B, chasers int) {
 // ParcelFlood drives b.N nop parcels from locality 0 to an object on
 // locality 1 through the full steady-state node-local path — post, AGAS
 // resolve, pointer hand-off, dispatch — on one two-locality runtime. Its
-// allocs/op figure is the hot path's allocation budget per parcel and is
-// gated in CI (cmd/benchdiff -allocdrop).
+// allocs/op figure is the hot path's allocation budget per parcel, pinned
+// at 0 by TestHotPathsAllocationFree.
 func ParcelFlood(b *testing.B, producers int) {
 	parcelFlood(b, producers, parallex.Config{Localities: 2, WorkersPerLocality: 4})
 }
@@ -311,8 +310,9 @@ func ParcelFlood(b *testing.B, producers int) {
 // BalancerOff is the identical flood with every adaptive-balancer knob
 // tuned but the enable switch (BalanceInterval) off: the configuration a
 // production node ships with when balancing is staged but not yet turned
-// on. Its allocs/op is CI-gated at zero — the sampling branch compiled
-// into the delivery path must cost nothing while dormant.
+// on. TestHotPathsAllocationFree pins its allocs/op at zero — the
+// sampling branch compiled into the delivery path must cost nothing while
+// dormant.
 func BalancerOff(b *testing.B, producers int) {
 	parcelFlood(b, producers, parallex.Config{
 		Localities:          2,
@@ -390,8 +390,7 @@ func ParcelPingPong(b *testing.B) {
 // a distributed future and subscribes a local waiter, node 1 resolves it
 // with a trigger parcel, and the resolution fires back through the waiter
 // — create, subscribe, cross-node trigger, fire. This is the latency of
-// one split-phase synchronization through distributed LCO triggers, and
-// its regression gate protects the trigger hot path.
+// one split-phase synchronization through distributed LCO triggers.
 func DistFutureRoundTrip(b *testing.B) {
 	fabric := transport.NewFabric(2)
 	ranges := []parallex.LocalityRange{{Lo: 0, Hi: 1}, {Lo: 1, Hi: 2}}

@@ -175,12 +175,9 @@ func TestOpenLoopServeHealthy(t *testing.T) {
 	if len(res.LatenciesNs) != res.Completed {
 		t.Fatalf("%d latency samples for %d completions", len(res.LatenciesNs), res.Completed)
 	}
-	rec := res.Record("serve")
-	if rec.P50Ns <= 0 || rec.P99Ns < rec.P50Ns || rec.P999Ns < rec.P99Ns {
-		t.Fatalf("percentiles p50=%v p99=%v p999=%v", rec.P50Ns, rec.P99Ns, rec.P999Ns)
-	}
-	if rec.Extra["completed"] != float64(res.Completed) {
-		t.Fatalf("extra completed %v, want %d", rec.Extra["completed"], res.Completed)
+	p50, p99, p999 := res.Percentiles()
+	if p50 <= 0 || p99 < p50 || p999 < p99 {
+		t.Fatalf("percentiles p50=%v p99=%v p999=%v", p50, p99, p999)
 	}
 }
 

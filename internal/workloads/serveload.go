@@ -16,11 +16,11 @@ package workloads
 // zero.
 
 import (
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/benchio"
 	"repro/internal/core"
 	"repro/internal/parcel"
 )
@@ -131,27 +131,45 @@ type OpenLoopResult struct {
 	Elapsed time.Duration
 }
 
-// Record summarizes the result as one px-bench/v1 record: ns/op is the
-// mean inter-completion time, the latency percentiles come from the
-// per-request samples, and the shed/lost/retry counters ride in Extra.
-func (r *OpenLoopResult) Record(name string) benchio.Record {
-	rec := benchio.Record{Name: name, Iters: r.Issued}
-	if r.Issued > 0 && r.Elapsed > 0 {
-		rec.NsPerOp = float64(r.Elapsed.Nanoseconds()) / float64(r.Issued)
+// Percentiles returns the p50, p99 and p999 latencies in nanoseconds,
+// exact over every completed request's sample.
+func (r *OpenLoopResult) Percentiles() (p50, p99, p999 float64) {
+	ps := Quantiles(r.LatenciesNs, 0.5, 0.99, 0.999)
+	return ps[0], ps[1], ps[2]
+}
+
+// Quantiles returns the q-quantiles of the full sample set, one per
+// element of qs, sorting a copy once. Unlike a reservoir histogram this
+// is exact: samples is the complete population (per-request latencies of
+// one run), the empirical quantile interpolates linearly between order
+// statistics (position q*(n-1)), and q<=0 / q>=1 are the exact extremes.
+// An empty sample set yields all zeros.
+func Quantiles(samples []float64, qs ...float64) []float64 {
+	out := make([]float64, len(qs))
+	if len(samples) == 0 {
+		return out
 	}
-	rec.SetLatencies(r.LatenciesNs)
-	rec.Extra = map[string]float64{
-		"completed": float64(r.Completed),
-		"shed":      float64(r.Shed),
-		"retried":   float64(r.Retried),
-		"timedout":  float64(r.TimedOut),
-		"failed":    float64(r.Failed),
-		"rejected":  float64(r.Rejected),
-		"nodelost":  float64(r.NodeLost),
-		"lost":      float64(r.Lost),
-		"hints":     float64(r.HintsHonored),
+	s := make([]float64, len(samples))
+	copy(s, samples)
+	sort.Float64s(s)
+	for i, q := range qs {
+		switch {
+		case q <= 0:
+			out[i] = s[0]
+		case q >= 1:
+			out[i] = s[len(s)-1]
+		default:
+			idx := q * float64(len(s)-1)
+			lo := int(idx)
+			frac := idx - float64(lo)
+			if lo+1 >= len(s) {
+				out[i] = s[len(s)-1]
+			} else {
+				out[i] = s[lo]*(1-frac) + s[lo+1]*frac
+			}
+		}
 	}
-	return rec
+	return out
 }
 
 // splitmix64 is the per-request hash that derives each arrival's key and
