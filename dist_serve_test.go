@@ -100,15 +100,21 @@ func TestDistServeShedsAtTheTarget(t *testing.T) {
 // TestDistServeFaultRecoveryTCP is the retry-after-timeout scenario: both
 // workers of the locality the client calls from are held busy for the
 // first 100ms of the run, so requests for that locality's own shard queue
-// behind them, attempts time out and are re-issued. (Replies from other
-// nodes settle on the read goroutine and do not wait for the workers.) Every request must complete once,
-// with nothing lost, failed or rejected; each abandoned attempt's late
-// reply resolves its own future, so none is counted stale; and the run
-// must report a full p50/p99/p999 latency profile.
+// behind them, attempts time out and are re-issued. The KV actions are
+// direct, and a direct action sent from its own node would run on the
+// caller and never meet the held workers; they are also sheddable, and a
+// sheddable action under an admission limit is queued. So every node runs
+// with an AdmitLimit far above anything this run queues: it sheds nothing,
+// and the requests queue. (Replies settle where they land and do not wait
+// for the workers.) Every request must complete once, with nothing lost,
+// failed or rejected; each abandoned attempt's late reply resolves its own
+// future, so none is counted stale; and the run must report a full
+// p50/p99/p999 latency profile.
 func TestDistServeFaultRecoveryTCP(t *testing.T) {
 	entered := make(chan struct{}, 2)
 	release := make(chan struct{})
 	rts := startObsMachine(t, func(node int, cfg *parallex.Config) {
+		cfg.AdmitLimit = 1 << 20
 		cfg.Register = func(rt *parallex.Runtime) {
 			workloads.RegisterKVService(rt)
 			rt.MustRegisterAction("serve.hold", func(*parallex.Context, any, *parallex.ArgsReader) (any, error) {

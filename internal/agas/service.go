@@ -427,9 +427,10 @@ func (s *Service) ResolveCached(from int, g GID) (int, error) {
 	return owner, err
 }
 
-// ResolveAuthoritative translates g for locality from against this node's
-// first-hand knowledge only — Locate, never a hint, because the answer may
-// back a "moved" verdict taught onward to a remote sender.
+// ResolveAuthoritative is Locate behind a check that locality from is
+// resident here. The runtime no longer calls it: it stays only because
+// pxmark's agas.resolve_authoritative_ns probe times it, and goes with that
+// probe at the next change to the benchmark.
 func (s *Service) ResolveAuthoritative(from int, g GID) (int, uint64, error) {
 	s.checkLoc(from)
 	return s.Locate(g)

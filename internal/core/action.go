@@ -239,17 +239,20 @@ func (r *Runtime) applyTrigger(ctx *Context, target any, op TrigOp, slot uint32,
 // locality it is on, and the operations the model allows — sending parcels,
 // spawning local threads, creating LCOs, and suspending on dependencies.
 //
-// A direct action running on a transport read goroutine (see MarkDirect)
-// sees the same operations, under the reader's rule that nothing waits:
-// Send and Call never wait on a lane (a full lane hands the send to a
-// task on this locality), Spawn posts as it always does, and Await of a
+// A direct action (see MarkDirect), which runs where its parcel lands —
+// on a transport read goroutine or on the goroutine that sent it — sees
+// the same operations, under the rule that nothing waits: Send and Call
+// never wait on a lane (a full lane hands the send to a task on this
+// locality), a Send or Call to a direct action of this node is queued
+// rather than run inline, Spawn posts as it always does, and Await of a
 // future not yet resolved fails with ErrDirectAwait instead of suspending.
 type Context struct {
 	rt  *Runtime
 	loc int
-	// reader marks a dispatch on a transport read goroutine: a reply
-	// resolving its slot, or a direct action.
-	reader bool
+	// noWait marks a dispatch that must not wait: a direct action, or a
+	// reply resolving its slot on a read goroutine or for a caller that
+	// must not wait (see sendFrom).
+	noWait bool
 }
 
 // Locality reports the executing locality.
@@ -259,12 +262,12 @@ func (c *Context) Locality() int { return c.loc }
 func (c *Context) Runtime() *Runtime { return c.rt }
 
 // Send routes a parcel; the source locality is stamped automatically.
-func (c *Context) Send(p *parcel.Parcel) { c.rt.sendFrom(c.loc, p, c.reader) }
+func (c *Context) Send(p *parcel.Parcel) { c.rt.sendFrom(c.loc, p, c.noWait) }
 
 // Call invokes action on dest and returns a future (homed here) for the
 // result — split-phase remote invocation.
 func (c *Context) Call(dest agas.GID, action string, args []byte) *lco.Future {
-	return c.rt.callFrom(c.loc, dest, action, args, c.reader)
+	return c.rt.callFrom(c.loc, dest, action, args, c.noWait)
 }
 
 // Spawn starts a new local thread.
@@ -277,13 +280,13 @@ func (c *Context) SpawnAt(loc int, fn func(*Context)) { c.rt.Spawn(loc, fn) }
 // Await suspends the current thread on f: the execution slot is released
 // while blocked (the thread depletes into the future's wait list) and
 // re-acquired on resumption, exactly the paper's suspension semantics. A
-// direct action on a read goroutine has no slot to release: there Await
-// of an unresolved future returns ErrDirectAwait at once.
+// direct action has no slot to release: there Await of an unresolved
+// future returns ErrDirectAwait at once.
 func (c *Context) Await(f *lco.Future) (any, error) {
 	if v, err, ok := f.TryGet(); ok {
 		return v, err // dependency already satisfied: no suspension
 	}
-	if c.reader {
+	if c.noWait {
 		return nil, ErrDirectAwait
 	}
 	c.rt.slow.Suspensions.Inc()

@@ -124,11 +124,11 @@ func RetryAfter(err error) (d time.Duration, ok bool) {
 // work unit is released. It runs on the rejecting caller's goroutine —
 // posting the verdict delivery to the very queue that just reported
 // saturation would double queue pressure exactly when shedding it — which
-// may be a read goroutine (reader; see sendFrom).
+// may be one that must not wait (noWait; see sendFrom).
 // The verdict carries the retry-after hint, and the hint survives wire
 // flattening: it rides as text inside the verdict message.
-func (r *Runtime) shedParcel(loc int, p *parcel.Parcel, reader bool) {
+func (r *Runtime) shedParcel(loc int, p *parcel.Parcel, noWait bool) {
 	r.failParcel(loc, p, fmt.Errorf("%s: locality %d at admission limit (%s%s)",
-		overloadedMsg, loc, retryAfterMark, retryAfterHint), reader)
+		overloadedMsg, loc, retryAfterMark, retryAfterHint), noWait)
 	r.doneWork()
 }

@@ -57,18 +57,8 @@ func (g *readerGuard) TrySendLane(node, lane int, frame []byte) error {
 // readerStack reports whether the caller runs under the runtime's frame
 // handler, and its stack if so.
 func readerStack() (string, bool) {
-	pcs := make([]uintptr, 128)
-	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
-	var fns []string
-	reader := false
-	for {
-		f, more := frames.Next()
-		fns = append(fns, f.Function)
-		reader = reader || strings.HasSuffix(f.Function, "(*distState).onFrame")
-		if !more {
-			return strings.Join(fns, "\n"), reader
-		}
-	}
+	stack := callerStack()
+	return stack, strings.Contains(stack+"\n", "(*distState).onFrame\n")
 }
 
 func onReader() bool {
@@ -91,19 +81,31 @@ type directRig struct {
 	shards   []agas.GID // by locality
 	onReader atomic.Int64
 	spawned  atomic.Int64
+	// The node-local tests' instruments: every run of an action on a
+	// shard, the workers plain.hold holds until release closes, and the
+	// stacks of probeSelf's runs.
+	runs    atomic.Int64
+	held    chan struct{}
+	release chan struct{}
+	mu      sync.Mutex
+	stacks  []string
 }
 
 const (
 	actDirectGet   = "direct.get"   // args {String key}; the value, 0 for a miss
 	actDirectPut   = "direct.put"   // args {String key, Int64 v}; v
-	actDirectProbe = "direct.probe" // args {Uint64 mode}; see probeAwait, probeSend
+	actDirectProbe = "direct.probe" // args {Uint64 mode}; see probeAwait, probeSend, probeSelf
+	actPlainGet    = "plain.get"    // direct.get, not marked direct
+	actPlainHold   = "plain.hold"   // blocks its worker until rig.release closes
 )
 
 // direct.probe modes: Await a future nothing resolves; or Send, Call and
-// Spawn once each, the first two at locality 0's shard.
+// Spawn once each, the first two at locality 0's shard; or record its
+// stack and, the first time, Call itself with probeSelf again.
 const (
 	probeAwait = iota
 	probeSend
+	probeSelf
 )
 
 func kvGetArgs(key string) []byte { return parcel.NewArgs().String(key).Encode() }
@@ -112,66 +114,86 @@ func kvPutArgs(key string, v int64) []byte {
 	return parcel.NewArgs().String(key).Int64(v).Encode()
 }
 
+// register installs the rig's actions on r. The KV actions and the probe
+// are direct, and the KV actions sheddable.
+func (rig *directRig) register(r *Runtime) {
+	shard := func(target any) (*directShard, error) {
+		rig.runs.Add(1)
+		if onReader() {
+			rig.onReader.Add(1)
+		}
+		sh, ok := target.(*directShard)
+		if !ok {
+			return nil, fmt.Errorf("direct action on %T", target)
+		}
+		return sh, nil
+	}
+	get := func(_ *Context, target any, args *parcel.Reader) (any, error) {
+		sh, err := shard(target)
+		key := args.String()
+		if err == nil {
+			err = args.Err()
+		}
+		if err != nil {
+			return nil, err
+		}
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return sh.m[key], nil
+	}
+	r.MustRegisterAction(actDirectGet, get)
+	r.MustRegisterAction(actPlainGet, get)
+	r.MustRegisterAction(actDirectPut, func(_ *Context, target any, args *parcel.Reader) (any, error) {
+		sh, err := shard(target)
+		key, v := args.String(), args.Int64()
+		if err == nil {
+			err = args.Err()
+		}
+		if err != nil {
+			return nil, err
+		}
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		sh.m[key] = v
+		return v, nil
+	})
+	r.MustRegisterAction(actDirectProbe, func(ctx *Context, target any, args *parcel.Reader) (any, error) {
+		if _, err := shard(target); err != nil {
+			return nil, err
+		}
+		switch args.Uint64() {
+		case probeAwait:
+			_, err := ctx.Await(lco.NewFuture())
+			return nil, err
+		case probeSelf:
+			rig.mu.Lock()
+			first := len(rig.stacks) == 0
+			rig.stacks = append(rig.stacks, callerStack())
+			rig.mu.Unlock()
+			if first {
+				ctx.Call(rig.shards[ctx.Locality()], actDirectProbe, parcel.NewArgs().Uint64(probeSelf).Encode())
+			}
+			return nil, nil
+		default:
+			ctx.Send(parcel.New(rig.shards[0], actDirectPut, kvPutArgs("sent", 1)))
+			ctx.Call(rig.shards[0], actDirectPut, kvPutArgs("called", 2))
+			ctx.Spawn(func(*Context) { rig.spawned.Add(1) })
+			return onReader(), nil
+		}
+	})
+	r.MustRegisterAction(actPlainHold, func(*Context, any, *parcel.Reader) (any, error) {
+		rig.held <- struct{}{}
+		<-rig.release
+		return nil, nil
+	})
+	r.MarkDirect(actDirectGet, actDirectPut, actDirectProbe)
+	r.MarkSheddable(actDirectGet, actDirectPut)
+}
+
 // startDirectRig starts the machine over wires with every node's
-// AdmitLimit at admit. The KV actions are direct and sheddable.
+// AdmitLimit at admit.
 func startDirectRig(t *testing.T, wires []*transport.Faulty, admit int) *directRig {
 	rig := &directRig{}
-	register := func(r *Runtime) {
-		shard := func(target any) (*directShard, error) {
-			if onReader() {
-				rig.onReader.Add(1)
-			}
-			sh, ok := target.(*directShard)
-			if !ok {
-				return nil, fmt.Errorf("direct action on %T", target)
-			}
-			return sh, nil
-		}
-		r.MustRegisterAction(actDirectGet, func(_ *Context, target any, args *parcel.Reader) (any, error) {
-			sh, err := shard(target)
-			key := args.String()
-			if err == nil {
-				err = args.Err()
-			}
-			if err != nil {
-				return nil, err
-			}
-			sh.mu.Lock()
-			defer sh.mu.Unlock()
-			return sh.m[key], nil
-		})
-		r.MustRegisterAction(actDirectPut, func(_ *Context, target any, args *parcel.Reader) (any, error) {
-			sh, err := shard(target)
-			key, v := args.String(), args.Int64()
-			if err == nil {
-				err = args.Err()
-			}
-			if err != nil {
-				return nil, err
-			}
-			sh.mu.Lock()
-			defer sh.mu.Unlock()
-			sh.m[key] = v
-			return v, nil
-		})
-		r.MustRegisterAction(actDirectProbe, func(ctx *Context, target any, args *parcel.Reader) (any, error) {
-			if _, err := shard(target); err != nil {
-				return nil, err
-			}
-			switch args.Uint64() {
-			case probeAwait:
-				_, err := ctx.Await(lco.NewFuture())
-				return nil, err
-			default:
-				ctx.Send(parcel.New(rig.shards[0], actDirectPut, kvPutArgs("sent", 1)))
-				ctx.Call(rig.shards[0], actDirectPut, kvPutArgs("called", 2))
-				ctx.Spawn(func(*Context) { rig.spawned.Add(1) })
-				return onReader(), nil
-			}
-		})
-		r.MarkDirect(actDirectGet, actDirectPut, actDirectProbe)
-		r.MarkSheddable(actDirectGet, actDirectPut)
-	}
 	rig.rts = make([]*Runtime, len(wires))
 	rig.guards = make([]*readerGuard, len(wires))
 	for i, w := range wires {
@@ -182,7 +204,7 @@ func startDirectRig(t *testing.T, wires []*transport.Faulty, admit int) *directR
 			NodeLocalities:     onceRanges,
 			WorkersPerLocality: 2,
 			AdmitLimit:         admit,
-			Register:           register,
+			Register:           rig.register,
 		})
 	}
 	rig.shards = make([]agas.GID, 6)
@@ -190,6 +212,32 @@ func startDirectRig(t *testing.T, wires []*transport.Faulty, admit int) *directR
 		rig.shards[loc] = rig.rts[loc/2].NewDataAt(loc, &directShard{m: make(map[string]int64)})
 	}
 	return rig
+}
+
+// startLocalDirectRig starts the rig's actions on one node of two
+// localities with two workers each, and no transport.
+func startLocalDirectRig() *directRig {
+	rig := &directRig{held: make(chan struct{}, 2), release: make(chan struct{})}
+	r := New(Config{Localities: 2, WorkersPerLocality: 2, Register: rig.register})
+	rig.rts = []*Runtime{r}
+	for loc := 0; loc < 2; loc++ {
+		rig.shards = append(rig.shards, r.NewDataAt(loc, &directShard{m: make(map[string]int64)}))
+	}
+	return rig
+}
+
+// callerStack returns the function names on the caller's stack, one a line.
+func callerStack() string {
+	pcs := make([]uintptr, 128)
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
+	var fns []string
+	for {
+		f, more := frames.Next()
+		fns = append(fns, f.Function)
+		if !more {
+			return strings.Join(fns, "\n")
+		}
+	}
 }
 
 // stop waits for the machine to quiesce and shuts it down, failing the
@@ -347,12 +395,124 @@ func TestDirectActionParksAtFence(t *testing.T) {
 		}
 	}
 	for _, pk := range r1.fences.open(g) {
-		r1.runReply(r1.route(pk.loc, pk.p, false), false)
+		r1.runHanded(r1.route(pk.loc, pk.p, false))
 	}
 	for i, f := range futs {
 		if v, err := f.Get(); err != nil || v.(int64) != int64(i) {
 			t.Fatalf("put %d after the fence opened: %v, %v", i, v, err)
 		}
+	}
+	rig.stop(t)
+}
+
+// TestDirectLocalCallPassesHeldWorkers: with both workers of locality 1
+// held in a blocking action, a node-local call to a direct action there
+// runs on the caller — its future is resolved when CallFrom returns —
+// while a call of the same body, not marked direct, to the same object
+// waits for a worker until the hold is released.
+func TestDirectLocalCallPassesHeldWorkers(t *testing.T) {
+	rig := startLocalDirectRig()
+	r, g := rig.rts[0], rig.shards[1]
+	for i := 0; i < 2; i++ {
+		r.SendFrom(1, parcel.New(r.NewDataAt(1, struct{}{}), actPlainHold, nil))
+	}
+	<-rig.held
+	<-rig.held
+	put := r.CallFrom(0, g, actDirectPut, kvPutArgs("k", 7))
+	if !put.Resolved() {
+		t.Fatal("a direct call to a locality whose workers are all held was not answered on return")
+	}
+	if v, err := put.Get(); err != nil || v.(int64) != 7 {
+		t.Fatalf("direct put: %v, %v; want 7", v, err)
+	}
+	plain := r.CallFrom(0, g, actPlainGet, kvGetArgs("k"))
+	if plain.Resolved() {
+		t.Fatal("a call not marked direct was answered while every worker of its locality was held")
+	}
+	close(rig.release)
+	if v, err := plain.Get(); err != nil || v.(int64) != 7 {
+		t.Fatalf("plain get after the release: %v, %v; want 7", v, err)
+	}
+	rig.stop(t)
+}
+
+// TestDirectLocalAwaitFails: a direct action run on its caller's goroutine
+// has no worker to suspend, so its Await of an unresolved future fails
+// with ErrDirectAwait, which fails the call.
+func TestDirectLocalAwaitFails(t *testing.T) {
+	rig := startLocalDirectRig()
+	fut := rig.rts[0].CallFrom(0, rig.shards[1], actDirectProbe, parcel.NewArgs().Uint64(probeAwait).Encode())
+	if !fut.Resolved() {
+		t.Fatal("the inline probe did not answer on return")
+	}
+	if _, err := fut.Get(); err == nil || !strings.Contains(err.Error(), ErrDirectAwait.Error()) {
+		t.Fatalf("inline Await: %v, want %v", err, ErrDirectAwait)
+	}
+	rig.stop(t)
+}
+
+// TestDirectLocalSelfCallIsQueued: a direct action that calls itself on its
+// own node does not nest: the caller's run is inline, off any worker, and
+// the call it makes is queued and runs on a worker, with one dispatch on
+// each stack.
+func TestDirectLocalSelfCallIsQueued(t *testing.T) {
+	rig := startLocalDirectRig()
+	fut := rig.rts[0].CallFrom(0, rig.shards[1], actDirectProbe, parcel.NewArgs().Uint64(probeSelf).Encode())
+	if !fut.Resolved() {
+		t.Fatal("the outer call did not run inline")
+	}
+	rig.rts[0].Wait()
+	const worker = "(*Locality).runTask"
+	rig.mu.Lock()
+	defer rig.mu.Unlock()
+	if len(rig.stacks) != 2 {
+		t.Fatalf("%d runs of the self-calling action, want 2", len(rig.stacks))
+	}
+	for i, stack := range rig.stacks {
+		if n := strings.Count(stack, "(*Runtime).execute\n"); n != 1 {
+			t.Fatalf("run %d has %d dispatches on its stack, want 1:\n%s", i, n, stack)
+		}
+		if onWorker := strings.Contains(stack, worker); onWorker != (i == 1) {
+			t.Fatalf("run %d on a worker: %v, want %v:\n%s", i, onWorker, i == 1, stack)
+		}
+	}
+	rig.stop(t)
+}
+
+// TestDirectLocalCallParksAtFence: a node-local direct call to an object
+// whose fence is closed parks like any parcel, and runs once when the
+// fence opens.
+func TestDirectLocalCallParksAtFence(t *testing.T) {
+	rig := startLocalDirectRig()
+	r, g := rig.rts[0], rig.shards[1]
+	r.fences.close(g)
+	const n = 8
+	futs := make([]*lco.Future, n)
+	for i := range futs {
+		futs[i] = r.CallFrom(0, g, actDirectPut, kvPutArgs("k", int64(i)))
+	}
+	if parked := r.slow.Parked.Value(); parked != n {
+		t.Fatalf("%d of %d puts parked at the closed fence", parked, n)
+	}
+	for i, f := range futs {
+		if f.Resolved() {
+			t.Fatalf("put %d answered through a closed fence", i)
+		}
+	}
+	if runs := rig.runs.Load(); runs != 0 {
+		t.Fatalf("%d puts ran through a closed fence", runs)
+	}
+	for _, pk := range r.fences.open(g) {
+		r.runHanded(r.route(pk.loc, pk.p, false))
+	}
+	for i, f := range futs {
+		if v, err := f.Get(); err != nil || v.(int64) != int64(i) {
+			t.Fatalf("put %d after the fence opened: %v, %v", i, v, err)
+		}
+	}
+	r.Wait()
+	if runs := rig.runs.Load(); runs != n {
+		t.Fatalf("%d runs of %d parked puts, want each once", runs, n)
 	}
 	rig.stop(t)
 }
@@ -373,7 +533,7 @@ func TestMarkDirectRefusesBuiltins(t *testing.T) {
 // TestReaderAwaitIsTyped: ErrDirectAwait is matchable with errors.Is where
 // it does not cross the wire.
 func TestReaderAwaitIsTyped(t *testing.T) {
-	ctx := &Context{reader: true}
+	ctx := &Context{noWait: true}
 	if _, err := ctx.Await(lco.NewFuture()); !errors.Is(err, ErrDirectAwait) {
 		t.Fatalf("Await on a reader: %v, want ErrDirectAwait", err)
 	}

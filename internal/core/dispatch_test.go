@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -114,9 +115,10 @@ func onceTCP(t *testing.T, lanes int) []*transport.Faulty {
 }
 
 // startOnceMachine starts the 3-node machine over wires, each behind a
-// reader guard, its actions registered and the oracle watching. once.echo answers its value,
-// once.add its value plus one (both count their runs in hits), and
-// once.bump increments a []int64 counter object.
+// reader guard, its actions registered and the oracle watching. once.echo
+// answers its value, once.add its value plus one (both count their runs in
+// hits), and once.bump increments a []int64 counter object, as does
+// once.dbump, which is direct.
 func startOnceMachine(t *testing.T, wires []*transport.Faulty, o *dispatchOracle, hits *atomic.Int64) []*Runtime {
 	register := func(r *Runtime) {
 		value := func(_ *Context, _ any, args *parcel.Reader) (any, error) {
@@ -135,9 +137,12 @@ func startOnceMachine(t *testing.T, wires []*transport.Faulty, o *dispatchOracle
 			}
 			return v.(int64) + 1, nil
 		})
-		r.MustRegisterAction("once.bump", func(_ *Context, target any, _ *parcel.Reader) (any, error) {
+		bump := func(_ *Context, target any, _ *parcel.Reader) (any, error) {
 			return atomic.AddInt64(&target.([]int64)[0], 1), nil
-		})
+		}
+		r.MustRegisterAction("once.bump", bump)
+		r.MustRegisterAction("once.dbump", bump)
+		r.MarkDirect("once.dbump")
 	}
 	rts := make([]*Runtime, 3)
 	for i := range rts {
@@ -165,8 +170,9 @@ func valueArgs(v int64) []byte {
 // TestDispatchedOnce proves, rather than guards against, exactly-once
 // delivery: over each transport shape a 3-node machine runs cross-node
 // call storms, continuation chains, DistLCO triggers and subscriptions,
-// and cross-node migrations under load, then a second machine loses a
-// link and a node mid-storm — and no parcel is dispatched twice.
+// cross-node migrations under load, and node-local direct calls to
+// objects migrating within their node, then a second machine loses a link
+// and a node mid-storm — and no parcel is dispatched twice.
 func TestDispatchedOnce(t *testing.T) {
 	for _, shape := range onceShapes {
 		t.Run(shape.name, func(t *testing.T) {
@@ -176,6 +182,7 @@ func TestDispatchedOnce(t *testing.T) {
 			calls := onceCallStorm(t, rts)
 			chains := onceChainsAndTriggers(t, rts)
 			onceMigrationUnderLoad(t, rts)
+			onceLocalDirectUnderMigration(t, rts)
 			rts[0].Wait()
 			if want := int64(calls + 3*chains); hits.Load() != want {
 				t.Fatalf("once.* actions ran %d times, want %d", hits.Load(), want)
@@ -381,6 +388,59 @@ func onceMigrationUnderLoad(t *testing.T, rts []*Runtime) {
 	}
 	if got := atomic.LoadInt64(&v.([]int64)[0]); got != 3*perNode {
 		t.Fatalf("counter = %d, want %d", got, 3*perNode)
+	}
+}
+
+// onceLocalDirectUnderMigration: every locality calls the direct
+// once.dbump on a counter of its own node — each call runs on its caller
+// unless it meets the fence — while each node migrates its counter back
+// and forth between its two localities, one move each time another
+// seventh of its node's calls has been answered. Every count comes out
+// exact.
+func onceLocalDirectUnderMigration(t *testing.T, rts []*Runtime) {
+	const perLoc, moves = 100, 6
+	objs := make([]agas.GID, len(rts))
+	answered := make([]atomic.Int64, len(rts))
+	for n, r := range rts {
+		objs[n] = r.NewDataAt(2*n, []int64{0})
+	}
+	var wg sync.WaitGroup
+	for src := 0; src < 2*len(rts); src++ {
+		wg.Add(1)
+		go func(r *Runtime, src, n int) {
+			defer wg.Done()
+			for i := 0; i < perLoc; i++ {
+				if _, err := r.CallFrom(src, objs[n], "once.dbump", nil).Get(); err != nil {
+					t.Errorf("direct bump from L%d: %v", src, err)
+				}
+				answered[n].Add(1)
+			}
+		}(rts[src/2], src, src/2)
+	}
+	for n, r := range rts {
+		wg.Add(1)
+		go func(r *Runtime, n int) {
+			defer wg.Done()
+			for i := 1; i <= moves; i++ {
+				for answered[n].Load() < int64(i*2*perLoc/(moves+1)) {
+					runtime.Gosched()
+				}
+				if err := r.Migrate(objs[n], 2*n+i%2); err != nil {
+					t.Errorf("migrate to L%d: %v", 2*n+i%2, err)
+				}
+			}
+		}(r, n)
+	}
+	wg.Wait()
+	rts[0].Wait()
+	for n, r := range rts {
+		v, ok := r.LocalObject(2*n, objs[n])
+		if !ok {
+			t.Fatalf("node %d's counter not back at L%d", n, 2*n)
+		}
+		if got := atomic.LoadInt64(&v.([]int64)[0]); got != 2*perLoc {
+			t.Fatalf("node %d's counter = %d, want %d", n, got, 2*perLoc)
+		}
 	}
 }
 

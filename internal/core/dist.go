@@ -213,7 +213,7 @@ func (d *distState) onParcel(from int, kind byte, p *parcel.Parcel) {
 // second-hand verdict must not be taught onward as a "moved" verdict.
 // Unknown names report the error.
 func (d *distState) resolveHere(g agas.GID) (owner int, gen uint64, err error) {
-	return d.rt.agas.ResolveAuthoritative(d.home, g)
+	return d.rt.agas.Locate(g)
 }
 
 // deliver routes a parcel received from node from — already resolved to
@@ -280,14 +280,15 @@ func (d *distState) laneOf(g agas.GID) int {
 
 // sendLane delivers a parcel frame on a transport lane (any lane is lane
 // 0 on a laneless transport, whose Send never waits). SendLane may wait
-// for room on the lane, so a read goroutine (reader) takes TrySendLane,
-// which refuses instead. The lane redials a broken connection itself, so
-// a single transient break cannot lose a frame between two healthy nodes.
-func (d *distState) sendLane(node, lane int, frame []byte, reader bool) error {
+// for room on the lane, so a caller that must not wait (noWait) takes
+// TrySendLane, which refuses instead. The lane redials a broken connection
+// itself, so a single transient break cannot lose a frame between two
+// healthy nodes.
+func (d *distState) sendLane(node, lane int, frame []byte, noWait bool) error {
 	switch {
 	case d.laneTr == nil:
 		return d.tr.Send(node, frame)
-	case reader:
+	case noWait:
 		return d.laneTr.TrySendLane(node, lane, frame)
 	}
 	return d.laneTr.SendLane(node, lane, frame)
@@ -305,10 +306,11 @@ func (d *distState) sendLane(node, lane int, frame []byte, reader bool) error {
 // transport has taken the bytes, and the parcel itself is released unless
 // it was recycled into the failure path.
 //
-// A read goroutine (reader) never waits for room on a lane: when the lane
-// is full the refusal is booked like any other, and the send, with p and
-// its work unit, moves to a task on src, which sends again and may wait.
-func (d *distState) sendParcel(node, src int, p *parcel.Parcel, reader bool) {
+// A caller that must not wait (noWait), a read goroutine or a direct
+// action run inline, never waits for room on a lane: when the lane is
+// full the refusal is booked like any other, and the send, with p and its
+// work unit, moves to a task on src, which sends again and may wait.
+func (d *distState) sendParcel(node, src int, p *parcel.Parcel, noWait bool) {
 	ps := d.ensurePeer(node)
 	if ps == nil {
 		d.rt.deliverFailure(src, p, fmt.Errorf("core: node %d outside machine: %w", node, agas.ErrUnknown))
@@ -340,7 +342,7 @@ func (d *distState) sendParcel(node, src int, p *parcel.Parcel, reader bool) {
 	ps.sent.Add(1)
 	// Parcels ride the lane their destination hashes to; per-object order
 	// is the per-lane FIFO.
-	err := d.sendLane(node, d.laneOf(p.Dest), w.B, reader)
+	err := d.sendLane(node, d.laneOf(p.Dest), w.B, noWait)
 	// The transport copied w.B, so nothing references it any more.
 	parcel.PutWire(w)
 	if err != nil {
@@ -348,7 +350,7 @@ func (d *distState) sendParcel(node, src int, p *parcel.Parcel, reader bool) {
 		// refusal is booked on this lane's receive side instead of taken
 		// back off sent.
 		ps.returned.Add(1)
-		if reader && errors.Is(err, transport.ErrLaneFull) {
+		if noWait && errors.Is(err, transport.ErrLaneFull) {
 			d.rt.mustPost(d.rt.loc(src).Post(func() { d.sendParcel(node, src, p, false) }))
 			return
 		}

@@ -115,7 +115,7 @@ func (r *Runtime) Migrate(g agas.GID, to int) error {
 	r.fences.close(g)
 	err = r.migrateLocked(g, from, to, gen+1)
 	for _, pk := range r.fences.open(g) {
-		r.runReply(r.route(pk.loc, pk.p, false), false)
+		r.runHanded(r.route(pk.loc, pk.p, false))
 	}
 	return err
 }
@@ -331,12 +331,12 @@ func (r *Runtime) CallFrom(src int, dest agas.GID, action string, args []byte) *
 	return r.callFrom(src, dest, action, args, false)
 }
 
-// callFrom is CallFrom; reader marks a caller on a read goroutine (see
+// callFrom is CallFrom; noWait marks a caller that must not wait (see
 // sendFrom).
-func (r *Runtime) callFrom(src int, dest agas.GID, action string, args []byte, reader bool) *lco.Future {
+func (r *Runtime) callFrom(src int, dest agas.GID, action string, args []byte, noWait bool) *lco.Future {
 	r.checkResident(src)
 	p := parcel.Acquire(dest, action, args, parcel.Continuation{Action: ActionLCOSet})
-	_, fut := r.call(src, p, slowClock(p.ID), reader)
+	_, fut := r.call(src, p, slowClock(p.ID), noWait)
 	return fut
 }
 
@@ -344,13 +344,13 @@ func (r *Runtime) callFrom(src int, dest agas.GID, action string, args []byte, r
 // as the target of its one continuation, and returns that name and the
 // slot's future; a nil name means the future has already failed and p was
 // not sent. start is the slot's latency clock (openReply).
-func (r *Runtime) call(src int, p *parcel.Parcel, start time.Time, reader bool) (agas.GID, *lco.Future) {
+func (r *Runtime) call(src int, p *parcel.Parcel, start time.Time, noWait bool) (agas.GID, *lco.Future) {
 	reply, fut := r.openReply(src, p.Dest, start)
 	if reply.IsNil() {
 		parcel.Release(p)
 	} else {
 		p.Cont[0].Target = reply
-		r.sendFrom(src, p, reader)
+		r.sendFrom(src, p, noWait)
 	}
 	return reply, fut
 }

@@ -191,7 +191,7 @@ func (r *Runtime) observeReply(s replySlot) {
 // callbacks, which are application code, wait for a task on loc.
 func (r *Runtime) failLostReply(loc int, s replySlot) {
 	r.observeReply(s)
-	_ = r.settle(&Context{rt: r, loc: loc, reader: true}, s.fut, nil, fmt.Errorf("core: node %d: %w", s.dep, agas.ErrNodeLost))
+	_ = r.settle(&Context{rt: r, loc: loc, noWait: true}, s.fut, nil, fmt.Errorf("core: node %d: %w", s.dep, agas.ErrNodeLost))
 }
 
 // failLostWaiters fails every one-shot reply stranded by node's death.

@@ -18,15 +18,17 @@ import (
 // moves by pointer, after the network model's latency if it models one; one
 // for another node crosses the transport. Until dispatch a node-local
 // parcel references its Args rather than copying them. A reply to a call
-// from this node resolves on the calling goroutine instead: setting a
-// future never blocks.
+// from this node, and a parcel for a direct action resident on this node
+// (MarkDirect), run on the calling goroutine instead.
 func (r *Runtime) SendFrom(src int, p *parcel.Parcel) { r.sendFrom(src, p, false) }
 
-// sendFrom is SendFrom. reader marks a caller on a transport read
-// goroutine, which never waits on a lane (see distState.onFrame): its
-// parcels for other nodes take sendParcel's refusing lane send, and a
-// reply it resolves hands its callbacks to a task (settle).
-func (r *Runtime) sendFrom(src int, p *parcel.Parcel, reader bool) {
+// sendFrom is SendFrom. noWait marks a caller that must not wait: a
+// transport read goroutine (see distState.onFrame), or a direct action
+// running inline. Its parcels for other nodes take sendParcel's refusing
+// lane send, a reply it resolves hands its callbacks to a task (settle),
+// and its parcels for direct actions of this node are queued, so inline
+// runs nest one deep.
+func (r *Runtime) sendFrom(src int, p *parcel.Parcel, noWait bool) {
 	r.checkResident(src)
 	if p.Dest.IsNil() {
 		panic("core: send to nil GID")
@@ -35,11 +37,13 @@ func (r *Runtime) sendFrom(src int, p *parcel.Parcel, reader bool) {
 	r.traceParcel(src, p)
 	r.addWork()
 	start := slowClock(p.ID)
-	reply := r.route(src, p, reader)
+	loc, inline := r.route(src, p, noWait)
 	if !start.IsZero() {
 		r.slow.Overhead.ObserveDuration(now().Sub(start))
 	}
-	r.runReply(reply, reader)
+	if inline != nil {
+		r.runInline(loc, inline, noWait)
+	}
 }
 
 // slowClock reads the clock for SLOW's Latency and Overhead for 1 parcel ID
@@ -55,69 +59,76 @@ func slowClock(id uint64) time.Time {
 
 // route resolves ownership and moves the parcel. The caller has already
 // charged one work unit for p; route (or the failure path) releases it via
-// the delivery task — or hands back a reply for a slot of this node, for
-// the caller to run inline (runReply) once SendFrom's clock stops.
-func (r *Runtime) route(src int, p *parcel.Parcel, reader bool) *parcel.Parcel {
+// the delivery task — or hands p back with its resident locality, for the
+// caller to run inline (runInline) once SendFrom's clock stops (handOff).
+func (r *Runtime) route(src int, p *parcel.Parcel, noWait bool) (int, *parcel.Parcel) {
 	owner, err := r.agas.ResolveCached(src, p.Dest)
 	if err != nil {
 		r.deliverFailure(src, p, err)
-		return nil
+		return 0, nil
 	}
 	if owner == src {
 		r.slow.ParcelsLocal.Inc()
-		return r.handOff(owner, p, reader)
+		return r.handOff(owner, p, noWait)
 	}
 	if r.dist != nil {
 		node, known := r.dist.lmap.NodeOf(owner)
 		if !known {
 			r.deliverFailure(src, p, fmt.Errorf("core: owner locality %d outside machine: %w", owner, agas.ErrUnknown))
-			return nil
+			return 0, nil
 		}
 		if node != r.dist.node {
 			// The owner lives in another process: the parcel crosses the
 			// real network in wire form. The work unit charged by SendFrom
 			// stays held until the transport has taken the frame.
-			r.dist.sendParcel(node, src, p, reader)
-			return nil
+			r.dist.sendParcel(node, src, p, noWait)
+			return 0, nil
 		}
 	}
 	r.slow.ParcelsSent.Inc()
 	// Another locality of this node shares this address space, so the
 	// parcel itself moves, as on the same-locality path above.
 	if lat := r.net.Latency(src, owner, len(p.Args)); lat > 0 {
-		time.AfterFunc(lat, func() { r.runReply(r.handOff(owner, p, false), false) })
-		return nil
+		time.AfterFunc(lat, func() { r.runHanded(r.handOff(owner, p, false)) })
+		return 0, nil
 	}
-	return r.handOff(owner, p, reader)
+	return r.handOff(owner, p, noWait)
 }
 
-// handOff ends a node-local leg of route: it returns p to be run inline
-// if it is a reply for a slot of resident locality loc (isReply), and
-// enqueues it on loc otherwise.
-func (r *Runtime) handOff(loc int, p *parcel.Parcel, reader bool) *parcel.Parcel {
-	if isReply(p) && r.loc(loc) != nil {
-		return p
+// handOff ends a node-local leg of route at locality loc. A parcel that
+// runsDirect accepts is handed back, with loc, to run inline where it
+// landed: a reply always, a direct action only for a caller that may
+// wait, so a direct action's own sends are queued and inline runs nest one
+// deep. It takes the balancer's arrival sample as enqueue would. Anything
+// else is enqueued on loc.
+func (r *Runtime) handOff(loc int, p *parcel.Parcel, noWait bool) (int, *parcel.Parcel) {
+	if (!noWait || isReply(p)) && r.runsDirect(loc, p) {
+		r.sampleArrival(loc, p)
+		return loc, p
 	}
-	r.enqueue(loc, p, reader)
-	return nil
+	r.enqueue(loc, p, noWait)
+	return 0, nil
 }
 
-// runReply runs the reply route handed back, if any, on the calling
-// goroutine, at the slot's home locality.
-func (r *Runtime) runReply(p *parcel.Parcel, reader bool) {
+// runHanded runs the parcel route or handOff handed back, if any, on the
+// calling goroutine, which may wait.
+func (r *Runtime) runHanded(loc int, p *parcel.Parcel) {
 	if p != nil {
-		r.runInline(int(p.Dest.Home), p, reader)
+		r.runInline(loc, p, false)
 	}
 }
 
 // runInline runs the dispatch a task on resident locality loc would run
 // for p, on the calling goroutine, with pooled scratch of its own, since
-// the caller's may still be live. It releases p's work unit. reader marks
-// a transport read goroutine (see sendFrom).
-func (r *Runtime) runInline(loc int, p *parcel.Parcel, reader bool) {
+// the caller's may still be live. It releases p's work unit. A reply runs
+// under its caller's rule (noWait; see sendFrom). A direct action always
+// runs under the must-not-wait rule, whoever its caller is: Await of an
+// unresolved future fails, its sends never wait on a lane, and a future
+// it settles hands its callbacks to a task.
+func (r *Runtime) runInline(loc int, p *parcel.Parcel, noWait bool) {
 	t := execTaskPool.Get().(*execTask)
 	t.r, t.loc, t.p = r, loc, p
-	t.ctx.reader = reader
+	t.ctx.noWait = noWait || !isReply(p)
 	t.fire()
 }
 
@@ -161,8 +172,8 @@ func (t *execTask) fire() {
 // for one object land on one worker's deque, preserving its cache affinity
 // and keeping the deque lock uncontended for hot objects. A parcel shed by
 // admission control is failed on the calling goroutine, whose sends never
-// wait on a lane when reader is set.
-func (r *Runtime) enqueue(loc int, p *parcel.Parcel, reader bool) {
+// wait on a lane when noWait is set.
+func (r *Runtime) enqueue(loc int, p *parcel.Parcel, noWait bool) {
 	l := r.loc(loc)
 	if l == nil {
 		// The membership map names this node as loc's host, but nothing
@@ -184,7 +195,7 @@ func (r *Runtime) enqueue(loc int, p *parcel.Parcel, reader bool) {
 				if !errors.Is(err, locality.ErrOverloaded) {
 					r.mustPost(err)
 				}
-				r.shedParcel(loc, p, reader)
+				r.shedParcel(loc, p, noWait)
 			}
 			return
 		}
@@ -227,8 +238,9 @@ func (r *Runtime) mustPost(err error) {
 // ownership on (to the fence and the re-route, respectively). rd and ctx
 // are the caller's pooled scratch, valid only for this dispatch — the
 // ActionFunc contract forbids retaining either beyond the action's
-// return. ctx.reader marks a dispatch on a read goroutine: everything
-// execute sends then takes the reader's path (sendFrom).
+// return. ctx.noWait marks a dispatch that must not wait, on a read
+// goroutine or inline: everything execute sends then takes the
+// must-not-wait path (sendFrom).
 func (r *Runtime) execute(loc int, p *parcel.Parcel, rd *parcel.Reader, ctx *Context) {
 	fenced := p.Dest.Kind.Movable()
 	if fenced {
@@ -265,7 +277,7 @@ func (r *Runtime) execute(loc int, p *parcel.Parcel, rd *parcel.Reader, ctx *Con
 		// The object is not here: our (or the sender's) translation was
 		// stale — the next resolution will name the forwarding target.
 		// Repair and re-route.
-		r.forward(loc, p, ctx.reader)
+		r.forward(loc, p, ctx.noWait)
 		return
 	}
 	// An interned wire decode (or a previous dispatch of this parcel) has
@@ -282,7 +294,7 @@ func (r *Runtime) execute(loc int, p *parcel.Parcel, rd *parcel.Reader, ctx *Con
 		if fenced {
 			r.fences.exit(p.Dest)
 		}
-		r.failParcel(loc, p, fmt.Errorf("core: unknown action %q", p.Action), ctx.reader)
+		r.failParcel(loc, p, fmt.Errorf("core: unknown action %q", p.Action), ctx.noWait)
 		return
 	}
 	if p.Trace.Sampled() && isTriggerAction(p.Action) {
@@ -306,14 +318,14 @@ func (r *Runtime) execute(loc int, p *parcel.Parcel, rd *parcel.Reader, ctx *Con
 			// this error rather than nothing.
 			_ = r.settle(ctx, reply, nil, err)
 		}
-		r.failParcel(loc, p, err, ctx.reader)
+		r.failParcel(loc, p, err, ctx.noWait)
 		return
 	}
 	if cont, more := p.PopContinuation(); more {
 		np, encErr := parcel.AcquireValue(cont.Target, cont.Action, res, p.Cont...)
 		if encErr != nil {
 			// The value was for cont, so cont hears why it never came.
-			r.failTo(loc, p, cont, encErr, ctx.reader)
+			r.failTo(loc, p, cont, encErr, ctx.noWait)
 			return
 		}
 		// The continuation inherits the chain's parcel ID, which keys
@@ -322,7 +334,7 @@ func (r *Runtime) execute(loc int, p *parcel.Parcel, rd *parcel.Reader, ctx *Con
 		np.ID = p.ID
 		np.Trace = p.Trace
 		parcel.Release(p) // after Acquire copied the continuation tail
-		r.sendFrom(loc, np, ctx.reader)
+		r.sendFrom(loc, np, ctx.noWait)
 		return
 	}
 	parcel.Release(p)
@@ -335,25 +347,25 @@ const maxHops = 64
 // forward re-resolves a stale destination and re-routes the parcel,
 // bounding the retry count. Re-delivery is slightly delayed so a migration
 // in progress can land; it leaves from a timer, so only the failure of a
-// parcel out of hops is sent from the caller's goroutine (reader).
-func (r *Runtime) forward(loc int, p *parcel.Parcel, reader bool) {
+// parcel out of hops is sent from the caller's goroutine (noWait).
+func (r *Runtime) forward(loc int, p *parcel.Parcel, noWait bool) {
 	p.Hops++
 	if p.Hops > maxHops {
-		r.failParcel(loc, p, fmt.Errorf("core: %s exceeded %d forwarding hops", p, maxHops), reader)
+		r.failParcel(loc, p, fmt.Errorf("core: %s exceeded %d forwarding hops", p, maxHops), noWait)
 		return
 	}
 	r.agas.Invalidate(loc, p.Dest)
 	r.emitSpan(trace.SpanMigrate, loc, &p.Trace, p.Action)
 	r.addWork() // the new routing leg; our caller releases the old one
 	time.AfterFunc(time.Duration(p.Hops)*5*time.Microsecond, func() {
-		r.runReply(r.route(loc, p, false), false)
+		r.runHanded(r.route(loc, p, false))
 	})
 }
 
 // failParcel delivers an action failure to the parcel's continuation, or
 // records it on the runtime when no continuation exists. It consumes p.
-// reader marks a caller on a read goroutine (see sendFrom).
-func (r *Runtime) failParcel(loc int, p *parcel.Parcel, err error, reader bool) {
+// noWait marks a caller that must not wait (see sendFrom).
+func (r *Runtime) failParcel(loc int, p *parcel.Parcel, err error, noWait bool) {
 	if p.Action == ActionLCOTrigger && (errors.Is(err, agas.ErrUnknown) || IsNodeLost(err)) {
 		// A trigger whose LCO is gone: it raced the LCO's Free on another
 		// lane, or the LCO died with its node (or the send found that node
@@ -370,18 +382,18 @@ func (r *Runtime) failParcel(loc int, p *parcel.Parcel, err error, reader bool) 
 		parcel.Release(p)
 		return
 	}
-	r.failTo(loc, p, cont, err, reader)
+	r.failTo(loc, p, cont, err, noWait)
 }
 
 // failTo delivers err to cont, a continuation already popped off p, and
 // consumes p.
-func (r *Runtime) failTo(loc int, p *parcel.Parcel, cont parcel.Continuation, err error, reader bool) {
+func (r *Runtime) failTo(loc int, p *parcel.Parcel, cont parcel.Continuation, err error, noWait bool) {
 	np := parcel.Acquire(cont.Target, ActionLCOFail, nil)
 	np.Args = np.OwnArgs().String(err.Error()).Encode()
 	np.ID = p.ID // failure deliveries share the chain identity too
 	np.Trace = p.Trace
 	parcel.Release(p)
-	r.sendFrom(loc, np, reader)
+	r.sendFrom(loc, np, noWait)
 }
 
 // deliverFailure handles routing errors for a parcel whose work unit is

@@ -134,8 +134,9 @@ type Runtime struct {
 	// through admission control. Written only before the transport starts
 	// (MarkSheddable), read lock-free on the delivery path.
 	sheddable map[string]struct{}
-	// direct names the actions a read goroutine runs itself (the px.agas.*
-	// actions and MarkDirect's), written and read like sheddable.
+	// direct names the actions that run where their parcels land (the
+	// px.agas.* actions and MarkDirect's), written and read like
+	// sheddable.
 	direct map[string]struct{}
 	dist   *distState // nil for a single-process machine
 	fences *fenceTable

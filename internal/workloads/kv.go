@@ -7,8 +7,9 @@ package workloads
 // are marked sheddable, so a saturated locality rejects them with the
 // typed overload verdict (core.ErrOverloaded through the request's
 // continuation) instead of queueing without bound. Both are also direct:
-// a request read off the wire runs on the read goroutine, unless an
-// admission limit is set (see core.Runtime.MarkDirect).
+// a request runs where it lands — on the read goroutine that decoded it,
+// or on the goroutine that sent it from this node — unless an admission
+// limit is set (see core.Runtime.MarkDirect).
 
 import (
 	"fmt"

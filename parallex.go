@@ -153,15 +153,18 @@ const (
 // Runtime.MarkSheddable) instead of queueing it. It reaches the request's
 // continuation like any action failure; test with IsOverloaded, which
 // also recognizes the verdict's flattened wire form. An action both
-// sheddable and direct (Runtime.MarkDirect) runs on the read goroutine
-// that decodes it only while AdmitLimit is 0; under a limit it is queued
-// and admitted, and shed, on the node that serves it.
+// sheddable and direct (Runtime.MarkDirect) runs where its parcel lands —
+// on the read goroutine that decodes it, or on the goroutine that sends it
+// from the serving node — only while AdmitLimit is 0; under a limit it is
+// queued and admitted, and shed, on the node that serves it.
 var ErrOverloaded = core.ErrOverloaded
 
 // ErrDirectAwait is what Context.Await returns inside a direct action
-// (Runtime.MarkDirect) running on a transport read goroutine, when the
-// future is not yet resolved: a reader never suspends or waits. Send,
-// Call and Spawn work there and never wait.
+// (Runtime.MarkDirect) when the future is not yet resolved: a direct
+// action runs where its parcel lands, on a transport read goroutine or on
+// the goroutine that sent it, and never suspends or waits there. Send,
+// Call and Spawn work and never wait; a Send or Call to a direct action
+// of the same node is queued rather than run inline.
 var ErrDirectAwait = core.ErrDirectAwait
 
 // IsOverloaded reports whether err is a load-shed verdict — the typed
