@@ -76,6 +76,11 @@ func (a *actionRegistry) register(name string, fn ActionFunc) error {
 	return nil
 }
 
+// errUnknownAction is how a parcel naming no registered action fails.
+func errUnknownAction(name string) error {
+	return fmt.Errorf("core: unknown action %q", name)
+}
+
 // lookup resolves an action name to its body and dense ID, lock-free.
 func (a *actionRegistry) lookup(name string) (ActionFunc, uint32, bool) {
 	s := a.set.Load()

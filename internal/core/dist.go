@@ -40,12 +40,10 @@ type distState struct {
 	mb *memberState
 
 	// ourTable is the action table this node announced in its hello (each
-	// peer's own announcement lives in its peerState);
-	// internedSent/internedRecv count fParcelI traffic
-	// (px.wire.interned_*).
+	// peer's own announcement lives in its peerState); internedSent counts
+	// the parcel frames encoded against it (px.wire.interned_sent).
 	ourTable     *senderTable
 	internedSent atomic.Uint64
-	internedRecv atomic.Uint64
 
 	drainMu  sync.Mutex
 	drainSeq uint64
@@ -129,28 +127,29 @@ func (d *distState) onFrame(from int, frame []byte) {
 		return
 	}
 	env := frameEnv{width: d.lmap.Localities()}
-	if kind == fParcelI && ps != nil {
+	if kind == fParcel && ps != nil {
 		// Without the sender's announcement (its hello was rejected) the
-		// table stays nil and the frame fails to decode.
+		// table stays nil, and a parcel naming a table position fails to
+		// decode.
 		if t := ps.table.Load(); t != nil {
 			env.tbl = t
 		}
 	}
 	m, err := row.decode(frame[1:], env)
 	if err != nil {
-		if kind == fParcel || kind == fParcelI {
+		if kind == fParcel {
 			// The sender counted this frame on the lane: count it here too,
 			// though there is nothing to deliver, or the machine never
 			// balances.
-			d.countParcel(from, kind)
+			d.countParcel(from)
 		}
 		d.rt.recordError(fmt.Errorf("core: bad %s frame (%s) of %d bytes from node %d: %w",
 			row.name, row.layout, len(frame), from, err))
 		return
 	}
 	switch kind {
-	case fParcel, fParcelI:
-		d.onParcel(from, kind, m.p)
+	case fParcel:
+		d.onParcel(from, m.p)
 	case fMoved:
 		// The hint is recorded for names homed elsewhere and applied as a
 		// late directory commit for names homed here (agas.Repoint).
@@ -183,12 +182,9 @@ func (d *distState) onFrame(from int, frame []byte) {
 
 // countParcel notes one parcel frame received from a peer, decodable or
 // not: the quiescence sums count frames, as the sender's side does.
-func (d *distState) countParcel(from int, kind byte) {
+func (d *distState) countParcel(from int) {
 	if ps := d.ensurePeer(from); ps != nil {
 		ps.recv.Add(1)
-	}
-	if kind == fParcelI {
-		d.internedRecv.Add(1)
 	}
 }
 
@@ -199,9 +195,9 @@ func (d *distState) countParcel(from int, kind byte) {
 // p is a pooled value that owns its bytes (the frame was the transport's
 // reused read buffer); ownership flows down the delivery path, which
 // releases it when dispatch completes.
-func (d *distState) onParcel(from int, kind byte, p *parcel.Parcel) {
+func (d *distState) onParcel(from int, p *parcel.Parcel) {
 	d.rt.addWork()
-	d.countParcel(from, kind)
+	d.countParcel(from)
 	owner, gen, err := d.resolveHere(p.Dest)
 	d.rt.emitSpan(trace.SpanWireRecv, d.home, &p.Trace, p.Action)
 	d.deliver(from, p, owner, gen, err)
@@ -323,22 +319,25 @@ func (d *distState) sendParcel(node, src int, p *parcel.Parcel, noWait bool) {
 		d.rt.deliverFailure(src, p, fmt.Errorf("core: node %d: %w", node, agas.ErrNodeLost))
 		return
 	}
+	// A name too long for the wire is one no node registered: the parcel
+	// fails here as it would at its destination.
+	if name, ok := oversizedAction(p); ok {
+		d.rt.deliverFailure(src, p, errUnknownAction(name))
+		return
+	}
 	// The wire.send span is emitted before encoding so the trailer names
 	// it as the receiving hop's parent.
 	d.rt.emitSpan(trace.SpanWireSend, src, &p.Trace, p.Action)
-	// Interned against our announced table once the peer's hello has
-	// arrived, spelled out before: on the in-process fabric a node's first
-	// frames can overtake the hello exchange, and a peer whose hello we
-	// hold is one that already holds ours.
+	// Actions are table positions once the peer's hello has arrived and
+	// spelled out before: a peer whose hello we hold is one that already
+	// holds ours, while a node may send before its peer's hello reaches it.
 	var tbl parcel.Table
 	if ps.table.Load() != nil {
 		tbl = d.ourTable
-	}
-	w := parcel.GetWire()
-	var interned bool
-	if w.B, interned = appendParcel(w.B, p, tbl); interned {
 		d.internedSent.Add(1)
 	}
+	w := parcel.GetWire()
+	w.B = appendParcel(w.B, p, tbl)
 	ps.sent.Add(1)
 	// Parcels ride the lane their destination hashes to; per-object order
 	// is the per-lane FIFO.

@@ -25,13 +25,12 @@ import (
 // Frame kinds. The values are the wire format; a new kind goes directly
 // above frameKindEnd and gets a row in frameKinds.
 const (
-	fParcel     byte = iota + 1 // parcel, action names spelled out
+	fParcel     byte = iota + 1 // parcel: actions as positions in the sender's announced table, or spelled out
 	fDrain                      // quiescence probe
 	fDrainReply                 // probe answer: the replier's accounting snapshot
 	fGoodbye                    // clean departure with final totals
 	fHalt                       // cooperative machine-wide halt request
 	fMoved                      // one-way "the object moved" hint to a stale sender
-	fParcelI                    // parcel, actions as positions in the sender's announced table
 	fBeat                       // membership heartbeat
 	fDead                       // authoritative death verdict
 	fLoad                       // balancer load report
@@ -62,7 +61,7 @@ type loadEntry struct {
 
 // frameEnv is everything a decoder knows beyond the bytes.
 type frameEnv struct {
-	tbl   parcel.Table // the sender's announced action table (fParcelI)
+	tbl   parcel.Table // the sender's announced action table (fParcel)
 	width int          // machine width: fLoad reports only localities below it
 }
 
@@ -82,7 +81,6 @@ var frameKinds = [frameKindEnd]frameKind{
 	fGoodbye:    {"fGoodbye", "u64 sent, u64 recv", decodeGoodbye},
 	fHalt:       {"fHalt", "(empty)", decodeEmpty},
 	fMoved:      {"fMoved", "gid, u32 owner, u64 gen", decodeMoved},
-	fParcelI:    {"fParcelI", "interned parcel, [trace]", decodeParcelI},
 	fBeat:       {"fBeat", "u64 fingerprint", decodeID},
 	fDead:       {"fDead", "u16 node", decodeDead},
 	fLoad:       {"fLoad", "u16 n, n x (u32 locality, f64 score)", decodeLoad},
@@ -184,35 +182,37 @@ func (c *cursor) end() error {
 	return nil
 }
 
-// appendParcel appends p's frame to dst: interned against tbl when there
-// is one and every action name fits that form, spelled out otherwise (a
-// name too long for the interned form is necessarily unregistered — the
-// peer fails the parcel gracefully), then the trace trailer if p carries a
-// context.
-func appendParcel(dst []byte, p *parcel.Parcel, tbl parcel.Table) (frame []byte, interned bool) {
-	interned = tbl != nil && p.InternEncodable()
-	if interned {
-		dst = p.EncodeInterned(append(dst, fParcelI), tbl)
-	} else {
-		dst = p.Encode(append(dst, fParcel))
-	}
+// appendParcel appends p's frame to dst: actions as positions in tbl
+// where it knows them and spelled out otherwise (all of them when tbl is
+// nil), then the trace trailer if p carries a context. Every action name
+// must fit the wire (see oversizedAction).
+func appendParcel(dst []byte, p *parcel.Parcel, tbl parcel.Table) []byte {
+	dst = p.EncodeInterned(append(dst, fParcel), tbl)
 	if !p.Trace.Zero() {
 		dst = p.Trace.Append(dst)
 	}
-	return dst, interned
+	return dst
 }
 
-func decodeParcel(b []byte, _ frameEnv) (frameMsg, error) {
-	return parcelMsg(parcel.DecodePooled(b))
+// oversizedAction returns the first action name of p too long for the
+// wire. RegisterAction refuses such a name, so no node can run it.
+func oversizedAction(p *parcel.Parcel) (string, bool) {
+	if len(p.Action) > parcel.MaxInternString {
+		return p.Action, true
+	}
+	for _, c := range p.Cont {
+		if len(c.Action) > parcel.MaxInternString {
+			return c.Action, true
+		}
+	}
+	return "", false
 }
 
-func decodeParcelI(b []byte, env frameEnv) (frameMsg, error) {
-	return parcelMsg(parcel.DecodePooledInterned(b, env.tbl))
-}
-
-// parcelMsg finishes a parcel decode: the parcel wire form never leaves
-// trailing bytes, so what follows it is nothing or one trace trailer.
-func parcelMsg(p *parcel.Parcel, rest []byte, err error) (frameMsg, error) {
+// decodeParcel decodes a parcel against the sender's table; the parcel
+// wire form never leaves trailing bytes, so what follows it is nothing or
+// one trace trailer.
+func decodeParcel(b []byte, env frameEnv) (frameMsg, error) {
+	p, rest, err := parcel.DecodePooledInterned(b, env.tbl)
 	if err == nil {
 		c := cursor{b: rest}
 		p.Trace = c.trace()
@@ -338,19 +338,19 @@ func decodeLoad(b []byte, env frameEnv) (m frameMsg, err error) {
 //	[member = 1: u16 node | u32 lo | u32 hi | u16 len | dial address]
 //
 // The names are the sender's action table in dense ID order: position i is
-// what an fParcelI frame from that node means by action i. The member
+// what an fParcel frame from that node means by action i. The member
 // section announces elastic-membership support — the sender beats, expects
 // beats and honors death verdicts — with its node ID, hosted locality
 // range and dial-back address, which is how a joining node tells an
 // established machine where to reach it.
 const (
-	helloVersion = 7
+	helloVersion = 8
 
 	// maxInternActions bounds the announced table by entry count, and
 	// helloPrefix additionally bounds it by encoded bytes (the transport
 	// caps handshake payloads at transport.MaxHello); parseHello checks
-	// the count symmetrically. Actions past either cap simply travel in
-	// string form.
+	// the count symmetrically. Actions past either cap simply travel
+	// spelled out.
 	maxInternActions = 1 << 16
 )
 
@@ -361,14 +361,23 @@ type memberHello struct {
 	addr   string
 }
 
+// size is the section's encoded length; a nil section has none.
+func (mh *memberHello) size() int {
+	if mh == nil {
+		return 0
+	}
+	return 12 + len(mh.addr)
+}
+
 // helloPrefix reports how many of names (in order) fit the announced
-// table's count and byte budgets.
-func helloPrefix(names []string) int {
+// table's count and byte budgets, the byte budget being what the member
+// section mh (nil for none) leaves of transport.MaxHello.
+func helloPrefix(names []string, mh *memberHello) int {
 	n := len(names)
 	if n > maxInternActions {
 		n = maxInternActions
 	}
-	size := 6
+	size := 6 + mh.size()
 	for i := 0; i < n; i++ {
 		size += 2 + len(names[i])
 		if size > transport.MaxHello {
@@ -382,15 +391,14 @@ func helloPrefix(names []string) int {
 // (truncated to the helloPrefix budgets) and, when mh is non-nil, the
 // membership section.
 func encodeHello(names []string, mh *memberHello) []byte {
-	names = names[:helloPrefix(names)]
-	size := 6
+	names = names[:helloPrefix(names, mh)]
+	size := 6 + mh.size()
 	for _, n := range names {
 		size += 2 + len(n)
 	}
 	var member byte
 	if mh != nil {
 		member = 1
-		size += 12 + len(mh.addr)
 	}
 	buf := append(make([]byte, 0, size), helloVersion, member)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(names)))

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"os"
@@ -17,7 +18,7 @@ import (
 )
 
 // frameTestTables returns the two halves of one announced action table:
-// what a sender encodes fParcelI frames against and what the receiver of
+// what a sender encodes fParcel frames against and what the receiver of
 // its hello decodes them against.
 func frameTestTables() (send, recv parcel.Table) {
 	reg := newActionRegistry()
@@ -41,14 +42,7 @@ func reencode(t testing.TB, kind byte, m frameMsg, send parcel.Table) []byte {
 	t.Helper()
 	switch kind {
 	case fParcel:
-		f, _ := appendParcel(nil, m.p, nil)
-		return f
-	case fParcelI:
-		f, interned := appendParcel(nil, m.p, send)
-		if !interned {
-			t.Fatalf("a parcel decoded from the interned form does not fit it: %s", m.p)
-		}
-		return f
+		return appendParcel(nil, m.p, send)
 	case fHalt:
 		return []byte{kind}
 	case fDrain, fBeat:
@@ -109,14 +103,18 @@ type frameSample struct {
 	// trailer off leaves a valid untraced frame, the one truncation that
 	// must be accepted.
 	traced bool
+	// spelled marks a parcel encoded with no table, as a node sends before
+	// its peer's hello arrives: it re-encodes with no table too.
+	spelled bool
 }
 
 func frameSamples(send parcel.Table) []frameSample {
 	g := agas.GID{Home: 3, Kind: agas.KindLCO, Seq: 0xABCD}
 	tc := parcel.TraceCtx{ID: 0xfeed, Span: 0xbeef, Flags: parcel.TraceSampled}
 	cont := []parcel.Continuation{{Target: agas.GID{Home: 1, Kind: agas.KindLCO, Seq: 9}, Action: ActionLCOSet}}
-	// One parcel per action-reference shape: announced (interned to a
-	// position), unannounced (spelled out even inside the interned form).
+	// One parcel per action-reference shape: announced (a table
+	// position), unannounced (spelled out), and every name spelled out, as
+	// sent before the peer's hello.
 	known := &parcel.Parcel{ID: 77, Dest: g, Action: "app.frob", AID: parcel.NoAID, Args: []byte{1, 2, 3}, Cont: cont, Src: 2, Hops: 1}
 	late := &parcel.Parcel{ID: 78, Dest: g, Action: "app.registered.late", AID: parcel.NoAID, Args: nil, Src: 5}
 	traced := *known
@@ -128,20 +126,17 @@ func frameSamples(send parcel.Table) []frameSample {
 		}
 		return id + 1
 	}
-	// An interned decode resolves announced names to dispatch IDs.
-	internedWant := func(p parcel.Parcel) *parcel.Parcel {
+	// A decode resolves table positions to dispatch IDs.
+	resolved := func(p parcel.Parcel) *parcel.Parcel {
 		p.AID = aidOf(p.Action)
 		return &p
 	}
-	plain := func(p *parcel.Parcel) []byte { f, _ := appendParcel(nil, p, nil); return f }
-	interned := func(p *parcel.Parcel) []byte { f, _ := appendParcel(nil, p, send); return f }
 	loads := []loadEntry{{loc: 0, score: 0}, {loc: 5, score: 12.5}, {loc: frameTestWidth - 1, score: math.MaxFloat64}}
 	return []frameSample{
-		{label: "parcel", frame: plain(known), want: frameMsg{p: known}},
-		{label: "parcel, traced", frame: plain(&traced), want: frameMsg{p: &traced}, traced: true},
-		{label: "interned parcel", frame: interned(known), want: frameMsg{p: internedWant(*known)}},
-		{label: "interned parcel, unannounced action", frame: interned(late), want: frameMsg{p: internedWant(*late)}},
-		{label: "interned parcel, traced", frame: interned(&traced), want: frameMsg{p: internedWant(traced)}, traced: true},
+		{label: "parcel", frame: appendParcel(nil, known, send), want: frameMsg{p: resolved(*known)}},
+		{label: "parcel, unannounced action", frame: appendParcel(nil, late, send), want: frameMsg{p: resolved(*late)}},
+		{label: "parcel, traced", frame: appendParcel(nil, &traced, send), want: frameMsg{p: resolved(traced)}, traced: true},
+		{label: "parcel, before the hello", frame: appendParcel(nil, known, nil), want: frameMsg{p: known}, spelled: true},
 		{label: "halt", frame: []byte{fHalt}},
 		{label: "drain", frame: encodeID(fDrain, 42), want: frameMsg{id: 42}},
 		{label: "drain reply", frame: encodeDrainReply(42, -3, 100, 99, 0xf00d),
@@ -159,7 +154,7 @@ func frameSamples(send parcel.Table) []frameSample {
 // layout tests below have a sample of it.
 func TestFrameKindsListed(t *testing.T) {
 	wire := []string{1: "fParcel", "fDrain", "fDrainReply", "fGoodbye", "fHalt", "fMoved",
-		"fParcelI", "fBeat", "fDead", "fLoad"}
+		"fBeat", "fDead", "fLoad"}
 	if len(wire) != int(frameKindEnd) {
 		t.Fatalf("%d kind constants, %d pinned wire values", frameKindEnd-1, len(wire)-1)
 	}
@@ -208,7 +203,11 @@ func TestFrameLayouts(t *testing.T) {
 			if got.p != nil && got.p.AID != s.want.p.AID {
 				t.Fatalf("decoded parcel dispatches by ID %d, want %d", got.p.AID, s.want.p.AID)
 			}
-			if re := reencode(t, kind, got, send); !bytes.Equal(re, s.frame) {
+			enc := send
+			if s.spelled {
+				enc = nil
+			}
+			if re := reencode(t, kind, got, enc); !bytes.Equal(re, s.frame) {
 				t.Fatalf("re-encoded to % x, want % x", re, s.frame)
 			}
 			parcel.Release(got.p)
@@ -232,6 +231,96 @@ func TestFrameLayouts(t *testing.T) {
 	}
 }
 
+// goldenFrames pins the hello v8 wire: committed bytes for at least one
+// frame of every kind, keyed by frameSamples label. A layout change shows
+// here as a changed literal, which is the prompt to bump helloVersion.
+var goldenFrames = map[string]string{
+	"parcel": "01" + "4d00000000000000" + // kind, id
+		"0300000003000000cdab000000000000" + // dest
+		"ffff" + "08000000" + // action: "app.frob" at table position 8
+		"03000000" + "010203" + // args
+		"0100" + "0100000003000000" + "0900000000000000" + // one continuation: target
+		"ffff" + "00000000" + // "px.lco.set" at position 0
+		"02000000" + "01000000", // src, hops
+	"parcel, before the hello": "01" + "4d00000000000000" +
+		"0300000003000000cdab000000000000" +
+		"0800" + "6170702e66726f62" + // "app.frob" spelled out
+		"03000000" + "010203" +
+		"0100" + "0100000003000000" + "0900000000000000" +
+		"0a00" + "70782e6c636f2e736574" + // "px.lco.set" spelled out
+		"02000000" + "01000000",
+	"drain":       "02" + "2a00000000000000",
+	"drain reply": "03" + "2a00000000000000" + "fdffffffffffffff" + "6400000000000000" + "6300000000000000" + "0df0000000000000",
+	"goodbye":     "04" + "0700000000000000" + "0800000000000000",
+	"halt":        "05",
+	"moved hint":  "06" + "0300000003000000cdab000000000000" + "06000000" + "0900000000000000",
+	"beat":        "07" + "0df0fecaefbeadde",
+	"dead":        "08" + "0700",
+	"load": "09" + "0300" + "00000000" + "0000000000000000" + "05000000" + "0000000000002940" +
+		"07000000" + "ffffffffffffef7f",
+}
+
+// TestFrameGolden holds the encoders and decoders to goldenFrames both
+// ways: each sample encodes to its committed bytes, and the committed
+// bytes decode to the sample's value. Hellos, with and without a member
+// section, are held the same way.
+func TestFrameGolden(t *testing.T) {
+	send, recv := frameTestTables()
+	env := frameEnv{tbl: recv, width: frameTestWidth}
+	pinned := make(map[byte]bool)
+	matched := 0
+	for _, s := range frameSamples(send) {
+		golden, ok := goldenFrames[s.label]
+		if !ok {
+			continue
+		}
+		matched++
+		if got := hex.EncodeToString(s.frame); got != golden {
+			t.Errorf("%s encodes to\n%s\nwant\n%s", s.label, got, golden)
+		}
+		b, _ := hex.DecodeString(golden)
+		row := kindOf(b[0])
+		if row == nil {
+			t.Errorf("%s: golden bytes open with kind %d, which names no kind", s.label, b[0])
+			continue
+		}
+		m, err := row.decode(b[1:], env)
+		if err != nil || !sameMsg(m, s.want) || (m.p != nil && m.p.AID != s.want.p.AID) {
+			t.Errorf("%s: golden bytes decode to %+v (parcel %v, %v), want %+v (parcel %v)", s.label, m, m.p, err, s.want, s.want.p)
+		}
+		parcel.Release(m.p)
+		pinned[b[0]] = true
+	}
+	if matched != len(goldenFrames) {
+		t.Errorf("%d golden frames name no sample", len(goldenFrames)-matched)
+	}
+	for k := byte(1); k < frameKindEnd; k++ {
+		if !pinned[k] {
+			t.Errorf("%s has no golden bytes", kindOf(k).name)
+		}
+	}
+	for _, h := range []struct {
+		label, golden string
+		names         []string
+		mh            *memberHello
+	}{
+		{"hello", "08" + "00" + "02000000" + "0a00" + "70782e6c636f2e736574" + "0800" + "6170702e66726f62",
+			[]string{"px.lco.set", "app.frob"}, nil},
+		{"member hello", "08" + "01" + "01000000" + "0a00" + "70782e6c636f2e736574" +
+			"0300" + "0c000000" + "10000000" + "0e00" + "3132372e302e302e313a39393939",
+			[]string{"px.lco.set"}, &memberHello{node: 3, lo: 12, hi: 16, addr: "127.0.0.1:9999"}},
+	} {
+		if got := hex.EncodeToString(encodeHello(h.names, h.mh)); got != h.golden {
+			t.Errorf("%s encodes to\n%s\nwant\n%s", h.label, got, h.golden)
+		}
+		b, _ := hex.DecodeString(h.golden)
+		names, mh, err := parseHello(b)
+		if err != nil || !reflect.DeepEqual(names, h.names) || !reflect.DeepEqual(mh, h.mh) {
+			t.Errorf("%s: golden bytes decode to %q %+v (%v), want %q %+v", h.label, names, mh, err, h.names, h.mh)
+		}
+	}
+}
+
 // TestFrameFieldBounds: values a layout can spell but no correct peer
 // sends.
 func TestFrameFieldBounds(t *testing.T) {
@@ -247,27 +336,32 @@ func TestFrameFieldBounds(t *testing.T) {
 	reject("load report with an infinite score", encodeLoad([]loadEntry{{loc: 1, score: math.Inf(1)}}))
 	reject("load report with a negative score", encodeLoad([]loadEntry{{loc: 1, score: -1}}))
 	reject("empty load report", []byte{fLoad, 0, 0})
-	_, recv := frameTestTables()
-	m, err := kindOf(7).decode(v6Migrate(agas.GID{Home: 3, Kind: agas.KindData, Seq: 99})[1:], frameEnv{tbl: recv, width: frameTestWidth})
-	if err == nil {
-		parcel.Release(m.p)
-		t.Error("a hello v6 peer's migrate frame accepted as an interned parcel")
-	}
-	reject("interned parcel without the sender's table", func() []byte {
-		send, _ := frameTestTables()
-		f, _ := appendParcel(nil, parcel.New(agas.GID{Home: 1, Kind: agas.KindData, Seq: 1}, "app.frob", nil), send)
-		return f
-	}())
+	g := agas.GID{Home: 3, Kind: agas.KindData, Seq: 99}
+	send, _ := frameTestTables()
+	reject("a hello v6 peer's migrate frame, read as a beat", v6Migrate(g))
+	reject("a hello v7 peer's interned parcel, read as a beat", v7InternedParcel(g, send))
+	reject("parcel naming a table position, without the sender's table",
+		appendParcel(nil, parcel.New(agas.GID{Home: 1, Kind: agas.KindData, Seq: 1}, "app.frob", nil), send))
 }
 
 // v6Migrate is what a hello v6 peer sent to install a migrating object:
-// kind 7, then u64 xid, gid, u32 to, u64 gen and a value record. Since
-// hello v7, kind 7 is fParcelI.
+// kind 7, then u64 xid, gid, u32 to, u64 gen and a value record. Under
+// hello v7 kind 7 was its interned parcel, and since hello v8 it is fBeat.
 func v6Migrate(g agas.GID) []byte {
 	b := g.Encode(binary.LittleEndian.AppendUint64([]byte{7}, ^uint64(0)))
 	b = binary.LittleEndian.AppendUint32(b, ^uint32(0))
 	b = binary.LittleEndian.AppendUint64(b, ^uint64(0))
 	return append(b, 0xff)
+}
+
+// v7InternedParcel is what a hello v7 peer sent for a parcel once it held
+// the receiver's hello: kind 7, then the parcel with its actions as table
+// positions. Since hello v8 kind 7 is fBeat, and fParcel carries this
+// body.
+func v7InternedParcel(g agas.GID, send parcel.Table) []byte {
+	f := appendParcel(nil, parcel.New(g, "app.frob", []byte{1}), send)
+	f[0] = 7
+	return f
 }
 
 // FuzzFrameDecode feeds every decoder of socket input arbitrary bytes: the
@@ -284,10 +378,9 @@ func FuzzFrameDecode(f *testing.F) {
 	}
 	g := agas.GID{Home: 3, Kind: agas.KindData, Seq: 99}
 	// What a hello v6 peer sent under bytes 7–14: its four migration kinds
-	// (bytes the renumbering gave to fParcelI, fBeat, fDead and fLoad),
-	// then fParcelI, fBeat, fDead and fLoad themselves, under bytes that
-	// now name no kind.
-	v6Parcel, _ := appendParcel(nil, parcel.New(g, "app.frob", []byte{1}), send)
+	// (bytes 7–9 now name fBeat, fDead and fLoad), then its interned
+	// parcel, fBeat, fDead and fLoad, under bytes that now name no kind.
+	v6Parcel := v7InternedParcel(g, send)
 	v6Parcel[0] = 11
 	v6DirUpdate := g.Encode(binary.LittleEndian.AppendUint64([]byte{9}, 8))
 	v6DirUpdate = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32(v6DirUpdate, 1), 5)
@@ -300,6 +393,23 @@ func FuzzFrameDecode(f *testing.F) {
 		encodeID(12, 0xdeadbeefcafef00d),
 		{13, 7, 0},
 		{14, 1, 0, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x29, 0x40},
+	} {
+		f.Add(old)
+		f.Add(old[:len(old)/2])
+		f.Add(append(old[:len(old):len(old)], 0))
+	}
+	// What a hello v7 peer sent under bytes 1 and 7–10: fParcel with every
+	// name spelled out (the bytes fParcel still carries before the peer's
+	// hello), then its interned parcel, fBeat, fDead and fLoad, under
+	// bytes that now name fBeat, fDead and fLoad, and one that names no
+	// kind.
+	v7Parcel := appendParcel(nil, parcel.New(g, "app.frob", []byte{1}), nil)
+	for _, old := range [][]byte{
+		v7Parcel,
+		v7InternedParcel(g, send),
+		encodeID(8, 0xdeadbeefcafef00d),
+		{9, 7, 0},
+		{10, 1, 0, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x29, 0x40},
 	} {
 		f.Add(old)
 		f.Add(old[:len(old)/2])

@@ -14,11 +14,12 @@ import (
 // transport handshake hello (see frames.go for its layout). Because the
 // hello precedes every frame on a connection and is re-announced on
 // reconnect, a receiver always holds the sender's table before the first
-// interned frame arrives, with no extra round trips or ordering protocol.
+// parcel naming a table position arrives, with no extra round trips or
+// ordering protocol.
 //
 // Actions registered after the transport started fall outside the
-// announced prefix and are spelled out inside interned frames (the codec
-// degrades per reference, see parcel.EncodeInterned).
+// announced prefix and are spelled out (the codec falls back per
+// reference, see parcel.EncodeInterned).
 
 // senderTable is the parcel.Table used when encoding toward a peer: it
 // covers exactly the prefix of the local registry this node announced at
@@ -42,7 +43,7 @@ func (t *senderTable) IDOf(name string) (uint32, bool) {
 // ActionOf is the decode half, unused on the sender side.
 func (t *senderTable) ActionOf(uint32) (string, uint32, bool) { return "", parcel.NoAID, false }
 
-// recvTable is the parcel.Table used when decoding a peer's interned
+// recvTable is the parcel.Table used when decoding a peer's parcel
 // frames: position → the peer's announced name, pre-resolved to the local
 // dense ID where the action is registered here too. Immutable once
 // published, so decodes read it without locks.

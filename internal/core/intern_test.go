@@ -1,8 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/agas"
@@ -28,12 +30,13 @@ func TestHelloRoundTrip(t *testing.T) {
 	// There is one hello: an empty payload, any other version, any
 	// truncation and any padding are all refused. Version 4 is the last
 	// one whose peers sent acknowledged trigger frames, version 5 the last
-	// whose trigger records carried a trigger ID, and version 6 the last
-	// that exchanged migration frames.
+	// whose trigger records carried a trigger ID, version 6 the last that
+	// exchanged migration frames, and version 7 the last that sent parcels
+	// in two frame kinds.
 	if _, _, err := parseHello(nil); err == nil {
 		t.Fatal("empty hello accepted")
 	}
-	for _, v := range []byte{0, 4, 5, 6, helloVersion + 1} {
+	for _, v := range []byte{0, 4, 5, 6, 7, helloVersion + 1} {
 		other := append([]byte{v}, payload[1:]...)
 		_, _, err := parseHello(other)
 		if err == nil {
@@ -82,18 +85,19 @@ func TestHelloMemberSection(t *testing.T) {
 }
 
 // TestHelloPrefixBudgets: the announced table prefix respects both the
-// entry-count and the transport byte budget, so a huge registry degrades
-// to partial interning instead of a SetHello panic at startup.
+// entry-count and the transport byte budget, member section included, so a
+// huge registry degrades to partial interning instead of a SetHello panic
+// at startup.
 func TestHelloPrefixBudgets(t *testing.T) {
 	small := []string{"a", "b", "c"}
-	if got := helloPrefix(small); got != 3 {
+	if got := helloPrefix(small, nil); got != 3 {
 		t.Fatalf("helloPrefix(small) = %d, want 3", got)
 	}
 	big := make([]string, 40)
 	for i := range big {
 		big[i] = string(make([]byte, 60000)) // 40 × 60KB >> transport.MaxHello
 	}
-	n := helloPrefix(big)
+	n := helloPrefix(big, nil)
 	if n >= len(big) || n == 0 {
 		t.Fatalf("helloPrefix(big) = %d, want a proper nonzero prefix of %d", n, len(big))
 	}
@@ -105,22 +109,68 @@ func TestHelloPrefixBudgets(t *testing.T) {
 	if err != nil || len(names) != n {
 		t.Fatalf("truncated hello: %d names err=%v, want %d", len(names), err, n)
 	}
+	// A table that fills the budget on its own leaves no room for a member
+	// section: the section's bytes come out of the table's share.
+	full := make([]string, 16)
+	room := transport.MaxHello - 6 - 2*len(full)
+	for i := range full {
+		full[i] = strings.Repeat("a", room/(len(full)-i))
+		room -= len(full[i])
+	}
+	if got := helloPrefix(full, nil); got != len(full) {
+		t.Fatalf("helloPrefix(full, nil) = %d, want all %d names", got, len(full))
+	}
+	mh := &memberHello{node: 1, lo: 2, hi: 4, addr: "127.0.0.1:9999"}
+	payload = encodeHello(full, mh)
+	if len(payload) > transport.MaxHello {
+		t.Fatalf("member hello encoded %d bytes, over the %d transport budget", len(payload), transport.MaxHello)
+	}
+	names, got, err := parseHello(payload)
+	if err != nil || got == nil || *got != *mh {
+		t.Fatalf("member hello at the budget: mh=%v err=%v", got, err)
+	}
+	if n := helloPrefix(full, mh); len(names) != n || n >= len(full) {
+		t.Fatalf("member hello announced %d names, helloPrefix says %d of %d", len(names), n, len(full))
+	}
 }
 
-// TestOversizedActionNameFailsGracefully: a 65535-byte action name fits
-// only the plain wire form and can never be registered; sending it must
-// produce the normal unknown-action failure, not an encoder panic.
+// TestOversizedActionNameFailsGracefully: an action name one byte longer
+// than the wire carries can never be registered. Sent to another locality
+// of the same node or across nodes, it fails its sender with the one
+// unknown-action error, not an encoder panic, and Wait returns.
 func TestOversizedActionNameFailsGracefully(t *testing.T) {
-	rt := New(Config{Localities: 2})
-	defer rt.Shutdown()
-	g := rt.NewDataAt(1, int64(1))
-	long := string(make([]byte, parcel.MaxString))
-	rt.SendFrom(0, parcel.New(g, long, nil))
-	rt.Wait()
-	errs := rt.Errors()
-	if len(errs) != 1 {
-		t.Fatalf("got %d errors, want the one unknown-action failure: %v", len(errs), errs)
+	long := string(make([]byte, parcel.MaxInternString+1))
+	check := func(t *testing.T, rt *Runtime, g agas.GID) {
+		t.Helper()
+		rt.SendFrom(0, parcel.New(g, long, nil))
+		rt.Wait()
+		errs := rt.Errors()
+		if len(errs) != 1 || !strings.Contains(errs[0].Error(), "unknown action") {
+			t.Fatalf("got %d errors, want the one unknown-action failure", len(errs))
+		}
+		if _, err := rt.CallFrom(0, g, long, nil).Get(); err == nil || !strings.Contains(err.Error(), "unknown action") {
+			t.Fatalf("call naming the oversized action: %.80v, want the unknown-action failure", err)
+		}
+		rt.Wait()
 	}
+	t.Run("local", func(t *testing.T) {
+		rt := New(Config{Localities: 2})
+		defer rt.Shutdown()
+		check(t, rt, rt.NewDataAt(1, int64(1)))
+	})
+	t.Run("cross-node", func(t *testing.T) {
+		fab := transport.NewFabric(2)
+		rts := startInternPair(t, [2]transport.Transport{fab.Node(0), fab.Node(1)})
+		defer func() {
+			for _, rt := range rts {
+				rt.Shutdown()
+			}
+		}()
+		check(t, rts[0], rts[1].NewDataAt(2, int64(1)))
+		if errs := rts[1].Errors(); len(errs) != 0 {
+			t.Fatalf("the parcel reached node 1: %d errors there", len(errs))
+		}
+	})
 }
 
 // internRanges partitions four localities across two nodes.
@@ -182,22 +232,35 @@ func exerciseInternPair(t *testing.T, rts [2]*Runtime) {
 	}
 }
 
-// TestInterningEngages: two nodes end up speaking fParcelI in both
-// directions, with differing dense IDs mapped through the exchanged tables.
+// TestInterningEngages: two nodes end up naming actions by table position
+// in both directions, with differing dense IDs mapped through the
+// exchanged tables. px.wire.interned_sent counts exactly the parcel frames
+// that carry a table position: every action here is announced.
 func TestInterningEngages(t *testing.T) {
 	fab := transport.NewFabric(2)
-	rts := startInternPair(t, [2]transport.Transport{fab.Node(0), fab.Node(1)})
+	var wires [2]*transport.Faulty
+	var onWire [2]atomic.Int64
+	for i := range wires {
+		wires[i] = &transport.Faulty{Transport: fab.Node(i)}
+		wires[i].SetRule(func(_ int, frame []byte) transport.Fate {
+			const ref = 1 + 8 + agas.GIDSize // kind, id, dest
+			if frame[0] == fParcel && binary.LittleEndian.Uint16(frame[ref:]) == parcel.InternSentinel {
+				onWire[i].Add(1)
+			}
+			return transport.Pass
+		})
+	}
+	rts := startInternPair(t, [2]transport.Transport{wires[0], wires[1]})
 	exerciseInternPair(t, rts)
-	sent0, recv0 := rts[0].dist.internedSent.Load(), rts[0].dist.internedRecv.Load()
-	sent1, recv1 := rts[1].dist.internedSent.Load(), rts[1].dist.internedRecv.Load()
-	for _, rt := range rts {
+	var sent [2]int64
+	for i, rt := range rts {
+		sent[i] = int64(rt.Metrics().Snapshot()["px.wire.interned_sent"])
 		rt.Shutdown()
 	}
-	if sent0 == 0 || sent1 == 0 {
-		t.Fatalf("interning never engaged: node0 sent %d, node1 sent %d interned frames", sent0, sent1)
-	}
-	if recv0 != sent1 || recv1 != sent0 {
-		t.Fatalf("interned frame accounting skewed: sent %d/%d recv %d/%d", sent0, sent1, recv0, recv1)
+	for i := range rts {
+		if sent[i] == 0 || sent[i] != onWire[i].Load() {
+			t.Fatalf("node %d: interned_sent %d, %d parcel frames carried a table position", i, sent[i], onWire[i].Load())
+		}
 	}
 }
 

@@ -39,7 +39,7 @@ func (m *ledgerMachine) hold(node int, signal ...byte) <-chan struct{} {
 			default:
 			}
 		}
-		if frame[0] == fParcel || frame[0] == fParcelI {
+		if frame[0] == fParcel {
 			return transport.Hold
 		}
 		return transport.Pass
@@ -59,8 +59,8 @@ func (m *ledgerMachine) release(t *testing.T, node int, edit func([]byte) []byte
 
 // startLedgerMachine puts each node's wire behind a reader guard. It also
 // runs one call from node 0 to an object on node 1 to completion: the
-// reply arrives behind node 1's hello, so node 0's parcels are interned
-// (fParcelI) from then on, and the totals the cases compare start
+// reply arrives behind node 1's hello, so node 0's parcels name actions by
+// table position from then on, and the totals the cases compare start
 // non-zero.
 func startLedgerMachine(t *testing.T) (m *ledgerMachine, obj agas.GID) {
 	t.Helper()
@@ -202,8 +202,8 @@ func TestLedgerCountsUndecodableParcel(t *testing.T) {
 		return transport.Pass
 	})
 	m.release(t, 0, func(frame []byte) []byte {
-		if frame[0] != fParcelI {
-			t.Fatalf("held frame is kind %d, want fParcelI", frame[0])
+		if frame[0] != fParcel {
+			t.Fatalf("held frame is kind %d, want fParcel", frame[0])
 		}
 		return frame[:len(frame)/2]
 	})
@@ -211,7 +211,7 @@ func TestLedgerCountsUndecodableParcel(t *testing.T) {
 
 	var recorded bool
 	for _, err := range m.rts[1].Errors() {
-		recorded = recorded || strings.Contains(err.Error(), "bad fParcelI frame")
+		recorded = recorded || strings.Contains(err.Error(), "bad fParcel frame")
 	}
 	if !recorded {
 		t.Fatalf("node 1 did not record the bad frame: %v", m.rts[1].Errors())
@@ -236,7 +236,7 @@ func TestLedgerRefusedSendKeepsTotalsMonotone(t *testing.T) {
 	// The rule notes mid-refusal, on this goroutine: CallFrom sends
 	// synchronously.
 	m.wires[0].SetRule(func(_ int, frame []byte) transport.Fate {
-		if frame[0] == fParcel || frame[0] == fParcelI {
+		if frame[0] == fParcel {
 			note()
 			return transport.Refuse
 		}

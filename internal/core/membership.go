@@ -74,7 +74,7 @@ type peerState struct {
 	unreachable atomic.Int64
 	det         atomic.Pointer[transport.PhiDetector]
 	// table is the action table the peer announced in its hello: what its
-	// fParcelI frames decode against. Nil until the hello arrives; the last
+	// fParcel frames decode against. Nil until the hello arrives; the last
 	// hello wins.
 	table atomic.Pointer[recvTable]
 

@@ -197,7 +197,6 @@ func (r *Runtime) buildMetricsRegistry() *metrics.Registry {
 		reg.RegisterFunc("px.wire.sent", func() int64 { n, _ := d.wireTotals(); return n })
 		reg.RegisterFunc("px.wire.recv", func() int64 { _, n := d.wireTotals(); return n })
 		reg.RegisterFunc("px.wire.interned_sent", func() int64 { return int64(d.internedSent.Load()) })
-		reg.RegisterFunc("px.wire.interned_recv", func() int64 { return int64(d.internedRecv.Load()) })
 		// Lane writer activity, when the transport reports it (the TCP
 		// transport does): writes made, frames they carried, frames dropped
 		// toward an unreachable peer, and sends that waited at a lane's

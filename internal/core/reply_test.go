@@ -186,7 +186,7 @@ func TestNodeLocalCallCostsOneTask(t *testing.T) {
 func TestRemoteReplyRunsOnAWorker(t *testing.T) {
 	m, obj := startLedgerMachine(t)
 	// Hold back node 1's reply until the callback is registered.
-	held := m.hold(1, fParcel, fParcelI)
+	held := m.hold(1, fParcel)
 	fut := m.rts[0].CallFrom(0, obj, "intern.echo", nil)
 	<-held
 	stack := make(chan []string, 1)
@@ -270,7 +270,7 @@ func TestSLOWIsSampled(t *testing.T) {
 func TestLedgerReplayedReplyMissesRecycledSlot(t *testing.T) {
 	m, obj := startLedgerMachine(t)
 	// Hold back node 1's reply, then let it through, keeping a copy.
-	held := m.hold(1, fParcel, fParcelI)
+	held := m.hold(1, fParcel)
 	first := m.rts[0].CallFrom(0, obj, "intern.echo", nil)
 	<-held
 	var reply []byte

@@ -294,7 +294,7 @@ func (r *Runtime) execute(loc int, p *parcel.Parcel, rd *parcel.Reader, ctx *Con
 		if fenced {
 			r.fences.exit(p.Dest)
 		}
-		r.failParcel(loc, p, fmt.Errorf("core: unknown action %q", p.Action), ctx.noWait)
+		r.failParcel(loc, p, errUnknownAction(p.Action), ctx.noWait)
 		return
 	}
 	if p.Trace.Sampled() && isTriggerAction(p.Action) {

@@ -312,7 +312,7 @@ func New(cfg Config) *Runtime {
 		// encodes, so a position this node ever puts on the wire is always
 		// inside every peer's copy of the table.
 		set := r.acts.snapshot()
-		r.dist.ourTable = &senderTable{set: set, n: helloPrefix(set.names)}
+		r.dist.ourTable = &senderTable{set: set, n: helloPrefix(set.names, mh)}
 		cfg.Transport.SetHello(encodeHello(set.names, mh))
 		cfg.Transport.SetHelloHandler(r.dist.onHello)
 		if err := cfg.Transport.Start(); err != nil {

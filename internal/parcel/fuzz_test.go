@@ -2,6 +2,7 @@ package parcel
 
 import (
 	"bytes"
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/agas"
@@ -20,9 +21,9 @@ func fuzzSeeds() []*Parcel {
 			Continuation{Target: agas.GID{Home: 0, Kind: agas.KindLCO, Seq: 11}, Action: "px.lco.set"}),
 		{ID: 123, Dest: agas.GID{Home: 5, Kind: agas.KindHardware, Seq: ^uint64(0)},
 			Action: "hw.ping", Src: 4, Hops: 3},
-		// Boundary shapes for the alias-decode path: args big enough to
-		// dominate the frame, a continuation stack at the wire limit, and
-		// an empty-args parcel (Args must come back nil, not empty-aliased).
+		// Boundary shapes: args big enough to dominate the frame, a
+		// continuation stack at the wire limit, and an empty-args parcel
+		// (Args must come back nil, not empty).
 		New(agas.GID{Home: 2, Kind: agas.KindData, Seq: 77}, "bulk",
 			bytes.Repeat([]byte{0xa5}, 4096)),
 		maxContParcel(),
@@ -44,10 +45,13 @@ func maxContParcel() *Parcel {
 	return p
 }
 
-// FuzzParcelDecode feeds Decode arbitrary bytes: it must never panic, and
-// any input it accepts must re-encode and re-decode to the same parcel
-// (the codec now consumes untrusted bytes from sockets).
+// FuzzParcelDecode feeds the decoder arbitrary bytes against a small
+// table: it must never panic, and any input it accepts must re-encode and
+// re-decode to the same parcel (the codec consumes untrusted bytes from
+// sockets). The seeds are every fuzz seed spelled out, with and without a
+// trace trailer, then encoded against the table.
 func FuzzParcelDecode(f *testing.F) {
+	tbl := testTable{"nop", "px.lco.set", "relay"}
 	for _, p := range fuzzSeeds() {
 		f.Add(p.Encode(nil))
 		// The base encoding followed by the capability-gated trace trailer:
@@ -57,75 +61,6 @@ func FuzzParcelDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		p, rest, err := Decode(data)
-		if err != nil {
-			return
-		}
-		if len(rest) > len(data) {
-			t.Fatalf("remainder grew: %d bytes from %d input", len(rest), len(data))
-		}
-		if p.Trace != (TraceCtx{}) {
-			t.Fatalf("base decode populated the trace context: %+v", p.Trace)
-		}
-		re := p.Encode(nil)
-		q, tail, err := Decode(re)
-		if err != nil {
-			t.Fatalf("re-decode of accepted parcel failed: %v", err)
-		}
-		if len(tail) != 0 {
-			t.Fatalf("re-decode left %d trailing bytes", len(tail))
-		}
-		if !parcelEqual(p, q) {
-			t.Fatalf("round trip mismatch:\n first %+v\nsecond %+v", p, q)
-		}
-		// DecodeAliased is the same parse with aliased Args: it must
-		// accept exactly the same inputs and produce the same parcel,
-		// with Args windowing the input rather than copied out of it.
-		pa, restA, errA := DecodeAliased(data)
-		if errA != nil {
-			t.Fatalf("Decode accepted but DecodeAliased rejected: %v", errA)
-		}
-		if len(restA) != len(rest) || !parcelEqual(p, pa) {
-			t.Fatalf("aliased decode diverged:\n copy  %+v\n alias %+v", p, pa)
-		}
-		if len(pa.Args) > 0 {
-			// Prove the alias: flipping the input bytes must show through
-			// pa.Args (a copy would keep the original values). p.Args is
-			// already a private copy, unaffected.
-			for i := range data {
-				data[i] = ^data[i]
-			}
-			if bytes.Equal(pa.Args, p.Args) {
-				t.Fatal("DecodeAliased copied Args instead of aliasing the input")
-			}
-		}
-		if len(rest) == TraceWireSize {
-			// A trailer-sized remainder must parse and round-trip through
-			// Append exactly (the receive path in core depends on this).
-			tc, tcRest, terr := DecodeTrace(rest)
-			if terr != nil || len(tcRest) != 0 {
-				t.Fatalf("trailer decode: %v, %d left", terr, len(tcRest))
-			}
-			combined := tc.Append(p.Encode(nil))
-			q2, rest2, err := Decode(combined)
-			if err != nil {
-				t.Fatalf("combined re-decode: %v", err)
-			}
-			tc2, _, terr := DecodeTrace(rest2)
-			if terr != nil || tc2 != tc || !parcelEqual(p, q2) {
-				t.Fatalf("combined round trip: %+v vs %+v (%v)", tc, tc2, terr)
-			}
-		}
-	})
-}
-
-// FuzzParcelDecodeInterned feeds the interned-form decoder arbitrary
-// bytes against a small table: it must never panic, and any accepted
-// input must re-encode and re-decode identically. The interned decoder
-// consumes the same untrusted socket bytes the plain one does.
-func FuzzParcelDecodeInterned(f *testing.F) {
-	tbl := testTable{"nop", "px.lco.set", "relay"}
 	for _, p := range fuzzSeeds() {
 		f.Add(p.EncodeInterned(nil, tbl))
 		f.Add(p.EncodeInterned(nil, nil))
@@ -138,22 +73,43 @@ func FuzzParcelDecodeInterned(f *testing.F) {
 		if err != nil {
 			return
 		}
+		defer Release(p)
 		if len(rest) > len(data) {
 			t.Fatalf("remainder grew: %d bytes from %d input", len(rest), len(data))
+		}
+		if p.Trace != (TraceCtx{}) {
+			t.Fatalf("base decode populated the trace context: %+v", p.Trace)
 		}
 		re := p.EncodeInterned(nil, tbl)
 		q, tail, err := DecodePooledInterned(re, tbl)
 		if err != nil {
 			t.Fatalf("re-decode of accepted parcel failed: %v", err)
 		}
+		defer Release(q)
 		if len(tail) != 0 {
 			t.Fatalf("re-decode left %d trailing bytes", len(tail))
 		}
 		if !parcelEqual(p, q) {
 			t.Fatalf("round trip mismatch:\n first %+v\nsecond %+v", p, q)
 		}
-		Release(q)
-		Release(p)
+		if len(rest) == TraceWireSize {
+			// A trailer-sized remainder must parse and round-trip through
+			// Append exactly (the receive path in core depends on this).
+			tc, tcRest, terr := DecodeTrace(rest)
+			if terr != nil || len(tcRest) != 0 {
+				t.Fatalf("trailer decode: %v, %d left", terr, len(tcRest))
+			}
+			combined := tc.Append(p.EncodeInterned(nil, tbl))
+			q2, rest2, err := DecodePooledInterned(combined, tbl)
+			if err != nil {
+				t.Fatalf("combined re-decode: %v", err)
+			}
+			defer Release(q2)
+			tc2, _, terr := DecodeTrace(rest2)
+			if terr != nil || tc2 != tc || !parcelEqual(p, q2) {
+				t.Fatalf("combined round trip: %+v vs %+v (%v)", tc, tc2, terr)
+			}
+		}
 	})
 }
 
@@ -174,9 +130,14 @@ func TestParcelEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestEncodeEnforcesWireLimits(t *testing.T) {
-	long := string(bytes.Repeat([]byte{'a'}, MaxString+1))
+	long := string(bytes.Repeat([]byte{'a'}, MaxInternString+1))
 	mustPanic(t, "oversized action", func() {
 		(&Parcel{Dest: agas.GID{Home: 0, Kind: agas.KindData, Seq: 1}, Action: long}).Encode(nil)
+	})
+	mustPanic(t, "oversized continuation action", func() {
+		p := &Parcel{Dest: agas.GID{Home: 0, Kind: agas.KindData, Seq: 1}, Action: "a",
+			Cont: []Continuation{{Action: long}}}
+		p.Encode(nil)
 	})
 	mustPanic(t, "oversized continuation stack", func() {
 		p := &Parcel{Dest: agas.GID{Home: 0, Kind: agas.KindData, Seq: 1}, Action: "a"}
@@ -185,11 +146,40 @@ func TestEncodeEnforcesWireLimits(t *testing.T) {
 	})
 	// At the limit, encoding succeeds and survives a round trip.
 	p := &Parcel{ID: 1, Dest: agas.GID{Home: 0, Kind: agas.KindData, Seq: 1},
-		Action: string(bytes.Repeat([]byte{'b'}, MaxString))}
+		Action: string(bytes.Repeat([]byte{'b'}, MaxInternString))}
 	q, _, err := Decode(p.Encode(nil))
 	if err != nil || q.Action != p.Action {
 		t.Fatalf("limit-sized action did not round trip: %v", err)
 	}
+}
+
+// TestEncodeGolden pins Encode's bytes for a parcel with every field set.
+// A spelled-out name keeps the bytes it has always had, so a probe that
+// times Encode and DecodePooled measures the same bytes across versions.
+func TestEncodeGolden(t *testing.T) {
+	const golden = "0807060504030201" + // id
+		"0300000003000000cdab000000000000" + // dest
+		"0800" + "6170702e66726f62" + // "app.frob"
+		"03000000" + "010203" + // args
+		"0100" + "0100000003000000" + "0900000000000000" + // one continuation: target
+		"0a00" + "70782e6c636f2e736574" + // "px.lco.set"
+		"02000000" + "01000000" // src, hops
+	p := &Parcel{ID: 0x0102030405060708, Dest: agas.GID{Home: 3, Kind: agas.KindLCO, Seq: 0xABCD},
+		Action: "app.frob", Args: []byte{1, 2, 3},
+		Cont: []Continuation{{Target: agas.GID{Home: 1, Kind: agas.KindLCO, Seq: 9}, Action: "px.lco.set"}},
+		Src:  2, Hops: 1}
+	if got := hex.EncodeToString(p.Encode(nil)); got != golden {
+		t.Fatalf("Encode wrote\n%s\nwant\n%s", got, golden)
+	}
+	wire, _ := hex.DecodeString(golden)
+	q, rest, err := DecodePooled(wire)
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("DecodePooled: %v (%d trailing)", err, len(rest))
+	}
+	if !parcelEqual(p, q) || q.AID != NoAID {
+		t.Fatalf("golden bytes decode to %+v, want %+v", q, p)
+	}
+	Release(q)
 }
 
 func mustPanic(t *testing.T, what string, fn func()) {

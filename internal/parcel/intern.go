@@ -5,32 +5,29 @@ import (
 	"fmt"
 )
 
-// Interned wire form. The plain format (Encode/Decode) spells every action
-// name out as a length-prefixed string — one string allocation per parcel
-// plus one per continuation on every decode. Peers that have exchanged
-// action tables (see the core distributed layer: the table rides the
-// transport handshake hello) instead refer to actions by their dense table
-// position, and the decoder hands back the interned name string it already
-// holds: the steady-state decode allocates nothing.
+// Action references. Spelling action names out costs a string allocation
+// per parcel, plus one per continuation, on every decode. Peers that have
+// exchanged action tables (see the core distributed layer: the table rides
+// the transport handshake hello) instead refer to actions by their dense
+// table position, and the decoder hands back the interned name string it
+// already holds: the steady-state decode allocates nothing.
 //
-// Every action reference degrades independently: a name the sender has not
-// announced (registered after the table was exchanged, or past the
-// announced prefix) is encoded as a string exactly as in the plain format.
-// A parcel may therefore mix interned and spelled-out references.
-//
-// Layout: identical to the plain format except each action reference is
+// Every reference falls back on its own: a name the table does not know
+// (registered after the table was exchanged, past the announced prefix, or
+// encoded with no table at all) is spelled out. A parcel may therefore mix
+// positions and spelled-out names. Each reference is
 //
 //	u16 tag | payload
 //
 // where tag == InternSentinel means payload is a u32 table position, and
-// any other tag is a string length followed by that many bytes.
+// any other tag is a name length followed by that many bytes.
 
-// InternSentinel is the u16 tag marking an interned (u32 table position)
-// action reference. String-form action names in the interned format are
-// capped one byte short of it so the two cases never collide.
+// InternSentinel is the u16 tag marking a table-position action reference.
+// Spelled-out action names are capped one byte short of it so the two
+// cases never collide.
 const InternSentinel = 0xFFFF
 
-// MaxInternString bounds action-name length in the interned wire form.
+// MaxInternString bounds action-name length on the wire.
 const MaxInternString = InternSentinel - 1
 
 // Table resolves action names to dense wire positions and back. The
@@ -48,55 +45,8 @@ type Table interface {
 	ActionOf(id uint32) (name string, aid uint32, ok bool)
 }
 
-// EncodeInterned appends the interned wire form of p to dst, referring to
-// actions by table position where t knows them and by string otherwise.
-// It panics on the same wire-limit violations as Encode, plus on action
-// names too long for the interned string fallback — check InternEncodable
-// first for names of unchecked origin (registration already bounds
-// registered names).
-func (p *Parcel) EncodeInterned(dst []byte, t Table) []byte {
-	return p.encode(dst, true, t)
-}
-
-// InternEncodable reports whether every action reference fits the
-// interned wire form. Only unregistrable names fail — the plain format
-// admits one extra byte of action-name length (MaxString) that the
-// interned form reserves as its sentinel — so callers fall back to the
-// plain Encode for such parcels instead of panicking.
-func (p *Parcel) InternEncodable() bool {
-	if len(p.Action) > MaxInternString {
-		return false
-	}
-	for _, c := range p.Cont {
-		if len(c.Action) > MaxInternString {
-			return false
-		}
-	}
-	return true
-}
-
-// DecodePooledInterned parses an interned-form parcel into a pooled
-// parcel, resolving table positions through t. Release the parcel when
-// dispatch completes.
-func DecodePooledInterned(src []byte, t Table) (*Parcel, []byte, error) {
-	p := blank()
-	rest, err := DecodeIntoInterned(p, src, t)
-	if err != nil {
-		Release(p)
-		return nil, rest, err
-	}
-	return p, rest, nil
-}
-
-// DecodeIntoInterned is DecodeInto for the interned wire form. The
-// parcel's AID is set for interned references resolved by t, so dispatch
-// can index the action table directly.
-func DecodeIntoInterned(p *Parcel, src []byte, t Table) ([]byte, error) {
-	return decodeInto(p, src, true, t, false)
-}
-
-// appendActionRef writes one action reference: interned position when the
-// table covers the name, string form otherwise.
+// appendActionRef writes one action reference: a table position when t
+// covers the name, the name spelled out otherwise.
 func appendActionRef(dst []byte, name string, t Table) []byte {
 	if t != nil {
 		if id, ok := t.IDOf(name); ok {
@@ -105,14 +55,14 @@ func appendActionRef(dst []byte, name string, t Table) []byte {
 		}
 	}
 	if len(name) > MaxInternString {
-		panic(fmt.Sprintf("parcel: action name of %d bytes exceeds interned wire limit %d", len(name), MaxInternString))
+		panic(fmt.Sprintf("parcel: action name of %d bytes exceeds wire limit %d", len(name), MaxInternString))
 	}
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(name)))
 	return append(dst, name...)
 }
 
-// readActionRef parses one action reference, resolving interned positions
-// through t.
+// readActionRef parses one action reference, resolving table positions
+// through t. A spelled-out name resolves no dispatch ID.
 func readActionRef(src []byte, t Table) (name string, aid uint32, rest []byte, err error) {
 	if len(src) < 2 {
 		return "", NoAID, src, fmt.Errorf("short action ref")

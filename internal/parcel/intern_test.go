@@ -77,20 +77,25 @@ func TestInternedDecodeNeedsTable(t *testing.T) {
 	}
 }
 
-// TestInternedNilTableStringForm: encoding with no table degrades to
-// all-string references, decodable by the interned decoder with any (or
-// no) table.
+// TestInternedNilTableStringForm: encoding with no table spells every
+// reference out, which is exactly what Encode writes, and decodes with or
+// without a table.
 func TestInternedNilTableStringForm(t *testing.T) {
 	p := internSample()
 	wire := p.EncodeInterned(nil, nil)
-	q, rest, err := DecodePooledInterned(wire, nil)
-	if err != nil || len(rest) != 0 {
-		t.Fatalf("decode: %v (%d trailing)", err, len(rest))
+	if !bytes.Equal(wire, p.Encode(nil)) {
+		t.Fatal("Encode and the nil-table encode wrote different bytes")
 	}
-	if q.Action != p.Action || q.AID != NoAID || len(q.Cont) != 2 {
-		t.Fatalf("string-form roundtrip mismatch: %+v", q)
+	for _, tbl := range []Table{nil, testTable{"known.a", "known.b"}} {
+		q, rest, err := DecodePooledInterned(wire, tbl)
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("decode: %v (%d trailing)", err, len(rest))
+		}
+		if q.Action != p.Action || q.AID != NoAID || len(q.Cont) != 2 {
+			t.Fatalf("string-form roundtrip mismatch: %+v", q)
+		}
+		Release(q)
 	}
-	Release(q)
 }
 
 // TestInternedSteadyStateAllocs: the pooled interned round trip is

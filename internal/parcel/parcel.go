@@ -42,8 +42,8 @@ type Parcel struct {
 	Action string
 	// AID caches the executing runtime's dense ID for Action (see the core
 	// action registry), letting dispatch index a slice instead of hashing
-	// the name. NoAID means unresolved. It is runtime-local: the interned
-	// wire form carries positions in the sender's announced table, never AID.
+	// the name. NoAID means unresolved. It is runtime-local: the wire
+	// carries positions in the sender's announced table, never AID.
 	AID uint32
 	// Args is the encoded argument record (see Args/Reader).
 	Args []byte
@@ -58,12 +58,12 @@ type Parcel struct {
 	// and parsed by DecodeTrace (see trace.go).
 	Trace TraceCtx
 
-	// own is the parcel-owned argument store: DecodeInto copies argument
+	// own is the parcel-owned argument store: a decode copies argument
 	// bytes into it and OwnArgs builds records in it. It survives pool
 	// recycles, so steady-state decodes and runtime-built records do not
 	// allocate.
 	own Args
-	// pooled marks parcels from the pool (Acquire/DecodeInto); Release
+	// pooled marks parcels from the pool (Acquire, DecodePooled); Release
 	// ignores the rest.
 	pooled bool
 	// released guards double-release when pool debugging is on.
@@ -133,39 +133,40 @@ func (p *Parcel) String() string {
 
 // Wire format:
 //
-//	u64 id | gid dest | str action | u32 nargs bytes | args |
-//	u16 ncont | ncont × (gid target, str action) | u32 src | u32 hops
+//	u64 id | gid dest | ref action | u32 nargs bytes | args |
+//	u16 ncont | ncont × (gid target, ref action) | u32 src | u32 hops
 //
-// Strings are u16 length-prefixed UTF-8. All integers little-endian.
+// All integers are little-endian. An action reference is written against a
+// Table (see intern.go): a position in the sender's announced action table
+// where the table knows the name, the name spelled out otherwise. With no
+// table every name is spelled out, which is the form Encode writes.
 //
 // The format imposes hard limits: action names (and continuation action
-// names) are at most MaxString bytes, the continuation stack holds at most
-// MaxContinuations entries, and the argument record at most MaxArgs bytes.
-// Encode panics when a parcel exceeds them — the limits are generous and a
-// violation is a program bug, not a runtime condition; truncating silently
-// on a network-facing wire would be far worse.
+// names) are at most MaxInternString bytes, the continuation stack holds at
+// most MaxContinuations entries, and the argument record at most MaxArgs
+// bytes. Encode panics when a parcel exceeds them — the limits are generous
+// and a violation is a program bug, not a runtime condition; truncating
+// silently on a network-facing wire would be far worse.
 
-// Wire format limits enforced by Encode.
+// Wire format limits enforced by Encode, beside MaxInternString.
 const (
-	// MaxString bounds action-name length (u16 length prefix).
-	MaxString = 1<<16 - 1
 	// MaxContinuations bounds the continuation stack (u16 count).
 	MaxContinuations = 1<<16 - 1
 	// MaxArgs bounds the encoded argument record (u32 length prefix).
 	MaxArgs = 1<<32 - 1
 )
 
-// Encode appends the wire form of p to dst. It panics if p exceeds the
-// wire format limits (see MaxString, MaxContinuations, MaxArgs).
+// Encode appends the wire form of p to dst with every action name spelled
+// out: EncodeInterned with no table. It panics if p exceeds the wire
+// format limits (see MaxInternString, MaxContinuations, MaxArgs).
 func (p *Parcel) Encode(dst []byte) []byte {
-	return p.encode(dst, false, nil)
+	return p.EncodeInterned(dst, nil)
 }
 
-// encode is the shared body of Encode and EncodeInterned: the two wire
-// forms are identical except for how an action reference is written —
-// a plain length-prefixed string, or a table position with per-reference
-// string fallback.
-func (p *Parcel) encode(dst []byte, interned bool, t Table) []byte {
+// EncodeInterned appends the wire form of p to dst, referring to actions
+// by position where t knows them and spelling them out otherwise. It
+// panics on the same wire-limit violations as Encode.
+func (p *Parcel) EncodeInterned(dst []byte, t Table) []byte {
 	if len(p.Cont) > MaxContinuations {
 		panic(fmt.Sprintf("parcel: %d continuations exceed wire limit %d", len(p.Cont), MaxContinuations))
 	}
@@ -174,13 +175,13 @@ func (p *Parcel) encode(dst []byte, interned bool, t Table) []byte {
 	}
 	dst = binary.LittleEndian.AppendUint64(dst, p.ID)
 	dst = p.Dest.Encode(dst)
-	dst = appendRef(dst, p.Action, interned, t)
+	dst = appendActionRef(dst, p.Action, t)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(p.Args)))
 	dst = append(dst, p.Args...)
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(p.Cont)))
 	for _, c := range p.Cont {
 		dst = c.Target.Encode(dst)
-		dst = appendRef(dst, c.Action, interned, t)
+		dst = appendActionRef(dst, c.Action, t)
 	}
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(p.Src))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(p.Hops))
@@ -188,24 +189,32 @@ func (p *Parcel) encode(dst []byte, interned bool, t Table) []byte {
 }
 
 // Decode parses a parcel from the front of src, returning the remainder.
-// The parcel is freshly allocated and never recycled; the runtime's hot
-// path uses DecodePooled instead.
+// It resolves no table positions. The parcel is freshly allocated and
+// never recycled; the runtime's hot path uses DecodePooledInterned instead.
 func Decode(src []byte) (*Parcel, []byte, error) {
 	p := &Parcel{}
-	rest, err := DecodeInto(p, src)
+	rest, err := decodeInto(p, src, nil)
 	if err != nil {
 		return nil, rest, err
 	}
 	return p, rest, nil
 }
 
-// DecodePooled parses a parcel from the front of src into a pooled parcel.
-// The parcel owns its argument bytes (src may be a transport read buffer
-// that is reused the moment the caller returns) and must be handed to
-// Release exactly once when dispatch completes.
+// DecodePooled is DecodePooledInterned with no table: a parcel naming an
+// action by table position is rejected.
 func DecodePooled(src []byte) (*Parcel, []byte, error) {
+	return DecodePooledInterned(src, nil)
+}
+
+// DecodePooledInterned parses a parcel from the front of src into a pooled
+// parcel, resolving table positions through t. The parcel owns its
+// argument bytes (src may be a transport read buffer that is reused the
+// moment the caller returns) and must be handed to Release exactly once
+// when dispatch completes. Its AID is set for positions t resolves, so
+// dispatch can index the action table directly.
+func DecodePooledInterned(src []byte, t Table) (*Parcel, []byte, error) {
 	p := blank()
-	rest, err := DecodeInto(p, src)
+	rest, err := decodeInto(p, src, t)
 	if err != nil {
 		Release(p)
 		return nil, rest, err
@@ -213,42 +222,13 @@ func DecodePooled(src []byte) (*Parcel, []byte, error) {
 	return p, rest, nil
 }
 
-// DecodeInto parses a parcel from the front of src into p, overwriting
+// decodeInto parses a parcel from the front of src into p, overwriting
 // every field and returning the remainder. Argument bytes are copied into
 // p's own backing store (reused across pool recycles), so src may be
 // recycled by the caller immediately; the continuation stack likewise
 // reuses p's capacity. On error p is partially filled and must be
 // discarded or released, not dispatched.
-func DecodeInto(p *Parcel, src []byte) ([]byte, error) {
-	return decodeInto(p, src, false, nil, false)
-}
-
-// DecodeAliased parses a parcel from the front of src like Decode, except
-// the parcel's Args field ALIASES src instead of being copied out of it —
-// the read-side analogue of the transport's zero-copy send. The parcel is
-// therefore only valid while src is: a consumer must finish with the
-// parcel (or copy Args) before the buffer holding src is reused, which is
-// exactly the transport Handler contract. The parcel is freshly
-// allocated, never pooled — handing it to Release would recycle argument
-// store capacity it does not own.
-//
-// Use it for strictly synchronous consumers (decode, inspect, drop within
-// the handler); anything that enqueues or retains the parcel must use
-// DecodePooled, which copies.
-func DecodeAliased(src []byte) (*Parcel, []byte, error) {
-	p := &Parcel{}
-	rest, err := decodeInto(p, src, false, nil, true)
-	if err != nil {
-		return nil, rest, err
-	}
-	return p, rest, nil
-}
-
-// decodeInto is the shared body of DecodeInto, DecodeIntoInterned, and
-// DecodeAliased; see encode for the single point of difference between
-// the wire forms. With aliasArgs set, p.Args aliases src rather than
-// being copied into p's backing store.
-func decodeInto(p *Parcel, src []byte, interned bool, t Table, aliasArgs bool) ([]byte, error) {
+func decodeInto(p *Parcel, src []byte, t Table) ([]byte, error) {
 	p.Trace = TraceCtx{} // the trailer, if any, is parsed by the caller
 	if len(src) < 8 {
 		return src, fmt.Errorf("parcel: short ID")
@@ -260,7 +240,7 @@ func decodeInto(p *Parcel, src []byte, interned bool, t Table, aliasArgs bool) (
 	if err != nil {
 		return src, fmt.Errorf("parcel: dest: %w", err)
 	}
-	p.Action, p.AID, src, err = readRef(src, interned, t)
+	p.Action, p.AID, src, err = readActionRef(src, t)
 	if err != nil {
 		return src, fmt.Errorf("parcel: action: %w", err)
 	}
@@ -272,12 +252,9 @@ func decodeInto(p *Parcel, src []byte, interned bool, t Table, aliasArgs bool) (
 	if len(src) < argLen {
 		return src, fmt.Errorf("parcel: args truncated: want %d have %d", argLen, len(src))
 	}
-	switch {
-	case argLen == 0:
+	if argLen == 0 {
 		p.Args = nil
-	case aliasArgs:
-		p.Args = src[:argLen:argLen]
-	default:
+	} else {
 		p.own.buf = append(p.own.buf[:0], src[:argLen]...)
 		p.Args = p.own.buf
 	}
@@ -295,7 +272,7 @@ func decodeInto(p *Parcel, src []byte, interned bool, t Table, aliasArgs bool) (
 		if err != nil {
 			return src, fmt.Errorf("parcel: cont %d target: %w", i, err)
 		}
-		c.Action, _, src, err = readRef(src, interned, t)
+		c.Action, _, src, err = readActionRef(src, t)
 		if err != nil {
 			return src, fmt.Errorf("parcel: cont %d action: %w", i, err)
 		}
@@ -307,44 +284,4 @@ func decodeInto(p *Parcel, src []byte, interned bool, t Table, aliasArgs bool) (
 	p.Src = int(binary.LittleEndian.Uint32(src))
 	p.Hops = int(binary.LittleEndian.Uint32(src[4:]))
 	return src[8:], nil
-}
-
-// appendRef writes one action reference in the selected wire form.
-func appendRef(dst []byte, s string, interned bool, t Table) []byte {
-	if interned {
-		return appendActionRef(dst, s, t)
-	}
-	return appendString(dst, s)
-}
-
-// readRef parses one action reference in the selected wire form. The
-// plain form never resolves a dispatch ID (and, unlike the interned
-// form, admits action names up to the full MaxString — including length
-// 0xFFFF, which the interned form reserves as its sentinel).
-func readRef(src []byte, interned bool, t Table) (name string, aid uint32, rest []byte, err error) {
-	if interned {
-		return readActionRef(src, t)
-	}
-	name, rest, err = readString(src)
-	return name, NoAID, rest, err
-}
-
-func appendString(dst []byte, s string) []byte {
-	if len(s) > MaxString {
-		panic(fmt.Sprintf("parcel: string too long: %d exceeds wire limit %d", len(s), MaxString))
-	}
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(s)))
-	return append(dst, s...)
-}
-
-func readString(src []byte) (string, []byte, error) {
-	if len(src) < 2 {
-		return "", src, fmt.Errorf("short string length")
-	}
-	n := int(binary.LittleEndian.Uint16(src))
-	src = src[2:]
-	if len(src) < n {
-		return "", src, fmt.Errorf("string truncated: want %d have %d", n, len(src))
-	}
-	return string(src[:n]), src[n:], nil
 }

@@ -22,7 +22,7 @@ import (
 // ignores them, so application code that retains a parcel after sending
 // it — tests, traces — keeps today's safe semantics. Only the runtime's
 // internal parcels (decoded arrivals, continuations, split-phase calls)
-// opt into recycling via Acquire and DecodeInto.
+// opt into recycling via Acquire and DecodePooledInterned.
 
 var parcelPool = sync.Pool{New: func() any {
 	parcelPoolMisses.Add(1)
@@ -97,7 +97,7 @@ func AcquireValue(dest agas.GID, action string, v any, cont ...Continuation) (*P
 	return p, nil
 }
 
-// blank returns a pooled zero parcel for DecodeInto to fill.
+// blank returns a pooled zero parcel for decodeInto to fill.
 func blank() *Parcel {
 	parcelPoolGets.Add(1)
 	p := parcelPool.Get().(*Parcel)

@@ -32,8 +32,8 @@ func TestPopContinuationKeepsPooledCapacity(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector randomizes sync.Pool reuse; exact alloc counts only hold without -race")
 	}
-	// Interned, as on the runtime's wire: the plain form allocates its
-	// action strings.
+	// Against a table, as on the runtime's wire: spelled-out names
+	// allocate their strings.
 	var tbl Table = testTable{"known.a", "known.b"}
 	wire := New(sampleGID(9), "known.a", nil, Continuation{Target: sampleGID(1), Action: "known.b"}).EncodeInterned(nil, tbl)
 	run := func() {
