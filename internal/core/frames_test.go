@@ -112,9 +112,9 @@ func frameSamples(send parcel.Table) []frameSample {
 	g := agas.GID{Home: 3, Kind: agas.KindLCO, Seq: 0xABCD}
 	tc := parcel.TraceCtx{ID: 0xfeed, Span: 0xbeef, Flags: parcel.TraceSampled}
 	cont := []parcel.Continuation{{Target: agas.GID{Home: 1, Kind: agas.KindLCO, Seq: 9}, Action: ActionLCOSet}}
-	// One parcel per action-reference shape: announced (a table
-	// position), unannounced (spelled out), and every name spelled out, as
-	// sent before the peer's hello.
+	// One parcel per action-reference shape: every name spelled out, as
+	// sent before the peer's hello, announced (a table position), and
+	// unannounced (spelled out).
 	known := &parcel.Parcel{ID: 77, Dest: g, Action: "app.frob", AID: parcel.NoAID, Args: []byte{1, 2, 3}, Cont: cont, Src: 2, Hops: 1}
 	late := &parcel.Parcel{ID: 78, Dest: g, Action: "app.registered.late", AID: parcel.NoAID, Args: nil, Src: 5}
 	traced := *known
@@ -133,10 +133,11 @@ func frameSamples(send parcel.Table) []frameSample {
 	}
 	loads := []loadEntry{{loc: 0, score: 0}, {loc: 5, score: 12.5}, {loc: frameTestWidth - 1, score: math.MaxFloat64}}
 	return []frameSample{
-		{label: "parcel", frame: appendParcel(nil, known, send), want: frameMsg{p: resolved(*known)}},
+		{label: "parcel", frame: appendParcel(nil, known, nil), want: frameMsg{p: known}, spelled: true},
+		{label: "parcel, traced", frame: appendParcel(nil, &traced, nil), want: frameMsg{p: &traced}, traced: true, spelled: true},
+		{label: "parcel, announced actions", frame: appendParcel(nil, known, send), want: frameMsg{p: resolved(*known)}},
 		{label: "parcel, unannounced action", frame: appendParcel(nil, late, send), want: frameMsg{p: resolved(*late)}},
-		{label: "parcel, traced", frame: appendParcel(nil, &traced, send), want: frameMsg{p: resolved(traced)}, traced: true},
-		{label: "parcel, before the hello", frame: appendParcel(nil, known, nil), want: frameMsg{p: known}, spelled: true},
+		{label: "parcel, announced actions, traced", frame: appendParcel(nil, &traced, send), want: frameMsg{p: resolved(traced)}, traced: true},
 		{label: "halt", frame: []byte{fHalt}},
 		{label: "drain", frame: encodeID(fDrain, 42), want: frameMsg{id: 42}},
 		{label: "drain reply", frame: encodeDrainReply(42, -3, 100, 99, 0xf00d),
@@ -237,17 +238,17 @@ func TestFrameLayouts(t *testing.T) {
 var goldenFrames = map[string]string{
 	"parcel": "01" + "4d00000000000000" + // kind, id
 		"0300000003000000cdab000000000000" + // dest
-		"ffff" + "08000000" + // action: "app.frob" at table position 8
+		"0800" + "6170702e66726f62" + // action: "app.frob" spelled out
 		"03000000" + "010203" + // args
 		"0100" + "0100000003000000" + "0900000000000000" + // one continuation: target
-		"ffff" + "00000000" + // "px.lco.set" at position 0
+		"0a00" + "70782e6c636f2e736574" + // "px.lco.set" spelled out
 		"02000000" + "01000000", // src, hops
-	"parcel, before the hello": "01" + "4d00000000000000" +
+	"parcel, announced actions": "01" + "4d00000000000000" +
 		"0300000003000000cdab000000000000" +
-		"0800" + "6170702e66726f62" + // "app.frob" spelled out
+		"ffff" + "08000000" + // "app.frob" at table position 8
 		"03000000" + "010203" +
 		"0100" + "0100000003000000" + "0900000000000000" +
-		"0a00" + "70782e6c636f2e736574" + // "px.lco.set" spelled out
+		"ffff" + "00000000" + // "px.lco.set" at position 0
 		"02000000" + "01000000",
 	"drain":       "02" + "2a00000000000000",
 	"drain reply": "03" + "2a00000000000000" + "fdffffffffffffff" + "6400000000000000" + "6300000000000000" + "0df0000000000000",

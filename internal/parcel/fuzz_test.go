@@ -45,13 +45,13 @@ func maxContParcel() *Parcel {
 	return p
 }
 
-// FuzzParcelDecode feeds the decoder arbitrary bytes against a small
-// table: it must never panic, and any input it accepts must re-encode and
-// re-decode to the same parcel (the codec consumes untrusted bytes from
-// sockets). The seeds are every fuzz seed spelled out, with and without a
-// trace trailer, then encoded against the table.
+// FuzzParcelDecode feeds the decoder arbitrary bytes with no table, the
+// form Encode writes and a node sends before its peer's hello: it must
+// never panic, and any input it accepts must re-encode and re-decode to
+// the same parcel (the codec consumes untrusted bytes from sockets). A
+// table-position reference must be rejected here, since there is no
+// table to resolve it against.
 func FuzzParcelDecode(f *testing.F) {
-	tbl := testTable{"nop", "px.lco.set", "relay"}
 	for _, p := range fuzzSeeds() {
 		f.Add(p.Encode(nil))
 		// The base encoding followed by the capability-gated trace trailer:
@@ -61,6 +61,13 @@ func FuzzParcelDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
+	f.Fuzz(func(t *testing.T, data []byte) { checkDecode(t, data, nil) })
+}
+
+// FuzzParcelDecodeInterned is FuzzParcelDecode against a small table, so
+// action references may be table positions as well as spelled-out names.
+func FuzzParcelDecodeInterned(f *testing.F) {
+	tbl := testTable{"nop", "px.lco.set", "relay"}
 	for _, p := range fuzzSeeds() {
 		f.Add(p.EncodeInterned(nil, tbl))
 		f.Add(p.EncodeInterned(nil, nil))
@@ -68,49 +75,53 @@ func FuzzParcelDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		p, rest, err := DecodePooledInterned(data, tbl)
+	f.Fuzz(func(t *testing.T, data []byte) { checkDecode(t, data, tbl) })
+}
+
+// checkDecode is the property both fuzz targets hold data to, decoding
+// against tbl (nil for no table).
+func checkDecode(t *testing.T, data []byte, tbl Table) {
+	p, rest, err := DecodePooledInterned(data, tbl)
+	if err != nil {
+		return
+	}
+	defer Release(p)
+	if len(rest) > len(data) {
+		t.Fatalf("remainder grew: %d bytes from %d input", len(rest), len(data))
+	}
+	if p.Trace != (TraceCtx{}) {
+		t.Fatalf("base decode populated the trace context: %+v", p.Trace)
+	}
+	re := p.EncodeInterned(nil, tbl)
+	q, tail, err := DecodePooledInterned(re, tbl)
+	if err != nil {
+		t.Fatalf("re-decode of accepted parcel failed: %v", err)
+	}
+	defer Release(q)
+	if len(tail) != 0 {
+		t.Fatalf("re-decode left %d trailing bytes", len(tail))
+	}
+	if !parcelEqual(p, q) {
+		t.Fatalf("round trip mismatch:\n first %+v\nsecond %+v", p, q)
+	}
+	if len(rest) == TraceWireSize {
+		// A trailer-sized remainder must parse and round-trip through
+		// Append exactly (the receive path in core depends on this).
+		tc, tcRest, terr := DecodeTrace(rest)
+		if terr != nil || len(tcRest) != 0 {
+			t.Fatalf("trailer decode: %v, %d left", terr, len(tcRest))
+		}
+		combined := tc.Append(p.EncodeInterned(nil, tbl))
+		q2, rest2, err := DecodePooledInterned(combined, tbl)
 		if err != nil {
-			return
+			t.Fatalf("combined re-decode: %v", err)
 		}
-		defer Release(p)
-		if len(rest) > len(data) {
-			t.Fatalf("remainder grew: %d bytes from %d input", len(rest), len(data))
+		defer Release(q2)
+		tc2, _, terr := DecodeTrace(rest2)
+		if terr != nil || tc2 != tc || !parcelEqual(p, q2) {
+			t.Fatalf("combined round trip: %+v vs %+v (%v)", tc, tc2, terr)
 		}
-		if p.Trace != (TraceCtx{}) {
-			t.Fatalf("base decode populated the trace context: %+v", p.Trace)
-		}
-		re := p.EncodeInterned(nil, tbl)
-		q, tail, err := DecodePooledInterned(re, tbl)
-		if err != nil {
-			t.Fatalf("re-decode of accepted parcel failed: %v", err)
-		}
-		defer Release(q)
-		if len(tail) != 0 {
-			t.Fatalf("re-decode left %d trailing bytes", len(tail))
-		}
-		if !parcelEqual(p, q) {
-			t.Fatalf("round trip mismatch:\n first %+v\nsecond %+v", p, q)
-		}
-		if len(rest) == TraceWireSize {
-			// A trailer-sized remainder must parse and round-trip through
-			// Append exactly (the receive path in core depends on this).
-			tc, tcRest, terr := DecodeTrace(rest)
-			if terr != nil || len(tcRest) != 0 {
-				t.Fatalf("trailer decode: %v, %d left", terr, len(tcRest))
-			}
-			combined := tc.Append(p.EncodeInterned(nil, tbl))
-			q2, rest2, err := DecodePooledInterned(combined, tbl)
-			if err != nil {
-				t.Fatalf("combined re-decode: %v", err)
-			}
-			defer Release(q2)
-			tc2, _, terr := DecodeTrace(rest2)
-			if terr != nil || tc2 != tc || !parcelEqual(p, q2) {
-				t.Fatalf("combined round trip: %+v vs %+v (%v)", tc, tc2, terr)
-			}
-		}
-	})
+	}
 }
 
 func TestParcelEncodeDecodeRoundTrip(t *testing.T) {
