@@ -76,10 +76,15 @@ func (a *actionRegistry) register(name string, fn ActionFunc) error {
 	return nil
 }
 
-// errUnknownAction is how a parcel naming no registered action fails.
+// errUnknownAction is how a parcel naming no registered action fails. It
+// quotes at most the name's first unknownActionQuote bytes, so a name of
+// any length gives an error of bounded size.
 func errUnknownAction(name string) error {
-	return fmt.Errorf("core: unknown action %q", name)
+	return fmt.Errorf("core: unknown action %q (%d bytes)", name[:min(len(name), unknownActionQuote)], len(name))
 }
+
+// unknownActionQuote bounds how much of an unknown name an error quotes.
+const unknownActionQuote = 64
 
 // lookup resolves an action name to its body and dense ID, lock-free.
 func (a *actionRegistry) lookup(name string) (ActionFunc, uint32, bool) {

@@ -375,7 +375,8 @@ func TestDirectActionContext(t *testing.T) {
 func TestDirectActionParksAtFence(t *testing.T) {
 	rig := startDirectRig(t, onceShapes[0].wires(t), 0)
 	r1, g := rig.rts[1], rig.shards[2]
-	r1.fences.close(g)
+	res := residentOf(t, r1, g)
+	res.Close()
 	const n = 8
 	futs := make([]*lco.Future, n)
 	for i := range futs {
@@ -394,9 +395,7 @@ func TestDirectActionParksAtFence(t *testing.T) {
 			t.Fatalf("put %d answered through a closed fence", i)
 		}
 	}
-	for _, pk := range r1.fences.open(g) {
-		r1.runHanded(r1.route(pk.loc, pk.p, false))
-	}
+	r1.reopen(res, false)
 	for i, f := range futs {
 		if v, err := f.Get(); err != nil || v.(int64) != int64(i) {
 			t.Fatalf("put %d after the fence opened: %v, %v", i, v, err)
@@ -485,7 +484,8 @@ func TestDirectLocalSelfCallIsQueued(t *testing.T) {
 func TestDirectLocalCallParksAtFence(t *testing.T) {
 	rig := startLocalDirectRig()
 	r, g := rig.rts[0], rig.shards[1]
-	r.fences.close(g)
+	res := residentOf(t, r, g)
+	res.Close()
 	const n = 8
 	futs := make([]*lco.Future, n)
 	for i := range futs {
@@ -502,9 +502,7 @@ func TestDirectLocalCallParksAtFence(t *testing.T) {
 	if runs := rig.runs.Load(); runs != 0 {
 		t.Fatalf("%d puts ran through a closed fence", runs)
 	}
-	for _, pk := range r.fences.open(g) {
-		r.runHanded(r.route(pk.loc, pk.p, false))
-	}
+	r.reopen(res, false)
 	for i, f := range futs {
 		if v, err := f.Get(); err != nil || v.(int64) != int64(i) {
 			t.Fatalf("put %d after the fence opened: %v, %v", i, v, err)

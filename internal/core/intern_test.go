@@ -148,8 +148,20 @@ func TestOversizedActionNameFailsGracefully(t *testing.T) {
 		if len(errs) != 1 || !strings.Contains(errs[0].Error(), "unknown action") {
 			t.Fatalf("got %d errors, want the one unknown-action failure", len(errs))
 		}
-		if _, err := rt.CallFrom(0, g, long, nil).Get(); err == nil || !strings.Contains(err.Error(), "unknown action") {
-			t.Fatalf("call naming the oversized action: %.80v, want the unknown-action failure", err)
+		if n := len(errs[0].Error()); n >= 512 {
+			t.Fatalf("the recorded unknown-action failure is %d bytes long", n)
+		}
+		_, err := rt.CallFrom(0, g, long, nil).Get()
+		if err == nil || !strings.Contains(err.Error(), "unknown action") {
+			t.Fatalf("call naming the oversized action: %v, want the unknown-action failure", err)
+		}
+		// The error quotes a bounded prefix of the name: 64 NUL bytes
+		// escape to 256 bytes, plus the fixed text and the length.
+		if n := len(err.Error()); n >= 4*unknownActionQuote+64 {
+			t.Fatalf("the unknown-action error is %d bytes long", n)
+		}
+		if want := fmt.Sprintf("(%d bytes)", len(long)); !strings.Contains(err.Error(), want) {
+			t.Fatalf("the unknown-action error %v does not give the name's length %s", err, want)
 		}
 		rt.Wait()
 	}

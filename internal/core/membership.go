@@ -302,8 +302,10 @@ func (m *memberState) declareDead(n int, why string) {
 	if ev, ok := d.lmap.MarkDead(n); ok {
 		m.rehomes.Add(uint64(len(ev.Moved)))
 	}
-	d.rt.failLostWaiters(n)
+	// Record the death before failing its waiters: one of them woken by
+	// the verdict must find the death in Errors.
 	d.rt.recordError(fmt.Errorf("core: node %d declared dead (%s): %w", n, why, agas.ErrNodeLost))
+	d.rt.failLostWaiters(n)
 
 	// Shoot-the-other-node gossip: the death verdict propagates to every
 	// live peer so the machine converges on one view. Receivers that

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/agas"
 	"repro/internal/lco"
+	"repro/internal/locality"
 	"repro/internal/parcel"
 	"repro/internal/transport"
 )
@@ -88,24 +90,37 @@ func TestMigrationFenceParksAndReplays(t *testing.T) {
 	}
 }
 
-// waitFenceClosed polls until a migration has closed g's fence.
+// waitFenceClosed polls until a migration has closed g's store entry.
+// A probe that finds the entry open is admitted, so it exits at once.
 func waitFenceClosed(t *testing.T, r *Runtime, g agas.GID) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		s := r.fences.shard(g)
-		s.mu.Lock()
-		f := s.m[g]
-		closed := f != nil && f.migrating
-		s.mu.Unlock()
-		if closed {
+		switch res := residentOf(t, r, g); res.Enter() {
+		case locality.Closed:
 			return
+		case locality.Admitted:
+			res.Exit()
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("migration never closed the fence")
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
+}
+
+// residentOf returns the store entry of g at its owner, a locality of r.
+func residentOf(t *testing.T, r *Runtime, g agas.GID) *locality.Resident {
+	t.Helper()
+	owner, err := r.agas.Owner(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, ok := r.loc(owner).Store().Lookup(g)
+	if !ok {
+		t.Fatalf("%v not in the store of its owner L%d", g, owner)
+	}
+	return res
 }
 
 // An action migrating a second object while its own target is being
@@ -371,5 +386,108 @@ func TestMisdirectedInstallFails(t *testing.T) {
 	}
 	if owner, gen, err := rts[1].AGAS().Locate(placed); err != nil || owner != 2 || gen != 1 {
 		t.Fatalf("node 1 locates the installed object at L%d gen %d (%v), want L2 gen 1", owner, gen, err)
+	}
+}
+
+// rotCounter is TestResidentFenceRotation's object: a pointer, so an
+// action can tell its own target from whatever its store holds.
+type rotCounter struct{ n atomic.Int64 }
+
+// TestResidentFenceRotation: every locality calls objects that migrate
+// 0→1→2→0 in a loop, queued and direct calls alike. Each action checks
+// that its own locality's store holds its target, on entry and on exit,
+// so no action runs against an object that has left, and every object's
+// count comes out exact.
+func TestResidentFenceRotation(t *testing.T) {
+	const locs, objs, rounds = 3, 4, 30
+	var strays atomic.Int64
+	bump := func(ctx *Context, target any, args *parcel.Reader) (any, error) {
+		g := args.GID()
+		if err := args.Err(); err != nil {
+			return nil, err
+		}
+		c := target.(*rotCounter)
+		here := func() bool {
+			res, ok := ctx.rt.loc(ctx.loc).Store().Lookup(g)
+			return ok && res.V == c
+		}
+		if !here() {
+			strays.Add(1)
+		}
+		c.n.Add(1)
+		if !here() {
+			strays.Add(1)
+		}
+		return nil, nil
+	}
+	r := New(Config{Localities: locs, WorkersPerLocality: 2, Register: func(rt *Runtime) {
+		rt.MustRegisterAction("rot.bump", bump)
+		rt.MustRegisterAction("rot.dbump", bump)
+		rt.MarkDirect("rot.dbump")
+	}})
+	defer r.Shutdown()
+	gids := make([]agas.GID, objs)
+	for i := range gids {
+		gids[i] = r.NewDataAt(0, &rotCounter{})
+	}
+	// Callers call until the mover has turned every object round the
+	// three localities rounds/3 times; the mover waits for a few answers
+	// between rounds, so calls and moves interleave.
+	var answered atomic.Int64
+	calls := make([]atomic.Int64, objs)
+	done := make(chan struct{})
+	var callers sync.WaitGroup
+	for src := 0; src < locs; src++ {
+		callers.Add(1)
+		go func(src int) {
+			defer callers.Done()
+			for i := 0; ; i++ {
+				for j, g := range gids {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					action := "rot.bump"
+					if (i+j)%2 == 0 {
+						action = "rot.dbump"
+					}
+					if _, err := r.CallFrom(src, g, action, parcel.NewArgs().GID(g).Encode()).Get(); err != nil {
+						t.Errorf("%s from L%d: %v", action, src, err)
+					}
+					calls[j].Add(1)
+					answered.Add(1)
+				}
+			}
+		}(src)
+	}
+	for round := 1; round <= rounds; round++ {
+		for _, g := range gids {
+			if err := r.Migrate(g, round%locs); err != nil {
+				t.Errorf("migrate to L%d: %v", round%locs, err)
+			}
+		}
+		for mark := answered.Load(); answered.Load() < mark+objs; {
+			runtime.Gosched()
+		}
+	}
+	close(done)
+	callers.Wait()
+	r.Wait()
+	if n := strays.Load(); n != 0 {
+		t.Fatalf("%d action checks found the target gone from their locality's store", n)
+	}
+	for i, g := range gids {
+		v, ok := r.LocalObject(0, g)
+		if !ok {
+			t.Fatalf("object %d not back at L0", i)
+		}
+		if got, want := v.(*rotCounter).n.Load(), calls[i].Load(); got != want {
+			t.Fatalf("object %d counted %d calls, want %d", i, got, want)
+		}
+	}
+	t.Logf("%d parked", r.slow.Parked.Value())
+	if errs := r.Errors(); len(errs) != 0 {
+		t.Fatalf("runtime errors: %v", errs)
 	}
 }

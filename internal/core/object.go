@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/agas"
 	"repro/internal/lco"
+	"repro/internal/locality"
 	"repro/internal/parcel"
 )
 
@@ -45,7 +46,10 @@ func (r *Runtime) LocalObject(loc int, g agas.GID) (any, bool) {
 	if l == nil {
 		return nil, false
 	}
-	return l.Store().Get(g)
+	if res, ok := l.Store().Lookup(g); ok {
+		return res.V, true
+	}
+	return nil, false
 }
 
 // FreeObject removes g from the machine entirely. Names homed on other
@@ -63,25 +67,28 @@ func (r *Runtime) FreeObject(g agas.GID) {
 	if l == nil {
 		return
 	}
-	l.Store().Delete(g)
+	if res, ok := l.Store().Lookup(g); ok {
+		l.Store().Remove(g, res)
+	}
 	r.agas.Free(g)
 }
 
 // Migrate moves the object named g to locality to — on this node or any
 // other — leaving its global name valid. The move is live: the object is
-// first quiesced (the migration fence waits for any running action and
-// parks later arrivals with their work units still charged, so Wait counts
-// them), then the payload travels — wire-encoded via the parcel value
-// codec when the destination is on another node — the home directory
-// commits the new owner under a bumped generation, and a forwarding
-// pointer is left behind so in-flight parcels chase at most one hop.
+// first quiesced (closing its store entry waits for any running action
+// and parks later arrivals there with their work units still charged, so
+// Wait counts them), then the payload travels — wire-encoded via the
+// parcel value codec when the destination is on another node — the home
+// directory commits the new owner under a bumped generation, and a
+// forwarding pointer is left behind so in-flight parcels chase at most one
+// hop.
 // Senders with stale translations learn the new owner from the "moved"
 // hint the node that forwards their next parcel sends back.
 //
 // Migration is initiated on the node currently owning the object, and for
 // a cross-node destination the payload must be encodable by the parcel
 // value codec. An action may migrate other objects, but must not migrate
-// its own target (the fence would wait on the caller), and two actions
+// its own target (the close would wait on the caller), and two actions
 // mutually migrating each other's targets deadlock the same way.
 func (r *Runtime) Migrate(g agas.GID, to int) error {
 	r.checkLoc(to)
@@ -107,28 +114,44 @@ func (r *Runtime) Migrate(g agas.GID, to int) error {
 			g, r.nodeOf(from))
 	}
 
-	// Quiesce: running actions on g drain, later arrivals park until the
-	// move commits, then re-route toward the new owner. A park does not
-	// consume the maxHops forwarding budget: it is the migration holding
-	// the parcel, not a mis-route, and each re-park requires another
-	// in-flight migration, which bounds the cycle on its own.
-	r.fences.close(g)
-	err = r.migrateLocked(g, from, to, gen+1)
-	for _, pk := range r.fences.open(g) {
-		r.runHanded(r.route(pk.loc, pk.p, false))
-	}
-	return err
-}
-
-// migrateLocked performs the fenced move of g from resident locality
-// `from` to locality `to` at generation newGen: payload transfer, then
-// directory commit, then local routing state (import or forwarding
-// pointer).
-func (r *Runtime) migrateLocked(g agas.GID, from, to int, newGen uint64) error {
-	v, ok := r.loc(from).Store().Take(g)
+	store := r.loc(from).Store()
+	res, ok := store.Lookup(g)
 	if !ok {
 		return fmt.Errorf("core: migrate of %v: not resident at L%d", g, from)
 	}
+	// Quiesce: running actions on g drain, later arrivals at its entry
+	// park until the move commits, then re-route toward the new owner. An
+	// arrival at another locality finds no entry and forwards. A park does
+	// not consume the maxHops forwarding budget: it is the migration
+	// holding the parcel, not a mis-route, and each re-park requires
+	// another in-flight migration, which bounds the cycle on its own. The
+	// entry leaves the store only once the move has committed, so until
+	// then arrivals park rather than chase a directory that still names
+	// this locality.
+	res.Close()
+	moved, err := r.migrateLocked(g, res.V, from, to, gen+1)
+	if moved {
+		store.Remove(g, res)
+	}
+	r.reopen(res, moved)
+	return err
+}
+
+// reopen opens res, a store entry closed by a migration, gone when its
+// object has left the store, and re-routes what parked there.
+func (r *Runtime) reopen(res *locality.Resident, gone bool) {
+	for _, pk := range res.Open(gone) {
+		pk := pk.(parkedParcel)
+		r.runHanded(r.route(pk.loc, pk.p, false))
+	}
+}
+
+// migrateLocked performs the fenced move of g's value v from resident
+// locality `from` to locality `to` at generation newGen: payload transfer,
+// then directory commit, then local routing state (import or forwarding
+// pointer). It reports whether v left `from`; when it did not, the
+// migration failed definitely and the object stays where it was.
+func (r *Runtime) migrateLocked(g agas.GID, v any, from, to int, newGen uint64) (moved bool, err error) {
 	destNode := r.nodeOf(to)
 	if destNode == r.NodeID() {
 		// Model the data movement cost on the intra-node network.
@@ -141,15 +164,13 @@ func (r *Runtime) migrateLocked(g agas.GID, from, to int, newGen uint64) error {
 		a := p.OwnArgs().GID(g).Uint64(newGen).Int64(int64(destNode))
 		if err := a.Value(v); err != nil {
 			parcel.Release(p)
-			r.loc(from).Store().Put(g, v)
-			return fmt.Errorf("core: migrate of %v: payload not wire-encodable: %w", g, err)
+			return false, fmt.Errorf("core: migrate of %v: payload not wire-encodable: %w", g, err)
 		}
 		p.Args = a.Encode()
 		unconfirmed, err := r.agasCall(from, p)
 		if err != nil && !unconfirmed {
-			// The destination provably does not have the object: reinstall.
-			r.loc(from).Store().Put(g, v)
-			return fmt.Errorf("core: migrate of %v to L%d: %w", g, to, err)
+			// The destination provably does not have the object: it stays.
+			return false, fmt.Errorf("core: migrate of %v to L%d: %w", g, to, err)
 		}
 		if err != nil {
 			// Ambiguous (unconfirmed install): the destination may hold the
@@ -190,7 +211,7 @@ func (r *Runtime) migrateLocked(g agas.GID, from, to int, newGen uint64) error {
 	if destNode == r.NodeID() {
 		r.coolBalance(g)
 	}
-	return commitErr
+	return true, commitErr
 }
 
 // migrateVerdictBound bounds a migration's wait for the verdict of its

@@ -226,59 +226,46 @@ func (r *Runtime) mustPost(err error) {
 }
 
 // execute runs the parcel's action as a fresh ephemeral thread on loc.
-// Movable targets pass through the migration fence: the execution is
-// registered so a migration can quiesce the object, and if a migration is
-// in progress the parcel parks (keeping a work unit charged) until the
-// move commits and the fence re-routes it. A reply name's target is the
-// future in its slot, not an object in the store; a reply that finds the
-// slot spent is late, and is counted and dropped.
+// Movable targets pass through the migration fence on their store entry:
+// the execution is admitted so a migration can quiesce the object, and
+// while a migration is in progress the parcel parks on the entry (keeping
+// a work unit charged) until the move commits and the migration re-routes
+// it. A reply name's target is the future in its slot, not an object in
+// the store; a reply that finds the slot spent is late, and is counted and
+// dropped.
 //
 // execute consumes p: dispatch (successful or failed) ends with the
 // parcel released to its pool; the park and forward paths instead pass
-// ownership on (to the fence and the re-route, respectively). rd and ctx
+// ownership on (to the entry and the re-route, respectively). rd and ctx
 // are the caller's pooled scratch, valid only for this dispatch — the
 // ActionFunc contract forbids retaining either beyond the action's
 // return. ctx.noWait marks a dispatch that must not wait, on a read
 // goroutine or inline: everything execute sends then takes the
 // must-not-wait path (sendFrom).
 func (r *Runtime) execute(loc int, p *parcel.Parcel, rd *parcel.Reader, ctx *Context) {
-	fenced := p.Dest.Kind.Movable()
-	if fenced {
-		// Snapshot the fields the park branch reports before enter: a
-		// false return means the fence owns the parcel, and a concurrent
-		// migration commit may re-route and release it immediately —
-		// touching p after that is a use-after-handoff. The park span
-		// therefore records a copy of the trace context (a leaf hop; the
-		// unparked re-route chains from the pre-park span).
-		tc, action := p.Trace, p.Action
-		if !r.fences.enter(p.Dest, loc, p) {
-			// Parked. The fence holds the parcel; charge the parked leg
-			// before this delivery's unit is released by our caller.
-			r.addWork()
-			r.slow.Parked.Inc()
-			r.emitSpan(trace.SpanPark, loc, &tc, action)
-			return
-		}
-	}
 	var target any
 	var reply *lco.Future
+	var fence *locality.Resident
 	if p.Dest.Kind == agas.KindReply {
 		if reply = r.takeReply(loc, p.Dest); reply == nil {
 			parcel.Release(p)
 			return
 		}
 		target = reply
-	} else if v, ok := r.loc(loc).Store().Get(p.Dest); ok {
-		target = v
-	} else {
-		if fenced {
-			r.fences.exit(p.Dest)
-		}
+	} else if res, ok := r.loc(loc).Store().Lookup(p.Dest); !ok {
 		// The object is not here: our (or the sender's) translation was
 		// stale — the next resolution will name the forwarding target.
 		// Repair and re-route.
 		r.forward(loc, p, ctx.noWait)
 		return
+	} else {
+		if p.Dest.Kind.Movable() {
+			if !r.enter(loc, p, res, ctx.noWait) {
+				return
+			}
+			fence = res
+		}
+		target = res.V
 	}
 	// An interned wire decode (or a previous dispatch of this parcel) has
 	// already resolved the dense action ID: indexing the snapshot slice is
@@ -291,8 +278,8 @@ func (r *Runtime) execute(loc int, p *parcel.Parcel, rd *parcel.Reader, ctx *Con
 		}
 	}
 	if !ok {
-		if fenced {
-			r.fences.exit(p.Dest)
+		if fence != nil {
+			fence.Exit()
 		}
 		r.failParcel(loc, p, errUnknownAction(p.Action), ctx.noWait)
 		return
@@ -307,8 +294,8 @@ func (r *Runtime) execute(loc int, p *parcel.Parcel, rd *parcel.Reader, ctx *Con
 	ctx.rt, ctx.loc = r, loc
 	rd.Reset(p.Args)
 	res, err := fn(ctx, target, rd)
-	if fenced {
-		r.fences.exit(p.Dest)
+	if fence != nil {
+		fence.Exit()
 	}
 	r.slow.TasksExecuted.Inc()
 	if err != nil {
@@ -338,6 +325,43 @@ func (r *Runtime) execute(loc int, p *parcel.Parcel, rd *parcel.Reader, ctx *Con
 		return
 	}
 	parcel.Release(p)
+}
+
+// enter admits p's action on res, the store entry of its movable target
+// at loc. It reports false when p is no longer the caller's: parked on the
+// entry until the migration holding it re-routes it, or forwarded after
+// the object left the store.
+func (r *Runtime) enter(loc int, p *parcel.Parcel, res *locality.Resident, noWait bool) bool {
+	for {
+		switch res.Enter() {
+		case locality.Admitted:
+			return true
+		case locality.Gone:
+			r.forward(loc, p, noWait)
+			return false
+		}
+		// Snapshot what the park span reports before Park: once parked,
+		// the parcel may be re-routed and released at any moment. The span
+		// is a leaf hop; the re-route chains from the pre-park span.
+		tc, action := p.Trace, p.Action
+		if res.Park(parkedParcel{loc: loc, p: p}) {
+			// Charge the parked leg before this delivery's unit is
+			// released by our caller.
+			r.addWork()
+			r.slow.Parked.Inc()
+			r.emitSpan(trace.SpanPark, loc, &tc, action)
+			return false
+		}
+		// The entry opened between Enter and Park: ask again.
+	}
+}
+
+// parkedParcel is one arrival held back by a closed store entry,
+// remembering the locality it was delivered to so the re-route starts
+// from there.
+type parkedParcel struct {
+	loc int
+	p   *parcel.Parcel
 }
 
 // maxHops bounds the forwarding retries of a parcel chasing a migrating

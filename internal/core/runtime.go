@@ -139,7 +139,6 @@ type Runtime struct {
 	// sheddable.
 	direct map[string]struct{}
 	dist   *distState // nil for a single-process machine
-	fences *fenceTable
 	// bal is the adaptive self-balancer; nil unless BalanceInterval > 0.
 	// The delivery hot path reads it with one nil check (see enqueue).
 	bal *balancerState
@@ -160,10 +159,10 @@ type Runtime struct {
 	reducers *reducerRegistry
 
 	// migrations serializes moves per object: each GID has at most one
-	// migration in flight from this node (the fence's single-closer
-	// invariant), while moves of different objects proceed concurrently —
-	// a runtime-wide lock here would deadlock an action that migrates a
-	// second object while its own target is being quiesced.
+	// migration in flight from this node (the single closer its store
+	// entry's Close requires), while moves of different objects proceed
+	// concurrently — a runtime-wide lock here would deadlock an action that
+	// migrates a second object while its own target is being quiesced.
 	migMu      sync.Mutex
 	migrations map[agas.GID]chan struct{}
 
@@ -220,7 +219,6 @@ func New(cfg Config) *Runtime {
 		net:        cfg.Net,
 		slow:       metrics.NewSLOW(),
 		acts:       newActionRegistry(),
-		fences:     newFenceTable(),
 		reducers:   newReducerRegistry(),
 		migrations: make(map[agas.GID]chan struct{}),
 		// Migration's exchanges run where they land: an install queued

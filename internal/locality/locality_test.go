@@ -466,26 +466,23 @@ func TestStoreBasics(t *testing.T) {
 	s := NewStore()
 	g := agas.GID{Home: 0, Kind: agas.KindData, Seq: 1}
 	s.Put(g, 42)
-	v, ok := s.Get(g)
-	if !ok || v.(int) != 42 {
-		t.Fatalf("get = %v %v", v, ok)
+	res, ok := s.Lookup(g)
+	if !ok || res.V.(int) != 42 {
+		t.Fatalf("lookup = %v %v", res, ok)
 	}
 	if s.Len() != 1 {
 		t.Fatalf("len = %d", s.Len())
 	}
-	v, ok = s.Take(g)
-	if !ok || v.(int) != 42 {
-		t.Fatalf("take = %v %v", v, ok)
-	}
-	if _, ok = s.Get(g); ok {
-		t.Fatal("object present after take")
-	}
 	s.Put(g, 1)
-	s.Delete(g)
-	if s.Len() != 0 {
-		t.Fatal("delete failed")
+	if s.Remove(g, res); s.Len() != 1 {
+		t.Fatal("remove of a replaced entry deleted its successor")
 	}
-	s.Delete(g) // idempotent
+	res, _ = s.Lookup(g)
+	s.Remove(g, res)
+	if _, ok = s.Lookup(g); ok || s.Len() != 0 {
+		t.Fatal("object present after remove")
+	}
+	s.Remove(g, res) // idempotent
 }
 
 func TestStoreNilGIDPanics(t *testing.T) {
@@ -509,7 +506,7 @@ func TestStoreConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				g := agas.GID{Home: uint32(w), Kind: agas.KindData, Seq: uint64(i)}
 				s.Put(g, i)
-				if v, ok := s.Get(g); !ok || v.(int) != i {
+				if res, ok := s.Lookup(g); !ok || res.V.(int) != i {
 					t.Errorf("lost write %v", g)
 					return
 				}

@@ -22,21 +22,25 @@ func fuzzSeeds() []*Parcel {
 		{ID: 123, Dest: agas.GID{Home: 5, Kind: agas.KindHardware, Seq: ^uint64(0)},
 			Action: "hw.ping", Src: 4, Hops: 3},
 		// Boundary shapes: args big enough to dominate the frame, a
-		// continuation stack at the wire limit, and an empty-args parcel
-		// (Args must come back nil, not empty).
+		// continuation stack deeper than a call's one reply, and an
+		// empty-args parcel (Args must come back nil, not empty). Seeds
+		// stay small: the fuzzer minimizes every new interesting input
+		// for up to a minute, and inputs bred from a 4 KB or larger seed
+		// took whole 30 s runs to minimize. The wire-limit stack is
+		// checked by TestEncodeEnforcesWireLimits instead.
 		New(agas.GID{Home: 2, Kind: agas.KindData, Seq: 77}, "bulk",
-			bytes.Repeat([]byte{0xa5}, 4096)),
-		maxContParcel(),
+			bytes.Repeat([]byte{0xa5}, 256)),
+		contParcel(3),
 		New(agas.GID{Home: 6, Kind: agas.KindProcess, Seq: 8}, "spawn", nil,
 			Continuation{Target: agas.GID{Home: 6, Kind: agas.KindLCO, Seq: 9}, Action: "join"}),
 	}
 }
 
-// maxContParcel builds a parcel with a continuation stack at the wire
-// limit, every entry distinct.
-func maxContParcel() *Parcel {
+// contParcel builds a parcel with a continuation stack n deep, every
+// entry distinct.
+func contParcel(n int) *Parcel {
 	p := New(agas.GID{Home: 1, Kind: agas.KindData, Seq: 2}, "fanout", []byte{1})
-	for i := 0; i < MaxContinuations; i++ {
+	for i := 0; i < n; i++ {
 		p.Cont = append(p.Cont, Continuation{
 			Target: agas.GID{Home: uint32(i), Kind: agas.KindLCO, Seq: uint64(i)},
 			Action: "collect",
@@ -161,6 +165,10 @@ func TestEncodeEnforcesWireLimits(t *testing.T) {
 	q, _, err := Decode(p.Encode(nil))
 	if err != nil || q.Action != p.Action {
 		t.Fatalf("limit-sized action did not round trip: %v", err)
+	}
+	deep := contParcel(MaxContinuations)
+	if q, _, err = Decode(deep.Encode(nil)); err != nil || !parcelEqual(q, deep) {
+		t.Fatalf("limit-deep continuation stack did not round trip: %v", err)
 	}
 }
 

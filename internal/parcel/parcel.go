@@ -126,9 +126,10 @@ func (p *Parcel) PopContinuation() (Continuation, bool) {
 	return c, true
 }
 
-// String renders the parcel for logs.
+// String renders the parcel for logs, with at most 64 characters of its
+// action name.
 func (p *Parcel) String() string {
-	return fmt.Sprintf("parcel#%d %s->%v args=%dB cont=%d", p.ID, p.Action, p.Dest, len(p.Args), len(p.Cont))
+	return fmt.Sprintf("parcel#%d %.64s->%v args=%dB cont=%d", p.ID, p.Action, p.Dest, len(p.Args), len(p.Cont))
 }
 
 // Wire format:
