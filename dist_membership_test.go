@@ -151,10 +151,10 @@ func TestDistMembershipNodeDeath(t *testing.T) {
 		t.Fatalf("node 0 did not adopt localities 4,5: members %+v", rts[0].Members())
 	}
 	// The adopter starts locality 4's reply slots afresh, so its first call
-	// from there sits in the slot index and generation the corpse's call
-	// had. The corpse's reply, released now, routes to locality 4's new
-	// host; it names node 2 as its minter and must not resolve node 0's
-	// slot.
+	// from there may sit in the stripe, slot index and generation the
+	// corpse's call had. The corpse's reply, released now, routes to
+	// locality 4's new host; it names node 2 as its minter and must not
+	// resolve node 0's slot.
 	mine := rts[0].CallFrom(4, held, "dist.hold", parallex.NewArgs().Int64(2).Encode())
 	<-entered
 	close(release[1])

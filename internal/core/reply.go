@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/agas"
@@ -16,18 +17,28 @@ import (
 // answers from the GID alone, on every node), and a Seq this file alone
 // interprets:
 //
-//	node (12 bits) | slot index (20 bits) | generation (32 bits)
+//	node (12 bits) | stripe (4 bits) | slot index (16 bits) | generation (32 bits)
 //
-// The index picks a slot in the home locality's table; the generation,
-// bumped every time the slot is handed out, tells the one reply the slot
-// waits for from every earlier holder's late one. The node is the process
-// that minted the name: after a death the adopter of the home locality
-// starts that locality's table afresh, and a reply to the corpse's slots
-// must not land in it.
+// The stripe and index pick a slot in the home locality's table; the
+// generation, bumped every time the slot is handed out, tells the one reply
+// the slot waits for from every earlier holder's late one. The node is the
+// process that minted the name: after a death the adopter of the home
+// locality starts that locality's table afresh, and a reply to the corpse's
+// slots must not land in it.
+//
+// A locality's table is striped because every CPU that calls from the
+// locality opens and takes a slot per call, and a single mutex and free
+// list would be written by all of them. Each stripe has its own mutex,
+// slots and free list on cache lines of its own, and a call opens on the
+// stripe of the P it runs on (pickStripe), so on a node-local call the
+// slot is opened and taken on the same CPU.
 const (
-	replyGenBits  = 32
-	replyIdxBits  = 20
-	maxReplySlots = 1 << replyIdxBits
+	replyGenBits    = 32
+	replyIdxBits    = 16
+	replyStripeBits = 4
+	replyStripes    = 1 << replyStripeBits
+	maxStripeSlots  = 1 << replyIdxBits
+	maxReplySlots   = replyStripes * maxStripeSlots
 )
 
 // noDep marks a slot whose reply can only come from this node.
@@ -41,84 +52,138 @@ type replySlot struct {
 	gen   uint32
 }
 
-// replyTable holds one locality's reply slots. Slots are recycled LIFO, so
-// the table grows to the locality's peak of outstanding replies and no
-// further. The mutex is held for a handful of loads and stores per call;
-// it stands where the directory's sync.Map store and delete used to.
-type replyTable struct {
+// replyStripe is one stripe of a locality's reply slots. Slots are recycled
+// LIFO, so a stripe grows to its peak of outstanding replies and no
+// further. The mutex is held for a handful of loads and stores per call.
+type replyStripe struct {
 	mu    sync.Mutex
 	slots []replySlot
 	free  []uint32
+	_     [128 - 56]byte // stripes 128 bytes apart never share a cache line
+}
+
+// replyTable holds one locality's reply slots.
+type replyTable struct {
+	stripes [replyStripes]replyStripe
+}
+
+// stripeToken carries a stripe number. stripeTokens hands the same token
+// back to the P that put it, from the P's private pool slot, so a P keeps
+// its stripe without a shared write; a P whose token was lost to the
+// garbage collector gets a new one, numbered round-robin.
+type stripeToken struct{ stripe int }
+
+var (
+	nextStripe   atomic.Uint32
+	stripeTokens = sync.Pool{New: func() any {
+		return &stripeToken{stripe: int(nextStripe.Add(1) % replyStripes)}
+	}}
+)
+
+// pickStripe returns the stripe of the calling goroutine's P.
+func pickStripe() int {
+	tok := stripeTokens.Get().(*stripeToken)
+	st := tok.stripe
+	stripeTokens.Put(tok)
+	return st
 }
 
 // open hands out a slot for fut and returns the Seq naming it, or false
-// when maxReplySlots replies are already outstanding.
-func (t *replyTable) open(node int, fut *lco.Future, start time.Time, dep int) (uint64, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+// when maxReplySlots replies are already outstanding. It opens on stripe
+// home — the caller's, pickStripe — or, when that one is full, on the next
+// one in order with room.
+func (t *replyTable) open(home, node int, fut *lco.Future, start time.Time, dep int) (uint64, bool) {
+	for k := 0; k < replyStripes; k++ {
+		if seq, ok := t.openStripe((home+k)%replyStripes, node, fut, start, dep); ok {
+			return seq, true
+		}
+	}
+	return 0, false
+}
+
+// openStripe is open on stripe st alone.
+func (t *replyTable) openStripe(st, node int, fut *lco.Future, start time.Time, dep int) (uint64, bool) {
+	p := &t.stripes[st]
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	var i uint32
-	if n := len(t.free); n > 0 {
-		i = t.free[n-1]
-		t.free = t.free[:n-1]
-	} else if len(t.slots) < maxReplySlots {
-		i = uint32(len(t.slots))
-		t.slots = append(t.slots, replySlot{})
+	if n := len(p.free); n > 0 {
+		i = p.free[n-1]
+		p.free = p.free[:n-1]
+	} else if len(p.slots) < maxStripeSlots {
+		i = uint32(len(p.slots))
+		p.slots = append(p.slots, replySlot{})
 	} else {
 		return 0, false
 	}
-	s := &t.slots[i]
+	s := &p.slots[i]
 	*s = replySlot{fut: fut, start: start, dep: dep, gen: s.gen + 1}
-	return uint64(node)<<(replyIdxBits+replyGenBits) | uint64(i)<<replyGenBits | uint64(s.gen), true
+	return uint64(node)<<(replyStripeBits+replyIdxBits+replyGenBits) |
+		uint64(st)<<(replyIdxBits+replyGenBits) | uint64(i)<<replyGenBits | uint64(s.gen), true
+}
+
+// replyStripeOf returns the stripe a reply Seq names.
+func replyStripeOf(seq uint64) int {
+	return int(seq>>(replyIdxBits+replyGenBits)) & (replyStripes - 1)
 }
 
 // take empties the slot seq names and returns what it held. It reports
 // false for a name minted by another node, and for one whose slot has
 // since been resolved or handed out again: each slot is taken once.
 func (t *replyTable) take(node int, seq uint64) (replySlot, bool) {
-	if int(seq>>(replyIdxBits+replyGenBits)) != node {
+	if int(seq>>(replyStripeBits+replyIdxBits+replyGenBits)) != node {
 		return replySlot{}, false
 	}
-	i := uint32(seq>>replyGenBits) & (maxReplySlots - 1)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if int(i) >= len(t.slots) {
+	p := &t.stripes[replyStripeOf(seq)]
+	i := uint32(seq>>replyGenBits) & (maxStripeSlots - 1)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if int(i) >= len(p.slots) {
 		return replySlot{}, false
 	}
-	s := &t.slots[i]
+	s := &p.slots[i]
 	if s.fut == nil || s.gen != uint32(seq) {
 		return replySlot{}, false
 	}
-	return t.release(i), true
+	return p.release(i), true
 }
 
 // takeNode empties every slot waiting on node.
 func (t *replyTable) takeNode(node int) []replySlot {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	var lost []replySlot
-	for i := range t.slots {
-		if s := &t.slots[i]; s.fut != nil && s.dep == node {
-			lost = append(lost, t.release(uint32(i)))
+	for st := range t.stripes {
+		p := &t.stripes[st]
+		p.mu.Lock()
+		for i := range p.slots {
+			if s := &p.slots[i]; s.fut != nil && s.dep == node {
+				lost = append(lost, p.release(uint32(i)))
+			}
 		}
+		p.mu.Unlock()
 	}
 	return lost
 }
 
 // release frees slot i, keeping its generation, and returns what it held.
-// The caller holds t.mu.
-func (t *replyTable) release(i uint32) replySlot {
-	s := &t.slots[i]
+// The caller holds p.mu.
+func (p *replyStripe) release(i uint32) replySlot {
+	s := &p.slots[i]
 	held := *s
 	s.fut = nil
-	t.free = append(t.free, i)
+	p.free = append(p.free, i)
 	return held
 }
 
 // live reports how many slots are outstanding.
 func (t *replyTable) live() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.slots) - len(t.free)
+	n := 0
+	for st := range t.stripes {
+		p := &t.stripes[st]
+		p.mu.Lock()
+		n += len(p.slots) - len(p.free)
+		p.mu.Unlock()
+	}
+	return n
 }
 
 // openReply creates the one-shot future of a split-phase exchange issued
@@ -135,7 +200,7 @@ func (r *Runtime) openReply(src int, dep agas.GID, start time.Time) (agas.GID, *
 			node = n
 		}
 	}
-	seq, ok := r.replies[src].open(r.NodeID(), fut, start, node)
+	seq, ok := r.replies[src].open(pickStripe(), r.NodeID(), fut, start, node)
 	if !ok {
 		_ = fut.Fail(fmt.Errorf("core: locality %d has %d replies outstanding", src, maxReplySlots))
 		return agas.Nil, fut

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/agas"
 	"repro/internal/lco"
@@ -19,23 +20,27 @@ func replyCounters(r *Runtime) (stale, live float64) {
 	return snap["px.reply.stale"], snap["px.reply.slots_live"]
 }
 
-// TestReplyTableRecyclesSlots: a table grows to the peak of outstanding
+// TestReplyTableRecyclesSlots: a stripe grows to the peak of outstanding
 // replies and no further, every slot is taken exactly once, and a name is
 // dead the moment its slot is — whether or not the slot has a new holder.
+// It opens on one stripe, so the second open's reuse is certain.
 func TestReplyTableRecyclesSlots(t *testing.T) {
 	var tab replyTable
-	const node = 3
+	const node, st = 3, 5
 	f1, f2 := lco.NewFuture(), lco.NewFuture()
-	s1, ok1 := tab.open(node, f1, time.Time{}, noDep)
-	s2, ok2 := tab.open(node, f2, time.Time{}, 5)
+	s1, ok1 := tab.openStripe(st, node, f1, time.Time{}, noDep)
+	s2, ok2 := tab.openStripe(st, node, f2, time.Time{}, 5)
 	if !ok1 || !ok2 || s1 == s2 || tab.live() != 2 {
 		t.Fatalf("open: %#x %v, %#x %v, %d live", s1, ok1, s2, ok2, tab.live())
+	}
+	if replyStripeOf(s1) != st || replyStripeOf(s2) != st {
+		t.Fatalf("names %#x and %#x opened on stripe %d name stripes %d and %d", s1, s2, st, replyStripeOf(s1), replyStripeOf(s2))
 	}
 	if _, ok := tab.take(node+1, s1); ok {
 		t.Fatal("a name minted by another node took a slot")
 	}
 	if _, ok := tab.take(node, s1+2<<replyGenBits); ok {
-		t.Fatal("a name beyond the table took a slot")
+		t.Fatal("a name beyond the stripe took a slot")
 	}
 	if got, ok := tab.take(node, s1); !ok || got.fut != f1 {
 		t.Fatalf("take = %+v, %v; want the first future", got, ok)
@@ -44,9 +49,9 @@ func TestReplyTableRecyclesSlots(t *testing.T) {
 		t.Fatal("a spent name took its slot twice")
 	}
 	f3 := lco.NewFuture()
-	s3, _ := tab.open(node, f3, time.Time{}, 5)
-	if s3>>replyGenBits != s1>>replyGenBits || uint32(s3) != uint32(s1)+1 || len(tab.slots) != 2 {
-		t.Fatalf("reopened %#x after %#x in a table of %d: want the same slot, next generation", s3, s1, len(tab.slots))
+	s3, _ := tab.openStripe(st, node, f3, time.Time{}, 5)
+	if s3>>replyGenBits != s1>>replyGenBits || uint32(s3) != uint32(s1)+1 || len(tab.stripes[st].slots) != 2 {
+		t.Fatalf("reopened %#x after %#x in a stripe of %d: want the same stripe and slot, next generation", s3, s1, len(tab.stripes[st].slots))
 	}
 	if _, ok := tab.take(node, s1); ok {
 		t.Fatal("the previous holder's name took the recycled slot")
@@ -57,6 +62,187 @@ func TestReplyTableRecyclesSlots(t *testing.T) {
 	if _, ok := tab.take(node, s2); ok {
 		t.Fatal("a slot failed by a death was taken again")
 	}
+}
+
+// TestReplyTableStripes: a full stripe spills into the next, names opened
+// and taken on many goroutines are each taken exactly once, and takeNode
+// and live see every stripe.
+func TestReplyTableStripes(t *testing.T) {
+	if size := unsafe.Sizeof(replyStripe{}); size != 128 {
+		t.Fatalf("a stripe is %d bytes; want 128, so no two stripes share a cache line", size)
+	}
+	const node = 7
+
+	t.Run("spill", func(t *testing.T) {
+		var tab replyTable
+		const full = replyStripes - 1
+		for i := 0; i < maxStripeSlots; i++ {
+			if _, ok := tab.openStripe(full, node, lco.NewFuture(), time.Time{}, noDep); !ok {
+				t.Fatalf("stripe %d refused slot %d of %d", full, i, maxStripeSlots)
+			}
+		}
+		if _, ok := tab.openStripe(full, node, lco.NewFuture(), time.Time{}, noDep); ok {
+			t.Fatalf("stripe %d handed out slot %d", full, maxStripeSlots)
+		}
+		fut := lco.NewFuture()
+		seq, ok := tab.open(full, node, fut, time.Time{}, noDep)
+		if !ok || replyStripeOf(seq) != 0 || seq>>(replyStripeBits+replyIdxBits+replyGenBits) != node ||
+			uint32(seq>>replyGenBits)&(maxStripeSlots-1) != 0 || uint32(seq) != 1 {
+			t.Fatalf("open from the full stripe %d = %#x, %v; want node %d, stripe 0, slot 0, generation 1", full, seq, ok, node)
+		}
+		if got, ok := tab.take(node, seq); !ok || got.fut != fut {
+			t.Fatalf("take of the spilled name = %+v, %v; want its future", got, ok)
+		}
+		if n := tab.live(); n != maxStripeSlots {
+			t.Fatalf("%d live, want the %d of the full stripe", n, maxStripeSlots)
+		}
+	})
+
+	t.Run("concurrent", func(t *testing.T) {
+		var tab replyTable
+		type name struct {
+			seq uint64
+			fut *lco.Future
+		}
+		const goroutines, each = 8, 2000
+		names := make(chan name, 64)
+		var openers, takers sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			openers.Add(1)
+			go func(g int) {
+				defer openers.Done()
+				for i := 0; i < each; i++ {
+					home := g % replyStripes
+					if i%2 == 0 {
+						home = pickStripe()
+					}
+					fut := lco.NewFuture()
+					seq, ok := tab.open(home, node, fut, time.Time{}, noDep)
+					if !ok {
+						t.Error("open refused a slot")
+						return
+					}
+					names <- name{seq, fut}
+				}
+			}(g)
+		}
+		var taken atomic.Int64
+		for g := 0; g < goroutines; g++ {
+			takers.Add(1)
+			go func() {
+				defer takers.Done()
+				for n := range names {
+					if got, ok := tab.take(node, n.seq); !ok || got.fut != n.fut {
+						t.Errorf("take(%#x) = %+v, %v; want its own future", n.seq, got, ok)
+						continue
+					}
+					if _, ok := tab.take(node, n.seq); ok {
+						t.Errorf("%#x taken twice", n.seq)
+					}
+					taken.Add(1)
+				}
+			}()
+		}
+		openers.Wait()
+		close(names)
+		takers.Wait()
+		if got := taken.Load(); got != goroutines*each || tab.live() != 0 {
+			t.Fatalf("%d names taken, %d live; want %d and 0", got, tab.live(), goroutines*each)
+		}
+	})
+
+	t.Run("refused", func(t *testing.T) {
+		var tab replyTable
+		seq, _ := tab.openStripe(3, node, lco.NewFuture(), time.Time{}, noDep)
+		if _, ok := tab.take(node+1, seq); ok {
+			t.Fatal("a name minted by another node took a slot")
+		}
+		other := seq&^(uint64(replyStripes-1)<<(replyIdxBits+replyGenBits)) | 4<<(replyIdxBits+replyGenBits)
+		if _, ok := tab.take(node, other); ok {
+			t.Fatal("a name for an empty stripe took a slot")
+		}
+		if _, ok := tab.take(node, seq); !ok {
+			t.Fatal("the name's own slot was not taken")
+		}
+		if _, ok := tab.take(node, seq); ok {
+			t.Fatal("a spent name took its slot twice")
+		}
+	})
+
+	t.Run("takeNode and live", func(t *testing.T) {
+		var tab replyTable
+		const dead = 5
+		doomed := make([]uint64, replyStripes)
+		kept := make([]uint64, replyStripes)
+		for st := 0; st < replyStripes; st++ {
+			doomed[st], _ = tab.openStripe(st, node, lco.NewFuture(), time.Time{}, dead)
+			kept[st], _ = tab.openStripe(st, node, lco.NewFuture(), time.Time{}, noDep)
+		}
+		if n := tab.live(); n != 2*replyStripes {
+			t.Fatalf("%d live, want %d", n, 2*replyStripes)
+		}
+		if lost := tab.takeNode(dead); len(lost) != replyStripes || tab.live() != replyStripes {
+			t.Fatalf("takeNode(%d) = %d slots, %d still live; want %d and %d", dead, len(lost), tab.live(), replyStripes, replyStripes)
+		}
+		for st := 0; st < replyStripes; st++ {
+			if _, ok := tab.take(node, doomed[st]); ok {
+				t.Fatalf("stripe %d: a slot failed by a death was taken again", st)
+			}
+			if _, ok := tab.take(node, kept[st]); !ok {
+				t.Fatalf("stripe %d: takeNode emptied a slot waiting on no node", st)
+			}
+		}
+		if n := tab.live(); n != 0 {
+			t.Fatalf("%d live, want 0", n)
+		}
+	})
+}
+
+// TestReplyOpenTakeAllocatesNothing: once a stripe has grown and the
+// caller's P holds its stripe token, opening and taking a slot allocate
+// nothing.
+func TestReplyOpenTakeAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector randomizes sync.Pool reuse; exact alloc counts only hold without -race")
+	}
+	var tab replyTable
+	fut := lco.NewFuture()
+	openTake := func() {
+		seq, ok := tab.open(pickStripe(), 1, fut, time.Time{}, noDep)
+		if !ok {
+			t.Fatal("open refused a slot")
+		}
+		if _, ok := tab.take(1, seq); !ok {
+			t.Fatalf("take(%#x) refused its own name", seq)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		openTake()
+	}
+	if allocs := testing.AllocsPerRun(1000, openTake); allocs != 0 {
+		t.Fatalf("open and take allocate %v times per call; want 0", allocs)
+	}
+}
+
+// BenchmarkReplyOpenTake opens and takes a slot of one locality's table on
+// every P at once: the pair every split-phase call pays.
+func BenchmarkReplyOpenTake(b *testing.B) {
+	var tab replyTable
+	fut := lco.NewFuture()
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			seq, ok := tab.open(pickStripe(), 1, fut, time.Time{}, noDep)
+			if !ok {
+				b.Error("open refused a slot")
+				return
+			}
+			if _, ok := tab.take(1, seq); !ok {
+				b.Errorf("take(%#x) refused its own name", seq)
+				return
+			}
+		}
+	})
 }
 
 // TestReplyNamesStayOutOfAGAS: a reply name is addressable but not
@@ -281,14 +467,21 @@ func TestLedgerReplayedReplyMissesRecycledSlot(t *testing.T) {
 	m.wantEcho(t, first)
 	m.wait(t)
 
-	// The freed slot goes to a wait on an LCO nothing sets yet.
-	tab := &m.rts[0].replies[0]
-	pending := m.rts[0].NewDistFutureAt(0)
-	second := m.rts[0].WaitLCO(0, pending)
-	m.wait(t)
-	if len(tab.slots) != 1 || tab.live() != 1 {
-		t.Fatalf("table has %d slots, %d live; want the one slot recycled", len(tab.slots), tab.live())
+	// The freed slot goes to a new holder that nothing resolves yet. It is
+	// opened on the first call's stripe, whose free list hands out the slot
+	// just freed, whichever P the test runs on.
+	spent, _, err := agas.DecodeGID(reply[1+8:]) // kind byte, parcel ID, then the destination
+	if err != nil || spent.Kind != agas.KindReply || spent.Home != 0 {
+		t.Fatalf("the held frame is addressed to %v (%v); want a reply slot of locality 0", spent, err)
 	}
+	rt := m.rts[0]
+	tab := &rt.replies[0]
+	second := lco.NewFuture()
+	seq, _ := tab.openStripe(replyStripeOf(spent.Seq), rt.NodeID(), second, time.Time{}, noDep)
+	if seq>>replyGenBits != spent.Seq>>replyGenBits || uint32(seq) != uint32(spent.Seq)+1 || tab.live() != 1 {
+		t.Fatalf("reopened %#x after %#x, %d live: want the same stripe and slot, next generation, and one live", seq, spent.Seq, tab.live())
+	}
+	name := agas.GID{Home: 0, Kind: agas.KindReply, Seq: seq}
 
 	// Replay, booked as a send so the ledger still balances: wait returns
 	// once node 0 has received the frame and finished with it.
@@ -307,7 +500,7 @@ func TestLedgerReplayedReplyMissesRecycledSlot(t *testing.T) {
 		t.Fatalf("the stale reply was recorded as an error: %v", errs)
 	}
 
-	if err := m.rts[0].SetLCO(0, pending, int64(9)); err != nil {
+	if err := m.rts[0].SetLCO(0, name, int64(9)); err != nil {
 		t.Fatal(err)
 	}
 	if v, err := second.Get(); err != nil || v.(int64) != 9 {
