@@ -205,13 +205,13 @@ func TestCacheHitAccounting(t *testing.T) {
 	there := GID{Home: 3, Kind: KindData, Seq: 7}
 	for i := 1; i <= 3; i++ {
 		s.ResolveCached(1, here)
-		if res, hits := s.Resolutions.Load(), s.CacheHits.Load(); res != uint64(i) || hits != 0 {
+		if res, hits := s.Resolutions.Value(), s.CacheHits.Value(); res != int64(i) || hits != 0 {
 			t.Fatalf("after %d resolves of a name homed here: resolutions %d hits %d", i, res, hits)
 		}
 	}
 	for i := 1; i <= 3; i++ {
 		s.ResolveCached(1, there)
-		if res, hits := s.Resolutions.Load(), s.CacheHits.Load(); res != 3 || hits != uint64(i) {
+		if res, hits := s.Resolutions.Value(), s.CacheHits.Value(); res != 3 || hits != int64(i) {
 			t.Fatalf("after %d resolves of a name homed away: resolutions %d hits %d", i, res, hits)
 		}
 	}
@@ -220,7 +220,7 @@ func TestCacheHitAccounting(t *testing.T) {
 	s.ResolveCached(0, there)
 	s.ResolveAuthoritative(0, there)
 	s.ResolveAuthoritative(0, here)
-	if res, hits := s.Resolutions.Load(), s.CacheHits.Load(); res != 4 || hits != 5 {
+	if res, hits := s.Resolutions.Value(), s.CacheHits.Value(); res != 4 || hits != 5 {
 		t.Fatalf("resolutions %d hits %d; want 4 and 5", res, hits)
 	}
 }
@@ -245,7 +245,7 @@ func TestReplyNamesResolveToTheirHome(t *testing.T) {
 		}
 		s.Free(g)
 	}
-	if res, hits := s.Resolutions.Load(), s.CacheHits.Load(); res != 0 || hits != 4 {
+	if res, hits := s.Resolutions.Value(), s.CacheHits.Value(); res != 0 || hits != 4 {
 		t.Fatalf("resolutions %d hits %d; want 0 and 4", res, hits)
 	}
 	m.MarkDead(1)

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/metrics"
 )
 
 // entry is one versioned ownership record: the locality currently owning
@@ -173,11 +175,12 @@ type Service struct {
 	// import, a forwarding pointer, a hint, or the home the name carries).
 	// Locate books every translation exactly once. The ratio is the
 	// address translation efficiency the paper's "efficient address
-	// translation" requirement refers to. Forwards counts stale-translation
-	// repairs (each Invalidate), so it bounds how many forwarded hops
-	// parcels took.
-	Resolutions atomic.Uint64
-	CacheHits   atomic.Uint64
+	// translation" requirement refers to. Both are striped by the
+	// caller's shard, as every translation on a call's path counts one.
+	// Forwards counts stale-translation repairs (each Invalidate), so it
+	// bounds how many forwarded hops parcels took.
+	Resolutions metrics.Striped
+	CacheHits   metrics.Striped
 	Forwards    atomic.Uint64
 }
 
@@ -370,8 +373,13 @@ func (s *Service) Owner(g GID) (int, error) {
 // locality the name carries, at generation 0 — the parcel layer then
 // routes toward it and the owning node completes resolution. A reply name
 // (KindReply) is in none of the tables and never moves: its answer is the
-// home it carries, on every node.
-func (s *Service) Locate(g GID) (int, uint64, error) {
+// home it carries, on every node. It counts on shard 0 (see LocateAt).
+func (s *Service) Locate(g GID) (int, uint64, error) { return s.LocateAt(0, g) }
+
+// LocateAt is Locate for a caller on shard (see parcel.Shard): the
+// translation is counted on that shard's stripe of CacheHits or
+// Resolutions.
+func (s *Service) LocateAt(shard int, g GID) (int, uint64, error) {
 	if g.IsNil() {
 		return 0, 0, fmt.Errorf("agas: resolve of nil GID")
 	}
@@ -381,21 +389,21 @@ func (s *Service) Locate(g GID) (int, uint64, error) {
 		return 0, 0, fmt.Errorf("agas: %v homed beyond machine (%d localities)", g, sh.n)
 	}
 	if g.Kind == KindReply {
-		s.CacheHits.Add(1)
+		s.CacheHits.AddAt(shard, 1)
 		return home, 0, nil
 	}
 	if e, ok := s.imports.get(g); ok {
-		s.CacheHits.Add(1)
+		s.CacheHits.AddAt(shard, 1)
 		return e.owner, e.gen, nil
 	}
 	if !s.resident(home) {
-		s.CacheHits.Add(1)
+		s.CacheHits.AddAt(shard, 1)
 		if e, ok := s.forwards.get(g); ok {
 			return e.owner, e.gen, nil
 		}
 		return home, 0, nil
 	}
-	s.Resolutions.Add(1)
+	s.Resolutions.AddAt(shard, 1)
 	e, ok := sh.dirs[home].load(g)
 	if !ok {
 		// A miss in an adopted directory shard is not "never existed":
@@ -415,10 +423,14 @@ func (s *Service) Locate(g GID) (int, uint64, error) {
 // toward home — the hint table. A hinted answer may be stale if the object
 // has since moved again; callers discover that when the presumed owner
 // misses the access, and then Invalidate and retry — the forwarding path
-// counted by Forwards. Every read on the way is a lock-free load.
-func (s *Service) ResolveCached(from int, g GID) (int, error) {
+// counted by Forwards. Every read on the way is a lock-free load. It counts
+// on shard 0 (see ResolveCachedAt).
+func (s *Service) ResolveCached(from int, g GID) (int, error) { return s.ResolveCachedAt(0, from, g) }
+
+// ResolveCachedAt is ResolveCached for a parcel on shard (LocateAt).
+func (s *Service) ResolveCachedAt(shard, from int, g GID) (int, error) {
 	s.checkLoc(from)
-	owner, gen, err := s.Locate(g)
+	owner, gen, err := s.LocateAt(shard, g)
 	if err == nil && gen == 0 && g.Kind != KindReply {
 		if e, ok := s.hints.get(g); ok {
 			owner = e.owner

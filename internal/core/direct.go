@@ -89,8 +89,10 @@ func (r *Runtime) runsDirect(loc int, p *parcel.Parcel) bool {
 	if len(p.Cont) > 1 || (len(p.Cont) == 1 && p.Cont[0].Target.Kind != agas.KindReply) {
 		return false
 	}
-	if _, shed := r.sheddable[p.Action]; shed && r.cfg.AdmitLimit > 0 {
-		return false
+	if r.cfg.AdmitLimit > 0 {
+		if _, shed := r.sheddable[p.Action]; shed {
+			return false
+		}
 	}
 	return true
 }

@@ -126,7 +126,9 @@ func (d *distState) onFrame(from int, frame []byte) {
 		d.rt.recordError(fmt.Errorf("core: unknown frame type %d from node %d", kind, from))
 		return
 	}
-	env := frameEnv{width: d.lmap.Localities()}
+	// Every parcel read from one peer takes the same shard, so the peer's
+	// read goroutines pick once, not once per frame.
+	env := frameEnv{width: d.lmap.Localities(), shard: from % parcel.Shards}
 	if kind == fParcel && ps != nil {
 		// Without the sender's announcement (its hello was rejected) the
 		// table stays nil, and a parcel naming a table position fails to
@@ -198,7 +200,7 @@ func (d *distState) countParcel(from int) {
 func (d *distState) onParcel(from int, p *parcel.Parcel) {
 	d.rt.addWork()
 	d.countParcel(from)
-	owner, gen, err := d.resolveHere(p.Dest)
+	owner, gen, err := d.resolveHere(p)
 	d.rt.emitSpan(trace.SpanWireRecv, d.home, &p.Trace, p.Action)
 	d.deliver(from, p, owner, gen, err)
 }
@@ -208,8 +210,8 @@ func (d *distState) onParcel(from int, p *parcel.Parcel) {
 // with the next hop. It deliberately never reads a hint, since a
 // second-hand verdict must not be taught onward as a "moved" verdict.
 // Unknown names report the error.
-func (d *distState) resolveHere(g agas.GID) (owner int, gen uint64, err error) {
-	return d.rt.agas.Locate(g)
+func (d *distState) resolveHere(p *parcel.Parcel) (owner int, gen uint64, err error) {
+	return d.rt.agas.LocateAt(int(p.Shard), p.Dest)
 }
 
 // deliver routes a parcel received from node from — already resolved to
@@ -356,8 +358,8 @@ func (d *distState) sendParcel(node, src int, p *parcel.Parcel, noWait bool) {
 		d.rt.deliverFailure(src, p, fmt.Errorf("core: transport to node %d: %w", node, err))
 		return
 	}
+	d.rt.slow.ParcelsSent.AddAt(int(p.Shard), 1)
 	parcel.Release(p)
-	d.rt.slow.ParcelsSent.Inc()
 	d.rt.doneWork()
 }
 

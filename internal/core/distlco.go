@@ -361,7 +361,7 @@ func (r *Runtime) SubscribeLCO(src int, g agas.GID, w Waiter) {
 // Free on another lane, so wait before freeing, not after.
 func (r *Runtime) WaitLCO(src int, g agas.GID) *lco.Future {
 	r.checkResident(src)
-	reply, fut := r.openReply(src, g, time.Time{})
+	reply, fut := r.openReply(src, pickStripe(), g, time.Time{})
 	if !reply.IsNil() {
 		r.SubscribeLCO(src, g, Waiter{Target: reply, Op: TrigSet})
 	}

@@ -62,6 +62,7 @@ type loadEntry struct {
 // frameEnv is everything a decoder knows beyond the bytes.
 type frameEnv struct {
 	tbl   parcel.Table // the sender's announced action table (fParcel)
+	shard int          // the shard a decoded parcel takes, fixed per sending node (fParcel)
 	width int          // machine width: fLoad reports only localities below it
 }
 
@@ -212,7 +213,7 @@ func oversizedAction(p *parcel.Parcel) (string, bool) {
 // wire form never leaves trailing bytes, so what follows it is nothing or
 // one trace trailer.
 func decodeParcel(b []byte, env frameEnv) (frameMsg, error) {
-	p, rest, err := parcel.DecodePooledInterned(b, env.tbl)
+	p, rest, err := parcel.DecodePooledInterned(b, env.tbl, env.shard)
 	if err == nil {
 		c := cursor{b: rest}
 		p.Trace = c.trace()

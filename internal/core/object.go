@@ -160,7 +160,7 @@ func (r *Runtime) migrateLocked(g agas.GID, v any, from, to int, newGen uint64) 
 		}
 		r.loc(to).Store().Put(g, v)
 	} else {
-		p := parcel.Acquire(r.LocalityGID(to), ActionAGASInstall, nil, parcel.Continuation{Action: ActionLCOSet})
+		p := parcel.AcquireOn(pickStripe(), r.LocalityGID(to), ActionAGASInstall, nil, parcel.Continuation{Action: ActionLCOSet})
 		a := p.OwnArgs().GID(g).Uint64(newGen).Int64(int64(destNode))
 		if err := a.Value(v); err != nil {
 			parcel.Release(p)
@@ -189,7 +189,7 @@ func (r *Runtime) migrateLocked(g agas.GID, v any, from, to int, newGen uint64) 
 	if r.nodeOf(int(g.Home)) == r.NodeID() {
 		commitErr = r.agas.CommitMigration(g, to, newGen)
 	} else {
-		p := parcel.Acquire(r.LocalityGID(int(g.Home)), ActionAGASCommit, nil, parcel.Continuation{Action: ActionLCOSet})
+		p := parcel.AcquireOn(pickStripe(), r.LocalityGID(int(g.Home)), ActionAGASCommit, nil, parcel.Continuation{Action: ActionLCOSet})
 		p.Args = p.OwnArgs().GID(g).Int64(int64(to)).Uint64(newGen).Encode()
 		if _, err := r.agasCall(from, p); err != nil {
 			r.recordError(fmt.Errorf("core: migrate of %v: directory commit: %w", g, err))
@@ -348,6 +348,11 @@ func approxSize(v any) int {
 // split-phase transaction at the heart of the model: the caller does not
 // block; the parcel carries a continuation naming the future's reply slot
 // (see reply.go). Its parcel's ID decides whether SLOW clocks it.
+//
+// The call picks its shard once, here: the parcel carries it (Shard), and
+// everything the call writes node-wide — the parcel's ID and pool
+// accounting, the SLOW and AGAS counters, the reply stripe — indexes by
+// it, and so does every continuation of the chain.
 func (r *Runtime) CallFrom(src int, dest agas.GID, action string, args []byte) *lco.Future {
 	return r.callFrom(src, dest, action, args, false)
 }
@@ -356,7 +361,7 @@ func (r *Runtime) CallFrom(src int, dest agas.GID, action string, args []byte) *
 // sendFrom).
 func (r *Runtime) callFrom(src int, dest agas.GID, action string, args []byte, noWait bool) *lco.Future {
 	r.checkResident(src)
-	p := parcel.Acquire(dest, action, args, parcel.Continuation{Action: ActionLCOSet})
+	p := parcel.AcquireOn(pickStripe(), dest, action, args, parcel.Continuation{Action: ActionLCOSet})
 	_, fut := r.call(src, p, slowClock(p.ID), noWait)
 	return fut
 }
@@ -364,9 +369,10 @@ func (r *Runtime) callFrom(src int, dest agas.GID, action string, args []byte, n
 // call sends p from resident locality src with a fresh reply slot's name
 // as the target of its one continuation, and returns that name and the
 // slot's future; a nil name means the future has already failed and p was
-// not sent. start is the slot's latency clock (openReply).
+// not sent. The slot is opened on p's shard; start is its latency clock
+// (openReply).
 func (r *Runtime) call(src int, p *parcel.Parcel, start time.Time, noWait bool) (agas.GID, *lco.Future) {
-	reply, fut := r.openReply(src, p.Dest, start)
+	reply, fut := r.openReply(src, int(p.Shard), p.Dest, start)
 	if reply.IsNil() {
 		parcel.Release(p)
 	} else {

@@ -160,8 +160,8 @@ func (r *Runtime) buildMetricsRegistry() *metrics.Registry {
 	})
 
 	// AGAS translation.
-	reg.RegisterFunc("px.agas.resolutions", func() int64 { return int64(r.agas.Resolutions.Load()) })
-	reg.RegisterFunc("px.agas.cache_hits", func() int64 { return int64(r.agas.CacheHits.Load()) })
+	reg.RegisterFunc("px.agas.resolutions", r.agas.Resolutions.Value)
+	reg.RegisterFunc("px.agas.cache_hits", r.agas.CacheHits.Value)
 	reg.RegisterFunc("px.agas.forwards", func() int64 { return int64(r.agas.Forwards.Load()) })
 
 	// Pools: hit rate of the pooled parcel and wire-buffer fast paths.

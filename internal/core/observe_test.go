@@ -1,8 +1,11 @@
 package core
 
 import (
+	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/agas"
 	"repro/internal/parcel"
 	"repro/internal/trace"
 )
@@ -118,5 +121,80 @@ func TestMetricsRegistryMatchesRuntime(t *testing.T) {
 	if snap["px.pool.parcel.hits"] > float64(ph) || snap["px.pool.parcel.misses"] > float64(pm) {
 		t.Fatalf("pool metrics ahead of PoolStats: snap hits=%v misses=%v, now %d/%d",
 			snap["px.pool.parcel.hits"], snap["px.pool.parcel.misses"], ph, pm)
+	}
+}
+
+// TestStripedRegistryValuesExact: the px.* values read from striped cells
+// — SLOW's parcel counters, AGAS's translation counters, the parcel pool's
+// gets — equal the increments made, when calls on every shard count at
+// once from eight goroutines.
+func TestStripedRegistryValuesExact(t *testing.T) {
+	rt := New(Config{Localities: 2, WorkersPerLocality: 2})
+	defer rt.Shutdown()
+	here, there := rt.NewDataAt(0, int64(1)), rt.NewDataAt(1, int64(2))
+	rt.Wait()
+	read := func() map[string]float64 {
+		snap := rt.Metrics().Snapshot()
+		snap["pool.gets"] = snap["px.pool.parcel.hits"] + snap["px.pool.parcel.misses"]
+		return snap
+	}
+	before := read()
+	const goroutines, rounds = 8, 20
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				for s := 0; s < parcel.Shards; s++ {
+					for _, obj := range []agas.GID{here, there} {
+						p := parcel.AcquireOn(s, obj, ActionNop, nil, parcel.Continuation{Action: ActionLCOSet})
+						_, fut := rt.call(0, p, time.Time{}, false)
+						if _, err := fut.Get(); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	rt.Wait()
+	after := read()
+	// Each call sends its request and its reply (two parcels, two threads,
+	// two pool gets) and translates each once: the object in its home
+	// directory, the reply name from the name alone.
+	calls := float64(goroutines * rounds * parcel.Shards)
+	for name, want := range map[string]float64{
+		"px.parcels.local":    2 * calls,
+		"px.parcels.sent":     2 * calls,
+		"px.threads.spawned":  4 * calls,
+		"px.agas.resolutions": 2 * calls,
+		"px.agas.cache_hits":  2 * calls,
+		"pool.gets":           4 * calls, // hits + misses: which one a get is depends on the pool
+	} {
+		if got := after[name] - before[name]; got != want {
+			t.Errorf("%s went up %v, want %v", name, got, want)
+		}
+	}
+}
+
+// TestSlowClockSamplesShardedIDs: slowClock clocks 1 parcel in 64 on every
+// shard, though a shard's IDs advance in steps of parcel.Shards.
+func TestSlowClockSamplesShardedIDs(t *testing.T) {
+	const n = 64 * 1024
+	for s := 0; s < parcel.Shards; s++ {
+		clocked := 0
+		for i := 0; i < n; i++ {
+			p := parcel.AcquireOn(s, agas.Nil, ActionNop, nil)
+			if !slowClock(p.ID).IsZero() {
+				clocked++
+			}
+			parcel.Release(p)
+		}
+		if rate := float64(clocked) / n * 64; rate < 0.75 || rate > 1.25 {
+			t.Errorf("shard %d: clocked %d of %d IDs, %.2f x 1/64; want 1/64 ± 25%%", s, clocked, n, rate)
+		}
 	}
 }

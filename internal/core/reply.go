@@ -29,9 +29,10 @@ import (
 // A locality's table is striped because every CPU that calls from the
 // locality opens and takes a slot per call, and a single mutex and free
 // list would be written by all of them. Each stripe has its own mutex,
-// slots and free list on cache lines of its own, and a call opens on the
-// stripe of the P it runs on (pickStripe), so on a node-local call the
-// slot is opened and taken on the same CPU.
+// slots and free list on cache lines of its own, and a call opens on its
+// shard's stripe (Parcel.Shard), which it picked once as the stripe of the
+// P it runs on (pickStripe), so on a node-local call the slot is opened
+// and taken on the same CPU.
 const (
 	replyGenBits    = 32
 	replyIdxBits    = 16
@@ -80,7 +81,8 @@ var (
 	}}
 )
 
-// pickStripe returns the stripe of the calling goroutine's P.
+// pickStripe returns the stripe of the calling goroutine's P. A call picks
+// once and carries the answer as its parcel's shard.
 func pickStripe() int {
 	tok := stripeTokens.Get().(*stripeToken)
 	st := tok.stripe
@@ -90,8 +92,8 @@ func pickStripe() int {
 
 // open hands out a slot for fut and returns the Seq naming it, or false
 // when maxReplySlots replies are already outstanding. It opens on stripe
-// home — the caller's, pickStripe — or, when that one is full, on the next
-// one in order with room.
+// home — the caller's shard — or, when that one is full, on the next one
+// in order with room.
 func (t *replyTable) open(home, node int, fut *lco.Future, start time.Time, dep int) (uint64, bool) {
 	for k := 0; k < replyStripes; k++ {
 		if seq, ok := t.openStripe((home+k)%replyStripes, node, fut, start, dep); ok {
@@ -188,11 +190,11 @@ func (t *replyTable) live() int {
 
 // openReply creates the one-shot future of a split-phase exchange issued
 // from resident locality src, and the reply name to hand the other side.
-// dep names the object the reply comes from, if any: when its home is on
-// another node, that node's death fails the future with the node-lost
-// verdict. A nil name returned means the future has already failed and
-// nothing is to be sent.
-func (r *Runtime) openReply(src int, dep agas.GID, start time.Time) (agas.GID, *lco.Future) {
+// It opens on stripe st, the caller's shard. dep names the object the
+// reply comes from, if any: when its home is on another node, that node's
+// death fails the future with the node-lost verdict. A nil name returned
+// means the future has already failed and nothing is to be sent.
+func (r *Runtime) openReply(src, st int, dep agas.GID, start time.Time) (agas.GID, *lco.Future) {
 	fut := lco.NewFuture()
 	node := noDep
 	if d := r.dist; d != nil && !dep.IsNil() {
@@ -200,7 +202,7 @@ func (r *Runtime) openReply(src int, dep agas.GID, start time.Time) (agas.GID, *
 			node = n
 		}
 	}
-	seq, ok := r.replies[src].open(pickStripe(), r.NodeID(), fut, start, node)
+	seq, ok := r.replies[src].open(st, r.NodeID(), fut, start, node)
 	if !ok {
 		_ = fut.Fail(fmt.Errorf("core: locality %d has %d replies outstanding", src, maxReplySlots))
 		return agas.Nil, fut
@@ -226,7 +228,7 @@ func (r *Runtime) openReply(src int, dep agas.GID, start time.Time) (agas.GID, *
 // DistLCO (NewDistFutureAt).
 func (r *Runtime) NewFutureAt(loc int) (agas.GID, *lco.Future) {
 	r.checkResident(loc)
-	return r.openReply(loc, agas.Nil, time.Time{})
+	return r.openReply(loc, pickStripe(), agas.Nil, time.Time{})
 }
 
 // takeReply resolves an arriving reply's name to the future it waits on,

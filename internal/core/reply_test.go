@@ -250,7 +250,7 @@ func BenchmarkReplyOpenTake(b *testing.B) {
 // leave it alone.
 func TestReplyNamesStayOutOfAGAS(t *testing.T) {
 	r := newTestRuntime(t, 2)
-	reply, fut := r.openReply(0, r.LocalityGID(1), time.Time{})
+	reply, fut := r.openReply(0, pickStripe(), r.LocalityGID(1), time.Time{})
 	if reply.Kind != agas.KindReply || reply.Home != 0 {
 		t.Fatalf("reply name %v, want a reply homed at 0", reply)
 	}
@@ -261,11 +261,11 @@ func TestReplyNamesStayOutOfAGAS(t *testing.T) {
 	if _, live := replyCounters(r); live != 1 {
 		t.Fatalf("%v slots live after FreeObject on the name, want 1", live)
 	}
-	hits := r.AGAS().CacheHits.Load()
+	hits := r.AGAS().CacheHits.Value()
 	if owner, gen, err := r.AGAS().Locate(reply); err != nil || owner != 0 || gen != 0 {
 		t.Fatalf("Locate(reply) = %d, %d, %v; want its home at generation 0", owner, gen, err)
 	}
-	if got := r.AGAS().CacheHits.Load(); got != hits+1 {
+	if got := r.AGAS().CacheHits.Value(); got != hits+1 {
 		t.Fatalf("reply translation booked %d cache hits, want 1", got-hits)
 	}
 	if err := r.SetLCO(1, reply, int64(5)); err != nil {
@@ -285,7 +285,7 @@ func TestReplyNamesStayOutOfAGAS(t *testing.T) {
 // later reply can.
 func TestUndecodableReplyFailsTheFuture(t *testing.T) {
 	r := newTestRuntime(t, 2)
-	reply, fut := r.openReply(0, r.LocalityGID(1), time.Time{})
+	reply, fut := r.openReply(0, pickStripe(), r.LocalityGID(1), time.Time{})
 	r.SendFrom(1, parcel.New(reply, ActionLCOSet, []byte{0xff}))
 	if v, err := fut.Get(); err == nil {
 		t.Fatalf("garbage reply resolved the future with %v", v)
@@ -581,7 +581,7 @@ func TestNewFutureAtLeavesNoObject(t *testing.T) {
 	const chains = 1000
 	for i := 0; i < chains; i++ {
 		fgid, fut := r.NewFutureAt(0)
-		p, err := parcel.AcquireValue(obj1, "leak.add1", int64(i),
+		p, err := parcel.AcquireValue(parcel.New(obj1, "leak.add1", nil), obj1, "leak.add1", int64(i),
 			parcel.Continuation{Target: obj2, Action: "leak.add1"},
 			parcel.Continuation{Target: fgid, Action: ActionLCOSet})
 		if err != nil {

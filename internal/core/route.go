@@ -62,13 +62,13 @@ func slowClock(id uint64) time.Time {
 // the delivery task — or hands p back with its resident locality, for the
 // caller to run inline (runInline) once SendFrom's clock stops (handOff).
 func (r *Runtime) route(src int, p *parcel.Parcel, noWait bool) (int, *parcel.Parcel) {
-	owner, err := r.agas.ResolveCached(src, p.Dest)
+	owner, err := r.agas.ResolveCachedAt(int(p.Shard), src, p.Dest)
 	if err != nil {
 		r.deliverFailure(src, p, err)
 		return 0, nil
 	}
 	if owner == src {
-		r.slow.ParcelsLocal.Inc()
+		r.slow.ParcelsLocal.AddAt(int(p.Shard), 1)
 		return r.handOff(owner, p, noWait)
 	}
 	if r.dist != nil {
@@ -85,7 +85,7 @@ func (r *Runtime) route(src int, p *parcel.Parcel, noWait bool) (int, *parcel.Pa
 			return 0, nil
 		}
 	}
-	r.slow.ParcelsSent.Inc()
+	r.slow.ParcelsSent.AddAt(int(p.Shard), 1)
 	// Another locality of this node shares this address space, so the
 	// parcel itself moves, as on the same-locality path above.
 	if lat := r.net.Latency(src, owner, len(p.Args)); lat > 0 {
@@ -287,7 +287,7 @@ func (r *Runtime) execute(loc int, p *parcel.Parcel, rd *parcel.Reader, ctx *Con
 	if p.Trace.Sampled() && isTriggerAction(p.Action) {
 		r.emitSpan(trace.SpanTrigger, loc, &p.Trace, p.Action)
 	}
-	r.slow.ThreadsSpawned.Inc()
+	r.slow.ThreadsSpawned.AddAt(int(p.Shard), 1)
 	if seen := r.dispatched.Load(); seen != nil {
 		(*seen)(p)
 	}
@@ -297,7 +297,7 @@ func (r *Runtime) execute(loc int, p *parcel.Parcel, rd *parcel.Reader, ctx *Con
 	if fence != nil {
 		fence.Exit()
 	}
-	r.slow.TasksExecuted.Inc()
+	r.slow.TasksExecuted.AddAt(int(p.Shard), 1)
 	if err != nil {
 		if reply != nil {
 			// The slot is spent, so no later reply can resolve the future
@@ -309,17 +309,14 @@ func (r *Runtime) execute(loc int, p *parcel.Parcel, rd *parcel.Reader, ctx *Con
 		return
 	}
 	if cont, more := p.PopContinuation(); more {
-		np, encErr := parcel.AcquireValue(cont.Target, cont.Action, res, p.Cont...)
+		// The continuation inherits the chain's ID, shard and trace
+		// context (AcquireNext).
+		np, encErr := parcel.AcquireValue(p, cont.Target, cont.Action, res, p.Cont...)
 		if encErr != nil {
 			// The value was for cont, so cont hears why it never came.
 			r.failTo(loc, p, cont, encErr, ctx.noWait)
 			return
 		}
-		// The continuation inherits the chain's parcel ID, which keys
-		// SLOW's clock sampling, and its trace context, so a sampled
-		// chain is clocked and traced on every step.
-		np.ID = p.ID
-		np.Trace = p.Trace
 		parcel.Release(p) // after Acquire copied the continuation tail
 		r.sendFrom(loc, np, ctx.noWait)
 		return
@@ -412,10 +409,8 @@ func (r *Runtime) failParcel(loc int, p *parcel.Parcel, err error, noWait bool) 
 // failTo delivers err to cont, a continuation already popped off p, and
 // consumes p.
 func (r *Runtime) failTo(loc int, p *parcel.Parcel, cont parcel.Continuation, err error, noWait bool) {
-	np := parcel.Acquire(cont.Target, ActionLCOFail, nil)
+	np := parcel.AcquireNext(p, cont.Target, ActionLCOFail, nil) // failure deliveries share the chain identity too
 	np.Args = np.OwnArgs().String(err.Error()).Encode()
-	np.ID = p.ID // failure deliveries share the chain identity too
-	np.Trace = p.Trace
 	parcel.Release(p)
 	r.sendFrom(loc, np, noWait)
 }

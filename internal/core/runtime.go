@@ -602,11 +602,11 @@ func (r *Runtime) Errors() []error {
 func (r *Runtime) Spawn(loc int, fn func(*Context)) {
 	r.checkResident(loc)
 	r.addWork()
-	r.slow.ThreadsSpawned.Inc()
+	r.slow.ThreadsSpawned.AddAt(0, 1)
 	r.mustPost(r.loc(loc).Post(func() {
 		defer r.doneWork()
 		fn(&Context{rt: r, loc: loc})
-		r.slow.TasksExecuted.Inc()
+		r.slow.TasksExecuted.AddAt(0, 1)
 	}))
 }
 

@@ -93,7 +93,8 @@ func (s *triggerSurface) send(action string, op TrigOp, g agas.GID, slot uint32,
 		p = parcel.New(g, action, nil)
 	default:
 		var err error
-		if p, err = parcel.AcquireValue(g, action, v); err != nil {
+		// A fresh chain: the parent only lends its ID and shard.
+		if p, err = parcel.AcquireValue(parcel.New(g, action, nil), g, action, v); err != nil {
 			s.t.Fatal(err)
 		}
 	}

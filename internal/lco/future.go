@@ -11,6 +11,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 )
 
 // ErrAlreadySet is returned when a single-assignment LCO is set twice.
@@ -23,22 +25,41 @@ var ErrAlreadySet = errors.New("lco: already set")
 // embedded wait group, the channel Done returns is made only for a caller
 // that selects on a still-unresolved future, and the callback slice only
 // once OnReady is used.
+//
+// Its read side takes no lock once it has resolved: Settle publishes ready
+// after it has written val and err, and TryGet, Resolved, Done and OnReady
+// read that flag first. Only a reader of a future still pending takes mu.
 type Future struct {
-	mu   sync.Mutex
-	wg   sync.WaitGroup // holds one count until resolution; Get waits on it
-	done chan struct{}  // made by Done while unresolved, closed on resolution
-	set  bool
-	val  any
-	err  error
-	cbs  []func(any, error)
+	mu    sync.Mutex
+	wg    sync.WaitGroup // holds one count until resolution; Get waits on it
+	done  chan struct{}  // made by Done while unresolved, closed on resolution
+	ready atomic.Bool    // set once, under mu, after val and err are written
+	val   any
+	err   error
+	cbs   []func(any, error)
 }
 
-// closedDone is the channel Done hands out once a future has resolved.
-var closedDone = func() chan struct{} {
-	c := make(chan struct{})
-	close(c)
-	return c
+// closedDones are the channels Done hands out once a future has resolved,
+// all closed. A select locks every channel it names, so a resolved future
+// picks one by where it lives (closedDone), and selects on futures made on
+// different CPUs lock different channels.
+var closedDones = func() (cs [64]chan struct{}) {
+	for i := range cs {
+		cs[i] = make(chan struct{})
+		close(cs[i])
+	}
+	return cs
 }()
+
+// closedDone returns f's closed channel, by a Fibonacci hash of the 8 KB
+// page f lives on. Futures one CPU allocates in a row share a page, so a
+// caller waiting on the futures it makes keeps to one channel for many
+// calls, and a caller on another CPU, allocating from pages of its own,
+// keeps to another: the channel's lock rarely changes CPU.
+func (f *Future) closedDone() chan struct{} {
+	h := uint64(uintptr(unsafe.Pointer(f))>>13) * 0x9e3779b97f4a7c15
+	return closedDones[h>>(64-6)]
+}
 
 // NewFuture returns an empty future.
 func NewFuture() *Future {
@@ -76,12 +97,12 @@ func (f *Future) resolve(v any, err error) error {
 // application code. Settling twice returns ErrAlreadySet and no callbacks.
 func (f *Future) Settle(v any, err error) ([]func(any, error), error) {
 	f.mu.Lock()
-	if f.set {
+	if f.ready.Load() {
 		f.mu.Unlock()
 		return nil, ErrAlreadySet
 	}
-	f.set = true
 	f.val, f.err = v, err
+	f.ready.Store(true) // publishes val and err to lock-free readers
 	cbs := f.cbs
 	f.cbs = nil
 	if f.done != nil {
@@ -102,22 +123,23 @@ func (f *Future) Get() (any, error) {
 
 // TryGet reports the value without blocking; ok is false while unresolved.
 func (f *Future) TryGet() (v any, err error, ok bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.set {
+	if !f.ready.Load() {
 		return nil, nil, false
 	}
 	return f.val, f.err, true
 }
 
 // Done returns a channel closed on resolution, for use in select. A
-// resolved future returns a shared, already closed channel, so only a
-// select on a future still pending makes one.
+// resolved future returns an already closed channel shared with other
+// resolved futures, so only a select on a future still pending makes one.
 func (f *Future) Done() <-chan struct{} {
+	if f.ready.Load() {
+		return f.closedDone()
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.set {
-		return closedDone
+	if f.ready.Load() {
+		return f.closedDone()
 	}
 	if f.done == nil {
 		f.done = make(chan struct{})
@@ -136,8 +158,12 @@ func (f *Future) Done() <-chan struct{} {
 // once, ahead of the earlier ones. This is the parcel continuation hook:
 // the runtime attaches "send result onward" callbacks.
 func (f *Future) OnReady(cb func(v any, err error)) {
+	if f.ready.Load() {
+		cb(f.val, f.err)
+		return
+	}
 	f.mu.Lock()
-	if f.set {
+	if f.ready.Load() {
 		v, err := f.val, f.err
 		f.mu.Unlock()
 		cb(v, err)
@@ -148,11 +174,7 @@ func (f *Future) OnReady(cb func(v any, err error)) {
 }
 
 // Resolved reports whether the future has been set or failed.
-func (f *Future) Resolved() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.set
-}
+func (f *Future) Resolved() bool { return f.ready.Load() }
 
 // Dataflow is an n-input dataflow template: when every input slot has been
 // supplied, fn fires exactly once with the inputs in slot order and its

@@ -26,6 +26,36 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
+// stripes is the number of cells a Striped counter spreads over.
+const stripes = 16
+
+// Striped is a counter that many CPUs add to at once. It keeps 16 cells,
+// one per stripe, each on a 128-byte block of its own, so adders on
+// different stripes write no common cache line (nor an adjacent-line
+// prefetch pair). A caller picks its stripe once and passes it to every
+// AddAt; Value sums the cells, so the count stays exact. The zero value
+// is ready.
+type Striped struct {
+	cells [stripes]stripedCell
+}
+
+type stripedCell struct {
+	v atomic.Int64
+	_ [128 - 8]byte
+}
+
+// AddAt adds n on stripe (taken modulo 16).
+func (s *Striped) AddAt(stripe int, n int64) { s.cells[stripe&(stripes-1)].v.Add(n) }
+
+// Value returns the sum of the stripes.
+func (s *Striped) Value() int64 {
+	var n int64
+	for i := range s.cells {
+		n += s.cells[i].v.Load()
+	}
+	return n
+}
+
 // Gauge is a concurrent instantaneous value.
 type Gauge struct{ v atomic.Int64 }
 
@@ -188,10 +218,11 @@ type SLOW struct {
 	Overhead *Histogram
 	Waiting  *Histogram // time blocked on contended shared resources
 
-	TasksExecuted  Counter
-	ParcelsSent    Counter
-	ParcelsLocal   Counter // parcels short-circuited to the local queue
-	ThreadsSpawned Counter
+	// The per-parcel counters are striped by the parcel's shard.
+	TasksExecuted  Striped
+	ParcelsSent    Striped
+	ParcelsLocal   Striped // parcels short-circuited to the local queue
+	ThreadsSpawned Striped
 	Suspensions    Counter
 	Migrations     Counter
 	Parked         Counter // parcels held by a migration fence until the move committed

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestCounterConcurrent(t *testing.T) {
@@ -257,10 +258,41 @@ func TestIdleTrackerDoubleMarks(t *testing.T) {
 
 func TestSLOWString(t *testing.T) {
 	s := NewSLOW()
-	s.TasksExecuted.Add(3)
+	s.TasksExecuted.AddAt(0, 3)
 	s.Latency.Observe(100)
 	out := s.String()
 	if out == "" {
 		t.Fatal("empty SLOW string")
+	}
+}
+
+// TestStripedCounterExact: concurrent AddAt on every stripe sums exactly,
+// and each cell fills a 128-byte block of its own.
+func TestStripedCounterExact(t *testing.T) {
+	if got := unsafe.Sizeof(stripedCell{}); got != 128 {
+		t.Fatalf("striped cell is %d bytes, want 128", got)
+	}
+	var s Striped
+	const adders, perStripe = 8, 1000
+	var wg sync.WaitGroup
+	for a := 0; a < adders; a++ {
+		wg.Add(1)
+		go func(a int) {
+			defer wg.Done()
+			for i := 0; i < perStripe; i++ {
+				for st := 0; st < stripes; st++ {
+					s.AddAt(st+a, int64(st+1))
+				}
+			}
+		}(a)
+	}
+	wg.Wait()
+	// Every adder adds 1..stripes once per round, whatever its offset.
+	if got, want := s.Value(), int64(adders*perStripe*stripes*(stripes+1)/2); got != want {
+		t.Fatalf("striped sum %d, want %d", got, want)
+	}
+	s.AddAt(-1, 1) // any int picks a stripe
+	if got, want := s.Value(), int64(adders*perStripe*stripes*(stripes+1)/2+1); got != want {
+		t.Fatalf("after AddAt(-1): %d, want %d", got, want)
 	}
 }

@@ -100,6 +100,7 @@ func TestRegisterValueCodecValidation(t *testing.T) {
 // builds, for every built-in value type and a custom one, and a recycled
 // parcel's backing store leaves no residue in the next record.
 func TestAcquireValueMatchesTwoStepEncoding(t *testing.T) {
+	parent := New(sampleGID(2), "parent", nil)
 	values := []any{nil, true, 7, int64(-7), uint64(7), 3.5, "text", []byte("sixty-four bytes, or fewer"),
 		[]byte{}, []float64{1, 2}, []int64{3, 4}, sampleGID(5), testPoint{X: 1, Y: 2}}
 	for _, v := range values {
@@ -108,7 +109,7 @@ func TestAcquireValueMatchesTwoStepEncoding(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := NewArgs().Bytes(raw).Encode()
-		p, err := AcquireValue(sampleGID(1), "act", v)
+		p, err := AcquireValue(parent, sampleGID(1), "act", v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +126,7 @@ func TestAcquireValueMatchesTwoStepEncoding(t *testing.T) {
 		}
 		Release(p)
 	}
-	if _, err := AcquireValue(sampleGID(1), "act", struct{ q int }{}); err == nil {
+	if _, err := AcquireValue(parent, sampleGID(1), "act", struct{ q int }{}); err == nil {
 		t.Fatal("unencodable value accepted")
 	}
 }

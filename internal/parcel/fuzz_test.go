@@ -85,7 +85,7 @@ func FuzzParcelDecodeInterned(f *testing.F) {
 // checkDecode is the property both fuzz targets hold data to, decoding
 // against tbl (nil for no table).
 func checkDecode(t *testing.T, data []byte, tbl Table) {
-	p, rest, err := DecodePooledInterned(data, tbl)
+	p, rest, err := DecodePooledInterned(data, tbl, 0)
 	if err != nil {
 		return
 	}
@@ -97,7 +97,7 @@ func checkDecode(t *testing.T, data []byte, tbl Table) {
 		t.Fatalf("base decode populated the trace context: %+v", p.Trace)
 	}
 	re := p.EncodeInterned(nil, tbl)
-	q, tail, err := DecodePooledInterned(re, tbl)
+	q, tail, err := DecodePooledInterned(re, tbl, 0)
 	if err != nil {
 		t.Fatalf("re-decode of accepted parcel failed: %v", err)
 	}
@@ -116,7 +116,7 @@ func checkDecode(t *testing.T, data []byte, tbl Table) {
 			t.Fatalf("trailer decode: %v, %d left", terr, len(tcRest))
 		}
 		combined := tc.Append(p.EncodeInterned(nil, tbl))
-		q2, rest2, err := DecodePooledInterned(combined, tbl)
+		q2, rest2, err := DecodePooledInterned(combined, tbl, 0)
 		if err != nil {
 			t.Fatalf("combined re-decode: %v", err)
 		}

@@ -46,7 +46,7 @@ func TestInternedRoundTrip(t *testing.T) {
 	if !bytes.Contains(wire, []byte("unknown.c")) {
 		t.Fatal("non-table action missing from the wire")
 	}
-	q, rest, err := DecodePooledInterned(wire, tbl)
+	q, rest, err := DecodePooledInterned(wire, tbl, 0)
 	if err != nil || len(rest) != 0 {
 		t.Fatalf("decode: %v (%d trailing)", err, len(rest))
 	}
@@ -68,11 +68,11 @@ func TestInternedRoundTrip(t *testing.T) {
 func TestInternedDecodeNeedsTable(t *testing.T) {
 	tbl := testTable{"known.a", "known.b"}
 	wire := internSample().EncodeInterned(nil, tbl)
-	if _, _, err := DecodePooledInterned(wire, nil); err == nil {
+	if _, _, err := DecodePooledInterned(wire, nil, 0); err == nil {
 		t.Fatal("interned decode without a table succeeded")
 	}
 	// A table too small for the announced position is likewise an error.
-	if _, _, err := DecodePooledInterned(wire, testTable{"known.a"}); err == nil {
+	if _, _, err := DecodePooledInterned(wire, testTable{"known.a"}, 0); err == nil {
 		t.Fatal("interned decode past the table succeeded")
 	}
 }
@@ -87,7 +87,7 @@ func TestInternedNilTableStringForm(t *testing.T) {
 		t.Fatal("Encode and the nil-table encode wrote different bytes")
 	}
 	for _, tbl := range []Table{nil, testTable{"known.a", "known.b"}} {
-		q, rest, err := DecodePooledInterned(wire, tbl)
+		q, rest, err := DecodePooledInterned(wire, tbl, 0)
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("decode: %v (%d trailing)", err, len(rest))
 		}
@@ -114,7 +114,7 @@ func TestInternedSteadyStateAllocs(t *testing.T) {
 		w := GetWire()
 		w.B = p.EncodeInterned(w.B, tbl)
 		Release(p)
-		q, _, err := DecodePooledInterned(w.B, tbl)
+		q, _, err := DecodePooledInterned(w.B, tbl, 0)
 		PutWire(w)
 		if err != nil {
 			t.Fatal(err)

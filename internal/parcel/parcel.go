@@ -9,7 +9,6 @@ package parcel
 import (
 	"encoding/binary"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/agas"
 )
@@ -35,6 +34,12 @@ type Parcel struct {
 	// parcel whose action produced its value, so a whole chain is sampled
 	// or not.
 	ID uint64
+	// Shard is the call's shard (0 to Shards-1): the one index, picked
+	// once per call, by which everything the call writes node-wide — its
+	// ID, its pool accounting, the runtime's counters and reply stripe —
+	// picks a cell of its own. A continuation inherits it with ID. It is
+	// never encoded: a decoded parcel takes its receiver's shard.
+	Shard uint8
 	// Dest is the global name of the target object. The runtime routes the
 	// parcel to the locality currently owning Dest.
 	Dest agas.GID
@@ -74,11 +79,8 @@ type Parcel struct {
 	ownsCont bool
 }
 
-var idCounter atomic.Uint64
-
-// NextID mints a parcel ID from one process-wide sequence: every runtime of
-// the process, and so every node of an in-process machine, draws from it.
-func NextID() uint64 { return idCounter.Add(1) }
+// NextID mints a parcel ID on shard 0 (see mint).
+func NextID() uint64 { return shards[0].mint(0) }
 
 // New builds a parcel with a fresh ID.
 func New(dest agas.GID, action string, args []byte, cont ...Continuation) *Parcel {
@@ -201,10 +203,10 @@ func Decode(src []byte) (*Parcel, []byte, error) {
 	return p, rest, nil
 }
 
-// DecodePooled is DecodePooledInterned with no table: a parcel naming an
-// action by table position is rejected.
+// DecodePooled is DecodePooledInterned with no table, on shard 0: a
+// parcel naming an action by table position is rejected.
 func DecodePooled(src []byte) (*Parcel, []byte, error) {
-	return DecodePooledInterned(src, nil)
+	return DecodePooledInterned(src, nil, 0)
 }
 
 // DecodePooledInterned parses a parcel from the front of src into a pooled
@@ -212,9 +214,10 @@ func DecodePooled(src []byte) (*Parcel, []byte, error) {
 // argument bytes (src may be a transport read buffer that is reused the
 // moment the caller returns) and must be handed to Release exactly once
 // when dispatch completes. Its AID is set for positions t resolves, so
-// dispatch can index the action table directly.
-func DecodePooledInterned(src []byte, t Table) (*Parcel, []byte, error) {
-	p := blank()
+// dispatch can index the action table directly. The parcel is taken on
+// shard (modulo Shards), the receiver's: the shard is never encoded.
+func DecodePooledInterned(src []byte, t Table, shard int) (*Parcel, []byte, error) {
+	p := blank(uint8(shard))
 	rest, err := decodeInto(p, src, t)
 	if err != nil {
 		Release(p)

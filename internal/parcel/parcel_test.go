@@ -3,6 +3,7 @@ package parcel
 import (
 	"bytes"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -296,4 +297,69 @@ func TestPropertyDecodeAnyRobust(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestParcelIDsUnique: eight goroutines mint IDs on every shard, through
+// AcquireOn and through NextID, at once; no ID repeats, none is zero, and
+// each carries its shard in its low bits.
+func TestParcelIDsUnique(t *testing.T) {
+	const goroutines, perShard = 8, 500
+	ids := make([][]uint64, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perShard; i++ {
+				for s := 0; s < Shards; s++ {
+					p := AcquireOn(s, sampleGID(1), "id", nil)
+					if int(p.Shard) != s || int(p.ID&(Shards-1)) != s {
+						t.Errorf("AcquireOn(%d): shard %d, ID %#x", s, p.Shard, p.ID)
+					}
+					ids[g] = append(ids[g], p.ID)
+					Release(p)
+				}
+				ids[g] = append(ids[g], NextID())
+			}
+		}(g)
+	}
+	wg.Wait()
+	seen := make(map[uint64]bool)
+	for _, list := range ids {
+		for _, id := range list {
+			if id == 0 {
+				t.Fatal("zero parcel ID")
+			}
+			if seen[id] {
+				t.Fatalf("duplicate parcel ID %#x", id)
+			}
+			seen[id] = true
+		}
+	}
+	if want := goroutines * perShard * (Shards + 1); len(seen) != want {
+		t.Fatalf("%d distinct IDs, want %d", len(seen), want)
+	}
+}
+
+// TestAcquireNextCarriesTheChain: a continuation's parcel takes its
+// parent's ID, shard and trace context, and mints nothing.
+func TestAcquireNextCarriesTheChain(t *testing.T) {
+	parent := AcquireOn(5, sampleGID(1), "parent", nil)
+	parent.Trace = TraceCtx{ID: 9, Flags: TraceSampled}
+	next := NextID()
+	p, err := AcquireValue(parent, sampleGID(2), "set", int64(7), Continuation{Action: "more"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.ID != parent.ID || p.Shard != 5 || p.Trace != parent.Trace {
+		t.Fatalf("continuation ID %#x shard %d trace %+v; want %#x, 5, %+v", p.ID, p.Shard, p.Trace, parent.ID, parent.Trace)
+	}
+	if len(p.Cont) != 1 || p.Cont[0].Action != "more" {
+		t.Fatalf("continuation stack %v", p.Cont)
+	}
+	if after := NextID(); after != next+1<<shardBits {
+		t.Fatalf("AcquireValue minted an ID: shard 0 went %#x -> %#x", next, after)
+	}
+	Release(p)
+	Release(parent)
 }

@@ -22,7 +22,7 @@ import (
 // ignores them, so application code that retains a parcel after sending
 // it — tests, traces — keeps today's safe semantics. Only the runtime's
 // internal parcels (decoded arrivals, continuations, split-phase calls)
-// opt into recycling via Acquire and DecodePooledInterned.
+// opt into recycling via the Acquire family and DecodePooledInterned.
 
 var parcelPool = sync.Pool{New: func() any {
 	parcelPoolMisses.Add(1)
@@ -32,36 +32,69 @@ var parcelPool = sync.Pool{New: func() any {
 // Pool hit/miss accounting. A miss is a pool Get that had to allocate (the
 // sync.Pool New func ran); everything else is a hit — the zero-allocation
 // steady state. The counters are process-global, like the pools they
-// observe, and are exported to the runtime's metric registry.
+// observe, and are exported to the runtime's metric registry. Parcel gets
+// are counted per shard (shardCell), the rest on one word each: a miss
+// is rare, and a WireBuf crosses the wire, which costs far more.
 var (
-	parcelPoolGets   atomic.Uint64
 	parcelPoolMisses atomic.Uint64
 	wirePoolGets     atomic.Uint64
 	wirePoolMisses   atomic.Uint64
 )
+
+// Shards is the number of shards a call can pick (Parcel.Shard).
+const (
+	shardBits = 4
+	Shards    = 1 << shardBits
+)
+
+// shardCell is one shard's parcel ID sequence and parcel pool gets. Each
+// sits on a 128-byte block of its own, so calls on different shards write
+// no common cache line (nor an adjacent-line prefetch pair).
+type shardCell struct {
+	ids  atomic.Uint64
+	gets atomic.Uint64
+	_    [128 - 16]byte
+}
+
+var shards [Shards]shardCell
+
+// mint returns the next parcel ID of shard s: the cell's own sequence
+// number above the shard in the low shardBits bits, so IDs minted on
+// different shards never collide, and none is zero.
+func (c *shardCell) mint(s uint8) uint64 { return c.ids.Add(1)<<shardBits | uint64(s) }
 
 // PoolStats reports the parcel and WireBuf pools' hit/miss counters since
 // process start. Misses never exceed gets: the get is counted before the
 // pool can run its allocating New func.
 func PoolStats() (parcelHits, parcelMisses, wireHits, wireMisses uint64) {
 	parcelMisses = parcelPoolMisses.Load()
-	parcelHits = parcelPoolGets.Load() - parcelMisses
+	var gets uint64
+	for i := range shards {
+		gets += shards[i].gets.Load()
+	}
+	parcelHits = gets - parcelMisses
 	wireMisses = wirePoolMisses.Load()
 	wireHits = wirePoolGets.Load() - wireMisses
 	return
 }
 
-// Acquire returns a pooled parcel initialized like New. The continuation
-// stack is copied into the parcel's own storage (reused across recycles),
-// so the caller's slice is not retained. args is referenced, not copied:
-// the caller must not mutate it until the parcel is released. Pass the
-// parcel to Release when dispatch completes.
-func Acquire(dest agas.GID, action string, args []byte, cont ...Continuation) *Parcel {
-	parcelPoolGets.Add(1)
+// get takes a parcel from the pool for shard s, counting the get there.
+// Every other field is the caller's to set.
+func get(s uint8) *Parcel {
+	s &= Shards - 1
+	shards[s].gets.Add(1)
 	p := parcelPool.Get().(*Parcel)
 	p.pooled = true
 	p.released = false
-	p.ID = NextID()
+	p.Shard = s
+	return p
+}
+
+// reset sets the fields Acquire takes as arguments, and clears the
+// routing state a recycled parcel may still hold. The continuation stack
+// is copied into the parcel's own storage (reused across recycles), so the
+// caller's slice is not retained.
+func (p *Parcel) reset(dest agas.GID, action string, args []byte, cont []Continuation) {
 	p.Dest = dest
 	p.Action = action
 	p.AID = NoAID
@@ -70,7 +103,37 @@ func Acquire(dest agas.GID, action string, args []byte, cont ...Continuation) *P
 	p.ownsCont = true
 	p.Src = 0
 	p.Hops = 0
+}
+
+// Acquire is AcquireOn shard 0.
+func Acquire(dest agas.GID, action string, args []byte, cont ...Continuation) *Parcel {
+	return AcquireOn(0, dest, action, args, cont...)
+}
+
+// AcquireOn returns a pooled parcel initialized like New, on shard (taken
+// modulo Shards): its ID is minted there, and it carries the shard as
+// Shard. The continuation stack is copied, so the caller's slice is not
+// retained. args is referenced, not copied: the caller must not mutate it
+// until the parcel is released. Pass the parcel to Release when dispatch
+// completes.
+func AcquireOn(shard int, dest agas.GID, action string, args []byte, cont ...Continuation) *Parcel {
+	p := get(uint8(shard))
+	p.ID = shards[p.Shard].mint(p.Shard)
 	p.Trace = TraceCtx{}
+	p.reset(dest, action, args, cont)
+	return p
+}
+
+// AcquireNext is Acquire for a parcel that carries on parent's chain — a
+// continuation, or the failure delivered in its place. It takes parent's
+// ID, which keys SLOW's clock sampling, its shard and its trace context,
+// so a sampled chain is clocked and traced on every step, and mints
+// nothing.
+func AcquireNext(parent *Parcel, dest agas.GID, action string, args []byte, cont ...Continuation) *Parcel {
+	p := get(parent.Shard)
+	p.ID = parent.ID
+	p.Trace = parent.Trace
+	p.reset(dest, action, args, cont)
 	return p
 }
 
@@ -83,11 +146,11 @@ func (p *Parcel) OwnArgs() *Args {
 	return &p.own
 }
 
-// AcquireValue is Acquire for the parcel a continuation receives: its
+// AcquireValue is AcquireNext for the parcel a continuation receives: its
 // argument record is the single value v (Args.Value, what core's px.lco.*
 // actions read), encoded once, in place, in the parcel's own store.
-func AcquireValue(dest agas.GID, action string, v any, cont ...Continuation) (*Parcel, error) {
-	p := Acquire(dest, action, nil, cont...)
+func AcquireValue(parent *Parcel, dest agas.GID, action string, v any, cont ...Continuation) (*Parcel, error) {
+	p := AcquireNext(parent, dest, action, nil, cont...)
 	a := p.OwnArgs()
 	if err := a.Value(v); err != nil {
 		Release(p)
@@ -97,22 +160,12 @@ func AcquireValue(dest agas.GID, action string, v any, cont ...Continuation) (*P
 	return p, nil
 }
 
-// blank returns a pooled zero parcel for decodeInto to fill.
-func blank() *Parcel {
-	parcelPoolGets.Add(1)
-	p := parcelPool.Get().(*Parcel)
-	p.pooled = true
-	p.released = false
+// blank returns a pooled zero parcel on shard s for decodeInto to fill.
+func blank(s uint8) *Parcel {
+	p := get(s)
 	p.ID = 0
-	p.Dest = agas.Nil
-	p.Action = ""
-	p.AID = NoAID
-	p.Args = nil
-	p.Cont = p.Cont[:0]
-	p.ownsCont = true
-	p.Src = 0
-	p.Hops = 0
 	p.Trace = TraceCtx{}
+	p.reset(agas.Nil, "", nil, nil)
 	return p
 }
 

@@ -37,7 +37,7 @@ func TestPopContinuationKeepsPooledCapacity(t *testing.T) {
 	var tbl Table = testTable{"known.a", "known.b"}
 	wire := New(sampleGID(9), "known.a", nil, Continuation{Target: sampleGID(1), Action: "known.b"}).EncodeInterned(nil, tbl)
 	run := func() {
-		p, _, err := DecodePooledInterned(wire, tbl)
+		p, _, err := DecodePooledInterned(wire, tbl, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

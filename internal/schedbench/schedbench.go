@@ -467,7 +467,7 @@ func WireRoundTrip(b *testing.B) {
 		w := parcel.GetWire()
 		w.B = p.EncodeInterned(w.B, tbl)
 		parcel.Release(p)
-		q, rest, err := parcel.DecodePooledInterned(w.B, tbl)
+		q, rest, err := parcel.DecodePooledInterned(w.B, tbl, 0)
 		parcel.PutWire(w)
 		if err != nil || len(rest) != 0 {
 			b.Fatalf("decode: %v (%d trailing)", err, len(rest))
