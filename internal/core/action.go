@@ -239,7 +239,7 @@ func (r *Runtime) applyTrigger(ctx *Context, target any, op TrigOp, slot uint32,
 			return v, r.settle(ctx, t, v, nil)
 		case TrigFail:
 			msg, _ := v.(string)
-			return nil, r.settle(ctx, t, nil, fmt.Errorf("remote action failed: %s", msg))
+			return nil, r.settle(ctx, t, nil, remoteFailure(msg))
 		}
 	}
 	return nil, fmt.Errorf("core: %s trigger on %T: %w", op, target, ErrTriggerMismatch)

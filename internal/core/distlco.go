@@ -243,13 +243,6 @@ func (r *Runtime) RegisterReducer(name string, fn ReduceFn) error {
 	return r.reducers.register(name, fn)
 }
 
-// MustRegisterReducer is RegisterReducer that panics on error.
-func (r *Runtime) MustRegisterReducer(name string, fn ReduceFn) {
-	if err := r.RegisterReducer(name, fn); err != nil {
-		panic(err)
-	}
-}
-
 // checkReducer panics on an unregistered reducer name: LCO construction is
 // a program-structure operation, and a typo'd operator should fail at the
 // construction site, not when the n-th contribution arrives.

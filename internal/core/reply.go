@@ -2,12 +2,15 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/agas"
 	"repro/internal/lco"
+	"repro/internal/parcel"
+	"repro/internal/trace"
 )
 
 // A one-shot reply — the future behind CallFrom, WaitLCO or NewFutureAt — is a slot, not
@@ -63,8 +66,13 @@ type replyStripe struct {
 	_     [128 - 56]byte // stripes 128 bytes apart never share a cache line
 }
 
-// replyTable holds one locality's reply slots.
+// replyTable holds one locality's reply slots. Every open and take loads
+// the table's first word, the compiler's nil check of the table pointer,
+// so that word heads a line of its own: were it stripe 0's mutex, every
+// CPU calling on another stripe would miss on the line stripe 0's CPU
+// keeps writing.
 type replyTable struct {
+	_       [128]byte
 	stripes [replyStripes]replyStripe
 }
 
@@ -271,4 +279,80 @@ func (r *Runtime) failLostWaiters(node int) {
 			r.failLostReply(i, s)
 		}
 	}
+}
+
+// localReply reports the locality of the reply slot g when a trigger for
+// it, routed from loc, would run inline on this goroutine with no
+// modelled delay: g names a reply slot, its locality is installed on this
+// node, and it is loc or the network charges nothing between the two for
+// a message of any size. The trigger is then pure overhead, and the
+// caller settles the slot's future in place (settleLocal) instead.
+func (r *Runtime) localReply(loc int, g agas.GID) (int, bool) {
+	if g.Kind != agas.KindReply {
+		return 0, false
+	}
+	home := int(g.Home)
+	if r.loc(home) == nil {
+		return 0, false
+	}
+	if home != loc && (r.net.Latency(loc, home, 0) != 0 || r.net.Latency(loc, home, math.MaxInt32) != 0) {
+		return 0, false
+	}
+	return home, true
+}
+
+// settleLocal settles the future of reply slot g at locality home, named
+// by localReply, with v or err, as the px.lco.set or px.lco.fail parcel
+// would: it records the trigger span of p's chain, and takes the slot (a
+// stale one is counted and dropped) and settles it on the slot's locality
+// under the dispatch's own noWait rule. It consumes p, the parcel whose
+// continuation g was.
+func (r *Runtime) settleLocal(home int, g agas.GID, p *parcel.Parcel, v any, err error, noWait bool) {
+	action := ActionLCOSet
+	if err != nil {
+		action = ActionLCOFail
+	}
+	r.emitSpan(trace.SpanTrigger, home, &p.Trace, action)
+	parcel.Release(p)
+	if fut := r.takeReply(home, g); fut != nil {
+		_ = r.settle(&Context{rt: r, loc: home, noWait: noWait}, fut, v, err)
+	}
+}
+
+// replyValue is the value, or the error, that a reply carrying v gives
+// its future — what encoding v into a value record and decoding it back
+// gives, without the record where it can: nil arrives as false and int
+// as int64, the other scalars as they are, and vectors as copies (an
+// action may return its object's own state). Any other value makes the
+// round trip through its codec; one with no codec fails the future as a
+// wire reply's encode failure would.
+func replyValue(v any) (any, error) {
+	switch x := v.(type) {
+	case nil:
+		return false, nil
+	case int:
+		return int64(x), nil
+	case bool, int64, uint64, float64, string, agas.GID:
+		return v, nil
+	case []byte:
+		return append([]byte(nil), x...), nil
+	case []float64:
+		return append(make([]float64, 0, len(x)), x...), nil
+	case []int64:
+		return append(make([]int64, 0, len(x)), x...), nil
+	}
+	raw, err := parcel.EncodeAny(v)
+	if err != nil {
+		return nil, remoteFailure(err.Error())
+	}
+	if v, err = parcel.DecodeAny(raw); err != nil {
+		return nil, fmt.Errorf("core: %s trigger value: %w", TrigSet, err)
+	}
+	return v, nil
+}
+
+// remoteFailure is the error a future hears when the action it waits on
+// failed with msg, whichever node the failure came from.
+func remoteFailure(msg string) error {
+	return fmt.Errorf("remote action failed: %s", msg)
 }

@@ -298,8 +298,9 @@ func TestUndecodableReplyFailsTheFuture(t *testing.T) {
 
 // TestCallFromAllocBudget pins what a split-phase call may allocate: the
 // future and nothing else for a call with no value; for a value, also the
-// action's own result box and the copy and box the receiving side's decode
-// makes. Argument records, the reply parcel and the wait cost nothing.
+// action's own result box and the copy and box the caller receives, made
+// where the reply settles in place. Argument records, the request parcel
+// and the wait cost nothing.
 func TestCallFromAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector randomizes sync.Pool reuse; exact alloc counts only hold without -race")
@@ -331,8 +332,8 @@ func TestCallFromAllocBudget(t *testing.T) {
 	}
 }
 
-// TestNodeLocalCallCostsOneTask: a reply to a call from this node resolves
-// on the goroutine that routes it, so a node-local call runs one locality
+// TestNodeLocalCallCostsOneTask: a reply to a call from this node settles
+// in place on the goroutine that ran the callee, so a node-local call runs one locality
 // task, the callee's — whether the callee is on a neighbouring locality or
 // on the caller's own.
 func TestNodeLocalCallCostsOneTask(t *testing.T) {

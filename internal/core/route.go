@@ -232,7 +232,8 @@ func (r *Runtime) mustPost(err error) {
 // a work unit charged) until the move commits and the migration re-routes
 // it. A reply name's target is the future in its slot, not an object in
 // the store; a reply that finds the slot spent is late, and is counted and
-// dropped.
+// dropped. A last continuation that sets a reply slot localReply admits
+// is no parcel: execute settles the slot's future in place.
 //
 // execute consumes p: dispatch (successful or failed) ends with the
 // parcel released to its pool; the park and forward paths instead pass
@@ -309,6 +310,15 @@ func (r *Runtime) execute(loc int, p *parcel.Parcel, rd *parcel.Reader, ctx *Con
 		return
 	}
 	if cont, more := p.PopContinuation(); more {
+		if cont.Action == ActionLCOSet && len(p.Cont) == 0 {
+			if home, ok := r.localReply(loc, cont.Target); ok {
+				// The reply would run inline on this goroutine: settle
+				// its future here, with no reply parcel.
+				v, verr := replyValue(res)
+				r.settleLocal(home, cont.Target, p, v, verr, ctx.noWait)
+				return
+			}
+		}
 		// The continuation inherits the chain's ID, shard and trace
 		// context (AcquireNext).
 		np, encErr := parcel.AcquireValue(p, cont.Target, cont.Action, res, p.Cont...)
@@ -407,8 +417,13 @@ func (r *Runtime) failParcel(loc int, p *parcel.Parcel, err error, noWait bool) 
 }
 
 // failTo delivers err to cont, a continuation already popped off p, and
-// consumes p.
+// consumes p. A failure for a reply slot that localReply admits fails its
+// future in place.
 func (r *Runtime) failTo(loc int, p *parcel.Parcel, cont parcel.Continuation, err error, noWait bool) {
+	if home, ok := r.localReply(loc, cont.Target); ok {
+		r.settleLocal(home, cont.Target, p, nil, remoteFailure(err.Error()), noWait)
+		return
+	}
 	np := parcel.AcquireNext(p, cont.Target, ActionLCOFail, nil) // failure deliveries share the chain identity too
 	np.Args = np.OwnArgs().String(err.Error()).Encode()
 	parcel.Release(p)

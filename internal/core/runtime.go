@@ -173,9 +173,16 @@ type Runtime struct {
 	replies      []replyTable
 	staleReplies atomic.Uint64
 
-	pending  atomic.Int64
-	quiet    sync.Mutex
-	quietC   *sync.Cond
+	// pending is the work count every call writes on every CPU, and quiet
+	// and quietC are written with it whenever it reaches zero. The pads
+	// keep the three off the lines of the fields every call only reads,
+	// such as replies: a read of a line another CPU keeps writing misses.
+	_       [56]byte
+	pending atomic.Int64
+	quiet   sync.Mutex
+	quietC  *sync.Cond
+	_       [56]byte
+
 	errMu    sync.Mutex
 	errs     []error
 	shutdown atomic.Bool

@@ -183,18 +183,49 @@ func TestOpenLoopServeHealthy(t *testing.T) {
 
 func TestOpenLoopShedsUnderOverload(t *testing.T) {
 	// One worker per locality, an admission limit of 1, and an arrival
-	// burst far faster than the service can drain: admission control must
-	// shed, every shed must surface as a typed verdict (never a timeout),
-	// and every request must end in a verdict — completed or rejected,
-	// none lost.
+	// burst that cannot drain: admission control must shed, every shed
+	// must surface as a typed verdict (never a timeout), and every request
+	// must end in a verdict — completed or rejected, none lost.
+	//
+	// Each locality's one worker is held in a sheddable action until the
+	// first shed is counted. Until then a locality admits one request to
+	// its queue and sheds the next, however the burst and the workers are
+	// scheduled.
+	release := make(chan struct{})
+	var once sync.Once
+	free := func() { once.Do(func() { close(release) }) }
+	held := make(chan struct{})
 	rt := core.New(core.Config{
 		Localities:         2,
 		WorkersPerLocality: 1,
 		AdmitLimit:         1,
-		Register:           RegisterKVService,
+		Register: func(rt *core.Runtime) {
+			RegisterKVService(rt)
+			rt.MarkSheddable("test.hold")
+			rt.MustRegisterAction("test.hold", func(*core.Context, any, *parcel.Reader) (any, error) {
+				held <- struct{}{}
+				<-release
+				return nil, nil
+			})
+		},
 	})
 	t.Cleanup(rt.Shutdown)
+	t.Cleanup(free) // runs first: a failed run must not leave the workers held
 	InstallKVShards(rt)
+	for loc := 0; loc < rt.Localities(); loc++ {
+		rt.SendFrom(loc, parcel.New(KVShardGID(loc), "test.hold", nil))
+		<-held
+	}
+	go func() {
+		for rt.Sheds() == 0 {
+			select {
+			case <-release:
+				return
+			case <-time.After(50 * time.Microsecond):
+			}
+		}
+		free()
+	}()
 
 	res := RunOpenLoop(rt, OpenLoopConfig{
 		Rate:         1e7, // effectively an instantaneous burst
