@@ -156,10 +156,10 @@ func TestLocalReplyIsACopy(t *testing.T) {
 	}
 }
 
-// TestLocalReplyOfADirectActionCallsBackOnATask: a direct action's reply settles
-// its future in place, on the goroutine that ran the action, which must
-// not wait; so the future's callbacks run as one task on the slot's
-// locality.
+// TestLocalReplyOfADirectActionCallsBackOnATask: a direct action's reply
+// settles its future in place, on the goroutine that ran the action,
+// which must not wait; so the future's callbacks run as one task on the
+// slot's locality.
 func TestLocalReplyOfADirectActionCallsBackOnATask(t *testing.T) {
 	r := New(Config{Localities: 2, WorkersPerLocality: 2, Register: func(rt *Runtime) {
 		rt.MarkDirect("lr.direct")
@@ -167,6 +167,7 @@ func TestLocalReplyOfADirectActionCallsBackOnATask(t *testing.T) {
 			return int64(11), nil
 		})
 	}})
+	t.Cleanup(r.Shutdown)
 	obj := r.NewDataAt(1, struct{}{})
 	r.Wait()
 	sent, threads := r.SLOW().ParcelsSent.Value(), r.SLOW().ThreadsSpawned.Value()
