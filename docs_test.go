@@ -59,7 +59,7 @@ func undocumented(t *testing.T, dir string) []string {
 }
 
 func TestExportedIdentifiersDocumented(t *testing.T) {
-	for _, dir := range []string{".", "internal/agas"} {
+	for _, dir := range []string{".", "internal/agas", "internal/wire"} {
 		if missing := undocumented(t, dir); len(missing) != 0 {
 			t.Errorf("%s: exported identifiers without doc comments: %v", dir, missing)
 		}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/agas"
 	"repro/internal/balance"
+	"repro/internal/wire"
 )
 
 // balancerState is the runtime side of the adaptive self-balancer: the
@@ -132,7 +133,7 @@ func (b *balancerState) tick() {
 	}
 
 	width := r.Localities()
-	var report []loadEntry
+	var report []wire.LoadEntry
 	for i := 0; i < width; i++ {
 		l := r.loc(i)
 		if l == nil {
@@ -150,7 +151,7 @@ func (b *balancerState) tick() {
 			raw = 0
 		}
 		score := b.eng.Observe(i, raw)
-		report = append(report, loadEntry{loc: i, score: score})
+		report = append(report, wire.LoadEntry{Loc: i, Score: score})
 	}
 
 	d := r.dist
@@ -251,11 +252,11 @@ func nodeEligible(d *distState, n int, now time.Time) bool {
 // broadcast ships this node's per-locality scores to every reachable
 // peer as one fLoad frame. Best-effort: a lost report means the peer
 // plans one tick on stale data, which the hysteresis band absorbs.
-func (b *balancerState) broadcast(d *distState, entries []loadEntry) {
+func (b *balancerState) broadcast(d *distState, entries []wire.LoadEntry) {
 	if len(entries) == 0 || len(entries) > math.MaxUint16 {
 		return
 	}
-	frame := encodeLoad(entries)
+	frame := wire.EncodeLoad(entries)
 	now := time.Now()
 	for n := 0; n < d.lmap.Nodes(); n++ {
 		if n == d.node || !nodeEligible(d, n, now) {
@@ -265,11 +266,11 @@ func (b *balancerState) broadcast(d *distState, entries []loadEntry) {
 	}
 }
 
-// onLoad records a peer's fLoad report (already vetted by decodeLoad:
+// onLoad records a peer's fLoad report (already vetted by wire.Decode:
 // every entry names a locality of this machine and carries a finite,
 // non-negative score). Nodes without a balancer ignore the frames — the
 // wire kind exists machine-wide, the policy is per-node.
-func (d *distState) onLoad(loads []loadEntry) {
+func (d *distState) onLoad(loads []wire.LoadEntry) {
 	b := d.rt.bal
 	if b == nil {
 		return
@@ -277,7 +278,7 @@ func (d *distState) onLoad(loads []loadEntry) {
 	now := time.Now().UnixNano()
 	b.mu.Lock()
 	for _, e := range loads {
-		b.remote[e.loc] = remoteLoad{score: e.score, at: now}
+		b.remote[e.Loc] = remoteLoad{score: e.Score, at: now}
 	}
 	b.mu.Unlock()
 	b.reports.Add(1)

@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/agas"
 	"repro/internal/parcel"
+	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // The whole loop, single process: a skewed object set under sustained
@@ -98,5 +100,49 @@ func TestBalancerDisabledIsInvisible(t *testing.T) {
 		if strings.HasPrefix(name, "px.balance.") {
 			t.Fatalf("metric %q registered with balancing disabled", name)
 		}
+	}
+}
+
+// TestLoadFrameCannotGrowLoadTable: a load report is socket input, and the
+// balancer's remote-load table is keyed by what it names. A frame naming
+// localities this machine does not have must leave the table alone.
+func TestLoadFrameCannotGrowLoadTable(t *testing.T) {
+	fab := transport.NewFabric(2)
+	var rts [2]*Runtime
+	for i := range rts {
+		rts[i] = New(Config{
+			Transport:       fab.Node(i),
+			NodeID:          i,
+			NodeLocalities:  internRanges,
+			BalanceInterval: time.Hour, // a balancer that never ticks on its own
+		})
+	}
+	defer func() {
+		for _, rt := range rts {
+			rt.Shutdown()
+		}
+	}()
+	// Hand-laid bytes, as a hostile peer would send them: three entries,
+	// one real locality of node 1 and two that exist nowhere.
+	frame := []byte{wire.Load, 3, 0}
+	for _, loc := range []uint32{2, 4, 0xfffffff0} {
+		frame = append(frame, byte(loc), byte(loc>>8), byte(loc>>16), byte(loc>>24))
+		frame = append(frame, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f) // score 1.0
+	}
+	b := rts[0].bal
+	rts[0].dist.onFrame(1, frame)
+	b.mu.Lock()
+	grown := len(b.remote)
+	b.mu.Unlock()
+	if grown != 0 {
+		t.Fatalf("a load report naming nonexistent localities left %d entries in the load table", grown)
+	}
+	// The same report restricted to the machine's localities is taken.
+	rts[0].dist.onFrame(1, wire.EncodeLoad([]wire.LoadEntry{{Loc: 2, Score: 1}, {Loc: 3, Score: 0.5}}))
+	b.mu.Lock()
+	got := b.remote[3].score
+	b.mu.Unlock()
+	if got != 0.5 || b.reports.Load() != 1 {
+		t.Fatalf("well-formed load report not recorded: score %v, %d reports", got, b.reports.Load())
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/parcel"
 	"repro/internal/trace"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // distState is the runtime's view of the multi-node machine: the frame
@@ -42,7 +43,7 @@ type distState struct {
 	// ourTable is the action table this node announced in its hello (each
 	// peer's own announcement lives in its peerState); internedSent counts
 	// the parcel frames encoded against it (px.wire.interned_sent).
-	ourTable     *senderTable
+	ourTable     wire.SendTable
 	internedSent atomic.Uint64
 
 	drainMu  sync.Mutex
@@ -104,10 +105,6 @@ func newDistState(r *Runtime, tr transport.Transport, node int, lmap *agas.Local
 // sendParcel's reader path, which hands a send a full lane refuses to a
 // task.
 func (d *distState) onFrame(from int, frame []byte) {
-	if len(frame) == 0 {
-		d.rt.recordError(fmt.Errorf("core: empty frame from node %d", from))
-		return
-	}
 	// A death verdict is final: frames from the declared-dead are dropped,
 	// so a zombie (or a healed partition) cannot re-enter the accounting.
 	if d.peerDead(from) {
@@ -115,70 +112,57 @@ func (d *distState) onFrame(from int, frame []byte) {
 	}
 	// Count the frame before dispatch: the death check measures silence
 	// across ALL lanes of a peer, so any frame kind on any lane vetoes a
-	// pending verdict (see memberState.check).
-	ps := d.peer(from)
-	if ps != nil {
+	// pending verdict (see memberState.check). Every parcel read from one
+	// peer takes the same shard, so the peer's read goroutines pick once,
+	// not once per frame. Without the sender's announcement (its hello was
+	// rejected) the table stays nil, and a parcel naming a table position
+	// fails to decode.
+	env := wire.Env{Width: d.lmap.Localities(), Shard: from % parcel.Shards}
+	if ps := d.peer(from); ps != nil {
 		ps.frames.Add(1)
+		env.Table = ps.table.Load()
 	}
-	kind := frame[0]
-	row := kindOf(kind)
-	if row == nil {
-		d.rt.recordError(fmt.Errorf("core: unknown frame type %d from node %d", kind, from))
-		return
-	}
-	// Every parcel read from one peer takes the same shard, so the peer's
-	// read goroutines pick once, not once per frame.
-	env := frameEnv{width: d.lmap.Localities(), shard: from % parcel.Shards}
-	if kind == fParcel && ps != nil {
-		// Without the sender's announcement (its hello was rejected) the
-		// table stays nil, and a parcel naming a table position fails to
-		// decode.
-		if t := ps.table.Load(); t != nil {
-			env.tbl = t
-		}
-	}
-	m, err := row.decode(frame[1:], env)
+	m, err := wire.Decode(frame, env)
 	if err != nil {
-		if kind == fParcel {
+		if m.Kind == wire.Parcel {
 			// The sender counted this frame on the lane: count it here too,
 			// though there is nothing to deliver, or the machine never
 			// balances.
 			d.countParcel(from)
 		}
-		d.rt.recordError(fmt.Errorf("core: bad %s frame (%s) of %d bytes from node %d: %w",
-			row.name, row.layout, len(frame), from, err))
+		d.rt.recordError(fmt.Errorf("core: node %d: %w", from, err))
 		return
 	}
-	switch kind {
-	case fParcel:
-		d.onParcel(from, m.p)
-	case fMoved:
+	switch m.Kind {
+	case wire.Parcel:
+		d.onParcel(from, m.P)
+	case wire.Moved:
 		// The hint is recorded for names homed elsewhere and applied as a
 		// late directory commit for names homed here (agas.Repoint).
-		if m.loc >= 0 && m.loc < d.rt.Localities() {
-			d.rt.agas.Repoint(m.g, m.loc, m.gen)
+		if m.Loc >= 0 && m.Loc < d.rt.Localities() {
+			d.rt.agas.Repoint(m.GID, m.Loc, m.Gen)
 		}
-	case fDrain:
-		d.replyDrain(from, m.id)
-	case fDrainReply:
+	case wire.Drain:
+		d.replyDrain(from, m.ID)
+	case wire.DrainReply:
 		d.onDrainReply(from, m)
-	case fGoodbye:
+	case wire.Goodbye:
 		d.drainMu.Lock()
-		d.departed[from] = drainReply{node: from, sent: m.sent, recv: m.recv}
+		d.departed[from] = drainReply{node: from, sent: m.Sent, recv: m.Recv}
 		d.drainMu.Unlock()
 		// A clean departure ends monitoring: the peer's coming silence must
 		// not read as a death (see memberState.check and declareDead).
 		if ps := d.ensurePeer(from); ps != nil {
 			ps.departed.Store(true)
 		}
-	case fHalt:
+	case wire.Halt:
 		d.haltOnce.Do(func() { close(d.halt) })
-	case fBeat:
+	case wire.Beat:
 		d.onBeat(from)
-	case fDead:
-		d.onDead(from, m.node)
-	case fLoad:
-		d.onLoad(m.loads)
+	case wire.Dead:
+		d.onDead(from, m.Node)
+	case wire.Load:
+		d.onLoad(m.Loads)
 	}
 }
 
@@ -257,7 +241,7 @@ func (d *distState) deliver(from int, p *parcel.Parcel, owner int, gen uint64, e
 // (and hinted) again. It runs on the read goroutine and sends with Send,
 // which never waits.
 func (d *distState) hintMoved(node int, g agas.GID, owner int, gen uint64) {
-	_ = d.tr.Send(node, encodeMoved(g, owner, gen))
+	_ = d.tr.Send(node, wire.EncodeMoved(g, owner, gen))
 }
 
 // laneOf affinity-hashes a destination GID onto a transport lane. All
@@ -323,7 +307,7 @@ func (d *distState) sendParcel(node, src int, p *parcel.Parcel, noWait bool) {
 	}
 	// A name too long for the wire is one no node registered: the parcel
 	// fails here as it would at its destination.
-	if name, ok := oversizedAction(p); ok {
+	if name, ok := wire.OversizedAction(p); ok {
 		d.rt.deliverFailure(src, p, errUnknownAction(name))
 		return
 	}
@@ -333,13 +317,13 @@ func (d *distState) sendParcel(node, src int, p *parcel.Parcel, noWait bool) {
 	// Actions are table positions once the peer's hello has arrived and
 	// spelled out before: a peer whose hello we hold is one that already
 	// holds ours, while a node may send before its peer's hello reaches it.
-	var tbl parcel.Table
+	var tbl wire.SendTable
 	if ps.table.Load() != nil {
 		tbl = d.ourTable
 		d.internedSent.Add(1)
 	}
 	w := parcel.GetWire()
-	w.B = appendParcel(w.B, p, tbl)
+	w.B = wire.AppendParcel(w.B, p, tbl)
 	ps.sent.Add(1)
 	// Parcels ride the lane their destination hashes to; per-object order
 	// is the per-lane FIFO.
@@ -418,19 +402,19 @@ func (d *distState) snapshot() (pending int64, sent, recv uint64) {
 // invalidates the wave.
 func (d *distState) replyDrain(to int, seq uint64) {
 	pending, sent, recv := d.snapshot()
-	buf := encodeDrainReply(seq, pending, sent, recv, d.lmap.Fingerprint())
+	buf := wire.EncodeDrainReply(seq, pending, sent, recv, d.lmap.Fingerprint())
 	if err := d.tr.Send(to, buf); err != nil {
 		d.rt.recordError(fmt.Errorf("core: drain reply to node %d: %w", to, err))
 	}
 }
 
-func (d *distState) onDrainReply(from int, m frameMsg) {
+func (d *distState) onDrainReply(from int, m wire.Msg) {
 	d.drainMu.Lock()
-	ch, ok := d.drains[m.id]
+	ch, ok := d.drains[m.ID]
 	d.drainMu.Unlock()
 	if ok {
 		select {
-		case ch <- drainReply{node: from, pending: m.pending, sent: m.sent, recv: m.recv, fp: m.fp}:
+		case ch <- drainReply{node: from, pending: m.Pending, sent: m.Sent, recv: m.Recv, fp: m.FP}:
 		default: // probe already abandoned
 		}
 	}
@@ -458,7 +442,7 @@ func (d *distState) probe() (allZero bool, sent, recv uint64, ok bool) {
 		d.drainMu.Unlock()
 	}()
 
-	probeFrame := encodeID(fDrain, seq)
+	probeFrame := wire.EncodeDrain(seq)
 
 	pending, sent, recv := d.snapshot()
 	allZero = pending == 0
@@ -561,7 +545,7 @@ func (d *distState) waitGlobal() {
 // goodbye themselves are skipped — retrying into their closed listeners
 // would burn the whole dial budget for nothing.
 func (d *distState) goodbye() {
-	buf := encodeGoodbye(d.liveTotals())
+	buf := wire.EncodeGoodbye(d.liveTotals())
 	d.drainMu.Lock()
 	gone := make(map[int]bool, len(d.departed))
 	for n := range d.departed {
@@ -581,7 +565,7 @@ func (d *distState) goodbye() {
 func (d *distState) requestHalt() {
 	for n := 0; n < d.lmap.Nodes(); n++ {
 		if n != d.node && !d.peerDead(n) {
-			if err := d.tr.Send(n, []byte{fHalt}); err != nil {
+			if err := d.tr.Send(n, wire.EncodeHalt()); err != nil {
 				d.rt.recordError(fmt.Errorf("core: halt to node %d: %w", n, err))
 			}
 		}

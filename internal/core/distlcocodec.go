@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/agas"
 	"repro/internal/parcel"
+	"repro/internal/wire"
 )
 
 // DistLCOCodecName is the wire name of the DistLCO value codec. Every
@@ -44,12 +45,12 @@ func appendValueRecord(buf []byte, v any, present bool) ([]byte, error) {
 
 // readValueRecord reads what appendValueRecord wrote. A record that overruns
 // the input flags the cursor and reads as absent.
-func readValueRecord(c *cursor) (v any, present bool, err error) {
-	if c.u8() == 0 {
+func readValueRecord(c *wire.Cursor) (v any, present bool, err error) {
+	if c.U8() == 0 {
 		return nil, false, nil
 	}
-	raw := c.bytes32()
-	if c.bad {
+	raw := c.Bytes32()
+	if c.Bad() {
 		return nil, false, nil
 	}
 	v, err = parcel.DecodeAny(raw)
@@ -105,23 +106,23 @@ func decodeDistLCO(buf []byte) (any, error) {
 	fail := func(err error) (any, error) {
 		return nil, fmt.Errorf("core: distlco decode: %w", err)
 	}
-	c := cursor{b: buf}
-	if v := c.u8(); !c.bad && v != distLCOCodecVersion {
+	c := wire.NewCursor(buf)
+	if v := c.U8(); !c.Bad() && v != distLCOCodecVersion {
 		return fail(fmt.Errorf("version %d, want %d", v, distLCOCodecVersion))
 	}
-	l := &DistLCO{kind: lcoKind(c.u8())}
-	l.need = int(c.u32())
-	l.opName = c.str16()
-	l.resolved = c.u8() == 1
-	l.failMsg = c.str16()
+	l := &DistLCO{kind: lcoKind(c.U8())}
+	l.need = int(c.U32())
+	l.opName = c.Str16()
+	l.resolved = c.U8() == 1
+	l.failMsg = c.Str16()
 	var err error
 	if l.val, _, err = readValueRecord(&c); err != nil {
 		return fail(fmt.Errorf("accumulator: %w", err))
 	}
 	// Counts are checked against what is left before anything is sized by
 	// them: each slot costs at least its presence byte.
-	nslots := int(c.u32())
-	if nslots > len(c.b) {
+	nslots := int(c.U32())
+	if nslots > c.Len() {
 		return fail(fmt.Errorf("slot count %d exceeds payload", nslots))
 	}
 	if nslots > 0 {
@@ -133,14 +134,14 @@ func decodeDistLCO(buf []byte) (any, error) {
 			}
 		}
 	}
-	nwait := int(c.u32())
-	if nwait > len(c.b)/(agas.GIDSize+5) {
+	nwait := int(c.U32())
+	if nwait > c.Len()/(agas.GIDSize+5) {
 		return fail(fmt.Errorf("waiter list truncated"))
 	}
 	for i := 0; i < nwait; i++ {
-		l.waiters = append(l.waiters, Waiter{Target: c.gid(), Op: TrigOp(c.u8()), Slot: c.u32()})
+		l.waiters = append(l.waiters, Waiter{Target: c.GID(), Op: TrigOp(c.U8()), Slot: c.U32()})
 	}
-	if err := c.end(); err != nil {
+	if err := c.End(); err != nil {
 		return fail(err)
 	}
 	return l, nil

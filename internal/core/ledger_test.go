@@ -19,6 +19,7 @@ import (
 	"repro/internal/lco"
 	"repro/internal/parcel"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // ledgerMachine is the interning tests' two-node machine over ledger wires.
@@ -39,7 +40,7 @@ func (m *ledgerMachine) hold(node int, signal ...byte) <-chan struct{} {
 			default:
 			}
 		}
-		if frame[0] == fParcel {
+		if frame[0] == wire.Parcel {
 			return transport.Hold
 		}
 		return transport.Pass
@@ -122,7 +123,7 @@ func (m *ledgerMachine) wantInFlight(t *testing.T, n uint64) {
 // satisfy it. The channel closes once Wait returns.
 func (m *ledgerMachine) waitBlocked(t *testing.T) <-chan struct{} {
 	t.Helper()
-	probed := m.hold(0, fDrain) // a token per wave node 0 starts
+	probed := m.hold(0, wire.Drain) // a token per wave node 0 starts
 	done := make(chan struct{})
 	go func() {
 		m.rts[0].Wait()
@@ -196,13 +197,13 @@ func TestLedgerCountsUndecodableParcel(t *testing.T) {
 	m.hold(0)
 	m.rts[0].SendFrom(0, parcel.New(obj, "intern.echo", nil))
 	m.wires[1].SetRule(func(_ int, frame []byte) transport.Fate {
-		if kind := frame[0]; kind != fDrain && kind != fDrainReply && kind != fBeat {
-			t.Errorf("node 1 sent a %s frame; a parcel is answered by nothing", kindOf(kind).name)
+		if kind := frame[0]; kind != wire.Drain && kind != wire.DrainReply && kind != wire.Beat {
+			t.Errorf("node 1 sent a kind %d frame; a parcel is answered by nothing", kind)
 		}
 		return transport.Pass
 	})
 	m.release(t, 0, func(frame []byte) []byte {
-		if frame[0] != fParcel {
+		if frame[0] != wire.Parcel {
 			t.Fatalf("held frame is kind %d, want fParcel", frame[0])
 		}
 		return frame[:len(frame)/2]
@@ -236,7 +237,7 @@ func TestLedgerRefusedSendKeepsTotalsMonotone(t *testing.T) {
 	// The rule notes mid-refusal, on this goroutine: CallFrom sends
 	// synchronously.
 	m.wires[0].SetRule(func(_ int, frame []byte) transport.Fate {
-		if frame[0] == fParcel {
+		if frame[0] == wire.Parcel {
 			note()
 			return transport.Refuse
 		}

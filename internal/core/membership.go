@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/agas"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // MembershipConfig tunes elastic membership and failure detection. The
@@ -76,7 +77,7 @@ type peerState struct {
 	// table is the action table the peer announced in its hello: what its
 	// fParcel frames decode against. Nil until the hello arrives; the last
 	// hello wins.
-	table atomic.Pointer[recvTable]
+	table atomic.Pointer[wire.RecvTable]
 
 	// frames counts the frames of ANY kind received from this peer,
 	// across every transport lane. The death check consults it alongside
@@ -209,7 +210,7 @@ func (m *memberState) stopLoop() {
 // dial that exchanges hellos.
 func (m *memberState) beat() {
 	d := m.d
-	frame := encodeID(fBeat, d.lmap.Fingerprint())
+	frame := wire.EncodeBeat(d.lmap.Fingerprint())
 	for n := 0; n < d.lmap.Nodes(); n++ {
 		if n == d.node {
 			continue
@@ -310,7 +311,7 @@ func (m *memberState) declareDead(n int, why string) {
 	// Shoot-the-other-node gossip: the death verdict propagates to every
 	// live peer so the machine converges on one view. Receivers that
 	// already marked n dead return early above.
-	frame := encodeDead(n)
+	frame := wire.EncodeDead(n)
 	for _, p := range d.lmap.LiveNodes() {
 		if p == d.node || p == n {
 			continue
@@ -380,7 +381,7 @@ func (d *distState) onDead(from, n int) {
 // announced range continues the partition), and AGAS grows its directory
 // and cache to cover the new localities. Join admission is serialized and
 // idempotent per node — the hello re-arrives on every reconnect.
-func (d *distState) onMemberHello(from int, mh *memberHello) {
+func (d *distState) onMemberHello(from int, mh *wire.MemberHello) {
 	m := d.mb
 	if m == nil {
 		return
@@ -399,11 +400,11 @@ func (d *distState) onMemberHello(from int, mh *memberHello) {
 		d.rt.recordError(fmt.Errorf("core: node %d tried to join but transport cannot grow", from))
 		return
 	}
-	if err := mt.AddPeer(from, mh.addr, mh.lo, mh.hi); err != nil {
+	if err := mt.AddPeer(from, mh.Addr, mh.Lo, mh.Hi); err != nil {
 		d.rt.recordError(fmt.Errorf("core: rejecting join of node %d: %w", from, err))
 		return
 	}
-	if _, err := d.lmap.AddNode(agas.Range{Lo: mh.lo, Hi: mh.hi}); err != nil {
+	if _, err := d.lmap.AddNode(agas.Range{Lo: mh.Lo, Hi: mh.Hi}); err != nil {
 		d.rt.recordError(fmt.Errorf("core: rejecting join of node %d: %w", from, err))
 		return
 	}

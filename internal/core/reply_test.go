@@ -12,6 +12,7 @@ import (
 	"repro/internal/agas"
 	"repro/internal/lco"
 	"repro/internal/parcel"
+	"repro/internal/wire"
 )
 
 // replyCounters reads the two px.reply.* metrics.
@@ -373,7 +374,7 @@ func TestNodeLocalCallCostsOneTask(t *testing.T) {
 func TestRemoteReplyRunsOnAWorker(t *testing.T) {
 	m, obj := startLedgerMachine(t)
 	// Hold back node 1's reply until the callback is registered.
-	held := m.hold(1, fParcel)
+	held := m.hold(1, wire.Parcel)
 	fut := m.rts[0].CallFrom(0, obj, "intern.echo", nil)
 	<-held
 	stack := make(chan []string, 1)
@@ -457,7 +458,7 @@ func TestSLOWIsSampled(t *testing.T) {
 func TestLedgerReplayedReplyMissesRecycledSlot(t *testing.T) {
 	m, obj := startLedgerMachine(t)
 	// Hold back node 1's reply, then let it through, keeping a copy.
-	held := m.hold(1, fParcel)
+	held := m.hold(1, wire.Parcel)
 	first := m.rts[0].CallFrom(0, obj, "intern.echo", nil)
 	<-held
 	var reply []byte

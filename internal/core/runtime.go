@@ -19,6 +19,7 @@ import (
 	"repro/internal/parcel"
 	"repro/internal/trace"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // Config parameterizes a runtime.
@@ -309,16 +310,13 @@ func New(cfg Config) *Runtime {
 		// Announce the action table after Register has run (the snapshot
 		// must cover the application's actions) and before Start (the hello
 		// rides every connection handshake).
-		var mh *memberHello
+		var mh *wire.MemberHello
 		if r.dist.mb != nil {
-			mh = &memberHello{node: cfg.NodeID, lo: resident.Lo, hi: resident.Hi, addr: r.dist.mb.selfAddr}
+			mh = &wire.MemberHello{Node: cfg.NodeID, Lo: resident.Lo, Hi: resident.Hi, Addr: r.dist.mb.selfAddr}
 		}
-		// ourTable freezes the same helloPrefix-capped prefix encodeHello
-		// encodes, so a position this node ever puts on the wire is always
-		// inside every peer's copy of the table.
-		set := r.acts.snapshot()
-		r.dist.ourTable = &senderTable{set: set, n: helloPrefix(set.names, mh)}
-		cfg.Transport.SetHello(encodeHello(set.names, mh))
+		names := r.acts.snapshot().names
+		r.dist.ourTable = wire.NewSendTable(names, mh)
+		cfg.Transport.SetHello(wire.EncodeHello(names, mh))
 		cfg.Transport.SetHelloHandler(r.dist.onHello)
 		if err := cfg.Transport.Start(); err != nil {
 			panic(fmt.Sprintf("core: transport start: %v", err))
@@ -469,9 +467,6 @@ func (r *Runtime) Metrics() *metrics.Registry { return r.mreg }
 
 // Spans exposes the distributed-trace span buffer.
 func (r *Runtime) Spans() *trace.Spans { return r.spans }
-
-// Network returns the installed network model.
-func (r *Runtime) Network() network.Model { return r.net }
 
 // LocalityGID returns the typed hardware name of locality i. Hardware
 // names are deterministic, so localities announced by nodes that joined

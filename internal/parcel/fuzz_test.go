@@ -84,7 +84,7 @@ func FuzzParcelDecodeInterned(f *testing.F) {
 
 // checkDecode is the property both fuzz targets hold data to, decoding
 // against tbl (nil for no table).
-func checkDecode(t *testing.T, data []byte, tbl Table) {
+func checkDecode(t *testing.T, data []byte, tbl table) {
 	p, rest, err := DecodePooledInterned(data, tbl, 0)
 	if err != nil {
 		return

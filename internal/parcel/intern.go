@@ -30,14 +30,16 @@ const InternSentinel = 0xFFFF
 // MaxInternString bounds action-name length on the wire.
 const MaxInternString = InternSentinel - 1
 
-// Table resolves action names to dense wire positions and back. The
-// sender and receiver sides are asymmetric: IDOf consults the table the
-// local node announced to the peer, ActionOf consults the table the peer
-// announced to us.
-type Table interface {
+// EncodeTable is the sender's half of an action table: what the local
+// node announced to the peer.
+type EncodeTable interface {
 	// IDOf returns the wire position for name, when the name is inside the
 	// announced prefix.
 	IDOf(name string) (uint32, bool)
+}
+
+// DecodeTable is the receiver's half: what the peer announced to us.
+type DecodeTable interface {
 	// ActionOf resolves a received wire position to the action's name and
 	// the local dispatch ID (NoAID when the action is known to the peer
 	// but not registered locally). ok is false for positions outside the
@@ -47,7 +49,7 @@ type Table interface {
 
 // appendActionRef writes one action reference: a table position when t
 // covers the name, the name spelled out otherwise.
-func appendActionRef(dst []byte, name string, t Table) []byte {
+func appendActionRef(dst []byte, name string, t EncodeTable) []byte {
 	if t != nil {
 		if id, ok := t.IDOf(name); ok {
 			dst = binary.LittleEndian.AppendUint16(dst, InternSentinel)
@@ -63,7 +65,7 @@ func appendActionRef(dst []byte, name string, t Table) []byte {
 
 // readActionRef parses one action reference, resolving table positions
 // through t. A spelled-out name resolves no dispatch ID.
-func readActionRef(src []byte, t Table) (name string, aid uint32, rest []byte, err error) {
+func readActionRef(src []byte, t DecodeTable) (name string, aid uint32, rest []byte, err error) {
 	if len(src) < 2 {
 		return "", NoAID, src, fmt.Errorf("short action ref")
 	}

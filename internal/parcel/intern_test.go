@@ -5,8 +5,15 @@ import (
 	"testing"
 )
 
-// testTable is a fixed parcel.Table: position = index into names.
+// testTable is a fixed action table, both halves: position = index into
+// names.
 type testTable []string
+
+// table is what testTable implements, so a test can convert it once.
+type table interface {
+	EncodeTable
+	DecodeTable
+}
 
 func (t testTable) IDOf(name string) (uint32, bool) {
 	for i, n := range t {
@@ -86,7 +93,7 @@ func TestInternedNilTableStringForm(t *testing.T) {
 	if !bytes.Equal(wire, p.Encode(nil)) {
 		t.Fatal("Encode and the nil-table encode wrote different bytes")
 	}
-	for _, tbl := range []Table{nil, testTable{"known.a", "known.b"}} {
+	for _, tbl := range []table{nil, testTable{"known.a", "known.b"}} {
 		q, rest, err := DecodePooledInterned(wire, tbl, 0)
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("decode: %v (%d trailing)", err, len(rest))
@@ -104,10 +111,11 @@ func TestInternedSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector randomizes sync.Pool reuse; exact alloc counts only hold without -race")
 	}
-	// Convert to the interface once: a slice-typed Table boxes (allocates)
+	// Convert to the interface once: a slice-typed table boxes (allocates)
 	// at every implicit conversion, which is the test harness's cost, not
-	// the codec's — the runtime passes pointer-typed tables.
-	var tbl Table = testTable{"known.a", "known.b"}
+	// the codec's — the runtime's tables are a map and a pointer, which
+	// convert for free.
+	var tbl table = testTable{"known.a", "known.b"}
 	args := NewArgs().Int64(7).Encode()
 	run := func() {
 		p := Acquire(sampleGID(9), "known.a", args, Continuation{Target: sampleGID(1), Action: "known.b"})

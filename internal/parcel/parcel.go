@@ -139,10 +139,11 @@ func (p *Parcel) String() string {
 //	u64 id | gid dest | ref action | u32 nargs bytes | args |
 //	u16 ncont | ncont × (gid target, ref action) | u32 src | u32 hops
 //
-// All integers are little-endian. An action reference is written against a
-// Table (see intern.go): a position in the sender's announced action table
-// where the table knows the name, the name spelled out otherwise. With no
-// table every name is spelled out, which is the form Encode writes.
+// All integers are little-endian. An action reference is written against
+// an EncodeTable (see intern.go): a position in the sender's announced
+// action table where the table knows the name, the name spelled out
+// otherwise. With no table every name is spelled out, which is the form
+// Encode writes.
 //
 // The format imposes hard limits: action names (and continuation action
 // names) are at most MaxInternString bytes, the continuation stack holds at
@@ -169,7 +170,7 @@ func (p *Parcel) Encode(dst []byte) []byte {
 // EncodeInterned appends the wire form of p to dst, referring to actions
 // by position where t knows them and spelling them out otherwise. It
 // panics on the same wire-limit violations as Encode.
-func (p *Parcel) EncodeInterned(dst []byte, t Table) []byte {
+func (p *Parcel) EncodeInterned(dst []byte, t EncodeTable) []byte {
 	if len(p.Cont) > MaxContinuations {
 		panic(fmt.Sprintf("parcel: %d continuations exceed wire limit %d", len(p.Cont), MaxContinuations))
 	}
@@ -216,7 +217,7 @@ func DecodePooled(src []byte) (*Parcel, []byte, error) {
 // when dispatch completes. Its AID is set for positions t resolves, so
 // dispatch can index the action table directly. The parcel is taken on
 // shard (modulo Shards), the receiver's: the shard is never encoded.
-func DecodePooledInterned(src []byte, t Table, shard int) (*Parcel, []byte, error) {
+func DecodePooledInterned(src []byte, t DecodeTable, shard int) (*Parcel, []byte, error) {
 	p := blank(uint8(shard))
 	rest, err := decodeInto(p, src, t)
 	if err != nil {
@@ -232,7 +233,7 @@ func DecodePooledInterned(src []byte, t Table, shard int) (*Parcel, []byte, erro
 // recycled by the caller immediately; the continuation stack likewise
 // reuses p's capacity. On error p is partially filled and must be
 // discarded or released, not dispatched.
-func decodeInto(p *Parcel, src []byte, t Table) ([]byte, error) {
+func decodeInto(p *Parcel, src []byte, t DecodeTable) ([]byte, error) {
 	p.Trace = TraceCtx{} // the trailer, if any, is parsed by the caller
 	if len(src) < 8 {
 		return src, fmt.Errorf("parcel: short ID")

@@ -34,7 +34,7 @@ func TestPopContinuationKeepsPooledCapacity(t *testing.T) {
 	}
 	// Against a table, as on the runtime's wire: spelled-out names
 	// allocate their strings.
-	var tbl Table = testTable{"known.a", "known.b"}
+	var tbl table = testTable{"known.a", "known.b"}
 	wire := New(sampleGID(9), "known.a", nil, Continuation{Target: sampleGID(1), Action: "known.b"}).EncodeInterned(nil, tbl)
 	run := func() {
 		p, _, err := DecodePooledInterned(wire, tbl, 0)

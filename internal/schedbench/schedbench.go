@@ -423,8 +423,8 @@ func DistFutureRoundTrip(b *testing.B) {
 	}
 }
 
-// internTable is a minimal parcel.Table for the codec benchmark: wire
-// position = index into names.
+// internTable is a minimal action table, both halves, for the codec
+// benchmark: wire position = index into names.
 type internTable struct {
 	names []string
 	ids   map[string]uint32

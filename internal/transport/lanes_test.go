@@ -211,7 +211,7 @@ func TestTCPPoisonCatchesRetainedFrame(t *testing.T) {
 	addrs := make([]string, 2)
 	for i := range tcps {
 		tt, err := NewTCP(TCPConfig{Self: i, Listen: "127.0.0.1:0",
-			Peers: make([]string, 2), PoisonAliasedReads: true})
+			Peers: make([]string, 2), poisonAliasedReads: true})
 		if err != nil {
 			t.Fatal(err)
 		}

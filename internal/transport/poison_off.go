@@ -2,7 +2,7 @@
 
 package transport
 
-// poisonAliasDefault is the default for TCPConfig.PoisonAliasedReads:
+// poisonAliasDefault is whether TCP poisons aliased reads (see TCPConfig):
 // off in normal builds (the scribble costs a pass over every received
 // frame), on under the debugpool tag — the same tag that arms the parcel
 // pool's poison mode — so one build flag arms every

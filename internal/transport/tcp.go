@@ -46,12 +46,12 @@ type TCPConfig struct {
 	// dialed over TCP even when a Unix-domain listener advertises that
 	// they share this host. See shm.go.
 	DisableSameHost bool
-	// PoisonAliasedReads scribbles 0xdd over every aliased frame after
+	// poisonAliasedReads scribbles 0xdd over every aliased frame after
 	// its handler returns, so a handler that illegally retained the slice
 	// observes garbage (and, under -race, a write/read race) instead of
-	// silently reading recycled bytes. Defaults to true under the
-	// debugpool build tag.
-	PoisonAliasedReads bool
+	// silently reading recycled bytes. The debugpool build tag turns it on;
+	// otherwise only an in-package test does.
+	poisonAliasedReads bool
 }
 
 // MaxLanes caps TCPConfig.Lanes (and the lane index a handshake may
@@ -93,8 +93,8 @@ func (c *TCPConfig) fill() {
 	if c.HandshakeTimeout <= 0 {
 		c.HandshakeTimeout = 5 * time.Second
 	}
-	if !c.PoisonAliasedReads {
-		c.PoisonAliasedReads = poisonAliasDefault
+	if !c.poisonAliasedReads {
+		c.poisonAliasedReads = poisonAliasDefault
 	}
 }
 
@@ -570,7 +570,7 @@ func (t *TCP) serveConn(conn net.Conn) {
 	var lenBuf [4]byte
 	// The copy-path read buffer, grown to the largest copied frame seen.
 	var frame []byte
-	poison := t.cfg.PoisonAliasedReads
+	poison := t.cfg.poisonAliasedReads
 	for {
 		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
 			return

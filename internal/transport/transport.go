@@ -24,9 +24,8 @@ import (
 // their read buffers, and the TCP transport's alias-decode path hands the
 // handler a sub-slice of the connection read buffer itself — so a handler
 // must copy any bytes it retains. Violations can be caught with the TCP
-// transport's poison mode (TCPConfig.PoisonAliasedReads, default on under
-// the debugpool build tag), which scribbles over the frame after the
-// handler returns. Handlers run on transport goroutines and must not
+// transport's poison mode (on under the debugpool build tag), which
+// scribbles over the frame after the handler returns. Handlers run on transport goroutines and must not
 // block indefinitely.
 type Handler func(from int, frame []byte)
 
