@@ -71,7 +71,7 @@ var internRanges = []agas.Range{{Lo: 0, Hi: 2}, {Lo: 2, Hi: 4}}
 // Node 1 registers a decoy action first, so the two nodes' dense action
 // IDs for the shared action differ — the peer-table position mapping must
 // reconcile them.
-func startInternPair(t *testing.T, trs [2]transport.Transport) [2]*Runtime {
+func startInternPair(t testing.TB, trs [2]transport.Transport) [2]*Runtime {
 	t.Helper()
 	var rts [2]*Runtime
 	for i := 0; i < 2; i++ {
