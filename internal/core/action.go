@@ -214,15 +214,16 @@ func registerBuiltins(a *actionRegistry) {
 // and is the one place that tells LCO targets apart: a DistLCO takes
 // every operation its kind accepts, and the future in a reply slot takes
 // a set or a fail. It decodes a value-carrying trigger's record once and
-// returns the value. raw aliases the trigger parcel's argument record,
-// which recycles once the action returns, so nothing here keeps it:
-// DecodeAny copies every value out of the record it reads. ctx is the
-// trigger's dispatch: its locality, and whether it runs on a read
-// goroutine (settle).
+// returns the value — except a contribution's, which the reduction folds
+// straight from the record, unboxed. raw aliases the trigger parcel's
+// argument record, which recycles once the action returns, so nothing
+// here keeps it: DecodeAny copies every value out of the record it reads.
+// ctx is the trigger's dispatch: its locality, and whether it runs on a
+// read goroutine (settle).
 func (r *Runtime) applyTrigger(ctx *Context, target any, op TrigOp, slot uint32, raw []byte) (any, error) {
 	var v any
 	switch op {
-	case TrigSet, TrigFail, TrigContribute, TrigSupply:
+	case TrigSet, TrigFail, TrigSupply:
 		var err error
 		if v, err = parcel.DecodeAny(raw); err != nil {
 			return nil, fmt.Errorf("core: %s trigger value: %w", op, err)

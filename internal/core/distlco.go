@@ -99,8 +99,9 @@ type DistLCO struct {
 	mu       sync.Mutex
 	kind     lcoKind
 	need     int    // remaining triggers until resolution
-	opName   string // registered reducer folding contributions / dataflow slots
-	val      any    // reduce running accumulator, then the resolved value
+	red      redOp  // folds a reduction's contributions / a dataflow's slots
+	acc      num    // a reduction's running accumulator, unboxed
+	val      any    // the resolved value (a reduction's acc, boxed once)
 	failMsg  string // non-empty once failed
 	resolved bool
 	slots    []any // dataflow inputs
@@ -116,11 +117,15 @@ func (l *DistLCO) Pending() int {
 	return l.need
 }
 
-// Resolved reports the resolution snapshot: ok is false while unresolved;
-// failMsg is non-empty for a failed LCO.
+// Resolved reports the resolution snapshot: ok is false while unresolved
+// (a reduction then reports its running accumulator); failMsg is non-empty
+// for a failed LCO.
 func (l *DistLCO) Resolved() (v any, failMsg string, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.kind == lcoReduce && !l.resolved {
+		return l.acc.box(), "", false
+	}
 	return l.val, l.failMsg, l.resolved
 }
 
@@ -131,46 +136,10 @@ func (l *DistLCO) WaiterCount() int {
 	return len(l.waiters)
 }
 
-// ReduceFn folds one contribution into a reduction accumulator. Reducers
-// are registered by name on every node (like actions: in Config.Register,
-// before the transport starts), because a migrated reduction must find its
-// operator wherever it lands.
-type ReduceFn func(acc, v any) any
-
-// reducerRegistry maps reducer names to bodies. Registration is a
-// startup-time operation; apply-time lookups take a read lock.
-type reducerRegistry struct {
-	mu sync.RWMutex
-	m  map[string]ReduceFn
-}
-
-func newReducerRegistry() *reducerRegistry {
-	r := &reducerRegistry{m: make(map[string]ReduceFn)}
-	registerBuiltinReducers(r)
-	return r
-}
-
-func (rr *reducerRegistry) register(name string, fn ReduceFn) error {
-	if name == "" || fn == nil {
-		return fmt.Errorf("core: reducer needs a name and a body")
-	}
-	rr.mu.Lock()
-	defer rr.mu.Unlock()
-	if _, dup := rr.m[name]; dup {
-		return fmt.Errorf("core: reducer %q already registered", name)
-	}
-	rr.m[name] = fn
-	return nil
-}
-
-func (rr *reducerRegistry) lookup(name string) (ReduceFn, bool) {
-	rr.mu.RLock()
-	defer rr.mu.RUnlock()
-	fn, ok := rr.m[name]
-	return fn, ok
-}
-
-// Built-in reducer names, registered on every runtime.
+// Built-in reducer names. They are the whole set: a reduction or dataflow
+// template names its operator, because names cross the wire with a
+// migrating LCO and functions cannot, and every node folds the same four
+// operations on the same two kinds of number.
 const (
 	// ReduceSum adds int64 or float64 contributions.
 	ReduceSum = "px.red.sum"
@@ -178,78 +147,197 @@ const (
 	ReduceMin = "px.red.min"
 	// ReduceMax keeps the largest int64 or float64 contribution.
 	ReduceMax = "px.red.max"
-	// ReduceCount counts contributions, ignoring their values.
+	// ReduceCount counts contributions, ignoring their values: each adds
+	// one to the accumulator.
 	ReduceCount = "px.red.count"
 )
 
-func registerBuiltinReducers(rr *reducerRegistry) {
-	must := func(name string, fn ReduceFn) {
-		if err := rr.register(name, fn); err != nil {
-			panic(err)
+// redOp is a reducer resolved from its name, once: when its LCO is built
+// or decoded, not per contribution. Futures and gates hold redNone.
+type redOp uint8
+
+const (
+	redNone redOp = iota
+	redSum
+	redMin
+	redMax
+	redCount
+)
+
+var redNames = [...]string{redSum: ReduceSum, redMin: ReduceMin, redMax: ReduceMax, redCount: ReduceCount}
+
+// String is the reducer's wire name ("" for redNone).
+func (op redOp) String() string { return redNames[op] }
+
+// parseRedOp resolves a reducer name; "" is redNone.
+func parseRedOp(name string) (redOp, bool) {
+	for op := range redNames {
+		if redNames[op] == name {
+			return redOp(op), true
 		}
 	}
-	must(ReduceSum, func(acc, v any) any {
-		switch a := acc.(type) {
-		case int64:
-			return a + v.(int64)
-		case float64:
-			return a + v.(float64)
-		}
-		return v
-	})
-	must(ReduceMin, func(acc, v any) any {
-		switch a := acc.(type) {
-		case int64:
-			if b := v.(int64); b < a {
-				return b
-			}
-			return a
-		case float64:
-			if b := v.(float64); b < a {
-				return b
-			}
-			return a
-		}
-		return v
-	})
-	must(ReduceMax, func(acc, v any) any {
-		switch a := acc.(type) {
-		case int64:
-			if b := v.(int64); b > a {
-				return b
-			}
-			return a
-		case float64:
-			if b := v.(float64); b > a {
-				return b
-			}
-			return a
-		}
-		return v
-	})
-	must(ReduceCount, func(acc, v any) any {
-		if a, ok := acc.(int64); ok {
-			return a + 1
-		}
-		return int64(1)
-	})
+	return redNone, false
 }
 
-// RegisterReducer installs a named reduction operator for distributed
-// reductions and dataflow templates. On a multi-node machine register in
-// Config.Register so every node — including future migration hosts —
-// resolves the name.
-func (r *Runtime) RegisterReducer(name string, fn ReduceFn) error {
-	return r.reducers.register(name, fn)
-}
-
-// checkReducer panics on an unregistered reducer name: LCO construction is
-// a program-structure operation, and a typo'd operator should fail at the
+// mustRedOp panics on an unknown reducer name: LCO construction is a
+// program-structure operation, and a typo'd operator should fail at the
 // construction site, not when the n-th contribution arrives.
-func (r *Runtime) checkReducer(name string) {
-	if _, ok := r.reducers.lookup(name); !ok {
-		panic(fmt.Sprintf("core: reducer %q not registered", name))
+func mustRedOp(name string) redOp {
+	op, err := redOpNamed(name)
+	if err != nil {
+		panic(err.Error())
 	}
+	return op
+}
+
+// redOpNamed resolves a reducer name that must name one of the four.
+func redOpNamed(name string) (redOp, error) {
+	op, ok := parseRedOp(name)
+	if !ok || op == redNone {
+		return redNone, fmt.Errorf("core: unknown reducer %q", name)
+	}
+	return op, nil
+}
+
+// reduceStart resolves a reduction's reducer and starting accumulator.
+func reduceStart(op string, init any) (redOp, num, error) {
+	red, err := redOpNamed(op)
+	if err != nil {
+		return redNone, num{}, err
+	}
+	acc, ok := numOf(init)
+	if !ok && init != nil {
+		return redNone, num{}, fmt.Errorf("core: reduce init %T is not an int, int64, float64 or nil", init)
+	}
+	return red, acc, nil
+}
+
+// CheckReduce reports why NewDistReduceAt would panic on op and init, or
+// nil if it accepts them: op must name a built-in reducer, and init be an
+// int, int64, float64 or nil. A reduction built from a peer's values is
+// checked with it first, so a bad one fails its request, not the node.
+func CheckReduce(op string, init any) error {
+	_, _, err := reduceStart(op, init)
+	return err
+}
+
+// numKind says which of a num's fields holds its value.
+type numKind uint8
+
+const (
+	numUnset numKind = iota // a nil init, before the first contribution
+	numInt
+	numFloat
+)
+
+func (k numKind) String() string {
+	return [...]string{numUnset: "unset", numInt: "int64", numFloat: "float64"}[k]
+}
+
+// num is a reduction's accumulator or one contribution, unboxed: folding
+// one into the other allocates nothing.
+type num struct {
+	kind numKind
+	i    int64
+	f    float64
+}
+
+// numOf converts a boxed number to a num, widening int to the int64 the
+// wire makes of it. ok is false for anything else, nil included.
+func numOf(v any) (n num, ok bool) {
+	switch x := v.(type) {
+	case int:
+		return num{kind: numInt, i: int64(x)}, true
+	case int64:
+		return num{kind: numInt, i: x}, true
+	case float64:
+		return num{kind: numFloat, f: x}, true
+	}
+	return num{}, false
+}
+
+// box returns n as a value: nil while unset.
+func (n num) box() any {
+	switch n.kind {
+	case numInt:
+		return n.i
+	case numFloat:
+		return n.f
+	}
+	return nil
+}
+
+// fold folds the contribution whose value record is raw into acc, reading
+// the record's tag and eight bytes in place: nothing is boxed. A count
+// takes any value, so it decodes the record only to check that it is one.
+func (op redOp) fold(acc num, raw []byte) (num, error) {
+	if op == redCount {
+		if _, err := parcel.DecodeAny(raw); err != nil {
+			return acc, fmt.Errorf("core: %s contribution: %w: %w", op, ErrTriggerMismatch, err)
+		}
+		return op.apply(acc, num{})
+	}
+	var rd parcel.Reader
+	rd.Reset(raw)
+	v := num{kind: numInt}
+	var isFloat bool
+	if v.i, v.f, isFloat = rd.Number(); isFloat {
+		v.kind = numFloat
+	}
+	if err := rd.Err(); err != nil {
+		return acc, fmt.Errorf("core: %s contribution: %w: %w", op, ErrTriggerMismatch, err)
+	}
+	return op.apply(acc, v)
+}
+
+// apply folds v into acc. An unset acc takes v; otherwise both must be of
+// one kind. A count ignores v and adds a one of acc's kind (an int64 one
+// to an unset acc).
+func (op redOp) apply(acc, v num) (num, error) {
+	if op == redCount {
+		op, v = redSum, num{kind: numInt, i: 1}
+		if acc.kind == numFloat {
+			v = num{kind: numFloat, f: 1}
+		}
+	}
+	if acc.kind == numUnset {
+		return v, nil
+	}
+	if v.kind != acc.kind {
+		return acc, fmt.Errorf("core: %s of a %s into a %s accumulator: %w", op, v.kind, acc.kind, ErrTriggerMismatch)
+	}
+	// Both are of one kind, so the other kind's fields are zero on both
+	// sides: they add nothing and decide no comparison.
+	switch op {
+	case redSum:
+		acc.i += v.i
+		acc.f += v.f
+	case redMin:
+		if v.i < acc.i || v.f < acc.f {
+			acc = v
+		}
+	case redMax:
+		if v.i > acc.i || v.f > acc.f {
+			acc = v
+		}
+	}
+	return acc, nil
+}
+
+// foldSlots folds a complete dataflow's slots in index order, from unset.
+func (op redOp) foldSlots(slots []any) (any, error) {
+	var acc num
+	for i, s := range slots {
+		v, ok := numOf(s)
+		if !ok && op != redCount {
+			return nil, fmt.Errorf("core: %s of dataflow slot %d: %T is not a number: %w", op, i, s, ErrTriggerMismatch)
+		}
+		var err error
+		if acc, err = op.apply(acc, v); err != nil {
+			return nil, fmt.Errorf("dataflow slot %d: %w", i, err)
+		}
+	}
+	return acc.box(), nil
 }
 
 // NewDistFutureAt creates a globally addressable single-assignment future
@@ -272,29 +360,34 @@ func (r *Runtime) NewDistGateAt(loc, n int, waiters ...Waiter) agas.GID {
 }
 
 // NewDistReduceAt creates a globally addressable reduction at loc
-// expecting n >= 1 contributions folded by the registered reducer op,
-// starting from init (which must be wire-encodable for the object to
-// migrate).
+// expecting n >= 1 contributions folded by the built-in reducer op,
+// starting from init: an int64 or a float64 (an int is widened to int64),
+// or nil for an accumulator that takes the first contribution as it is.
+// Contributions must be of the accumulator's kind; a count takes any.
+// Any other op or init panics; CheckReduce tells beforehand.
 func (r *Runtime) NewDistReduceAt(loc, n int, op string, init any, waiters ...Waiter) agas.GID {
 	if n < 1 {
 		panic(fmt.Sprintf("core: distributed reduce needs at least 1 contribution, got %d", n))
 	}
-	r.checkReducer(op)
-	l := &DistLCO{kind: lcoReduce, need: n, opName: op, val: init, waiters: append([]Waiter(nil), waiters...)}
+	red, acc, err := reduceStart(op, init)
+	if err != nil {
+		panic(err.Error())
+	}
+	l := &DistLCO{kind: lcoReduce, need: n, red: red, acc: acc, waiters: append([]Waiter(nil), waiters...)}
 	return r.NewObjectAt(loc, agas.KindLCO, l)
 }
 
 // NewDistDataflowAt creates a globally addressable dataflow template at
 // loc with n >= 1 input slots. When every slot has been supplied
-// (TrigSupply with the slot index) the registered reducer op folds the
-// slots in index order and the result resolves the template.
+// (TrigSupply with the slot index) the built-in reducer op folds the
+// slots in index order and the result resolves the template; slots that
+// do not fold (not numbers, or numbers of both kinds) fail it.
 func (r *Runtime) NewDistDataflowAt(loc, n int, op string, waiters ...Waiter) agas.GID {
 	if n < 1 {
 		panic(fmt.Sprintf("core: distributed dataflow needs at least 1 slot, got %d", n))
 	}
-	r.checkReducer(op)
 	l := &DistLCO{
-		kind: lcoDataflow, need: n, opName: op,
+		kind: lcoDataflow, need: n, red: mustRedOp(op),
 		slots: make([]any, n), filled: make([]bool, n),
 		waiters: append([]Waiter(nil), waiters...),
 	}
@@ -423,9 +516,9 @@ func (r *Runtime) fireWaiter(src int, w Waiter, val any, failMsg string) {
 // firing waiters on resolution. It runs inside a parcel action
 // (a work unit is charged), so waiter fires charge their own legs through
 // the normal send path. v is the trigger's value, already decoded by
-// applyTrigger; raw is its record, which only a subscription reads (into
-// a Waiter) and which aliases the trigger parcel's arguments, valid only
-// until the action returns.
+// applyTrigger for every op but a contribution and a subscription, which
+// read raw in place (into the accumulator, into a Waiter). raw aliases
+// the trigger parcel's arguments, valid only until the action returns.
 func (r *Runtime) applyDistTrigger(loc int, l *DistLCO, op TrigOp, slot uint32, v any, raw []byte) error {
 	if op == TrigWait {
 		w, err := decodeWaiter(raw)
@@ -464,7 +557,7 @@ func (r *Runtime) applyDistTrigger(loc int, l *DistLCO, op TrigOp, slot uint32, 
 		}
 		return nil
 	}
-	if aerr := l.applyValueLocked(r, op, slot, v); aerr != nil {
+	if aerr := l.applyValueLocked(op, slot, v, raw); aerr != nil {
 		l.mu.Unlock()
 		return aerr
 	}
@@ -483,8 +576,9 @@ func (r *Runtime) applyDistTrigger(loc int, l *DistLCO, op TrigOp, slot uint32, 
 
 // applyValueLocked advances the state machine by one value-carrying
 // trigger; the caller holds l.mu and has already handled resolution and
-// TrigFail.
-func (l *DistLCO) applyValueLocked(r *Runtime, op TrigOp, slot uint32, v any) error {
+// TrigFail. A contribution is folded from its record raw; a failed fold
+// changes nothing.
+func (l *DistLCO) applyValueLocked(op TrigOp, slot uint32, v any, raw []byte) error {
 	switch {
 	case op == TrigSet && l.kind == lcoFuture:
 		l.val = v
@@ -492,11 +586,11 @@ func (l *DistLCO) applyValueLocked(r *Runtime, op TrigOp, slot uint32, v any) er
 	case op == TrigSignal && l.kind == lcoGate:
 		l.need--
 	case op == TrigContribute && l.kind == lcoReduce:
-		fn, ok := r.reducers.lookup(l.opName)
-		if !ok {
-			return fmt.Errorf("core: reducer %q not registered on this node", l.opName)
+		acc, err := l.red.fold(l.acc, raw)
+		if err != nil {
+			return err
 		}
-		l.val = fn(l.val, v)
+		l.acc = acc
 		l.need--
 	case op == TrigSupply && l.kind == lcoDataflow:
 		if int(slot) >= len(l.slots) {
@@ -510,15 +604,11 @@ func (l *DistLCO) applyValueLocked(r *Runtime, op TrigOp, slot uint32, v any) er
 		l.slots[slot] = v
 		l.need--
 		if l.need == 0 {
-			fn, ok := r.reducers.lookup(l.opName)
-			if !ok {
-				return fmt.Errorf("core: reducer %q not registered on this node", l.opName)
+			val, err := l.red.foldSlots(l.slots)
+			if err != nil {
+				l.failMsg = err.Error() // resolves the template failed
 			}
-			acc := l.slots[0]
-			for i := 1; i < len(l.slots); i++ {
-				acc = fn(acc, l.slots[i])
-			}
-			l.val = acc
+			l.val = val
 		}
 	default:
 		return fmt.Errorf("core: %s trigger on %s LCO: %w", op, l.kindName(), ErrTriggerMismatch)
@@ -526,9 +616,13 @@ func (l *DistLCO) applyValueLocked(r *Runtime, op TrigOp, slot uint32, v any) er
 	return nil
 }
 
-// resolveLocked marks the LCO resolved and detaches its waiters; the
-// caller holds l.mu and fires the returned waiters after unlocking.
+// resolveLocked marks the LCO resolved, boxing a reduction's accumulator
+// as its value, and detaches its waiters; the caller holds l.mu and fires
+// the returned waiters after unlocking.
 func (l *DistLCO) resolveLocked() []Waiter {
+	if l.kind == lcoReduce {
+		l.val = l.acc.box()
+	}
 	l.resolved = true
 	l.need = 0
 	waiters := l.waiters

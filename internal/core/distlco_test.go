@@ -254,7 +254,7 @@ func TestDistLCOWaiterSurvivesMigration(t *testing.T) {
 // codec and checks every piece of state survives.
 func TestDistLCOCodecRoundTrip(t *testing.T) {
 	l := &DistLCO{
-		kind: lcoReduce, need: 3, opName: ReduceSum, val: int64(7),
+		kind: lcoReduce, need: 3, red: redSum, acc: num{kind: numInt, i: 7},
 		waiters: []Waiter{
 			{Target: agas.GID{Home: 2, Kind: agas.KindLCO, Seq: 9}, Op: TrigContribute},
 			{Target: agas.GID{Home: 0, Kind: agas.KindLCO, Seq: 4}, Op: TrigSupply, Slot: 2},
@@ -269,7 +269,7 @@ func TestDistLCOCodecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := back.(*DistLCO)
-	if d.kind != lcoReduce || d.need != 3 || d.opName != ReduceSum || d.val.(int64) != 7 {
+	if d.kind != lcoReduce || d.need != 3 || d.red != redSum || d.acc != (num{kind: numInt, i: 7}) {
 		t.Fatalf("state lost: %+v", d)
 	}
 	if len(d.waiters) != 2 || d.waiters[0] != l.waiters[0] || d.waiters[1] != l.waiters[1] {
@@ -277,7 +277,7 @@ func TestDistLCOCodecRoundTrip(t *testing.T) {
 	}
 
 	// A dataflow with one filled slot.
-	df := &DistLCO{kind: lcoDataflow, need: 1, opName: ReduceMax,
+	df := &DistLCO{kind: lcoDataflow, need: 1, red: redMax,
 		slots: []any{float64(3.5), nil}, filled: []bool{true, false}}
 	raw, err = parcel.EncodeAny(df)
 	if err != nil {
@@ -385,26 +385,30 @@ func TestDistLCOContinuationDuplicationIdempotence(t *testing.T) {
 	}
 }
 
-// TestRegisterReducerValidation covers reducer registration errors and
-// the construction-time check for unknown operators.
-func TestRegisterReducerValidation(t *testing.T) {
+// TestReducerValidation: an unknown reducer, or a reduce init that is not
+// a number or nil, panics at the construction site.
+func TestReducerValidation(t *testing.T) {
 	r := New(Config{Localities: 1})
 	defer r.Shutdown()
-	if err := r.RegisterReducer("", nil); err == nil {
-		t.Fatal("nameless reducer accepted")
+	for _, tc := range []struct {
+		name string
+		mk   func()
+	}{
+		{"unknown reducer", func() { r.NewDistReduceAt(0, 1, "no.such.op", nil) }},
+		{"unknown dataflow reducer", func() { r.NewDistDataflowAt(0, 1, "no.such.op") }},
+		{"empty reducer", func() { r.NewDistReduceAt(0, 1, "", nil) }},
+		{"string init", func() { r.NewDistReduceAt(0, 1, ReduceSum, "0") }},
+		{"uint64 init", func() { r.NewDistReduceAt(0, 1, ReduceMax, uint64(0)) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s at construction did not panic", tc.name)
+				}
+			}()
+			tc.mk()
+		}()
 	}
-	if err := r.RegisterReducer(ReduceSum, func(acc, v any) any { return acc }); err == nil {
-		t.Fatal("duplicate reducer accepted")
-	}
-	if err := r.RegisterReducer("test.custom", func(acc, v any) any { return v }); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown reducer at construction did not panic")
-		}
-	}()
-	r.NewDistReduceAt(0, 1, "no.such.op", nil)
 }
 
 // TestDistLCOLateTriggerToFreedTarget checks the benign-straggler path: a

@@ -72,7 +72,7 @@ func encodeDistLCO(v any) ([]byte, bool, error) {
 	buf := make([]byte, 0, 64+16*len(l.waiters))
 	buf = append(buf, distLCOCodecVersion, byte(l.kind))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(l.need))
-	buf = appendString16(buf, l.opName)
+	buf = appendString16(buf, l.red.String())
 	resolved := byte(0)
 	if l.resolved {
 		resolved = 1
@@ -81,10 +81,14 @@ func encodeDistLCO(v any) ([]byte, bool, error) {
 	buf = appendString16(buf, l.failMsg)
 	var err error
 	// The accumulator/value is encoded when meaningful: reductions carry
-	// a live accumulator from creation; futures and dataflows only hold a
-	// value once resolved; gates never do.
-	hasVal := l.kind == lcoReduce || (l.resolved && l.failMsg == "" && l.val != nil)
-	if buf, err = appendValueRecord(buf, l.val, hasVal); err != nil {
+	// a live accumulator from creation (an unset one as nil's false
+	// record); futures and dataflows only hold a value once resolved;
+	// gates never do.
+	val, hasVal := l.val, l.resolved && l.failMsg == "" && l.val != nil
+	if l.kind == lcoReduce {
+		val, hasVal = l.acc.box(), true
+	}
+	if buf, err = appendValueRecord(buf, val, hasVal); err != nil {
 		return nil, true, fmt.Errorf("accumulator: %w", err)
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(l.slots)))
@@ -112,12 +116,27 @@ func decodeDistLCO(buf []byte) (any, error) {
 	}
 	l := &DistLCO{kind: lcoKind(c.U8())}
 	l.need = int(c.U32())
-	l.opName = c.Str16()
+	opName := c.Str16()
 	l.resolved = c.U8() == 1
 	l.failMsg = c.Str16()
+	var ok bool
+	l.red, ok = parseRedOp(opName)
+	folds := l.kind == lcoReduce || l.kind == lcoDataflow
+	if !c.Bad() && (!ok || folds != (l.red != redNone)) {
+		return fail(fmt.Errorf("reducer %q on %s LCO", opName, l.kindName()))
+	}
 	var err error
 	if l.val, _, err = readValueRecord(&c); err != nil {
 		return fail(fmt.Errorf("accumulator: %w", err))
+	}
+	if l.kind == lcoReduce && !c.Bad() {
+		// nil travels as false: an accumulator still unset.
+		if l.acc, ok = numOf(l.val); !ok && l.val != false {
+			return fail(fmt.Errorf("accumulator %T is not a number", l.val))
+		}
+		if !l.resolved {
+			l.val = nil
+		}
 	}
 	// Counts are checked against what is left before anything is sized by
 	// them: each slot costs at least its presence byte.

@@ -155,10 +155,6 @@ type Runtime struct {
 	opSeq        atomic.Uint64 // paces operational (steal) spans separately
 	sampledRoots atomic.Uint64 // traces minted locally (px.trace.sampled)
 
-	// reducers names the fold operators distributed reductions and
-	// dataflow templates apply.
-	reducers *reducerRegistry
-
 	// migrations serializes moves per object: each GID has at most one
 	// migration in flight from this node (the single closer its store
 	// entry's Close requires), while moves of different objects proceed
@@ -227,7 +223,6 @@ func New(cfg Config) *Runtime {
 		net:        cfg.Net,
 		slow:       metrics.NewSLOW(),
 		acts:       newActionRegistry(),
-		reducers:   newReducerRegistry(),
 		migrations: make(map[agas.GID]chan struct{}),
 		// Migration's exchanges run where they land: an install queued
 		// behind user work deadlocks two nodes whose only workers each

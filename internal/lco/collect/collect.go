@@ -88,6 +88,14 @@ func installLeaf(ctx *core.Context, target any, args *parcel.Reader) (any, error
 		if err != nil {
 			return nil, fmt.Errorf("collect: reduce init: %w", err)
 		}
+		if init == false {
+			init = nil // nil travels as false, which no reduction starts from
+		}
+		// The op and init come off the wire: a bad one fails this install,
+		// where NewDistReduceAt would panic the node.
+		if err := core.CheckReduce(op, init); err != nil {
+			return nil, fmt.Errorf("collect: reduce %q: %w", id, err)
+		}
 		leaf = rt.NewDistReduceAt(loc, n, op, init,
 			core.Waiter{Target: root, Op: core.TrigContribute})
 	case "barrier":
@@ -229,14 +237,20 @@ type Reduce struct {
 
 // NewReduce builds a reduction identified by id, rooted at resident
 // locality home. counts[node] is the number of contributions expected
-// from each node (0 excludes the node); op is a registered reducer and
-// init the per-leaf identity element — it is folded once per leaf and
-// once at the root, so it must be the operator's identity (0 for sum,
-// +inf for min) for the result to be exact.
+// from each node (0 excludes the node); op is one of the built-in
+// reducers (core.ReduceSum, ReduceMin, ReduceMax or ReduceCount) and init
+// the per-leaf starting accumulator: an int, int64 or float64, or nil for
+// one that takes its first contribution as it is. It is folded once per
+// leaf and once at the root, so a number must be the operator's identity
+// (0 for sum, +inf for min) for the result to be exact. Any other op or
+// init is an error.
 func NewReduce(rt *core.Runtime, home int, id string, counts []int, op string, init any) (*Reduce, error) {
 	leaves := activeNodes(counts)
 	if leaves == 0 {
 		return nil, fmt.Errorf("collect: reduce %q with no contributions", id)
+	}
+	if err := core.CheckReduce(op, init); err != nil {
+		return nil, fmt.Errorf("collect: reduce %q: %w", id, err)
 	}
 	root := rt.NewDistReduceAt(home, leaves, op, init)
 	if err := install(rt, home, id, "reduce", root, counts, op, init); err != nil {

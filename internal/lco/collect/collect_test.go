@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/agas"
 	"repro/internal/core"
+	"repro/internal/parcel"
 	"repro/internal/transport"
 )
 
@@ -191,6 +192,99 @@ func TestReduceAppliesEachContributionOnce(t *testing.T) {
 	}
 	if v, err := res.Get(); err != nil || v.(int64) != 121 {
 		t.Fatalf("reduce = %v, %v; want 121 (1+..+6, then 100)", v, err)
+	}
+}
+
+// TestReduceNilInitAcrossNodes: a nil init crosses the wire to every
+// leaf (as the false record nil travels as) and starts each leaf and the
+// root unset, so each takes its first contribution as it is: a min needs
+// no identity element, and a float64 sum starts from no int64 zero.
+func TestReduceNilInitAcrossNodes(t *testing.T) {
+	rts := machine3(t)
+	defer shutdown(t, rts, true)
+	for _, tc := range []struct {
+		id, op string
+		v      func(loc int) any
+		want   any
+	}{
+		{"nil-min", core.ReduceMin, func(loc int) any { return int64(300 - loc) }, int64(295)},
+		{"nil-sum", core.ReduceSum, func(loc int) any { return 0.5 * float64(loc) }, 7.5},
+	} {
+		red0, err := NewReduce(rts[0], 0, tc.id, []int{2, 2, 2}, tc.op, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := red0.Result(0)
+		for node := 0; node < 3; node++ {
+			red, err := AttachReduce(rts[node], tc.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rg := rts[node].NodeRange(node)
+			for loc := rg.Lo; loc < rg.Hi; loc++ {
+				if err := red.Contribute(loc, tc.v(loc)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if v, err := res.Get(); err != nil || v != tc.want {
+			t.Fatalf("%s from nil = %v (%T), %v; want %v (%T)", tc.op, v, v, err, tc.want, tc.want)
+		}
+	}
+}
+
+// TestInstallRejectsBadReduce: an install parcel naming an unknown
+// reducer or carrying an init no reduction starts from — any peer can
+// send one — fails that install and leaves the node serving; NewReduce
+// refuses the same values with an error.
+func TestInstallRejectsBadReduce(t *testing.T) {
+	rts := machine3(t)
+	defer shutdown(t, rts, true)
+	root := rts[0].NewDistReduceAt(0, 1, core.ReduceSum, int64(0))
+	for _, tc := range []struct {
+		id, op string
+		init   any
+	}{
+		{"bad-string", core.ReduceSum, "0"},
+		{"bad-uint64", core.ReduceMax, uint64(7)},
+		{"bad-bool", core.ReduceSum, true},
+		{"bad-op", "no.such.op", int64(0)},
+	} {
+		initRaw, err := parcel.EncodeAny(tc.init)
+		if err != nil {
+			t.Fatal(err)
+		}
+		args := parcel.NewArgs().String(tc.id).String("reduce").GID(root).
+			Int64(2).String(tc.op).Bytes(initRaw).Encode()
+		fut := rts[0].CallFrom(0, rts[0].LocalityGID(rts[1].NodeRange(1).Lo), ActionInstall, args)
+		if _, err := fut.Get(); err == nil {
+			t.Errorf("%s: install of a %s from %T succeeded", tc.id, tc.op, tc.init)
+		}
+		if _, err := AttachReduce(rts[1], tc.id); err == nil {
+			t.Errorf("%s: a failed install left a leaf bound", tc.id)
+		}
+		if _, err := NewReduce(rts[0], 0, tc.id, []int{1, 1, 1}, tc.op, tc.init); err == nil {
+			t.Errorf("%s: NewReduce of a %s from %T succeeded", tc.id, tc.op, tc.init)
+		}
+	}
+	rts[0].FreeObject(root)
+	// Node 1 is still up: a good reduction across every node completes.
+	red0, err := NewReduce(rts[0], 0, "after-bad", []int{1, 1, 1}, core.ReduceSum, int64(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := red0.Result(0)
+	for node := 0; node < 3; node++ {
+		red, err := AttachReduce(rts[node], "after-bad")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := red.Contribute(rts[node].NodeRange(node).Lo, int64(1000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v, err := res.Get(); err != nil || v != int64(3000) {
+		t.Fatalf("reduce after the bad installs = %v, %v; want 3000", v, err)
 	}
 }
 

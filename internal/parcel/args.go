@@ -243,6 +243,16 @@ func (r *Reader) Float64() float64 {
 	return v
 }
 
+// Number reads an int64 or a float64 field without boxing it: isFloat
+// reports which one it was, and the value is in i or f. Any other field
+// sets Err, as a mismatched Int64 would.
+func (r *Reader) Number() (i int64, f float64, isFloat bool) {
+	if r.err == nil && r.pos < len(r.buf) && r.buf[r.pos] == tagFloat64 {
+		return 0, r.Float64(), true
+	}
+	return r.Int64(), 0, false
+}
+
 // Bool reads a bool.
 func (r *Reader) Bool() bool {
 	if !r.tag(tagBool, "bool") || !r.need(1, "bool") {

@@ -197,6 +197,26 @@ func TestArgsTypeMismatchDetected(t *testing.T) {
 	}
 }
 
+// TestReaderNumber: Number reads either numeric field as what it is and
+// flags any other field, or a truncated one.
+func TestReaderNumber(t *testing.T) {
+	r := NewReader(NewArgs().Int64(-7).Float64(2.5).String("x").Encode())
+	if i, f, isFloat := r.Number(); i != -7 || f != 0 || isFloat {
+		t.Fatalf("Number() on an int64 = %v, %v, %v", i, f, isFloat)
+	}
+	if i, f, isFloat := r.Number(); i != 0 || f != 2.5 || !isFloat {
+		t.Fatalf("Number() on a float64 = %v, %v, %v", i, f, isFloat)
+	}
+	if r.Number(); r.Err() == nil {
+		t.Fatal("Number() on a string set no error")
+	}
+	rec := NewArgs().Float64(1).Encode()
+	r = NewReader(rec[:len(rec)-1])
+	if r.Number(); r.Err() == nil {
+		t.Fatal("Number() on a truncated float64 set no error")
+	}
+}
+
 func TestArgsExhaustionDetected(t *testing.T) {
 	rec := NewArgs().Int64(1).Encode()
 	r := NewReader(rec)

@@ -44,8 +44,6 @@ type (
 	TrigOp = core.TrigOp
 	// Waiter names what a distributed LCO triggers when it resolves.
 	Waiter = core.Waiter
-	// ReduceFn folds one contribution into a distributed reduction.
-	ReduceFn = core.ReduceFn
 
 	// Parcel is the message-driven unit of work movement.
 	Parcel = parcel.Parcel
@@ -138,9 +136,9 @@ const (
 	TrigWait       = core.TrigWait
 )
 
-// Built-in reducer names for distributed reductions (Runtime.
-// NewDistReduceAt) and dataflow templates; register application reducers
-// with Runtime.RegisterReducer.
+// Reducer names for distributed reductions (Runtime.NewDistReduceAt) and
+// dataflow templates. The four are the whole set: each folds int64 or
+// float64 values unboxed, and a migrating LCO carries its reducer's name.
 const (
 	ReduceSum   = core.ReduceSum
 	ReduceMin   = core.ReduceMin
